@@ -29,6 +29,7 @@ from .operators import (
     Domain,
     LinearOp,
     ProxFunction,
+    _read_only_zeros,
     prox_conjugate,
     resolvent_from_prox,
 )
@@ -94,10 +95,15 @@ def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
         if dim is None:
             raise ValueError("dim is required for a scalar center")
         b = np.full(dim, float(b))
+
+    def gradient(x):
+        out = np.subtract(x, b)
+        return np.multiply(out, c, out=out)
+
     return SmoothTerm(
         dim=b.size,
         value=lambda x: 0.5 * c * float(np.dot(x - b, x - b)),
-        gradient=lambda x: c * (x - b),
+        gradient=gradient,
         lipschitz_inv=(1.0 / c) if mu is None else float(mu),
         kind="sq_l2",
         params={"weight": c, "center": b},
@@ -105,11 +111,15 @@ def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
 
 
 def zero_smooth(dim: int, mu: Optional[float] = None) -> SmoothTerm:
-    """The identically zero smooth term (gradient 0, mu = inf)."""
+    """The identically zero smooth term (gradient 0, mu = inf).
+
+    The gradient returns one shared read-only zero array.
+    """
+    zero = _read_only_zeros(dim)
     return SmoothTerm(
         dim=dim,
         value=lambda x: 0.0,
-        gradient=lambda x: np.zeros(dim),
+        gradient=lambda x: zero,
         lipschitz_inv=math.inf if mu is None else float(mu),
         kind="zero",
         params={},
@@ -141,11 +151,13 @@ def dirac_term(dim: int) -> StronglyConvexTerm:
     """ell = indicator of the origin; its conjugate is identically zero.
 
     This is the degenerate choice that removes the inf-convolution:
-    (g inf-conv ell) = g.
+    (g inf-conv ell) = g.  The conjugate gradient returns one shared
+    read-only zero array.
     """
+    zero = _read_only_zeros(dim)
     return StronglyConvexTerm(
         dim=dim,
-        conj_gradient=lambda v: np.zeros(dim),
+        conj_gradient=lambda v: zero,
         nu=math.inf,
         conj_value=lambda v: 0.0,
         kind="dirac",

@@ -49,6 +49,13 @@ __all__ = [
 INDICATOR_TOL = 1e-9
 
 
+def _read_only_zeros(dim: int) -> np.ndarray:
+    """A zero vector that cannot be written, for zero maps to share."""
+    zero = np.zeros(dim)
+    zero.flags.writeable = False
+    return zero
+
+
 @dataclass(frozen=True)
 class LinearOp:
     """Bounded linear operator with adjoint.
@@ -107,7 +114,9 @@ class CocoerciveOp:
 
     @staticmethod
     def zero(dim: int) -> "CocoerciveOp":
-        return CocoerciveOp(dim, lambda v: np.zeros(dim), math.inf)
+        """The zero map; every call returns one shared read-only array."""
+        zero = _read_only_zeros(dim)
+        return CocoerciveOp(dim, lambda v: zero, math.inf)
 
 
 @dataclass(frozen=True)
@@ -226,9 +235,10 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
 
     def apply(x):
         img = np.asarray(x, dtype=float).reshape(rows, cols)
-        dv = img[1:, :] - img[:-1, :]
-        dh = img[:, 1:] - img[:, :-1]
-        return np.concatenate([dv.ravel(), dh.ravel()])
+        out = np.empty(n_v + n_h)
+        np.subtract(img[1:, :], img[:-1, :], out=out[:n_v].reshape(rows - 1, cols))
+        np.subtract(img[:, 1:], img[:, :-1], out=out[n_v:].reshape(rows, cols - 1))
+        return out
 
     def adjoint(y):
         y = np.asarray(y, dtype=float)
@@ -272,13 +282,16 @@ def estimate_norm(L: LinearOp, tol: float = 1e-8, max_iter: int = 10000,
     nx = np.linalg.norm(x)
     x = x / nx if nx > 0 else np.ones(L.in_dim) / math.sqrt(L.in_dim)
 
+    # the iterate and the eigen-residual live in two arrays reused by every
+    # step, so the loop allocates only what L and its adjoint return
+    r = np.empty(L.in_dim)
     lam = 0.0
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         w = L.adjoint_apply(L.apply(x))
         lam = float(np.dot(x, w))
-        resid = float(np.linalg.norm(w - lam * x))
+        resid = float(np.linalg.norm(np.subtract(w, np.multiply(x, lam, out=r), out=r)))
         if resid <= tol * max(abs(lam), 1e-300):
             converged = True
             break
@@ -288,7 +301,7 @@ def estimate_norm(L: LinearOp, tol: float = 1e-8, max_iter: int = 10000,
             lam = 0.0
             converged = True
             break
-        x = w / nw
+        x = np.divide(w, nw, out=x)
 
     value = math.sqrt(max(lam, 0.0))
     if L.norm_hint is not None:
@@ -364,10 +377,15 @@ def _build_sq_l2(dim, weight=1.0, center=0.0):
         raise ValueError("sq_l2 weight must be positive")
     b = _as_vec(center, dim, "center")
 
+    def prox(gamma, w):
+        out = np.multiply(b, gamma * c)
+        np.add(w, out, out=out)
+        return np.divide(out, 1.0 + gamma * c, out=out)
+
     return ProxFunction(
         dim,
         evaluate=lambda x: 0.5 * c * float(np.dot(x - b, x - b)),
-        prox=lambda gamma, w: (w + gamma * c * b) / (1.0 + gamma * c),
+        prox=prox,
         conjugate_value=lambda u: float(np.dot(b, u)) + float(np.dot(u, u)) / (2.0 * c),
         domain=Domain.full(),
         kind="sq_l2",
@@ -381,6 +399,13 @@ def _build_l1(dim, weight=1.0):
     if c <= 0:
         raise ValueError("l1 weight must be positive")
 
+    def prox(gamma, w):
+        w = np.asarray(w, dtype=float)
+        out = np.abs(w)
+        np.subtract(out, gamma * c, out=out)
+        np.maximum(out, 0.0, out=out)
+        return np.multiply(np.sign(w), out, out=out)
+
     def conj(u):
         # indicator of the weight-radius sup-norm ball
         slack = INDICATOR_TOL * (1.0 + c)
@@ -389,7 +414,7 @@ def _build_l1(dim, weight=1.0):
     return ProxFunction(
         dim,
         evaluate=lambda x: c * float(np.sum(np.abs(x))),
-        prox=lambda gamma, w: np.sign(w) * np.maximum(np.abs(w) - gamma * c, 0.0),
+        prox=prox,
         conjugate_value=conj,
         domain=Domain.full(),
         kind="l1",
@@ -463,6 +488,10 @@ def _build_linear(dim, a=0.0):
     a_v = _as_vec(a, dim, "a")
     scale = 1.0 + float(np.max(np.abs(a_v)))
 
+    def prox(gamma, w):
+        out = np.multiply(a_v, gamma)
+        return np.subtract(w, out, out=out)
+
     def conj(u):
         slack = INDICATOR_TOL * scale
         return 0.0 if float(np.max(np.abs(u - a_v), initial=0.0)) <= slack else math.inf
@@ -470,7 +499,7 @@ def _build_linear(dim, a=0.0):
     return ProxFunction(
         dim,
         evaluate=lambda x: float(np.dot(a_v, x)),
-        prox=lambda gamma, w: w - gamma * a_v,
+        prox=prox,
         conjugate_value=conj,
         domain=Domain.full(),
         kind="linear",

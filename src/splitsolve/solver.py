@@ -37,7 +37,6 @@ from .operators import (
     LinearOp,
     ResolventOp,
     estimate_norm,
-    resolvent_of_inverse,
 )
 from .spaces import BlockVector, SpaceLayout
 
@@ -347,6 +346,12 @@ def certified_norms(spec: ProblemSpec, seed: int = 0) -> tuple[float, ...]:
     return tuple(norms)
 
 
+def _beta(spec: ProblemSpec) -> float:
+    """Smallest cocoercivity constant, ``BETA_CAP`` when all are infinite."""
+    beta = min(spec.C.constant, *(blk.Dinv.constant for blk in spec.blocks))
+    return BETA_CAP if math.isinf(beta) else beta
+
+
 def _step_quantities(spec, tau, sigmas, norms):
     weights = spec.layout.weights
     coupling = tau * math.fsum(
@@ -354,11 +359,8 @@ def _step_quantities(spec, tau, sigmas, norms):
     )
     root = math.sqrt(coupling) if coupling > 0 else 0.0
     rho = min(1.0 / tau, *(1.0 / s for s in sigmas)) * (1.0 - root)
-    beta = min(spec.C.constant, *(blk.Dinv.constant for blk in spec.blocks))
-    if math.isinf(beta):
-        beta = BETA_CAP
     delta = (1.0 / root - 1.0) if root > 0 else math.inf
-    return rho, beta, delta
+    return rho, _beta(spec), delta
 
 
 def validate_steps(spec: ProblemSpec, tau: float, sigmas,
@@ -415,10 +417,7 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99,
     s_norm = math.sqrt(math.fsum(w * nm * nm for w, nm in zip(weights, norms)))
     if s_norm == 0.0:
         raise ValueError("all operator norms are zero; the problem violates the nonzero-L contract")
-    beta = min(spec.C.constant, *(blk.Dinv.constant for blk in spec.blocks))
-    if math.isinf(beta):
-        beta = BETA_CAP
-    step = safety / (0.5 / beta + s_norm)
+    step = safety / (0.5 / _beta(spec) + s_norm)
     cfg = validate_steps(spec, step, (step,) * spec.num_blocks,
                          lambda_schedule=lambda_schedule, epsilon=epsilon,
                          norms=norms)
@@ -432,42 +431,85 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99,
 # iteration kernel
 
 
-def _kernel(spec, tau, sigmas, lam, x, v, err):
-    """One update on raw arrays; returns (p, y, x1, q, v1).
+class _Iterate:
+    """Arrays written by one update: ``x``/``v`` hold the next iterate,
+    ``y`` and ``q`` the intermediates, and ``arg`` the argument handed
+    to the resolvent of A (and p itself when an ``a2`` error is added)."""
 
-    The dual-block reduction runs in ascending block order so results
-    are deterministic.
+    __slots__ = ("x", "v", "y", "q", "arg")
+
+    def __init__(self, layout: SpaceLayout):
+        self.x = np.empty(layout.dim_primal)
+        self.y = np.empty(layout.dim_primal)
+        self.arg = np.empty(layout.dim_primal)
+        self.v = tuple(np.empty(d) for d in layout.dual_dims)
+        self.q = tuple(np.empty(d) for d in layout.dual_dims)
+
+
+class _Workspace:
+    """Scratch arrays of the kernel and of the residual arithmetic.
+
+    ``dx``/``dv`` receive the unrelaxed displacement (p - x, q - v) of
+    the last update and ``sx``/``sv`` the displacement of the step taken.
+    """
+
+    __slots__ = ("wsum", "tmp", "dx", "sx", "finite_x",
+                 "us", "dv", "sv", "finite_v")
+
+    def __init__(self, layout: SpaceLayout):
+        n, dims = layout.dim_primal, layout.dual_dims
+        self.wsum, self.tmp, self.dx, self.sx = (np.empty(n) for _ in range(4))
+        self.us, self.dv, self.sv = (tuple(np.empty(d) for d in dims)
+                                     for _ in range(3))
+        self.finite_x = np.empty(n, dtype=bool)
+        self.finite_v = tuple(np.empty(d, dtype=bool) for d in dims)
+
+
+def _kernel(spec, tau, sigmas, lam, x, v, err, ws, out):
+    """One update from ``(x, v)`` into ``out``; returns p.
+
+    Every array operation writes into ``ws`` or ``out``, never into
+    ``x``, ``v`` or an array an operator returned; an operator's result
+    is consumed before the buffer it was handed is written again.  The
+    operations and their order are those of the plain formulas in the
+    module docstring, so results are bitwise reproducible; the
+    dual-block reduction runs in ascending block order.
     """
     weights = spec.layout.weights
-    wsum = np.zeros_like(x)
+    t = ws.wsum
+    t.fill(0.0)
     for i, blk in enumerate(spec.blocks):
-        wsum = wsum + weights[i] * blk.L.adjoint_apply(v[i])
-    t = wsum + spec.C.apply(x)
+        np.add(t, np.multiply(blk.L.adjoint_apply(v[i]), weights[i], out=ws.tmp), out=t)
+    np.add(t, spec.C.apply(x), out=t)
     if err is not None and err.a1 is not None:
-        t = t + err.a1
-    t = t - spec.z
-    p = spec.A.resolvent(tau, x - tau * t)
+        np.add(t, err.a1, out=t)
+    np.subtract(t, spec.z, out=t)
+    p = spec.A.resolvent(tau, np.subtract(x, np.multiply(t, tau, out=out.arg), out=out.arg))
     if err is not None and err.a2 is not None:
-        p = p + err.a2
-    if not np.isfinite(p).all():
+        p = np.add(p, err.a2, out=out.arg)
+    if not np.isfinite(p, out=ws.finite_x).all():
         raise DivergenceError(-1, "primal update p")
-    y = 2.0 * p - x
-    x1 = x + lam * (p - x)
-    q = []
-    v1 = []
+    y = np.subtract(np.multiply(p, 2.0, out=out.y), x, out=out.y)
+    np.subtract(p, x, out=ws.dx)
+    np.add(x, np.multiply(ws.dx, lam, out=out.x), out=out.x)
     for i, blk in enumerate(spec.blocks):
-        u = blk.L.apply(y) - blk.Dinv.apply(v[i])
+        sigma, q = sigmas[i], out.q[i]
+        u = np.subtract(blk.L.apply(y), blk.Dinv.apply(v[i]), out=q)
         if err is not None and err.c[i] is not None:
-            u = u - err.c[i]
-        u = v[i] + sigmas[i] * (u - blk.r)
-        qi = resolvent_of_inverse(blk.B, sigmas[i], u)
+            np.subtract(u, err.c[i], out=u)
+        np.subtract(u, blk.r, out=u)
+        np.add(v[i], np.multiply(u, sigma, out=u), out=u)
+        # resolvent_of_inverse: J_{sigma B^-1}(u) = u - sigma J_{B/sigma}(u/sigma)
+        s = ws.us[i]
+        jb = blk.B.resolvent(1.0 / sigma, np.divide(u, sigma, out=s))
+        np.subtract(u, np.multiply(jb, sigma, out=s), out=q)
         if err is not None and err.b[i] is not None:
-            qi = qi + err.b[i]
-        if not np.isfinite(qi).all():
+            np.add(q, err.b[i], out=q)
+        if not np.isfinite(q, out=ws.finite_v[i]).all():
             raise DivergenceError(-1, f"dual update q[{i}]")
-        q.append(qi)
-        v1.append(v[i] + lam * (qi - v[i]))
-    return p, y, x1, tuple(q), tuple(v1)
+        np.subtract(q, v[i], out=ws.dv[i])
+        np.add(v[i], np.multiply(ws.dv[i], lam, out=out.v[i]), out=out.v[i])
+    return p
 
 
 def _weighted_sq(weights, dx, dv):
@@ -495,6 +537,14 @@ def _residual_norm(spec, cfg, dx, dv):
     return math.sqrt(_weighted_sq(spec.layout.weights, dx, dv))
 
 
+def _require_admissible(cfg: StepConfig, allow_inadmissible: bool, verb: str) -> None:
+    if not cfg.admissible and not allow_inadmissible:
+        raise InadmissibleStepsError(
+            f"step sizes are inadmissible (2*rho*beta = {2.0 * cfg.rho * cfg.beta:g} <= 1); "
+            f"pass allow_inadmissible=True to {verb} anyway"
+        )
+
+
 def iterate_once(spec: ProblemSpec, cfg: StepConfig, st: IterState,
                  err: Optional[IterationErrors] = None,
                  allow_inadmissible: bool = False) -> IterState:
@@ -504,17 +554,15 @@ def iterate_once(spec: ProblemSpec, cfg: StepConfig, st: IterState,
     :class:`InadmissibleStepsError` when the step condition fails
     without an explicit override.
     """
-    if not cfg.admissible and not allow_inadmissible:
-        raise InadmissibleStepsError(
-            f"step sizes are inadmissible (2*rho*beta = {2.0 * cfg.rho * cfg.beta:g} <= 1); "
-            "pass allow_inadmissible=True to iterate anyway"
-        )
+    _require_admissible(cfg, allow_inadmissible, "iterate")
     lam = cfg.lambda_at(st.n)
+    out = _Iterate(spec.layout)
     try:
-        p, y, x1, q, v1 = _kernel(spec, cfg.tau, cfg.sigmas, lam, st.x, st.v, err)
+        p = _kernel(spec, cfg.tau, cfg.sigmas, lam, st.x, st.v, err,
+                    _Workspace(spec.layout), out)
     except DivergenceError as exc:
         raise DivergenceError(st.n, exc.block) from None
-    return IterState(n=st.n + 1, x=x1, v=v1, p=p, y=y, q=q)
+    return IterState(n=st.n + 1, x=out.x, v=out.v, p=p, y=out.y, q=out.q)
 
 
 def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
@@ -533,17 +581,31 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     attach objective values to each history row.  With
     ``record_states=True`` the report keeps every iterate (index 0
     included) for post-hoc monitoring.
+
+    The iteration works in arrays allocated once per run, or once per
+    iteration when ``record_states``, ``iter_metrics`` or ``extra_stop``
+    is given.  It never writes into ``x0``/``v0`` or into an array an
+    operator returned, and a state handed out (to ``iter_metrics``, ``extra_stop``, the
+    recorded states or ``final_state``) is never overwritten later.
+    Operators may return their input array but must not keep it: the
+    solver reuses the arrays it passes them.  The built-in zero maps
+    (``CocoerciveOp.zero``, ``zero_smooth``, ``dirac_term``) return one
+    shared read-only array.
     """
-    if not cfg.admissible and not allow_inadmissible:
-        raise InadmissibleStepsError(
-            f"step sizes are inadmissible (2*rho*beta = {2.0 * cfg.rho * cfg.beta:g} <= 1); "
-            "pass allow_inadmissible=True to run anyway"
-        )
+    _require_admissible(cfg, allow_inadmissible, "run")
     stop = stop or StoppingRule()
     errors = errors or zero_errors(spec.layout)
-    st = initial_state(spec.layout, x0, v0)
-    weights = spec.layout.weights
+    layout = spec.layout
+    st = initial_state(layout, x0, v0)
+    weights = layout.weights
+    tau, sigmas = cfg.tau, cfg.sigmas
 
+    ws = _Workspace(layout)
+    # a state that leaves the loop keeps its arrays, so each update then
+    # writes into fresh ones; otherwise two sets alternate
+    escapes = record_states or iter_metrics is not None or extra_stop is not None
+    pair = None if escapes else (_Iterate(layout), _Iterate(layout))
+    exact_out = None
     history: list[IterationRecord] = []
     states: Optional[list[BlockVector]] = [st.as_blockvector()] if record_states else None
     termination = "max_iter"
@@ -552,32 +614,36 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     for n in range(stop.max_iter):
         lam = cfg.lambda_at(n)
         err_n = errors.at(n)
+        out = _Iterate(layout) if escapes else pair[n % 2]
         t0 = time.perf_counter()
         try:
-            p, y, x1, q, v1 = _kernel(spec, cfg.tau, cfg.sigmas, lam, st.x, st.v, err_n)
+            p = _kernel(spec, tau, sigmas, lam, st.x, st.v, err_n, ws, out)
         except DivergenceError as exc:
             termination = "diverged"
             failure = f"non-finite value in {exc.block} at iteration {n}"
             break
 
-        exact_step = lam == 1.0 and all(
-            e is None for e in (err_n.a1, err_n.a2, *err_n.b, *err_n.c)
-        )
-        if exact_step:
-            dx = x1 - st.x
-            dv = tuple(b - a for a, b in zip(st.v, v1))
+        exact = all(e is None for e in (err_n.a1, err_n.a2, *err_n.b, *err_n.c))
+        if not exact:
+            # the residual measures the error-free update from the same state
+            if exact_out is None:
+                exact_out = _Iterate(layout)
+            _kernel(spec, tau, sigmas, 1.0, st.x, st.v, None, ws, exact_out)
+        step_dx = np.subtract(out.x, st.x, out=ws.sx)
+        step_dv = tuple(np.subtract(b, a, out=s) for a, b, s in zip(st.v, out.v, ws.sv))
+        if exact and lam == 1.0:
+            dx, dv = step_dx, step_dv
         else:
-            pe, _, xe, qe, ve = _kernel(spec, cfg.tau, cfg.sigmas, 1.0, st.x, st.v, None)
-            dx = xe - st.x
-            dv = tuple(b - a for a, b in zip(st.v, ve))
+            # the relaxation-1 displacement (x + (p - x)) - x
+            dx = np.subtract(np.add(st.x, ws.dx, out=ws.dx), st.x, out=ws.dx)
+            dv = tuple(np.subtract(np.add(a, d, out=d), a, out=d)
+                       for a, d in zip(st.v, ws.dv))
         residual = _residual_norm(spec, cfg, dx, dv)
-        step_dx = x1 - st.x
-        step_dv = tuple(b - a for a, b in zip(st.v, v1))
         step_norm = math.sqrt(_weighted_sq(weights, step_dx, step_dv))
         state_norm = math.sqrt(_weighted_sq(weights, st.x, st.v))
         wall_ms = (time.perf_counter() - t0) * 1000.0
 
-        new_state = IterState(n=n + 1, x=x1, v=v1, p=p, y=y, q=q)
+        new_state = IterState(n=n + 1, x=out.x, v=out.v, p=p, y=out.y, q=out.q)
         extras = iter_metrics(new_state) if iter_metrics is not None else {}
         history.append(IterationRecord(
             iter=n + 1, step_norm=step_norm, residual=residual,

@@ -302,3 +302,18 @@ class TestKktResidual:
         for tau, sigma in [(1.0, 1.0), (0.3, 2.0)]:
             res = ss.kkt_residual(lasso_1d(), x, v, tau=tau, sigmas=(sigma,))
             assert res <= 1e-12
+
+
+def test_zero_maps_share_one_read_only_array():
+    for fn in (ss.zero_smooth(3).gradient, ss.dirac_term(3).conj_gradient):
+        first, second = fn(np.ones(3)), fn(np.arange(3.0))
+        assert first is second
+        np.testing.assert_array_equal(first, np.zeros(3))
+        assert not first.flags.writeable
+
+
+def test_quadratic_gradient_matches_formula(rng):
+    b = rng.standard_normal(6)
+    x = rng.standard_normal(6)
+    got = ss.quadratic_smooth(b, weight=0.3).gradient(x)
+    np.testing.assert_array_equal(got.view(np.uint64), (0.3 * (x - b)).view(np.uint64))

@@ -349,3 +349,238 @@ class TestErrorSchedules:
             ss.geometric_errors(layout, 0.1, 1.0)
         with pytest.raises(ValueError):
             ss.geometric_errors(layout, -0.1, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the workspace kernel against a plain allocating loop
+
+
+def reference_run(spec, cfg, stop, errors=None):
+    """The update and the stopping arithmetic written with fresh arrays
+    everywhere and a second, error-free, relaxation-1 update whenever
+    the step taken is not one; returns (step norms, residuals, x, v)."""
+    weights = spec.layout.weights
+    tau, sigmas = cfg.tau, cfg.sigmas
+
+    def update(x, v, lam, err):
+        wsum = np.zeros_like(x)
+        for w, blk, vi in zip(weights, spec.blocks, v):
+            wsum = wsum + w * blk.L.adjoint_apply(vi)
+        t = wsum + spec.C.apply(x)
+        if err is not None and err.a1 is not None:
+            t = t + err.a1
+        p = spec.A.resolvent(tau, x - tau * (t - spec.z))
+        if err is not None and err.a2 is not None:
+            p = p + err.a2
+        y = 2.0 * p - x
+        v1 = []
+        for i, blk in enumerate(spec.blocks):
+            u = blk.L.apply(y) - blk.Dinv.apply(v[i])
+            if err is not None and err.c[i] is not None:
+                u = u - err.c[i]
+            u = v[i] + sigmas[i] * (u - blk.r)
+            q = ss.resolvent_of_inverse(blk.B, sigmas[i], u)
+            if err is not None and err.b[i] is not None:
+                q = q + err.b[i]
+            v1.append(v[i] + lam * (q - v[i]))
+        return x + lam * (p - x), v1
+
+    def sq(dx, dv):
+        s = float(np.dot(dx, dx))
+        for w, d in zip(weights, dv):
+            s += w * float(np.dot(d, d))
+        return s
+
+    x = np.zeros(spec.layout.dim_primal)
+    v = [np.zeros(d) for d in spec.layout.dual_dims]
+    steps, residuals = [], []
+    for n in range(stop.max_iter):
+        lam = cfg.lambda_at(n)
+        err = errors.at(n) if errors is not None else None
+        x1, v1 = update(x, v, lam, err)
+        xe, ve = update(x, v, 1.0, None)
+        dx = xe - x
+        dv = [b - a for a, b in zip(v, ve)]
+        quad = float(np.dot(dx, dx)) / tau
+        for w, s, blk, d in zip(weights, sigmas, spec.blocks, dv):
+            quad += w / s * float(np.dot(d, d))
+            quad -= 2.0 * w * float(np.dot(blk.L.apply(dx), d))
+        residuals.append(math.sqrt(max(quad, 0.0)))
+        steps.append(math.sqrt(sq(x1 - x, [b - a for a, b in zip(v, v1)])))
+        state_norm = math.sqrt(sq(x, v))
+        x, v = x1, v1
+        if residuals[-1] <= stop.tol * (1.0 + state_norm):
+            break
+    return steps, residuals, x, v
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def relaxed(spec, cfg, lam):
+    return ss.validate_steps(spec, cfg.tau, cfg.sigmas, norms=cfg.norms,
+                             lambda_schedule=lambda n: lam)
+
+
+def fb_case():
+    cp, params = ss.benchmarks.fb_problem()
+    spec = ss.lower_to_inclusion(cp)
+    cfg = ss.validate_steps(spec, params["tau"], (params["sigma"],),
+                            lambda_schedule=lambda n: params["lam"])
+    return spec, cfg, None
+
+
+def condat_case():
+    cp, params = ss.benchmarks.condat_problem()
+    spec = ss.lower_to_inclusion(cp)
+    return spec, relaxed(spec, ss.suggest_steps(spec, safety=params["safety"]),
+                         params["lam"]), None
+
+
+def errors_case():
+    cp, _ = ss.benchmarks.fused_lasso_problem()
+    spec = ss.lower_to_inclusion(cp)
+    cfg = relaxed(spec, ss.suggest_steps(spec), 0.9)
+    return spec, cfg, ss.geometric_errors(spec.layout, 0.1, 0.9, seed=9)
+
+
+def tv2d_case():
+    side = 16
+    b = np.kron(np.array([[1.0, -0.5], [0.25, 2.0]]), np.ones((8, 8))).ravel()
+    b = b + 0.05 * np.random.default_rng(7).standard_normal(b.size)
+    L = ss.grad2d_op(side, side)
+    n, m = L.in_dim, L.out_dim
+    spec = ss.ProblemSpec(
+        layout=ss.SpaceLayout(n, (m,), (1.0,)),
+        A=ss.resolvent_from_prox(ss.catalog_prox("zero", n)),
+        C=ss.CocoerciveOp(n, lambda x: x - b, 1.0),
+        z=np.zeros(n),
+        blocks=(ss.Block(B=ss.resolvent_from_prox(ss.catalog_prox("l1", m, weight=0.3)),
+                         Dinv=ss.CocoerciveOp.zero(m), L=L, r=np.zeros(m)),),
+    )
+    return spec, ss.suggest_steps(spec), None
+
+
+class TestBitwiseAgainstPlainLoop:
+    @pytest.mark.parametrize("case", [fb_case, condat_case, errors_case, tv2d_case],
+                             ids=["fb-0.9", "condat-0.85", "geometric-errors", "tv2d-16x16"])
+    def test_history_and_final_state(self, case):
+        spec, cfg, errors = case()
+        stop = ss.StoppingRule(tol=1e-9, max_iter=3000)
+        steps, residuals, x, v = reference_run(spec, cfg, stop, errors)
+        report = ss.run(spec, cfg, stop=stop, errors=errors)
+        assert report.termination == "converged"
+        assert report.iterations == len(steps)
+        np.testing.assert_array_equal(
+            bits([rec.step_norm for rec in report.history]), bits(steps))
+        np.testing.assert_array_equal(
+            bits([rec.residual for rec in report.history]), bits(residuals))
+        np.testing.assert_array_equal(bits(report.final_state.x), bits(x))
+        for got, want in zip(report.final_state.v, v):
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+
+# ---------------------------------------------------------------------------
+# aliasing: operators that hand back their input array
+
+
+def passthrough_spec(n=5):
+    """Two blocks whose A, L, L^T and D^{-1} return their input array."""
+    b = np.linspace(-2.0, 2.0, n)
+    layout = ss.SpaceLayout(n, (n, n), (0.6, 0.4))
+    L = ss.LinearOp(n, n, lambda x: x, lambda y: y, norm_hint=1.0)
+    blocks = (
+        ss.Block(B=ss.resolvent_from_prox(ss.catalog_prox("l1", n, weight=0.5)),
+                 Dinv=ss.CocoerciveOp(n, lambda v: v, 1.0), L=L, r=0.1 * b),
+        ss.Block(B=ss.resolvent_from_prox(ss.catalog_prox("box", n, lo=-1.0, hi=1.0)),
+                 Dinv=ss.CocoerciveOp.zero(n), L=L, r=np.zeros(n)),
+    )
+    return ss.ProblemSpec(
+        layout=layout,
+        A=ss.ResolventOp(n, lambda gamma, w: w),
+        C=ss.CocoerciveOp(n, lambda x: x - b, 1.0),
+        z=np.zeros(n),
+        blocks=blocks,
+    )
+
+
+def snapshot(st):
+    return [a.copy() for a in (st.x, *st.v)]
+
+
+class TestAliasing:
+    def setup_method(self):
+        self.spec = passthrough_spec()
+        base = ss.suggest_steps(self.spec, safety=0.9)
+        self.cfg = relaxed(self.spec, base, 0.8)
+        rng = np.random.default_rng(3)
+        self.x0 = rng.standard_normal(5)
+        self.v0 = (rng.standard_normal(5), rng.standard_normal(5))
+        self.stop = ss.StoppingRule(tol=0.0, max_iter=40)
+
+    def test_recorded_states_match_iterate_once_replay(self):
+        report = ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0,
+                        stop=self.stop, record_states=True)
+        st = ss.initial_state(self.spec.layout, self.x0, self.v0)
+        for kept in report.states[1:]:
+            st = ss.iterate_once(self.spec, self.cfg, st)
+            np.testing.assert_array_equal(bits(kept.primal), bits(st.x))
+            for got, want in zip(kept.duals, st.v):
+                np.testing.assert_array_equal(bits(got), bits(want))
+        np.testing.assert_array_equal(bits(report.final_state.x), bits(st.x))
+
+    def test_caller_arrays_unchanged(self):
+        before = [a.copy() for a in (self.x0, *self.v0)]
+        ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0, stop=self.stop)
+        st = ss.initial_state(self.spec.layout, self.x0, self.v0)
+        ss.iterate_once(self.spec, self.cfg, st)
+        for got, want in zip((self.x0, *self.v0), before):
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_hook_states_not_mutated_later(self):
+        kept = []
+
+        def hook(st):
+            kept.append((st, snapshot(st), [a.copy() for a in (st.p, st.y, *st.q)]))
+            return {}
+
+        report = ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0,
+                        stop=self.stop, iter_metrics=hook)
+        assert len(kept) == report.iterations
+        for st, arrays, inter in kept:
+            for got, want in zip(snapshot(st), arrays):
+                np.testing.assert_array_equal(bits(got), bits(want))
+            for got, want in zip((st.p, st.y, *st.q), inter):
+                np.testing.assert_array_equal(bits(got), bits(want))
+        assert kept[-1][0] is report.final_state
+
+    def test_final_state_survives_divergence(self):
+        # iteration 3 fails; the state after iteration 2 must be intact
+        calls = []
+
+        def resolvent(gamma, w):
+            calls.append(1)
+            return w * np.inf if len(calls) == 4 else w
+
+        spec = ss.ProblemSpec(layout=self.spec.layout,
+                              A=ss.ResolventOp(5, resolvent),
+                              C=self.spec.C, z=self.spec.z, blocks=self.spec.blocks)
+        report = ss.run(spec, self.cfg, x0=self.x0, v0=self.v0, stop=self.stop)
+        assert report.termination == "diverged"
+        assert report.iterations == 3
+        st = ss.initial_state(self.spec.layout, self.x0, self.v0)
+        for _ in range(3):
+            st = ss.iterate_once(self.spec, self.cfg, st)
+        for got, want in zip((report.final_state.x, *report.final_state.v,
+                              report.final_state.p, *report.final_state.q),
+                             (st.x, *st.v, st.p, *st.q)):
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_zero_map_stays_zero(self):
+        ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0, stop=self.stop)
+        zero_map = self.spec.blocks[1].Dinv
+        out = zero_map.apply(np.ones(5))
+        np.testing.assert_array_equal(bits(out), bits(np.zeros(5)))
+        with pytest.raises(ValueError):
+            out[0] = 1.0
