@@ -44,3 +44,9 @@ def materialize(L):
     """Dense matrix of a linear operator, column by column."""
     cols = [np.asarray(L.apply(e), dtype=float) for e in np.eye(L.in_dim)]
     return np.column_stack(cols)
+
+
+def assert_same_bits(got, want):
+    """Equality of float arrays bit for bit, so signed zeros count."""
+    np.testing.assert_array_equal(np.asarray(got, dtype=float).view(np.uint64),
+                                  np.asarray(want, dtype=float).view(np.uint64))

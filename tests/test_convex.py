@@ -14,6 +14,8 @@ from splitsolve.benchmarks import (
 )
 from splitsolve.convex import check_gradient
 
+from conftest import assert_same_bits
+
 
 def lasso_1d():
     """minimize 0.5 (x - 4)^2 + |x|; the solution is x = 3."""
@@ -316,4 +318,4 @@ def test_quadratic_gradient_matches_formula(rng):
     b = rng.standard_normal(6)
     x = rng.standard_normal(6)
     got = ss.quadratic_smooth(b, weight=0.3).gradient(x)
-    np.testing.assert_array_equal(got.view(np.uint64), (0.3 * (x - b)).view(np.uint64))
+    assert_same_bits(got, 0.3 * (x - b))

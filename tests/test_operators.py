@@ -19,7 +19,7 @@ from splitsolve.operators import (
     resolvent_of_inverse,
 )
 
-from conftest import materialize
+from conftest import assert_same_bits, materialize
 
 
 def catalog_instances(dim=4, rng=None):
@@ -294,16 +294,11 @@ class TestPlainFormulas:
         w[:4] = (0.0, -0.0, 0.2, -0.2)
         return w
 
-    @staticmethod
-    def same_bits(got, want):
-        np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
-                                      np.asarray(want).view(np.uint64))
-
     def test_grad2d(self, rng):
         rows, cols = 5, 7
         op = grad2d_op(rows, cols)
         img = self.signed(rng, rows * cols).reshape(rows, cols)
-        self.same_bits(op.apply(img.ravel()), np.concatenate([
+        assert_same_bits(op.apply(img.ravel()), np.concatenate([
             (img[1:, :] - img[:-1, :]).ravel(), (img[:, 1:] - img[:, :-1]).ravel()]))
         y = self.signed(rng, op.out_dim)
         n_v = (rows - 1) * cols
@@ -313,8 +308,8 @@ class TestPlainFormulas:
         out[1:, :] += dv
         out[:, :-1] -= dh
         out[:, 1:] += dh
-        self.same_bits(op.adjoint_apply(y), out.ravel())
-        self.same_bits(op.adjoint_apply(-np.zeros(op.out_dim)), np.zeros(rows * cols))
+        assert_same_bits(op.adjoint_apply(y), out.ravel())
+        assert_same_bits(op.adjoint_apply(-np.zeros(op.out_dim)), np.zeros(rows * cols))
 
     def test_diff1d_adjoint(self, rng):
         op = diff1d_op(9)
@@ -322,17 +317,17 @@ class TestPlainFormulas:
         out = np.zeros(9)
         out[:-1] -= y
         out[1:] += y
-        self.same_bits(op.adjoint_apply(y), out)
+        assert_same_bits(op.adjoint_apply(y), out)
 
     def test_catalog_proxes(self, rng):
         w = self.signed(rng, 12)
         b = rng.standard_normal(12)
         gamma = 0.7
-        self.same_bits(catalog_prox("l1", 12, weight=0.3).prox(gamma, w),
+        assert_same_bits(catalog_prox("l1", 12, weight=0.3).prox(gamma, w),
                        np.sign(w) * np.maximum(np.abs(w) - gamma * 0.3, 0.0))
-        self.same_bits(catalog_prox("sq_l2", 12, weight=1.5, center=b).prox(gamma, w),
+        assert_same_bits(catalog_prox("sq_l2", 12, weight=1.5, center=b).prox(gamma, w),
                        (w + gamma * 1.5 * b) / (1.0 + gamma * 1.5))
-        self.same_bits(catalog_prox("linear", 12, a=b).prox(gamma, w), w - gamma * b)
+        assert_same_bits(catalog_prox("linear", 12, a=b).prox(gamma, w), w - gamma * b)
 
     def test_estimate_norm(self, rng):
         op = matrix_op(rng.standard_normal((6, 9)))
@@ -346,12 +341,12 @@ class TestPlainFormulas:
             x = w / float(np.linalg.norm(w))
         est = estimate_norm(op, tol=1e-12, max_iter=50, seed=4)
         assert est.iterations == iterations
-        self.same_bits(est.value, math.sqrt(lam))
+        assert_same_bits(est.value, math.sqrt(lam))
 
     def test_zero_map_shares_one_read_only_array(self):
         T = CocoerciveOp.zero(3)
         first, second = T.apply(np.ones(3)), T.apply(np.arange(3.0))
         assert first is second
-        self.same_bits(first, np.zeros(3))
+        assert_same_bits(first, np.zeros(3))
         with pytest.raises(ValueError):
             first[0] = 1.0

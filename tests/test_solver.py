@@ -6,7 +6,7 @@ import pytest
 import splitsolve as ss
 from splitsolve.solver import BETA_CAP
 
-from conftest import degenerate_block, shrinkage_spec
+from conftest import assert_same_bits, degenerate_block, shrinkage_spec
 
 
 def simple_spec(m=1, dim=1, norms=None, mu=1.0, nus=None, weights=None):
@@ -414,10 +414,6 @@ def reference_run(spec, cfg, stop, errors=None):
     return steps, residuals, x, v
 
 
-def bits(values):
-    return np.asarray(values, dtype=float).view(np.uint64)
-
-
 def relaxed(spec, cfg, lam):
     return ss.validate_steps(spec, cfg.tau, cfg.sigmas, norms=cfg.norms,
                              lambda_schedule=lambda n: lam)
@@ -472,13 +468,11 @@ class TestBitwiseAgainstPlainLoop:
         report = ss.run(spec, cfg, stop=stop, errors=errors)
         assert report.termination == "converged"
         assert report.iterations == len(steps)
-        np.testing.assert_array_equal(
-            bits([rec.step_norm for rec in report.history]), bits(steps))
-        np.testing.assert_array_equal(
-            bits([rec.residual for rec in report.history]), bits(residuals))
-        np.testing.assert_array_equal(bits(report.final_state.x), bits(x))
+        assert_same_bits([rec.step_norm for rec in report.history], steps)
+        assert_same_bits([rec.residual for rec in report.history], residuals)
+        assert_same_bits(report.final_state.x, x)
         for got, want in zip(report.final_state.v, v):
-            np.testing.assert_array_equal(bits(got), bits(want))
+            assert_same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +519,10 @@ class TestAliasing:
         st = ss.initial_state(self.spec.layout, self.x0, self.v0)
         for kept in report.states[1:]:
             st = ss.iterate_once(self.spec, self.cfg, st)
-            np.testing.assert_array_equal(bits(kept.primal), bits(st.x))
+            assert_same_bits(kept.primal, st.x)
             for got, want in zip(kept.duals, st.v):
-                np.testing.assert_array_equal(bits(got), bits(want))
-        np.testing.assert_array_equal(bits(report.final_state.x), bits(st.x))
+                assert_same_bits(got, want)
+        assert_same_bits(report.final_state.x, st.x)
 
     def test_caller_arrays_unchanged(self):
         before = [a.copy() for a in (self.x0, *self.v0)]
@@ -536,7 +530,7 @@ class TestAliasing:
         st = ss.initial_state(self.spec.layout, self.x0, self.v0)
         ss.iterate_once(self.spec, self.cfg, st)
         for got, want in zip((self.x0, *self.v0), before):
-            np.testing.assert_array_equal(bits(got), bits(want))
+            assert_same_bits(got, want)
 
     def test_hook_states_not_mutated_later(self):
         kept = []
@@ -550,9 +544,9 @@ class TestAliasing:
         assert len(kept) == report.iterations
         for st, arrays, inter in kept:
             for got, want in zip(snapshot(st), arrays):
-                np.testing.assert_array_equal(bits(got), bits(want))
+                assert_same_bits(got, want)
             for got, want in zip((st.p, st.y, *st.q), inter):
-                np.testing.assert_array_equal(bits(got), bits(want))
+                assert_same_bits(got, want)
         assert kept[-1][0] is report.final_state
 
     def test_final_state_survives_divergence(self):
@@ -575,12 +569,12 @@ class TestAliasing:
         for got, want in zip((report.final_state.x, *report.final_state.v,
                               report.final_state.p, *report.final_state.q),
                              (st.x, *st.v, st.p, *st.q)):
-            np.testing.assert_array_equal(bits(got), bits(want))
+            assert_same_bits(got, want)
 
     def test_zero_map_stays_zero(self):
         ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0, stop=self.stop)
         zero_map = self.spec.blocks[1].Dinv
         out = zero_map.apply(np.ones(5))
-        np.testing.assert_array_equal(bits(out), bits(np.zeros(5)))
+        assert_same_bits(out, np.zeros(5))
         with pytest.raises(ValueError):
             out[0] = 1.0
