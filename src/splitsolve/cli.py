@@ -4,7 +4,7 @@ Commands::
 
     splitsolve solve <config> [-o out.csv] [--steps auto|manual]
                               [--unsafe-steps] [--timings]
-    splitsolve check <config>
+    splitsolve check <config>       (each norm(L[i]) with its source)
     splitsolve bench <suite> -o <dir>
     splitsolve diag  <config>
 
@@ -30,6 +30,7 @@ from .diagnostics import (
     certify_skew,
     certify_strong_positivity,
 )
+from .operators import CLOSED_FORM_NORM_KINDS
 from .reporting import write_run_csv
 from .solver import (
     StoppingRule,
@@ -137,8 +138,11 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     cp, opts = _load(args.config)
     spec, cfg = _step_config(cp, opts)
-    for i, nm in enumerate(cfg.norms):
+    for i, (blk, nm) in enumerate(zip(spec.blocks, cfg.norms)):
         print(f"norm(L[{i}]) = {nm:.17g}")
+        source = (f"closed form ({blk.L.kind})" if blk.L.kind in CLOSED_FORM_NORM_KINDS
+                  else "power iteration")
+        print(f"norm(L[{i}]) source = {source}")
     for line in _admissibility_lines(cfg):
         print(line)
     print(f"tau = {cfg.tau:.17g}")

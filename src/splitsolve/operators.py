@@ -2,8 +2,9 @@
 
 Four operator representations are used throughout:
 
-* :class:`LinearOp` -- a bounded linear map with its adjoint and an
-  optional user-certified upper bound on its norm,
+* :class:`LinearOp` -- a bounded linear map with its adjoint, an
+  optional upper bound on its norm, and a ``kind`` tag that marks the
+  library's operators whose bound is the exact closed-form norm,
 * :class:`ResolventOp` -- a maximally monotone operator represented by
   its resolvent ``(gamma, w) -> J_{gamma A}(w)``,
 * :class:`CocoerciveOp` -- a single-valued map together with its
@@ -12,9 +13,9 @@ Four operator representations are used throughout:
   proximity operator, optionally carrying a closed-form conjugate and an
   effective-domain description.
 
-The module also provides power-iteration norm estimation, the
-inverse-resolvent identity, the Moreau decomposition for conjugate
-proxes, and a closed-form prox catalog.
+The module also provides power-iteration norm estimation (for operators
+without a closed-form norm), the inverse-resolvent identity, the Moreau
+decomposition for conjugate proxes, and a closed-form prox catalog.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "ProxFunction",
     "Domain",
     "NormEstimate",
+    "CLOSED_FORM_NORM_KINDS",
     "CocoercivityReport",
     "identity_op",
     "matrix_op",
@@ -47,6 +49,8 @@ __all__ = [
 
 #: feasibility slack used when evaluating indicator-type functions
 INDICATOR_TOL = 1e-9
+#: ``LinearOp.kind`` tags whose ``norm_hint`` is the exact operator norm
+CLOSED_FORM_NORM_KINDS = frozenset({"identity", "diff1d", "grad2d"})
 
 
 def _read_only_zeros(dim: int) -> np.ndarray:
@@ -60,9 +64,16 @@ def _read_only_zeros(dim: int) -> np.ndarray:
 class LinearOp:
     """Bounded linear operator with adjoint.
 
-    ``norm_hint`` is a user-certified upper bound on the operator norm;
-    when present it takes precedence over power-iteration estimates
-    (estimates never fall below it).
+    ``norm_hint`` is an upper bound on the operator norm.  ``kind`` is
+    ``"custom"`` unless a library constructor sets it; for the kinds in
+    ``CLOSED_FORM_NORM_KINDS`` (``identity_op``, ``diff1d_op``,
+    ``grad2d_op``) the hint is the exact closed-form norm and is used as
+    it is, like the ``kind`` tags of the catalog functions.  A custom
+    hint is only a starting point: step certification still runs power
+    iteration and repairs a hint below the true norm.  Power iteration
+    stays at or below the closed forms (except one ulp at
+    ``grad2d_op(2, 2)``), so using them directly leaves step sizes and
+    iterates bit for bit the same.
     """
 
     in_dim: int
@@ -70,12 +81,15 @@ class LinearOp:
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint_apply: Callable[[np.ndarray], np.ndarray]
     norm_hint: Optional[float] = None
+    kind: str = "custom"
 
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("operator dimensions must be positive")
         if self.norm_hint is not None and self.norm_hint < 0:
             raise ValueError("norm_hint must be nonnegative")
+        if self.kind in CLOSED_FORM_NORM_KINDS and self.norm_hint is None:
+            raise ValueError(f"a {self.kind} operator needs its closed-form norm_hint")
 
 
 @dataclass(frozen=True)
@@ -185,8 +199,10 @@ class CocoercivityReport:
 
 
 def identity_op(dim: int) -> LinearOp:
-    return LinearOp(dim, dim, lambda x: np.asarray(x, dtype=float).copy(),
-                    lambda y: np.asarray(y, dtype=float).copy(), norm_hint=1.0)
+    """The identity; apply and adjoint return their input array."""
+    return LinearOp(dim, dim, lambda x: np.asarray(x, dtype=float),
+                    lambda y: np.asarray(y, dtype=float), norm_hint=1.0,
+                    kind="identity")
 
 
 def matrix_op(mat, norm_hint: Optional[float] = None) -> LinearOp:
@@ -212,14 +228,18 @@ def diff1d_op(n: int) -> LinearOp:
         return x[1:] - x[:-1]
 
     def adjoint(y):
+        # 0.0 - y and a zero last entry reproduce np.zeros(n) -= y, signed
+        # zeros included, without filling the output twice
         y = np.asarray(y, dtype=float)
-        out = np.zeros(n)
-        out[:-1] -= y
+        out = np.empty(n)
+        np.subtract(0.0, y, out=out[:-1])
+        out[-1] = 0.0
         out[1:] += y
         return out
 
     return LinearOp(n, n - 1, apply, adjoint,
-                    norm_hint=2.0 * math.sin((n - 1) * math.pi / (2 * n)))
+                    norm_hint=2.0 * math.sin((n - 1) * math.pi / (2 * n)),
+                    kind="diff1d")
 
 
 def grad2d_op(rows: int, cols: int) -> LinearOp:
@@ -244,8 +264,9 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
         y = np.asarray(y, dtype=float)
         dv = y[:n_v].reshape(rows - 1, cols)
         dh = y[n_v:].reshape(rows, cols - 1)
-        out = np.zeros((rows, cols))
-        out[:-1, :] -= dv
+        out = np.empty((rows, cols))
+        np.subtract(0.0, dv, out=out[:-1, :])
+        out[-1, :] = 0.0
         out[1:, :] += dv
         out[:, :-1] -= dh
         out[:, 1:] += dh
@@ -255,7 +276,8 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
         math.sin((rows - 1) * math.pi / (2 * rows)) ** 2
         + math.sin((cols - 1) * math.pi / (2 * cols)) ** 2
     )
-    return LinearOp(rows * cols, n_v + n_h, apply, adjoint, norm_hint=hint)
+    return LinearOp(rows * cols, n_v + n_h, apply, adjoint, norm_hint=hint,
+                    kind="grad2d")
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +489,7 @@ def _build_point(dim, point=0.0):
 
 
 def _build_zero(dim):
-    """the zero function, prox = identity"""
+    """the zero function, prox = identity (returns its input array)"""
 
     def conj(u):
         return 0.0 if float(np.max(np.abs(u), initial=0.0)) <= INDICATOR_TOL else math.inf
@@ -475,7 +497,7 @@ def _build_zero(dim):
     return ProxFunction(
         dim,
         evaluate=lambda x: 0.0,
-        prox=lambda gamma, w: np.asarray(w, dtype=float).copy(),
+        prox=lambda gamma, w: np.asarray(w, dtype=float),
         conjugate_value=conj,
         domain=Domain.full(),
         kind="zero",

@@ -33,6 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .operators import (
+    CLOSED_FORM_NORM_KINDS,
     CocoerciveOp,
     LinearOp,
     ResolventOp,
@@ -332,14 +333,26 @@ def initial_state(layout: SpaceLayout, x0=None, v0=None) -> IterState:
 def certified_norms(spec: ProblemSpec, seed: int = 0) -> tuple[float, ...]:
     """Upper bounds on the block operator norms for the step condition.
 
-    Power-iteration estimates are inflated by ``NORM_SAFETY`` because an
-    underestimate would void the convergence guarantee; user-certified
-    hints are taken at face value (the estimate never undercuts them).
+    Operators whose kind is in ``CLOSED_FORM_NORM_KINDS`` (the library's
+    identity, difference and gradient operators) contribute their exact
+    closed-form ``norm_hint`` without any power iteration.  Every other
+    operator is estimated: a user hint is taken at face value unless the
+    estimate exceeds it (a hint below the true norm is repaired), and an
+    estimate is inflated by ``NORM_SAFETY`` because an underestimate
+    would void the convergence guarantee.  Power iteration stays at or
+    below the closed forms (one exception: ``grad2d_op(2, 2)``, whose
+    closed form rounds to one ulp below the exact norm 2), so skipping
+    it leaves the norms, and with them steps and iterates, bit for bit
+    the same.
     """
     norms = []
     for i, blk in enumerate(spec.blocks):
+        if blk.L.kind in CLOSED_FORM_NORM_KINDS:
+            norms.append(blk.L.norm_hint)
+            continue
         est = estimate_norm(blk.L, tol=POWER_TOL, max_iter=POWER_MAX_ITER, seed=seed)
-        value = est.value if blk.L.norm_hint is not None else est.value * NORM_SAFETY
+        # estimate_norm returns max(hint, estimate); only a hint is used as it is
+        value = est.value if est.value == blk.L.norm_hint else est.value * NORM_SAFETY
         if value <= 0.0:
             raise ValueError(f"block {i}: linear operator has zero estimated norm")
         norms.append(value)

@@ -1,7 +1,11 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import splitsolve.convex
+import splitsolve.operators
+import splitsolve.solver
 from splitsolve.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -34,6 +38,34 @@ ell = dirac
 mode = manual
 tau = 0.25
 sigma = 0.25
+"""
+
+
+MATRIX_CHECK = TWO_BLOCK_CHECK.replace("L = identity", "L = matrix 2 0 ; 0 1", 1)
+
+
+def denoise_config(center, L, dual_dim):
+    """TV denoising of ``center`` with the coupling ``L`` (config syntax)."""
+    return f"""
+[problem]
+dim_primal = {center.size}
+z = zeros
+f = zero
+h = sq_l2 weight=1.0 center=({",".join(repr(float(c)) for c in center)})
+
+[block]
+dim = {dual_dim}
+omega = 1.0
+L = {L}
+g = l1 weight=0.3
+ell = dirac
+
+[steps]
+mode = auto
+
+[stop]
+tol = 1e-4
+max_iter = 5000
 """
 
 
@@ -174,6 +206,66 @@ class TestCheck:
         main(["check", str(cfg)])
         stdout = capsys.readouterr().out
         assert extract(stdout, "qualification") == "satisfied"
+
+    @pytest.mark.parametrize("text, norm, source", [
+        (TWO_BLOCK_CHECK, 1.0, "closed form (identity)"),
+        (MATRIX_CHECK, 2.0, "power iteration"),
+    ], ids=["identity", "matrix"])
+    def test_norm_source(self, tmp_path, capsys, text, norm, source):
+        cfg = tmp_path / "src.cfg"
+        cfg.write_text(text)
+        assert main(["check", str(cfg)]) == 0
+        stdout = capsys.readouterr().out
+        assert norm <= float(extract(stdout, "norm(L[0])")) <= norm * 1.00001
+        assert extract(stdout, "norm(L[0]) source") == source
+        assert extract(stdout, "norm(L[1]) source") == "closed form (identity)"
+
+
+class TestSetupStaysLinear:
+    """Library operators and catalog terms reach the first iteration
+    without power iteration or the O(n^2) gradient check."""
+
+    @staticmethod
+    def tv1d():
+        rng = np.random.default_rng(5)
+        n = 2000
+        center = np.repeat(rng.uniform(-1.0, 1.0, 20), n // 20) + 0.05 * rng.standard_normal(n)
+        return denoise_config(center, "diff1d", n - 1)
+
+    @staticmethod
+    def tv2d():
+        rng = np.random.default_rng(6)
+        side = 64
+        img = np.kron(rng.uniform(-1.0, 1.0, (4, 4)), np.ones((16, 16)))
+        center = (img + 0.02 * rng.standard_normal(img.shape)).ravel()
+        return denoise_config(center, f"grad2d rows={side} cols={side}", 2 * side * (side - 1))
+
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    @pytest.mark.parametrize("make", ["tv1d", "tv2d"])
+    def test_no_power_iteration_or_gradient_check(self, tmp_path, capsys, monkeypatch,
+                                                  command, make):
+        calls = []
+
+        def refuse(name):
+            def refused(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called during setup")
+            return refused
+
+        for module in (splitsolve.operators, splitsolve.solver):
+            monkeypatch.setattr(module, "estimate_norm", refuse("estimate_norm"))
+        monkeypatch.setattr(splitsolve.convex, "check_gradient", refuse("check_gradient"))
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(getattr(self, make)())
+        argv = [command, str(cfg)] + (["-o", str(tmp_path / "r.csv")] if command == "solve" else [])
+        code = main(argv)
+        stdout = capsys.readouterr().out
+        assert calls == []
+        assert code == 0
+        if command == "solve":
+            assert extract(stdout, "termination") == "converged"
+        else:
+            assert extract(stdout, "norm(L[0]) source").startswith("closed form")
 
 
 class TestBench:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -80,6 +81,35 @@ class TestLowering:
     def test_gradient_check_passes_catalog(self):
         h = ss.quadratic_smooth(np.arange(4.0), weight=2.0)
         assert check_gradient(h) <= 1e-5
+
+    @pytest.mark.parametrize("dim", [1, 7, 50])
+    def test_catalog_gradients_pass_the_check(self, dim, rng):
+        # lower_to_inclusion trusts these kinds and skips the check
+        terms = [ss.zero_smooth(dim)]
+        for weight in (0.25, 1.0, 3.5):
+            terms.append(ss.quadratic_smooth(-1.5, weight=weight, dim=dim))
+            terms.append(ss.quadratic_smooth(rng.standard_normal(dim), weight=weight))
+        for h in terms:
+            assert check_gradient(h) <= 1e-5
+
+    @staticmethod
+    def wrong_gradient_problem():
+        cp = lasso_1d()
+        bad = ss.SmoothTerm(
+            dim=1,
+            value=lambda x: 0.5 * float(np.dot(x - 4.0, x - 4.0)),
+            gradient=lambda x: 1.5 * (x - 4.0),  # wrong scale
+            lipschitz_inv=1.0,
+        )
+        return dataclasses.replace(cp, h=bad)
+
+    def test_lowering_rejects_wrong_custom_gradient(self):
+        with pytest.raises(ValueError, match="finite-difference"):
+            ss.lower_to_inclusion(self.wrong_gradient_problem())
+
+    def test_solve_rejects_wrong_custom_gradient(self):
+        with pytest.raises(ValueError, match="finite-difference"):
+            ss.solve_convex(self.wrong_gradient_problem())
 
 
 class TestSolveConvex:

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import splitsolve as ss
-from splitsolve.solver import BETA_CAP
+from splitsolve.solver import BETA_CAP, NORM_SAFETY, POWER_MAX_ITER, POWER_TOL
 
 from conftest import assert_same_bits, degenerate_block, shrinkage_spec
 
@@ -120,6 +121,54 @@ class TestSuggestSteps:
         )
         with pytest.raises(ValueError, match="zero estimated norm"):
             ss.certified_norms(spec)
+
+
+def one_block_spec(L):
+    """Spec whose single degenerate block couples through ``L``."""
+    n = L.in_dim
+    return ss.ProblemSpec(
+        layout=ss.SpaceLayout(n, (L.out_dim,), (1.0,)),
+        A=ss.ResolventOp.zero(n),
+        C=ss.CocoerciveOp.zero(n),
+        z=np.zeros(n),
+        blocks=(degenerate_block(L.out_dim, L),),
+    )
+
+
+class TestCertifiedNorms:
+    @pytest.mark.parametrize("op", [ss.identity_op(5), ss.diff1d_op(7), ss.grad2d_op(3, 4)],
+                             ids=["identity", "diff1d", "grad2d"])
+    def test_closed_form_used_as_it_is(self, op):
+        calls = []
+
+        def counted(fn):
+            def wrapped(arr):
+                calls.append(1)
+                return fn(arr)
+            return wrapped
+
+        counting = dataclasses.replace(op, apply=counted(op.apply),
+                                       adjoint_apply=counted(op.adjoint_apply))
+        norms = ss.certified_norms(one_block_spec(counting))
+        assert_same_bits(norms, [op.norm_hint])
+        assert calls == []
+
+    def test_closed_form_kind_needs_its_hint(self):
+        with pytest.raises(ValueError, match="closed-form"):
+            dataclasses.replace(ss.diff1d_op(4), norm_hint=None)
+
+    def test_custom_hint_below_true_norm_is_repaired(self):
+        L = ss.LinearOp(3, 3, lambda x: 2.0 * x, lambda y: 2.0 * y, norm_hint=0.1)
+        assert L.kind == "custom"
+        (norm,) = ss.certified_norms(one_block_spec(L))
+        assert norm >= 2.0
+
+    def test_hintless_custom_op_is_inflated(self):
+        L = ss.LinearOp(3, 3, lambda x: 2.0 * x, lambda y: 2.0 * y)
+        est = ss.estimate_norm(L, tol=POWER_TOL, max_iter=POWER_MAX_ITER)
+        (norm,) = ss.certified_norms(one_block_spec(L))
+        assert norm == est.value * NORM_SAFETY
+        assert norm > 2.0
 
 
 class TestIterateOnce:
