@@ -7,12 +7,9 @@ the README for the data model and the CLI.
 """
 
 from .spaces import (
-    BlockVector,
     ShapeMismatchError,
     SpaceLayout,
-    axpy_blocks,
     inner_weighted,
-    norm_weighted,
 )
 from .operators import (
     CocoerciveOp,

@@ -382,9 +382,9 @@ def max_state_deviation(states, xs, vs=None) -> float:
     iterate lists."""
     worst = 0.0
     for k, s in enumerate(states):
-        worst = max(worst, float(np.max(np.abs(s.primal - xs[k]), initial=0.0)))
+        worst = max(worst, float(np.max(np.abs(s.x - xs[k]), initial=0.0)))
         if vs is not None:
-            for d, ref in zip(s.duals, vs[k]):
+            for d, ref in zip(s.v, vs[k]):
                 worst = max(worst, float(np.max(np.abs(d - ref), initial=0.0)))
     return worst
 

@@ -9,7 +9,8 @@ Commands::
     splitsolve diag  <config>
 
 Exit codes: 0 success/converged, 1 configuration error (including an
-admissibility refusal without ``--unsafe-steps``), 2 iteration budget
+admissibility refusal without ``--unsafe-steps`` and a config or output
+path that cannot be read or written), 2 iteration budget
 exhausted or a failed bench/diag check, 3 divergence.  The environment
 variable ``SPLITSOLVE_SEED`` overrides the seed of any configuration.
 """
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
         prefix = f"{where}:" if where else ""
         print(f"{prefix}{exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except ValueError as exc:

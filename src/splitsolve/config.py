@@ -606,23 +606,21 @@ def build_problem(pc: ProblemConfig, seed: Optional[int] = None) -> tuple[Convex
             tuple(b.dim for b in pc.blocks),
             tuple(b.omega for b in pc.blocks),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    blocks = []
-    for i, b in enumerate(pc.blocks):
-        blocks.append(ConvexBlock(
-            g=_build_prox(b.g, b.dim, f"block {i}: g"),
-            ell=_build_ell(b.ell, b.dim),
-            L=_build_operator(b.L, pc.dim_primal, b.dim),
-            r=b.r.resolve(b.dim),
-        ))
-    try:
+        blocks = tuple(
+            ConvexBlock(
+                g=_build_prox(b.g, b.dim, f"block {i}: g"),
+                ell=_build_ell(b.ell, b.dim),
+                L=_build_operator(b.L, pc.dim_primal, b.dim),
+                r=b.r.resolve(b.dim),
+            )
+            for i, b in enumerate(pc.blocks)
+        )
         cp = ConvexProblem(
             layout=layout,
             f=_build_prox(pc.f, pc.dim_primal, "f"),
             h=_build_smooth(pc.h, pc.dim_primal, pc.mu),
             z=pc.z.resolve(pc.dim_primal),
-            blocks=tuple(blocks),
+            blocks=blocks,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

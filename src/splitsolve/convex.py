@@ -205,18 +205,10 @@ class ConvexProblem:
         lay = self.layout
         if self.f.dim != lay.dim_primal or self.h.dim != lay.dim_primal:
             raise ValueError("f and h must act on the primal space")
-        if self.z.shape != (lay.dim_primal,):
-            raise ValueError("z has the wrong shape")
-        if len(self.blocks) != lay.num_blocks:
-            raise ValueError("number of blocks disagrees with layout")
-        for i, blk in enumerate(self.blocks):
-            d = lay.dual_dims[i]
+        lay.check_coupling(self.z, self.blocks)
+        for i, (blk, d) in enumerate(zip(self.blocks, lay.dual_dims)):
             if blk.g.dim != d or blk.ell.dim != d:
                 raise ValueError(f"block {i}: g/ell dimension mismatch")
-            if blk.L.in_dim != lay.dim_primal or blk.L.out_dim != d:
-                raise ValueError(f"block {i}: L has the wrong dimensions")
-            if blk.r.shape != (d,):
-                raise ValueError(f"block {i}: r has the wrong shape")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .solver import ProblemSpec, RunReport, StepConfig
-from .spaces import BlockVector, SpaceLayout, inner_weighted
+from .spaces import SpaceLayout, inner_weighted
 
 __all__ = [
     "ProductOps",
@@ -41,15 +41,18 @@ FEJER_SLACK = 1e-10
 class ProductOps:
     """Product-space maps S, Q, V for one problem/step-size pair.
 
+    Each map takes and returns a flat product-space array (see
+    :meth:`SpaceLayout.split`).
+
     ``t_apply`` maps the primal space into the scaled dual product
     (x -> (sqrt(sigma_i) L_i x)); its norm is bounded by
     ``sqrt(t_norm_bound)``.
     """
 
     layout: SpaceLayout
-    S_apply: Callable[[BlockVector], BlockVector]
-    Q_apply: Callable[[BlockVector], BlockVector]
-    V_apply: Callable[[BlockVector], BlockVector]
+    S_apply: Callable[[np.ndarray], np.ndarray]
+    Q_apply: Callable[[np.ndarray], np.ndarray]
+    V_apply: Callable[[np.ndarray], np.ndarray]
     t_apply: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     t_norm_bound: float
     rho: float
@@ -83,38 +86,34 @@ class FejerSeries:
 
 def build_product_ops(spec: ProblemSpec, cfg: StepConfig) -> ProductOps:
     """Materialize S, Q, V for ``spec`` with the steps in ``cfg``."""
-    weights = spec.layout.weights
+    layout = spec.layout
+    weights = layout.weights
     blocks = spec.blocks
     tau, sigmas = cfg.tau, cfg.sigmas
     if len(sigmas) != len(blocks):
         raise ValueError("config and problem disagree on the number of blocks")
 
     def adjoint_sum(duals):
-        out = np.zeros(spec.layout.dim_primal)
+        out = np.zeros(layout.dim_primal)
         for w, blk, d in zip(weights, blocks, duals):
             out = out + w * blk.L.adjoint_apply(d)
         return out
 
-    def S_apply(u: BlockVector) -> BlockVector:
-        return BlockVector(
-            adjoint_sum(u.duals),
-            tuple(-blk.L.apply(u.primal) for blk in blocks),
-        )
+    def S_apply(u: np.ndarray) -> np.ndarray:
+        x, v = layout.split(u)
+        return np.concatenate([adjoint_sum(v), *(-blk.L.apply(x) for blk in blocks)])
 
-    def Q_apply(u: BlockVector) -> BlockVector:
-        return BlockVector(
-            spec.C.apply(u.primal),
-            tuple(blk.Dinv.apply(d) for blk, d in zip(blocks, u.duals)),
-        )
+    def Q_apply(u: np.ndarray) -> np.ndarray:
+        x, v = layout.split(u)
+        return np.concatenate(
+            [spec.C.apply(x), *(blk.Dinv.apply(d) for blk, d in zip(blocks, v))])
 
-    def V_apply(u: BlockVector) -> BlockVector:
-        return BlockVector(
-            u.primal / tau - adjoint_sum(u.duals),
-            tuple(
-                d / s - blk.L.apply(u.primal)
-                for s, blk, d in zip(sigmas, blocks, u.duals)
-            ),
-        )
+    def V_apply(u: np.ndarray) -> np.ndarray:
+        x, v = layout.split(u)
+        return np.concatenate([
+            x / tau - adjoint_sum(v),
+            *(d / s - blk.L.apply(x) for s, blk, d in zip(sigmas, blocks, v)),
+        ])
 
     def t_apply(x: np.ndarray) -> tuple[np.ndarray, ...]:
         return tuple(math.sqrt(s) * blk.L.apply(x) for s, blk in zip(sigmas, blocks))
@@ -123,7 +122,7 @@ def build_product_ops(spec: ProblemSpec, cfg: StepConfig) -> ProductOps:
         w * s * nm * nm for w, s, nm in zip(weights, sigmas, cfg.norms)
     )
     return ProductOps(
-        layout=spec.layout,
+        layout=layout,
         S_apply=S_apply,
         Q_apply=Q_apply,
         V_apply=V_apply,
@@ -135,11 +134,8 @@ def build_product_ops(spec: ProblemSpec, cfg: StepConfig) -> ProductOps:
     )
 
 
-def _sample(layout: SpaceLayout, rng) -> BlockVector:
-    return BlockVector(
-        rng.standard_normal(layout.dim_primal),
-        tuple(rng.standard_normal(d) for d in layout.dual_dims),
-    )
+def _sample(layout: SpaceLayout, rng) -> np.ndarray:
+    return rng.standard_normal(layout.size)
 
 
 def certify_skew(ops: ProductOps, samples: int = 100, seed: int = 0) -> CertificateReport:
@@ -202,10 +198,8 @@ def certify_Q_cocoercive(ops: ProductOps, beta: Optional[float] = None,
         u = _sample(ops.layout, rng)
         w = _sample(ops.layout, rng)
         qu, qw = ops.Q_apply(u), ops.Q_apply(w)
-        dq = BlockVector(qu.primal - qw.primal,
-                         tuple(a - b for a, b in zip(qu.duals, qw.duals)))
-        du = BlockVector(u.primal - w.primal,
-                         tuple(a - b for a, b in zip(u.duals, w.duals)))
+        dq = qu - qw
+        du = u - w
         worst = min(
             worst,
             inner_weighted(du, dq, ops.layout)
@@ -232,8 +226,7 @@ def fejer_monitor(report: RunReport, ops: ProductOps) -> FejerSeries:
     final = report.states[-1]
     dists = []
     for s in report.states:
-        d = BlockVector(s.primal - final.primal,
-                        tuple(a - b for a, b in zip(s.duals, final.duals)))
+        d = s.u - final.u
         dists.append(math.sqrt(max(inner_weighted(d, ops.V_apply(d), ops.layout), 0.0)))
     dists = np.asarray(dists)
     increases = np.diff(dists)

@@ -86,7 +86,7 @@ class LinearOp:
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("operator dimensions must be positive")
-        if self.norm_hint is not None and self.norm_hint < 0:
+        if self.norm_hint is not None and not self.norm_hint >= 0:
             raise ValueError("norm_hint must be nonnegative")
         if self.kind in CLOSED_FORM_NORM_KINDS and self.norm_hint is None:
             raise ValueError(f"a {self.kind} operator needs its closed-form norm_hint")

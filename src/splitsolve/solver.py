@@ -39,7 +39,7 @@ from .operators import (
     ResolventOp,
     estimate_norm,
 )
-from .spaces import BlockVector, SpaceLayout
+from .spaces import SpaceLayout, inner_blocks
 
 __all__ = [
     "Block",
@@ -122,20 +122,12 @@ class ProblemSpec:
             raise ValueError("A acts on the wrong dimension")
         if self.C.dim != lay.dim_primal:
             raise ValueError("C acts on the wrong dimension")
-        if self.z.shape != (lay.dim_primal,):
-            raise ValueError("z has the wrong shape")
-        if len(self.blocks) != lay.num_blocks:
-            raise ValueError("number of blocks disagrees with layout")
-        for i, blk in enumerate(self.blocks):
-            d = lay.dual_dims[i]
+        lay.check_coupling(self.z, self.blocks)
+        for i, (blk, d) in enumerate(zip(self.blocks, lay.dual_dims)):
             if blk.B.dim != d:
                 raise ValueError(f"block {i}: B acts on the wrong dimension")
             if blk.Dinv.dim != d:
                 raise ValueError(f"block {i}: Dinv acts on the wrong dimension")
-            if blk.L.in_dim != lay.dim_primal or blk.L.out_dim != d:
-                raise ValueError(f"block {i}: L has the wrong dimensions")
-            if blk.r.shape != (d,):
-                raise ValueError(f"block {i}: r has the wrong shape")
 
     @property
     def num_blocks(self) -> int:
@@ -264,17 +256,17 @@ def geometric_errors(layout: SpaceLayout, amplitude: float, decay: float,
 
 @dataclass(frozen=True)
 class IterState:
-    """Iterate ``(x_n, v_n)`` plus the last intermediates, if any."""
+    """Iterate ``(x_n, v_n)``: one flat array ``u`` over the product
+    space, with ``x`` and the ``v`` blocks as views of it."""
 
     n: int
+    u: np.ndarray
     x: np.ndarray
     v: tuple[np.ndarray, ...]
-    p: Optional[np.ndarray] = None
-    y: Optional[np.ndarray] = None
-    q: Optional[tuple[np.ndarray, ...]] = None
 
-    def as_blockvector(self) -> BlockVector:
-        return BlockVector(self.x, self.v)
+
+def _state(n: int, u: np.ndarray, layout: SpaceLayout) -> IterState:
+    return IterState(n, u, *layout.split(u))
 
 
 @dataclass(frozen=True)
@@ -305,25 +297,29 @@ class RunReport:
     termination: str  # "converged" | "max_iter" | "diverged"
     history: list[IterationRecord]
     final_state: IterState
-    states: Optional[list[BlockVector]] = None
+    states: Optional[list[IterState]] = None
     used_errors: bool = False
     failure: Optional[str] = None
 
 
 def initial_state(layout: SpaceLayout, x0=None, v0=None) -> IterState:
-    """State at iteration 0; missing components default to zero."""
-    x = np.zeros(layout.dim_primal) if x0 is None else np.asarray(x0, dtype=float)
-    if x.shape != (layout.dim_primal,):
-        raise ValueError("x0 has the wrong shape")
-    if v0 is None:
-        v = tuple(np.zeros(d) for d in layout.dual_dims)
-    else:
-        v = tuple(np.asarray(vi, dtype=float) for vi in v0)
-        if len(v) != layout.num_blocks or any(
-            vi.shape != (d,) for vi, d in zip(v, layout.dual_dims)
+    """State at iteration 0 in a fresh array; ``x0``/``v0`` are copied
+    and missing components default to zero."""
+    st = _state(0, np.zeros(layout.size), layout)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != st.x.shape:
+            raise ValueError("x0 has the wrong shape")
+        st.x[...] = x0
+    if v0 is not None:
+        v0 = tuple(np.asarray(vi, dtype=float) for vi in v0)
+        if len(v0) != layout.num_blocks or any(
+            vi.shape != dst.shape for vi, dst in zip(v0, st.v)
         ):
             raise ValueError("v0 has the wrong shapes")
-    return IterState(n=0, x=x, v=v)
+        for dst, vi in zip(st.v, v0):
+            dst[...] = vi
+    return st
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +339,19 @@ def certified_norms(spec: ProblemSpec, seed: int = 0) -> tuple[float, ...]:
     below the closed forms (one exception: ``grad2d_op(2, 2)``, whose
     closed form rounds to one ulp below the exact norm 2), so skipping
     it leaves the norms, and with them steps and iterates, bit for bit
-    the same.
+    the same.  A non-finite or zero norm is refused with a
+    ``ValueError`` that names the block.
     """
     norms = []
     for i, blk in enumerate(spec.blocks):
         if blk.L.kind in CLOSED_FORM_NORM_KINDS:
-            norms.append(blk.L.norm_hint)
-            continue
-        est = estimate_norm(blk.L, tol=POWER_TOL, max_iter=POWER_MAX_ITER, seed=seed)
-        # estimate_norm returns max(hint, estimate); only a hint is used as it is
-        value = est.value if est.value == blk.L.norm_hint else est.value * NORM_SAFETY
+            value = blk.L.norm_hint
+        else:
+            est = estimate_norm(blk.L, tol=POWER_TOL, max_iter=POWER_MAX_ITER, seed=seed)
+            # estimate_norm returns max(hint, estimate); only a hint is used as it is
+            value = est.value if est.value == blk.L.norm_hint else est.value * NORM_SAFETY
+        if not math.isfinite(value):
+            raise ValueError(f"block {i}: linear operator has non-finite norm {value!r}")
         if value <= 0.0:
             raise ValueError(f"block {i}: linear operator has zero estimated norm")
         norms.append(value)
@@ -444,44 +443,35 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99,
 # iteration kernel
 
 
-class _Iterate:
-    """Arrays written by one update: ``x``/``v`` hold the next iterate,
-    ``y`` and ``q`` the intermediates, and ``arg`` the argument handed
-    to the resolvent of A (and p itself when an ``a2`` error is added)."""
-
-    __slots__ = ("x", "v", "y", "q", "arg")
-
-    def __init__(self, layout: SpaceLayout):
-        self.x = np.empty(layout.dim_primal)
-        self.y = np.empty(layout.dim_primal)
-        self.arg = np.empty(layout.dim_primal)
-        self.v = tuple(np.empty(d) for d in layout.dual_dims)
-        self.q = tuple(np.empty(d) for d in layout.dual_dims)
-
-
 class _Workspace:
     """Scratch arrays of the kernel and of the residual arithmetic.
 
-    ``dx``/``dv`` receive the unrelaxed displacement (p - x, q - v) of
-    the last update and ``sx``/``sv`` the displacement of the step taken.
+    ``y``, ``q`` and ``arg`` (the argument handed to the resolvent of A,
+    and p itself when an ``a2`` error is added) never leave an update.
+    ``d`` receives the unrelaxed displacement (p - x, q - v) of the last
+    update and ``s`` the displacement of the step taken, both flat over
+    the product space with per-block views ``dx``/``dv`` and ``sx``/``sv``.
     """
 
-    __slots__ = ("wsum", "tmp", "dx", "sx", "finite_x",
-                 "us", "dv", "sv", "finite_v")
+    __slots__ = ("wsum", "tmp", "arg", "y", "finite_x", "us", "q", "finite_v",
+                 "d", "dx", "dv", "s", "sx", "sv")
 
     def __init__(self, layout: SpaceLayout):
         n, dims = layout.dim_primal, layout.dual_dims
-        self.wsum, self.tmp, self.dx, self.sx = (np.empty(n) for _ in range(4))
-        self.us, self.dv, self.sv = (tuple(np.empty(d) for d in dims)
-                                     for _ in range(3))
+        self.wsum, self.tmp, self.arg, self.y = (np.empty(n) for _ in range(4))
+        self.us, self.q = (tuple(np.empty(d) for d in dims) for _ in range(2))
         self.finite_x = np.empty(n, dtype=bool)
         self.finite_v = tuple(np.empty(d, dtype=bool) for d in dims)
+        self.d = np.empty(layout.size)
+        self.dx, self.dv = layout.split(self.d)
+        self.s = np.empty(layout.size)
+        self.sx, self.sv = layout.split(self.s)
 
 
-def _kernel(spec, tau, sigmas, lam, x, v, err, ws, out):
-    """One update from ``(x, v)`` into ``out``; returns p.
+def _kernel(spec, tau, sigmas, lam, x, v, err, ws, out_x, out_v):
+    """One update from ``(x, v)`` into ``(out_x, out_v)``.
 
-    Every array operation writes into ``ws`` or ``out``, never into
+    Every array operation writes into ``ws`` or the outputs, never into
     ``x``, ``v`` or an array an operator returned; an operator's result
     is consumed before the buffer it was handed is written again.  The
     operations and their order are those of the plain formulas in the
@@ -497,16 +487,16 @@ def _kernel(spec, tau, sigmas, lam, x, v, err, ws, out):
     if err is not None and err.a1 is not None:
         np.add(t, err.a1, out=t)
     np.subtract(t, spec.z, out=t)
-    p = spec.A.resolvent(tau, np.subtract(x, np.multiply(t, tau, out=out.arg), out=out.arg))
+    p = spec.A.resolvent(tau, np.subtract(x, np.multiply(t, tau, out=ws.arg), out=ws.arg))
     if err is not None and err.a2 is not None:
-        p = np.add(p, err.a2, out=out.arg)
+        p = np.add(p, err.a2, out=ws.arg)
     if not np.isfinite(p, out=ws.finite_x).all():
         raise DivergenceError(-1, "primal update p")
-    y = np.subtract(np.multiply(p, 2.0, out=out.y), x, out=out.y)
+    y = np.subtract(np.multiply(p, 2.0, out=ws.y), x, out=ws.y)
     np.subtract(p, x, out=ws.dx)
-    np.add(x, np.multiply(ws.dx, lam, out=out.x), out=out.x)
+    np.add(x, np.multiply(ws.dx, lam, out=out_x), out=out_x)
     for i, blk in enumerate(spec.blocks):
-        sigma, q = sigmas[i], out.q[i]
+        sigma, q = sigmas[i], ws.q[i]
         u = np.subtract(blk.L.apply(y), blk.Dinv.apply(v[i]), out=q)
         if err is not None and err.c[i] is not None:
             np.subtract(u, err.c[i], out=u)
@@ -521,15 +511,7 @@ def _kernel(spec, tau, sigmas, lam, x, v, err, ws, out):
         if not np.isfinite(q, out=ws.finite_v[i]).all():
             raise DivergenceError(-1, f"dual update q[{i}]")
         np.subtract(q, v[i], out=ws.dv[i])
-        np.add(v[i], np.multiply(ws.dv[i], lam, out=out.v[i]), out=out.v[i])
-    return p
-
-
-def _weighted_sq(weights, dx, dv):
-    s = float(np.dot(dx, dx))
-    for w, d in zip(weights, dv):
-        s += w * float(np.dot(d, d))
-    return s
+        np.add(v[i], np.multiply(ws.dv[i], lam, out=out_v[i]), out=out_v[i])
 
 
 def _v_quadform(spec, tau, sigmas, dx, dv):
@@ -547,7 +529,7 @@ def _residual_norm(spec, cfg, dx, dv):
     # fall back to the plain weighted norm under an override
     if cfg.admissible:
         return math.sqrt(max(_v_quadform(spec, cfg.tau, cfg.sigmas, dx, dv), 0.0))
-    return math.sqrt(_weighted_sq(spec.layout.weights, dx, dv))
+    return math.sqrt(inner_blocks(spec.layout.weights, dx, dv, dx, dv))
 
 
 def _require_admissible(cfg: StepConfig, allow_inadmissible: bool, verb: str) -> None:
@@ -569,13 +551,13 @@ def iterate_once(spec: ProblemSpec, cfg: StepConfig, st: IterState,
     """
     _require_admissible(cfg, allow_inadmissible, "iterate")
     lam = cfg.lambda_at(st.n)
-    out = _Iterate(spec.layout)
+    nxt = _state(st.n + 1, np.empty(spec.layout.size), spec.layout)
     try:
-        p = _kernel(spec, cfg.tau, cfg.sigmas, lam, st.x, st.v, err,
-                    _Workspace(spec.layout), out)
+        _kernel(spec, cfg.tau, cfg.sigmas, lam, st.x, st.v, err,
+                _Workspace(spec.layout), nxt.x, nxt.v)
     except DivergenceError as exc:
         raise DivergenceError(st.n, exc.block) from None
-    return IterState(n=st.n + 1, x=out.x, v=out.v, p=p, y=out.y, q=out.q)
+    return nxt
 
 
 def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
@@ -595,15 +577,17 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     ``record_states=True`` the report keeps every iterate (index 0
     included) for post-hoc monitoring.
 
-    The iteration works in arrays allocated once per run, or once per
+    Every state is an :class:`IterState` over one flat array; ``x0``
+    and ``v0`` are copied into the initial state.  The iteration works
+    in arrays allocated once per run, or in a fresh state array per
     iteration when ``record_states``, ``iter_metrics`` or ``extra_stop``
     is given.  It never writes into ``x0``/``v0`` or into an array an
-    operator returned, and a state handed out (to ``iter_metrics``, ``extra_stop``, the
-    recorded states or ``final_state``) is never overwritten later.
-    Operators may return their input array but must not keep it: the
-    solver reuses the arrays it passes them.  The built-in zero maps
-    (``CocoerciveOp.zero``, ``zero_smooth``, ``dirac_term``) return one
-    shared read-only array.
+    operator returned, and a state handed out (to ``iter_metrics``,
+    ``extra_stop``, the recorded states or ``final_state``) is never
+    overwritten later.  Operators may return their input array but must
+    not keep it: the solver reuses the arrays it passes them.  The
+    built-in zero maps (``CocoerciveOp.zero``, ``zero_smooth``,
+    ``dirac_term``) return one shared read-only array.
     """
     _require_admissible(cfg, allow_inadmissible, "run")
     stop = stop or StoppingRule()
@@ -614,23 +598,27 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     tau, sigmas = cfg.tau, cfg.sigmas
 
     ws = _Workspace(layout)
-    # a state that leaves the loop keeps its arrays, so each update then
-    # writes into fresh ones; otherwise two sets alternate
+    # a state that leaves the loop keeps its array, so each update then
+    # writes into a fresh one; otherwise two arrays alternate
     escapes = record_states or iter_metrics is not None or extra_stop is not None
-    pair = None if escapes else (_Iterate(layout), _Iterate(layout))
+    pair = None if escapes else [_state(0, np.empty(layout.size), layout) for _ in range(2)]
     exact_out = None
     history: list[IterationRecord] = []
-    states: Optional[list[BlockVector]] = [st.as_blockvector()] if record_states else None
+    states: Optional[list[IterState]] = [st] if record_states else None
     termination = "max_iter"
     failure = None
 
     for n in range(stop.max_iter):
         lam = cfg.lambda_at(n)
         err_n = errors.at(n)
-        out = _Iterate(layout) if escapes else pair[n % 2]
+        if escapes:
+            nxt = _state(n + 1, np.empty(layout.size), layout)
+        else:
+            buf = pair[n % 2]
+            nxt = IterState(n + 1, buf.u, buf.x, buf.v)
         t0 = time.perf_counter()
         try:
-            p = _kernel(spec, tau, sigmas, lam, st.x, st.v, err_n, ws, out)
+            _kernel(spec, tau, sigmas, lam, st.x, st.v, err_n, ws, nxt.x, nxt.v)
         except DivergenceError as exc:
             termination = "diverged"
             failure = f"non-finite value in {exc.block} at iteration {n}"
@@ -640,33 +628,30 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
         if not exact:
             # the residual measures the error-free update from the same state
             if exact_out is None:
-                exact_out = _Iterate(layout)
-            _kernel(spec, tau, sigmas, 1.0, st.x, st.v, None, ws, exact_out)
-        step_dx = np.subtract(out.x, st.x, out=ws.sx)
-        step_dv = tuple(np.subtract(b, a, out=s) for a, b, s in zip(st.v, out.v, ws.sv))
+                exact_out = layout.split(np.empty(layout.size))
+            _kernel(spec, tau, sigmas, 1.0, st.x, st.v, None, ws, *exact_out)
+        np.subtract(nxt.u, st.u, out=ws.s)
         if exact and lam == 1.0:
-            dx, dv = step_dx, step_dv
+            dx, dv = ws.sx, ws.sv
         else:
             # the relaxation-1 displacement (x + (p - x)) - x
-            dx = np.subtract(np.add(st.x, ws.dx, out=ws.dx), st.x, out=ws.dx)
-            dv = tuple(np.subtract(np.add(a, d, out=d), a, out=d)
-                       for a, d in zip(st.v, ws.dv))
+            np.subtract(np.add(st.u, ws.d, out=ws.d), st.u, out=ws.d)
+            dx, dv = ws.dx, ws.dv
         residual = _residual_norm(spec, cfg, dx, dv)
-        step_norm = math.sqrt(_weighted_sq(weights, step_dx, step_dv))
-        state_norm = math.sqrt(_weighted_sq(weights, st.x, st.v))
+        step_norm = math.sqrt(inner_blocks(weights, ws.sx, ws.sv, ws.sx, ws.sv))
+        state_norm = math.sqrt(inner_blocks(weights, st.x, st.v, st.x, st.v))
         wall_ms = (time.perf_counter() - t0) * 1000.0
 
-        new_state = IterState(n=n + 1, x=out.x, v=out.v, p=p, y=out.y, q=out.q)
-        extras = iter_metrics(new_state) if iter_metrics is not None else {}
+        extras = iter_metrics(nxt) if iter_metrics is not None else {}
         history.append(IterationRecord(
             iter=n + 1, step_norm=step_norm, residual=residual,
             wall_ms=wall_ms, **extras,
         ))
         if record_states:
-            states.append(new_state.as_blockvector())
-        st = new_state
+            states.append(nxt)
+        st = nxt
 
-        # norms can overflow to inf while the state is still finite; a
+    # norms can overflow to inf while the state is still finite; a
         # non-finite residual must never satisfy the convergence test
         if (math.isfinite(residual) and math.isfinite(state_norm)
                 and residual <= stop.tol * (1.0 + state_norm)):

@@ -1,11 +1,14 @@
-"""Block vectors over a primal space and weighted dual blocks.
+"""Flat product-space arrays over a primal space and weighted dual blocks.
 
 The solver state lives in H x G_1 x ... x G_m, where H and the G_i are
-real coordinate spaces.  Each dual block G_i carries a weight
-w_i in ]0, 1] (the weights sum to one).  The weights enter the inner
-product of the product space, not the stored data: user-facing per-block
-reporting uses plain Euclidean norms, while solver-internal metrics use
-the weighted ones defined here.
+real coordinate spaces.  A point (x, v_1, ..., v_m) of that space is
+stored as one contiguous float array of length ``layout.size``, primal
+entries first, and :meth:`SpaceLayout.split` returns views of its
+blocks.  Each dual block G_i carries a weight w_i in ]0, 1] (the
+weights sum to one).  The weights enter the inner product of the
+product space, not the stored data: user-facing per-block reporting
+uses plain Euclidean norms, while solver-internal metrics use the
+weighted ones defined here.
 """
 
 from __future__ import annotations
@@ -18,11 +21,8 @@ import numpy as np
 __all__ = [
     "ShapeMismatchError",
     "SpaceLayout",
-    "BlockVector",
+    "inner_blocks",
     "inner_weighted",
-    "norm_weighted",
-    "axpy_blocks",
-    "zeros",
 ]
 
 WEIGHT_SUM_TOL = 1e-12
@@ -72,75 +72,48 @@ class SpaceLayout:
     def num_blocks(self) -> int:
         return len(self.dual_dims)
 
+    @property
+    def size(self) -> int:
+        """Length of the flat array holding one point of the product space."""
+        return self.dim_primal + sum(self.dual_dims)
 
-@dataclass(frozen=True)
-class BlockVector:
-    """One primal vector plus m dual block vectors.
+    def split(self, u: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Views ``(x, (v_1, ..., v_m))`` of the blocks of the flat array ``u``."""
+        if np.shape(u) != (self.size,):
+            raise ShapeMismatchError("u", (self.size,), np.shape(u))
+        start = self.dim_primal
+        duals = []
+        for d in self.dual_dims:
+            duals.append(u[start:start + d])
+            start += d
+        return u[:self.dim_primal], tuple(duals)
 
-    Instances are treated as immutable: operations return fresh vectors
-    and never write into the stored arrays.
-    """
-
-    primal: np.ndarray
-    duals: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "primal", np.asarray(self.primal, dtype=float))
-        object.__setattr__(
-            self, "duals", tuple(np.asarray(d, dtype=float) for d in self.duals)
-        )
-
-    def all_finite(self) -> bool:
-        if not np.isfinite(self.primal).all():
-            return False
-        return all(np.isfinite(d).all() for d in self.duals)
-
-
-def zeros(layout: SpaceLayout) -> BlockVector:
-    """Zero element of the product space described by ``layout``."""
-    return BlockVector(
-        np.zeros(layout.dim_primal), tuple(np.zeros(d) for d in layout.dual_dims)
-    )
-
-
-def _require_layout(vec: BlockVector, layout: SpaceLayout, name: str) -> None:
-    if vec.primal.shape != (layout.dim_primal,):
-        raise ShapeMismatchError(
-            f"{name}.primal", (layout.dim_primal,), vec.primal.shape
-        )
-    if len(vec.duals) != layout.num_blocks:
-        raise ShapeMismatchError(
-            f"{name}.duals", (layout.num_blocks,), (len(vec.duals),)
-        )
-    for i, (d, n) in enumerate(zip(vec.duals, layout.dual_dims)):
-        if d.shape != (n,):
-            raise ShapeMismatchError(f"{name}.dual[{i}]", (n,), d.shape)
+    def check_coupling(self, z: np.ndarray, blocks) -> None:
+        """Raise ``ValueError`` unless ``z`` lies in H and each of the
+        ``num_blocks`` blocks has an ``L`` from H to its G_i and an
+        offset ``r`` in G_i."""
+        if z.shape != (self.dim_primal,):
+            raise ValueError("z has the wrong shape")
+        if len(blocks) != self.num_blocks:
+            raise ValueError("number of blocks disagrees with layout")
+        for i, (blk, d) in enumerate(zip(blocks, self.dual_dims)):
+            if blk.L.in_dim != self.dim_primal or blk.L.out_dim != d:
+                raise ValueError(f"block {i}: L has the wrong dimensions")
+            if blk.r.shape != (d,):
+                raise ValueError(f"block {i}: r has the wrong shape")
 
 
-def inner_weighted(a: BlockVector, b: BlockVector, layout: SpaceLayout) -> float:
-    """Weighted inner product <a.primal, b.primal> + sum_i w_i <a_i, b_i>."""
-    _require_layout(a, layout, "a")
-    _require_layout(b, layout, "b")
-    s = float(np.dot(a.primal, b.primal))
-    for w, da, db in zip(layout.weights, a.duals, b.duals):
+def inner_blocks(weights, ax: np.ndarray, av, bx: np.ndarray, bv) -> float:
+    """Weighted inner product <ax, bx> + sum_i w_i <av_i, bv_i> of two
+    split points, reduced in ascending block order."""
+    s = float(np.dot(ax, bx))
+    for w, da, db in zip(weights, av, bv):
         s += w * float(np.dot(da, db))
     return s
 
 
-def norm_weighted(a: BlockVector, layout: SpaceLayout) -> float:
-    """Norm induced by :func:`inner_weighted`."""
-    return math.sqrt(max(inner_weighted(a, a, layout), 0.0))
-
-
-def axpy_blocks(alpha: float, a: BlockVector, b: BlockVector) -> BlockVector:
-    """Return ``b + alpha * a`` blockwise."""
-    if a.primal.shape != b.primal.shape:
-        raise ShapeMismatchError("a.primal", b.primal.shape, a.primal.shape)
-    if len(a.duals) != len(b.duals):
-        raise ShapeMismatchError("a.duals", (len(b.duals),), (len(a.duals),))
-    duals = []
-    for i, (da, db) in enumerate(zip(a.duals, b.duals)):
-        if da.shape != db.shape:
-            raise ShapeMismatchError(f"a.dual[{i}]", db.shape, da.shape)
-        duals.append(db + alpha * da)
-    return BlockVector(b.primal + alpha * a.primal, tuple(duals))
+def inner_weighted(a: np.ndarray, b: np.ndarray, layout: SpaceLayout) -> float:
+    """Weighted inner product of two flat product-space arrays."""
+    ax, av = layout.split(np.asarray(a, dtype=float))
+    bx, bv = layout.split(np.asarray(b, dtype=float))
+    return inner_blocks(layout.weights, ax, av, bx, bv)

@@ -328,7 +328,6 @@ def test_criterion_9_operator_certificates():
 
     # deliberate mutations must be caught
     import dataclasses
-    from splitsolve.spaces import BlockVector
 
     layout = ss.SpaceLayout(1, (1,), (1.0,))
     spec = ss.ProblemSpec(
@@ -338,9 +337,12 @@ def test_criterion_9_operator_certificates():
                          L=ss.identity_op(1), r=np.zeros(1)),))
     cfg = ss.validate_steps(spec, 0.5, (0.5,))
     ops = build_product_ops(spec, cfg)
-    flipped = dataclasses.replace(
-        ops, S_apply=lambda u: BlockVector(ops.S_apply(u).primal,
-                                           tuple(-d for d in ops.S_apply(u).duals)))
+    def flip_duals(u):
+        su = ops.S_apply(u)
+        su[layout.dim_primal:] *= -1.0
+        return su
+
+    flipped = dataclasses.replace(ops, S_apply=flip_duals)
     mutations_caught = (
         (not certify_skew(flipped).passed)
         + (not certify_strong_positivity(

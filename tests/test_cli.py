@@ -151,6 +151,29 @@ class TestSolve:
         assert main(["solve", "no-such-file.cfg"]) == 1
         capsys.readouterr()
 
+    def test_directory_as_config(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path)]) == 1
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_directory_as_output(self, tmp_path, capsys):
+        assert main(["solve", LASSO, "-o", str(tmp_path)]) == 1
+        assert str(tmp_path) in capsys.readouterr().err
+
+
+class TestNonFiniteOperator:
+    NAN_MATRIX = TWO_BLOCK_CHECK.replace("L = identity", "L = matrix 1 nan ; 0 1", 1).replace(
+        "mode = manual\ntau = 0.25\nsigma = 0.25", "mode = auto")
+
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_nan_matrix_refused(self, tmp_path, capsys, command):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(self.NAN_MATRIX)
+        extra = ["-o", str(tmp_path / "r.csv")] if command == "solve" else []
+        assert main([command, str(cfg), *extra]) == 1
+        err = capsys.readouterr().err
+        assert "block 0: linear operator has non-finite norm nan" in err
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path, capsys):

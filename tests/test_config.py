@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -178,3 +181,73 @@ mode = auto
         text = BASIC.replace("f = l1 weight=0.25", "f = entropy")
         with pytest.raises(ConfigError, match="unknown catalog"):
             build_problem(parse_config(text))
+
+
+class TestHostileConfigs:
+    """Mutated example configs fail only with ``ConfigError``."""
+
+    CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    # declared dimensions stay at most 3 here, so a mutation never asks
+    # for a large allocation
+    NUMBERS = ["nan", "inf", "-inf", "0", "0.0", "-0.0", "-1", "-2.5", "1e-300", "2", "3"]
+    VECTORS = ["()", "(,)", "(1.0,,2.0)", "(nan,1.0)", "(1.0", "1.0)", "(inf,-inf,0)",
+               "(a,b)", "zeros", "const", "const nan", "literal", "literal 1 nan"]
+    LINES = [
+        "L = matrix", "L = matrix 1 nan ; 0 1", "L = matrix 1 2 ; 3", "L = matrix ;",
+        "L = grad2d rows=1 cols=1", "L = grad2d rows=0 cols=3", "L = grad2d rows=nan cols=2",
+        "L = grad2d", "L = grad2d rows=2 cols=5", "L = diff1d", "L = identity", "L = spiral",
+        "ell = quadratic nu=0", "ell = quadratic nu=-1", "ell = quadratic nu=nan",
+        "ell = quadratic", "g = l1 weight=-1", "g = l1 weight=nan", "g = box lo=1 hi=0",
+        "g = box lo=(1,2) hi=3", "h = sq_l2 weight=0 center=0", "h = sq_l2 weight=nan center=0",
+        "h = zero", "f = l1 weight=inf", "omega = 0", "omega = nan", "dim = 0", "dim_primal = -1",
+        "[block]", "[steps]", "mode = manual", "sigma = 0.1 0.2 0.3", "lambda = 0",
+    ]
+
+    def mutate(self, lines, rng):
+        i = int(rng.integers(len(lines)))
+        kind = int(rng.integers(6))
+        if kind == 0:
+            lines[i] = re.sub(r"-?\d+(\.\d*)?(e-?\d+)?",
+                              lambda m: str(rng.choice(self.NUMBERS)), lines[i])
+        elif kind == 1:
+            lines[i] = re.sub(r"\([^)]*\)|(?<== )\S+$",
+                              lambda m: str(rng.choice(self.VECTORS)), lines[i])
+        elif kind == 2:
+            lines[i] = str(rng.choice(self.LINES))
+        elif kind == 3:
+            lines.insert(i, str(rng.choice(self.LINES)))
+        elif kind == 4:
+            lines.insert(i, lines[i])
+        else:
+            del lines[i]
+
+    def test_mutations_raise_only_config_error(self):
+        rng = np.random.default_rng(2024)
+        texts = [cfg.read_text().splitlines() for cfg in self.CONFIGS]
+        outcomes = {"built": 0, "refused": 0}
+        for _ in range(3000):
+            lines = list(texts[int(rng.integers(len(texts)))])
+            for _ in range(int(rng.integers(1, 4))):
+                if lines:
+                    self.mutate(lines, rng)
+            text = "\n".join(lines) + "\n"
+            try:
+                build_problem(parse_config(text))
+            except ConfigError:
+                outcomes["refused"] += 1
+            except Exception as exc:  # noqa: BLE001 - the finding is the type
+                pytest.fail(f"{type(exc).__name__}: {exc}\n--- config ---\n{text}")
+            else:
+                outcomes["built"] += 1
+        # both branches are exercised, so the fuzzing is not vacuous
+        assert outcomes["built"] > 100 and outcomes["refused"] > 100
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("ell = dirac", "ell = quadratic nu=0", "nu must be positive"),
+    ("L = identity", "L = grad2d rows=1 cols=1", "grad2d needs rows >= 2"),
+])
+def test_block_construction_errors_are_config_errors(old, new, message):
+    text = (Path(__file__).resolve().parents[1] / "configs" / "lasso1d.cfg").read_text()
+    with pytest.raises(ConfigError, match=message):
+        build_problem(parse_config(text.replace(old, new)))

@@ -243,8 +243,8 @@ class TestReductions:
         direct = ss.run(spec, cfg, stop=stop, record_states=True)
         via_front, _ = ss.solve_convex(cp, cfg=cfg, stop=stop, record_states=True)
         for a, b in zip(direct.states, via_front.states):
-            np.testing.assert_array_equal(a.primal, b.primal)
-            for da, db in zip(a.duals, b.duals):
+            np.testing.assert_array_equal(a.x, b.x)
+            for da, db in zip(a.v, b.v):
                 np.testing.assert_array_equal(da, db)
 
     def test_condat_reduction_bitwise(self):
@@ -349,3 +349,20 @@ def test_quadratic_gradient_matches_formula(rng):
     x = rng.standard_normal(6)
     got = ss.quadratic_smooth(b, weight=0.3).gradient(x)
     assert_same_bits(got, 0.3 * (x - b))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda p: {"z": np.zeros(2)}, "z has the wrong shape"),
+    (lambda p: {"blocks": p.blocks * 2}, "number of blocks disagrees with layout"),
+    (lambda p: {"blocks": (dataclasses.replace(p.blocks[0], L=ss.diff1d_op(2)),)},
+     "block 0: L has the wrong dimensions"),
+    (lambda p: {"blocks": (dataclasses.replace(p.blocks[0], r=np.zeros(3)),)},
+     "block 0: r has the wrong shape"),
+], ids=["z", "count", "L", "r"])
+def test_problem_and_inclusion_share_shape_messages(change, message):
+    cp = lasso_1d()
+    spec = ss.lower_to_inclusion(cp)
+    for problem in (cp, spec):
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(problem, **change(problem))
+        assert str(info.value) == message

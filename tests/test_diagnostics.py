@@ -11,7 +11,7 @@ from splitsolve.diagnostics import (
     certify_strong_positivity,
     fejer_monitor,
 )
-from splitsolve.spaces import BlockVector, inner_weighted
+from splitsolve.spaces import inner_weighted
 
 from conftest import shrinkage_spec
 
@@ -33,9 +33,9 @@ def single_block_spec(tau_free=True, dinv_scale=None, mu=1.0):
     )
 
 
-def bv(primal, duals):
-    return BlockVector(np.asarray(primal, float),
-                       tuple(np.asarray(d, float) for d in duals))
+def flat(primal, duals):
+    return np.concatenate([np.asarray(primal, float),
+                           *(np.asarray(d, float) for d in duals)])
 
 
 class TestBuildProductOps:
@@ -43,43 +43,41 @@ class TestBuildProductOps:
         spec = single_block_spec()
         cfg = ss.validate_steps(spec, 0.5, (0.5,))
         ops = build_product_ops(spec, cfg)
-        u = bv([2.0], [[3.0]])
+        u = flat([2.0], [[3.0]])
         su = ops.S_apply(u)
-        assert su.primal[0] == 3.0
-        assert su.duals[0][0] == -2.0
+        x, v = spec.layout.split(su)
+        assert x[0] == 3.0
+        assert v[0][0] == -2.0
         assert inner_weighted(u, su, spec.layout) == 0.0
 
     def test_renorm_map_unit_steps(self):
         spec = single_block_spec()
         cfg = ss.validate_steps(spec, 1.0, (1.0,))
         ops = build_product_ops(spec, cfg)
-        u = bv([2.0], [[5.0]])
-        vu = ops.V_apply(u)
-        assert vu.primal[0] == pytest.approx(2.0 - 5.0)
-        assert vu.duals[0][0] == pytest.approx(5.0 - 2.0)
+        u = flat([2.0], [[5.0]])
+        x, v = spec.layout.split(ops.V_apply(u))
+        assert x[0] == pytest.approx(2.0 - 5.0)
+        assert v[0][0] == pytest.approx(5.0 - 2.0)
 
     def test_cocoercive_map_collects_components(self):
         spec = single_block_spec()  # C = Id, Dinv = 0
         cfg = ss.validate_steps(spec, 0.5, (0.5,))
         ops = build_product_ops(spec, cfg)
-        qu = ops.Q_apply(bv([1.5], [[2.5]]))
-        assert qu.primal[0] == 1.5
-        assert qu.duals[0][0] == 0.0
+        x, v = spec.layout.split(ops.Q_apply(flat([1.5], [[2.5]])))
+        assert x[0] == 1.5
+        assert v[0][0] == 0.0
 
     def test_v_linearity_probe(self, rng):
         spec = single_block_spec()
         cfg = ss.validate_steps(spec, 0.4, (0.7,))
         ops = build_product_ops(spec, cfg)
         for _ in range(20):
-            u = bv(rng.standard_normal(1), [rng.standard_normal(1)])
-            w = bv(rng.standard_normal(1), [rng.standard_normal(1)])
+            u = flat(rng.standard_normal(1), [rng.standard_normal(1)])
+            w = flat(rng.standard_normal(1), [rng.standard_normal(1)])
             a = float(rng.standard_normal())
-            left = ops.V_apply(bv(a * u.primal + w.primal,
-                                  [a * u.duals[0] + w.duals[0]]))
-            right_p = a * ops.V_apply(u).primal + ops.V_apply(w).primal
-            right_d = a * ops.V_apply(u).duals[0] + ops.V_apply(w).duals[0]
-            np.testing.assert_allclose(left.primal, right_p, atol=1e-12)
-            np.testing.assert_allclose(left.duals[0], right_d, atol=1e-12)
+            left = ops.V_apply(a * u + w)
+            right = a * ops.V_apply(u) + ops.V_apply(w)
+            np.testing.assert_allclose(left, right, atol=1e-12)
 
 
 class TestCertifySkew:
@@ -93,18 +91,20 @@ class TestCertifySkew:
         spec = single_block_spec()
         cfg = ss.validate_steps(spec, 0.5, (0.5,))
         ops = build_product_ops(spec, cfg)
-        z = bv([0.0], [[0.0]])
+        z = flat([0.0], [[0.0]])
         assert inner_weighted(z, ops.S_apply(z), spec.layout) == 0.0
 
     def test_sign_flip_mutation_fails(self):
         spec = single_block_spec()
         cfg = ss.validate_steps(spec, 0.5, (0.5,))
         ops = build_product_ops(spec, cfg)
-        corrupted = dataclasses.replace(
-            ops,
-            S_apply=lambda u: BlockVector(
-                ops.S_apply(u).primal, tuple(-d for d in ops.S_apply(u).duals)),
-        )
+
+        def flip_duals(u):
+            su = ops.S_apply(u)
+            su[spec.layout.dim_primal:] *= -1.0
+            return su
+
+        corrupted = dataclasses.replace(ops, S_apply=flip_duals)
         assert not certify_skew(corrupted).passed
 
 
@@ -129,8 +129,8 @@ class TestCertifyStrongPositivity:
         tau, sigma = 0.5, 0.25
         cfg = ss.validate_steps(spec, tau, (sigma,))
         ops = build_product_ops(spec, cfg)
-        e_primal = bv([1.0], [[0.0]])
-        e_dual = bv([0.0], [[1.0]])
+        e_primal = flat([1.0], [[0.0]])
+        e_dual = flat([0.0], [[1.0]])
         qp = inner_weighted(e_primal, ops.V_apply(e_primal), spec.layout)
         qd = inner_weighted(e_dual, ops.V_apply(e_dual), spec.layout)
         assert qp == pytest.approx(1.0 / tau)
@@ -151,8 +151,8 @@ class TestCertifyStrongPositivity:
 
         def asymmetric(u):
             out = ops.V_apply(u)
-            return BlockVector(out.primal + 2.0 * u.duals[0][:1] * 0.5,
-                               out.duals)
+            out[0] += 2.0 * u[1] * 0.5
+            return out
 
         assert not certify_strong_positivity(
             dataclasses.replace(ops, V_apply=asymmetric)).passed

@@ -170,18 +170,44 @@ class TestCertifiedNorms:
         assert norm == est.value * NORM_SAFETY
         assert norm > 2.0
 
+    @pytest.mark.parametrize("L", [
+        ss.matrix_op([[1.0, math.nan], [0.0, 1.0]]),
+        ss.LinearOp(2, 2, lambda x: x, lambda y: y, norm_hint=math.inf),
+    ], ids=["nan-matrix", "inf-hint"])
+    def test_non_finite_norm_refused_naming_block(self, L):
+        spec = ss.ProblemSpec(
+            layout=ss.SpaceLayout(2, (2, 2), (0.5, 0.5)),
+            A=ss.ResolventOp.zero(2),
+            C=ss.CocoerciveOp(2, lambda x: x, 1.0),
+            z=np.zeros(2),
+            blocks=(degenerate_block(2), degenerate_block(2, L)),
+        )
+        with pytest.raises(ValueError, match="block 1: linear operator has non-finite norm"):
+            ss.certified_norms(spec)
+        with pytest.raises(ValueError, match="block 1: .*non-finite"):
+            ss.suggest_steps(spec)
+
+    @pytest.mark.parametrize("hint", [math.nan, -1.0])
+    def test_nan_or_negative_hint_refused(self, hint):
+        with pytest.raises(ValueError, match="norm_hint must be nonnegative"):
+            ss.LinearOp(2, 2, lambda x: x, lambda y: y, norm_hint=hint)
+
 
 class TestIterateOnce:
     def test_hand_step(self):
-        # A = 0, C = Id, degenerate block, x0 = 1, tau = 0.5, lam = 1
-        spec = shrinkage_spec(n=1)
-        cfg = ss.validate_steps(spec, 0.5, (0.5,))
+        # A = 0, C = Id, x0 = 1, v0 = 0, tau = sigma = 0.25, lam = 1, and a
+        # block with L = Id, D^{-1} = 0 and B = N_{0}, so J_{sigma B^{-1}} is
+        # the identity: p = 0.75, y = 2p - x = 0.5, q = sigma y = 0.125
+        block = ss.Block(B=ss.ResolventOp(1, lambda gamma, w: np.zeros_like(w)),
+                         Dinv=ss.CocoerciveOp.zero(1), L=ss.identity_op(1),
+                         r=np.zeros(1))
+        spec = dataclasses.replace(shrinkage_spec(n=1), blocks=(block,))
+        cfg = ss.validate_steps(spec, 0.25, (0.25,))
         st = ss.initial_state(spec.layout, x0=np.array([1.0]))
         nxt = ss.iterate_once(spec, cfg, st)
-        assert nxt.p[0] == pytest.approx(0.5, abs=0)
-        assert nxt.x[0] == pytest.approx(0.5, abs=0)
-        assert nxt.v[0][0] == 0.0
-        assert nxt.y[0] == pytest.approx(0.0, abs=0)
+        assert nxt.n == 1
+        assert nxt.x[0] == pytest.approx(0.75, abs=0)
+        assert nxt.v[0][0] == pytest.approx(0.125, abs=0)
 
     def test_fixed_point_invariance(self):
         spec = shrinkage_spec(n=3)  # fixed point is the origin
@@ -192,15 +218,16 @@ class TestIterateOnce:
         assert np.max(np.abs(nxt.v[0])) <= 1e-12
 
     def test_primal_error_shifts_p_exactly(self, rng):
-        spec = shrinkage_spec(n=4)
+        # from x = 0 at lam = 1 the next x is 0 + (p - 0) = p exactly
+        spec = shrinkage_spec(n=4, center=rng.standard_normal(4))
         cfg = ss.validate_steps(spec, 0.5, (0.5,))
-        x0 = rng.standard_normal(4)
-        st = ss.initial_state(spec.layout, x0=x0)
+        st = ss.initial_state(spec.layout)
         e = rng.standard_normal(4)
         clean = ss.iterate_once(spec, cfg, st)
         noisy = ss.iterate_once(spec, cfg, st, ss.solver.IterationErrors(
             a2=e, b=(None,), c=(None,)))
-        np.testing.assert_array_equal(noisy.p, clean.p + e)
+        assert np.all(clean.x != 0.0)
+        np.testing.assert_array_equal(noisy.x, clean.x + e)
 
     def test_relaxation_consistency(self, rng):
         spec = shrinkage_spec(n=5, weight=0.2)
@@ -208,10 +235,12 @@ class TestIterateOnce:
         cfg = ss.validate_steps(spec, 0.4, (0.4,), lambda_schedule=lambda n: lam)
         st = ss.initial_state(spec.layout, x0=rng.standard_normal(5))
         nxt = ss.iterate_once(spec, cfg, st)
+        # the unrelaxed update (p, q), recovered from lam = 1 as x + (p - x)
+        full = ss.iterate_once(spec, ss.validate_steps(spec, 0.4, (0.4,)), st)
         # recovering the step from the stored iterates costs one rounding
-        np.testing.assert_allclose(nxt.x - st.x, lam * (nxt.p - st.x),
+        np.testing.assert_allclose(nxt.x - st.x, lam * (full.x - st.x),
                                    rtol=0, atol=1e-14)
-        np.testing.assert_allclose(nxt.v[0] - st.v[0], lam * (nxt.q[0] - st.v[0]),
+        np.testing.assert_allclose(nxt.v[0] - st.v[0], lam * (full.v[0] - st.v[0]),
                                    rtol=0, atol=1e-14)
 
     def test_inadmissible_refused_and_overridable(self):
@@ -244,7 +273,7 @@ class TestRun:
                         record_states=True)
         assert report.termination == "converged"
         for k, state in enumerate(report.states):
-            assert state.primal[0] == pytest.approx((1 - lam * tau) ** k, rel=1e-12)
+            assert state.x[0] == pytest.approx((1 - lam * tau) ** k, rel=1e-12)
         assert abs(report.final_state.x[0]) < 1e-9
 
     def test_zero_problem_converges_immediately(self, rng):
@@ -346,7 +375,7 @@ class TestRun:
             a1_seq=lambda n: amp * dec ** n * d1,
             a2_seq=lambda n: amp * dec ** n * d2,
         )
-        worst = max(float(np.max(np.abs(s.primal - x)))
+        worst = max(float(np.max(np.abs(s.x - x)))
                     for s, x in zip(report.states, xs))
         assert worst <= 1e-12
 
@@ -368,7 +397,7 @@ class TestRun:
         for _ in range(25):
             arg = st.x - cfg.tau * (spec.C.apply(st.x) - spec.z)
             nxt = ss.iterate_once(spec, cfg, st)
-            p = nxt.p
+            p = nxt.x  # x + 1.0 (p - x), p up to one rounding
             for _ in range(5):
                 y = rng.standard_normal(4)
                 lhs = cfg.tau * f.evaluate(y)
@@ -568,8 +597,8 @@ class TestAliasing:
         st = ss.initial_state(self.spec.layout, self.x0, self.v0)
         for kept in report.states[1:]:
             st = ss.iterate_once(self.spec, self.cfg, st)
-            assert_same_bits(kept.primal, st.x)
-            for got, want in zip(kept.duals, st.v):
+            assert_same_bits(kept.x, st.x)
+            for got, want in zip(kept.v, st.v):
                 assert_same_bits(got, want)
         assert_same_bits(report.final_state.x, st.x)
 
@@ -585,16 +614,14 @@ class TestAliasing:
         kept = []
 
         def hook(st):
-            kept.append((st, snapshot(st), [a.copy() for a in (st.p, st.y, *st.q)]))
+            kept.append((st, snapshot(st)))
             return {}
 
         report = ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0,
                         stop=self.stop, iter_metrics=hook)
         assert len(kept) == report.iterations
-        for st, arrays, inter in kept:
+        for st, arrays in kept:
             for got, want in zip(snapshot(st), arrays):
-                assert_same_bits(got, want)
-            for got, want in zip((st.p, st.y, *st.q), inter):
                 assert_same_bits(got, want)
         assert kept[-1][0] is report.final_state
 
@@ -615,10 +642,7 @@ class TestAliasing:
         st = ss.initial_state(self.spec.layout, self.x0, self.v0)
         for _ in range(3):
             st = ss.iterate_once(self.spec, self.cfg, st)
-        for got, want in zip((report.final_state.x, *report.final_state.v,
-                              report.final_state.p, *report.final_state.q),
-                             (st.x, *st.v, st.p, *st.q)):
-            assert_same_bits(got, want)
+        assert_same_bits(report.final_state.u, st.u)
 
     def test_zero_map_stays_zero(self):
         ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0, stop=self.stop)
@@ -627,3 +651,51 @@ class TestAliasing:
         assert_same_bits(out, np.zeros(5))
         with pytest.raises(ValueError):
             out[0] = 1.0
+
+
+class TestFlatState:
+    """Each state is one flat array over the product space, with x and the
+    v blocks as views of it; no two states handed out share memory."""
+
+    def setup_method(self):
+        self.spec = passthrough_spec()
+        self.cfg = ss.suggest_steps(self.spec, safety=0.9)
+        rng = np.random.default_rng(5)
+        self.x0 = rng.standard_normal(5)
+        self.v0 = (rng.standard_normal(5), rng.standard_normal(5))
+
+    def assert_views_of_u(self, st):
+        x, v = self.spec.layout.split(st.u)
+        assert st.u.shape == (self.spec.layout.size,)
+        for view, block in zip((st.x, *st.v), (x, *v)):
+            assert np.shares_memory(view, st.u)
+            assert_same_bits(view, block)
+
+    def test_x_and_v_are_views_of_u(self):
+        st = ss.initial_state(self.spec.layout, self.x0, self.v0)
+        self.assert_views_of_u(st)
+        nxt = ss.iterate_once(self.spec, self.cfg, st)
+        self.assert_views_of_u(nxt)
+        assert not np.shares_memory(nxt.u, st.u)
+        report = ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0,
+                        stop=ss.StoppingRule(tol=0.0, max_iter=5), record_states=True)
+        for kept in (*report.states, report.final_state):
+            self.assert_views_of_u(kept)
+
+    def test_initial_state_copies_inputs(self):
+        st = ss.initial_state(self.spec.layout, self.x0, self.v0)
+        for given, view in zip((self.x0, *self.v0), (st.x, *st.v)):
+            assert not np.shares_memory(given, st.u)
+            assert_same_bits(view, given)
+        st.u[:] = 0.0
+        assert np.all(self.x0 != 0.0)
+
+    def test_recorded_states_are_distinct_arrays(self):
+        report = ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0,
+                        stop=ss.StoppingRule(tol=0.0, max_iter=6), record_states=True)
+        assert [st.n for st in report.states] == list(range(7))
+        assert report.states[-1] is report.final_state
+        for i, a in enumerate(report.states):
+            for b in report.states[i + 1:]:
+                assert not np.shares_memory(a.u, b.u)
+        assert not any(np.shares_memory(self.x0, st.u) for st in report.states)
