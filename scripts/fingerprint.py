@@ -8,13 +8,15 @@ Usage::
     diff a.txt b.txt
 
 The outputs covered are every ``splitsolve bench`` suite (each CSV and
-the check lines), ``solve`` (CSV and stdout), ``check`` and ``diag`` of
-each ``configs/*.cfg``, ``solve`` of a generated TV-1D config, and two
+the check lines), ``solve`` (CSV, its ``iter`` and ``step_norm``
+columns on their own line, and stdout), ``check`` and ``diag`` of each
+``configs/*.cfg``, ``solve`` of a generated TV-1D config, and two
 library runs of TV-2D denoising: one at relaxation 1, one at relaxation
 0.9 with geometric errors and a metrics hook.  Only ``cli.main``,
-``final_state.x``/``.v`` and the run histories are read, so the script
-runs unchanged on any checkout that has them.  Temporary directory
-names are replaced by ``<tmp>`` before hashing.
+``final_state.x``/``.v`` and the run histories are read, and CSV
+columns are found by header name, so the script runs unchanged on any
+checkout that has them.  Temporary directory names are replaced by
+``<tmp>`` before hashing.
 """
 
 from __future__ import annotations
@@ -65,11 +67,23 @@ def bench_suites(tmp: Path) -> None:
             emit(f"bench {suite} {csv.name}", csv.read_bytes())
 
 
+def csv_columns(text: str, names) -> bytes:
+    """The named columns of a run CSV's rows, without the ``#`` footer."""
+    rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    if not rows:
+        return b""
+    picks = [rows[0].index(name) for name in names]
+    return "".join(",".join(row[j] for j in picks) + "\n" for row in rows).encode()
+
+
 def solve_config(label: str, cfg: Path, tmp: Path) -> None:
     csv = tmp / f"{cfg.stem}.csv"
     _, stdout = run_cli(["solve", str(cfg), "-o", str(csv)], tmp)
     emit(f"solve {label} stdout", stdout)
-    emit(f"solve {label} csv", csv.read_bytes() if csv.exists() else b"")
+    data = csv.read_bytes() if csv.exists() else b""
+    emit(f"solve {label} csv", data)
+    emit(f"solve {label} csv iter,step_norm",
+         csv_columns(data.decode(), ("iter", "step_norm")))
 
 
 def configs(tmp: Path) -> None:

@@ -19,7 +19,7 @@ is evaluated for duality-gap reporting where closed forms exist.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,6 +63,12 @@ __all__ = [
     "kkt_residual",
     "check_qualification",
 ]
+
+# The metrics hook of solve_convex evaluates the gap and KKT values only on
+# every OBJECTIVE_STRIDE-th row (and the last): at n = 2000 one evaluation
+# costs more than one iteration, so a stride of 10 keeps the hook near a
+# tenth of the iteration time.
+OBJECTIVE_STRIDE = 10
 
 
 @dataclass(frozen=True)
@@ -289,6 +295,14 @@ def lower_to_inclusion(cp: ConvexProblem) -> ProblemSpec:
     )
 
 
+def _weighted_adjoint_sum(cp: ConvexProblem, v) -> np.ndarray:
+    """sum_i w_i L_i^T v_i, accumulated in ascending block order."""
+    wsum = np.zeros(cp.layout.dim_primal)
+    for w, blk, vi in zip(cp.layout.weights, cp.blocks, v):
+        wsum = wsum + w * blk.L.adjoint_apply(vi)
+    return wsum
+
+
 def kkt_residual(cp: ConvexProblem, x: np.ndarray, v, tau: float = 1.0,
                  sigmas=None) -> float:
     """Fixed-point residual of the optimality system at (x, v).
@@ -300,16 +314,20 @@ def kkt_residual(cp: ConvexProblem, x: np.ndarray, v, tau: float = 1.0,
     """
     x = np.asarray(x, dtype=float)
     v = tuple(np.asarray(vi, dtype=float) for vi in v)
+    Lx = [blk.L.apply(x) for blk in cp.blocks]
+    return _kkt_residual(cp, x, v, Lx, _weighted_adjoint_sum(cp, v), tau, sigmas)
+
+
+def _kkt_residual(cp: ConvexProblem, x: np.ndarray, v, Lx, wsum: np.ndarray,
+                  tau: float, sigmas) -> float:
+    """:func:`kkt_residual` given each L_i x and sum_i w_i L_i^T v_i."""
     weights = cp.layout.weights
     if sigmas is None:
         sigmas = (1.0,) * len(cp.blocks)
-    wsum = np.zeros_like(x)
-    for w, blk, vi in zip(weights, cp.blocks, v):
-        wsum = wsum + w * blk.L.adjoint_apply(vi)
     px = cp.f.prox(tau, x - tau * (wsum + cp.h.gradient(x) - cp.z))
     res = float(np.linalg.norm(x - px))
-    for w, s, blk, vi in zip(weights, sigmas, cp.blocks, v):
-        u = vi + s * (blk.L.apply(x) - blk.ell.conj_gradient(vi) - blk.r)
+    for w, s, blk, vi, lxi in zip(weights, sigmas, cp.blocks, v, Lx):
+        u = vi + s * (lxi - blk.ell.conj_gradient(vi) - blk.r)
         res += w * float(np.linalg.norm(vi - prox_conjugate(blk.g, s, u)))
     return res
 
@@ -352,10 +370,12 @@ def evaluate_gap(cp: ConvexProblem, x, v, tau: float = 1.0, sigmas=None) -> GapR
     v = tuple(np.asarray(vi, dtype=float) for vi in v)
     weights = cp.layout.weights
     notes: list[str] = []
+    Lx = [blk.L.apply(x) for blk in cp.blocks]
+    wsum = _weighted_adjoint_sum(cp, v)
 
     primal: Optional[float] = cp.f.evaluate(x) + cp.h.value(x) - float(np.dot(x, cp.z))
-    for i, (w, blk) in enumerate(zip(weights, cp.blocks)):
-        val = _infconv_value(blk, blk.L.apply(x) - blk.r)
+    for i, (w, blk, lxi) in enumerate(zip(weights, cp.blocks, Lx)):
+        val = _infconv_value(blk, lxi - blk.r)
         if val is None:
             notes.append(f"block {i}: no closed form for (g inf-conv ell); "
                          "primal value unavailable")
@@ -363,9 +383,6 @@ def evaluate_gap(cp: ConvexProblem, x, v, tau: float = 1.0, sigmas=None) -> GapR
             break
         primal = primal + w * val
 
-    wsum = np.zeros_like(x)
-    for w, blk, vi in zip(weights, cp.blocks, v):
-        wsum = wsum + w * blk.L.adjoint_apply(vi)
     dual: Optional[float] = _conj_infconv_f_h(cp, cp.z - wsum)
     if dual is None:
         notes.append("no closed form for (f* inf-conv h*); dual value unavailable")
@@ -390,7 +407,7 @@ def evaluate_gap(cp: ConvexProblem, x, v, tau: float = 1.0, sigmas=None) -> GapR
         primal_value=primal,
         dual_value=dual,
         gap=gap,
-        kkt_residual=kkt_residual(cp, x, v, tau=tau, sigmas=sigmas),
+        kkt_residual=_kkt_residual(cp, x, v, Lx, wsum, tau, sigmas),
         notes=tuple(notes),
     )
 
@@ -408,7 +425,10 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     With ``cfg=None`` the step sizes are picked automatically.  When
     ``stop.kkt_tol`` is set the run also stops once the optimality
     residual falls below it.  ``record_objective=True`` attaches
-    objective, gap, and KKT values to every history row.
+    objective, gap, and KKT values to every ``OBJECTIVE_STRIDE``-th
+    history row and to the last row, which describes ``final_state``
+    and carries the values of the returned :class:`GapReport`; the
+    other rows leave them ``None``.
     """
     spec = lower_to_inclusion(cp)
     if cfg is None:
@@ -418,6 +438,8 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     iter_metrics = None
     if record_objective:
         def iter_metrics(st):
+            if st.n % OBJECTIVE_STRIDE:
+                return {}
             rep = evaluate_gap(cp, st.x, st.v, tau=cfg.tau, sigmas=cfg.sigmas)
             return {
                 "primal_obj": rep.primal_value,
@@ -440,6 +462,11 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     )
     final = report.final_state
     gap = evaluate_gap(cp, final.x, final.v, tau=cfg.tau, sigmas=cfg.sigmas)
+    if record_objective and report.history:
+        report.history[-1] = replace(
+            report.history[-1], primal_obj=gap.primal_value,
+            dual_obj=gap.dual_value, gap=gap.gap, kkt=gap.kkt_residual,
+        )
     return report, gap
 
 

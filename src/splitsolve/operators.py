@@ -310,20 +310,24 @@ def estimate_norm(L: LinearOp, tol: float = 1e-8, max_iter: int = 10000,
     lam = 0.0
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w = L.adjoint_apply(L.apply(x))
-        lam = float(np.dot(x, w))
-        resid = float(np.linalg.norm(np.subtract(w, np.multiply(x, lam, out=r), out=r)))
-        if resid <= tol * max(abs(lam), 1e-300):
-            converged = True
-            break
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            # x is in the kernel of L*L; the estimate collapses to 0
-            lam = 0.0
-            converged = True
-            break
-        x = np.divide(w, nw, out=x)
+    # an operator too large for doubles overflows to inf/nan here; the
+    # caller refuses the non-finite result by name, so numpy's warnings
+    # would only add noise ahead of that error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for iterations in range(1, max_iter + 1):
+            w = L.adjoint_apply(L.apply(x))
+            lam = float(np.dot(x, w))
+            resid = float(np.linalg.norm(np.subtract(w, np.multiply(x, lam, out=r), out=r)))
+            if resid <= tol * max(abs(lam), 1e-300):
+                converged = True
+                break
+            nw = float(np.linalg.norm(w))
+            if nw == 0.0:
+                # x is in the kernel of L*L; the estimate collapses to 0
+                lam = 0.0
+                converged = True
+                break
+            x = np.divide(w, nw, out=x)
 
     value = math.sqrt(max(lam, 0.0))
     if L.norm_hint is not None:

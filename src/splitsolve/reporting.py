@@ -1,7 +1,11 @@
 """CSV emission for run histories.
 
-Columns: iter, step_norm, kkt_residual, primal_obj, dual_obj, gap,
-wall_ms.  Unavailable fields stay blank.  Floats use '.' as the decimal
+Columns: iter, step_norm, residual, kkt_residual, primal_obj, dual_obj,
+gap, wall_ms.  ``residual`` is the value the ``tol`` stopping rule
+compares and is filled on every row; ``splitsolve solve`` fills the
+objective and KKT cells on every ``OBJECTIVE_STRIDE``-th row and on the
+last row only (see :func:`splitsolve.convex.solve_convex`).
+Unavailable fields stay blank.  Floats use '.' as the decimal
 separator with 17 significant digits, so values round-trip exactly and
 identical runs produce byte-identical files.  Timing is recorded in the
 report but written only on request, because wall-clock values would
@@ -16,7 +20,7 @@ from .solver import RunReport, StepConfig
 
 __all__ = ["format_run_csv", "write_run_csv"]
 
-_HEADER = "iter,step_norm,kkt_residual,primal_obj,dual_obj,gap,wall_ms"
+_HEADER = "iter,step_norm,residual,kkt_residual,primal_obj,dual_obj,gap,wall_ms"
 
 
 def _cell(value: Optional[float]) -> str:
@@ -31,6 +35,7 @@ def format_run_csv(report: RunReport, cfg: Optional[StepConfig] = None,
         lines.append(",".join([
             str(rec.iter),
             _cell(rec.step_norm),
+            _cell(rec.residual),
             _cell(rec.kkt),
             _cell(rec.primal_obj),
             _cell(rec.dual_obj),

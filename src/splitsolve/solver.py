@@ -177,7 +177,8 @@ class StoppingRule:
     ``tol`` bounds the fixed-point residual (displacement of one exact
     relaxation-1 update, measured in the renormed metric) relative to
     ``1 + ||state||``.  ``kkt_tol`` is consulted by the convex layer
-    only.
+    only.  Both tolerances must be finite and non-negative; ``tol = 0``
+    stops only on an exactly zero residual.
     """
 
     tol: float = 1e-10
@@ -187,6 +188,10 @@ class StoppingRule:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        for name in ("tol", "kkt_tol"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)

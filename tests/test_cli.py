@@ -86,7 +86,7 @@ class TestSolve:
         x = float(extract(stdout, "x"))
         assert abs(x - 3.0) <= 1e-6
         text = out.read_text()
-        assert text.startswith("iter,step_norm,kkt_residual,primal_obj,dual_obj,gap,wall_ms\n")
+        assert text.startswith("iter,step_norm,residual,kkt_residual,primal_obj,dual_obj,gap,wall_ms\n")
         assert "# termination=converged" in text
         assert "# admissible=yes" in text
 
@@ -147,6 +147,19 @@ class TestSolve:
         assert code == 3
         assert "failure" in captured.err
 
+    @pytest.mark.parametrize("stop, message", [
+        ("tol = nan", "tol must be finite and non-negative, got nan"),
+        ("tol = -1e-9", "tol must be finite and non-negative, got -1e-09"),
+        ("tol = 1e-12\nkkt_tol = nan", "kkt_tol must be finite and non-negative, got nan"),
+    ], ids=["tol-nan", "tol-negative", "kkt_tol-nan"])
+    def test_bad_tolerance_refused(self, tmp_path, capsys, stop, message):
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(Path(LASSO).read_text().replace("tol = 1e-12", stop))
+        code = main(["solve", str(cfg), "-o", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "r.csv").exists()
+
     def test_missing_file(self, capsys):
         assert main(["solve", "no-such-file.cfg"]) == 1
         capsys.readouterr()
@@ -172,6 +185,15 @@ class TestNonFiniteOperator:
         assert main([command, str(cfg), *extra]) == 1
         err = capsys.readouterr().err
         assert "block 0: linear operator has non-finite norm nan" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_matrix_refused_without_warnings(self, tmp_path, capfd):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(Path(LASSO).read_text().replace("L = identity", "L = matrix 1e308"))
+        assert main(["solve", str(cfg), "-o", str(tmp_path / "r.csv")]) == 1
+        captured = capfd.readouterr()
+        assert captured.err == "block 0: linear operator has non-finite norm nan\n"
         assert not (tmp_path / "r.csv").exists()
 
 

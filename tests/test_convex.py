@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import splitsolve as ss
+import splitsolve.convex
 from splitsolve.benchmarks import (
     chambolle_pock_reference,
     condat_problem,
@@ -13,7 +14,8 @@ from splitsolve.benchmarks import (
     fused_lasso_problem,
     max_state_deviation,
 )
-from splitsolve.convex import check_gradient
+from splitsolve.convex import OBJECTIVE_STRIDE, check_gradient
+from splitsolve.reporting import format_run_csv
 
 from conftest import assert_same_bits
 
@@ -334,6 +336,105 @@ class TestKktResidual:
         for tau, sigma in [(1.0, 1.0), (0.3, 2.0)]:
             res = ss.kkt_residual(lasso_1d(), x, v, tau=tau, sigmas=(sigma,))
             assert res <= 1e-12
+
+    def test_gap_evaluation_applies_each_operator_once(self, rng):
+        cp, _ = fused_lasso_problem()
+        calls = {"apply": 0, "adjoint": 0}
+        L = cp.blocks[0].L
+
+        def counted(name, fn):
+            def wrapped(arg):
+                calls[name] += 1
+                return fn(arg)
+            return wrapped
+
+        counting = dataclasses.replace(
+            L, apply=counted("apply", L.apply),
+            adjoint_apply=counted("adjoint", L.adjoint_apply), kind="custom")
+        cp = dataclasses.replace(cp, blocks=(dataclasses.replace(cp.blocks[0], L=counting),))
+        x = rng.standard_normal(10)
+        v = (rng.standard_normal(9),)
+        gap = ss.evaluate_gap(cp, x, v, tau=0.3, sigmas=(0.7,))
+        assert calls == {"apply": 1, "adjoint": 1}
+        assert gap.kkt_residual == ss.kkt_residual(cp, x, v, tau=0.3, sigmas=(0.7,))
+
+
+def metric_values(obj):
+    if isinstance(obj, ss.GapReport):
+        return (obj.primal_value, obj.dual_value, obj.gap, obj.kkt_residual)
+    return (obj.primal_obj, obj.dual_obj, obj.gap, obj.kkt)
+
+
+class TestSampledObjective:
+    """``record_objective`` fills every OBJECTIVE_STRIDE-th row and the last."""
+
+    @staticmethod
+    def solve(iters, **kwargs):
+        cp, _ = fused_lasso_problem()
+        report, gap = ss.solve_convex(cp, stop=ss.StoppingRule(tol=0.0, max_iter=iters),
+                                      record_objective=True, **kwargs)
+        return cp, report, gap
+
+    def test_stride_rows_match_recorded_states(self):
+        cp, report, _ = self.solve(37, record_states=True)
+        cfg = ss.suggest_steps(ss.lower_to_inclusion(cp))
+        sampled = [rec for rec in report.history if rec.iter % OBJECTIVE_STRIDE == 0]
+        assert [rec.iter for rec in sampled] == [10, 20, 30]
+        for rec in sampled:
+            st = report.states[rec.iter]
+            want = ss.evaluate_gap(cp, st.x, st.v, tau=cfg.tau, sigmas=cfg.sigmas)
+            assert_same_bits(metric_values(rec), metric_values(want))
+
+    @pytest.mark.parametrize("iters", [37, 40])
+    def test_last_row_is_the_returned_gap(self, iters):
+        _, report, gap = self.solve(iters)
+        assert report.history[-1].iter == iters
+        assert_same_bits(metric_values(report.history[-1]), metric_values(gap))
+        for rec in report.history[:-1]:
+            if rec.iter % OBJECTIVE_STRIDE:
+                assert metric_values(rec) == (None, None, None, None)
+            else:
+                assert None not in metric_values(rec)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_diverged_last_row_describes_final_state(self):
+        cp, _ = fused_lasso_problem()
+        cfg = ss.validate_steps(ss.lower_to_inclusion(cp), 100.0, (100.0,))
+        report, gap = ss.solve_convex(cp, cfg=cfg, allow_inadmissible=True,
+                                      stop=ss.StoppingRule(tol=0.0, max_iter=5000),
+                                      record_objective=True)
+        assert report.termination == "diverged"
+        assert report.iterations % OBJECTIVE_STRIDE  # the hook skipped this row
+        final = report.final_state
+        assert final.n == report.history[-1].iter
+        want = ss.evaluate_gap(cp, final.x, final.v, tau=cfg.tau, sigmas=cfg.sigmas)
+        assert_same_bits(metric_values(report.history[-1]), metric_values(want))
+        assert_same_bits(metric_values(gap), metric_values(want))
+
+    @pytest.mark.parametrize("iters", [1, 9, 37, 40])
+    def test_gap_evaluations_counted(self, monkeypatch, iters):
+        calls = []
+        evaluate = splitsolve.convex.evaluate_gap
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(splitsolve.convex, "evaluate_gap", counted)
+        self.solve(iters)
+        assert len(calls) == iters // OBJECTIVE_STRIDE + 1
+
+    def test_csv_residual_on_every_row(self):
+        _, report, _ = self.solve(37)
+        lines = format_run_csv(report).splitlines()
+        header = lines[0].split(",")
+        col = header.index("residual")
+        rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+        assert len(rows) == len(report.history)
+        for row, rec in zip(rows, report.history):
+            assert math.isfinite(float(row[col]))
+            assert row[col] == f"{rec.residual:.17g}"
 
 
 def test_zero_maps_share_one_read_only_array():

@@ -406,6 +406,20 @@ class TestRun:
             st = nxt
 
 
+class TestStoppingRule:
+    @pytest.mark.parametrize("field, value", [
+        ("tol", math.nan), ("tol", -1e-3), ("tol", math.inf),
+        ("kkt_tol", math.nan), ("kkt_tol", -1.0), ("kkt_tol", math.inf),
+    ])
+    def test_bad_tolerance_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and non-negative"):
+            ss.StoppingRule(**{field: value})
+
+    def test_zero_tolerances_accepted(self):
+        rule = ss.StoppingRule(tol=0.0, kkt_tol=0.0)
+        assert (rule.tol, rule.kkt_tol) == (0.0, 0.0)
+
+
 class TestErrorSchedules:
     def test_geometric_is_summable(self):
         layout = ss.SpaceLayout(3, (2,), (1.0,))
