@@ -10,9 +10,13 @@ Usage::
 The outputs covered are every ``splitsolve bench`` suite (each CSV and
 the check lines), ``solve`` (CSV, its ``iter`` and ``step_norm``
 columns on their own line, and stdout), ``check`` and ``diag`` of each
-``configs/*.cfg``, ``solve`` of a generated TV-1D config, and two
+``configs/*.cfg``, ``solve`` of a generated TV-1D config, and three
 library runs of TV-2D denoising: one at relaxation 1, one at relaxation
-0.9 with geometric errors and a metrics hook.  Only ``cli.main``,
+0.9 with geometric errors and a metrics hook, and one whose dual
+operator is a custom ``ResolventOp`` around the l1 prox, run with
+explicit steps and norms.  That last run takes the inverse-resolvent
+identity rather than the catalog's closed-form dual resolvent and uses
+no closed-form norm, so it pins that path even when those change.  Only ``cli.main``,
 ``final_state.x``/``.v`` and the run histories are read, and CSV
 columns are found by header name, so the script runs unchanged on any
 checkout that has them.  Temporary directory names are replaced by
@@ -21,8 +25,10 @@ checkout that has them.  Temporary directory names are replaced by
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
+import math
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -175,6 +181,14 @@ def tv2d_runs() -> None:
     report = solver.run(spec, cfg, stop=stop, errors=errors,
                         iter_metrics=lambda st: {"primal_obj": float(np.dot(st.x, st.x))})
     emit_report("tv2d lambda=0.9 errors hook", report)
+
+    m = spec.blocks[0].B.dim
+    l1 = operators.catalog_prox("l1", m, weight=0.3)
+    custom = dataclasses.replace(spec.blocks[0], B=operators.ResolventOp(m, l1.prox))
+    spec = dataclasses.replace(spec, blocks=(custom,))
+    # ||grad2d|| < sqrt(8), and tau = sigma = 0.25 gives 2 rho beta > 1 at beta = 1
+    cfg = solver.validate_steps(spec, 0.25, (0.25,), norms=(math.sqrt(8.0),))
+    emit_report("tv2d custom B explicit steps", solver.run(spec, cfg, stop=stop))
 
 
 def main() -> int:

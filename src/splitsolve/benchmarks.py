@@ -379,9 +379,17 @@ def soft_threshold(x, t):
 
 def max_state_deviation(states, xs, vs=None) -> float:
     """Largest componentwise gap between recorded states and reference
-    iterate lists."""
+    iterate lists.
+
+    A ``tol = 0`` run stops when it lands on an exact fixed point, where
+    every later iterate equals its last state; that final state is then
+    compared against each remaining reference iterate as well, so the
+    check always covers the whole reference list.
+    """
     worst = 0.0
-    for k, s in enumerate(states):
+    last = len(states) - 1
+    for k in range(len(xs)):
+        s = states[min(k, last)]
         worst = max(worst, float(np.max(np.abs(s.x - xs[k]), initial=0.0)))
         if vs is not None:
             for d, ref in zip(s.v, vs[k]):

@@ -6,16 +6,18 @@ Four operator representations are used throughout:
   optional upper bound on its norm, and a ``kind`` tag that marks the
   library's operators whose bound is the exact closed-form norm,
 * :class:`ResolventOp` -- a maximally monotone operator represented by
-  its resolvent ``(gamma, w) -> J_{gamma A}(w)``,
+  its resolvent ``(gamma, w) -> J_{gamma A}(w)``, optionally with the
+  resolvent of its inverse in closed form,
 * :class:`CocoerciveOp` -- a single-valued map together with its
   cocoercivity constant (``inf`` encodes the zero map or stronger),
 * :class:`ProxFunction` -- a proper convex function with an exact
-  proximity operator, optionally carrying a closed-form conjugate and an
-  effective-domain description.
+  proximity operator, optionally carrying its conjugate's value and
+  prox in closed form and an effective-domain description.
 
 The module also provides power-iteration norm estimation (for operators
-without a closed-form norm), the inverse-resolvent identity, the Moreau
-decomposition for conjugate proxes, and a closed-form prox catalog.
+without a closed-form norm), the resolvent of an inverse and the
+conjugate prox (closed form when known, else the inverse-resolvent
+identity and the Moreau decomposition), and a closed-form prox catalog.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "Domain",
     "NormEstimate",
     "CLOSED_FORM_NORM_KINDS",
+    "NORM_HINT_ULPS",
     "CocoercivityReport",
     "identity_op",
     "matrix_op",
@@ -49,8 +52,13 @@ __all__ = [
 
 #: feasibility slack used when evaluating indicator-type functions
 INDICATOR_TOL = 1e-9
-#: ``LinearOp.kind`` tags whose ``norm_hint`` is the exact operator norm
+#: ``LinearOp.kind`` tags whose ``norm_hint`` is a closed-form upper bound
+#: on the operator norm
 CLOSED_FORM_NORM_KINDS = frozenset({"identity", "diff1d", "grad2d"})
+#: ulps by which a closed-form norm computed in floating point is raised;
+#: the computed diff1d and grad2d values lie up to 1.13 ulps below the
+#: exact norm, so the raised hints are upper bounds
+NORM_HINT_ULPS = 4
 
 
 def _read_only_zeros(dim: int) -> np.ndarray:
@@ -60,6 +68,13 @@ def _read_only_zeros(dim: int) -> np.ndarray:
     return zero
 
 
+def _round_up(value: float) -> float:
+    """``value`` raised by ``NORM_HINT_ULPS`` units in the last place."""
+    for _ in range(NORM_HINT_ULPS):
+        value = math.nextafter(value, math.inf)
+    return value
+
+
 @dataclass(frozen=True)
 class LinearOp:
     """Bounded linear operator with adjoint.
@@ -67,13 +82,12 @@ class LinearOp:
     ``norm_hint`` is an upper bound on the operator norm.  ``kind`` is
     ``"custom"`` unless a library constructor sets it; for the kinds in
     ``CLOSED_FORM_NORM_KINDS`` (``identity_op``, ``diff1d_op``,
-    ``grad2d_op``) the hint is the exact closed-form norm and is used as
-    it is, like the ``kind`` tags of the catalog functions.  A custom
-    hint is only a starting point: step certification still runs power
-    iteration and repairs a hint below the true norm.  Power iteration
-    stays at or below the closed forms (except one ulp at
-    ``grad2d_op(2, 2)``), so using them directly leaves step sizes and
-    iterates bit for bit the same.
+    ``grad2d_op``) the hint is the closed-form norm, rounded up by
+    ``NORM_HINT_ULPS`` ulps where it is not exact (the identity's 1.0
+    is), so it is a strict upper bound and is used as it is, like the
+    ``kind`` tags of the catalog functions.  A custom hint is only a
+    starting point: step certification still runs power iteration and
+    repairs a hint below the true norm.
     """
 
     in_dim: int
@@ -99,10 +113,17 @@ class ResolventOp:
     ``resolvent(gamma, w)`` must return ``J_{gamma A}(w)`` for any
     ``gamma > 0``.  Resolvents of maximally monotone operators are
     firmly nonexpansive; that property is the testable contract.
+    ``inverse_resolvent(sigma, w)``, when set, returns
+    ``J_{sigma A^{-1}}(w)`` in closed form; :func:`resolvent_from_prox`
+    sets it from the catalog's conjugate prox, and
+    :func:`resolvent_of_inverse` prefers it to the inverse-resolvent
+    identity.  Like ``resolvent`` it may return its input array but
+    must not keep it, and callers must not write into what it returns.
     """
 
     dim: int
     resolvent: Callable[[float, np.ndarray], np.ndarray]
+    inverse_resolvent: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
     @staticmethod
     def zero(dim: int) -> "ResolventOp":
@@ -161,15 +182,19 @@ class ProxFunction:
 
     ``prox(gamma, w)`` minimizes ``f(y) + ||w - y||^2 / (2 gamma)``.
     ``conjugate_value`` evaluates the convex conjugate when a closed
-    form is known (used for duality-gap reporting).  ``domain``
-    describes the effective domain for qualification checking; ``None``
-    means unknown.
+    form is known (used for duality-gap reporting).
+    ``conjugate_prox(sigma, u)`` returns ``prox_{sigma f*}(u)`` in
+    closed form; every catalog kind but ``box`` sets it, and without it
+    the Moreau decomposition is used.  ``domain`` describes the
+    effective domain for qualification checking; ``None`` means
+    unknown.
     """
 
     dim: int
     evaluate: Callable[[np.ndarray], float]
     prox: Callable[[float, np.ndarray], np.ndarray]
     conjugate_value: Optional[Callable[[np.ndarray], float]] = None
+    conjugate_prox: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     domain: Optional[Domain] = None
     kind: str = "custom"
     params: dict = field(default_factory=dict)
@@ -217,8 +242,8 @@ def matrix_op(mat, norm_hint: Optional[float] = None) -> LinearOp:
 def diff1d_op(n: int) -> LinearOp:
     """Forward-difference operator R^n -> R^(n-1), x -> (x_{k+1} - x_k).
 
-    Its largest singular value is 2 sin((n-1) pi / (2n)), certified as
-    the norm hint.
+    Its largest singular value is 2 sin((n-1) pi / (2n)); the norm hint
+    is that value rounded up.
     """
     if n < 2:
         raise ValueError("diff1d needs n >= 2")
@@ -238,7 +263,7 @@ def diff1d_op(n: int) -> LinearOp:
         return out
 
     return LinearOp(n, n - 1, apply, adjoint,
-                    norm_hint=2.0 * math.sin((n - 1) * math.pi / (2 * n)),
+                    norm_hint=_round_up(2.0 * math.sin((n - 1) * math.pi / (2 * n))),
                     kind="diff1d")
 
 
@@ -246,7 +271,9 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
     """Discrete gradient of a rows x cols image (row-major flattening).
 
     Stacks vertical differences ((rows-1) * cols values) above
-    horizontal differences (rows * (cols-1) values).
+    horizontal differences (rows * (cols-1) values).  The norm hint is
+    the closed-form norm 2 sqrt(sin^2((rows-1) pi / (2 rows)) +
+    sin^2((cols-1) pi / (2 cols))) rounded up.
     """
     if rows < 2 or cols < 2:
         raise ValueError("grad2d needs rows >= 2 and cols >= 2")
@@ -276,7 +303,7 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
         math.sin((rows - 1) * math.pi / (2 * rows)) ** 2
         + math.sin((cols - 1) * math.pi / (2 * cols)) ** 2
     )
-    return LinearOp(rows * cols, n_v + n_h, apply, adjoint, norm_hint=hint,
+    return LinearOp(rows * cols, n_v + n_h, apply, adjoint, norm_hint=_round_up(hint),
                     kind="grad2d")
 
 
@@ -342,31 +369,43 @@ def estimate_norm(L: LinearOp, tol: float = 1e-8, max_iter: int = 10000,
 def resolvent_of_inverse(B: ResolventOp, sigma: float, v: np.ndarray) -> np.ndarray:
     """Resolvent of the inverse operator, J_{sigma B^{-1}}(v).
 
-    Uses the inverse-resolvent identity
+    Returns ``B.inverse_resolvent(sigma, v)`` when ``B`` has one, and
+    otherwise uses the inverse-resolvent identity
     ``J_{sigma B^{-1}}(v) = v - sigma J_{B / sigma}(v / sigma)``,
-    which is exact for any maximally monotone ``B``.
+    which is exact for any maximally monotone ``B``.  The result may be
+    ``v`` itself or an array ``B`` keeps; do not write into it.
     """
     if sigma <= 0:
         raise ValueError("sigma must be strictly positive")
     v = np.asarray(v, dtype=float)
+    if B.inverse_resolvent is not None:
+        return B.inverse_resolvent(sigma, v)
     return v - sigma * B.resolvent(1.0 / sigma, v / sigma)
 
 
 def prox_conjugate(g: ProxFunction, sigma: float, v: np.ndarray) -> np.ndarray:
-    """Proximity operator of ``sigma g*`` via the Moreau decomposition.
+    """Proximity operator of ``sigma g*``, the resolvent of ``sigma``
+    times the subdifferential of the conjugate.
 
-    Returns ``v - sigma * g.prox(1/sigma, v/sigma)``, which equals the
-    resolvent of ``sigma`` times the subdifferential of the conjugate.
+    Returns ``g.conjugate_prox(sigma, v)`` when ``g`` has one, and
+    otherwise the Moreau decomposition
+    ``v - sigma * g.prox(1/sigma, v/sigma)``.  As with
+    :func:`resolvent_of_inverse`, do not write into the result.
     """
     if sigma <= 0:
         raise ValueError("sigma must be strictly positive")
     v = np.asarray(v, dtype=float)
+    if g.conjugate_prox is not None:
+        return g.conjugate_prox(sigma, v)
     return v - sigma * g.prox(1.0 / sigma, v / sigma)
 
 
 def resolvent_from_prox(f: ProxFunction) -> ResolventOp:
-    """Resolvent of the subdifferential of ``f`` (the prox map itself)."""
-    return ResolventOp(f.dim, lambda gamma, w: f.prox(gamma, w))
+    """Resolvent of the subdifferential of ``f`` (the prox map itself),
+    with ``f``'s closed-form conjugate prox, if any, as the resolvent of
+    the inverse."""
+    return ResolventOp(f.dim, lambda gamma, w: f.prox(gamma, w),
+                       inverse_resolvent=f.conjugate_prox)
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +447,18 @@ def _build_sq_l2(dim, weight=1.0, center=0.0):
         np.add(w, out, out=out)
         return np.divide(out, 1.0 + gamma * c, out=out)
 
+    def conj_prox(sigma, u):
+        # f*(u) = <b, u> + ||u||^2 / (2c)
+        out = np.multiply(b, sigma)
+        np.subtract(u, out, out=out)
+        return np.divide(out, 1.0 + sigma / c, out=out)
+
     return ProxFunction(
         dim,
         evaluate=lambda x: 0.5 * c * float(np.dot(x - b, x - b)),
         prox=prox,
         conjugate_value=lambda u: float(np.dot(b, u)) + float(np.dot(u, u)) / (2.0 * c),
+        conjugate_prox=conj_prox,
         domain=Domain.full(),
         kind="sq_l2",
         params={"weight": c, "center": b},
@@ -442,6 +488,8 @@ def _build_l1(dim, weight=1.0):
         evaluate=lambda x: c * float(np.sum(np.abs(x))),
         prox=prox,
         conjugate_value=conj,
+        # projection onto the conjugate's weight-radius sup-norm ball
+        conjugate_prox=lambda sigma, u: np.clip(u, -c, c),
         domain=Domain.full(),
         kind="l1",
         params={"weight": c},
@@ -466,6 +514,10 @@ def _build_box(dim, lo=0.0, hi=1.0):
         evaluate=evaluate,
         prox=lambda gamma, w: np.clip(w, lo_v, hi_v),
         conjugate_value=lambda u: float(np.sum(np.maximum(lo_v * u, hi_v * u))),
+        # no conjugate_prox: the closed form u - sigma clip(u / sigma, lo, hi)
+        # is the Moreau decomposition itself, and u - clip(u, sigma lo,
+        # sigma hi) saves the divide but adds two products, so nothing
+        # cheaper than the fallback exists
         domain=Domain.box(lo_v, hi_v),
         kind="box",
         params={"lo": lo_v, "hi": hi_v},
@@ -486,6 +538,7 @@ def _build_point(dim, point=0.0):
         evaluate=evaluate,
         prox=lambda gamma, w: p.copy(),
         conjugate_value=lambda u: float(np.dot(p, u)),
+        conjugate_prox=lambda sigma, u: np.subtract(u, np.multiply(p, sigma)),
         domain=Domain.singleton(p),
         kind="point",
         params={"point": p},
@@ -498,11 +551,15 @@ def _build_zero(dim):
     def conj(u):
         return 0.0 if float(np.max(np.abs(u), initial=0.0)) <= INDICATOR_TOL else math.inf
 
+    # the conjugate is the indicator of the origin
+    zero = _read_only_zeros(dim)
+
     return ProxFunction(
         dim,
         evaluate=lambda x: 0.0,
         prox=lambda gamma, w: np.asarray(w, dtype=float),
         conjugate_value=conj,
+        conjugate_prox=lambda sigma, u: zero,
         domain=Domain.full(),
         kind="zero",
         params={},
@@ -527,6 +584,8 @@ def _build_linear(dim, a=0.0):
         evaluate=lambda x: float(np.dot(a_v, x)),
         prox=prox,
         conjugate_value=conj,
+        # the conjugate is the indicator of the point a
+        conjugate_prox=lambda sigma, u: a_v.copy(),
         domain=Domain.full(),
         kind="linear",
         params={"a": a_v},
@@ -550,11 +609,17 @@ def _build_l2(dim, weight=1.0):
         slack = INDICATOR_TOL * (1.0 + c)
         return 0.0 if float(np.linalg.norm(u)) <= c + slack else math.inf
 
+    def conj_prox(sigma, u):
+        # projection onto the conjugate's weight-radius ball
+        nu = float(np.linalg.norm(u))
+        return u if nu <= c else np.multiply(u, c / nu)
+
     return ProxFunction(
         dim,
         evaluate=lambda x: c * float(np.linalg.norm(x)),
         prox=prox,
         conjugate_value=conj,
+        conjugate_prox=conj_prox,
         domain=Domain.full(),
         kind="l2",
         params={"weight": c},

@@ -38,8 +38,9 @@ from .operators import (
     LinearOp,
     ResolventOp,
     estimate_norm,
+    resolvent_of_inverse,
 )
-from .spaces import SpaceLayout, inner_blocks
+from .spaces import SpaceLayout
 
 __all__ = [
     "Block",
@@ -209,7 +210,8 @@ class ErrorSchedule:
     """Sequence of per-iteration error terms.
 
     Built-in constructors guarantee absolute summability; arbitrary
-    user schedules only declare it.
+    user schedules only declare it.  ``is_zero`` promises that every
+    term is ``None`` at every iteration, so :func:`run` does not look.
     """
 
     at: Callable[[int], IterationErrors]
@@ -229,12 +231,15 @@ def geometric_errors(layout: SpaceLayout, amplitude: float, decay: float,
                      seed: int = 0) -> ErrorSchedule:
     """Geometric schedule ``amplitude * decay^n`` times fixed unit directions.
 
-    Summable by construction for ``decay in ]0, 1[``.
+    Summable by construction for ``decay in ]0, 1[``.  Amplitude 0 is
+    the exact schedule of :func:`zero_errors`.
     """
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
     if not 0.0 < decay < 1.0:
         raise ValueError("decay must lie in ]0, 1[")
+    if amplitude == 0.0:
+        return zero_errors(layout)
     rng = np.random.default_rng(seed)
 
     def unit(dim):
@@ -256,7 +261,7 @@ def geometric_errors(layout: SpaceLayout, amplitude: float, decay: float,
             c=tuple(s * u for u in d_c),
         )
 
-    return ErrorSchedule(at=at, declared_summable=True, is_zero=amplitude == 0.0)
+    return ErrorSchedule(at=at, declared_summable=True)
 
 
 @dataclass(frozen=True)
@@ -335,17 +340,14 @@ def certified_norms(spec: ProblemSpec, seed: int = 0) -> tuple[float, ...]:
     """Upper bounds on the block operator norms for the step condition.
 
     Operators whose kind is in ``CLOSED_FORM_NORM_KINDS`` (the library's
-    identity, difference and gradient operators) contribute their exact
-    closed-form ``norm_hint`` without any power iteration.  Every other
-    operator is estimated: a user hint is taken at face value unless the
-    estimate exceeds it (a hint below the true norm is repaired), and an
+    identity, difference and gradient operators) contribute their
+    closed-form ``norm_hint``, exact or rounded up to a strict upper
+    bound, without any power iteration.  Every other operator is
+    estimated: a user hint is taken at face value unless the estimate
+    exceeds it (a hint below the true norm is repaired), and an
     estimate is inflated by ``NORM_SAFETY`` because an underestimate
-    would void the convergence guarantee.  Power iteration stays at or
-    below the closed forms (one exception: ``grad2d_op(2, 2)``, whose
-    closed form rounds to one ulp below the exact norm 2), so skipping
-    it leaves the norms, and with them steps and iterates, bit for bit
-    the same.  A non-finite or zero norm is refused with a
-    ``ValueError`` that names the block.
+    would void the convergence guarantee.  A non-finite or zero norm is
+    refused with a ``ValueError`` that names the block.
     """
     norms = []
     for i, blk in enumerate(spec.blocks):
@@ -451,20 +453,22 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99,
 class _Workspace:
     """Scratch arrays of the kernel and of the residual arithmetic.
 
-    ``y``, ``q`` and ``arg`` (the argument handed to the resolvent of A,
-    and p itself when an ``a2`` error is added) never leave an update.
-    ``d`` receives the unrelaxed displacement (p - x, q - v) of the last
-    update and ``s`` the displacement of the step taken, both flat over
-    the product space with per-block views ``dx``/``dv`` and ``sx``/``sv``.
+    ``y``, ``arg`` (the argument handed to the resolvent of A, and p
+    itself when an ``a2`` error is added) and the per-block ``dual_arg``
+    (the argument handed to the dual resolvent, and q itself when a
+    ``b`` error is added) never leave an update.  ``d`` receives the
+    unrelaxed displacement (p - x, q - v) of the last update and ``s``
+    the displacement of the step taken, both flat over the product
+    space with per-block views ``dx``/``dv`` and ``sx``/``sv``.
     """
 
-    __slots__ = ("wsum", "tmp", "arg", "y", "finite_x", "us", "q", "finite_v",
+    __slots__ = ("wsum", "tmp", "arg", "y", "finite_x", "dual_arg", "finite_v",
                  "d", "dx", "dv", "s", "sx", "sv")
 
     def __init__(self, layout: SpaceLayout):
         n, dims = layout.dim_primal, layout.dual_dims
         self.wsum, self.tmp, self.arg, self.y = (np.empty(n) for _ in range(4))
-        self.us, self.q = (tuple(np.empty(d) for d in dims) for _ in range(2))
+        self.dual_arg = tuple(np.empty(d) for d in dims)
         self.finite_x = np.empty(n, dtype=bool)
         self.finite_v = tuple(np.empty(d, dtype=bool) for d in dims)
         self.d = np.empty(layout.size)
@@ -473,16 +477,19 @@ class _Workspace:
         self.sx, self.sv = layout.split(self.s)
 
 
-def _kernel(spec, tau, sigmas, lam, x, v, err, ws, out_x, out_v):
-    """One update from ``(x, v)`` into ``(out_x, out_v)``.
+def _kernel(spec, tau, sigmas, lam, st, err, ws, out):
+    """One update from the state ``st`` into the state ``out``.
 
-    Every array operation writes into ``ws`` or the outputs, never into
-    ``x``, ``v`` or an array an operator returned; an operator's result
-    is consumed before the buffer it was handed is written again.  The
-    operations and their order are those of the plain formulas in the
-    module docstring, so results are bitwise reproducible; the
-    dual-block reduction runs in ascending block order.
+    The unrelaxed displacement always lands in ``ws.d``; with
+    ``out=None`` the relaxed update is not formed.  Every array
+    operation writes into ``ws`` or ``out``, never into ``st`` or an
+    array an operator returned; an operator's result is consumed before
+    the buffer it was handed is written again.  The operations and their
+    order are those of the plain formulas in the module docstring, so
+    results are bitwise reproducible; the dual-block reduction runs in
+    ascending block order.
     """
+    x, v = st.x, st.v
     weights = spec.layout.weights
     t = ws.wsum
     t.fill(0.0)
@@ -499,42 +506,54 @@ def _kernel(spec, tau, sigmas, lam, x, v, err, ws, out_x, out_v):
         raise DivergenceError(-1, "primal update p")
     y = np.subtract(np.multiply(p, 2.0, out=ws.y), x, out=ws.y)
     np.subtract(p, x, out=ws.dx)
-    np.add(x, np.multiply(ws.dx, lam, out=out_x), out=out_x)
     for i, blk in enumerate(spec.blocks):
-        sigma, q = sigmas[i], ws.q[i]
-        u = np.subtract(blk.L.apply(y), blk.Dinv.apply(v[i]), out=q)
+        sigma, u = sigmas[i], ws.dual_arg[i]
+        np.subtract(blk.L.apply(y), blk.Dinv.apply(v[i]), out=u)
         if err is not None and err.c[i] is not None:
             np.subtract(u, err.c[i], out=u)
         np.subtract(u, blk.r, out=u)
         np.add(v[i], np.multiply(u, sigma, out=u), out=u)
-        # resolvent_of_inverse: J_{sigma B^-1}(u) = u - sigma J_{B/sigma}(u/sigma)
-        s = ws.us[i]
-        jb = blk.B.resolvent(1.0 / sigma, np.divide(u, sigma, out=s))
-        np.subtract(u, np.multiply(jb, sigma, out=s), out=q)
+        q = resolvent_of_inverse(blk.B, sigma, u)
         if err is not None and err.b[i] is not None:
-            np.add(q, err.b[i], out=q)
+            q = np.add(q, err.b[i], out=u)
         if not np.isfinite(q, out=ws.finite_v[i]).all():
             raise DivergenceError(-1, f"dual update q[{i}]")
         np.subtract(q, v[i], out=ws.dv[i])
-        np.add(v[i], np.multiply(ws.dv[i], lam, out=out_v[i]), out=out_v[i])
+    if out is not None:
+        np.add(st.u, np.multiply(ws.d, lam, out=out.u), out=out.u)
 
 
-def _v_quadform(spec, tau, sigmas, dx, dv):
-    """Quadratic form of the renormed metric at displacement (dx, dv)."""
+def _sq_norms(dx, dv):
+    """``<dx, dx>`` and each ``<dv_i, dv_i>``."""
+    return float(np.dot(dx, dx)), [float(np.dot(d, d)) for d in dv]
+
+
+def _weighted_sq(weights, xx, vv):
+    """``xx + sum_i w_i vv_i``, reduced in ascending block order like
+    :func:`spaces.inner_blocks`."""
+    s = xx
+    for w, q in zip(weights, vv):
+        s += w * q
+    return s
+
+
+def _v_quadform(spec, tau, sigmas, dx, dv, xx, vv):
+    """Quadratic form of the renormed metric at displacement (dx, dv),
+    given the squared norms ``xx``, ``vv`` of its blocks."""
     weights = spec.layout.weights
-    s = float(np.dot(dx, dx)) / tau
+    s = xx / tau
     for i, blk in enumerate(spec.blocks):
-        s += weights[i] / sigmas[i] * float(np.dot(dv[i], dv[i]))
+        s += weights[i] / sigmas[i] * vv[i]
         s -= 2.0 * weights[i] * float(np.dot(blk.L.apply(dx), dv[i]))
     return s
 
 
-def _residual_norm(spec, cfg, dx, dv):
+def _residual_norm(spec, cfg, dx, dv, sq):
     # the renormed metric is positive definite only for admissible steps;
     # fall back to the plain weighted norm under an override
     if cfg.admissible:
-        return math.sqrt(max(_v_quadform(spec, cfg.tau, cfg.sigmas, dx, dv), 0.0))
-    return math.sqrt(inner_blocks(spec.layout.weights, dx, dv, dx, dv))
+        return math.sqrt(max(_v_quadform(spec, cfg.tau, cfg.sigmas, dx, dv, *sq), 0.0))
+    return math.sqrt(_weighted_sq(spec.layout.weights, *sq))
 
 
 def _require_admissible(cfg: StepConfig, allow_inadmissible: bool, verb: str) -> None:
@@ -558,8 +577,7 @@ def iterate_once(spec: ProblemSpec, cfg: StepConfig, st: IterState,
     lam = cfg.lambda_at(st.n)
     nxt = _state(st.n + 1, np.empty(spec.layout.size), spec.layout)
     try:
-        _kernel(spec, cfg.tau, cfg.sigmas, lam, st.x, st.v, err,
-                _Workspace(spec.layout), nxt.x, nxt.v)
+        _kernel(spec, cfg.tau, cfg.sigmas, lam, st, err, _Workspace(spec.layout), nxt)
     except DivergenceError as exc:
         raise DivergenceError(st.n, exc.block) from None
     return nxt
@@ -592,7 +610,13 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     overwritten later.  Operators may return their input array but must
     not keep it: the solver reuses the arrays it passes them.  The
     built-in zero maps (``CocoerciveOp.zero``, ``zero_smooth``,
-    ``dirac_term``) return one shared read-only array.
+    ``dirac_term`` and the conjugate prox of the catalog ``zero``
+    function) return one shared read-only array.
+
+    The dual step J_{sigma_i B_i^{-1}} is :func:`resolvent_of_inverse`:
+    the closed form ``B_i.inverse_resolvent`` where one is set (the
+    blocks lowered from catalog functions other than ``box``), else the
+    inverse-resolvent identity on ``B_i.resolvent``.
     """
     _require_admissible(cfg, allow_inadmissible, "run")
     stop = stop or StoppingRule()
@@ -607,7 +631,6 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     # writes into a fresh one; otherwise two arrays alternate
     escapes = record_states or iter_metrics is not None or extra_stop is not None
     pair = None if escapes else [_state(0, np.empty(layout.size), layout) for _ in range(2)]
-    exact_out = None
     history: list[IterationRecord] = []
     states: Optional[list[IterState]] = [st] if record_states else None
     termination = "max_iter"
@@ -615,7 +638,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
 
     for n in range(stop.max_iter):
         lam = cfg.lambda_at(n)
-        err_n = errors.at(n)
+        err_n = None if errors.is_zero else errors.at(n)
         if escapes:
             nxt = _state(n + 1, np.empty(layout.size), layout)
         else:
@@ -623,28 +646,30 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             nxt = IterState(n + 1, buf.u, buf.x, buf.v)
         t0 = time.perf_counter()
         try:
-            _kernel(spec, tau, sigmas, lam, st.x, st.v, err_n, ws, nxt.x, nxt.v)
+            _kernel(spec, tau, sigmas, lam, st, err_n, ws, nxt)
         except DivergenceError as exc:
             termination = "diverged"
             failure = f"non-finite value in {exc.block} at iteration {n}"
             break
 
-        exact = all(e is None for e in (err_n.a1, err_n.a2, *err_n.b, *err_n.c))
+        exact = err_n is None or all(
+            e is None for e in (err_n.a1, err_n.a2, *err_n.b, *err_n.c))
         if not exact:
             # the residual measures the error-free update from the same state
-            if exact_out is None:
-                exact_out = layout.split(np.empty(layout.size))
-            _kernel(spec, tau, sigmas, 1.0, st.x, st.v, None, ws, *exact_out)
+            _kernel(spec, tau, sigmas, 1.0, st, None, ws, None)
         np.subtract(nxt.u, st.u, out=ws.s)
+        step_sq = _sq_norms(ws.sx, ws.sv)
         if exact and lam == 1.0:
-            dx, dv = ws.sx, ws.sv
+            # the step taken is the relaxation-1 step: share its dots
+            dx, dv, res_sq = ws.sx, ws.sv, step_sq
         else:
             # the relaxation-1 displacement (x + (p - x)) - x
             np.subtract(np.add(st.u, ws.d, out=ws.d), st.u, out=ws.d)
             dx, dv = ws.dx, ws.dv
-        residual = _residual_norm(spec, cfg, dx, dv)
-        step_norm = math.sqrt(inner_blocks(weights, ws.sx, ws.sv, ws.sx, ws.sv))
-        state_norm = math.sqrt(inner_blocks(weights, st.x, st.v, st.x, st.v))
+            res_sq = _sq_norms(dx, dv)
+        residual = _residual_norm(spec, cfg, dx, dv, res_sq)
+        step_norm = math.sqrt(_weighted_sq(weights, *step_sq))
+        state_norm = math.sqrt(_weighted_sq(weights, *_sq_norms(st.x, st.v)))
         wall_ms = (time.perf_counter() - t0) * 1000.0
 
         extras = iter_metrics(nxt) if iter_metrics is not None else {}

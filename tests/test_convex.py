@@ -280,6 +280,30 @@ class TestReductions:
         )
         assert max_state_deviation(report.states, xs, [[v] for v in vs]) <= 1e-12
 
+    def test_early_stop_is_checked_against_every_reference_iterate(self):
+        # the two-step run lands on an exact fixed point long before 1000
+        # iterations; its last state must match every later reference iterate
+        cp2, params = cp_problem()
+        spec = ss.lower_to_inclusion(cp2)
+        cfg = ss.suggest_steps(spec, safety=params["safety"])
+        iters = 1000
+        report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=iters),
+                        record_states=True)
+        assert report.iterations < iters // 2
+        xs, vs = chambolle_pock_reference(
+            cp2.f.prox, cp2.blocks[0].g.prox, cp2.blocks[0].L,
+            cfg.tau, cfg.sigmas[0], np.zeros(12), np.zeros(11), iters,
+        )
+        vs = [[v] for v in vs]
+        assert max_state_deviation(report.states, xs, vs) <= 1e-12
+        late = iters - 3
+        bad_xs = list(xs)
+        bad_xs[late] = xs[late] + 1e-9
+        assert max_state_deviation(report.states, bad_xs, vs) > 1e-12
+        bad_vs = list(vs)
+        bad_vs[late] = [vs[late][0] - 1e-9]
+        assert max_state_deviation(report.states, xs, bad_vs) > 1e-12
+
 
 class TestQualification:
     def base_problem(self, g, L=None, r=None, dim=1, f=None):

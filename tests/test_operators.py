@@ -1,7 +1,11 @@
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsolve.operators import (
     CocoerciveOp,
@@ -96,8 +100,7 @@ class TestEstimateNorm:
 
 class TestClosedFormDominatesEstimate:
     """The solver's power estimate of a bare copy stays at or below the
-    closed-form hint, so certified_norms, which used max(hint, estimate),
-    gets the same bits from the hint alone."""
+    closed-form hint, so certified_norms may use the hint alone."""
 
     @staticmethod
     def bare_estimate(op):
@@ -113,13 +116,35 @@ class TestClosedFormDominatesEstimate:
         for rows in range(2, 13):
             for cols in range(2, 13):
                 op = grad2d_op(rows, cols)
-                est = self.bare_estimate(op)
-                if (rows, cols) == (2, 2):
-                    # the exact norm 2 is a double and power iteration reaches
-                    # it; the closed form rounds to one ulp below
-                    assert est == 2.0 == math.nextafter(op.norm_hint, math.inf)
-                else:
-                    assert est <= op.norm_hint, (rows, cols)
+                assert self.bare_estimate(op) <= op.norm_hint, (rows, cols)
+
+
+class TestClosedFormHintsRoundUp:
+    """The diff1d and grad2d hints are upper bounds on the exact norm,
+    checked at 40 digits, and lie within 8 ulps of it."""
+
+    @staticmethod
+    def assert_bounds(hint, exact, label):
+        assert exact <= hint, label
+        assert hint <= exact + 8 * math.ulp(float(exact)), label
+
+    def test_diff1d(self):
+        with mpmath.workdps(40):
+            for n in range(2, 3001):
+                exact = 2 * mpmath.sin((n - 1) * mpmath.pi / (2 * n))
+                self.assert_bounds(diff1d_op(n).norm_hint, exact, n)
+
+    def test_grad2d(self):
+        with mpmath.workdps(40):
+            sq = {k: mpmath.sin((k - 1) * mpmath.pi / (2 * k)) ** 2 for k in range(2, 81)}
+            for rows in range(2, 81):
+                for cols in range(2, 81):
+                    exact = 2 * mpmath.sqrt(sq[rows] + sq[cols])
+                    self.assert_bounds(grad2d_op(rows, cols).norm_hint, exact,
+                                       (rows, cols))
+
+    def test_identity_hint_is_exact(self):
+        assert identity_op(3).norm_hint == 1.0
 
 
 class TestAdjoints:
@@ -198,9 +223,10 @@ class TestProxConjugate:
         assert prox_conjugate(g, 1.0, np.array([3.0]))[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_moreau_identity_exact(self, rng):
-        # the decomposition holds by construction; recomposition costs at
-        # most one rounding step per entry
+        # on the Moreau path the decomposition holds by construction;
+        # recomposition costs at most one rounding step per entry
         for g in catalog_instances():
+            g = dataclasses.replace(g, conjugate_prox=None)
             for sigma in (0.4, 1.0, 2.5):
                 v = rng.standard_normal(g.dim)
                 lhs = prox_conjugate(g, sigma, v) + sigma * g.prox(1.0 / sigma, v / sigma)
@@ -222,6 +248,111 @@ class TestProxConjugate:
                 if math.isinf(fy):
                     continue
                 assert sigma * fy >= sigma * fp + float(np.dot(v - p, y - p)) - 1e-8
+
+
+class TestConjugateProxClosedForms:
+    """Each catalog ``conjugate_prox`` against the Moreau decomposition,
+    its exact properties, and the dispatch of resolvent_of_inverse."""
+
+    #: the two forms round differently; entries are O(1) and sigma <= 2.5,
+    #: so they agree to a few ulps of 10
+    MOREAU_ATOL = 1e-14
+
+    @staticmethod
+    def moreau(g, sigma, v):
+        return v - sigma * g.prox(1.0 / sigma, v / sigma)
+
+    def test_every_kind_but_box_has_one(self):
+        for g in catalog_instances():
+            assert (g.conjugate_prox is None) == (g.kind == "box"), g.kind
+
+    def test_agrees_with_moreau(self, rng):
+        for g in catalog_instances():
+            if g.conjugate_prox is None:
+                continue
+            for sigma in (0.4, 1.0, 2.5):
+                for scale in (0.3, 1.0, 4.0):
+                    v = scale * rng.standard_normal(g.dim)
+                    np.testing.assert_allclose(g.conjugate_prox(sigma, v),
+                                               self.moreau(g, sigma, v),
+                                               rtol=0, atol=self.MOREAU_ATOL,
+                                               err_msg=g.kind)
+
+    def test_l1_is_a_clip(self, rng):
+        c = 0.7
+        g = catalog_prox("l1", 9, weight=c)
+        v = np.concatenate([[c, -c, np.nextafter(c, 2), -0.0, 0.0], 2 * rng.standard_normal(4)])
+        for sigma in (0.4, 1.0, 2.5):
+            out = g.conjugate_prox(sigma, v)
+            assert np.all((out >= -c) & (out <= c))
+            inside = np.abs(v) <= c
+            assert_same_bits(out[inside], v[inside])
+            assert_same_bits(out[~inside], np.copysign(c, v[~inside]))
+
+    def test_l2_stays_in_the_ball(self, rng):
+        c = 1.2
+        g = catalog_prox("l2", 6, weight=c)
+        for _ in range(200):
+            v = rng.standard_normal(6) * float(rng.uniform(0.1, 10.0))
+            out = g.conjugate_prox(1.0, v)
+            assert float(np.linalg.norm(out)) <= c * (1 + 2 * np.finfo(float).eps)
+            if np.linalg.norm(v) <= c:
+                assert out is v
+
+    def test_dispatch_catalog_uses_closed_form(self, rng):
+        for g in catalog_instances():
+            B = resolvent_from_prox(g)
+            assert B.inverse_resolvent is g.conjugate_prox
+            for sigma in (0.4, 2.5):
+                v = rng.standard_normal(g.dim)
+                want = (self.moreau(g, sigma, v) if g.conjugate_prox is None
+                        else g.conjugate_prox(sigma, v))
+                assert_same_bits(resolvent_of_inverse(B, sigma, v), want)
+                assert_same_bits(prox_conjugate(g, sigma, v), want)
+
+    def test_dispatch_custom_uses_moreau(self, rng):
+        for g in catalog_instances():
+            B = ResolventOp(g.dim, g.prox)
+            for sigma in (0.4, 2.5):
+                v = rng.standard_normal(g.dim)
+                assert_same_bits(resolvent_of_inverse(B, sigma, v),
+                                 self.moreau(g, sigma, v))
+
+
+def _pair_of_points(dim):
+    coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    point = st.lists(coords, min_size=dim, max_size=dim).map(np.array)
+    return st.tuples(point, point)
+
+
+CATALOG_KINDS = tuple(g.kind for g in catalog_instances())
+
+
+class TestFirmNonexpansivenessProperty:
+    """Hypothesis search for a violation of
+    ||T w1 - T w2||^2 <= <T w1 - T w2, w1 - w2> by any catalog prox and
+    any catalog conjugate prox."""
+
+    @staticmethod
+    def assert_firm(T, w1, w2):
+        p1, p2 = np.array(T(w1), dtype=float), np.array(T(w2), dtype=float)
+        lhs = float(np.dot(p1 - p2, p1 - p2))
+        rhs = float(np.dot(p1 - p2, w1 - w2))
+        assert lhs <= rhs + 1e-12 * (1.0 + float(np.dot(w1 - w2, w1 - w2)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(CATALOG_KINDS), gamma=st.floats(0.05, 5.0),
+           pair=_pair_of_points(4))
+    def test_prox(self, kind, gamma, pair):
+        g = dict(zip(CATALOG_KINDS, catalog_instances()))[kind]
+        self.assert_firm(lambda w: g.prox(gamma, w), *pair)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(CATALOG_KINDS), sigma=st.floats(0.05, 5.0),
+           pair=_pair_of_points(4))
+    def test_conjugate_prox(self, kind, sigma, pair):
+        g = dict(zip(CATALOG_KINDS, catalog_instances()))[kind]
+        self.assert_firm(lambda u: prox_conjugate(g, sigma, u), *pair)
 
 
 class TestCatalog:

@@ -435,6 +435,14 @@ class TestErrorSchedules:
         err = sched.at(5)
         assert err.a1 is None and err.a2 is None
 
+    def test_zero_amplitude_is_the_exact_schedule(self):
+        layout = ss.SpaceLayout(2, (2,), (1.0,))
+        sched = ss.geometric_errors(layout, 0.0, 0.5)
+        assert sched.is_zero
+        err = sched.at(3)
+        assert err.a1 is None and err.a2 is None
+        assert err.b == (None,) and err.c == (None,)
+
     def test_decay_validation(self):
         layout = ss.SpaceLayout(2, (2,), (1.0,))
         with pytest.raises(ValueError):
@@ -550,9 +558,21 @@ def tv2d_case():
     return spec, ss.suggest_steps(spec), None
 
 
+def custom_b_case():
+    """tv2d-16x16 with the l1 block's B as a custom resolvent, so the dual
+    step takes the inverse-resolvent identity instead of the clip."""
+    spec, cfg, _ = tv2d_case()
+    blk = spec.blocks[0]
+    g = ss.catalog_prox("l1", blk.B.dim, weight=0.3)
+    custom = dataclasses.replace(blk, B=ss.ResolventOp(blk.B.dim, g.prox))
+    return dataclasses.replace(spec, blocks=(custom,)), cfg, None
+
+
 class TestBitwiseAgainstPlainLoop:
-    @pytest.mark.parametrize("case", [fb_case, condat_case, errors_case, tv2d_case],
-                             ids=["fb-0.9", "condat-0.85", "geometric-errors", "tv2d-16x16"])
+    @pytest.mark.parametrize("case", [fb_case, condat_case, errors_case, tv2d_case,
+                                      custom_b_case],
+                             ids=["fb-0.9", "condat-0.85", "geometric-errors", "tv2d-16x16",
+                                  "tv2d-custom-B"])
     def test_history_and_final_state(self, case):
         spec, cfg, errors = case()
         stop = ss.StoppingRule(tol=1e-9, max_iter=3000)
@@ -657,6 +677,18 @@ class TestAliasing:
         for _ in range(3):
             st = ss.iterate_once(self.spec, self.cfg, st)
         assert_same_bits(report.final_state.u, st.u)
+
+    def test_b_error_never_written_into_dual_resolvent_output(self):
+        # the catalog zero function's conjugate prox returns one shared
+        # read-only array; an injected b error must not land in it
+        cp, _ = ss.benchmarks.fb_problem()
+        spec = ss.lower_to_inclusion(cp)
+        cfg = ss.suggest_steps(spec)
+        report = ss.run(spec, cfg, stop=self.stop,
+                        errors=ss.geometric_errors(spec.layout, 0.1, 0.9, seed=2))
+        assert report.termination == "max_iter"
+        zero = cp.blocks[0].g.conjugate_prox(1.0, np.ones(cp.layout.dual_dims[0]))
+        assert_same_bits(zero, np.zeros(cp.layout.dual_dims[0]))
 
     def test_zero_map_stays_zero(self):
         ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0, stop=self.stop)
