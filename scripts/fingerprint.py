@@ -10,13 +10,16 @@ Usage::
 The outputs covered are every ``splitsolve bench`` suite (each CSV and
 the check lines), ``solve`` (CSV, its ``iter`` and ``step_norm``
 columns on their own line, and stdout), ``check`` and ``diag`` of each
-``configs/*.cfg``, ``solve`` of a generated TV-1D config, and three
+``configs/*.cfg``, ``solve`` of a generated TV-1D config, and four
 library runs of TV-2D denoising: one at relaxation 1, one at relaxation
-0.9 with geometric errors and a metrics hook, and one whose dual
-operator is a custom ``ResolventOp`` around the l1 prox, run with
-explicit steps and norms.  That last run takes the inverse-resolvent
-identity rather than the catalog's closed-form dual resolvent and uses
-no closed-form norm, so it pins that path even when those change.  Only ``cli.main``,
+0.9 with geometric errors and a metrics hook, one whose dual operator
+is a custom ``ResolventOp`` around the l1 prox, and one whose dual
+operator is ``ResolventOp.zero`` next to ``CocoerciveOp.zero``.  The
+last two run with explicit steps and norms.  The custom run takes the
+inverse-resolvent identity rather than the catalog's closed-form dual
+resolvent and uses no closed-form norm, so it pins that path even when
+those change; the zero run pins the dual step of the zero operator.
+Only ``cli.main``,
 ``final_state.x``/``.v`` and the run histories are read, and CSV
 columns are found by header name, so the script runs unchanged on any
 checkout that has them.  Temporary directory names are replaced by
@@ -189,6 +192,16 @@ def tv2d_runs() -> None:
     # ||grad2d|| < sqrt(8), and tau = sigma = 0.25 gives 2 rho beta > 1 at beta = 1
     cfg = solver.validate_steps(spec, 0.25, (0.25,), norms=(math.sqrt(8.0),))
     emit_report("tv2d custom B explicit steps", solver.run(spec, cfg, stop=stop))
+
+    zero = dataclasses.replace(custom, B=operators.ResolventOp.zero(m),
+                               Dinv=operators.CocoerciveOp.zero(m))
+    spec = dataclasses.replace(spec, blocks=(zero,))
+    # J_{sigma 0^{-1}} is 0; from v = 0 the argument u is sigma times a
+    # vector and its round trip u - sigma (u / sigma) lands on 0, so start
+    # from a nonzero v, with a sigma that is not a power of two
+    cfg = solver.validate_steps(spec, 0.25, (0.3,), norms=(math.sqrt(8.0),))
+    v0 = (np.random.default_rng(5).standard_normal(m),)
+    emit_report("tv2d zero B explicit steps", solver.run(spec, cfg, v0=v0, stop=stop))
 
 
 def main() -> int:

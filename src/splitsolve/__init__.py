@@ -18,13 +18,11 @@ from .operators import (
     ProxFunction,
     ResolventOp,
     catalog_prox,
-    check_cocoercive,
     diff1d_op,
     estimate_norm,
     grad2d_op,
     identity_op,
     matrix_op,
-    prox_conjugate,
     resolvent_from_prox,
     resolvent_of_inverse,
 )
@@ -41,7 +39,6 @@ from .solver import (
     certified_norms,
     geometric_errors,
     initial_state,
-    iterate_once,
     run,
     suggest_steps,
     validate_steps,

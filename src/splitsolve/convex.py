@@ -30,8 +30,8 @@ from .operators import (
     LinearOp,
     ProxFunction,
     _read_only_zeros,
-    prox_conjugate,
     resolvent_from_prox,
+    resolvent_of_inverse,
 )
 from .solver import (
     Block,
@@ -40,6 +40,8 @@ from .solver import (
     RunReport,
     StepConfig,
     StoppingRule,
+    _weighted_adjoint_sum,
+    initial_state,
     run,
     suggest_steps,
 )
@@ -295,12 +297,21 @@ def lower_to_inclusion(cp: ConvexProblem) -> ProblemSpec:
     )
 
 
-def _weighted_adjoint_sum(cp: ConvexProblem, v) -> np.ndarray:
-    """sum_i w_i L_i^T v_i, accumulated in ascending block order."""
-    wsum = np.zeros(cp.layout.dim_primal)
-    for w, blk, vi in zip(cp.layout.weights, cp.blocks, v):
-        wsum = wsum + w * blk.L.adjoint_apply(vi)
-    return wsum
+def _at_point(cp: ConvexProblem, x, v, sigmas):
+    """The checked point shared by :func:`kkt_residual` and
+    :func:`evaluate_gap`: ``x`` and ``v`` copied into one state (with
+    :func:`initial_state`'s shape checks), one sigma per block (default
+    1), each L_i x and sum_i w_i L_i^T v_i."""
+    m = len(cp.blocks)
+    sigmas = (1.0,) * m if sigmas is None else tuple(sigmas)
+    if len(sigmas) != m:
+        raise ValueError("one sigma per block is required")
+    st = initial_state(cp.layout, x, v)
+    n = cp.layout.dim_primal
+    Lx = [blk.L.apply(st.x) for blk in cp.blocks]
+    wsum = _weighted_adjoint_sum(cp.blocks, cp.layout.weights, st.v,
+                                 np.empty(n), np.empty(n))
+    return st.x, st.v, sigmas, Lx, wsum
 
 
 def kkt_residual(cp: ConvexProblem, x: np.ndarray, v, tau: float = 1.0,
@@ -311,24 +322,23 @@ def kkt_residual(cp: ConvexProblem, x: np.ndarray, v, tau: float = 1.0,
 
         ||x - prox_{tau f}(x - tau (sum_i w_i L_i^T v_i + grad h(x) - z))||
         + sum_i w_i ||v_i - prox_{sigma_i g_i*}(v_i + sigma_i (L_i x - grad ell_i*(v_i) - r_i))||
+
+    A ``v`` or ``sigmas`` without one entry per block, or a wrongly
+    shaped ``x`` or ``v_i``, is refused with a ``ValueError``.
     """
-    x = np.asarray(x, dtype=float)
-    v = tuple(np.asarray(vi, dtype=float) for vi in v)
-    Lx = [blk.L.apply(x) for blk in cp.blocks]
-    return _kkt_residual(cp, x, v, Lx, _weighted_adjoint_sum(cp, v), tau, sigmas)
+    return _kkt_residual(cp, *_at_point(cp, x, v, sigmas), tau)
 
 
-def _kkt_residual(cp: ConvexProblem, x: np.ndarray, v, Lx, wsum: np.ndarray,
-                  tau: float, sigmas) -> float:
-    """:func:`kkt_residual` given each L_i x and sum_i w_i L_i^T v_i."""
+def _kkt_residual(cp: ConvexProblem, x: np.ndarray, v, sigmas, Lx,
+                  wsum: np.ndarray, tau: float) -> float:
+    """:func:`kkt_residual` at a point checked by :func:`_at_point`."""
     weights = cp.layout.weights
-    if sigmas is None:
-        sigmas = (1.0,) * len(cp.blocks)
     px = cp.f.prox(tau, x - tau * (wsum + cp.h.gradient(x) - cp.z))
     res = float(np.linalg.norm(x - px))
     for w, s, blk, vi, lxi in zip(weights, sigmas, cp.blocks, v, Lx):
         u = vi + s * (lxi - blk.ell.conj_gradient(vi) - blk.r)
-        res += w * float(np.linalg.norm(vi - prox_conjugate(blk.g, s, u)))
+        q = resolvent_of_inverse(resolvent_from_prox(blk.g), s, u)
+        res += w * float(np.linalg.norm(vi - q))
     return res
 
 
@@ -364,14 +374,11 @@ def evaluate_gap(cp: ConvexProblem, x, v, tau: float = 1.0, sigmas=None) -> GapR
 
     Terms outside the closed-form catalog are flagged in ``notes`` and
     the affected value (and the gap) reported as ``None`` rather than
-    approximated.
+    approximated.  Inputs are checked as in :func:`kkt_residual`.
     """
-    x = np.asarray(x, dtype=float)
-    v = tuple(np.asarray(vi, dtype=float) for vi in v)
+    x, v, sigmas, Lx, wsum = _at_point(cp, x, v, sigmas)
     weights = cp.layout.weights
     notes: list[str] = []
-    Lx = [blk.L.apply(x) for blk in cp.blocks]
-    wsum = _weighted_adjoint_sum(cp, v)
 
     primal: Optional[float] = cp.f.evaluate(x) + cp.h.value(x) - float(np.dot(x, cp.z))
     for i, (w, blk, lxi) in enumerate(zip(weights, cp.blocks, Lx)):
@@ -407,7 +414,7 @@ def evaluate_gap(cp: ConvexProblem, x, v, tau: float = 1.0, sigmas=None) -> GapR
         primal_value=primal,
         dual_value=dual,
         gap=gap,
-        kkt_residual=_kkt_residual(cp, x, v, Lx, wsum, tau, sigmas),
+        kkt_residual=_kkt_residual(cp, x, v, sigmas, Lx, wsum, tau),
         notes=tuple(notes),
     )
 

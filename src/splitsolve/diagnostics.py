@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .solver import ProblemSpec, RunReport, StepConfig
+from .solver import ProblemSpec, RunReport, StepConfig, _weighted_adjoint_sum
 from .spaces import SpaceLayout, inner_weighted
 
 __all__ = [
@@ -43,18 +43,12 @@ class ProductOps:
 
     Each map takes and returns a flat product-space array (see
     :meth:`SpaceLayout.split`).
-
-    ``t_apply`` maps the primal space into the scaled dual product
-    (x -> (sqrt(sigma_i) L_i x)); its norm is bounded by
-    ``sqrt(t_norm_bound)``.
     """
 
     layout: SpaceLayout
     S_apply: Callable[[np.ndarray], np.ndarray]
     Q_apply: Callable[[np.ndarray], np.ndarray]
     V_apply: Callable[[np.ndarray], np.ndarray]
-    t_apply: Callable[[np.ndarray], tuple[np.ndarray, ...]]
-    t_norm_bound: float
     rho: float
     beta: float
     delta: float
@@ -93,15 +87,10 @@ def build_product_ops(spec: ProblemSpec, cfg: StepConfig) -> ProductOps:
     if len(sigmas) != len(blocks):
         raise ValueError("config and problem disagree on the number of blocks")
 
-    def adjoint_sum(duals):
-        out = np.zeros(layout.dim_primal)
-        for w, blk, d in zip(weights, blocks, duals):
-            out = out + w * blk.L.adjoint_apply(d)
-        return out
-
     def S_apply(u: np.ndarray) -> np.ndarray:
         x, v = layout.split(u)
-        return np.concatenate([adjoint_sum(v), *(-blk.L.apply(x) for blk in blocks)])
+        wsum = _weighted_adjoint_sum(blocks, weights, v, np.empty(x.size), np.empty(x.size))
+        return np.concatenate([wsum, *(-blk.L.apply(x) for blk in blocks)])
 
     def Q_apply(u: np.ndarray) -> np.ndarray:
         x, v = layout.split(u)
@@ -110,24 +99,17 @@ def build_product_ops(spec: ProblemSpec, cfg: StepConfig) -> ProductOps:
 
     def V_apply(u: np.ndarray) -> np.ndarray:
         x, v = layout.split(u)
+        wsum = _weighted_adjoint_sum(blocks, weights, v, np.empty(x.size), np.empty(x.size))
         return np.concatenate([
-            x / tau - adjoint_sum(v),
+            x / tau - wsum,
             *(d / s - blk.L.apply(x) for s, blk, d in zip(sigmas, blocks, v)),
         ])
 
-    def t_apply(x: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(math.sqrt(s) * blk.L.apply(x) for s, blk in zip(sigmas, blocks))
-
-    bound = math.fsum(
-        w * s * nm * nm for w, s, nm in zip(weights, sigmas, cfg.norms)
-    )
     return ProductOps(
         layout=layout,
         S_apply=S_apply,
         Q_apply=Q_apply,
         V_apply=V_apply,
-        t_apply=t_apply,
-        t_norm_bound=bound,
         rho=cfg.rho,
         beta=cfg.beta,
         delta=cfg.delta,

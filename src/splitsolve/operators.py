@@ -15,9 +15,9 @@ Four operator representations are used throughout:
   prox in closed form and an effective-domain description.
 
 The module also provides power-iteration norm estimation (for operators
-without a closed-form norm), the resolvent of an inverse and the
-conjugate prox (closed form when known, else the inverse-resolvent
-identity and the Moreau decomposition), and a closed-form prox catalog.
+without a closed-form norm), the resolvent of an inverse (closed form
+when known, else the inverse-resolvent identity, which for a prox is
+the Moreau decomposition), and a closed-form prox catalog.
 """
 
 from __future__ import annotations
@@ -37,17 +37,14 @@ __all__ = [
     "NormEstimate",
     "CLOSED_FORM_NORM_KINDS",
     "NORM_HINT_ULPS",
-    "CocoercivityReport",
     "identity_op",
     "matrix_op",
     "diff1d_op",
     "grad2d_op",
     "estimate_norm",
     "resolvent_of_inverse",
-    "prox_conjugate",
     "catalog_prox",
     "resolvent_from_prox",
-    "check_cocoercive",
 ]
 
 #: feasibility slack used when evaluating indicator-type functions
@@ -115,9 +112,9 @@ class ResolventOp:
     firmly nonexpansive; that property is the testable contract.
     ``inverse_resolvent(sigma, w)``, when set, returns
     ``J_{sigma A^{-1}}(w)`` in closed form; :func:`resolvent_from_prox`
-    sets it from the catalog's conjugate prox, and
-    :func:`resolvent_of_inverse` prefers it to the inverse-resolvent
-    identity.  Like ``resolvent`` it may return its input array but
+    sets it from the catalog's conjugate prox, :meth:`zero` sets it to
+    the exact 0, and :func:`resolvent_of_inverse` prefers it to the
+    inverse-resolvent identity.  Like ``resolvent`` it may return its input array but
     must not keep it, and callers must not write into what it returns.
     """
 
@@ -127,8 +124,13 @@ class ResolventOp:
 
     @staticmethod
     def zero(dim: int) -> "ResolventOp":
-        """Resolvent of the zero operator (the identity map)."""
-        return ResolventOp(dim, lambda gamma, w: np.asarray(w, dtype=float))
+        """Resolvent of the zero operator (the identity map).  Its
+        inverse is the normal cone of the origin, whose resolvent is
+        exactly 0: ``inverse_resolvent`` returns one shared read-only
+        zero array."""
+        zero = _read_only_zeros(dim)
+        return ResolventOp(dim, lambda gamma, w: np.asarray(w, dtype=float),
+                           inverse_resolvent=lambda sigma, w: zero)
 
 
 @dataclass(frozen=True)
@@ -207,16 +209,6 @@ class NormEstimate:
     value: float
     iterations: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class CocoercivityReport:
-    """Sampled cocoercivity verdict from :func:`check_cocoercive`."""
-
-    passed: bool
-    min_margin: float
-    samples: int
-    constant: float
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +355,7 @@ def estimate_norm(L: LinearOp, tol: float = 1e-8, max_iter: int = 10000,
 
 
 # ---------------------------------------------------------------------------
-# resolvent and conjugate identities
+# resolvent of an inverse
 
 
 def resolvent_of_inverse(B: ResolventOp, sigma: float, v: np.ndarray) -> np.ndarray:
@@ -372,8 +364,12 @@ def resolvent_of_inverse(B: ResolventOp, sigma: float, v: np.ndarray) -> np.ndar
     Returns ``B.inverse_resolvent(sigma, v)`` when ``B`` has one, and
     otherwise uses the inverse-resolvent identity
     ``J_{sigma B^{-1}}(v) = v - sigma J_{B / sigma}(v / sigma)``,
-    which is exact for any maximally monotone ``B``.  The result may be
-    ``v`` itself or an array ``B`` keeps; do not write into it.
+    which is exact for any maximally monotone ``B``.  For
+    ``B = resolvent_from_prox(g)`` this is the conjugate prox
+    ``prox_{sigma g*}(v)``: the catalog's closed form, or else the
+    Moreau decomposition ``v - sigma prox_{g/sigma}(v/sigma)``.  The
+    result may be ``v`` itself or an array ``B`` keeps; do not write
+    into it.
     """
     if sigma <= 0:
         raise ValueError("sigma must be strictly positive")
@@ -381,23 +377,6 @@ def resolvent_of_inverse(B: ResolventOp, sigma: float, v: np.ndarray) -> np.ndar
     if B.inverse_resolvent is not None:
         return B.inverse_resolvent(sigma, v)
     return v - sigma * B.resolvent(1.0 / sigma, v / sigma)
-
-
-def prox_conjugate(g: ProxFunction, sigma: float, v: np.ndarray) -> np.ndarray:
-    """Proximity operator of ``sigma g*``, the resolvent of ``sigma``
-    times the subdifferential of the conjugate.
-
-    Returns ``g.conjugate_prox(sigma, v)`` when ``g`` has one, and
-    otherwise the Moreau decomposition
-    ``v - sigma * g.prox(1/sigma, v/sigma)``.  As with
-    :func:`resolvent_of_inverse`, do not write into the result.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be strictly positive")
-    v = np.asarray(v, dtype=float)
-    if g.conjugate_prox is not None:
-        return g.conjugate_prox(sigma, v)
-    return v - sigma * g.prox(1.0 / sigma, v / sigma)
 
 
 def resolvent_from_prox(f: ProxFunction) -> ResolventOp:
@@ -635,32 +614,3 @@ _CATALOG = {
     "linear": _build_linear,
     "l2": _build_l2,
 }
-
-
-# ---------------------------------------------------------------------------
-# cocoercivity sampling
-
-
-def check_cocoercive(T: CocoerciveOp, samples: int = 100, seed: int = 0) -> CocoercivityReport:
-    """Sample the cocoercivity inequality of ``T`` on random pairs.
-
-    Evaluates ``<x - y, Tx - Ty> - constant ||Tx - Ty||^2`` and reports
-    the minimum margin; the verdict passes iff it is >= -1e-8.  An
-    infinite constant is vacuously consistent only with a zero map.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for _ in range(samples):
-        x = rng.standard_normal(T.dim)
-        y = rng.standard_normal(T.dim)
-        dT = np.asarray(T.apply(x), dtype=float) - np.asarray(T.apply(y), dtype=float)
-        sq = float(np.dot(dT, dT))
-        if math.isinf(T.constant):
-            margin = 0.0 if sq == 0.0 else -math.inf
-        else:
-            margin = float(np.dot(x - y, dT)) - T.constant * sq
-        worst = min(worst, margin)
-    return CocoercivityReport(passed=worst >= -1e-8, min_margin=worst,
-                              samples=samples, constant=T.constant)

@@ -58,7 +58,6 @@ __all__ = [
     "validate_steps",
     "suggest_steps",
     "initial_state",
-    "iterate_once",
     "run",
     "zero_errors",
     "geometric_errors",
@@ -144,8 +143,7 @@ class StepConfig:
     ``BETA_CAP`` when every constant is infinite), and ``admissible``
     records whether ``2 rho beta > 1``.  ``lambda_schedule`` maps the
     iteration index to the relaxation parameter; values must lie in
-    ``[epsilon, 1]`` unless ``allow_overrelax`` widens the range to
-    ``]0, 2[`` (only justified for a restricted problem class).
+    ``[epsilon, 1]``.
     """
 
     tau: float
@@ -157,14 +155,10 @@ class StepConfig:
     norms: tuple[float, ...]
     lambda_schedule: Callable[[int], float] = lambda n: 1.0
     epsilon: float = 1e-3
-    allow_overrelax: bool = False
 
     def lambda_at(self, n: int) -> float:
         lam = float(self.lambda_schedule(n))
-        if self.allow_overrelax:
-            if not 0.0 < lam < 2.0:
-                raise ValueError(f"lambda_{n} = {lam} outside ]0, 2[")
-        elif not self.epsilon <= lam <= 1.0:
+        if not self.epsilon <= lam <= 1.0:
             raise ValueError(
                 f"lambda_{n} = {lam} outside [{self.epsilon}, 1]"
             )
@@ -209,13 +203,13 @@ class IterationErrors:
 class ErrorSchedule:
     """Sequence of per-iteration error terms.
 
-    Built-in constructors guarantee absolute summability; arbitrary
-    user schedules only declare it.  ``is_zero`` promises that every
-    term is ``None`` at every iteration, so :func:`run` does not look.
+    The convergence theory needs the error norms to be summable; the
+    built-in constructors guarantee it, and a user schedule must.
+    ``is_zero`` promises that every term is ``None`` at every
+    iteration, so :func:`run` does not look.
     """
 
     at: Callable[[int], IterationErrors]
-    declared_summable: bool = True
     is_zero: bool = False
 
 
@@ -224,7 +218,7 @@ def zero_errors(layout: SpaceLayout) -> ErrorSchedule:
     m = layout.num_blocks
     none_blocks = (None,) * m
     err = IterationErrors(None, None, none_blocks, none_blocks)
-    return ErrorSchedule(at=lambda n: err, declared_summable=True, is_zero=True)
+    return ErrorSchedule(at=lambda n: err, is_zero=True)
 
 
 def geometric_errors(layout: SpaceLayout, amplitude: float, decay: float,
@@ -261,7 +255,7 @@ def geometric_errors(layout: SpaceLayout, amplitude: float, decay: float,
             c=tuple(s * u for u in d_c),
         )
 
-    return ErrorSchedule(at=at, declared_summable=True)
+    return ErrorSchedule(at=at)
 
 
 @dataclass(frozen=True)
@@ -319,14 +313,14 @@ def initial_state(layout: SpaceLayout, x0=None, v0=None) -> IterState:
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != st.x.shape:
-            raise ValueError("x0 has the wrong shape")
+            raise ValueError("x has the wrong shape")
         st.x[...] = x0
     if v0 is not None:
         v0 = tuple(np.asarray(vi, dtype=float) for vi in v0)
         if len(v0) != layout.num_blocks or any(
             vi.shape != dst.shape for vi, dst in zip(v0, st.v)
         ):
-            raise ValueError("v0 has the wrong shapes")
+            raise ValueError("v has the wrong shapes")
         for dst, vi in zip(st.v, v0):
             dst[...] = vi
     return st
@@ -350,19 +344,29 @@ def certified_norms(spec: ProblemSpec, seed: int = 0) -> tuple[float, ...]:
     refused with a ``ValueError`` that names the block.
     """
     norms = []
-    for i, blk in enumerate(spec.blocks):
+    for blk in spec.blocks:
         if blk.L.kind in CLOSED_FORM_NORM_KINDS:
-            value = blk.L.norm_hint
+            norms.append(blk.L.norm_hint)
         else:
             est = estimate_norm(blk.L, tol=POWER_TOL, max_iter=POWER_MAX_ITER, seed=seed)
             # estimate_norm returns max(hint, estimate); only a hint is used as it is
-            value = est.value if est.value == blk.L.norm_hint else est.value * NORM_SAFETY
+            norms.append(est.value if est.value == blk.L.norm_hint
+                         else est.value * NORM_SAFETY)
+    return _checked_norms(spec, norms)
+
+
+def _checked_norms(spec: ProblemSpec, norms) -> tuple[float, ...]:
+    """``norms`` as a tuple, refused unless it holds one finite,
+    positive bound per block; the errors name the block."""
+    norms = tuple(float(nm) for nm in norms)
+    if len(norms) != spec.num_blocks:
+        raise ValueError("one norm per block is required")
+    for i, value in enumerate(norms):
         if not math.isfinite(value):
             raise ValueError(f"block {i}: linear operator has non-finite norm {value!r}")
         if value <= 0.0:
             raise ValueError(f"block {i}: linear operator has zero estimated norm")
-        norms.append(value)
-    return tuple(norms)
+    return norms
 
 
 def _beta(spec: ProblemSpec) -> float:
@@ -385,13 +389,13 @@ def _step_quantities(spec, tau, sigmas, norms):
 def validate_steps(spec: ProblemSpec, tau: float, sigmas,
                    lambda_schedule: Optional[Callable[[int], float]] = None,
                    epsilon: float = 1e-3,
-                   norms: Optional[tuple[float, ...]] = None,
-                   allow_overrelax: bool = False) -> StepConfig:
+                   norms: Optional[tuple[float, ...]] = None) -> StepConfig:
     """Evaluate the step-size condition for given tau and sigmas.
 
     Inadmissibility is a verdict recorded on the returned config, not
     an error.  ``norms`` may be passed to reuse previously certified
-    operator-norm bounds.
+    operator-norm bounds; they are refused like :func:`certified_norms`
+    refuses its own.
     """
     if tau <= 0:
         raise ValueError("tau must be strictly positive")
@@ -402,8 +406,7 @@ def validate_steps(spec: ProblemSpec, tau: float, sigmas,
         raise ValueError("every sigma must be strictly positive")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in ]0, 1[")
-    if norms is None:
-        norms = certified_norms(spec)
+    norms = certified_norms(spec) if norms is None else _checked_norms(spec, norms)
     rho, beta, delta = _step_quantities(spec, tau, sigmas, norms)
     return StepConfig(
         tau=float(tau),
@@ -412,10 +415,9 @@ def validate_steps(spec: ProblemSpec, tau: float, sigmas,
         beta=beta,
         delta=delta,
         admissible=2.0 * rho * beta > 1.0,
-        norms=tuple(norms),
+        norms=norms,
         lambda_schedule=lambda_schedule or (lambda n: 1.0),
         epsilon=epsilon,
-        allow_overrelax=allow_overrelax,
     )
 
 
@@ -430,12 +432,9 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99,
     """
     if not 0.0 < safety < 1.0:
         raise ValueError("safety must lie in ]0, 1[")
-    if norms is None:
-        norms = certified_norms(spec)
+    norms = certified_norms(spec) if norms is None else _checked_norms(spec, norms)
     weights = spec.layout.weights
     s_norm = math.sqrt(math.fsum(w * nm * nm for w, nm in zip(weights, norms)))
-    if s_norm == 0.0:
-        raise ValueError("all operator norms are zero; the problem violates the nonzero-L contract")
     step = safety / (0.5 / _beta(spec) + s_norm)
     cfg = validate_steps(spec, step, (step,) * spec.num_blocks,
                          lambda_schedule=lambda_schedule, epsilon=epsilon,
@@ -448,6 +447,16 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99,
 
 # ---------------------------------------------------------------------------
 # iteration kernel
+
+
+def _weighted_adjoint_sum(blocks, weights, v, out, tmp):
+    """``sum_i w_i L_i^T v_i`` into ``out``, reduced in ascending block
+    order; ``tmp`` holds each weighted term.  Every caller forms the
+    coupling term here, so all of them get the same bits."""
+    out.fill(0.0)
+    for w, blk, vi in zip(weights, blocks, v):
+        np.add(out, np.multiply(blk.L.adjoint_apply(vi), w, out=tmp), out=out)
+    return out
 
 
 class _Workspace:
@@ -490,11 +499,7 @@ def _kernel(spec, tau, sigmas, lam, st, err, ws, out):
     ascending block order.
     """
     x, v = st.x, st.v
-    weights = spec.layout.weights
-    t = ws.wsum
-    t.fill(0.0)
-    for i, blk in enumerate(spec.blocks):
-        np.add(t, np.multiply(blk.L.adjoint_apply(v[i]), weights[i], out=ws.tmp), out=t)
+    t = _weighted_adjoint_sum(spec.blocks, spec.layout.weights, v, ws.wsum, ws.tmp)
     np.add(t, spec.C.apply(x), out=t)
     if err is not None and err.a1 is not None:
         np.add(t, err.a1, out=t)
@@ -556,33 +561,6 @@ def _residual_norm(spec, cfg, dx, dv, sq):
     return math.sqrt(_weighted_sq(spec.layout.weights, *sq))
 
 
-def _require_admissible(cfg: StepConfig, allow_inadmissible: bool, verb: str) -> None:
-    if not cfg.admissible and not allow_inadmissible:
-        raise InadmissibleStepsError(
-            f"step sizes are inadmissible (2*rho*beta = {2.0 * cfg.rho * cfg.beta:g} <= 1); "
-            f"pass allow_inadmissible=True to {verb} anyway"
-        )
-
-
-def iterate_once(spec: ProblemSpec, cfg: StepConfig, st: IterState,
-                 err: Optional[IterationErrors] = None,
-                 allow_inadmissible: bool = False) -> IterState:
-    """Apply one update to ``st`` and return the next state.
-
-    Raises :class:`DivergenceError` if a non-finite value appears and
-    :class:`InadmissibleStepsError` when the step condition fails
-    without an explicit override.
-    """
-    _require_admissible(cfg, allow_inadmissible, "iterate")
-    lam = cfg.lambda_at(st.n)
-    nxt = _state(st.n + 1, np.empty(spec.layout.size), spec.layout)
-    try:
-        _kernel(spec, cfg.tau, cfg.sigmas, lam, st, err, _Workspace(spec.layout), nxt)
-    except DivergenceError as exc:
-        raise DivergenceError(st.n, exc.block) from None
-    return nxt
-
-
 def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
         errors: Optional[ErrorSchedule] = None,
         stop: Optional[StoppingRule] = None,
@@ -598,7 +576,9 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     ``extra_stop`` returns True for the new state.  ``iter_metrics`` may
     attach objective values to each history row.  With
     ``record_states=True`` the report keeps every iterate (index 0
-    included) for post-hoc monitoring.
+    included) for post-hoc monitoring; with
+    ``stop=StoppingRule(tol=0.0, max_iter=k)`` it takes exactly ``k``
+    steps unless one lands on an exact fixed point.
 
     Every state is an :class:`IterState` over one flat array; ``x0``
     and ``v0`` are copied into the initial state.  The iteration works
@@ -610,15 +590,21 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     overwritten later.  Operators may return their input array but must
     not keep it: the solver reuses the arrays it passes them.  The
     built-in zero maps (``CocoerciveOp.zero``, ``zero_smooth``,
-    ``dirac_term`` and the conjugate prox of the catalog ``zero``
-    function) return one shared read-only array.
+    ``dirac_term``, the inverse resolvent of ``ResolventOp.zero`` and
+    the conjugate prox of the catalog ``zero`` function) return one
+    shared read-only array.
 
     The dual step J_{sigma_i B_i^{-1}} is :func:`resolvent_of_inverse`:
-    the closed form ``B_i.inverse_resolvent`` where one is set (the
-    blocks lowered from catalog functions other than ``box``), else the
-    inverse-resolvent identity on ``B_i.resolvent``.
+    the closed form ``B_i.inverse_resolvent`` where one is set
+    (``ResolventOp.zero`` and the blocks lowered from catalog functions
+    other than ``box``), else the inverse-resolvent identity on
+    ``B_i.resolvent``.
     """
-    _require_admissible(cfg, allow_inadmissible, "run")
+    if not cfg.admissible and not allow_inadmissible:
+        raise InadmissibleStepsError(
+            f"step sizes are inadmissible (2*rho*beta = {2.0 * cfg.rho * cfg.beta:g} <= 1); "
+            "pass allow_inadmissible=True to run anyway"
+        )
     stop = stop or StoppingRule()
     errors = errors or zero_errors(spec.layout)
     layout = spec.layout
@@ -681,7 +667,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             states.append(nxt)
         st = nxt
 
-    # norms can overflow to inf while the state is still finite; a
+        # norms can overflow to inf while the state is still finite; a
         # non-finite residual must never satisfy the convergence test
         if (math.isfinite(residual) and math.isfinite(state_norm)
                 and residual <= stop.tol * (1.0 + state_norm)):

@@ -3,9 +3,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsolve.config import (
+    BlockConfig,
     ConfigError,
+    ErrorsConfig,
+    FuncSpec,
+    OpSpec,
+    ProblemConfig,
+    StepsConfig,
+    StopConfig,
+    VecSpec,
     build_problem,
     parse_config,
     serialize_config,
@@ -109,6 +119,80 @@ class TestParsing:
         ).replace("omega = 1.0", "omega = 0.5", 1)
         pc = parse_config(two_block)
         assert pc.steps.sigmas == (0.6, 0.6)
+
+
+_NUM = st.floats(allow_nan=False)
+_VEC = st.one_of(
+    st.just(VecSpec("zeros")),
+    _NUM.map(lambda v: VecSpec("const", (v,))),
+    st.lists(_NUM, min_size=1, max_size=4).map(lambda vs: VecSpec("literal", tuple(vs))),
+)
+_PARAMS = st.dictionaries(
+    st.sampled_from(("a", "center", "hi", "lo", "nu", "point", "weight")),
+    st.one_of(_NUM, st.lists(_NUM, min_size=1, max_size=3).map(tuple)),
+    max_size=3,
+)
+
+
+def _funcs(*kinds):
+    # the parser stores parameters sorted by name
+    return st.builds(lambda kind, params: FuncSpec(kind, tuple(sorted(params.items()))),
+                     st.sampled_from(kinds), _PARAMS)
+
+
+_OPS = st.one_of(
+    st.sampled_from(("identity", "diff1d")).map(OpSpec),
+    st.builds(lambda rows, cols: OpSpec("grad2d", (("cols", cols), ("rows", rows))),
+              st.integers(1, 64), st.integers(1, 64)),
+    st.integers(1, 3).flatmap(
+        lambda width: st.lists(st.lists(_NUM, min_size=width, max_size=width).map(tuple),
+                               min_size=1, max_size=3)
+    ).map(lambda rows: OpSpec("matrix", (("rows", tuple(rows)),))),
+)
+_BLOCKS = st.builds(
+    BlockConfig, dim=st.integers(1, 1000), omega=_NUM, L=_OPS,
+    g=_funcs("sq_l2", "l1", "l2", "box", "point", "zero", "linear"),
+    ell=_funcs("dirac", "quadratic"), r=_VEC,
+)
+
+
+@st.composite
+def problem_configs(draw):
+    blocks = tuple(draw(st.lists(_BLOCKS, min_size=1, max_size=3)))
+    manual = draw(st.booleans())
+    sigmas = st.lists(_NUM, min_size=len(blocks), max_size=len(blocks)).map(tuple)
+    steps = StepsConfig(
+        mode="manual" if manual else "auto",
+        safety=draw(_NUM),
+        tau=draw(_NUM if manual else st.none() | _NUM),
+        sigmas=draw(sigmas if manual else st.none() | sigmas),
+        lam=draw(_NUM),
+        epsilon=draw(_NUM),
+    )
+    return ProblemConfig(
+        dim_primal=draw(st.integers(1, 10 ** 6)),
+        f=draw(_funcs("sq_l2", "l1", "l2", "box", "point", "zero", "linear")),
+        h=draw(_funcs("sq_l2", "zero")),
+        blocks=blocks,
+        z=draw(_VEC),
+        seed=draw(st.integers(0, 2 ** 32)),
+        mu=draw(st.none() | _NUM),
+        steps=steps,
+        errors=ErrorsConfig(kind=draw(st.sampled_from(("none", "geometric"))),
+                            amplitude=draw(_NUM), decay=draw(_NUM)),
+        stop=StopConfig(tol=draw(_NUM), max_iter=draw(st.integers(1, 10 ** 6)),
+                        kkt_tol=draw(st.none() | _NUM)),
+    )
+
+
+class TestRoundTripProperty:
+    """Hypothesis search for a configuration that does not survive
+    serialization and re-parsing field for field."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pc=problem_configs())
+    def test_parse_inverts_serialize(self, pc):
+        assert parse_config(serialize_config(pc)) == pc
 
 
 class TestBuild:

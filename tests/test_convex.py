@@ -382,6 +382,23 @@ class TestKktResidual:
         assert calls == {"apply": 1, "adjoint": 1}
         assert gap.kkt_residual == ss.kkt_residual(cp, x, v, tau=0.3, sigmas=(0.7,))
 
+    def test_mismatched_point_or_steps_refused(self, rng):
+        # a block left out of v or sigmas used to be dropped silently
+        cp, _ = condat_problem()
+        x = rng.standard_normal(8)
+        v = (rng.standard_normal(7), rng.standard_normal(5))
+        ss.kkt_residual(cp, x, v, sigmas=(1.0, 1.0))
+        cases = [
+            (x, v[:1], None, "v has the wrong shapes"),
+            (x, (v[0], v[1][:4]), None, "v has the wrong shapes"),
+            (x[:7], v, None, "x has the wrong shape"),
+            (x, v, (1.0,), "one sigma per block"),
+        ]
+        for xc, vc, sigmas, message in cases:
+            for evaluate in (ss.kkt_residual, ss.evaluate_gap):
+                with pytest.raises(ValueError, match=message):
+                    evaluate(cp, xc, vc, sigmas=sigmas)
+
 
 def metric_values(obj):
     if isinstance(obj, ss.GapReport):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from splitsolve.diagnostics import (
     certify_strong_positivity,
     fejer_monitor,
 )
+from splitsolve.solver import BETA_CAP
 from splitsolve.spaces import inner_weighted
 
 from conftest import shrinkage_spec
@@ -179,31 +181,17 @@ class TestCertifyQCocoercive:
         rep = certify_Q_cocoercive(build_product_ops(spec, cfg))
         assert rep.passed
 
-
-class TestTNormBound:
-    def test_rayleigh_quotients_bounded(self, rng):
-        mats = [rng.standard_normal((3, 4)), rng.standard_normal((2, 4))]
-        layout = ss.SpaceLayout(4, (3, 2), (0.5, 0.5))
-        spec = ss.ProblemSpec(
-            layout=layout,
-            A=ss.ResolventOp.zero(4),
-            C=ss.CocoerciveOp(4, lambda x: x, 1.0),
-            z=np.zeros(4),
-            blocks=tuple(
-                ss.Block(B=ss.ResolventOp.zero(m.shape[0]),
-                         Dinv=ss.CocoerciveOp.zero(m.shape[0]),
-                         L=ss.matrix_op(m), r=np.zeros(m.shape[0]))
-                for m in mats
-            ),
-        )
-        cfg = ss.suggest_steps(spec)
-        ops = build_product_ops(spec, cfg)
-        for _ in range(200):
-            x = rng.standard_normal(4)
-            tx = ops.t_apply(x)
-            nsq = sum(w * float(np.dot(t, t))
-                      for w, t in zip(layout.weights, tx))
-            assert nsq <= ops.t_norm_bound * float(np.dot(x, x)) + 1e-9
+    @pytest.mark.parametrize("C, passed", [
+        (ss.CocoerciveOp.zero(1), True),
+        (ss.CocoerciveOp(1, lambda x: x, math.inf), False),
+    ], ids=["zero-map", "identity"])
+    def test_infinite_constant(self, C, passed):
+        # every constant infinite caps beta at BETA_CAP, which only the
+        # zero map satisfies
+        spec = dataclasses.replace(single_block_spec(), C=C)
+        cfg = ss.validate_steps(spec, 0.5, (0.5,))
+        assert cfg.beta == BETA_CAP
+        assert certify_Q_cocoercive(build_product_ops(spec, cfg)).passed is passed
 
 
 class TestFejerMonitor:

@@ -12,13 +12,11 @@ from splitsolve.operators import (
     LinearOp,
     ResolventOp,
     catalog_prox,
-    check_cocoercive,
     diff1d_op,
     estimate_norm,
     grad2d_op,
     identity_op,
     matrix_op,
-    prox_conjugate,
     resolvent_from_prox,
     resolvent_of_inverse,
 )
@@ -39,6 +37,12 @@ def catalog_instances(dim=4, rng=None):
         catalog_prox("linear", dim, a=rng.standard_normal(dim)),
         catalog_prox("l2", dim, weight=1.2),
     ]
+
+
+def prox_conjugate(g, sigma, v):
+    """prox_{sigma g*}(v), the dual step the solver takes for a block
+    lowered from ``g``."""
+    return resolvent_of_inverse(resolvent_from_prox(g), sigma, v)
 
 
 class TestEstimateNorm:
@@ -173,13 +177,14 @@ class TestAdjoints:
 
 
 class TestResolventOfInverse:
-    def test_zero_operator_collapses(self):
-        B = ResolventOp.zero(3)
-        for sigma in (0.5, 1.0, 2.0):
-            v = np.array([1.0, -2.0, 3.0])
-            np.testing.assert_array_almost_equal(
-                resolvent_of_inverse(B, sigma, v), np.zeros(3), decimal=15
-            )
+    def test_zero_operator_collapses(self, rng):
+        # J_{sigma 0^{-1}} is exactly 0, with no rounding of v - sigma (v / sigma)
+        B = ResolventOp.zero(1000)
+        for sigma in (0.4, 0.7, 2.5):
+            out = resolvent_of_inverse(B, sigma, rng.standard_normal(1000))
+            assert_same_bits(out, np.zeros(1000))
+            with pytest.raises(ValueError):
+                out[0] = 1.0
 
     def test_identity_operator(self):
         # B = Id has resolvent w / (1 + gamma); solving v in (Id + B^{-1}) u
@@ -308,7 +313,6 @@ class TestConjugateProxClosedForms:
                 want = (self.moreau(g, sigma, v) if g.conjugate_prox is None
                         else g.conjugate_prox(sigma, v))
                 assert_same_bits(resolvent_of_inverse(B, sigma, v), want)
-                assert_same_bits(prox_conjugate(g, sigma, v), want)
 
     def test_dispatch_custom_uses_moreau(self, rng):
         for g in catalog_instances():
@@ -319,10 +323,13 @@ class TestConjugateProxClosedForms:
                                  self.moreau(g, sigma, v))
 
 
-def _pair_of_points(dim):
+def _point(dim):
     coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
-    point = st.lists(coords, min_size=dim, max_size=dim).map(np.array)
-    return st.tuples(point, point)
+    return st.lists(coords, min_size=dim, max_size=dim).map(np.array)
+
+
+def _pair_of_points(dim):
+    return st.tuples(_point(dim), _point(dim))
 
 
 CATALOG_KINDS = tuple(g.kind for g in catalog_instances())
@@ -353,6 +360,24 @@ class TestFirmNonexpansivenessProperty:
     def test_conjugate_prox(self, kind, sigma, pair):
         g = dict(zip(CATALOG_KINDS, catalog_instances()))[kind]
         self.assert_firm(lambda u: prox_conjugate(g, sigma, u), *pair)
+
+
+class TestMoreauIdentityProperty:
+    """Hypothesis search for a violation of the Moreau identity
+    prox_{sigma g*}(v) + sigma prox_{g/sigma}(v/sigma) = v, taken through
+    the solver's dual step, for every catalog kind."""
+
+    #: entries lie in [-10, 10], where one ulp is 1.8e-15; each side is a
+    #: few roundings of such values (2 ulps seen in 20000 random draws)
+    ATOL = 1e-14
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(CATALOG_KINDS), sigma=st.floats(0.05, 5.0),
+           v=_point(4))
+    def test_moreau_identity(self, kind, sigma, v):
+        g = dict(zip(CATALOG_KINDS, catalog_instances()))[kind]
+        lhs = prox_conjugate(g, sigma, v) + sigma * g.prox(1.0 / sigma, v / sigma)
+        np.testing.assert_allclose(lhs, v, rtol=0, atol=self.ATOL)
 
 
 class TestCatalog:
@@ -414,34 +439,6 @@ class TestCatalog:
                 lhs = float(np.dot(j1 - j2, j1 - j2))
                 rhs = float(np.dot(j1 - j2, w1 - w2))
                 assert lhs <= rhs + 1e-10
-
-
-class TestCheckCocoercive:
-    def test_identity_with_constant_one(self):
-        T = CocoerciveOp(3, lambda x: x, 1.0)
-        rep = check_cocoercive(T, samples=50, seed=1)
-        assert rep.passed
-        assert rep.min_margin == pytest.approx(0.0, abs=1e-12)
-
-    def test_identity_with_overstated_constant(self):
-        T = CocoerciveOp(3, lambda x: x, 2.0)
-        rep = check_cocoercive(T, samples=50, seed=1)
-        assert not rep.passed
-        assert rep.min_margin < -1e-3
-
-    def test_quarter_scaling(self):
-        T = CocoerciveOp(3, lambda x: x / 4.0, 4.0)
-        rep = check_cocoercive(T, samples=50, seed=1)
-        assert rep.passed
-
-    def test_zero_map_with_infinite_constant(self):
-        T = CocoerciveOp.zero(4)
-        rep = check_cocoercive(T, samples=20, seed=2)
-        assert rep.passed and rep.min_margin == 0.0
-
-    def test_nonzero_map_with_infinite_constant_fails(self):
-        T = CocoerciveOp(2, lambda x: x, math.inf)
-        assert not check_cocoercive(T, samples=10, seed=3).passed
 
 
 class TestPlainFormulas:

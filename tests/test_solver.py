@@ -187,13 +187,53 @@ class TestCertifiedNorms:
         with pytest.raises(ValueError, match="block 1: .*non-finite"):
             ss.suggest_steps(spec)
 
+    def test_bounds_rayleigh_quotients(self, rng):
+        mats = [rng.standard_normal((3, 4)), rng.standard_normal((2, 4))]
+        spec = ss.ProblemSpec(
+            layout=ss.SpaceLayout(4, (3, 2), (0.5, 0.5)),
+            A=ss.ResolventOp.zero(4),
+            C=ss.CocoerciveOp(4, lambda x: x, 1.0),
+            z=np.zeros(4),
+            blocks=tuple(degenerate_block(m.shape[0], ss.matrix_op(m)) for m in mats),
+        )
+        norms = ss.certified_norms(spec)
+        for _ in range(200):
+            x = rng.standard_normal(4)
+            for blk, nm in zip(spec.blocks, norms):
+                assert np.linalg.norm(blk.L.apply(x)) <= nm * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("norms, message", [
+        ((1.0,), "one norm per block"),
+        ((1.0, math.nan), "block 1: linear operator has non-finite norm"),
+        ((1.0, math.inf), "block 1: linear operator has non-finite norm"),
+        ((1.0, 0.0), "block 1: linear operator has zero estimated norm"),
+    ], ids=["short", "nan", "inf", "zero"])
+    def test_caller_norms_refused_like_certified_ones(self, norms, message):
+        spec = simple_spec(m=2)
+        with pytest.raises(ValueError, match=message):
+            ss.validate_steps(spec, 0.25, (0.25, 0.25), norms=norms)
+        with pytest.raises(ValueError, match=message):
+            ss.suggest_steps(spec, norms=norms)
+
     @pytest.mark.parametrize("hint", [math.nan, -1.0])
     def test_nan_or_negative_hint_refused(self, hint):
         with pytest.raises(ValueError, match="norm_hint must be nonnegative"):
             ss.LinearOp(2, 2, lambda x: x, lambda y: y, norm_hint=hint)
 
 
+def one_step(spec, cfg, x0=None, v0=None, err=None, allow_inadmissible=False):
+    """The state after one update from (x0, v0), with the single error
+    ``err`` injected, taken through run."""
+    errors = None if err is None else ss.ErrorSchedule(at=lambda n: err)
+    report = ss.run(spec, cfg, x0=x0, v0=v0, errors=errors,
+                    stop=ss.StoppingRule(tol=0.0, max_iter=1),
+                    allow_inadmissible=allow_inadmissible)
+    return report.final_state
+
+
 class TestIterateOnce:
+    """One update at a time, taken through run."""
+
     def test_hand_step(self):
         # A = 0, C = Id, x0 = 1, v0 = 0, tau = sigma = 0.25, lam = 1, and a
         # block with L = Id, D^{-1} = 0 and B = N_{0}, so J_{sigma B^{-1}} is
@@ -203,8 +243,7 @@ class TestIterateOnce:
                          r=np.zeros(1))
         spec = dataclasses.replace(shrinkage_spec(n=1), blocks=(block,))
         cfg = ss.validate_steps(spec, 0.25, (0.25,))
-        st = ss.initial_state(spec.layout, x0=np.array([1.0]))
-        nxt = ss.iterate_once(spec, cfg, st)
+        nxt = one_step(spec, cfg, x0=np.array([1.0]))
         assert nxt.n == 1
         assert nxt.x[0] == pytest.approx(0.75, abs=0)
         assert nxt.v[0][0] == pytest.approx(0.125, abs=0)
@@ -212,8 +251,7 @@ class TestIterateOnce:
     def test_fixed_point_invariance(self):
         spec = shrinkage_spec(n=3)  # fixed point is the origin
         cfg = ss.validate_steps(spec, 0.5, (0.5,))
-        st = ss.initial_state(spec.layout)
-        nxt = ss.iterate_once(spec, cfg, st)
+        nxt = one_step(spec, cfg)
         assert np.max(np.abs(nxt.x)) <= 1e-12
         assert np.max(np.abs(nxt.v[0])) <= 1e-12
 
@@ -221,10 +259,9 @@ class TestIterateOnce:
         # from x = 0 at lam = 1 the next x is 0 + (p - 0) = p exactly
         spec = shrinkage_spec(n=4, center=rng.standard_normal(4))
         cfg = ss.validate_steps(spec, 0.5, (0.5,))
-        st = ss.initial_state(spec.layout)
         e = rng.standard_normal(4)
-        clean = ss.iterate_once(spec, cfg, st)
-        noisy = ss.iterate_once(spec, cfg, st, ss.solver.IterationErrors(
+        clean = one_step(spec, cfg)
+        noisy = one_step(spec, cfg, err=ss.solver.IterationErrors(
             a2=e, b=(None,), c=(None,)))
         assert np.all(clean.x != 0.0)
         np.testing.assert_array_equal(noisy.x, clean.x + e)
@@ -234,9 +271,9 @@ class TestIterateOnce:
         lam = 0.7
         cfg = ss.validate_steps(spec, 0.4, (0.4,), lambda_schedule=lambda n: lam)
         st = ss.initial_state(spec.layout, x0=rng.standard_normal(5))
-        nxt = ss.iterate_once(spec, cfg, st)
+        nxt = one_step(spec, cfg, st.x, st.v)
         # the unrelaxed update (p, q), recovered from lam = 1 as x + (p - x)
-        full = ss.iterate_once(spec, ss.validate_steps(spec, 0.4, (0.4,)), st)
+        full = one_step(spec, ss.validate_steps(spec, 0.4, (0.4,)), st.x, st.v)
         # recovering the step from the stored iterates costs one rounding
         np.testing.assert_allclose(nxt.x - st.x, lam * (full.x - st.x),
                                    rtol=0, atol=1e-14)
@@ -246,20 +283,16 @@ class TestIterateOnce:
     def test_inadmissible_refused_and_overridable(self):
         spec = shrinkage_spec(n=1)
         cfg = ss.validate_steps(spec, 2.0, (2.0,))
-        st = ss.initial_state(spec.layout, x0=np.array([1.0]))
         with pytest.raises(ss.InadmissibleStepsError):
-            ss.iterate_once(spec, cfg, st)
-        ss.iterate_once(spec, cfg, st, allow_inadmissible=True)
+            one_step(spec, cfg, x0=np.array([1.0]))
+        one_step(spec, cfg, x0=np.array([1.0]), allow_inadmissible=True)
 
     def test_lambda_range_enforced(self):
         spec = shrinkage_spec(n=1)
-        cfg = ss.validate_steps(spec, 0.5, (0.5,), lambda_schedule=lambda n: 1.5)
-        st = ss.initial_state(spec.layout, x0=np.array([1.0]))
-        with pytest.raises(ValueError, match="outside"):
-            ss.iterate_once(spec, cfg, st)
-        wide = ss.validate_steps(spec, 0.5, (0.5,), lambda_schedule=lambda n: 1.5,
-                                 allow_overrelax=True)
-        ss.iterate_once(spec, wide, st)
+        for lam in (1.5, 0.0):
+            cfg = ss.validate_steps(spec, 0.5, (0.5,), lambda_schedule=lambda n: lam)
+            with pytest.raises(ValueError, match="outside"):
+                one_step(spec, cfg, x0=np.array([1.0]))
 
 
 class TestRun:
@@ -327,9 +360,6 @@ class TestRun:
         report = ss.run(bad, cfg, x0=np.ones(2), stop=ss.StoppingRule(max_iter=10))
         assert report.termination == "diverged"
         assert "primal update p" in report.failure
-        st = ss.initial_state(layout, x0=np.ones(2))
-        with pytest.raises(ss.DivergenceError, match="primal"):
-            ss.iterate_once(bad, cfg, st)
 
     def test_error_robustness_same_limit(self, rng):
         b = rng.standard_normal(5)
@@ -364,7 +394,7 @@ class TestRun:
                 a1=amp * dec ** n * d1, a2=amp * dec ** n * d2,
                 b=(None,), c=(None,))
 
-        errors = ss.ErrorSchedule(at=schedule_at, declared_summable=True)
+        errors = ss.ErrorSchedule(at=schedule_at)
         iters = 200
         report = ss.run(spec, cfg, x0=b, errors=errors,
                         stop=ss.StoppingRule(tol=0.0, max_iter=iters),
@@ -393,17 +423,17 @@ class TestRun:
             blocks=(degenerate_block(4),),
         )
         cfg = ss.validate_steps(spec, 0.5, (0.5,))
-        st = ss.initial_state(layout, x0=b)
-        for _ in range(25):
+        report = ss.run(spec, cfg, x0=b, stop=ss.StoppingRule(tol=0.0, max_iter=25),
+                        record_states=True)
+        assert len(report.states) == 26
+        for st, nxt in zip(report.states, report.states[1:]):
             arg = st.x - cfg.tau * (spec.C.apply(st.x) - spec.z)
-            nxt = ss.iterate_once(spec, cfg, st)
             p = nxt.x  # x + 1.0 (p - x), p up to one rounding
             for _ in range(5):
                 y = rng.standard_normal(4)
                 lhs = cfg.tau * f.evaluate(y)
                 rhs = cfg.tau * f.evaluate(p) + float(np.dot(arg - p, y - p))
                 assert lhs >= rhs - 1e-8
-            st = nxt
 
 
 class TestStoppingRule:
@@ -426,7 +456,6 @@ class TestErrorSchedules:
         sched = ss.geometric_errors(layout, amplitude=0.5, decay=0.9, seed=1)
         total = sum(np.linalg.norm(sched.at(n).a1) for n in range(2000))
         assert total == pytest.approx(0.5 / (1 - 0.9), rel=1e-6)
-        assert sched.declared_summable
 
     def test_zero_schedule_flags(self):
         layout = ss.SpaceLayout(2, (2,), (1.0,))
@@ -626,21 +655,22 @@ class TestAliasing:
         self.stop = ss.StoppingRule(tol=0.0, max_iter=40)
 
     def test_recorded_states_match_iterate_once_replay(self):
+        # each recorded state (a fresh array per iteration) against a replay
+        # of its prefix of the run in two alternating arrays
         report = ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0,
                         stop=self.stop, record_states=True)
-        st = ss.initial_state(self.spec.layout, self.x0, self.v0)
-        for kept in report.states[1:]:
-            st = ss.iterate_once(self.spec, self.cfg, st)
-            assert_same_bits(kept.x, st.x)
-            for got, want in zip(kept.v, st.v):
-                assert_same_bits(got, want)
-        assert_same_bits(report.final_state.x, st.x)
+        assert len(report.states) == self.stop.max_iter + 1
+        for k, kept in enumerate(report.states[1:], start=1):
+            short = ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0,
+                           stop=ss.StoppingRule(tol=0.0, max_iter=k))
+            assert short.final_state.n == k
+            assert_same_bits(kept.u, short.final_state.u)
 
     def test_caller_arrays_unchanged(self):
         before = [a.copy() for a in (self.x0, *self.v0)]
-        ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0, stop=self.stop)
-        st = ss.initial_state(self.spec.layout, self.x0, self.v0)
-        ss.iterate_once(self.spec, self.cfg, st)
+        for record in (False, True):
+            ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0, stop=self.stop,
+                   record_states=record)
         for got, want in zip((self.x0, *self.v0), before):
             assert_same_bits(got, want)
 
@@ -673,10 +703,9 @@ class TestAliasing:
         report = ss.run(spec, self.cfg, x0=self.x0, v0=self.v0, stop=self.stop)
         assert report.termination == "diverged"
         assert report.iterations == 3
-        st = ss.initial_state(self.spec.layout, self.x0, self.v0)
-        for _ in range(3):
-            st = ss.iterate_once(self.spec, self.cfg, st)
-        assert_same_bits(report.final_state.u, st.u)
+        three = ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0,
+                       stop=ss.StoppingRule(tol=0.0, max_iter=3))
+        assert_same_bits(report.final_state.u, three.final_state.u)
 
     def test_b_error_never_written_into_dual_resolvent_output(self):
         # the catalog zero function's conjugate prox returns one shared
@@ -718,15 +747,13 @@ class TestFlatState:
             assert_same_bits(view, block)
 
     def test_x_and_v_are_views_of_u(self):
-        st = ss.initial_state(self.spec.layout, self.x0, self.v0)
-        self.assert_views_of_u(st)
-        nxt = ss.iterate_once(self.spec, self.cfg, st)
-        self.assert_views_of_u(nxt)
-        assert not np.shares_memory(nxt.u, st.u)
-        report = ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0,
-                        stop=ss.StoppingRule(tol=0.0, max_iter=5), record_states=True)
-        for kept in (*report.states, report.final_state):
-            self.assert_views_of_u(kept)
+        self.assert_views_of_u(ss.initial_state(self.spec.layout, self.x0, self.v0))
+        for record in (False, True):
+            report = ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0,
+                            stop=ss.StoppingRule(tol=0.0, max_iter=5),
+                            record_states=record)
+            for kept in (*(report.states or ()), report.final_state):
+                self.assert_views_of_u(kept)
 
     def test_initial_state_copies_inputs(self):
         st = ss.initial_state(self.spec.layout, self.x0, self.v0)
