@@ -19,10 +19,13 @@ last two run with explicit steps and norms.  The custom run takes the
 inverse-resolvent identity rather than the catalog's closed-form dual
 resolvent and uses no closed-form norm, so it pins that path even when
 those change; the zero run pins the dual step of the zero operator.
-Only ``cli.main``,
-``final_state.x``/``.v`` and the run histories are read, and CSV
-columns are found by header name, so the script runs unchanged on any
-checkout that has them.  Temporary directory names are replaced by
+A last library run has every term of the update that the others leave
+out: a nonzero ``z``, an ``r`` with -0.0 entries, two blocks weighted
+(0.7, 0.3), a ``quadratic_term`` D^{-1}, a ``zero_smooth`` C and
+relaxation 0.8.  Only ``cli.main``, ``final_state.x``/``.v`` and the
+run histories are read, no operator is built with a ``kind`` tag, and
+CSV columns are found by header name, so the script runs unchanged on
+any checkout that has them.  Temporary directory names are replaced by
 ``<tmp>`` before hashing.
 """
 
@@ -39,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from splitsolve import benchmarks, cli, operators, solver
+from splitsolve import benchmarks, cli, convex, operators, solver
 from splitsolve.spaces import SpaceLayout
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -204,6 +207,35 @@ def tv2d_runs() -> None:
     emit_report("tv2d zero B explicit steps", solver.run(spec, cfg, v0=v0, stop=stop))
 
 
+def offsets_run() -> None:
+    """Two weighted blocks with every kernel term present: nonzero z, an
+    r holding -0.0, a quadratic ell (nonzero D^{-1}), a zero smooth term
+    and relaxation 0.8; no workload or config has any of these."""
+    n = 60
+    rng = np.random.default_rng(11)
+    b = np.repeat(rng.uniform(-1.0, 1.0, 6), n // 6)
+    r0 = 0.05 * rng.standard_normal(n - 1)
+    r0[::7] = -0.0
+    cp = convex.ConvexProblem(
+        layout=SpaceLayout(n, (n - 1, n), (0.7, 0.3)),
+        f=operators.catalog_prox("sq_l2", n, weight=1.0, center=b),
+        h=convex.zero_smooth(n),
+        z=0.1 * rng.standard_normal(n),
+        blocks=(
+            convex.ConvexBlock(g=operators.catalog_prox("l1", n - 1, weight=0.2),
+                               ell=convex.quadratic_term(n - 1, nu=2.0),
+                               L=operators.diff1d_op(n), r=r0),
+            convex.ConvexBlock(g=operators.catalog_prox("box", n, lo=-0.8, hi=0.8),
+                               ell=convex.dirac_term(n),
+                               L=operators.identity_op(n), r=np.zeros(n)),
+        ),
+    )
+    spec = convex.lower_to_inclusion(cp)
+    cfg = solver.suggest_steps(spec, lambda_schedule=lambda k: 0.8)
+    stop = solver.StoppingRule(tol=1e-10, max_iter=5000)
+    emit_report("offsets z r omega Dinv lambda=0.8", solver.run(spec, cfg, stop=stop))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
@@ -211,6 +243,7 @@ def main() -> int:
         configs(tmp)
         tv1d_config(tmp)
     tv2d_runs()
+    offsets_run()
     return 0
 
 

@@ -28,7 +28,6 @@ from .operators import (
 )
 from .solver import (
     Block,
-    DivergenceError,
     ErrorSchedule,
     InadmissibleStepsError,
     IterState,

@@ -266,6 +266,14 @@ def check_gradient(h: SmoothTerm, points: int = 20, seed: int = 0,
     return worst
 
 
+def _map_kind(zero: bool, constant: float) -> str:
+    """``CocoerciveOp.kind`` of a lowered map: ``"zero"`` for the
+    gradient of ``zero_smooth`` or of the conjugate of ``dirac_term``,
+    unless a finite declared constant (``zero_smooth(mu=...)``) asks for
+    it to count in the step-size bound."""
+    return "zero" if zero and math.isinf(constant) else "custom"
+
+
 def lower_to_inclusion(cp: ConvexProblem) -> ProblemSpec:
     """Build the monotone-inclusion data whose solver iteration
     reproduces the minimization iteration step for step.
@@ -276,13 +284,16 @@ def lower_to_inclusion(cp: ConvexProblem) -> ProblemSpec:
     ``zero_smooth``) are trusted by their ``kind`` tag, as in
     :func:`evaluate_gap`, and their gradients are pinned by tests.  The
     check only raises or passes, so skipping it changes no result.
+    ``zero_smooth`` and ``dirac_term`` lower to maps of kind ``"zero"``,
+    which the iteration skips.
     """
     if cp.h.kind == "custom":
         check_gradient(cp.h)
     blocks = tuple(
         Block(
             B=resolvent_from_prox(blk.g),
-            Dinv=CocoerciveOp(blk.ell.dim, blk.ell.conj_gradient, blk.ell.nu),
+            Dinv=CocoerciveOp(blk.ell.dim, blk.ell.conj_gradient, blk.ell.nu,
+                              kind=_map_kind(blk.ell.kind == "dirac", blk.ell.nu)),
             L=blk.L,
             r=blk.r,
         )
@@ -291,7 +302,8 @@ def lower_to_inclusion(cp: ConvexProblem) -> ProblemSpec:
     return ProblemSpec(
         layout=cp.layout,
         A=resolvent_from_prox(cp.f),
-        C=CocoerciveOp(cp.h.dim, cp.h.gradient, cp.h.lipschitz_inv),
+        C=CocoerciveOp(cp.h.dim, cp.h.gradient, cp.h.lipschitz_inv,
+                       kind=_map_kind(cp.h.kind == "zero", cp.h.lipschitz_inv)),
         z=cp.z,
         blocks=blocks,
     )

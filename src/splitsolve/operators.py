@@ -138,22 +138,32 @@ class CocoerciveOp:
     """Single-valued map with a cocoercivity constant.
 
     ``constant = inf`` encodes the zero operator (or stronger); it keeps
-    degenerate blocks out of the step-size bound.
+    degenerate blocks out of the step-size bound.  ``kind`` is
+    ``"custom"`` unless a library constructor sets it: ``"zero"`` marks
+    the library zero map (:meth:`zero`, and the lowered ``zero_smooth``
+    and ``dirac_term``), whose ``apply`` returns +0.0 everywhere, so
+    :func:`splitsolve.solver.run` skips its application (adding or
+    subtracting +0 there changes no bit).  A ``"zero"`` kind needs
+    ``constant = inf``.
     """
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
     constant: float
+    kind: str = "custom"
 
     def __post_init__(self):
         if not self.constant > 0:
             raise ValueError("cocoercivity constant must be strictly positive")
+        if self.kind == "zero" and not math.isinf(self.constant):
+            raise ValueError("a zero map has cocoercivity constant inf, "
+                             f"got {self.constant!r}")
 
     @staticmethod
     def zero(dim: int) -> "CocoerciveOp":
         """The zero map; every call returns one shared read-only array."""
         zero = _read_only_zeros(dim)
-        return CocoerciveOp(dim, lambda v: zero, math.inf)
+        return CocoerciveOp(dim, lambda v: zero, math.inf, kind="zero")
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ __all__ = [
     "IterState",
     "IterationRecord",
     "RunReport",
-    "DivergenceError",
     "InadmissibleStepsError",
     "certified_norms",
     "validate_steps",
@@ -71,15 +70,13 @@ POWER_TOL = 1e-8
 POWER_MAX_ITER = 10000
 
 
-class DivergenceError(RuntimeError):
-    """A non-finite value appeared; ``block`` names where."""
+class _DivergenceError(RuntimeError):
+    """A non-finite value appeared in the update; ``block`` names where.
+    Raised by the kernel only; :func:`run` reports it as divergence."""
 
-    def __init__(self, iteration: int, block: str):
-        self.iteration = iteration
+    def __init__(self, block: str):
         self.block = block
-        super().__init__(
-            f"non-finite value in {block} at iteration {iteration}"
-        )
+        super().__init__(f"non-finite value in {block}")
 
 
 class InadmissibleStepsError(ValueError):
@@ -397,11 +394,17 @@ def validate_steps(spec: ProblemSpec, tau: float, sigmas,
     operator-norm bounds; they are refused like :func:`certified_norms`
     refuses its own.
     """
+    tau = float(tau)
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
     if tau <= 0:
         raise ValueError("tau must be strictly positive")
     sigmas = tuple(float(s) for s in sigmas)
     if len(sigmas) != spec.num_blocks:
         raise ValueError("one sigma per block is required")
+    for i, s in enumerate(sigmas):
+        if not math.isfinite(s):
+            raise ValueError(f"sigma[{i}] must be finite, got {s!r}")
     if any(s <= 0 for s in sigmas):
         raise ValueError("every sigma must be strictly positive")
     if not 0.0 < epsilon < 1.0:
@@ -409,7 +412,7 @@ def validate_steps(spec: ProblemSpec, tau: float, sigmas,
     norms = certified_norms(spec) if norms is None else _checked_norms(spec, norms)
     rho, beta, delta = _step_quantities(spec, tau, sigmas, norms)
     return StepConfig(
-        tau=float(tau),
+        tau=tau,
         sigmas=sigmas,
         rho=rho,
         beta=beta,
@@ -452,15 +455,36 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99,
 def _weighted_adjoint_sum(blocks, weights, v, out, tmp):
     """``sum_i w_i L_i^T v_i`` into ``out``, reduced in ascending block
     order; ``tmp`` holds each weighted term.  Every caller forms the
-    coupling term here, so all of them get the same bits."""
-    out.fill(0.0)
-    for w, blk, vi in zip(weights, blocks, v):
-        np.add(out, np.multiply(blk.L.adjoint_apply(vi), w, out=tmp), out=out)
+    coupling term here, so all of them get the same bits.
+
+    The first term lands as ``term + 0.0``, which maps -0 to +0 exactly
+    as filling ``out`` with zeros and adding did, so ``out`` never holds
+    -0 (a sum is -0 only when both terms are).  A unit weight is not
+    multiplied in.
+    """
+    for i, (w, blk, vi) in enumerate(zip(weights, blocks, v)):
+        term = blk.L.adjoint_apply(vi)
+        if w != 1.0:
+            # else x * 1 = x
+            term = np.multiply(term, w, out=tmp)
+        if i:
+            np.add(out, term, out=out)
+        else:
+            # the fill and first add in one pass: -0 + 0.0 = +0 = 0.0 + -0
+            np.add(term, 0.0, out=out)
     return out
 
 
+def _vanishes(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is +0.0, so that subtracting ``a`` is
+    exact: x - (+0) = x for every x.  A -0.0 entry does not vanish,
+    since -0 - (-0) = +0."""
+    return not (a.any() or np.signbit(a).any())
+
+
 class _Workspace:
-    """Scratch arrays of the kernel and of the residual arithmetic.
+    """Scratch arrays of the kernel and of the residual arithmetic, and
+    the kernel operations that are exact no-ops for the whole run.
 
     ``y``, ``arg`` (the argument handed to the resolvent of A, and p
     itself when an ``a2`` error is added) and the per-block ``dual_arg``
@@ -469,12 +493,20 @@ class _Workspace:
     unrelaxed displacement (p - x, q - v) of the last update and ``s``
     the displacement of the step taken, both flat over the product
     space with per-block views ``dx``/``dv`` and ``sx``/``sv``.
+
+    ``keep_C``, ``keep_z``, ``keep_Dinv[i]`` and ``keep_r[i]`` say
+    whether adding C x, subtracting z, subtracting D_i^{-1} v_i and
+    subtracting r_i can change a bit.  C and D_i^{-1} are skipped when
+    their kind is ``"zero"`` (the library zero map, which returns +0),
+    z and r_i when :func:`_vanishes` holds.
     """
 
     __slots__ = ("wsum", "tmp", "arg", "y", "finite_x", "dual_arg", "finite_v",
-                 "d", "dx", "dv", "s", "sx", "sv")
+                 "d", "dx", "dv", "s", "sx", "sv",
+                 "keep_C", "keep_z", "keep_Dinv", "keep_r")
 
-    def __init__(self, layout: SpaceLayout):
+    def __init__(self, spec: ProblemSpec):
+        layout = spec.layout
         n, dims = layout.dim_primal, layout.dual_dims
         self.wsum, self.tmp, self.arg, self.y = (np.empty(n) for _ in range(4))
         self.dual_arg = tuple(np.empty(d) for d in dims)
@@ -484,6 +516,10 @@ class _Workspace:
         self.dx, self.dv = layout.split(self.d)
         self.s = np.empty(layout.size)
         self.sx, self.sv = layout.split(self.s)
+        self.keep_C = spec.C.kind != "zero"
+        self.keep_z = not _vanishes(spec.z)
+        self.keep_Dinv = tuple(blk.Dinv.kind != "zero" for blk in spec.blocks)
+        self.keep_r = tuple(not _vanishes(blk.r) for blk in spec.blocks)
 
 
 def _kernel(spec, tau, sigmas, lam, st, err, ws, out):
@@ -494,37 +530,53 @@ def _kernel(spec, tau, sigmas, lam, st, err, ws, out):
     operation writes into ``ws`` or ``out``, never into ``st`` or an
     array an operator returned; an operator's result is consumed before
     the buffer it was handed is written again.  The operations and their
-    order are those of the plain formulas in the module docstring, so
-    results are bitwise reproducible; the dual-block reduction runs in
-    ascending block order.
+    order are those of the plain formulas in the module docstring, less
+    the passes that are exact IEEE identities (each is named where it is
+    skipped), so results are bitwise those of the formulas; the
+    dual-block reduction runs in ascending block order.
     """
     x, v = st.x, st.v
     t = _weighted_adjoint_sum(spec.blocks, spec.layout.weights, v, ws.wsum, ws.tmp)
-    np.add(t, spec.C.apply(x), out=t)
+    if ws.keep_C:
+        # else C x is +0, and t + (+0) = t since t never holds -0
+        np.add(t, spec.C.apply(x), out=t)
     if err is not None and err.a1 is not None:
         np.add(t, err.a1, out=t)
-    np.subtract(t, spec.z, out=t)
+    if ws.keep_z:
+        # else t - (+0) = t
+        np.subtract(t, spec.z, out=t)
     p = spec.A.resolvent(tau, np.subtract(x, np.multiply(t, tau, out=ws.arg), out=ws.arg))
     if err is not None and err.a2 is not None:
         p = np.add(p, err.a2, out=ws.arg)
     if not np.isfinite(p, out=ws.finite_x).all():
-        raise DivergenceError(-1, "primal update p")
+        raise _DivergenceError("primal update p")
     y = np.subtract(np.multiply(p, 2.0, out=ws.y), x, out=ws.y)
     np.subtract(p, x, out=ws.dx)
     for i, blk in enumerate(spec.blocks):
         sigma, u = sigmas[i], ws.dual_arg[i]
-        np.subtract(blk.L.apply(y), blk.Dinv.apply(v[i]), out=u)
+        # L_i y - D_i^{-1} v_i - c_i - r_i, where a vanished term is not
+        # subtracted (x - (+0) = x) and the first subtraction left reads
+        # L_i y; with none left, L_i y itself is scaled below
+        a = blk.L.apply(y)
+        if ws.keep_Dinv[i]:
+            a = np.subtract(a, blk.Dinv.apply(v[i]), out=u)
         if err is not None and err.c[i] is not None:
-            np.subtract(u, err.c[i], out=u)
-        np.subtract(u, blk.r, out=u)
-        np.add(v[i], np.multiply(u, sigma, out=u), out=u)
+            a = np.subtract(a, err.c[i], out=u)
+        if ws.keep_r[i]:
+            a = np.subtract(a, blk.r, out=u)
+        np.add(v[i], np.multiply(a, sigma, out=u), out=u)
         q = resolvent_of_inverse(blk.B, sigma, u)
         if err is not None and err.b[i] is not None:
             q = np.add(q, err.b[i], out=u)
         if not np.isfinite(q, out=ws.finite_v[i]).all():
-            raise DivergenceError(-1, f"dual update q[{i}]")
+            raise _DivergenceError(f"dual update q[{i}]")
         np.subtract(q, v[i], out=ws.dv[i])
-    if out is not None:
+    if out is None:
+        return
+    if lam == 1.0:
+        # x * 1 = x
+        np.add(st.u, ws.d, out=out.u)
+    else:
         np.add(st.u, np.multiply(ws.d, lam, out=out.u), out=out.u)
 
 
@@ -594,6 +646,15 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     the conjugate prox of the catalog ``zero`` function) return one
     shared read-only array.
 
+    Once per run the iteration decides which array passes are exact
+    no-ops and skips them: subtracting ``z`` or ``r_i`` when every entry
+    is +0.0 (x - (+0) = x; a -0.0 entry keeps its pass), applying ``C``
+    or ``D_i^{-1}`` when its ``kind`` is ``"zero"`` (the library zero
+    map, whose +0 changes no bit), multiplying by a weight or a
+    relaxation equal to 1 (x * 1 = x), and filling the weighted sum with
+    zeros before its first term.  So the bits are those of the plain
+    formulas in the module docstring.
+
     The dual step J_{sigma_i B_i^{-1}} is :func:`resolvent_of_inverse`:
     the closed form ``B_i.inverse_resolvent`` where one is set
     (``ResolventOp.zero`` and the blocks lowered from catalog functions
@@ -612,7 +673,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     weights = layout.weights
     tau, sigmas = cfg.tau, cfg.sigmas
 
-    ws = _Workspace(layout)
+    ws = _Workspace(spec)
     # a state that leaves the loop keeps its array, so each update then
     # writes into a fresh one; otherwise two arrays alternate
     escapes = record_states or iter_metrics is not None or extra_stop is not None
@@ -633,7 +694,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
         t0 = time.perf_counter()
         try:
             _kernel(spec, tau, sigmas, lam, st, err_n, ws, nxt)
-        except DivergenceError as exc:
+        except _DivergenceError as exc:
             termination = "diverged"
             failure = f"non-finite value in {exc.block} at iteration {n}"
             break

@@ -160,6 +160,21 @@ class TestSolve:
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("steps, message", [
+        ("tau = nan\nsigma = 0.5", "tau must be finite, got nan"),
+        ("tau = inf\nsigma = 0.5", "tau must be finite, got inf"),
+        ("tau = 0.5\nsigma = nan", "sigma[0] must be finite, got nan"),
+        ("tau = 0.5\nsigma = inf", "sigma[0] must be finite, got inf"),
+    ], ids=["tau-nan", "tau-inf", "sigma-nan", "sigma-inf"])
+    def test_non_finite_manual_steps_refused(self, tmp_path, capsys, steps, message):
+        cfg = tmp_path / "steps.cfg"
+        cfg.write_text(Path(LASSO).read_text().replace(
+            "mode = auto\nsafety = 0.99", "mode = manual\n" + steps))
+        code = main(["solve", str(cfg), "-o", str(tmp_path / "r.csv"), "--unsafe-steps"])
+        assert code == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "r.csv").exists()
+
     def test_missing_file(self, capsys):
         assert main(["solve", "no-such-file.cfg"]) == 1
         capsys.readouterr()

@@ -64,6 +64,23 @@ class TestLowering:
         assert math.isinf(blk.Dinv.constant)
         assert np.all(blk.Dinv.apply(np.array([3.0])) == 0.0)
 
+    @pytest.mark.parametrize("h, ell, kinds", [
+        (ss.zero_smooth(3), ss.dirac_term(3), ("zero", "zero")),
+        (ss.zero_smooth(3, mu=2.0), ss.quadratic_term(3, nu=2.0), ("custom", "custom")),
+        (ss.quadratic_smooth(np.ones(3)), ss.dirac_term(3), ("custom", "zero")),
+    ], ids=["zero-dirac", "finite-mu-quadratic", "quadratic-dirac"])
+    def test_zero_maps_lower_to_zero_kind(self, h, ell, kinds):
+        # the kernel skips a "zero" map; zero_smooth with a finite mu
+        # keeps its constant in the step bound and so stays "custom"
+        cp = ss.ConvexProblem(
+            layout=ss.SpaceLayout(3, (3,), (1.0,)),
+            f=ss.catalog_prox("sq_l2", 3), h=h, z=np.zeros(3),
+            blocks=(ss.ConvexBlock(g=ss.catalog_prox("l1", 3), ell=ell,
+                                   L=ss.identity_op(3), r=np.zeros(3)),),
+        )
+        spec = ss.lower_to_inclusion(cp)
+        assert (spec.C.kind, spec.blocks[0].Dinv.kind) == kinds
+
     def test_quadratic_ell_lowers_to_scaled_identity(self, rng):
         term = ss.quadratic_term(4, nu=2.5)
         v = rng.standard_normal(4)

@@ -380,6 +380,51 @@ class TestMoreauIdentityProperty:
         np.testing.assert_allclose(lhs, v, rtol=0, atol=self.ATOL)
 
 
+class TestFenchelYoungProperty:
+    """Hypothesis search for a violation of the Fenchel-Young inequality
+    g(x) + g*(u) >= <x, u> by every catalog kind with a closed-form
+    conjugate value, and of its equality case: at x = prox_g(w) the
+    point u = w - x is a subgradient of g at x, so the two sides agree."""
+
+    KINDS = tuple(g.kind for g in catalog_instances() if g.conjugate_value is not None)
+
+    @staticmethod
+    def tol(x, u):
+        # entries lie in [-10, 10]; each side is a sum of a few products
+        # of such values, each rounded once
+        return 1e-12 * (1.0 + float(np.dot(x, x)) + float(np.dot(u, u)))
+
+    def test_every_catalog_kind_has_a_conjugate_value(self):
+        assert set(self.KINDS) == set(CATALOG_KINDS)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(KINDS), pair=_pair_of_points(4))
+    def test_inequality(self, kind, pair):
+        g = dict(zip(CATALOG_KINDS, catalog_instances()))[kind]
+        x, u = pair
+        assert g.evaluate(x) + g.conjugate_value(u) >= float(np.dot(x, u)) - self.tol(x, u)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(KINDS), w=_point(4))
+    def test_equality_at_prox(self, kind, w):
+        g = dict(zip(CATALOG_KINDS, catalog_instances()))[kind]
+        x = np.array(g.prox(1.0, w), dtype=float)
+        u = w - x
+        lhs = g.evaluate(x) + g.conjugate_value(u)
+        assert abs(lhs - float(np.dot(x, u))) <= self.tol(x, u)
+
+
+class TestCocoerciveKind:
+    def test_zero_map_is_tagged(self):
+        assert CocoerciveOp.zero(3).kind == "zero"
+        assert CocoerciveOp(3, lambda v: v, 1.0).kind == "custom"
+
+    def test_zero_kind_needs_infinite_constant(self):
+        with pytest.raises(ValueError, match="zero map has cocoercivity constant inf"):
+            CocoerciveOp(3, lambda v: np.zeros(3), 2.0, kind="zero")
+        assert CocoerciveOp(3, lambda v: np.zeros(3), math.inf, kind="zero").kind == "zero"
+
+
 class TestCatalog:
     def test_soft_threshold(self):
         g = catalog_prox("l1", 1)

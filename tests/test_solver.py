@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import splitsolve as ss
+import splitsolve.benchmarks  # noqa: F401  (the cases below use ss.benchmarks)
 from splitsolve.solver import BETA_CAP, NORM_SAFETY, POWER_MAX_ITER, POWER_TOL
 
 from conftest import assert_same_bits, degenerate_block, shrinkage_spec
@@ -75,6 +76,15 @@ class TestValidateSteps:
             ss.validate_steps(spec, -1.0, (0.5,))
         with pytest.raises(ValueError):
             ss.validate_steps(spec, 0.5, (0.5, 0.5))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_steps_refused_by_name(self, value):
+        spec = simple_spec(m=2)
+        with pytest.raises(ValueError, match=f"^tau must be finite, got {value!r}$"):
+            ss.validate_steps(spec, value, (0.2, 0.2))
+        with pytest.raises(ValueError, match=f"^sigma\\[1\\] must be finite, got {value!r}$"):
+            ss.validate_steps(spec, 0.2, (0.2, value))
 
 
 class TestSuggestSteps:
@@ -359,7 +369,11 @@ class TestRun:
         cfg = ss.validate_steps(bad, 0.5, (0.5,))
         report = ss.run(bad, cfg, x0=np.ones(2), stop=ss.StoppingRule(max_iter=10))
         assert report.termination == "diverged"
-        assert "primal update p" in report.failure
+        assert report.failure == "non-finite value in primal update p at iteration 0"
+
+    def test_divergence_error_is_private(self):
+        assert not hasattr(ss, "DivergenceError")
+        assert "DivergenceError" not in ss.solver.__all__
 
     def test_error_robustness_same_limit(self, rng):
         b = rng.standard_normal(5)
@@ -484,14 +498,16 @@ class TestErrorSchedules:
 # the workspace kernel against a plain allocating loop
 
 
-def reference_run(spec, cfg, stop, errors=None):
+def reference_run(spec, cfg, stop, errors=None, x0=None, v0=None):
     """The update and the stopping arithmetic written with fresh arrays
-    everywhere and a second, error-free, relaxation-1 update whenever
-    the step taken is not one; returns (step norms, residuals, x, v)."""
+    everywhere, from ``x0`` and ``v0`` (default 0); returns (step norms,
+    residuals, x, v).  The relaxation-1 update that the residual measures
+    is taken again, error-free, only when errors are injected, so the
+    resolvents are called in the same order as by ``run``."""
     weights = spec.layout.weights
     tau, sigmas = cfg.tau, cfg.sigmas
 
-    def update(x, v, lam, err):
+    def update(x, v, err):
         wsum = np.zeros_like(x)
         for w, blk, vi in zip(weights, spec.blocks, v):
             wsum = wsum + w * blk.L.adjoint_apply(vi)
@@ -502,17 +518,20 @@ def reference_run(spec, cfg, stop, errors=None):
         if err is not None and err.a2 is not None:
             p = p + err.a2
         y = 2.0 * p - x
-        v1 = []
+        q = []
         for i, blk in enumerate(spec.blocks):
             u = blk.L.apply(y) - blk.Dinv.apply(v[i])
             if err is not None and err.c[i] is not None:
                 u = u - err.c[i]
             u = v[i] + sigmas[i] * (u - blk.r)
-            q = ss.resolvent_of_inverse(blk.B, sigmas[i], u)
+            qi = ss.resolvent_of_inverse(blk.B, sigmas[i], u)
             if err is not None and err.b[i] is not None:
-                q = q + err.b[i]
-            v1.append(v[i] + lam * (q - v[i]))
-        return x + lam * (p - x), v1
+                qi = qi + err.b[i]
+            q.append(qi)
+        return p, q
+
+    def relax(x, v, p, q, lam):
+        return x + lam * (p - x), [vi + lam * (qi - vi) for vi, qi in zip(v, q)]
 
     def sq(dx, dv):
         s = float(np.dot(dx, dx))
@@ -520,14 +539,18 @@ def reference_run(spec, cfg, stop, errors=None):
             s += w * float(np.dot(d, d))
         return s
 
-    x = np.zeros(spec.layout.dim_primal)
-    v = [np.zeros(d) for d in spec.layout.dual_dims]
+    x = np.zeros(spec.layout.dim_primal) if x0 is None else np.array(x0, dtype=float)
+    v = ([np.zeros(d) for d in spec.layout.dual_dims] if v0 is None
+         else [np.array(vi, dtype=float) for vi in v0])
     steps, residuals = [], []
     for n in range(stop.max_iter):
         lam = cfg.lambda_at(n)
         err = errors.at(n) if errors is not None else None
-        x1, v1 = update(x, v, lam, err)
-        xe, ve = update(x, v, 1.0, None)
+        p, q = update(x, v, err)
+        x1, v1 = relax(x, v, p, q, lam)
+        if err is not None:
+            p, q = update(x, v, None)
+        xe, ve = relax(x, v, p, q, 1.0)
         dx = xe - x
         dv = [b - a for a, b in zip(v, ve)]
         quad = float(np.dot(dx, dx)) / tau
@@ -541,6 +564,28 @@ def reference_run(spec, cfg, stop, errors=None):
         if residuals[-1] <= stop.tol * (1.0 + state_norm):
             break
     return steps, residuals, x, v
+
+
+def recorded(spec):
+    """``spec`` with the resolvent of A and each dual resolvent keeping a
+    copy of every argument in one log, and the log.  The arguments carry
+    signed zeros that the state loses (v + (q - v) is never -0)."""
+    log = []
+
+    def keep(fn):
+        if fn is None:
+            return None
+
+        def wrapped(gamma, w):
+            log.append(np.array(w, dtype=float))
+            return fn(gamma, w)
+        return wrapped
+
+    def wrap(op):
+        return ss.ResolventOp(op.dim, keep(op.resolvent), keep(op.inverse_resolvent))
+
+    blocks = tuple(dataclasses.replace(blk, B=wrap(blk.B)) for blk in spec.blocks)
+    return dataclasses.replace(spec, A=wrap(spec.A), blocks=blocks), log
 
 
 def relaxed(spec, cfg, lam):
@@ -597,16 +642,95 @@ def custom_b_case():
     return dataclasses.replace(spec, blocks=(custom,)), cfg, None
 
 
+def negated_op(n):
+    """-Id as a custom operator; it maps +0 entries to -0."""
+    return ss.LinearOp(n, n, np.negative, np.negative, norm_hint=1.0)
+
+
+def offsets_case(offset=0.0, weights=(1.0,), Dinv=None, C=None, lam=1.0):
+    """Denoising on R^12 that meets every term the kernel may skip.
+
+    A is the prox of (1/2)||x - b||^2 and b vanishes on every third
+    entry; C is x - b and each D_i^{-1} the zero map unless given.  z and
+    every r_i are filled with ``offset``.  The first block couples
+    through -Id, the others through Id.  From the
+    :func:`signed_zero_start`, signed zeros reach the resolvent
+    arguments in two places:
+
+    * where b = 0, y = 2p - x is +0, so L_1 y = -0; subtracting a -0 r_1
+      gives +0, which shows in the dual argument v + sigma (.) where
+      v = -0 (-0 + +0 = +0, against -0 + -0 = -0);
+    * L_1^T v is -0 where v = +0; the weighted sum's start maps it to
+      +0, which with a zero C shows in the primal argument x - tau t at
+      x = -0.
+    """
+    n = 12
+    b = np.linspace(-1.5, 1.5, n)
+    b[::3] = 0.0
+    layout = ss.SpaceLayout(n, (n,) * len(weights), weights)
+    blocks = tuple(
+        ss.Block(B=ss.resolvent_from_prox(ss.catalog_prox("l1", n, weight=0.3)),
+                 Dinv=Dinv or ss.CocoerciveOp.zero(n),
+                 L=negated_op(n) if i == 0 else ss.identity_op(n),
+                 r=np.full(n, offset))
+        for i in range(len(weights))
+    )
+    spec = ss.ProblemSpec(
+        layout=layout,
+        A=ss.resolvent_from_prox(ss.catalog_prox("sq_l2", n, weight=1.0, center=b)),
+        C=C or ss.CocoerciveOp(n, lambda x: x - b, 1.0),
+        z=np.full(n, offset),
+        blocks=blocks,
+    )
+    cfg = ss.suggest_steps(spec, lambda_schedule=lambda k: lam)
+    return spec, cfg, None
+
+
+#: (case, id, skipped): ``skipped`` names the kernel passes the case
+#: skips, so each skip is met where it applies and where it must not; the
+#: weighted sum's zero fill is folded into its first add on every case
+CASES = [
+    (fb_case, "fb-0.9", "z r Dinv omega"),
+    (condat_case, "condat-0.85", "z r Dinv"),
+    (errors_case, "geometric-errors", "z r Dinv omega"),
+    (tv2d_case, "tv2d-16x16", "z r Dinv omega lambda"),
+    (custom_b_case, "tv2d-custom-B", "z r Dinv omega lambda"),
+    (offsets_case, "offsets-+0", "z r Dinv omega lambda"),
+    (lambda: offsets_case(offset=-0.0), "offsets--0", "Dinv omega lambda"),
+    (lambda: offsets_case(offset=0.25), "offsets-0.25", "Dinv omega lambda"),
+    (lambda: offsets_case(weights=(0.7, 0.3)), "omega-0.7-0.3", "z r Dinv lambda"),
+    (lambda: offsets_case(lam=0.8), "lambda-0.8", "z r Dinv omega"),
+    (lambda: offsets_case(Dinv=ss.CocoerciveOp(12, lambda v: 0.5 * v, 2.0)),
+     "custom-Dinv", "z r omega lambda"),
+    (lambda: offsets_case(C=ss.CocoerciveOp.zero(12)), "zero-C", "C z r Dinv omega lambda"),
+]
+
+
+def signed_zero_start(layout):
+    """x = -0, and each v_i -0 on odd entries and +0 on even ones."""
+    v0 = []
+    for d in layout.dual_dims:
+        vi = np.zeros(d)
+        vi[1::2] = -0.0
+        v0.append(vi)
+    return np.full(layout.dim_primal, -0.0), v0
+
+
 class TestBitwiseAgainstPlainLoop:
-    @pytest.mark.parametrize("case", [fb_case, condat_case, errors_case, tv2d_case,
-                                      custom_b_case],
-                             ids=["fb-0.9", "condat-0.85", "geometric-errors", "tv2d-16x16",
-                                  "tv2d-custom-B"])
-    def test_history_and_final_state(self, case):
+    """The workspace kernel against the plain loop, bit for bit: every
+    step norm, residual, final iterate and resolvent argument, from a
+    start of signed zeros (see :func:`offsets_case`)."""
+
+    @pytest.mark.parametrize("case, skipped", [(c, k) for c, _, k in CASES],
+                             ids=[i for _, i, _ in CASES])
+    def test_history_and_final_state(self, case, skipped):
         spec, cfg, errors = case()
+        x0, v0 = signed_zero_start(spec.layout)
         stop = ss.StoppingRule(tol=1e-9, max_iter=3000)
-        steps, residuals, x, v = reference_run(spec, cfg, stop, errors)
-        report = ss.run(spec, cfg, stop=stop, errors=errors)
+        spec_ref, log_ref = recorded(spec)
+        steps, residuals, x, v = reference_run(spec_ref, cfg, stop, errors, x0, v0)
+        spec_run, log_run = recorded(spec)
+        report = ss.run(spec_run, cfg, x0=x0, v0=v0, stop=stop, errors=errors)
         assert report.termination == "converged"
         assert report.iterations == len(steps)
         assert_same_bits([rec.step_norm for rec in report.history], steps)
@@ -614,6 +738,22 @@ class TestBitwiseAgainstPlainLoop:
         assert_same_bits(report.final_state.x, x)
         for got, want in zip(report.final_state.v, v):
             assert_same_bits(got, want)
+        assert len(log_run) == len(log_ref)
+        for got, want in zip(log_run, log_ref):
+            assert_same_bits(got, want)
+        assert skip_flags(spec, cfg) == set(skipped.split())
+
+
+def skip_flags(spec, cfg):
+    """The skips the kernel takes on ``spec`` at every iteration."""
+    ws = ss.solver._Workspace(spec)
+    flags = {name for name, keep in (("C", ws.keep_C), ("z", ws.keep_z)) if not keep}
+    flags |= {"r" for keep in ws.keep_r if not keep} | {"Dinv" for keep in ws.keep_Dinv if not keep}
+    if all(w == 1.0 for w in spec.layout.weights):
+        flags.add("omega")
+    if cfg.lambda_at(0) == 1.0:
+        flags.add("lambda")
+    return flags
 
 
 # ---------------------------------------------------------------------------
