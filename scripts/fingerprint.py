@@ -25,8 +25,10 @@ out: a nonzero ``z``, an ``r`` with -0.0 entries, two blocks weighted
 relaxation 0.8.  Only ``cli.main``, ``final_state.x``/``.v`` and the
 run histories are read, no operator is built with a ``kind`` tag, and
 CSV columns are found by header name, so the script runs unchanged on
-any checkout that has them.  Temporary directory names are replaced by
-``<tmp>`` before hashing.
+any checkout that has them.  Every run CSV is hashed a second time with
+its ``residual`` column dropped, so a change that moves only residuals
+shows apart from a change of iterates.  Temporary directory names are
+replaced by ``<tmp>`` before hashing.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def bench_suites(tmp: Path) -> None:
         _, stdout = run_cli(["bench", suite, "-o", str(out_dir)], tmp)
         emit(f"bench {suite} stdout", stdout)
         for csv in sorted(out_dir.glob("*.csv")):
-            emit(f"bench {suite} {csv.name}", csv.read_bytes())
+            emit_csv(f"bench {suite} {csv.name}", csv.read_bytes())
 
 
 def csv_columns(text: str, names) -> bytes:
@@ -88,12 +90,34 @@ def csv_columns(text: str, names) -> bytes:
     return "".join(",".join(row[j] for j in picks) + "\n" for row in rows).encode()
 
 
+def csv_without(text: str, name: str) -> bytes:
+    """A run CSV with the named column dropped from every row; the ``#``
+    footer is kept."""
+    lines = text.splitlines()
+    if not lines:
+        return b""
+    drop = lines[0].split(",").index(name)
+    out = []
+    for line in lines:
+        if not line.startswith("#"):
+            cells = line.split(",")
+            line = ",".join(cells[:drop] + cells[drop + 1:])
+        out.append(line + "\n")
+    return "".join(out).encode()
+
+
+def emit_csv(label: str, data: bytes) -> None:
+    """The CSV, and the CSV without its ``residual`` column."""
+    emit(f"{label}", data)
+    emit(f"{label} without residual", csv_without(data.decode(), "residual"))
+
+
 def solve_config(label: str, cfg: Path, tmp: Path) -> None:
     csv = tmp / f"{cfg.stem}.csv"
     _, stdout = run_cli(["solve", str(cfg), "-o", str(csv)], tmp)
     emit(f"solve {label} stdout", stdout)
     data = csv.read_bytes() if csv.exists() else b""
-    emit(f"solve {label} csv", data)
+    emit_csv(f"solve {label} csv", data)
     emit(f"solve {label} csv iter,step_norm",
          csv_columns(data.decode(), ("iter", "step_norm")))
 

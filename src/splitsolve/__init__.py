@@ -34,6 +34,7 @@ from .solver import (
     ProblemSpec,
     RunReport,
     StepConfig,
+    StopReason,
     StoppingRule,
     certified_norms,
     geometric_errors,

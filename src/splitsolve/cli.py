@@ -113,6 +113,7 @@ def cmd_solve(args) -> int:
 
     print(f"termination = {report.termination}")
     print(f"iterations = {report.iterations}")
+    print(f"stop = {report.stop.line()}")
     for line in _admissibility_lines(cfg):
         print(line)
     print(f"tau = {cfg.tau:.17g}")

@@ -39,6 +39,7 @@ from .solver import (
     ProblemSpec,
     RunReport,
     StepConfig,
+    StopReason,
     StoppingRule,
     _weighted_adjoint_sum,
     initial_state,
@@ -443,11 +444,12 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
 
     With ``cfg=None`` the step sizes are picked automatically.  When
     ``stop.kkt_tol`` is set the run also stops once the optimality
-    residual falls below it.  ``record_objective=True`` attaches
-    objective, gap, and KKT values to every ``OBJECTIVE_STRIDE``-th
-    history row and to the last row, which describes ``final_state``
-    and carries the values of the returned :class:`GapReport`; the
-    other rows leave them ``None``.
+    residual falls below it, and ``report.stop`` then names the rule
+    ``"kkt_tol"`` with that residual and the tolerance.
+    ``record_objective=True`` attaches objective, gap, and KKT values
+    to every ``OBJECTIVE_STRIDE``-th history row and to the last row,
+    which describes ``final_state`` and carries the values of the
+    returned :class:`GapReport`; the other rows leave them ``None``.
     """
     spec = lower_to_inclusion(cp)
     if cfg is None:
@@ -468,17 +470,20 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
             }
 
     extra_stop = None
+    last_kkt = None
     if stop.kkt_tol is not None:
-        kkt_tol = stop.kkt_tol
-
         def extra_stop(st):
-            return kkt_residual(cp, st.x, st.v, tau=cfg.tau, sigmas=cfg.sigmas) <= kkt_tol
+            nonlocal last_kkt
+            last_kkt = kkt_residual(cp, st.x, st.v, tau=cfg.tau, sigmas=cfg.sigmas)
+            return last_kkt <= stop.kkt_tol
 
     report = run(
         spec, cfg, x0=x0, v0=v0, errors=errors, stop=stop,
         allow_inadmissible=allow_inadmissible, record_states=record_states,
         iter_metrics=iter_metrics, extra_stop=extra_stop,
     )
+    if report.stop.rule == "extra_stop":
+        report.stop = StopReason("kkt_tol", last_kkt, stop.kkt_tol)
     final = report.final_state
     gap = evaluate_gap(cp, final.x, final.v, tau=cfg.tau, sigmas=cfg.sigmas)
     if record_objective and report.history:
@@ -494,23 +499,22 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
 
 
 def _ri_anchor(dom: Domain) -> np.ndarray:
-    """A finite point in the relative interior of a box/singleton/full domain."""
+    """A finite point in the relative interior of a box/singleton/full
+    domain: a bounded side's midpoint, one unit inside a half-bounded
+    side's finite end, and 0 on a free side."""
     if dom.kind == "full":
         return None
     if dom.kind == "singleton":
         return dom.point.copy()
     lo, hi = dom.lo, dom.hi
+    lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
     out = np.zeros(lo.shape)
-    for j in range(lo.size):
-        a, b = lo[j], hi[j]
-        if math.isfinite(a) and math.isfinite(b):
-            out[j] = 0.5 * (a + b)
-        elif math.isfinite(a):
-            out[j] = a + 1.0
-        elif math.isfinite(b):
-            out[j] = b - 1.0
-        else:
-            out[j] = 0.0
+    both = lo_fin & hi_fin
+    out[both] = 0.5 * (lo[both] + hi[both])
+    only_lo = lo_fin & ~hi_fin
+    out[only_lo] = lo[only_lo] + 1.0
+    only_hi = hi_fin & ~lo_fin
+    out[only_hi] = hi[only_hi] - 1.0
     return out
 
 
@@ -537,16 +541,12 @@ def _ri_contains(dom: Domain, w: np.ndarray) -> bool:
     if dom.kind == "singleton":
         return False
     lo, hi = dom.lo, dom.hi
-    for j in range(lo.size):
-        a, b = lo[j], hi[j]
-        if b - a <= 0.0:
-            return False
-        margin = 1e-9 * (1.0 + abs(a) + abs(b)) if math.isfinite(a) and math.isfinite(b) else 1e-9
-        if math.isfinite(a) and not w[j] > a + margin:
-            return False
-        if math.isfinite(b) and not w[j] < b - margin:
-            return False
-    return True
+    if np.any(hi - lo <= 0.0):
+        return False
+    lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
+    margin = np.where(lo_fin & hi_fin, 1e-9 * (1.0 + np.abs(lo) + np.abs(hi)), 1e-9)
+    inside = (~lo_fin | (w > lo + margin)) & (~hi_fin | (w < hi - margin))
+    return bool(inside.all())
 
 
 def _pull_into_f_domain(x: np.ndarray, dom: Optional[Domain]) -> Optional[np.ndarray]:

@@ -51,6 +51,7 @@ __all__ = [
     "ErrorSchedule",
     "IterState",
     "IterationRecord",
+    "StopReason",
     "RunReport",
     "InadmissibleStepsError",
     "certified_norms",
@@ -225,8 +226,8 @@ def geometric_errors(layout: SpaceLayout, amplitude: float, decay: float,
     Summable by construction for ``decay in ]0, 1[``.  Amplitude 0 is
     the exact schedule of :func:`zero_errors`.
     """
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+    if not (math.isfinite(amplitude) and amplitude >= 0):
+        raise ValueError(f"amplitude must be finite and non-negative, got {amplitude!r}")
     if not 0.0 < decay < 1.0:
         raise ValueError("decay must lie in ]0, 1[")
     if amplitude == 0.0:
@@ -276,8 +277,8 @@ class IterationRecord:
 
     ``step_norm`` is the weighted norm of the update just taken and
     ``residual`` the fixed-point residual of the state the update
-    started from.  Objective fields are filled only when a metrics hook
-    supplies them.
+    started from (see :func:`run` for how each is formed).  Objective
+    fields are filled only when a metrics hook supplies them.
     """
 
     iter: int
@@ -290,17 +291,48 @@ class IterationRecord:
     kkt: Optional[float] = None
 
 
+@dataclass(frozen=True)
+class StopReason:
+    """The rule that ended a run, the value it compared and its threshold.
+
+    ``rule`` is ``"residual"`` (``value`` the residual, ``threshold``
+    ``tol * (1 + ||state||)``), ``"max_iter"`` (the iterations taken
+    against ``max_iter``), ``"diverged"`` (no value: the run's
+    ``failure`` names the block), ``"extra_stop"`` (the caller's
+    predicate, whose value :func:`run` does not see) or a name the
+    caller gives its own rule, such as ``"kkt_tol"`` in
+    :func:`splitsolve.convex.solve_convex`.
+    """
+
+    rule: str
+    value: Optional[float] = None
+    threshold: Optional[float] = None
+
+    def line(self) -> str:
+        """``rule`` with its value and threshold, 17 significant digits."""
+        if self.value is None:
+            return self.rule
+        return f"{self.rule} (value {self.value:.17g}, threshold {self.threshold:.17g})"
+
+
 @dataclass
 class RunReport:
-    """Outcome of :func:`run`."""
+    """Outcome of :func:`run`; ``stop`` says which rule ended it."""
 
     iterations: int
-    termination: str  # "converged" | "max_iter" | "diverged"
     history: list[IterationRecord]
     final_state: IterState
+    stop: StopReason
     states: Optional[list[IterState]] = None
     used_errors: bool = False
     failure: Optional[str] = None
+
+    @property
+    def termination(self) -> str:
+        """``"max_iter"``, ``"diverged"``, or ``"converged"`` for any
+        other rule."""
+        rule = self.stop.rule
+        return rule if rule in ("max_iter", "diverged") else "converged"
 
 
 def initial_state(layout: SpaceLayout, x0=None, v0=None) -> IterState:
@@ -486,13 +518,18 @@ class _Workspace:
     """Scratch arrays of the kernel and of the residual arithmetic, and
     the kernel operations that are exact no-ops for the whole run.
 
-    ``y``, ``arg`` (the argument handed to the resolvent of A, and p
-    itself when an ``a2`` error is added) and the per-block ``dual_arg``
-    (the argument handed to the dual resolvent, and q itself when a
-    ``b`` error is added) never leave an update.  ``d`` receives the
-    unrelaxed displacement (p - x, q - v) of the last update and ``s``
-    the displacement of the step taken, both flat over the product
-    space with per-block views ``dx``/``dv`` and ``sx``/``sv``.
+    ``wsum`` and ``wsum_next`` hold the weighted sums
+    sum_i w_i L_i^T v_i of the current and the next state; :func:`run`
+    swaps them after each iteration.  ``tmp`` holds one weighted term of
+    such a sum and, once the sum is formed, the difference of the two.
+    ``y``, ``arg`` (the coupling term t, then the argument handed to the
+    resolvent of A, and p itself when an ``a2`` error is added) and the
+    per-block ``dual_arg`` (the argument handed to the dual resolvent,
+    and q itself when a ``b`` error is added) never leave an update.
+    ``d`` receives the unrelaxed displacement (p - x, q - v) of the last
+    update and ``s`` the displacement of the step taken, both flat over
+    the product space with per-block views ``dx``/``dv`` and
+    ``sx``/``sv``.
 
     ``keep_C``, ``keep_z``, ``keep_Dinv[i]`` and ``keep_r[i]`` say
     whether adding C x, subtracting z, subtracting D_i^{-1} v_i and
@@ -501,14 +538,15 @@ class _Workspace:
     z and r_i when :func:`_vanishes` holds.
     """
 
-    __slots__ = ("wsum", "tmp", "arg", "y", "finite_x", "dual_arg", "finite_v",
-                 "d", "dx", "dv", "s", "sx", "sv",
+    __slots__ = ("wsum", "wsum_next", "tmp", "arg", "y", "finite_x", "dual_arg",
+                 "finite_v", "d", "dx", "dv", "s", "sx", "sv",
                  "keep_C", "keep_z", "keep_Dinv", "keep_r")
 
     def __init__(self, spec: ProblemSpec):
         layout = spec.layout
         n, dims = layout.dim_primal, layout.dual_dims
-        self.wsum, self.tmp, self.arg, self.y = (np.empty(n) for _ in range(4))
+        self.wsum, self.wsum_next, self.tmp, self.arg, self.y = (
+            np.empty(n) for _ in range(5))
         self.dual_arg = tuple(np.empty(d) for d in dims)
         self.finite_x = np.empty(n, dtype=bool)
         self.finite_v = tuple(np.empty(d, dtype=bool) for d in dims)
@@ -522,29 +560,30 @@ class _Workspace:
         self.keep_r = tuple(not _vanishes(blk.r) for blk in spec.blocks)
 
 
-def _kernel(spec, tau, sigmas, lam, st, err, ws, out):
-    """One update from the state ``st`` into the state ``out``.
+def _kernel(spec, tau, sigmas, lam, st, wsum, err, ws, out):
+    """One update from the state ``st`` into the state ``out``, given
+    ``wsum`` = :func:`_weighted_adjoint_sum` of ``st.v``.
 
     The unrelaxed displacement always lands in ``ws.d``; with
     ``out=None`` the relaxed update is not formed.  Every array
-    operation writes into ``ws`` or ``out``, never into ``st`` or an
-    array an operator returned; an operator's result is consumed before
-    the buffer it was handed is written again.  The operations and their
-    order are those of the plain formulas in the module docstring, less
-    the passes that are exact IEEE identities (each is named where it is
-    skipped), so results are bitwise those of the formulas; the
-    dual-block reduction runs in ascending block order.
+    operation writes into ``ws`` or ``out``, never into ``st``,
+    ``wsum`` or an array an operator returned; an operator's result is
+    consumed before the buffer it was handed is written again.  The
+    operations and their order are those of the plain formulas in the
+    module docstring, less the passes that are exact IEEE identities
+    (each is named where it is skipped), so results are bitwise those of
+    the formulas; the dual-block reduction runs in ascending block order.
     """
     x, v = st.x, st.v
-    t = _weighted_adjoint_sum(spec.blocks, spec.layout.weights, v, ws.wsum, ws.tmp)
+    t = wsum
     if ws.keep_C:
         # else C x is +0, and t + (+0) = t since t never holds -0
-        np.add(t, spec.C.apply(x), out=t)
+        t = np.add(t, spec.C.apply(x), out=ws.arg)
     if err is not None and err.a1 is not None:
-        np.add(t, err.a1, out=t)
+        t = np.add(t, err.a1, out=ws.arg)
     if ws.keep_z:
         # else t - (+0) = t
-        np.subtract(t, spec.z, out=t)
+        t = np.subtract(t, spec.z, out=ws.arg)
     p = spec.A.resolvent(tau, np.subtract(x, np.multiply(t, tau, out=ws.arg), out=ws.arg))
     if err is not None and err.a2 is not None:
         p = np.add(p, err.a2, out=ws.arg)
@@ -594,23 +633,32 @@ def _weighted_sq(weights, xx, vv):
     return s
 
 
-def _v_quadform(spec, tau, sigmas, dx, dv, xx, vv):
+def _v_quadform(spec, tau, sigmas, dx, dv, xx, vv, dwsum=None):
     """Quadratic form of the renormed metric at displacement (dx, dv),
-    given the squared norms ``xx``, ``vv`` of its blocks."""
+    given the squared norms ``xx``, ``vv`` of its blocks.
+
+    The cross term sum_i w_i <L_i dx, dv_i> is formed block by block,
+    or, when ``dwsum`` = sum_i w_i L_i^T dv_i is given, as
+    ``<dx, dwsum>`` after the diagonal terms, with no L_i apply."""
     weights = spec.layout.weights
     s = xx / tau
     for i, blk in enumerate(spec.blocks):
         s += weights[i] / sigmas[i] * vv[i]
-        s -= 2.0 * weights[i] * float(np.dot(blk.L.apply(dx), dv[i]))
+        if dwsum is None:
+            s -= 2.0 * weights[i] * float(np.dot(blk.L.apply(dx), dv[i]))
+    if dwsum is not None:
+        s -= 2.0 * float(np.dot(dx, dwsum))
     return s
 
 
-def _residual_norm(spec, cfg, dx, dv, sq):
+def _residual_norm(spec, cfg, dx, dv, sq, dwsum=None):
     # the renormed metric is positive definite only for admissible steps;
     # fall back to the plain weighted norm under an override
-    if cfg.admissible:
-        return math.sqrt(max(_v_quadform(spec, cfg.tau, cfg.sigmas, dx, dv, *sq), 0.0))
-    return math.sqrt(_weighted_sq(spec.layout.weights, *sq))
+    if not cfg.admissible:
+        return math.sqrt(_weighted_sq(spec.layout.weights, *sq))
+    quad = _v_quadform(spec, cfg.tau, cfg.sigmas, dx, dv, *sq, dwsum)
+    # an overflowed cross term must not read as a zero residual
+    return math.sqrt(max(quad, 0.0)) if math.isfinite(quad) else abs(quad)
 
 
 def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
@@ -625,9 +673,24 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     Convergence is declared when the fixed-point residual (displacement
     of one exact relaxation-1 update, in the renormed metric) of the
     current state drops below ``stop.tol * (1 + ||state||)``, or when
-    ``extra_stop`` returns True for the new state.  ``iter_metrics`` may
-    attach objective values to each history row.  With
-    ``record_states=True`` the report keeps every iterate (index 0
+    ``extra_stop`` returns True for the new state; ``report.stop``
+    records which rule ended the run (see :class:`StopReason`).
+    ``iter_metrics`` may attach objective values to each history row.
+
+    The renormed metric's cross term is sum_i w_i <L_i dx, dv_i>.  The
+    weighted sum W_n = sum_i w_i L_i^T v_{i,n} that the update needs is
+    formed once per iteration, at the end of the previous one, and
+    carried.  At relaxation 1 without injected errors the step taken is
+    the displacement (dx, dv) = (p - x, q - v) of the update, which
+    serves as the step and as the residual's displacement, and the
+    cross term is <dx, W_{n+1} - W_n>: no L_i is applied and no state
+    difference formed for the stop test.  Otherwise the step is
+    x_{n+1} - x_n (and so on), the residual's displacement is
+    (x + (p - x)) - x (and so on) and the cross term is formed block by
+    block.  Both forms are equal in exact arithmetic; they round
+    differently, most where the residual is small against the state.
+
+    With ``record_states=True`` the report keeps every iterate (index 0
     included) for post-hoc monitoring; with
     ``stop=StoppingRule(tol=0.0, max_iter=k)`` it takes exactly ``k``
     steps unless one lands on an exact fixed point.
@@ -639,7 +702,9 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     is given.  It never writes into ``x0``/``v0`` or into an array an
     operator returned, and a state handed out (to ``iter_metrics``,
     ``extra_stop``, the recorded states or ``final_state``) is never
-    overwritten later.  Operators may return their input array but must
+    overwritten later; ``iter_metrics`` and ``extra_stop`` must not
+    write into it either, since the next weighted sum has been formed
+    from it by then.  Operators may return their input array but must
     not keep it: the solver reuses the arrays it passes them.  The
     built-in zero maps (``CocoerciveOp.zero``, ``zero_smooth``,
     ``dirac_term``, the inverse resolvent of ``ResolventOp.zero`` and
@@ -674,13 +739,15 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     tau, sigmas = cfg.tau, cfg.sigmas
 
     ws = _Workspace(spec)
+    wsum, wsum_next = ws.wsum, ws.wsum_next
+    _weighted_adjoint_sum(spec.blocks, weights, st.v, wsum, ws.tmp)
     # a state that leaves the loop keeps its array, so each update then
     # writes into a fresh one; otherwise two arrays alternate
     escapes = record_states or iter_metrics is not None or extra_stop is not None
     pair = None if escapes else [_state(0, np.empty(layout.size), layout) for _ in range(2)]
     history: list[IterationRecord] = []
     states: Optional[list[IterState]] = [st] if record_states else None
-    termination = "max_iter"
+    reason = StopReason("max_iter", float(stop.max_iter), float(stop.max_iter))
     failure = None
 
     for n in range(stop.max_iter):
@@ -693,9 +760,9 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             nxt = IterState(n + 1, buf.u, buf.x, buf.v)
         t0 = time.perf_counter()
         try:
-            _kernel(spec, tau, sigmas, lam, st, err_n, ws, nxt)
+            _kernel(spec, tau, sigmas, lam, st, wsum, err_n, ws, nxt)
         except _DivergenceError as exc:
-            termination = "diverged"
+            reason = StopReason("diverged")
             failure = f"non-finite value in {exc.block} at iteration {n}"
             break
 
@@ -703,20 +770,25 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             e is None for e in (err_n.a1, err_n.a2, *err_n.b, *err_n.c))
         if not exact:
             # the residual measures the error-free update from the same state
-            _kernel(spec, tau, sigmas, 1.0, st, None, ws, None)
-        np.subtract(nxt.u, st.u, out=ws.s)
-        step_sq = _sq_norms(ws.sx, ws.sv)
+            _kernel(spec, tau, sigmas, 1.0, st, wsum, None, ws, None)
+        # the next iteration's weighted sum, the same bits as forming it there
+        _weighted_adjoint_sum(spec.blocks, weights, nxt.v, wsum_next, ws.tmp)
         if exact and lam == 1.0:
-            # the step taken is the relaxation-1 step: share its dots
-            dx, dv, res_sq = ws.sx, ws.sv, step_sq
+            # the step taken is the relaxation-1 displacement d, and
+            # v_{n+1} - v_n = dv gives sum_i w_i L_i^T dv_i = W_{n+1} - W_n
+            dwsum = np.subtract(wsum_next, wsum, out=ws.tmp) if cfg.admissible else None
+            step_sq = res_sq = _sq_norms(ws.dx, ws.dv)
         else:
+            np.subtract(nxt.u, st.u, out=ws.s)
+            step_sq = _sq_norms(ws.sx, ws.sv)
             # the relaxation-1 displacement (x + (p - x)) - x
             np.subtract(np.add(st.u, ws.d, out=ws.d), st.u, out=ws.d)
-            dx, dv = ws.dx, ws.dv
-            res_sq = _sq_norms(dx, dv)
-        residual = _residual_norm(spec, cfg, dx, dv, res_sq)
+            dwsum = None
+            res_sq = _sq_norms(ws.dx, ws.dv)
+        residual = _residual_norm(spec, cfg, ws.dx, ws.dv, res_sq, dwsum)
         step_norm = math.sqrt(_weighted_sq(weights, *step_sq))
         state_norm = math.sqrt(_weighted_sq(weights, *_sq_norms(st.x, st.v)))
+        wsum, wsum_next = wsum_next, wsum
         wall_ms = (time.perf_counter() - t0) * 1000.0
 
         extras = iter_metrics(nxt) if iter_metrics is not None else {}
@@ -730,19 +802,20 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
 
         # norms can overflow to inf while the state is still finite; a
         # non-finite residual must never satisfy the convergence test
+        threshold = stop.tol * (1.0 + state_norm)
         if (math.isfinite(residual) and math.isfinite(state_norm)
-                and residual <= stop.tol * (1.0 + state_norm)):
-            termination = "converged"
+                and residual <= threshold):
+            reason = StopReason("residual", residual, threshold)
             break
         if extra_stop is not None and extra_stop(st):
-            termination = "converged"
+            reason = StopReason("extra_stop")
             break
 
     return RunReport(
         iterations=len(history),
-        termination=termination,
         history=history,
         final_state=st,
+        stop=reason,
         states=states,
         used_errors=not errors.is_zero,
         failure=failure,

@@ -146,6 +146,7 @@ class TestSolve:
         captured = capsys.readouterr()
         assert code == 3
         assert "failure" in captured.err
+        assert extract(captured.out, "stop") == "diverged"
 
     @pytest.mark.parametrize("stop, message", [
         ("tol = nan", "tol must be finite and non-negative, got nan"),
@@ -174,6 +175,42 @@ class TestSolve:
         assert code == 1
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("amplitude", ["nan", "inf"])
+    def test_non_finite_error_amplitude_refused(self, tmp_path, capsys, amplitude):
+        cfg = tmp_path / "noisy.cfg"
+        cfg.write_text(Path(LASSO).read_text()
+                       + f"\n[errors]\nkind = geometric\namplitude = {amplitude}\ndecay = 0.9\n")
+        code = main(["solve", str(cfg), "-o", str(tmp_path / "r.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"amplitude must be finite and non-negative, got {amplitude}\n"
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_stop_line_names_the_residual_rule(self, tmp_path, capsys):
+        assert main(["solve", LASSO, "-o", str(tmp_path / "r.csv")]) == 0
+        stop = extract(capsys.readouterr().out, "stop")
+        rule, rest = stop.split(" ", 1)
+        assert rule == "residual"
+        value, threshold = (float(part.split()[1]) for part in rest.strip("()").split(","))
+        assert 0.0 <= value <= threshold
+        # the residual compared is the last row's, as written
+        rows = [row for row in (tmp_path / "r.csv").read_text().splitlines()
+                if not row.startswith("#")]
+        assert rows[-1].split(",")[2] == f"{value:.17g}"
+
+    @pytest.mark.parametrize("stop, line", [
+        ("tol = 0\nkkt_tol = 1e-6", "kkt_tol"),
+        ("tol = 1e-12\nmax_iter = 3", "max_iter (value 3, threshold 3)"),
+    ], ids=["kkt_tol", "max_iter"])
+    def test_stop_line_names_other_rules(self, tmp_path, capsys, stop, line):
+        cfg = tmp_path / "stop.cfg"
+        cfg.write_text(Path(LASSO).read_text().replace("tol = 1e-12\nmax_iter = 20000", stop))
+        main(["solve", str(cfg), "-o", str(tmp_path / "r.csv")])
+        printed = extract(capsys.readouterr().out, "stop")
+        assert printed.startswith(line)
+        if line == "kkt_tol":
+            assert printed.endswith(", threshold 9.9999999999999995e-07)")
 
     def test_missing_file(self, capsys):
         assert main(["solve", "no-such-file.cfg"]) == 1

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splitsolve as ss
 import splitsolve.convex
@@ -170,6 +172,17 @@ class TestSolveConvex:
             cp, stop=ss.StoppingRule(tol=0.0, max_iter=100000, kkt_tol=1e-6))
         assert report.termination == "converged"
         assert gap.kkt_residual <= 1e-6
+        # the rule is named with the residual it compared; the final state
+        # is the one it judged, so its KKT residual is that value
+        assert report.stop.rule == "kkt_tol"
+        assert report.stop.threshold == 1e-6
+        assert report.stop.value == gap.kkt_residual
+
+    def test_residual_rule_named_when_it_fires_first(self):
+        report, _ = ss.solve_convex(
+            lasso_1d(), stop=ss.StoppingRule(tol=1e-6, max_iter=100000, kkt_tol=1e-300))
+        assert report.stop.rule == "residual"
+        assert report.stop.value == report.history[-1].residual
 
 
 class TestEvaluateGap:
@@ -367,6 +380,88 @@ class TestQualification:
         rep = ss.check_qualification(cp)
         # witnesses must come from dom f = [2, 3], which misses (0, 1)
         assert rep.verdict == "not-verified"
+
+
+def ri_anchor_loop(dom):
+    """``convex._ri_anchor`` as a per-coordinate loop."""
+    lo, hi = dom.lo, dom.hi
+    out = np.zeros(lo.shape)
+    for j in range(lo.size):
+        a, b = lo[j], hi[j]
+        if math.isfinite(a) and math.isfinite(b):
+            out[j] = 0.5 * (a + b)
+        elif math.isfinite(a):
+            out[j] = a + 1.0
+        elif math.isfinite(b):
+            out[j] = b - 1.0
+    return out
+
+
+def ri_contains_loop(dom, w):
+    """``convex._ri_contains`` on a box as a per-coordinate loop."""
+    lo, hi = dom.lo, dom.hi
+    for j in range(lo.size):
+        a, b = lo[j], hi[j]
+        if b - a <= 0.0:
+            return False
+        margin = 1e-9 * (1.0 + abs(a) + abs(b)) if math.isfinite(a) and math.isfinite(b) else 1e-9
+        if math.isfinite(a) and not w[j] > a + margin:
+            return False
+        if math.isfinite(b) and not w[j] < b - margin:
+            return False
+    return True
+
+
+_SIDE = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def box_and_points(draw):
+    """A box whose sides are ordinary, zero-width, half- or unbounded,
+    and points near it: its anchor, nudges of the anchor that land on
+    or just inside and outside the margins, and random values."""
+    n = draw(st.integers(1, 6))
+    lo, hi = np.empty(n), np.empty(n)
+    for j in range(n):
+        kind = draw(st.sampled_from(["ordinary", "zero-width", "lower", "upper", "free"]))
+        a = draw(_SIDE)
+        b = a + draw(st.floats(1e-6, 1e6)) if kind == "ordinary" else a
+        lo[j] = -math.inf if kind in ("upper", "free") else a
+        hi[j] = math.inf if kind in ("lower", "free") else b
+    dom = ss.operators.Domain.box(lo, hi)
+    anchor = ri_anchor_loop(dom)
+    points = [anchor]
+    for _ in range(3):
+        w = anchor.copy()
+        j = draw(st.integers(0, n - 1))
+        w[j] = draw(st.sampled_from([lo[j], hi[j], np.nextafter(lo[j], math.inf),
+                                     np.nextafter(hi[j], -math.inf)]))
+        points.append(w)
+    points.append(np.array(draw(st.lists(_SIDE, min_size=n, max_size=n))))
+    return dom, points
+
+
+class TestRelativeInterior:
+    """The vectorized ``_ri_anchor``/``_ri_contains`` against their loops."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(box_and_points())
+    def test_same_anchor_and_verdicts_as_loops(self, case):
+        dom, points = case
+        assert_same_bits(splitsolve.convex._ri_anchor(dom), ri_anchor_loop(dom))
+        for w in points:
+            assert splitsolve.convex._ri_contains(dom, w) == ri_contains_loop(dom, w)
+
+    def test_cases_reach_each_verdict(self):
+        lo, hi = np.array([0.0, -math.inf, 2.0]), np.array([1.0, 5.0, math.inf])
+        dom = ss.operators.Domain.box(lo, hi)
+        anchor = splitsolve.convex._ri_anchor(dom)
+        assert_same_bits(anchor, [0.5, 4.0, 3.0])
+        assert splitsolve.convex._ri_contains(dom, anchor)
+        assert not splitsolve.convex._ri_contains(dom, np.array([0.5, 5.0, 3.0]))
+        assert not splitsolve.convex._ri_contains(dom, np.array([0.5, 4.0, np.nan]))
+        flat = ss.operators.Domain.box(np.zeros(2), np.array([1.0, 0.0]))
+        assert not splitsolve.convex._ri_contains(flat, np.array([0.5, 0.0]))
 
 
 class TestKktResidual:

@@ -356,6 +356,8 @@ class TestRun:
                         stop=ss.StoppingRule(tol=0.0, max_iter=7))
         assert report.termination == "max_iter"
         assert report.iterations == 7
+        assert report.stop == ss.StopReason("max_iter", 7.0, 7.0)
+        assert report.stop.line() == "max_iter (value 7, threshold 7)"
 
     def test_divergence_detection_names_block(self):
         layout = ss.SpaceLayout(2, (2,), (1.0,))
@@ -370,6 +372,31 @@ class TestRun:
         report = ss.run(bad, cfg, x0=np.ones(2), stop=ss.StoppingRule(max_iter=10))
         assert report.termination == "diverged"
         assert report.failure == "non-finite value in primal update p at iteration 0"
+        assert report.stop == ss.StopReason("diverged")
+        assert report.stop.line() == "diverged"
+
+    def test_residual_rule_reports_value_and_threshold(self, rng):
+        spec = shrinkage_spec(n=3)
+        cfg = ss.suggest_steps(spec)
+        stop = ss.StoppingRule(tol=1e-9, max_iter=300)
+        report = ss.run(spec, cfg, x0=rng.standard_normal(3), stop=stop, record_states=True)
+        assert report.termination == "converged"
+        # the residual belongs to the state the last update started from
+        start = report.states[-2]
+        state_norm = math.sqrt(ss.spaces.inner_weighted(start.u, start.u, spec.layout))
+        assert report.stop.rule == "residual"
+        assert report.stop.value == report.history[-1].residual
+        assert report.stop.threshold == pytest.approx(stop.tol * (1.0 + state_norm), rel=1e-15)
+        assert report.stop.value <= report.stop.threshold
+
+    def test_extra_stop_rule_named(self):
+        spec = shrinkage_spec(n=2)
+        cfg = ss.suggest_steps(spec)
+        report = ss.run(spec, cfg, x0=np.ones(2), stop=ss.StoppingRule(tol=0.0, max_iter=50),
+                        extra_stop=lambda st: st.n == 4)
+        assert report.termination == "converged"
+        assert report.iterations == 4
+        assert report.stop == ss.StopReason("extra_stop")
 
     def test_divergence_error_is_private(self):
         assert not hasattr(ss, "DivergenceError")
@@ -493,6 +520,12 @@ class TestErrorSchedules:
         with pytest.raises(ValueError):
             ss.geometric_errors(layout, -0.1, 0.5)
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf, -0.1])
+    def test_bad_amplitude_refused_by_name(self, amplitude):
+        layout = ss.SpaceLayout(2, (2,), (1.0,))
+        with pytest.raises(ValueError, match="amplitude must be finite and non-negative"):
+            ss.geometric_errors(layout, amplitude, 0.5)
+
 
 # ---------------------------------------------------------------------------
 # the workspace kernel against a plain allocating loop
@@ -503,15 +536,24 @@ def reference_run(spec, cfg, stop, errors=None, x0=None, v0=None):
     everywhere, from ``x0`` and ``v0`` (default 0); returns (step norms,
     residuals, x, v).  The relaxation-1 update that the residual measures
     is taken again, error-free, only when errors are injected, so the
-    resolvents are called in the same order as by ``run``."""
+    resolvents are called in the same order as by ``run``.  At
+    relaxation 1 without errors the displacement p - x, q - v is both
+    the step and the residual's, whose cross term is
+    <p - x, W(v_{n+1}) - W(v_n)> with W(v) = sum_i w_i L_i^T v_i;
+    otherwise the step is x_{n+1} - x_n, the residual's displacement
+    (x + (p - x)) - x and so on, and the cross term is formed block by
+    block."""
     weights = spec.layout.weights
     tau, sigmas = cfg.tau, cfg.sigmas
 
-    def update(x, v, err):
-        wsum = np.zeros_like(x)
+    def wsum_of(v):
+        wsum = np.zeros(spec.layout.dim_primal)
         for w, blk, vi in zip(weights, spec.blocks, v):
             wsum = wsum + w * blk.L.adjoint_apply(vi)
-        t = wsum + spec.C.apply(x)
+        return wsum
+
+    def update(x, v, err):
+        t = wsum_of(v) + spec.C.apply(x)
         if err is not None and err.a1 is not None:
             t = t + err.a1
         p = spec.A.resolvent(tau, x - tau * (t - spec.z))
@@ -550,15 +592,26 @@ def reference_run(spec, cfg, stop, errors=None, x0=None, v0=None):
         x1, v1 = relax(x, v, p, q, lam)
         if err is not None:
             p, q = update(x, v, None)
-        xe, ve = relax(x, v, p, q, 1.0)
-        dx = xe - x
-        dv = [b - a for a, b in zip(v, ve)]
+        carried = err is None and lam == 1.0
+        if carried:
+            dx = p - x
+            dv = [qi - vi for vi, qi in zip(v, q)]
+        else:
+            xe, ve = relax(x, v, p, q, 1.0)
+            dx = xe - x
+            dv = [b - a for a, b in zip(v, ve)]
         quad = float(np.dot(dx, dx)) / tau
         for w, s, blk, d in zip(weights, sigmas, spec.blocks, dv):
             quad += w / s * float(np.dot(d, d))
-            quad -= 2.0 * w * float(np.dot(blk.L.apply(dx), d))
+            if not carried:
+                quad -= 2.0 * w * float(np.dot(blk.L.apply(dx), d))
+        if carried:
+            quad -= 2.0 * float(np.dot(dx, wsum_of(v1) - wsum_of(v)))
         residuals.append(math.sqrt(max(quad, 0.0)))
-        steps.append(math.sqrt(sq(x1 - x, [b - a for a, b in zip(v, v1)])))
+        if carried:
+            steps.append(math.sqrt(sq(dx, dv)))
+        else:
+            steps.append(math.sqrt(sq(x1 - x, [b - a for a, b in zip(v, v1)])))
         state_norm = math.sqrt(sq(x, v))
         x, v = x1, v1
         if residuals[-1] <= stop.tol * (1.0 + state_norm):
@@ -754,6 +807,109 @@ def skip_flags(spec, cfg):
     if cfg.lambda_at(0) == 1.0:
         flags.add("lambda")
     return flags
+
+
+# ---------------------------------------------------------------------------
+# the weighted adjoint sum carried across iterations
+
+
+def counted(L, counts):
+    """``L`` as a custom operator that counts its applies and adjoint applies."""
+    def apply(x):
+        counts["apply"] += 1
+        return L.apply(x)
+
+    def adjoint_apply(y):
+        counts["adjoint"] += 1
+        return L.adjoint_apply(y)
+    return ss.LinearOp(L.in_dim, L.out_dim, apply, adjoint_apply, norm_hint=L.norm_hint)
+
+
+def random_spec(seed, weights=(0.6, 0.4)):
+    """Random instance: l1 prox A, C = x - b, one random matrix per block
+    with an l1 or box B and a zero or scaled D^{-1}."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    b = rng.standard_normal(n)
+    dims = tuple(int(rng.integers(2, 7)) for _ in weights)
+    blocks = []
+    for i, d in enumerate(dims):
+        B = (ss.catalog_prox("l1", d, weight=0.3) if i % 2 == 0
+             else ss.catalog_prox("box", d, lo=-0.5, hi=0.5))
+        Dinv = (ss.CocoerciveOp.zero(d) if rng.random() < 0.5
+                else ss.CocoerciveOp(d, lambda v: 0.5 * v, 2.0))
+        blocks.append(ss.Block(B=ss.resolvent_from_prox(B), Dinv=Dinv,
+                               L=ss.matrix_op(rng.standard_normal((d, n))),
+                               r=0.1 * rng.standard_normal(d)))
+    return ss.ProblemSpec(
+        layout=ss.SpaceLayout(n, dims, weights),
+        A=ss.resolvent_from_prox(ss.catalog_prox("l1", n, weight=0.2)),
+        C=ss.CocoerciveOp(n, lambda x: x - b, 1.0),
+        z=0.1 * rng.standard_normal(n),
+        blocks=tuple(blocks),
+    ), rng
+
+
+class TestCarriedWeightedSum:
+    """At relaxation 1 without errors the residual's cross term is
+    <dx, W_{n+1} - W_n>, W_n = sum_i w_i L_i^T v_{i,n}, with W_{n+1}
+    formed once for the next iteration."""
+
+    @pytest.mark.parametrize("lam, amplitude, applies", [(1.0, 0.0, 1), (0.8, 0.0, 2),
+                                                         (1.0, 0.1, 3)])
+    def test_operator_calls_per_iteration(self, lam, amplitude, applies):
+        spec, _ = random_spec(1)
+        counts = [{"apply": 0, "adjoint": 0} for _ in spec.blocks]
+        blocks = tuple(dataclasses.replace(blk, L=counted(blk.L, c))
+                       for blk, c in zip(spec.blocks, counts))
+        spec = dataclasses.replace(spec, blocks=blocks)
+        cfg = ss.suggest_steps(spec, lambda_schedule=lambda n: lam)
+        for c in counts:
+            c.update(apply=0, adjoint=0)  # the norm estimates are setup
+        errors = ss.geometric_errors(spec.layout, amplitude, 0.9)
+        k = 9
+        report = ss.run(spec, cfg, errors=errors, stop=ss.StoppingRule(tol=0.0, max_iter=k))
+        assert report.iterations == k
+        # one L_i in the update, one more in the residual's cross term
+        # below relaxation 1 or with errors, and one in the error-free
+        # update taken again with errors; one L_i^T per iteration for the
+        # next weighted sum, plus W_0
+        assert counts == [{"apply": applies * k, "adjoint": k + 1}] * spec.num_blocks
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_residual_agrees_with_blockwise_cross_term(self, seed):
+        weights = ((1.0,), (0.6, 0.4), (0.5, 0.3, 0.2))[seed % 3]
+        spec, rng = random_spec(seed, weights)
+        cfg = ss.suggest_steps(spec)
+        x0 = rng.standard_normal(spec.layout.dim_primal)
+        v0 = [rng.standard_normal(d) for d in spec.layout.dual_dims]
+        report = ss.run(spec, cfg, x0=x0, v0=v0, stop=ss.StoppingRule(tol=0.0, max_iter=40),
+                        record_states=True)
+        assert report.iterations == 40
+        for rec, a, b in zip(report.history, report.states, report.states[1:]):
+            d = b.u - a.u
+            dx, dv = spec.layout.split(d)
+            sq = ss.solver._sq_norms(dx, dv)
+            quad = ss.solver._v_quadform(spec, cfg.tau, cfg.sigmas, dx, dv, *sq)
+            assert rec.residual == pytest.approx(math.sqrt(quad), rel=1e-10)
+
+    def test_overflowed_cross_term_is_not_a_zero_residual(self):
+        spec = simple_spec()
+        cfg = ss.suggest_steps(spec)
+        dx, dv = np.array([1.0]), (np.array([1e-3]),)
+        sq = ss.solver._sq_norms(dx, dv)
+        residual = ss.solver._residual_norm(spec, cfg, dx, dv, sq, np.array([math.inf]))
+        assert residual == math.inf
+
+    def test_suite_iteration_counts_kept(self):
+        counts = {name: rep.iterations
+                  for suite in ss.benchmarks.SUITE_NAMES
+                  for name, rep in ss.benchmarks.run_suite(suite).reports.items()}
+        assert counts == {
+            "tv1d": 397, "fusedlasso": 58, "fusedlasso-errors": 260,
+            "project-intersection": 252, "fb-reduction": 1000,
+            "condat-reduction": 1000, "two-step-reduction": 107,
+        }
 
 
 # ---------------------------------------------------------------------------
