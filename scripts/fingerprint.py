@@ -15,15 +15,18 @@ library runs of TV-2D denoising: one at relaxation 1, one at relaxation
 0.9 with geometric errors and a metrics hook, one whose dual operator
 is a custom ``ResolventOp`` around the l1 prox, and one whose dual
 operator is ``ResolventOp.zero`` next to ``CocoerciveOp.zero``.  The
-last two run with explicit steps and norms.  The custom run takes the
+last two run with explicit steps and norms.  Each library run also
+has a ``steps`` line (tau and the sigmas) and a ``margin`` line (the
+step condition's margin, ``None`` on a checkout whose configs have
+none), so a change of steps shows apart from a change of iterates.  The custom run takes the
 inverse-resolvent identity rather than the catalog's closed-form dual
 resolvent and uses no closed-form norm, so it pins that path even when
 those change; the zero run pins the dual step of the zero operator.
 A last library run has every term of the update that the others leave
 out: a nonzero ``z``, an ``r`` with -0.0 entries, two blocks weighted
 (0.7, 0.3), a ``quadratic_term`` D^{-1}, a ``zero_smooth`` C and
-relaxation 0.8.  Only ``cli.main``, ``final_state.x``/``.v`` and the
-run histories are read, no operator is built with a ``kind`` tag, and
+relaxation 0.8.  Only ``cli.main``, ``final_state.x``/``.v``, the
+run histories and the step configs are read, no operator is built with a ``kind`` tag, and
 CSV columns are found by header name, so the script runs unchanged on
 any checkout that has them.  Every run CSV is hashed a second time with
 its ``residual`` column dropped, so a change that moves only residuals
@@ -182,7 +185,9 @@ def tv2d_spec(b: np.ndarray) -> solver.ProblemSpec:
     )
 
 
-def emit_report(label: str, report) -> None:
+def emit_report(label: str, cfg, report) -> None:
+    emit(f"{label} steps", f"tau {cfg.tau!r} sigmas {cfg.sigmas!r}".encode())
+    emit(f"{label} margin", repr(getattr(cfg, "margin", None)).encode())
     st = report.final_state
     emit(f"{label} termination", f"{report.termination} {report.iterations}".encode())
     emit(f"{label} final x", floats(st.x))
@@ -204,21 +209,21 @@ def tv2d_runs() -> None:
     stop = solver.StoppingRule(tol=1e-6, max_iter=3000)
 
     cfg = solver.suggest_steps(spec)
-    emit_report("tv2d lambda=1", solver.run(spec, cfg, stop=stop))
+    emit_report("tv2d lambda=1", cfg, solver.run(spec, cfg, stop=stop))
 
     cfg = solver.suggest_steps(spec, lambda_schedule=lambda n: 0.9)
     errors = solver.geometric_errors(spec.layout, 1e-3, 0.95, seed=3)
     report = solver.run(spec, cfg, stop=stop, errors=errors,
                         iter_metrics=lambda st: {"primal_obj": float(np.dot(st.x, st.x))})
-    emit_report("tv2d lambda=0.9 errors hook", report)
+    emit_report("tv2d lambda=0.9 errors hook", cfg, report)
 
     m = spec.blocks[0].B.dim
     l1 = operators.catalog_prox("l1", m, weight=0.3)
     custom = dataclasses.replace(spec.blocks[0], B=operators.ResolventOp(m, l1.prox))
     spec = dataclasses.replace(spec, blocks=(custom,))
-    # ||grad2d|| < sqrt(8), and tau = sigma = 0.25 gives 2 rho beta > 1 at beta = 1
+    # ||grad2d|| < sqrt(8), and tau = sigma = 0.25 gives the margin 3.5 - 8/4 > 0 at mu = 1
     cfg = solver.validate_steps(spec, 0.25, (0.25,), norms=(math.sqrt(8.0),))
-    emit_report("tv2d custom B explicit steps", solver.run(spec, cfg, stop=stop))
+    emit_report("tv2d custom B explicit steps", cfg, solver.run(spec, cfg, stop=stop))
 
     zero = dataclasses.replace(custom, B=operators.ResolventOp.zero(m),
                                Dinv=operators.CocoerciveOp.zero(m))
@@ -228,7 +233,7 @@ def tv2d_runs() -> None:
     # from a nonzero v, with a sigma that is not a power of two
     cfg = solver.validate_steps(spec, 0.25, (0.3,), norms=(math.sqrt(8.0),))
     v0 = (np.random.default_rng(5).standard_normal(m),)
-    emit_report("tv2d zero B explicit steps", solver.run(spec, cfg, v0=v0, stop=stop))
+    emit_report("tv2d zero B explicit steps", cfg, solver.run(spec, cfg, v0=v0, stop=stop))
 
 
 def offsets_run() -> None:
@@ -257,7 +262,7 @@ def offsets_run() -> None:
     spec = convex.lower_to_inclusion(cp)
     cfg = solver.suggest_steps(spec, lambda_schedule=lambda k: 0.8)
     stop = solver.StoppingRule(tol=1e-10, max_iter=5000)
-    emit_report("offsets z r omega Dinv lambda=0.8", solver.run(spec, cfg, stop=stop))
+    emit_report("offsets z r omega Dinv lambda=0.8", cfg, solver.run(spec, cfg, stop=stop))
 
 
 def main() -> int:

@@ -9,8 +9,9 @@ Commands::
     splitsolve diag  <config>
 
 Exit codes: 0 success/converged, 1 configuration error (including an
-admissibility refusal without ``--unsafe-steps`` and a config or output
-path that cannot be read or written), 2 iteration budget
+admissibility refusal without ``--unsafe-steps``, an operator norm
+whose power iteration did not converge, and a config or output path
+that cannot be read or written), 2 iteration budget
 exhausted or a failed bench/diag check, 3 divergence.  The environment
 variable ``SPLITSOLVE_SEED`` overrides the seed of any configuration.
 """
@@ -83,6 +84,7 @@ def _admissibility_lines(cfg):
         f"rho = {cfg.rho:.17g}",
         f"beta = {cfg.beta:.17g}",
         f"delta = {cfg.delta:.17g}",
+        f"margin = {cfg.margin:.17g}",
         f"admissible = {'yes' if cfg.admissible else 'no'}",
     ]
 
@@ -91,8 +93,9 @@ def cmd_solve(args) -> int:
     cp, opts = _load(args.config)
     spec, cfg = _step_config(cp, opts, args.steps)
     if not cfg.admissible and not args.unsafe_steps:
-        print("refusing to solve: step sizes are inadmissible "
-              "(rerun with --unsafe-steps to override)", file=sys.stderr)
+        print(f"refusing to solve: step sizes are inadmissible (margin = "
+              f"{cfg.margin:.17g} <= 0; rerun with --unsafe-steps to override)",
+              file=sys.stderr)
         for line in _admissibility_lines(cfg):
             print(line, file=sys.stderr)
         return 1

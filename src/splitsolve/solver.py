@@ -13,14 +13,27 @@ update (one step, relaxation lam_n, error terms a1/a2/b_i/c_i):
     q_{i,n} = J_{sigma_i B_i^{-1}}( v_{i,n} + sigma_i (L_i y_n - D_i^{-1} v_{i,n} - c_{i,n} - r_i) ) + b_{i,n}
     v_{i,n+1} = v_{i,n} + lam_n (q_{i,n} - v_{i,n})
 
-Convergence requires the step sizes to satisfy
+The convergence proof reads the update as a relaxed forward-backward
+step in the renormed metric V and needs V - M^{-1}/2 to be positive
+definite, where M = diag(mu, nu_1, ..., nu_m) holds the cocoercivity
+constants of C and the D_i^{-1}.  By a Schur complement this holds when
+the blockwise margin
 
-    2 rho min{mu, nu_1, ..., nu_m} > 1,
+    (1/tau - 1/(2 mu)) - sum_i w_i ||L_i||^2 / (1/sigma_i - 1/(2 nu_i))
+
+is positive and every 1/sigma_i > 1/(2 nu_i), with 1/inf = 0.  This is
+the step condition :func:`validate_steps` checks and
+:func:`suggest_steps` satisfies by construction.  It contains the
+paper's sufficient condition 2 rho min{mu, nu_1, ..., nu_m} > 1, with
+
     rho = min{1/tau, 1/sigma_1, ..., 1/sigma_m} (1 - sqrt(tau sum_i sigma_i w_i ||L_i||^2)),
 
-which :func:`validate_steps` checks and :func:`suggest_steps` satisfies
-by construction.  The weighted sum over dual blocks is always reduced in
-ascending block order, so runs are bitwise reproducible.
+which reaches V - M^{-1}/2 through ||V^{-1}|| <= 1/rho and the smallest
+constant.  With every D_i^{-1} = 0 it is Condat's (JOTA 2013)
+1/tau - sigma ||L||^2 > 1/(2 mu), and with C = 0 as well
+Chambolle-Pock's tau sigma ||L||^2 < 1.  The weighted sum over dual
+blocks is always reduced in ascending block order, so runs are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -63,12 +76,14 @@ __all__ = [
     "geometric_errors",
 ]
 
-#: cap substituted for an infinite cocoercivity bound in step arithmetic
+#: cap substituted for an infinite cocoercivity bound in the reported beta
 BETA_CAP = 1e12
 #: inflation applied to power-iteration estimates (never to certified hints)
 NORM_SAFETY = 1.000001
 POWER_TOL = 1e-8
 POWER_MAX_ITER = 10000
+#: halvings of the bracket in :func:`suggest_steps`' bisection
+BISECTION_STEPS = 128
 
 
 class _DivergenceError(RuntimeError):
@@ -136,11 +151,15 @@ class ProblemSpec:
 class StepConfig:
     """Step sizes with the derived admissibility quantities.
 
-    ``rho`` and ``delta`` come from the step-size condition above,
-    ``beta`` is the smallest cocoercivity constant (capped at
-    ``BETA_CAP`` when every constant is infinite), and ``admissible``
-    records whether ``2 rho beta > 1``.  ``lambda_schedule`` maps the
-    iteration index to the relaxation parameter; values must lie in
+    ``margin`` is the blockwise margin of the module docstring
+    (``-inf`` when some 1/sigma_i <= 1/(2 nu_i)) and ``admissible``
+    records whether it is positive, which makes V - M^{-1}/2 positive
+    definite.  ``rho`` (a lower bound on V) and ``delta`` come from the
+    paper's condition, and ``beta`` is the smallest cocoercivity
+    constant (capped at ``BETA_CAP`` when every constant is infinite);
+    they are reported, not tested: 2 rho beta > 1 implies a positive
+    margin, not the converse.  ``lambda_schedule`` maps the iteration
+    index to the relaxation parameter; values must lie in
     ``[epsilon, 1]``.
     """
 
@@ -149,6 +168,7 @@ class StepConfig:
     rho: float
     beta: float
     delta: float
+    margin: float
     admissible: bool
     norms: tuple[float, ...]
     lambda_schedule: Callable[[int], float] = lambda n: 1.0
@@ -369,15 +389,22 @@ def certified_norms(spec: ProblemSpec, seed: int = 0) -> tuple[float, ...]:
     estimated: a user hint is taken at face value unless the estimate
     exceeds it (a hint below the true norm is repaired), and an
     estimate is inflated by ``NORM_SAFETY`` because an underestimate
-    would void the convergence guarantee.  A non-finite or zero norm is
-    refused with a ``ValueError`` that names the block.
+    would void the convergence guarantee.  A non-finite or zero norm,
+    and a power iteration that does not converge within
+    ``POWER_MAX_ITER`` steps, are refused with a ``ValueError`` that
+    names the block.
     """
     norms = []
-    for blk in spec.blocks:
+    for i, blk in enumerate(spec.blocks):
         if blk.L.kind in CLOSED_FORM_NORM_KINDS:
             norms.append(blk.L.norm_hint)
         else:
             est = estimate_norm(blk.L, tol=POWER_TOL, max_iter=POWER_MAX_ITER, seed=seed)
+            if not est.converged and math.isfinite(est.value):
+                # a non-finite value is refused by name below
+                raise ValueError(
+                    f"block {i}: power iteration for the norm of L did not "
+                    f"converge within {POWER_MAX_ITER} iterations")
             # estimate_norm returns max(hint, estimate); only a hint is used as it is
             norms.append(est.value if est.value == blk.L.norm_hint
                          else est.value * NORM_SAFETY)
@@ -415,16 +442,62 @@ def _step_quantities(spec, tau, sigmas, norms):
     return rho, _beta(spec), delta
 
 
+def _step_margin(spec, tau, sigmas, norms) -> float:
+    """``(1/tau - 1/(2 mu)) - sum_i w_i ||L_i||^2 / (1/sigma_i - 1/(2 nu_i))``,
+    or ``-inf`` when some ``1/sigma_i <= 1/(2 nu_i)``; an infinite
+    constant contributes 1/inf = 0 exactly."""
+    terms = []
+    for s, w, nm, blk in zip(sigmas, spec.layout.weights, norms, spec.blocks):
+        slack = 1.0 / s - 0.5 / blk.Dinv.constant
+        if slack <= 0.0:
+            return -math.inf
+        terms.append(w * nm * nm / slack)
+    return (1.0 / tau - 0.5 / spec.C.constant) - math.fsum(terms)
+
+
+def _closed_form_step(spec, norms) -> float:
+    """The root of the margin along tau = sigma_i when every nu_i is
+    infinite: 1/tau - h = S tau with h = 1/(2 mu) and
+    S = sum_i w_i ||L_i||^2, rationalized so that nothing cancels."""
+    h = 0.5 / spec.C.constant
+    s = math.fsum(w * nm * nm for w, nm in zip(spec.layout.weights, norms))
+    return 2.0 / (h + math.sqrt(h * h + 4.0 * s))
+
+
+def _bisected_step(spec, norms) -> float:
+    """The largest tau with a positive margin at tau = sigma_i, by
+    ``BISECTION_STEPS`` halvings.
+
+    The margin falls as the common step grows.  The bracket starts at
+    ]0, 2 tau0], where tau0 is :func:`_closed_form_step`: a finite nu_i
+    only lowers the margin, and at 2 tau0 it is at most
+    h - 3/(2 tau0) <= -1/(2 tau0) < 0, since 1/tau0 >= h.
+    """
+    m = spec.num_blocks
+    lo, hi = 0.0, 2.0 * _closed_form_step(spec, norms)
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if _step_margin(spec, mid, (mid,) * m, norms) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def validate_steps(spec: ProblemSpec, tau: float, sigmas,
                    lambda_schedule: Optional[Callable[[int], float]] = None,
                    epsilon: float = 1e-3,
                    norms: Optional[tuple[float, ...]] = None) -> StepConfig:
-    """Evaluate the step-size condition for given tau and sigmas.
+    """Evaluate the blockwise step condition for given tau and sigmas.
 
-    Inadmissibility is a verdict recorded on the returned config, not
-    an error.  ``norms`` may be passed to reuse previously certified
-    operator-norm bounds; they are refused like :func:`certified_norms`
-    refuses its own.
+    The steps are admissible when the margin of the module docstring is
+    positive.  That contains the paper's condition 2 rho beta > 1 (and
+    Condat's and Chambolle-Pock's as special cases); rho, beta and
+    delta are computed and reported beside the margin.  Inadmissibility
+    is a verdict recorded on the returned config, not an error.
+    ``norms`` may be passed to reuse previously certified operator-norm
+    bounds; they are refused like :func:`certified_norms` refuses its
+    own.
     """
     tau = float(tau)
     if not math.isfinite(tau):
@@ -443,13 +516,15 @@ def validate_steps(spec: ProblemSpec, tau: float, sigmas,
         raise ValueError("epsilon must lie in ]0, 1[")
     norms = certified_norms(spec) if norms is None else _checked_norms(spec, norms)
     rho, beta, delta = _step_quantities(spec, tau, sigmas, norms)
+    margin = _step_margin(spec, tau, sigmas, norms)
     return StepConfig(
         tau=tau,
         sigmas=sigmas,
         rho=rho,
         beta=beta,
         delta=delta,
-        admissible=2.0 * rho * beta > 1.0,
+        margin=margin,
+        admissible=margin > 0.0,
         norms=norms,
         lambda_schedule=lambda_schedule or (lambda n: 1.0),
         epsilon=epsilon,
@@ -460,17 +535,24 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99,
                   lambda_schedule: Optional[Callable[[int], float]] = None,
                   epsilon: float = 1e-3,
                   norms: Optional[tuple[float, ...]] = None) -> StepConfig:
-    """Pick equal step sizes that satisfy the admissibility condition.
+    """Pick equal step sizes that satisfy the blockwise step condition.
 
-    Sets ``tau = sigma_i = safety / (1/(2 beta) + sqrt(sum_i w_i ||L_i||^2))``;
-    any ``safety`` in ]0, 1[ makes the strict inequality hold.
+    Sets ``tau = sigma_i = safety * tau*``, where ``tau*`` is the
+    largest common step with a positive margin: the boundary root
+    ``2 / (h + sqrt(h^2 + 4 S))`` with ``h = 1/(2 mu)`` and
+    ``S = sum_i w_i ||L_i||^2`` when every nu_i is infinite (Condat's
+    condition at tau = sigma), else a bisection on the margin.  The
+    margin falls as the common step grows, so any ``safety`` in ]0, 1[
+    makes the strict inequality hold.
     """
     if not 0.0 < safety < 1.0:
         raise ValueError("safety must lie in ]0, 1[")
     norms = certified_norms(spec) if norms is None else _checked_norms(spec, norms)
-    weights = spec.layout.weights
-    s_norm = math.sqrt(math.fsum(w * nm * nm for w, nm in zip(weights, norms)))
-    step = safety / (0.5 / _beta(spec) + s_norm)
+    if all(math.isinf(blk.Dinv.constant) for blk in spec.blocks):
+        boundary = _closed_form_step(spec, norms)
+    else:
+        boundary = _bisected_step(spec, norms)
+    step = safety * boundary
     cfg = validate_steps(spec, step, (step,) * spec.num_blocks,
                          lambda_schedule=lambda_schedule, epsilon=epsilon,
                          norms=norms)
@@ -728,7 +810,8 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     """
     if not cfg.admissible and not allow_inadmissible:
         raise InadmissibleStepsError(
-            f"step sizes are inadmissible (2*rho*beta = {2.0 * cfg.rho * cfg.beta:g} <= 1); "
+            f"step sizes are inadmissible (margin = {cfg.margin:.17g} <= 0; "
+            f"rho = {cfg.rho:.17g}, beta = {cfg.beta:.17g}, delta = {cfg.delta:.17g}); "
             "pass allow_inadmissible=True to run anyway"
         )
     stop = stop or StoppingRule()

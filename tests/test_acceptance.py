@@ -235,8 +235,8 @@ def test_criterion_5_step_admissibility():
         safety = float(rng.uniform(0.05, 0.999))
         cfg = ss.suggest_steps(spec, safety=safety)
         check = ss.validate_steps(spec, cfg.tau, cfg.sigmas, norms=cfg.norms)
-        if not (cfg.admissible and check.admissible
-                and 2.0 * check.rho * check.beta > 1.0):
+        if not (cfg.admissible and check.admissible and check.margin > 0.0
+                and check.margin == cfg.margin):
             failures += 1
     ok &= report_line(5, "random-spec suggestion failures", failures, 0)
     assert ok

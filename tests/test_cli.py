@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +95,9 @@ class TestSolve:
         code = main(["solve", LASSO, "-o", str(tmp_path / "r.csv"), "--steps", "auto"])
         stdout = capsys.readouterr().out
         assert code == 0
-        assert float(extract(stdout, "tau")) == pytest.approx(0.66)
+        # mu = 1, ||L|| = 1: 0.99 times the root of 1/tau - 1/2 = tau
+        assert float(extract(stdout, "tau")) == pytest.approx(
+            0.99 * (math.sqrt(4.25) - 0.5) / 2.0, rel=1e-14)
 
     def test_inadmissible_refused_without_override(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -104,8 +107,12 @@ class TestSolve:
         code = main(["solve", str(cfg), "-o", str(tmp_path / "r.csv")])
         captured = capsys.readouterr()
         assert code == 1
-        assert "inadmissible" in captured.err
-        assert "rho" in captured.err
+        # lasso1d has mu = 1 and L = identity: margin (1 - 1/2) - 1/1 = -1/2
+        assert "inadmissible (margin = -0.5 <= 0;" in captured.err
+        lines = captured.err.splitlines()
+        assert [line.split(" =")[0] for line in lines[1:]] == [
+            "rho", "beta", "delta", "margin", "admissible"]
+        assert extract(captured.err, "margin") == "-0.5"
 
     def test_unsafe_override_runs(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -288,6 +295,29 @@ class TestCheck:
         assert code == 0
         assert float(extract(stdout, "rho")) == pytest.approx(3.0, abs=1e-14)
         assert extract(stdout, "norm(L[0])") == "1"
+
+    def test_margin_follows_delta(self, tmp_path, capsys):
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text(TWO_BLOCK_CHECK)
+        assert main(["check", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        keys = [line.split(" =")[0] for line in lines]
+        assert keys[keys.index("delta") + 1] == "margin"
+        # (1/0.25 - 1/2) - 2 * 0.5 * 1 / (1/0.25)
+        assert float(extract("\n".join(lines), "margin")) == pytest.approx(3.25, abs=1e-14)
+
+    def test_unconverged_power_iteration_exits_1(self, tmp_path, capsys, monkeypatch):
+        # ||diag(2, 1)|| needs about 14 power steps to reach the tolerance
+        monkeypatch.setattr(splitsolve.solver, "POWER_MAX_ITER", 3)
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(MATRIX_CHECK)
+        for command in ("check", "solve"):
+            assert main([command, str(cfg), *(["-o", str(tmp_path / "r.csv")]
+                                              if command == "solve" else [])]) == 1
+            err = capsys.readouterr().err
+            assert ("block 0: power iteration for the norm of L did not converge "
+                    "within 3 iterations") in err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_bad_weights_named(self, tmp_path, capsys):
         cfg = tmp_path / "badw.cfg"

@@ -15,7 +15,7 @@ from splitsolve.diagnostics import (
 from splitsolve.solver import BETA_CAP
 from splitsolve.spaces import inner_weighted
 
-from conftest import shrinkage_spec
+from conftest import assert_same_bits, shrinkage_spec
 
 
 def single_block_spec(tau_free=True, dinv_scale=None, mu=1.0):
@@ -68,6 +68,15 @@ class TestBuildProductOps:
         x, v = spec.layout.split(ops.Q_apply(flat([1.5], [[2.5]])))
         assert x[0] == 1.5
         assert v[0][0] == 0.0
+
+    def test_inverse_constants_map(self):
+        # C = x/2 (mu = 2) and Dinv = v/4 (nu = 4); a zero map contributes 1/inf = 0
+        spec = single_block_spec(dinv_scale=0.25, mu=2.0)
+        ops = build_product_ops(spec, ss.validate_steps(spec, 0.4, (0.4,)))
+        assert_same_bits(ops.Minv_apply(flat([3.0], [[8.0]])), [1.5, 2.0])
+        spec = single_block_spec()
+        ops = build_product_ops(spec, ss.validate_steps(spec, 0.4, (0.4,)))
+        assert_same_bits(ops.Minv_apply(flat([3.0], [[8.0]])), [3.0, 0.0])
 
     def test_v_linearity_probe(self, rng):
         spec = single_block_spec()
@@ -125,6 +134,20 @@ class TestCertifyStrongPositivity:
         rep = certify_strong_positivity(build_product_ops(spec, cfg))
         assert rep.vacuous and not rep.passed
         assert "rho" in rep.note
+
+    def test_proof_inequality_sampled(self):
+        # mu = 0.2 at tau = sigma = 0.5: rho = 1 > 0, but the margin is -1
+        # and V - M^{-1}/2 = [[2 - 2.5, -1], [-1, 2]] is indefinite
+        spec = single_block_spec(mu=0.2)
+        cfg = ss.validate_steps(spec, 0.5, (0.5,))
+        assert cfg.rho == pytest.approx(1.0) and not cfg.admissible
+        ops = build_product_ops(spec, cfg)
+        rep = certify_strong_positivity(ops)
+        assert not rep.passed and not rep.vacuous
+        assert "V - M^-1/2 bound -" in rep.note
+        # the same samples pass the rho bound alone
+        no_minv = dataclasses.replace(ops, Minv_apply=np.zeros_like)
+        assert certify_strong_positivity(no_minv).passed
 
     def test_basis_vector_margins_match_diagonal(self):
         spec = single_block_spec()

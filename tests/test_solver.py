@@ -3,10 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splitsolve as ss
 import splitsolve.benchmarks  # noqa: F401  (the cases below use ss.benchmarks)
-from splitsolve.solver import BETA_CAP, NORM_SAFETY, POWER_MAX_ITER, POWER_TOL
+from splitsolve.solver import (
+    BETA_CAP,
+    NORM_SAFETY,
+    POWER_MAX_ITER,
+    POWER_TOL,
+    _bisected_step,
+    _closed_form_step,
+    _step_margin,
+)
 
 from conftest import assert_same_bits, degenerate_block, shrinkage_spec
 
@@ -44,10 +54,24 @@ class TestValidateSteps:
         assert cfg.admissible  # 2 * 1 * 1 > 1
 
     def test_admissibility_tracks_beta(self):
-        spec = simple_spec(mu=0.4)  # beta = 0.4 < 0.5 makes 2 rho beta < 1
+        # beta = 0.4 < 0.5 makes 2 rho beta < 1: the paper's test fails, but
+        # the margin (2 - 1/0.8) - 1/2 = 1/4 is positive
+        spec = simple_spec(mu=0.4)
         cfg = ss.validate_steps(spec, 0.5, (0.5,))
         assert abs(cfg.rho - 1.0) <= 1e-14
+        assert 2.0 * cfg.rho * cfg.beta < 1.0
+        assert cfg.margin == pytest.approx(0.25, abs=1e-14)
+        assert cfg.admissible
+        # at mu = 0.2 the margin is (2 - 1/0.4) - 1/2 = -1
+        cfg = ss.validate_steps(simple_spec(mu=0.2), 0.5, (0.5,))
+        assert cfg.margin == pytest.approx(-1.0, abs=1e-14)
         assert not cfg.admissible
+
+    def test_margin_refuses_dual_step_past_twice_nu(self):
+        # 1/sigma <= 1/(2 nu) leaves the dual block no slack at all
+        spec = simple_spec(nus=(0.25,))
+        assert ss.validate_steps(spec, 0.1, (0.5,)).margin == -math.inf
+        assert ss.validate_steps(spec, 0.1, (0.4,)).margin > 0.0
 
     def test_unit_coupling_boundary(self):
         cfg = ss.validate_steps(simple_spec(), 1.0, (1.0,))
@@ -89,11 +113,15 @@ class TestValidateSteps:
 
 class TestSuggestSteps:
     def test_worked_example(self):
+        # mu = 1, ||L|| = 1, nu = inf: the margin at tau = sigma is
+        # 1/tau - 1/2 - tau, whose root is (sqrt(4.25) - 0.5) / 2
         cfg = ss.suggest_steps(simple_spec(), safety=0.99)
-        assert cfg.tau == pytest.approx(0.66)
-        assert cfg.sigmas[0] == pytest.approx(0.66)
-        assert cfg.rho == pytest.approx(0.51515151515151514, abs=1e-12)
-        assert 2.0 * cfg.rho * cfg.beta > 1.0
+        tau = 0.99 * (math.sqrt(4.25) - 0.5) / 2.0
+        assert tau == pytest.approx(0.77297, abs=1e-5)
+        assert cfg.tau == pytest.approx(tau, rel=1e-14)
+        assert cfg.sigmas[0] == cfg.tau
+        assert cfg.margin == pytest.approx(1.0 / tau - 0.5 - tau, rel=1e-12)
+        assert cfg.rho == pytest.approx(1.0 / tau - 1.0, rel=1e-12)
         assert cfg.admissible
 
     def test_capped_beta(self):
@@ -131,6 +159,114 @@ class TestSuggestSteps:
         )
         with pytest.raises(ValueError, match="zero estimated norm"):
             ss.certified_norms(spec)
+
+
+def log_uniform(lo, hi):
+    """Floats spread evenly in log scale over [lo, hi]."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+#: a cocoercivity constant: infinite (the zero map) or in [1e-3, 1e3]
+constants = st.one_of(st.just(math.inf), log_uniform(1e-3, 1e3))
+
+
+@st.composite
+def step_instances(draw, all_nu_infinite=False):
+    """Scaled-identity instances of 1-4 blocks with random weights, norms
+    in [1e-3, 1e3] and constants finite or infinite."""
+    m = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m))
+    weights = tuple(w / math.fsum(raw) for w in raw)
+    norms = tuple(draw(st.lists(log_uniform(1e-3, 1e3), min_size=m, max_size=m)))
+    mu = draw(constants)
+    nus = ((math.inf,) * m if all_nu_infinite
+           else tuple(draw(st.lists(constants, min_size=m, max_size=m))))
+    return simple_spec(m=m, norms=norms, mu=mu, nus=nus, weights=weights), norms
+
+
+class TestBlockwiseCondition:
+    """The margin against the paper's test, the operator it certifies,
+    and the step :func:`suggest_steps` takes from it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(step_instances(), st.data())
+    def test_paper_condition_implies_positive_margin(self, case, data):
+        spec, norms = case
+        m = spec.num_blocks
+        # steps around the paper's boundary, so both verdicts occur
+        ratios = data.draw(st.lists(log_uniform(0.1, 10.0), min_size=m, max_size=m))
+        beta = min(spec.C.constant, *(blk.Dinv.constant for blk in spec.blocks))
+        beta = BETA_CAP if math.isinf(beta) else beta
+        coupling = math.sqrt(math.fsum(
+            r * w * nm * nm for r, w, nm in zip(ratios, spec.layout.weights, norms)))
+        tau = data.draw(st.floats(0.3, 1.5)) / (max(1.0, *ratios) / (2.0 * beta) + coupling)
+        cfg = ss.validate_steps(spec, tau, tuple(r * tau for r in ratios), norms=norms)
+        assert cfg.admissible == (cfg.margin > 0.0)
+        # the relative 1e-9 keeps the cases where both tests coincide (one
+        # block, tau = sigma, mu = nu) clear of rounding
+        if 2.0 * cfg.rho * cfg.beta > 1.0 + 1e-9:
+            assert cfg.margin > 0.0
+            assert cfg.admissible
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 3), constants,
+           st.lists(st.tuples(st.integers(1, 3), constants, st.floats(0.1, 1.0)),
+                    min_size=1, max_size=3),
+           st.integers(0, 2**32 - 1))
+    def test_suggested_steps_make_proof_operator_positive(self, n, scale, mu, specs, seed):
+        rng = np.random.default_rng(seed)
+        mats = [float(scale) * rng.standard_normal((d, n)) for d, _, _ in specs]
+        raw = [w for _, _, w in specs]
+        weights = tuple(w / math.fsum(raw) for w in raw)
+        nus = [nu for _, nu, _ in specs]
+
+        def coco(dim, c):
+            if math.isinf(c):
+                return ss.CocoerciveOp.zero(dim)
+            return ss.CocoerciveOp(dim, lambda u, c=c: u / c, c)
+
+        spec = ss.ProblemSpec(
+            layout=ss.SpaceLayout(n, tuple(mat.shape[0] for mat in mats), weights),
+            A=ss.ResolventOp.zero(n),
+            C=coco(n, mu),
+            z=np.zeros(n),
+            blocks=tuple(ss.Block(B=ss.ResolventOp.zero(mat.shape[0]),
+                                  Dinv=coco(mat.shape[0], nu), L=ss.matrix_op(mat),
+                                  r=np.zeros(mat.shape[0]))
+                         for mat, nu in zip(mats, nus)),
+        )
+        cfg = ss.suggest_steps(spec, norms=tuple(np.linalg.norm(mat, 2) for mat in mats))
+        # V - M^{-1}/2 as the matrix of its quadratic form in the weighted
+        # product space: primal block, then each weighted dual block
+        sizes = [n, *(mat.shape[0] for mat in mats)]
+        edges = np.cumsum([0, *sizes])
+        form = np.zeros((edges[-1], edges[-1]))
+        form[:n, :n] = (1.0 / cfg.tau - 0.5 / mu) * np.eye(n)
+        for i, (mat, nu, w, sigma) in enumerate(zip(mats, nus, weights, cfg.sigmas)):
+            lo, hi = edges[i + 1], edges[i + 2]
+            form[lo:hi, lo:hi] = w * (1.0 / sigma - 0.5 / nu) * np.eye(mat.shape[0])
+            form[lo:hi, :n] = -w * mat
+            form[:n, lo:hi] = -w * mat.T
+        assert cfg.admissible
+        assert np.linalg.eigvalsh(form)[0] > 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(step_instances(), st.floats(0.05, 0.999))
+    def test_suggested_step_is_the_largest(self, case, safety):
+        spec, norms = case
+        m = spec.num_blocks
+        cfg = ss.suggest_steps(spec, safety=safety, norms=norms)
+        assert cfg.sigmas == (cfg.tau,) * m
+        assert cfg.margin > 0.0
+        past = cfg.tau / safety * (1.0 + 1e-9)
+        assert _step_margin(spec, past, (past,) * m, norms) <= 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(step_instances(all_nu_infinite=True))
+    def test_closed_form_and_bisection_agree(self, case):
+        spec, norms = case
+        closed = _closed_form_step(spec, norms)
+        assert _bisected_step(spec, norms) == pytest.approx(closed, rel=1e-12)
 
 
 def one_block_spec(L):
@@ -211,6 +347,28 @@ class TestCertifiedNorms:
             x = rng.standard_normal(4)
             for blk, nm in zip(spec.blocks, norms):
                 assert np.linalg.norm(blk.L.apply(x)) <= nm * np.linalg.norm(x)
+
+    def test_unconverged_power_iteration_refused_naming_block(self, monkeypatch):
+        # singular values 1 and 0.999 separate too slowly for 20 power steps
+        monkeypatch.setattr(ss.solver, "POWER_MAX_ITER", 20)
+        L = ss.matrix_op(np.diag([1.0, 0.999]))
+        assert not ss.estimate_norm(L, tol=POWER_TOL, max_iter=20).converged
+        spec = ss.ProblemSpec(
+            layout=ss.SpaceLayout(2, (2, 2), (0.5, 0.5)),
+            A=ss.ResolventOp.zero(2),
+            C=ss.CocoerciveOp(2, lambda x: x, 1.0),
+            z=np.zeros(2),
+            blocks=(degenerate_block(2), degenerate_block(2, L)),
+        )
+        message = "^block 1: power iteration for the norm of L did not converge within 20 iterations$"
+        with pytest.raises(ValueError, match=message):
+            ss.certified_norms(spec)
+        with pytest.raises(ValueError, match=message):
+            ss.suggest_steps(spec)
+        # the full budget converges
+        monkeypatch.undo()
+        (_, norm) = ss.certified_norms(spec)
+        assert norm >= 1.0
 
     @pytest.mark.parametrize("norms, message", [
         ((1.0,), "one norm per block"),
@@ -293,7 +451,9 @@ class TestIterateOnce:
     def test_inadmissible_refused_and_overridable(self):
         spec = shrinkage_spec(n=1)
         cfg = ss.validate_steps(spec, 2.0, (2.0,))
-        with pytest.raises(ss.InadmissibleStepsError):
+        # margin (1/2 - 1/2) - 1/(1/2) = -2, quoted with rho, beta and delta
+        with pytest.raises(ss.InadmissibleStepsError,
+                           match=r"margin = -2 <= 0; rho = -0.5, beta = 1, delta = "):
             one_step(spec, cfg, x0=np.array([1.0]))
         one_step(spec, cfg, x0=np.array([1.0]), allow_inadmissible=True)
 
@@ -906,9 +1066,9 @@ class TestCarriedWeightedSum:
                   for suite in ss.benchmarks.SUITE_NAMES
                   for name, rep in ss.benchmarks.run_suite(suite).reports.items()}
         assert counts == {
-            "tv1d": 397, "fusedlasso": 58, "fusedlasso-errors": 260,
-            "project-intersection": 252, "fb-reduction": 1000,
-            "condat-reduction": 1000, "two-step-reduction": 107,
+            "tv1d": 364, "fusedlasso": 51, "fusedlasso-errors": 259,
+            "project-intersection": 223, "fb-reduction": 1000,
+            "condat-reduction": 107, "two-step-reduction": 107,
         }
 
 
