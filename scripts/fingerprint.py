@@ -10,7 +10,8 @@ Usage::
 The outputs covered are every ``splitsolve bench`` suite (each CSV and
 the check lines), ``solve`` (CSV, its ``iter`` and ``step_norm``
 columns on their own line, and stdout), ``check`` and ``diag`` of each
-``configs/*.cfg``, ``solve`` of a generated TV-1D config, and four
+``configs/*.cfg``, ``solve`` of a generated TV-1D config, the text that
+``serialize_config`` writes for each of these configs, and four
 library runs of TV-2D denoising: one at relaxation 1, one at relaxation
 0.9 with geometric errors and a metrics hook, one whose dual operator
 is a custom ``ResolventOp`` around the l1 prox, and one whose dual
@@ -47,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from splitsolve import benchmarks, cli, convex, operators, solver
+from splitsolve import benchmarks, cli, config, convex, operators, solver
 from splitsolve.spaces import SpaceLayout
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,7 +116,13 @@ def emit_csv(label: str, data: bytes) -> None:
     emit(f"{label} without residual", csv_without(data.decode(), "residual"))
 
 
+def serialized(label: str, cfg: Path) -> None:
+    emit(f"serialized {label}",
+         config.serialize_config(config.parse_config_file(cfg)).encode())
+
+
 def solve_config(label: str, cfg: Path, tmp: Path) -> None:
+    serialized(label, cfg)
     csv = tmp / f"{cfg.stem}.csv"
     _, stdout = run_cli(["solve", str(cfg), "-o", str(csv)], tmp)
     emit(f"solve {label} stdout", stdout)

@@ -8,17 +8,19 @@ Commands::
     splitsolve bench <suite> -o <dir>
     splitsolve diag  <config>
 
-Exit codes: 0 success/converged, 1 configuration error (including an
-admissibility refusal without ``--unsafe-steps``, an operator norm
-whose power iteration did not converge, and a config or output path
-that cannot be read or written), 2 iteration budget
-exhausted or a failed bench/diag check, 3 divergence.  The environment
-variable ``SPLITSOLVE_SEED`` overrides the seed of any configuration.
+Exit codes: 0 success/converged, 1 configuration error (including a
+non-finite catalog parameter, ``z`` or ``r``, an admissibility refusal
+without ``--unsafe-steps``, an operator norm whose power iteration did
+not converge, and a config or output path that cannot be read or
+written), 2 iteration budget exhausted or a failed bench/diag check,
+3 divergence.  Commands read steps, errors, stop rule and seed from the
+parsed config; ``SPLITSOLVE_SEED`` (an integer) replaces its seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -45,24 +47,21 @@ from .solver import (
 __all__ = ["main"]
 
 
-def _env_seed():
-    raw = os.environ.get("SPLITSOLVE_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"SPLITSOLVE_SEED must be an integer, got {raw!r}") from None
-
-
 def _load(path: str):
+    """The built problem and its parsed config, reseeded by ``SPLITSOLVE_SEED``."""
     pc = parse_config_file(path)
-    return build_problem(pc, seed=_env_seed())
+    raw = os.environ.get("SPLITSOLVE_SEED")
+    if raw is not None:
+        try:
+            pc = dataclasses.replace(pc, seed=int(raw))
+        except ValueError:
+            raise ConfigError(f"SPLITSOLVE_SEED must be an integer, got {raw!r}") from None
+    return build_problem(pc), pc
 
 
-def _step_config(cp, opts, mode_override=None):
+def _step_config(cp, pc, mode_override=None):
     spec = lower_to_inclusion(cp)
-    steps = opts.steps
+    steps = pc.steps
     mode = mode_override or steps.mode
     lam = steps.lam
     schedule = (lambda n: lam)
@@ -90,8 +89,8 @@ def _admissibility_lines(cfg):
 
 
 def cmd_solve(args) -> int:
-    cp, opts = _load(args.config)
-    spec, cfg = _step_config(cp, opts, args.steps)
+    cp, pc = _load(args.config)
+    spec, cfg = _step_config(cp, pc, args.steps)
     if not cfg.admissible and not args.unsafe_steps:
         print(f"refusing to solve: step sizes are inadmissible (margin = "
               f"{cfg.margin:.17g} <= 0; rerun with --unsafe-steps to override)",
@@ -101,11 +100,11 @@ def cmd_solve(args) -> int:
         return 1
 
     errors = None
-    if opts.errors.kind == "geometric":
-        errors = geometric_errors(cp.layout, opts.errors.amplitude,
-                                  opts.errors.decay, seed=opts.seed)
-    stop = StoppingRule(tol=opts.stop.tol, max_iter=opts.stop.max_iter,
-                        kkt_tol=opts.stop.kkt_tol)
+    if pc.errors.kind == "geometric":
+        errors = geometric_errors(cp.layout, pc.errors.amplitude,
+                                  pc.errors.decay, seed=pc.seed)
+    stop = StoppingRule(tol=pc.stop.tol, max_iter=pc.stop.max_iter,
+                        kkt_tol=pc.stop.kkt_tol)
     report, gap = solve_convex(
         cp, cfg=cfg, stop=stop, errors=errors,
         allow_inadmissible=args.unsafe_steps, record_objective=True,
@@ -141,8 +140,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cp, opts = _load(args.config)
-    spec, cfg = _step_config(cp, opts)
+    cp, pc = _load(args.config)
+    spec, cfg = _step_config(cp, pc)
     for i, (blk, nm) in enumerate(zip(spec.blocks, cfg.norms)):
         print(f"norm(L[{i}]) = {nm:.17g}")
         source = (f"closed form ({blk.L.kind})" if blk.L.kind in CLOSED_FORM_NORM_KINDS
@@ -176,8 +175,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    cp, opts = _load(args.config)
-    spec, cfg = _step_config(cp, opts)
+    cp, pc = _load(args.config)
+    spec, cfg = _step_config(cp, pc)
     ops = build_product_ops(spec, cfg)
     reports = [
         certify_skew(ops),

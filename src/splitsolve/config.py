@@ -47,13 +47,20 @@ kinds for f and g: ``sq_l2`` (weight, center), ``l1`` (weight), ``l2``
 (a); for h: ``sq_l2`` and ``zero``; for ell: ``dirac`` and
 ``quadratic`` (nu).  Unknown sections or keys are rejected with the
 offending line number.
+
+Each key, with its dataclass field, parser and writer, is one row of
+the private table ``_SECTIONS``, which also says how often each section
+may appear; the dataclasses below hold every default, and a key whose
+field has none is required.  Building the problem refuses a
+non-finite catalog parameter, ``z`` or ``r`` by name (a box bound may
+be infinite on its open side; NaN is refused everywhere).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import MISSING, dataclass, fields
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -65,7 +72,15 @@ from .convex import (
     quadratic_term,
     zero_smooth,
 )
-from .operators import LinearOp, catalog_prox, diff1d_op, grad2d_op, identity_op, matrix_op
+from .operators import (
+    CATALOG_KINDS,
+    LinearOp,
+    catalog_prox,
+    diff1d_op,
+    grad2d_op,
+    identity_op,
+    matrix_op,
+)
 from .spaces import SpaceLayout
 
 __all__ = [
@@ -100,17 +115,17 @@ class VecSpec:
     kind: str  # "zeros" | "const" | "literal"
     values: tuple[float, ...] = ()
 
-    def resolve(self, dim: int, line: Optional[int] = None) -> np.ndarray:
+    def resolve(self, dim: int, name: str = "vector") -> np.ndarray:
+        """The vector of length ``dim``; ``name`` labels a refusal."""
         if self.kind == "zeros":
             return np.zeros(dim)
-        if self.kind == "const":
-            return np.full(dim, self.values[0])
-        if len(self.values) != dim:
+        if self.kind == "literal" and len(self.values) != dim:
             raise ConfigError(
-                f"vector literal has {len(self.values)} entries, expected {dim}",
-                line,
-            )
-        return np.asarray(self.values, dtype=float)
+                f"vector literal has {len(self.values)} entries, expected {dim}")
+        values = np.asarray(self.values, dtype=float)
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{name} must be finite")
+        return np.full(dim, values[0]) if self.kind == "const" else values
 
 
 @dataclass(frozen=True)
@@ -180,17 +195,7 @@ class ProblemConfig:
 
 
 # ---------------------------------------------------------------------------
-# parsing
-
-_SECTION_RE = re.compile(r"^\[([a-zA-Z][a-zA-Z0-9_-]*)\]$")
-_VALID_SECTIONS = {"problem", "block", "steps", "errors", "stop"}
-_KEYS = {
-    "problem": {"dim_primal", "seed", "z", "f", "h", "mu"},
-    "block": {"dim", "omega", "L", "g", "ell", "r"},
-    "steps": {"mode", "safety", "tau", "sigma", "lambda", "epsilon"},
-    "errors": {"kind", "amplitude", "decay"},
-    "stop": {"tol", "max_iter", "kkt_tol"},
-}
+# values
 
 
 def _parse_float(text: str, line: int, key: str) -> float:
@@ -205,6 +210,21 @@ def _parse_int(text: str, line: int, key: str) -> int:
         return int(text)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {text!r}", line) from None
+
+
+def _parse_floats(text: str, line: int, key: str) -> tuple[float, ...]:
+    return tuple(_parse_float(v, line, key) for v in text.split())
+
+
+def _choice(label: str, *options: str):
+    """Parser of a word that must be one of ``options``."""
+
+    def parse(text: str, line: int, key: str) -> str:
+        if text not in options:
+            raise ConfigError(f"{label} must be {' or '.join(options)}, got {text!r}", line)
+        return text
+
+    return parse
 
 
 def _parse_param_value(text: str, line: int, key: str):
@@ -255,184 +275,50 @@ def _parse_vecspec(text: str, line: int, key: str) -> VecSpec:
     )
 
 
-def _parse_opspec(text: str, line: int) -> OpSpec:
+def _parse_opspec(text: str, line: int, key: str) -> OpSpec:
     parts = text.split()
     if not parts:
-        raise ConfigError("L: empty operator spec", line)
+        raise ConfigError(f"{key}: empty operator spec", line)
     kind = parts[0]
     if kind in ("identity", "diff1d"):
         if len(parts) != 1:
-            raise ConfigError(f"L: {kind!r} takes no arguments", line)
+            raise ConfigError(f"{key}: {kind!r} takes no arguments", line)
         return OpSpec(kind)
     if kind == "grad2d":
         params = {}
         for part in parts[1:]:
             name, _, raw = part.partition("=")
             if name not in ("rows", "cols") or not raw:
-                raise ConfigError(f"L: grad2d expects rows=.. cols=.., got {part!r}", line)
-            params[name] = _parse_int(raw, line, f"L.{name}")
+                raise ConfigError(f"{key}: grad2d expects rows=.. cols=.., got {part!r}", line)
+            params[name] = _parse_int(raw, line, f"{key}.{name}")
         if set(params) != {"rows", "cols"}:
-            raise ConfigError("L: grad2d needs both rows= and cols=", line)
+            raise ConfigError(f"{key}: grad2d needs both rows= and cols=", line)
         return OpSpec("grad2d", tuple(sorted(params.items())))
     if kind == "matrix":
         body = text[len("matrix"):].strip()
         if not body:
-            raise ConfigError("L: matrix needs row entries", line)
+            raise ConfigError(f"{key}: matrix needs row entries", line)
         rows = []
         width = None
         for chunk in body.split(";"):
             entries = chunk.split()
             if not entries:
-                raise ConfigError("L: empty matrix row", line)
-            row = tuple(_parse_float(e, line, "L") for e in entries)
+                raise ConfigError(f"{key}: empty matrix row", line)
+            row = tuple(_parse_float(e, line, key) for e in entries)
             if width is None:
                 width = len(row)
             elif len(row) != width:
-                raise ConfigError("L: matrix rows have unequal lengths", line)
+                raise ConfigError(f"{key}: matrix rows have unequal lengths", line)
             rows.append(row)
         return OpSpec("matrix", (("rows", tuple(rows)),))
     raise ConfigError(
-        f"L: unknown operator {kind!r} (use identity, diff1d, grad2d, or matrix)",
+        f"{key}: unknown operator {kind!r} (use identity, diff1d, grad2d, or matrix)",
         line,
     )
 
 
-def parse_config(text: str) -> ProblemConfig:
-    """Parse configuration text; raises :class:`ConfigError` on problems."""
-    sections: list[tuple[str, int, dict]] = []
-    current: Optional[dict] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        m = _SECTION_RE.match(stripped)
-        if m:
-            name = m.group(1)
-            if name not in _VALID_SECTIONS:
-                raise ConfigError(f"unknown section [{name}]", lineno)
-            current = {}
-            sections.append((name, lineno, current))
-            continue
-        if current is None:
-            raise ConfigError("key/value pair before any section header", lineno)
-        if "=" not in stripped:
-            raise ConfigError(f"expected 'key = value', got {stripped!r}", lineno)
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
-        name = sections[-1][0]
-        if key not in _KEYS[name]:
-            raise ConfigError(f"unknown key {key!r} in section [{name}]", lineno)
-        if key in current:
-            raise ConfigError(f"duplicate key {key!r} in section [{name}]", lineno)
-        current[key] = (value, lineno)
-
-    by_name: dict[str, list[tuple[int, dict]]] = {}
-    for name, lineno, data in sections:
-        by_name.setdefault(name, []).append((lineno, data))
-
-    for name in ("problem", "steps"):
-        if name not in by_name:
-            raise ConfigError(f"missing required section [{name}]")
-        if len(by_name[name]) > 1:
-            raise ConfigError(f"section [{name}] appears more than once",
-                              by_name[name][1][0])
-    for name in ("errors", "stop"):
-        if name in by_name and len(by_name[name]) > 1:
-            raise ConfigError(f"section [{name}] appears more than once",
-                              by_name[name][1][0])
-    if "block" not in by_name:
-        raise ConfigError("at least one [block] section is required")
-
-    def need(data, key, section, lineno):
-        if key not in data:
-            raise ConfigError(f"missing key {key!r} in section [{section}]", lineno)
-        return data[key]
-
-    p_line, p = by_name["problem"][0]
-    dim_primal = _parse_int(*need(p, "dim_primal", "problem", p_line), key="dim_primal")
-    f_spec = _parse_funcspec(*need(p, "f", "problem", p_line), key="f")
-    h_spec = _parse_funcspec(*need(p, "h", "problem", p_line), key="h")
-    z_spec = _parse_vecspec(*p["z"], key="z") if "z" in p else VecSpec("zeros")
-    seed = _parse_int(*p["seed"], key="seed") if "seed" in p else 0
-    mu = _parse_float(*p["mu"], key="mu") if "mu" in p else None
-
-    blocks = []
-    for b_line, b in by_name["block"]:
-        blocks.append(BlockConfig(
-            dim=_parse_int(*need(b, "dim", "block", b_line), key="dim"),
-            omega=_parse_float(*need(b, "omega", "block", b_line), key="omega"),
-            L=_parse_opspec(*need(b, "L", "block", b_line)),
-            g=_parse_funcspec(*need(b, "g", "block", b_line), key="g"),
-            ell=_parse_funcspec(*need(b, "ell", "block", b_line), key="ell"),
-            r=_parse_vecspec(*b["r"], key="r") if "r" in b else VecSpec("zeros"),
-        ))
-
-    s_line, s = by_name["steps"][0]
-    mode = s["mode"][0] if "mode" in s else "auto"
-    if mode not in ("auto", "manual"):
-        raise ConfigError(f"steps mode must be auto or manual, got {mode!r}",
-                          s["mode"][1] if "mode" in s else s_line)
-    tau = _parse_float(*s["tau"], key="tau") if "tau" in s else None
-    sigmas = None
-    if "sigma" in s:
-        raw, line = s["sigma"]
-        vals = tuple(_parse_float(v, line, "sigma") for v in raw.split())
-        if len(vals) == 1:
-            vals = vals * len(blocks)
-        if len(vals) != len(blocks):
-            raise ConfigError(
-                f"sigma: expected 1 or {len(blocks)} values, got {len(vals)}", line
-            )
-        sigmas = vals
-    if mode == "manual" and (tau is None or sigmas is None):
-        raise ConfigError("manual steps need both tau and sigma", s_line)
-    steps = StepsConfig(
-        mode=mode,
-        safety=_parse_float(*s["safety"], key="safety") if "safety" in s else 0.99,
-        tau=tau,
-        sigmas=sigmas,
-        lam=_parse_float(*s["lambda"], key="lambda") if "lambda" in s else 1.0,
-        epsilon=_parse_float(*s["epsilon"], key="epsilon") if "epsilon" in s else 1e-3,
-    )
-
-    errors = ErrorsConfig()
-    if "errors" in by_name:
-        e_line, e = by_name["errors"][0]
-        kind = e["kind"][0] if "kind" in e else "none"
-        if kind not in ("none", "geometric"):
-            raise ConfigError(f"errors kind must be none or geometric, got {kind!r}",
-                              e["kind"][1] if "kind" in e else e_line)
-        errors = ErrorsConfig(
-            kind=kind,
-            amplitude=_parse_float(*e["amplitude"], key="amplitude") if "amplitude" in e else 0.0,
-            decay=_parse_float(*e["decay"], key="decay") if "decay" in e else 0.9,
-        )
-        if kind == "geometric" and "amplitude" not in e:
-            raise ConfigError("geometric errors need an amplitude", e_line)
-
-    stop = StopConfig()
-    if "stop" in by_name:
-        t_line, t = by_name["stop"][0]
-        stop = StopConfig(
-            tol=_parse_float(*t["tol"], key="tol") if "tol" in t else 1e-10,
-            max_iter=_parse_int(*t["max_iter"], key="max_iter") if "max_iter" in t else 10000,
-            kkt_tol=_parse_float(*t["kkt_tol"], key="kkt_tol") if "kkt_tol" in t else None,
-        )
-
-    return ProblemConfig(
-        dim_primal=dim_primal, f=f_spec, h=h_spec, blocks=tuple(blocks),
-        z=z_spec, seed=seed, mu=mu, steps=steps, errors=errors, stop=stop,
-    )
-
-
-def parse_config_file(path) -> ProblemConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# serialization
+def _fmt_floats(values: tuple[float, ...]) -> str:
+    return " ".join(repr(v) for v in values)
 
 
 def _fmt_value(value) -> str:
@@ -454,7 +340,7 @@ def _fmt_vecspec(spec: VecSpec) -> str:
         return "zeros"
     if spec.kind == "const":
         return f"const {repr(spec.values[0])}"
-    return "literal " + " ".join(repr(v) for v in spec.values)
+    return "literal " + _fmt_floats(spec.values)
 
 
 def _fmt_opspec(spec: OpSpec) -> str:
@@ -464,61 +350,180 @@ def _fmt_opspec(spec: OpSpec) -> str:
         d = spec.param_dict()
         return f"grad2d cols={d['cols']} rows={d['rows']}"
     rows = spec.param_dict()["rows"]
-    return "matrix " + " ; ".join(" ".join(repr(v) for v in row) for row in rows)
+    return "matrix " + " ; ".join(_fmt_floats(row) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# the format: sections and keys
+
+
+class _Section(NamedTuple):
+    cls: type  # the dataclass that the section's keys fill
+    fewest: int  # occurrences of the section in a file
+    most: Optional[int]  # None: no limit
+    keys: dict  # config key -> (dataclass field, parser, formatter)
+
+
+# The one description of the file format, in file order.  A key is
+# required when its dataclass field has no default, and an absent key
+# takes the field's default.  ``str`` writes ints, words and floats
+# (``str`` of a float is its shortest round-trip repr).
+_SECTIONS = {
+    "problem": _Section(ProblemConfig, 1, 1, {
+        "dim_primal": ("dim_primal", _parse_int, str),
+        "seed": ("seed", _parse_int, str),
+        "z": ("z", _parse_vecspec, _fmt_vecspec),
+        "f": ("f", _parse_funcspec, _fmt_funcspec),
+        "h": ("h", _parse_funcspec, _fmt_funcspec),
+        "mu": ("mu", _parse_float, str),
+    }),
+    "block": _Section(BlockConfig, 1, None, {
+        "dim": ("dim", _parse_int, str),
+        "omega": ("omega", _parse_float, str),
+        "L": ("L", _parse_opspec, _fmt_opspec),
+        "g": ("g", _parse_funcspec, _fmt_funcspec),
+        "ell": ("ell", _parse_funcspec, _fmt_funcspec),
+        "r": ("r", _parse_vecspec, _fmt_vecspec),
+    }),
+    "steps": _Section(StepsConfig, 1, 1, {
+        "mode": ("mode", _choice("steps mode", "auto", "manual"), str),
+        "safety": ("safety", _parse_float, str),
+        "tau": ("tau", _parse_float, str),
+        "sigma": ("sigmas", _parse_floats, _fmt_floats),
+        "lambda": ("lam", _parse_float, str),
+        "epsilon": ("epsilon", _parse_float, str),
+    }),
+    "errors": _Section(ErrorsConfig, 0, 1, {
+        "kind": ("kind", _choice("errors kind", "none", "geometric"), str),
+        "amplitude": ("amplitude", _parse_float, str),
+        "decay": ("decay", _parse_float, str),
+    }),
+    "stop": _Section(StopConfig, 0, 1, {
+        "tol": ("tol", _parse_float, str),
+        "max_iter": ("max_iter", _parse_int, str),
+        "kkt_tol": ("kkt_tol", _parse_float, str),
+    }),
+}
+
+_SECTION_RE = re.compile(r"^\[([a-zA-Z][a-zA-Z0-9_-]*)\]$")
+
+
+# ---------------------------------------------------------------------------
+# parsing
+
+
+def _section_fields(name: str, lineno: int, data: dict) -> dict:
+    """The dataclass fields that one section's keys set."""
+    sec = _SECTIONS[name]
+    required = {f.name for f in fields(sec.cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    values = {}
+    for key, (field, parse, _) in sec.keys.items():
+        if key in data:
+            values[field] = parse(*data[key], key)
+        elif field in required:
+            raise ConfigError(f"missing key {key!r} in section [{name}]", lineno)
+    return values
+
+
+def parse_config(text: str) -> ProblemConfig:
+    """Parse configuration text; raises :class:`ConfigError` on problems."""
+    found: dict[str, list[tuple[int, dict]]] = {name: [] for name in _SECTIONS}
+    current: Optional[dict] = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        m = _SECTION_RE.match(stripped)
+        if m:
+            name = m.group(1)
+            if name not in _SECTIONS:
+                raise ConfigError(f"unknown section [{name}]", lineno)
+            current = {}
+            found[name].append((lineno, current))
+            continue
+        if current is None:
+            raise ConfigError("key/value pair before any section header", lineno)
+        if "=" not in stripped:
+            raise ConfigError(f"expected 'key = value', got {stripped!r}", lineno)
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key not in _SECTIONS[name].keys:
+            raise ConfigError(f"unknown key {key!r} in section [{name}]", lineno)
+        if key in current:
+            raise ConfigError(f"duplicate key {key!r} in section [{name}]", lineno)
+        current[key] = (value.strip(), lineno)
+
+    for name, sec in _SECTIONS.items():
+        occurrences = found[name]
+        if len(occurrences) < sec.fewest:
+            raise ConfigError(f"at least one [{name}] section is required" if sec.most is None
+                              else f"missing required section [{name}]")
+        if sec.most is not None and len(occurrences) > sec.most:
+            raise ConfigError(f"section [{name}] appears more than once",
+                              occurrences[sec.most][0])
+    # an absent optional section takes every default
+    values = {name: [_section_fields(name, lineno, data)
+                     for lineno, data in found[name] or [(None, {})]]
+              for name in _SECTIONS}
+
+    # rules that read more than one key
+    s_line, s = found["steps"][0]
+    steps, blocks = values["steps"][0], values["block"]
+    if "sigmas" in steps:
+        sigmas = steps["sigmas"]
+        if len(sigmas) == 1:
+            sigmas *= len(blocks)
+        if len(sigmas) != len(blocks):
+            raise ConfigError(f"sigma: expected 1 or {len(blocks)} values, got {len(sigmas)}",
+                              s["sigma"][1])
+        steps["sigmas"] = sigmas
+    if steps.get("mode") == "manual" and not {"tau", "sigmas"} <= steps.keys():
+        raise ConfigError("manual steps need both tau and sigma", s_line)
+    errors = values["errors"][0]
+    if errors.get("kind") == "geometric" and "amplitude" not in errors:
+        raise ConfigError("geometric errors need an amplitude", found["errors"][0][0])
+
+    return ProblemConfig(
+        **values["problem"][0],
+        blocks=tuple(BlockConfig(**b) for b in blocks),
+        steps=StepsConfig(**steps),
+        errors=ErrorsConfig(**errors),
+        stop=StopConfig(**values["stop"][0]),
+    )
+
+
+def parse_config_file(path) -> ProblemConfig:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_config(fh.read())
+
+
+# ---------------------------------------------------------------------------
+# serialization
 
 
 def serialize_config(pc: ProblemConfig) -> str:
     """Serialize so that re-parsing reproduces the configuration
-    field for field."""
-    out = ["[problem]"]
-    out.append(f"dim_primal = {pc.dim_primal}")
-    out.append(f"seed = {pc.seed}")
-    out.append(f"z = {_fmt_vecspec(pc.z)}")
-    out.append(f"f = {_fmt_funcspec(pc.f)}")
-    out.append(f"h = {_fmt_funcspec(pc.h)}")
-    if pc.mu is not None:
-        out.append(f"mu = {repr(pc.mu)}")
-    for blk in pc.blocks:
-        out.append("")
-        out.append("[block]")
-        out.append(f"dim = {blk.dim}")
-        out.append(f"omega = {repr(blk.omega)}")
-        out.append(f"L = {_fmt_opspec(blk.L)}")
-        out.append(f"g = {_fmt_funcspec(blk.g)}")
-        out.append(f"ell = {_fmt_funcspec(blk.ell)}")
-        out.append(f"r = {_fmt_vecspec(blk.r)}")
-    out.append("")
-    out.append("[steps]")
-    out.append(f"mode = {pc.steps.mode}")
-    out.append(f"safety = {repr(pc.steps.safety)}")
-    if pc.steps.tau is not None:
-        out.append(f"tau = {repr(pc.steps.tau)}")
-    if pc.steps.sigmas is not None:
-        out.append("sigma = " + " ".join(repr(s) for s in pc.steps.sigmas))
-    out.append(f"lambda = {repr(pc.steps.lam)}")
-    out.append(f"epsilon = {repr(pc.steps.epsilon)}")
-    out.append("")
-    out.append("[errors]")
-    out.append(f"kind = {pc.errors.kind}")
-    out.append(f"amplitude = {repr(pc.errors.amplitude)}")
-    out.append(f"decay = {repr(pc.errors.decay)}")
-    out.append("")
-    out.append("[stop]")
-    out.append(f"tol = {repr(pc.stop.tol)}")
-    out.append(f"max_iter = {pc.stop.max_iter}")
-    if pc.stop.kkt_tol is not None:
-        out.append(f"kkt_tol = {repr(pc.stop.kkt_tol)}")
-    return "\n".join(out) + "\n"
+    field for field; a field that is ``None`` is left out."""
+    sections = [("problem", pc), *(("block", b) for b in pc.blocks),
+                ("steps", pc.steps), ("errors", pc.errors), ("stop", pc.stop)]
+    out = []
+    for name, obj in sections:
+        lines = [f"[{name}]"]
+        for key, (field, _, fmt) in _SECTIONS[name].keys.items():
+            value = getattr(obj, field)
+            if value is not None:
+                lines.append(f"{key} = {fmt(value)}")
+        out.append("\n".join(lines))
+    return "\n\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # problem assembly
 
-_F_KINDS = {"sq_l2", "l1", "l2", "box", "point", "zero", "linear"}
-
 
 def _build_prox(spec: FuncSpec, dim: int, key: str):
-    if spec.kind not in _F_KINDS:
+    if spec.kind not in CATALOG_KINDS:
         raise ConfigError(f"{key}: unknown catalog function {spec.kind!r}")
     try:
         return catalog_prox(spec.kind, dim, **spec.param_dict())
@@ -588,17 +593,7 @@ def _build_operator(spec: OpSpec, in_dim: int, out_dim: int) -> LinearOp:
     return matrix_op(mat)
 
 
-@dataclass(frozen=True)
-class BuildOptions:
-    """Everything a front end needs to run the parsed problem."""
-
-    steps: StepsConfig
-    errors: ErrorsConfig
-    stop: StopConfig
-    seed: int
-
-
-def build_problem(pc: ProblemConfig, seed: Optional[int] = None) -> tuple[ConvexProblem, BuildOptions]:
+def build_problem(pc: ProblemConfig) -> ConvexProblem:
     """Assemble the convex problem described by a parsed configuration."""
     try:
         layout = SpaceLayout(
@@ -611,21 +606,16 @@ def build_problem(pc: ProblemConfig, seed: Optional[int] = None) -> tuple[Convex
                 g=_build_prox(b.g, b.dim, f"block {i}: g"),
                 ell=_build_ell(b.ell, b.dim),
                 L=_build_operator(b.L, pc.dim_primal, b.dim),
-                r=b.r.resolve(b.dim),
+                r=b.r.resolve(b.dim, f"block {i}: r"),
             )
             for i, b in enumerate(pc.blocks)
         )
-        cp = ConvexProblem(
+        return ConvexProblem(
             layout=layout,
             f=_build_prox(pc.f, pc.dim_primal, "f"),
             h=_build_smooth(pc.h, pc.dim_primal, pc.mu),
-            z=pc.z.resolve(pc.dim_primal),
+            z=pc.z.resolve(pc.dim_primal, "z"),
             blocks=blocks,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    opts = BuildOptions(
-        steps=pc.steps, errors=pc.errors, stop=pc.stop,
-        seed=pc.seed if seed is None else seed,
-    )
-    return cp, opts

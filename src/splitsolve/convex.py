@@ -99,11 +99,15 @@ def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
     c = float(weight)
     if c <= 0:
         raise ValueError("weight must be positive")
+    if not math.isfinite(c):
+        raise ValueError(f"weight must be finite, got {c!r}")
     b = np.asarray(center, dtype=float)
     if b.ndim == 0:
         if dim is None:
             raise ValueError("dim is required for a scalar center")
         b = np.full(dim, float(b))
+    if not np.isfinite(b).all():
+        raise ValueError("center must be finite")
 
     def gradient(x):
         out = np.subtract(x, b)
@@ -179,6 +183,8 @@ def quadratic_term(dim: int, nu: float = 1.0) -> StronglyConvexTerm:
     nu = float(nu)
     if nu <= 0:
         raise ValueError("nu must be positive")
+    if not math.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu!r}")
     return StronglyConvexTerm(
         dim=dim,
         conj_gradient=lambda v: v / nu,

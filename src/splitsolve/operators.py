@@ -43,6 +43,7 @@ __all__ = [
     "grad2d_op",
     "estimate_norm",
     "resolvent_of_inverse",
+    "CATALOG_KINDS",
     "catalog_prox",
     "resolvent_from_prox",
 ]
@@ -401,13 +402,26 @@ def resolvent_from_prox(f: ProxFunction) -> ResolventOp:
 # prox catalog
 
 
-def _as_vec(value, dim: int, name: str) -> np.ndarray:
+def _as_vec(value, dim: int, name: str, finite: bool = True) -> np.ndarray:
+    """``value`` as a length-``dim`` vector; its entries must be finite
+    unless ``finite`` is false."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
-        return np.full(dim, float(arr))
-    if arr.shape != (dim,):
+        arr = np.full(dim, float(arr))
+    elif arr.shape != (dim,):
         raise ValueError(f"{name} must be a scalar or a vector of length {dim}")
+    if finite and not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     return arr
+
+
+def _weight(value, kind: str) -> float:
+    c = float(value)
+    if c <= 0:
+        raise ValueError(f"{kind} weight must be positive")
+    if not math.isfinite(c):
+        raise ValueError(f"{kind} weight must be finite, got {c!r}")
+    return c
 
 
 def catalog_prox(kind: str, dim: int, **params) -> ProxFunction:
@@ -426,9 +440,7 @@ def catalog_prox(kind: str, dim: int, **params) -> ProxFunction:
 
 def _build_sq_l2(dim, weight=1.0, center=0.0):
     """(weight/2) ||x - center||^2"""
-    c = float(weight)
-    if c <= 0:
-        raise ValueError("sq_l2 weight must be positive")
+    c = _weight(weight, "sq_l2")
     b = _as_vec(center, dim, "center")
 
     def prox(gamma, w):
@@ -456,9 +468,7 @@ def _build_sq_l2(dim, weight=1.0, center=0.0):
 
 def _build_l1(dim, weight=1.0):
     """weight * ||x||_1, prox = soft threshold"""
-    c = float(weight)
-    if c <= 0:
-        raise ValueError("l1 weight must be positive")
+    c = _weight(weight, "l1")
 
     def prox(gamma, w):
         w = np.asarray(w, dtype=float)
@@ -487,10 +497,15 @@ def _build_l1(dim, weight=1.0):
 
 def _build_box(dim, lo=0.0, hi=1.0):
     """indicator of the box [lo, hi]"""
-    lo_v = _as_vec(lo, dim, "lo")
-    hi_v = _as_vec(hi, dim, "hi")
+    lo_v = _as_vec(lo, dim, "lo", finite=False)
+    hi_v = _as_vec(hi, dim, "hi", finite=False)
     if np.any(lo_v > hi_v):
         raise ValueError("box is empty: lo exceeds hi in some coordinate")
+    # a side may be open; NaN compares false both ways
+    if not (lo_v < math.inf).all():
+        raise ValueError("lo must be finite or -inf")
+    if not (hi_v > -math.inf).all():
+        raise ValueError("hi must be finite or +inf")
     scale = 1.0 + float(np.max(np.abs(np.concatenate([lo_v, hi_v]))))
 
     def evaluate(x):
@@ -583,9 +598,7 @@ def _build_linear(dim, a=0.0):
 
 def _build_l2(dim, weight=1.0):
     """weight * ||x||_2, prox = block soft threshold"""
-    c = float(weight)
-    if c <= 0:
-        raise ValueError("l2 weight must be positive")
+    c = _weight(weight, "l2")
 
     def prox(gamma, w):
         w = np.asarray(w, dtype=float)
@@ -624,3 +637,5 @@ _CATALOG = {
     "linear": _build_linear,
     "l2": _build_l2,
 }
+#: the kinds :func:`catalog_prox` builds
+CATALOG_KINDS = frozenset(_CATALOG)

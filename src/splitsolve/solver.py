@@ -153,7 +153,7 @@ class StepConfig:
 
     ``margin`` is the blockwise margin of the module docstring
     (``-inf`` when some 1/sigma_i <= 1/(2 nu_i)) and ``admissible``
-    records whether it is positive, which makes V - M^{-1}/2 positive
+    says whether it is positive, which makes V - M^{-1}/2 positive
     definite.  ``rho`` (a lower bound on V) and ``delta`` come from the
     paper's condition, and ``beta`` is the smallest cocoercivity
     constant (capped at ``BETA_CAP`` when every constant is infinite);
@@ -169,10 +169,13 @@ class StepConfig:
     beta: float
     delta: float
     margin: float
-    admissible: bool
     norms: tuple[float, ...]
     lambda_schedule: Callable[[int], float] = lambda n: 1.0
     epsilon: float = 1e-3
+
+    @property
+    def admissible(self) -> bool:
+        return self.margin > 0.0
 
     def lambda_at(self, n: int) -> float:
         lam = float(self.lambda_schedule(n))
@@ -524,7 +527,6 @@ def validate_steps(spec: ProblemSpec, tau: float, sigmas,
         beta=beta,
         delta=delta,
         margin=margin,
-        admissible=margin > 0.0,
         norms=norms,
         lambda_schedule=lambda_schedule or (lambda n: 1.0),
         epsilon=epsilon,
@@ -733,10 +735,10 @@ def _v_quadform(spec, tau, sigmas, dx, dv, xx, vv, dwsum=None):
     return s
 
 
-def _residual_norm(spec, cfg, dx, dv, sq, dwsum=None):
+def _residual_norm(spec, cfg, admissible, dx, dv, sq, dwsum=None):
     # the renormed metric is positive definite only for admissible steps;
     # fall back to the plain weighted norm under an override
-    if not cfg.admissible:
+    if not admissible:
         return math.sqrt(_weighted_sq(spec.layout.weights, *sq))
     quad = _v_quadform(spec, cfg.tau, cfg.sigmas, dx, dv, *sq, dwsum)
     # an overflowed cross term must not read as a zero residual
@@ -808,7 +810,8 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     other than ``box``), else the inverse-resolvent identity on
     ``B_i.resolvent``.
     """
-    if not cfg.admissible and not allow_inadmissible:
+    admissible = cfg.admissible
+    if not admissible and not allow_inadmissible:
         raise InadmissibleStepsError(
             f"step sizes are inadmissible (margin = {cfg.margin:.17g} <= 0; "
             f"rho = {cfg.rho:.17g}, beta = {cfg.beta:.17g}, delta = {cfg.delta:.17g}); "
@@ -859,7 +862,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
         if exact and lam == 1.0:
             # the step taken is the relaxation-1 displacement d, and
             # v_{n+1} - v_n = dv gives sum_i w_i L_i^T dv_i = W_{n+1} - W_n
-            dwsum = np.subtract(wsum_next, wsum, out=ws.tmp) if cfg.admissible else None
+            dwsum = np.subtract(wsum_next, wsum, out=ws.tmp) if admissible else None
             step_sq = res_sq = _sq_norms(ws.dx, ws.dv)
         else:
             np.subtract(nxt.u, st.u, out=ws.s)
@@ -868,7 +871,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             np.subtract(np.add(st.u, ws.d, out=ws.d), st.u, out=ws.d)
             dwsum = None
             res_sq = _sq_norms(ws.dx, ws.dv)
-        residual = _residual_norm(spec, cfg, ws.dx, ws.dv, res_sq, dwsum)
+        residual = _residual_norm(spec, cfg, admissible, ws.dx, ws.dv, res_sq, dwsum)
         step_norm = math.sqrt(_weighted_sq(weights, *step_sq))
         state_norm = math.sqrt(_weighted_sq(weights, *_sq_norms(st.x, st.v)))
         wsum, wsum_next = wsum_next, wsum

@@ -256,6 +256,48 @@ class TestNonFiniteOperator:
         assert not (tmp_path / "r.csv").exists()
 
 
+class TestNonFiniteValues:
+    """A non-finite catalog parameter, z or r is refused by name at setup."""
+
+    CASES = [
+        ("g = l1 weight=1.0", "g = l1 weight=nan", "block 0: g: l1 weight must be finite, got nan"),
+        ("g = l1 weight=1.0", "g = l1 weight=inf", "block 0: g: l1 weight must be finite, got inf"),
+        ("f = zero", "f = sq_l2 weight=nan", "f: sq_l2 weight must be finite, got nan"),
+        ("z = zeros", "z = const nan", "z must be finite"),
+        ("g = l1 weight=1.0", "g = box lo=nan hi=3", "block 0: g: lo must be finite or -inf"),
+        ("g = l1 weight=1.0", "g = box lo=inf hi=inf", "block 0: g: lo must be finite or -inf"),
+        ("g = l1 weight=1.0", "g = box lo=-inf hi=-inf", "block 0: g: hi must be finite or +inf"),
+        ("g = l1 weight=1.0", "g = point point=nan", "block 0: g: point must be finite"),
+        ("h = sq_l2 weight=1.0 center=4.0", "h = sq_l2 weight=1.0 center=inf",
+         "center must be finite"),
+        ("f = zero", "f = linear a=inf", "f: a must be finite"),
+        ("r = zeros", "r = const inf", "block 0: r must be finite"),
+        ("ell = dirac", "ell = quadratic nu=inf", "nu must be finite, got inf"),
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["solve", "check", "diag"])
+    @pytest.mark.parametrize("old, new, message", CASES, ids=[c[1] for c in CASES])
+    def test_refused_by_name(self, tmp_path, capsys, command, old, new, message):
+        text = Path(LASSO).read_text()
+        assert text.count(old) == 1
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace(old, new))
+        extra = ["-o", str(tmp_path / "r.csv")] if command == "solve" else []
+        assert main([command, str(cfg), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{cfg}:{message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("box", ["lo=-inf hi=3", "lo=-2 hi=inf", "lo=-inf hi=inf"])
+    def test_open_box_side_accepted(self, tmp_path, capsys, box):
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text(Path(LASSO).read_text().replace("g = l1 weight=1.0", f"g = box {box}"))
+        assert main(["check", str(cfg)]) == 0
+        capsys.readouterr()
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -276,6 +318,32 @@ class TestDeterminism:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
+
+    def test_env_seed_overrides_config_seed(self, tmp_path, capsys, monkeypatch):
+        noisy = Path(FUSED).read_text() + "\n[errors]\nkind = geometric\namplitude = 0.1\ndecay = 0.9\n"
+        assert noisy.count("seed = 7") == 1
+        seven, forty_two = tmp_path / "seven.cfg", tmp_path / "forty_two.cfg"
+        seven.write_text(noisy)
+        forty_two.write_text(noisy.replace("seed = 7", "seed = 42"))
+        a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
+        monkeypatch.delenv("SPLITSOLVE_SEED", raising=False)
+        assert main(["solve", str(forty_two), "-o", str(a)]) == 0
+        assert main(["solve", str(seven), "-o", str(c)]) == 0
+        monkeypatch.setenv("SPLITSOLVE_SEED", "42")
+        assert main(["solve", str(seven), "-o", str(b)]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_bytes() != c.read_bytes()
+
+    @pytest.mark.parametrize("command", ["solve", "check", "diag"])
+    def test_env_seed_must_be_an_integer(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("SPLITSOLVE_SEED", "4.5")
+        extra = ["-o", str(tmp_path / "r.csv")] if command == "solve" else []
+        assert main([command, FUSED, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{FUSED}:SPLITSOLVE_SEED must be an integer, got '4.5'\n"
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
 
     def test_timings_breaks_reproducibility_knowingly(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

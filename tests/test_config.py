@@ -121,6 +121,96 @@ class TestParsing:
         assert pc.steps.sigmas == (0.6, 0.6)
 
 
+PROBLEM_SECTION = """[problem]
+dim_primal = 3
+seed = 5
+z = const 0.5
+f = l1 weight=0.25
+h = sq_l2 weight=2.0 center=(1.0,2.0,3.0)
+"""
+BLOCK_SECTION = """[block]
+dim = 2
+omega = 1.0
+L = diff1d
+g = l1 weight=0.4
+ell = dirac
+r = literal 0.1 -0.2
+"""
+STEPS_SECTION = """[steps]
+mode = manual
+tau = 0.3
+sigma = 0.6
+lambda = 0.9
+"""
+
+
+# (text in BASIC, its replacement, the exact message, ConfigError.line)
+PARSER_ERRORS = [
+    ("dim_primal = 3", "dim_primal = 3.5", "dim_primal: expected an integer, got '3.5'", 3),
+    ("max_iter = 500", "max_iter = 5e2", "max_iter: expected an integer, got '5e2'", 30),
+    ("omega = 1.0", "omega = one", "omega: expected a number, got 'one'", 11),
+    ("lambda = 0.9", "lambda = x", "lambda: expected a number, got 'x'", 21),
+    ("center=(1.0,2.0,3.0)", "center=()", "h.center: empty vector literal", 7),
+    ("center=(1.0,2.0,3.0)", "center=(1.0,x)", "h.center: expected a number, got 'x'", 7),
+    ("f = l1 weight=0.25", "f =", "f: empty function spec", 6),
+    ("g = l1 weight=0.4", "g = l1 weight",
+     "g: malformed parameter 'weight' (expected name=value)", 13),
+    ("z = const 0.5", "z =", "z: empty vector spec", 5),
+    ("z = const 0.5", "z = zeros 1", "z: 'zeros' takes no arguments", 5),
+    ("z = const 0.5", "z = const 1 2", "z: 'const' takes exactly one value", 5),
+    ("z = const 0.5", "z = const x", "z: expected a number, got 'x'", 5),
+    ("z = const 0.5", "z = ones",
+     "z: unknown vector form 'ones' (use zeros, const, or literal)", 5),
+    ("r = literal 0.1 -0.2", "r = literal", "r: 'literal' needs at least one value", 15),
+    ("r = literal 0.1 -0.2", "r = literal 0.1 y", "r: expected a number, got 'y'", 15),
+    ("L = diff1d", "L =", "L: empty operator spec", 12),
+    ("L = diff1d", "L = diff1d 2", "L: 'diff1d' takes no arguments", 12),
+    ("L = diff1d", "L = identity 2", "L: 'identity' takes no arguments", 12),
+    ("L = diff1d", "L = grad2d rows=2 size=3",
+     "L: grad2d expects rows=.. cols=.., got 'size=3'", 12),
+    ("L = diff1d", "L = grad2d rows=", "L: grad2d expects rows=.. cols=.., got 'rows='", 12),
+    ("L = diff1d", "L = grad2d rows=2", "L: grad2d needs both rows= and cols=", 12),
+    ("L = diff1d", "L = grad2d rows=2 cols=x", "L.cols: expected an integer, got 'x'", 12),
+    ("L = diff1d", "L = matrix", "L: matrix needs row entries", 12),
+    ("L = diff1d", "L = matrix 1 0 ; ; 0 1", "L: empty matrix row", 12),
+    ("L = diff1d", "L = matrix 1 0 ; 1", "L: matrix rows have unequal lengths", 12),
+    ("L = diff1d", "L = matrix 1 x", "L: expected a number, got 'x'", 12),
+    ("L = diff1d", "L = spiral",
+     "L: unknown operator 'spiral' (use identity, diff1d, grad2d, or matrix)", 12),
+    ("[stop]", "[halt]", "unknown section [halt]", 28),
+    ("\n[problem]", "x = 1\n[problem]", "key/value pair before any section header", 1),
+    ("seed = 5", "seed 5", "expected 'key = value', got 'seed 5'", 4),
+    ("seed = 5", "sneed = 5", "unknown key 'sneed' in section [problem]", 4),
+    ("seed = 5", "seed = 5\nseed = 6", "duplicate key 'seed' in section [problem]", 5),
+    (PROBLEM_SECTION, "", "missing required section [problem]", None),
+    (STEPS_SECTION, "", "missing required section [steps]", None),
+    (BLOCK_SECTION, "", "at least one [block] section is required", None),
+    ("[block]", "[problem]\n[block]", "section [problem] appears more than once", 9),
+    ("[errors]", "[steps]\n[errors]", "section [steps] appears more than once", 23),
+    ("[stop]", "[errors]\n[stop]", "section [errors] appears more than once", 28),
+    ("kkt_tol = 1e-7", "kkt_tol = 1e-7\n[stop]", "section [stop] appears more than once", 32),
+    ("f = l1 weight=0.25\n", "", "missing key 'f' in section [problem]", 2),
+    ("dim = 2\n", "", "missing key 'dim' in section [block]", 9),
+    ("ell = dirac\n", "", "missing key 'ell' in section [block]", 9),
+    ("mode = manual", "mode = guess", "steps mode must be auto or manual, got 'guess'", 18),
+    ("sigma = 0.6", "sigma = 0.6 0.7", "sigma: expected 1 or 1 values, got 2", 20),
+    ("sigma = 0.6", "sigma = 0.6 x", "sigma: expected a number, got 'x'", 20),
+    ("tau = 0.3\n", "", "manual steps need both tau and sigma", 17),
+    ("sigma = 0.6\n", "", "manual steps need both tau and sigma", 17),
+    ("kind = geometric", "kind = random",
+     "errors kind must be none or geometric, got 'random'", 24),
+    ("amplitude = 0.05\n", "", "geometric errors need an amplitude", 23),
+]
+
+
+@pytest.mark.parametrize("old, new, message, line", PARSER_ERRORS)
+def test_parser_error_message_and_line(old, new, message, line):
+    assert BASIC.count(old) == 1
+    with pytest.raises(ConfigError) as exc:
+        parse_config(BASIC.replace(old, new))
+    assert (exc.value.message, exc.value.line) == (message, line)
+
+
 _NUM = st.floats(allow_nan=False)
 _VEC = st.one_of(
     st.just(VecSpec("zeros")),
@@ -197,13 +287,11 @@ class TestRoundTripProperty:
 
 class TestBuild:
     def test_basic_build(self):
-        cp, opts = build_problem(parse_config(BASIC))
+        cp = build_problem(parse_config(BASIC))
         assert cp.layout.dim_primal == 3
         assert cp.layout.dual_dims == (2,)
         np.testing.assert_array_equal(cp.z, np.full(3, 0.5))
         assert cp.h.lipschitz_inv == pytest.approx(0.5)  # weight 2 quadratic
-        assert opts.seed == 5
-        assert opts.stop.max_iter == 500
 
     def test_weights_must_sum(self):
         text = BASIC.replace("omega = 1.0", "omega = 0.8")
@@ -222,7 +310,7 @@ class TestBuild:
 
     def test_matrix_operator(self):
         text = BASIC.replace("L = diff1d", "L = matrix 1 0 0 ; 0 1 1")
-        cp, _ = build_problem(parse_config(text))
+        cp = build_problem(parse_config(text))
         np.testing.assert_array_equal(
             cp.blocks[0].L.apply(np.array([1.0, 2.0, 3.0])), [1.0, 5.0])
 
@@ -248,18 +336,14 @@ ell = dirac
 [steps]
 mode = auto
 """
-        cp, _ = build_problem(parse_config(text))
+        cp = build_problem(parse_config(text))
         assert cp.blocks[0].L.out_dim == 7  # (2-1)*3 + 2*(3-1)
 
     def test_mu_override_reaches_smooth_term(self):
         text = BASIC.replace("h = sq_l2 weight=2.0 center=(1.0,2.0,3.0)",
                              "h = sq_l2 weight=2.0 center=(1.0,2.0,3.0)\nmu = 3.0")
-        cp, _ = build_problem(parse_config(text))
+        cp = build_problem(parse_config(text))
         assert cp.h.lipschitz_inv == 3.0
-
-    def test_seed_override_argument(self):
-        cp, opts = build_problem(parse_config(BASIC), seed=42)
-        assert opts.seed == 42
 
     def test_unknown_catalog_function(self):
         text = BASIC.replace("f = l1 weight=0.25", "f = entropy")

@@ -67,6 +67,12 @@ class TestValidateSteps:
         assert cfg.margin == pytest.approx(-1.0, abs=1e-14)
         assert not cfg.admissible
 
+    def test_admissible_follows_replaced_margin(self):
+        cfg = ss.validate_steps(simple_spec(), 0.5, (0.5,))
+        assert cfg.admissible
+        assert not dataclasses.replace(cfg, margin=-1.0).admissible
+        assert dataclasses.replace(cfg, margin=0.0).admissible is False
+
     def test_margin_refuses_dual_step_past_twice_nu(self):
         # 1/sigma <= 1/(2 nu) leaves the dual block no slack at all
         spec = simple_spec(nus=(0.25,))
@@ -1058,7 +1064,8 @@ class TestCarriedWeightedSum:
         cfg = ss.suggest_steps(spec)
         dx, dv = np.array([1.0]), (np.array([1e-3]),)
         sq = ss.solver._sq_norms(dx, dv)
-        residual = ss.solver._residual_norm(spec, cfg, dx, dv, sq, np.array([math.inf]))
+        residual = ss.solver._residual_norm(spec, cfg, cfg.admissible, dx, dv, sq,
+                                            np.array([math.inf]))
         assert residual == math.inf
 
     def test_suite_iteration_counts_kept(self):
