@@ -61,15 +61,6 @@ from .convex import (
     solve_convex,
     zero_smooth,
 )
-from .diagnostics import (
-    CertificateReport,
-    FejerSeries,
-    ProductOps,
-    build_product_ops,
-    certify_Q_cocoercive,
-    certify_skew,
-    certify_strong_positivity,
-    fejer_monitor,
-)
+from .diagnostics import CertificateReport, certify_operators
 
 __version__ = "0.1.0"

@@ -149,24 +149,27 @@ def chambolle_pock_reference(f_prox, g_prox, L, tau, sigma, x0, v0, iters):
 # pinned problem instances
 
 
+def _single_block(f, h, g, L, ell=None):
+    """One weight-1 block coupled through ``L``, with zero ``z`` and ``r``;
+    ``ell`` defaults to the Dirac term."""
+    n, d = L.in_dim, L.out_dim
+    return ConvexProblem(
+        layout=SpaceLayout(n, (d,), (1.0,)),
+        f=f,
+        h=h,
+        z=np.zeros(n),
+        blocks=(ConvexBlock(g=g, ell=dirac_term(d) if ell is None else ell, L=L,
+                            r=np.zeros(d)),),
+    )
+
+
 def fb_problem():
     """10-dim composite problem with a fully degenerate dual block."""
     rng = np.random.default_rng(101)
     n = 10
     b = rng.standard_normal(n)
-    layout = SpaceLayout(n, (n,), (1.0,))
-    cp = ConvexProblem(
-        layout=layout,
-        f=catalog_prox("l1", n, weight=0.3),
-        h=quadratic_smooth(b),
-        z=np.zeros(n),
-        blocks=(ConvexBlock(
-            g=catalog_prox("zero", n),
-            ell=dirac_term(n),
-            L=identity_op(n),
-            r=np.zeros(n),
-        ),),
-    )
+    cp = _single_block(f=catalog_prox("l1", n, weight=0.3), h=quadratic_smooth(b),
+                       g=catalog_prox("zero", n), L=identity_op(n))
     params = {"tau": 0.7, "sigma": 0.4, "lam": 0.9, "b": b}
     return cp, params
 
@@ -199,19 +202,9 @@ def cp_problem():
     rng = np.random.default_rng(303)
     n = 12
     b = 1.5 * rng.standard_normal(n)
-    layout = SpaceLayout(n, (n - 1,), (1.0,))
-    cp = ConvexProblem(
-        layout=layout,
-        f=catalog_prox("sq_l2", n, weight=1.0, center=b),
-        h=zero_smooth(n),
-        z=np.zeros(n),
-        blocks=(ConvexBlock(
-            g=catalog_prox("l1", n - 1, weight=0.4),
-            ell=dirac_term(n - 1),
-            L=diff1d_op(n),
-            r=np.zeros(n - 1),
-        ),),
-    )
+    cp = _single_block(f=catalog_prox("sq_l2", n, weight=1.0, center=b),
+                       h=zero_smooth(n), g=catalog_prox("l1", n - 1, weight=0.4),
+                       L=diff1d_op(n))
     params = {"safety": 0.95, "b": b}
     return cp, params
 
@@ -223,19 +216,8 @@ def tv1d_problem():
     base = np.repeat([1.0, -0.5, 2.0, 0.0, 1.2], n // 5)
     b = base + 0.25 * rng.standard_normal(n)
     weight = 0.4
-    layout = SpaceLayout(n, (n - 1,), (1.0,))
-    cp = ConvexProblem(
-        layout=layout,
-        f=catalog_prox("zero", n),
-        h=quadratic_smooth(b),
-        z=np.zeros(n),
-        blocks=(ConvexBlock(
-            g=catalog_prox("l1", n - 1, weight=weight),
-            ell=dirac_term(n - 1),
-            L=diff1d_op(n),
-            r=np.zeros(n - 1),
-        ),),
-    )
+    cp = _single_block(f=catalog_prox("zero", n), h=quadratic_smooth(b),
+                       g=catalog_prox("l1", n - 1, weight=weight), L=diff1d_op(n))
     params = {"weight": weight, "b": b, "alpha": 0.0}
     return cp, params
 
@@ -246,19 +228,8 @@ def fused_lasso_problem():
     n = 10
     b = 2.0 * rng.standard_normal(n)
     alpha, weight = 0.2, 0.5
-    layout = SpaceLayout(n, (n - 1,), (1.0,))
-    cp = ConvexProblem(
-        layout=layout,
-        f=catalog_prox("l1", n, weight=alpha),
-        h=quadratic_smooth(b),
-        z=np.zeros(n),
-        blocks=(ConvexBlock(
-            g=catalog_prox("l1", n - 1, weight=weight),
-            ell=dirac_term(n - 1),
-            L=diff1d_op(n),
-            r=np.zeros(n - 1),
-        ),),
-    )
+    cp = _single_block(f=catalog_prox("l1", n, weight=alpha), h=quadratic_smooth(b),
+                       g=catalog_prox("l1", n - 1, weight=weight), L=diff1d_op(n))
     params = {"alpha": alpha, "weight": weight, "b": b}
     return cp, params
 
@@ -274,19 +245,9 @@ def huber_tv_problem():
     n = 10
     b = 1.5 * rng.standard_normal(n)
     alpha, weight, nu = 0.1, 0.5, 2.0
-    layout = SpaceLayout(n, (n - 1,), (1.0,))
-    cp = ConvexProblem(
-        layout=layout,
-        f=catalog_prox("l1", n, weight=alpha),
-        h=quadratic_smooth(b),
-        z=np.zeros(n),
-        blocks=(ConvexBlock(
-            g=catalog_prox("l1", n - 1, weight=weight),
-            ell=quadratic_term(n - 1, nu=nu),
-            L=diff1d_op(n),
-            r=np.zeros(n - 1),
-        ),),
-    )
+    cp = _single_block(f=catalog_prox("l1", n, weight=alpha), h=quadratic_smooth(b),
+                       g=catalog_prox("l1", n - 1, weight=weight), L=diff1d_op(n),
+                       ell=quadratic_term(n - 1, nu=nu))
     params = {"alpha": alpha, "weight": weight, "nu": nu, "b": b}
     return cp, params
 

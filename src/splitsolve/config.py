@@ -522,74 +522,80 @@ def serialize_config(pc: ProblemConfig) -> str:
 # problem assembly
 
 
-def _build_prox(spec: FuncSpec, dim: int, key: str):
-    if spec.kind not in CATALOG_KINDS:
-        raise ConfigError(f"{key}: unknown catalog function {spec.kind!r}")
+def _named(name: str, build, *args):
+    """``build(*args)``, with ``name: `` before the message of any
+    ``ValueError`` or ``TypeError`` it raises."""
     try:
-        return catalog_prox(spec.kind, dim, **spec.param_dict())
+        return build(*args)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _build_prox(spec: FuncSpec, dim: int):
+    if spec.kind not in CATALOG_KINDS:
+        raise ConfigError(f"unknown catalog function {spec.kind!r}")
+    return catalog_prox(spec.kind, dim, **spec.param_dict())
 
 
 def _build_smooth(spec: FuncSpec, dim: int, mu: Optional[float]):
     if spec.kind == "zero":
         if spec.params:
-            raise ConfigError("h: zero takes no parameters")
+            raise ConfigError("zero takes no parameters")
         return zero_smooth(dim, mu=mu)
     if spec.kind == "sq_l2":
         d = spec.param_dict()
         weight = float(d.pop("weight", 1.0))
         center = d.pop("center", 0.0)
         if d:
-            raise ConfigError(f"h: unexpected parameters {sorted(d)}")
+            raise ConfigError(f"unexpected parameters {sorted(d)}")
         center_arr = np.asarray(center, dtype=float)
         if center_arr.ndim == 1 and center_arr.size != dim:
             raise ConfigError(
-                f"h: center has {center_arr.size} entries, expected {dim}")
+                f"center has {center_arr.size} entries, expected {dim}")
         return quadratic_smooth(center_arr, weight=weight, dim=dim, mu=mu)
-    raise ConfigError(f"h: unknown smooth kind {spec.kind!r} (use sq_l2 or zero)")
+    raise ConfigError(f"unknown smooth kind {spec.kind!r} (use sq_l2 or zero)")
 
 
 def _build_ell(spec: FuncSpec, dim: int):
     if spec.kind == "dirac":
         if spec.params:
-            raise ConfigError("ell: dirac takes no parameters")
+            raise ConfigError("dirac takes no parameters")
         return dirac_term(dim)
     if spec.kind == "quadratic":
         d = spec.param_dict()
         nu = float(d.pop("nu", 1.0))
         if d:
-            raise ConfigError(f"ell: unexpected parameters {sorted(d)}")
+            raise ConfigError(f"unexpected parameters {sorted(d)}")
         return quadratic_term(dim, nu=nu)
-    raise ConfigError(f"ell: unknown kind {spec.kind!r} (use dirac or quadratic)")
+    raise ConfigError(f"unknown kind {spec.kind!r} (use dirac or quadratic)")
 
 
 def _build_operator(spec: OpSpec, in_dim: int, out_dim: int) -> LinearOp:
     if spec.kind == "identity":
         if out_dim != in_dim:
             raise ConfigError(
-                f"L: identity needs block dim {in_dim}, got {out_dim}")
+                f"identity needs block dim {in_dim}, got {out_dim}")
         return identity_op(in_dim)
     if spec.kind == "diff1d":
         if out_dim != in_dim - 1:
             raise ConfigError(
-                f"L: diff1d maps dim {in_dim} to {in_dim - 1}, block has {out_dim}")
+                f"diff1d maps dim {in_dim} to {in_dim - 1}, block has {out_dim}")
         return diff1d_op(in_dim)
     if spec.kind == "grad2d":
         d = spec.param_dict()
         rows, cols = d["rows"], d["cols"]
         if rows * cols != in_dim:
             raise ConfigError(
-                f"L: grad2d rows*cols = {rows * cols} disagrees with dim_primal {in_dim}")
+                f"grad2d rows*cols = {rows * cols} disagrees with dim_primal {in_dim}")
         op = grad2d_op(rows, cols)
         if op.out_dim != out_dim:
             raise ConfigError(
-                f"L: grad2d output dimension is {op.out_dim}, block has {out_dim}")
+                f"grad2d output dimension is {op.out_dim}, block has {out_dim}")
         return op
     mat = np.asarray(spec.param_dict()["rows"], dtype=float)
     if mat.shape != (out_dim, in_dim):
         raise ConfigError(
-            f"L: matrix shape {mat.shape} disagrees with block ({out_dim}, {in_dim})")
+            f"matrix shape {mat.shape} disagrees with block ({out_dim}, {in_dim})")
     return matrix_op(mat)
 
 
@@ -603,17 +609,17 @@ def build_problem(pc: ProblemConfig) -> ConvexProblem:
         )
         blocks = tuple(
             ConvexBlock(
-                g=_build_prox(b.g, b.dim, f"block {i}: g"),
-                ell=_build_ell(b.ell, b.dim),
-                L=_build_operator(b.L, pc.dim_primal, b.dim),
+                g=_named(f"block {i}: g", _build_prox, b.g, b.dim),
+                ell=_named(f"block {i}: ell", _build_ell, b.ell, b.dim),
+                L=_named(f"block {i}: L", _build_operator, b.L, pc.dim_primal, b.dim),
                 r=b.r.resolve(b.dim, f"block {i}: r"),
             )
             for i, b in enumerate(pc.blocks)
         )
         return ConvexProblem(
             layout=layout,
-            f=_build_prox(pc.f, pc.dim_primal, "f"),
-            h=_build_smooth(pc.h, pc.dim_primal, pc.mu),
+            f=_named("f", _build_prox, pc.f, pc.dim_primal),
+            h=_named("h", _build_smooth, pc.h, pc.dim_primal, pc.mu),
             z=pc.z.resolve(pc.dim_primal, "z"),
             blocks=blocks,
         )

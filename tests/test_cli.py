@@ -269,10 +269,10 @@ class TestNonFiniteValues:
         ("g = l1 weight=1.0", "g = box lo=-inf hi=-inf", "block 0: g: hi must be finite or +inf"),
         ("g = l1 weight=1.0", "g = point point=nan", "block 0: g: point must be finite"),
         ("h = sq_l2 weight=1.0 center=4.0", "h = sq_l2 weight=1.0 center=inf",
-         "center must be finite"),
+         "h: center must be finite"),
         ("f = zero", "f = linear a=inf", "f: a must be finite"),
         ("r = zeros", "r = const inf", "block 0: r must be finite"),
-        ("ell = dirac", "ell = quadratic nu=inf", "nu must be finite, got inf"),
+        ("ell = dirac", "ell = quadratic nu=inf", "block 0: ell: nu must be finite, got inf"),
     ]
 
     @pytest.mark.filterwarnings("error")
@@ -479,28 +479,51 @@ class TestBench:
 
 
 class TestDiag:
+    def diag(self, tmp_path, capsys, text):
+        cfg = tmp_path / "diag.cfg"
+        cfg.write_text(text)
+        code = main(["diag", str(cfg)])
+        return code, capsys.readouterr().out
+
     def test_all_certificates_pass(self, capsys):
         code = main(["diag", FUSED])
         stdout = capsys.readouterr().out
         assert code == 0
         assert stdout.count("PASS") == 3
+        assert "FAIL" not in stdout
+        assert stdout.endswith("admissible = yes\n")
 
     def test_overstated_mu_fails_cocoercivity(self, tmp_path, capsys):
-        cfg = tmp_path / "lying.cfg"
-        cfg.write_text(Path(FUSED).read_text().replace(
+        code, stdout = self.diag(tmp_path, capsys, Path(FUSED).read_text().replace(
             "f = l1 weight=0.2", "f = l1 weight=0.2\nmu = 3.0"))
-        code = main(["diag", str(cfg)])
-        stdout = capsys.readouterr().out
         assert code == 2
-        assert "cocoercivity(Q): FAIL" in stdout
+        assert "cocoercivity(C): FAIL" in stdout
 
-    def test_inadmissible_steps_reported_vacuous(self, tmp_path, capsys):
-        cfg = tmp_path / "wide.cfg"
-        cfg.write_text(Path(FUSED).read_text().replace(
+    def test_overstated_mu_below_nu_fails(self, tmp_path, capsys):
+        # the true mu is 1; with nu = 0.5 the smaller constant is honest and
+        # the steps taken from mu = 3 look admissible, but are not at mu = 1
+        code, stdout = self.diag(tmp_path, capsys, Path(FUSED).read_text().replace(
+            "f = l1 weight=0.2", "f = l1 weight=0.2\nmu = 3.0").replace(
+            "ell = dirac", "ell = quadratic nu=0.5"))
+        assert code == 2
+        assert "cocoercivity(C): FAIL" in stdout
+        assert "cocoercivity(Dinv[0]): PASS" in stdout
+        assert "admissible = yes" in stdout
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    def test_scaled_matrix_passes(self, tmp_path, capsys, scale):
+        mat = scale * np.random.default_rng(3).standard_normal((9, 10))
+        rows = " ; ".join(" ".join(repr(float(v)) for v in row) for row in mat)
+        code, stdout = self.diag(tmp_path, capsys, Path(FUSED).read_text().replace(
+            "L = diff1d", f"L = matrix {rows}"))
+        assert code == 0
+        assert stdout.count("PASS") == 3
+        assert "FAIL" not in stdout
+
+    def test_inadmissible_steps_exit_2(self, tmp_path, capsys):
+        code, stdout = self.diag(tmp_path, capsys, Path(FUSED).read_text().replace(
             "mode = auto\nsafety = 0.99",
             "mode = manual\ntau = 2.0\nsigma = 2.0"))
-        code = main(["diag", str(cfg)])
-        stdout = capsys.readouterr().out
         assert code == 2
-        assert "VACUOUS" in stdout
-        assert "rho" in stdout
+        assert stdout.count("PASS") == 3
+        assert "admissible = no" in stdout

@@ -414,6 +414,10 @@ class TestHostileConfigs:
 @pytest.mark.parametrize("old, new, message", [
     ("ell = dirac", "ell = quadratic nu=0", "nu must be positive"),
     ("L = identity", "L = grad2d rows=1 cols=1", "grad2d needs rows >= 2"),
+    ("ell = dirac", "ell = quadratic nu=(1,2)", "^block 0: ell: float"),
+    ("L = identity", "L = diff1d", "^block 0: L: diff1d maps dim 1 to 0, block has 1$"),
+    ("h = sq_l2 weight=1.0 center=4.0", "h = sq_l2 weight=-1.0 center=4.0",
+     "^h: weight must be positive$"),
 ])
 def test_block_construction_errors_are_config_errors(old, new, message):
     text = (Path(__file__).resolve().parents[1] / "configs" / "lasso1d.cfg").read_text()
