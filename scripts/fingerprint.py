@@ -29,7 +29,9 @@ out: a nonzero ``z``, an ``r`` with -0.0 entries, two blocks weighted
 relaxation 0.8.  Only ``cli.main``, ``final_state.x``/``.v``, the
 run histories and the step configs are read, no operator is built with a ``kind`` tag, and
 CSV columns are found by header name, so the script runs unchanged on
-any checkout that has them.  Every run CSV is hashed a second time with
+any checkout that has them; the relaxed runs take their steps from
+:func:`relaxed_steps`, which also reads a checkout whose
+``suggest_steps`` predates the ``lam`` argument.  Every run CSV is hashed a second time with
 its ``residual`` column dropped, so a change that moves only residuals
 shows apart from a change of iterates.  Temporary directory names are
 replaced by ``<tmp>`` before hashing.
@@ -173,6 +175,16 @@ max_iter = 100000
     solve_config("generated tv1d", cfg, tmp)
 
 
+def relaxed_steps(spec, lam: float):
+    """``suggest_steps`` at the constant relaxation ``lam``, through the
+    ``lam`` argument or, on a checkout that predates it, a constant
+    ``lambda_schedule``."""
+    try:
+        return solver.suggest_steps(spec, lam=lam)
+    except TypeError:
+        return solver.suggest_steps(spec, lambda_schedule=lambda n: lam)
+
+
 def tv2d_spec(b: np.ndarray) -> solver.ProblemSpec:
     n = b.size
     L = operators.grad2d_op(TV2D_SIDE, TV2D_SIDE)
@@ -218,7 +230,7 @@ def tv2d_runs() -> None:
     cfg = solver.suggest_steps(spec)
     emit_report("tv2d lambda=1", cfg, solver.run(spec, cfg, stop=stop))
 
-    cfg = solver.suggest_steps(spec, lambda_schedule=lambda n: 0.9)
+    cfg = relaxed_steps(spec, 0.9)
     errors = solver.geometric_errors(spec.layout, 1e-3, 0.95, seed=3)
     report = solver.run(spec, cfg, stop=stop, errors=errors,
                         iter_metrics=lambda st: {"primal_obj": float(np.dot(st.x, st.x))})
@@ -267,7 +279,7 @@ def offsets_run() -> None:
         ),
     )
     spec = convex.lower_to_inclusion(cp)
-    cfg = solver.suggest_steps(spec, lambda_schedule=lambda k: 0.8)
+    cfg = relaxed_steps(spec, 0.8)
     stop = solver.StoppingRule(tol=1e-10, max_iter=5000)
     emit_report("offsets z r omega Dinv lambda=0.8", cfg, solver.run(spec, cfg, stop=stop))
 

@@ -17,8 +17,7 @@ ITERS = 1_000_000
 
 def long_run(cp):
     report, gap = ss.solve_convex(
-        cp, stop=ss.StoppingRule(tol=0.0, max_iter=ITERS), safety=0.99,
-    )
+        cp, stop=ss.StoppingRule(tol=0.0, max_iter=ITERS))
     assert report.iterations == ITERS, report.iterations
     return report.final_state, gap
 

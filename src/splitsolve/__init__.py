@@ -28,9 +28,9 @@ from .operators import (
 )
 from .solver import (
     Block,
-    ErrorSchedule,
     InadmissibleStepsError,
     IterState,
+    IterationErrors,
     ProblemSpec,
     RunReport,
     StepConfig,
@@ -42,7 +42,6 @@ from .solver import (
     run,
     suggest_steps,
     validate_steps,
-    zero_errors,
 )
 from .convex import (
     ConvexBlock,

@@ -397,19 +397,17 @@ REFERENCES: dict = {
 # suite drivers
 
 
-def _solve_tight(cp, safety=0.99, tol=1e-13, max_iter=400_000,
-                 record_states=False, errors=None):
+def _solve_tight(cp, tol=1e-13, max_iter=400_000, record_states=False, errors=None):
     return solve_convex(
         cp, stop=StoppingRule(tol=tol, max_iter=max_iter),
-        errors=errors, safety=safety, record_states=record_states,
+        errors=errors, record_states=record_states,
     )
 
 
 def _suite_fb_reduction() -> BenchOutcome:
     cp, params = fb_problem()
     spec = lower_to_inclusion(cp)
-    cfg = validate_steps(spec, params["tau"], (params["sigma"],),
-                         lambda_schedule=lambda n: params["lam"])
+    cfg = validate_steps(spec, params["tau"], (params["sigma"],), lam=params["lam"])
     iters = 1000
     report = run(spec, cfg, stop=StoppingRule(tol=0.0, max_iter=iters),
                  record_states=True)
@@ -426,10 +424,7 @@ def _suite_fb_reduction() -> BenchOutcome:
 def _suite_condat_reduction() -> BenchOutcome:
     cp, params = condat_problem()
     spec = lower_to_inclusion(cp)
-    base = suggest_steps(spec, safety=params["safety"])
-    cfg = validate_steps(spec, base.tau, base.sigmas,
-                         lambda_schedule=lambda n: params["lam"],
-                         norms=base.norms)
+    cfg = suggest_steps(spec, safety=params["safety"], lam=params["lam"])
     iters = 1000
     report = run(spec, cfg, stop=StoppingRule(tol=0.0, max_iter=iters),
                  record_states=True)

@@ -10,8 +10,9 @@ Commands::
                                      adjoint, then the step condition)
 
 Exit codes: 0 success/converged, 1 configuration error (including a
-non-finite catalog parameter, ``z`` or ``r``, an admissibility refusal
-without ``--unsafe-steps``, an operator norm whose power iteration did
+non-finite catalog parameter, ``z`` or ``r``, a ``lambda`` that is
+not finite or lies outside ]0, 1] (refused by solve, check and diag
+alike), an admissibility refusal without ``--unsafe-steps``, an operator norm whose power iteration did
 not converge, and a config or output path that cannot be read or
 written), 2 iteration budget exhausted, a failed bench check, or a
 failed diag certificate or inadmissible steps under diag, 3 divergence.
@@ -60,17 +61,13 @@ def _step_config(cp, pc, mode_override=None):
     spec = lower_to_inclusion(cp)
     steps = pc.steps
     mode = mode_override or steps.mode
-    lam = steps.lam
-    schedule = (lambda n: lam)
     norms = certified_norms(spec)
     if mode == "auto":
-        cfg = suggest_steps(spec, safety=steps.safety, lambda_schedule=schedule,
-                            epsilon=steps.epsilon, norms=norms)
+        cfg = suggest_steps(spec, safety=steps.safety, lam=steps.lam, norms=norms)
     else:
         if steps.tau is None or steps.sigmas is None:
             raise ConfigError("manual steps need both tau and sigma")
-        cfg = validate_steps(spec, steps.tau, steps.sigmas,
-                             lambda_schedule=schedule, epsilon=steps.epsilon,
+        cfg = validate_steps(spec, steps.tau, steps.sigmas, lam=steps.lam,
                              norms=norms)
     return spec, cfg
 
@@ -100,10 +97,9 @@ def cmd_solve(args) -> int:
     if pc.errors.kind == "geometric":
         errors = geometric_errors(cp.layout, pc.errors.amplitude,
                                   pc.errors.decay, seed=pc.seed)
-    stop = StoppingRule(tol=pc.stop.tol, max_iter=pc.stop.max_iter,
-                        kkt_tol=pc.stop.kkt_tol)
+    stop = StoppingRule(tol=pc.stop.tol, max_iter=pc.stop.max_iter)
     report, gap = solve_convex(
-        cp, cfg=cfg, stop=stop, errors=errors,
+        cp, cfg=cfg, stop=stop, errors=errors, kkt_tol=pc.stop.kkt_tol,
         allow_inadmissible=args.unsafe_steps, record_objective=True,
     )
 

@@ -27,8 +27,7 @@ section, and optional ``[errors]`` and ``[stop]`` sections::
     safety = 0.99            # auto mode
     tau = 0.5                # manual mode
     sigma = 0.5              # manual mode; broadcast or one value per block
-    lambda = 1.0             # optional (default 1.0)
-    epsilon = 0.001          # optional (default 1e-3)
+    lambda = 1.0             # optional (default 1.0), in ]0, 1]
 
     [errors]
     kind = geometric         # none | geometric
@@ -163,7 +162,6 @@ class StepsConfig:
     tau: Optional[float] = None
     sigmas: Optional[tuple[float, ...]] = None
     lam: float = 1.0
-    epsilon: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -391,7 +389,6 @@ _SECTIONS = {
         "tau": ("tau", _parse_float, str),
         "sigma": ("sigmas", _parse_floats, _fmt_floats),
         "lambda": ("lam", _parse_float, str),
-        "epsilon": ("epsilon", _parse_float, str),
     }),
     "errors": _Section(ErrorsConfig, 0, 1, {
         "kind": ("kind", _choice("errors kind", "none", "geometric"), str),

@@ -35,12 +35,13 @@ from .operators import (
 )
 from .solver import (
     Block,
-    ErrorSchedule,
+    IterationErrors,
     ProblemSpec,
     RunReport,
     StepConfig,
     StopReason,
     StoppingRule,
+    _check_tolerance,
     _weighted_adjoint_sum,
     initial_state,
     run,
@@ -440,27 +441,30 @@ def evaluate_gap(cp: ConvexProblem, x, v, tau: float = 1.0, sigmas=None) -> GapR
 
 def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
                  stop: Optional[StoppingRule] = None,
-                 errors: Optional[ErrorSchedule] = None,
+                 errors: Optional[Callable[[int], IterationErrors]] = None,
                  x0=None, v0=None,
-                 safety: float = 0.99,
+                 kkt_tol: Optional[float] = None,
                  allow_inadmissible: bool = False,
                  record_states: bool = False,
                  record_objective: bool = False) -> tuple[RunReport, GapReport]:
     """Lower the problem, iterate, and report convergence and the gap.
 
-    With ``cfg=None`` the step sizes are picked automatically.  When
-    ``stop.kkt_tol`` is set the run also stops once the optimality
-    residual falls below it, and ``report.stop`` then names the rule
+    With ``cfg=None`` the step sizes are those of :func:`suggest_steps`
+    at its defaults.  ``stop`` and ``errors`` are passed to :func:`run`.
+    When ``kkt_tol`` is set (finite and non-negative, refused otherwise
+    like ``stop.tol``) the run also stops once the optimality residual
+    is at most ``kkt_tol``, and ``report.stop`` then names the rule
     ``"kkt_tol"`` with that residual and the tolerance.
     ``record_objective=True`` attaches objective, gap, and KKT values
     to every ``OBJECTIVE_STRIDE``-th history row and to the last row,
     which describes ``final_state`` and carries the values of the
     returned :class:`GapReport`; the other rows leave them ``None``.
     """
+    if kkt_tol is not None:
+        _check_tolerance("kkt_tol", kkt_tol)
     spec = lower_to_inclusion(cp)
     if cfg is None:
-        cfg = suggest_steps(spec, safety=safety)
-    stop = stop or StoppingRule()
+        cfg = suggest_steps(spec)
 
     iter_metrics = None
     if record_objective:
@@ -476,20 +480,16 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
             }
 
     extra_stop = None
-    last_kkt = None
-    if stop.kkt_tol is not None:
+    if kkt_tol is not None:
         def extra_stop(st):
-            nonlocal last_kkt
-            last_kkt = kkt_residual(cp, st.x, st.v, tau=cfg.tau, sigmas=cfg.sigmas)
-            return last_kkt <= stop.kkt_tol
+            kkt = kkt_residual(cp, st.x, st.v, tau=cfg.tau, sigmas=cfg.sigmas)
+            return StopReason("kkt_tol", kkt, kkt_tol) if kkt <= kkt_tol else None
 
     report = run(
         spec, cfg, x0=x0, v0=v0, errors=errors, stop=stop,
         allow_inadmissible=allow_inadmissible, record_states=record_states,
         iter_metrics=iter_metrics, extra_stop=extra_stop,
     )
-    if report.stop.rule == "extra_stop":
-        report.stop = StopReason("kkt_tol", last_kkt, stop.kkt_tol)
     final = report.final_state
     gap = evaluate_gap(cp, final.x, final.v, tau=cfg.tau, sigmas=cfg.sigmas)
     if record_objective and report.history:
@@ -579,7 +579,9 @@ def check_qualification(cp: ConvexProblem, samples: int = 32,
     point is found and "not-verified" otherwise (the condition is
     sufficient only, so no "violated" verdict exists).  Membership in a
     degenerate (singleton-like) target cannot be certified by sampling
-    and is conservatively not verified.
+    and is conservatively not verified.  Each candidate costs a fixed
+    number of operator applications per block, so the search is linear
+    in the dimension.
     """
     ell_domains = {"dirac": lambda d: Domain.singleton(np.zeros(d)),
                    "quadratic": lambda d: Domain.full()}
@@ -601,23 +603,23 @@ def check_qualification(cp: ConvexProblem, samples: int = 32,
     n = cp.layout.dim_primal
     candidates: list[np.ndarray] = [np.zeros(n)]
 
-    # target the interior of each bounded, nondegenerate box constraint
-    solvable = []
+    # aim at the interior anchor of each nondegenerate box target, alone
+    # and all together: one steepest-descent step from 0 on
+    # sum_i ||L_i x - c_i||^2 with c_i = r_i + anchor_i, that is x = alpha g
+    # with g = sum_i L_i^T c_i and alpha = ||g||^2 / sum_i ||L_i g||^2, the
+    # exact line search; one adjoint and one apply per target and group
+    aimed = []
     for blk, dom in zip(cp.blocks, targets):
         if dom.kind != "box":
             continue
         if np.any(dom.hi - dom.lo <= 0.0):
             continue  # degenerate side: never certifiable, do not target
-        anchor = _ri_anchor(dom)
-        mat = np.column_stack([blk.L.apply(e) for e in np.eye(n)])
-        solvable.append((mat, blk.r + anchor))
-        cand, *_ = np.linalg.lstsq(mat, blk.r + anchor, rcond=None)
-        candidates.append(cand)
-    if len(solvable) > 1:
-        mats = np.vstack([m for m, _ in solvable])
-        rhs = np.concatenate([t for _, t in solvable])
-        cand, *_ = np.linalg.lstsq(mats, rhs, rcond=None)
-        candidates.append(cand)
+        aimed.append((blk.L, blk.L.adjoint_apply(blk.r + _ri_anchor(dom))))
+    for group in [[a] for a in aimed] + ([aimed] if len(aimed) > 1 else []):
+        g = sum(gi for _, gi in group)
+        curvature = math.fsum(float(np.dot(lg, lg)) for lg in (L.apply(g) for L, _ in group))
+        if curvature > 0.0:
+            candidates.append((float(np.dot(g, g)) / curvature) * g)
     candidates.extend(rng.standard_normal(n) for _ in range(samples))
 
     for raw in candidates:

@@ -5,13 +5,18 @@ The iteration solves a primal inclusion
     z in A x + sum_i w_i L_i^T ((B_i par D_i)(L_i x - r_i)) + C x
 
 together with its dual, where C and the D_i^{-1} are cocoercive, by the
-update (one step, relaxation lam_n, error terms a1/a2/b_i/c_i):
+update (one step, relaxation lam, error terms a1/a2/b_i/c_i):
 
     p_n   = J_{tau A}( x_n - tau (sum_i w_i L_i^T v_{i,n} + C x_n + a1_n - z) ) + a2_n
     y_n   = 2 p_n - x_n
-    x_{n+1} = x_n + lam_n (p_n - x_n)
+    x_{n+1} = x_n + lam (p_n - x_n)
     q_{i,n} = J_{sigma_i B_i^{-1}}( v_{i,n} + sigma_i (L_i y_n - D_i^{-1} v_{i,n} - c_{i,n} - r_i) ) + b_{i,n}
-    v_{i,n+1} = v_{i,n} + lam_n (q_{i,n} - v_{i,n})
+    v_{i,n+1} = v_{i,n} + lam (q_{i,n} - v_{i,n})
+
+The relaxation is one constant lam in ]0, 1], so the paper's positive
+lower bound on lam_n holds with lam itself.  The error terms come
+from an optional callable ``n -> IterationErrors``; the convergence
+theory needs their norms to be summable.
 
 The convergence proof reads the update as a relaxed forward-backward
 step in the renormed metric V and needs V - M^{-1}/2 to be positive
@@ -61,7 +66,6 @@ __all__ = [
     "StepConfig",
     "StoppingRule",
     "IterationErrors",
-    "ErrorSchedule",
     "IterState",
     "IterationRecord",
     "StopReason",
@@ -72,7 +76,6 @@ __all__ = [
     "suggest_steps",
     "initial_state",
     "run",
-    "zero_errors",
     "geometric_errors",
 ]
 
@@ -158,9 +161,9 @@ class StepConfig:
     paper's condition, and ``beta`` is the smallest cocoercivity
     constant (capped at ``BETA_CAP`` when every constant is infinite);
     they are reported, not tested: 2 rho beta > 1 implies a positive
-    margin, not the converse.  ``lambda_schedule`` maps the iteration
-    index to the relaxation parameter; values must lie in
-    ``[epsilon, 1]``.
+    margin, not the converse.  ``lam`` is the relaxation parameter of
+    every iteration; a non-finite value or one outside ]0, 1] is
+    refused with a ``ValueError`` that names ``lambda``.
     """
 
     tau: float
@@ -170,20 +173,17 @@ class StepConfig:
     delta: float
     margin: float
     norms: tuple[float, ...]
-    lambda_schedule: Callable[[int], float] = lambda n: 1.0
-    epsilon: float = 1e-3
+    lam: float = 1.0
+
+    def __post_init__(self):
+        lam = float(self.lam)
+        if not 0.0 < lam <= 1.0:
+            raise ValueError(f"lambda must lie in ]0, 1], got {lam!r}")
+        object.__setattr__(self, "lam", lam)
 
     @property
     def admissible(self) -> bool:
         return self.margin > 0.0
-
-    def lambda_at(self, n: int) -> float:
-        lam = float(self.lambda_schedule(n))
-        if not self.epsilon <= lam <= 1.0:
-            raise ValueError(
-                f"lambda_{n} = {lam} outside [{self.epsilon}, 1]"
-            )
-        return lam
 
 
 @dataclass(frozen=True)
@@ -192,22 +192,23 @@ class StoppingRule:
 
     ``tol`` bounds the fixed-point residual (displacement of one exact
     relaxation-1 update, measured in the renormed metric) relative to
-    ``1 + ||state||``.  ``kkt_tol`` is consulted by the convex layer
-    only.  Both tolerances must be finite and non-negative; ``tol = 0``
-    stops only on an exactly zero residual.
+    ``1 + ||state||``; it must be finite and non-negative, and
+    ``tol = 0`` stops only on an exactly zero residual.
     """
 
     tol: float = 1e-10
     max_iter: int = 10000
-    kkt_tol: Optional[float] = None
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        for name in ("tol", "kkt_tol"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        _check_tolerance("tol", self.tol)
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    """Refuse a stopping tolerance that is not finite and non-negative."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -220,41 +221,20 @@ class IterationErrors:
     c: tuple[Optional[np.ndarray], ...] = ()
 
 
-@dataclass(frozen=True)
-class ErrorSchedule:
-    """Sequence of per-iteration error terms.
-
-    The convergence theory needs the error norms to be summable; the
-    built-in constructors guarantee it, and a user schedule must.
-    ``is_zero`` promises that every term is ``None`` at every
-    iteration, so :func:`run` does not look.
-    """
-
-    at: Callable[[int], IterationErrors]
-    is_zero: bool = False
-
-
-def zero_errors(layout: SpaceLayout) -> ErrorSchedule:
-    """The exact schedule (no perturbations)."""
-    m = layout.num_blocks
-    none_blocks = (None,) * m
-    err = IterationErrors(None, None, none_blocks, none_blocks)
-    return ErrorSchedule(at=lambda n: err, is_zero=True)
-
-
 def geometric_errors(layout: SpaceLayout, amplitude: float, decay: float,
-                     seed: int = 0) -> ErrorSchedule:
-    """Geometric schedule ``amplitude * decay^n`` times fixed unit directions.
+                     seed: int = 0) -> Optional[Callable[[int], IterationErrors]]:
+    """Errors ``amplitude * decay^n`` times fixed unit directions, as the
+    callable ``n -> IterationErrors`` that :func:`run` takes.
 
-    Summable by construction for ``decay in ]0, 1[``.  Amplitude 0 is
-    the exact schedule of :func:`zero_errors`.
+    Summable by construction for ``decay in ]0, 1[``.  Amplitude 0 gives
+    ``None``, the exact iteration.
     """
     if not (math.isfinite(amplitude) and amplitude >= 0):
         raise ValueError(f"amplitude must be finite and non-negative, got {amplitude!r}")
     if not 0.0 < decay < 1.0:
         raise ValueError("decay must lie in ]0, 1[")
     if amplitude == 0.0:
-        return zero_errors(layout)
+        return None
     rng = np.random.default_rng(seed)
 
     def unit(dim):
@@ -276,7 +256,7 @@ def geometric_errors(layout: SpaceLayout, amplitude: float, decay: float,
             c=tuple(s * u for u in d_c),
         )
 
-    return ErrorSchedule(at=at)
+    return at
 
 
 @dataclass(frozen=True)
@@ -321,9 +301,8 @@ class StopReason:
     ``rule`` is ``"residual"`` (``value`` the residual, ``threshold``
     ``tol * (1 + ||state||)``), ``"max_iter"`` (the iterations taken
     against ``max_iter``), ``"diverged"`` (no value: the run's
-    ``failure`` names the block), ``"extra_stop"`` (the caller's
-    predicate, whose value :func:`run` does not see) or a name the
-    caller gives its own rule, such as ``"kkt_tol"`` in
+    ``failure`` names the block), or whatever reason the caller's
+    ``extra_stop`` returns, such as ``"kkt_tol"`` in
     :func:`splitsolve.convex.solve_convex`.
     """
 
@@ -487,9 +466,7 @@ def _bisected_step(spec, norms) -> float:
     return lo
 
 
-def validate_steps(spec: ProblemSpec, tau: float, sigmas,
-                   lambda_schedule: Optional[Callable[[int], float]] = None,
-                   epsilon: float = 1e-3,
+def validate_steps(spec: ProblemSpec, tau: float, sigmas, lam: float = 1.0,
                    norms: Optional[tuple[float, ...]] = None) -> StepConfig:
     """Evaluate the blockwise step condition for given tau and sigmas.
 
@@ -497,8 +474,9 @@ def validate_steps(spec: ProblemSpec, tau: float, sigmas,
     positive.  That contains the paper's condition 2 rho beta > 1 (and
     Condat's and Chambolle-Pock's as special cases); rho, beta and
     delta are computed and reported beside the margin.  Inadmissibility
-    is a verdict recorded on the returned config, not an error.
-    ``norms`` may be passed to reuse previously certified operator-norm
+    is a verdict recorded on the returned config, not an error; a
+    relaxation ``lam`` outside ]0, 1] is an error (see
+    :class:`StepConfig`).  ``norms`` may be passed to reuse previously certified operator-norm
     bounds; they are refused like :func:`certified_norms` refuses its
     own.
     """
@@ -515,8 +493,6 @@ def validate_steps(spec: ProblemSpec, tau: float, sigmas,
             raise ValueError(f"sigma[{i}] must be finite, got {s!r}")
     if any(s <= 0 for s in sigmas):
         raise ValueError("every sigma must be strictly positive")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in ]0, 1[")
     norms = certified_norms(spec) if norms is None else _checked_norms(spec, norms)
     rho, beta, delta = _step_quantities(spec, tau, sigmas, norms)
     margin = _step_margin(spec, tau, sigmas, norms)
@@ -528,14 +504,11 @@ def validate_steps(spec: ProblemSpec, tau: float, sigmas,
         delta=delta,
         margin=margin,
         norms=norms,
-        lambda_schedule=lambda_schedule or (lambda n: 1.0),
-        epsilon=epsilon,
+        lam=lam,
     )
 
 
-def suggest_steps(spec: ProblemSpec, safety: float = 0.99,
-                  lambda_schedule: Optional[Callable[[int], float]] = None,
-                  epsilon: float = 1e-3,
+def suggest_steps(spec: ProblemSpec, safety: float = 0.99, lam: float = 1.0,
                   norms: Optional[tuple[float, ...]] = None) -> StepConfig:
     """Pick equal step sizes that satisfy the blockwise step condition.
 
@@ -545,7 +518,8 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99,
     ``S = sum_i w_i ||L_i||^2`` when every nu_i is infinite (Condat's
     condition at tau = sigma), else a bisection on the margin.  The
     margin falls as the common step grows, so any ``safety`` in ]0, 1[
-    makes the strict inequality hold.
+    makes the strict inequality hold.  ``lam`` is checked and recorded
+    as in :func:`validate_steps`.
     """
     if not 0.0 < safety < 1.0:
         raise ValueError("safety must lie in ]0, 1[")
@@ -555,8 +529,7 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99,
     else:
         boundary = _bisected_step(spec, norms)
     step = safety * boundary
-    cfg = validate_steps(spec, step, (step,) * spec.num_blocks,
-                         lambda_schedule=lambda_schedule, epsilon=epsilon,
+    cfg = validate_steps(spec, step, (step,) * spec.num_blocks, lam=lam,
                          norms=norms)
     if not cfg.admissible:
         # cannot happen for safety < 1; guards against float pathologies
@@ -746,20 +719,25 @@ def _residual_norm(spec, cfg, admissible, dx, dv, sq, dwsum=None):
 
 
 def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
-        errors: Optional[ErrorSchedule] = None,
+        errors: Optional[Callable[[int], IterationErrors]] = None,
         stop: Optional[StoppingRule] = None,
         allow_inadmissible: bool = False,
         record_states: bool = False,
         iter_metrics: Optional[Callable[[IterState], dict]] = None,
-        extra_stop: Optional[Callable[[IterState], bool]] = None) -> RunReport:
+        extra_stop: Optional[Callable[[IterState], Optional[StopReason]]] = None,
+        ) -> RunReport:
     """Iterate until the stopping rule fires and report the run.
 
     Convergence is declared when the fixed-point residual (displacement
     of one exact relaxation-1 update, in the renormed metric) of the
     current state drops below ``stop.tol * (1 + ||state||)``, or when
-    ``extra_stop`` returns True for the new state; ``report.stop``
-    records which rule ended the run (see :class:`StopReason`).
-    ``iter_metrics`` may attach objective values to each history row.
+    ``extra_stop`` returns a :class:`StopReason` (its own rule, value
+    and threshold) for the new state rather than ``None``;
+    ``report.stop`` records which rule ended the run.  ``errors``, when
+    given, maps the iteration index ``n`` to the :class:`IterationErrors`
+    injected there; ``None`` runs the exact iteration.  The relaxation
+    is ``cfg.lam``.  ``iter_metrics`` may attach objective values to
+    each history row.
 
     The renormed metric's cross term is sum_i w_i <L_i dx, dv_i>.  The
     weighted sum W_n = sum_i w_i L_i^T v_{i,n} that the update needs is
@@ -818,11 +796,10 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             "pass allow_inadmissible=True to run anyway"
         )
     stop = stop or StoppingRule()
-    errors = errors or zero_errors(spec.layout)
     layout = spec.layout
     st = initial_state(layout, x0, v0)
     weights = layout.weights
-    tau, sigmas = cfg.tau, cfg.sigmas
+    tau, sigmas, lam = cfg.tau, cfg.sigmas, cfg.lam
 
     ws = _Workspace(spec)
     wsum, wsum_next = ws.wsum, ws.wsum_next
@@ -837,8 +814,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     failure = None
 
     for n in range(stop.max_iter):
-        lam = cfg.lambda_at(n)
-        err_n = None if errors.is_zero else errors.at(n)
+        err_n = None if errors is None else errors(n)
         if escapes:
             nxt = _state(n + 1, np.empty(layout.size), layout)
         else:
@@ -893,9 +869,11 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
                 and residual <= threshold):
             reason = StopReason("residual", residual, threshold)
             break
-        if extra_stop is not None and extra_stop(st):
-            reason = StopReason("extra_stop")
-            break
+        if extra_stop is not None:
+            extra = extra_stop(st)
+            if extra is not None:
+                reason = extra
+                break
 
     return RunReport(
         iterations=len(history),
@@ -903,6 +881,6 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
         final_state=st,
         stop=reason,
         states=states,
-        used_errors=not errors.is_zero,
+        used_errors=errors is not None,
         failure=failure,
     )

@@ -54,7 +54,7 @@ def fb_run():
     cp, params = fb_problem()
     spec = ss.lower_to_inclusion(cp)
     cfg = ss.validate_steps(spec, params["tau"], (params["sigma"],),
-                            lambda_schedule=lambda n: params["lam"])
+                            lam=params["lam"])
     t0 = time.perf_counter()
     report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=1000),
                     record_states=True)
@@ -72,7 +72,7 @@ def condat_run():
     spec = ss.lower_to_inclusion(cp)
     base = ss.suggest_steps(spec, safety=params["safety"])
     cfg = ss.validate_steps(spec, base.tau, base.sigmas,
-                            lambda_schedule=lambda n: params["lam"],
+                            lam=params["lam"],
                             norms=base.norms)
     t0 = time.perf_counter()
     report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=1000),

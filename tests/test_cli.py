@@ -206,6 +206,17 @@ class TestSolve:
                 if not row.startswith("#")]
         assert rows[-1].split(",")[2] == f"{value:.17g}"
 
+    def test_kkt_stop_line_pinned(self, tmp_path, capsys):
+        # the rule stopping the run reports the KKT residual it compared
+        cfg = tmp_path / "kkt.cfg"
+        cfg.write_text(Path(LASSO).read_text().replace("tol = 1e-12\nmax_iter = 20000",
+                                                       "tol = 0\nkkt_tol = 1e-6"))
+        assert main(["solve", str(cfg), "-o", str(tmp_path / "r.csv")]) == 0
+        out = capsys.readouterr().out
+        assert extract(out, "iterations") == "9"
+        assert extract(out, "stop") == (
+            "kkt_tol (value 5.0123796979661961e-07, threshold 9.9999999999999995e-07)")
+
     @pytest.mark.parametrize("stop, line", [
         ("tol = 0\nkkt_tol = 1e-6", "kkt_tol"),
         ("tol = 1e-12\nmax_iter = 3", "max_iter (value 3, threshold 3)"),
@@ -230,6 +241,36 @@ class TestSolve:
     def test_directory_as_output(self, tmp_path, capsys):
         assert main(["solve", LASSO, "-o", str(tmp_path)]) == 1
         assert str(tmp_path) in capsys.readouterr().err
+
+
+class TestRelaxation:
+    """``lambda`` is refused alike by every command that reads steps."""
+
+    @pytest.mark.parametrize("command", ["check", "diag", "solve"])
+    @pytest.mark.parametrize("lam", ["1.5", "0", "-0.1", "inf", "nan"])
+    def test_out_of_range_refused(self, tmp_path, capsys, command, lam):
+        cfg = tmp_path / "lam.cfg"
+        cfg.write_text(Path(LASSO).read_text().replace(
+            "safety = 0.99", f"safety = 0.99\nlambda = {lam}"))
+        argv = [command, str(cfg)] + (["-o", str(tmp_path / "r.csv")]
+                                      if command == "solve" else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"lambda must lie in ]0, 1], got {float(lam)!r}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command, code", [("check", 0), ("diag", 0), ("solve", 2)])
+    def test_small_constant_accepted(self, tmp_path, capsys, command, code):
+        # a constant lambda is its own positive lower bound, however small
+        cfg = tmp_path / "lam.cfg"
+        cfg.write_text(Path(LASSO).read_text().replace(
+            "safety = 0.99", "safety = 0.99\nlambda = 0.0005").replace(
+            "max_iter = 20000", "max_iter = 5"))
+        argv = [command, str(cfg)] + (["-o", str(tmp_path / "r.csv")]
+                                      if command == "solve" else [])
+        assert main(argv) == code
+        assert extract(capsys.readouterr().out, "admissible") == "yes"
 
 
 class TestNonFiniteOperator:

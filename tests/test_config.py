@@ -150,6 +150,7 @@ PARSER_ERRORS = [
     ("max_iter = 500", "max_iter = 5e2", "max_iter: expected an integer, got '5e2'", 30),
     ("omega = 1.0", "omega = one", "omega: expected a number, got 'one'", 11),
     ("lambda = 0.9", "lambda = x", "lambda: expected a number, got 'x'", 21),
+    ("lambda = 0.9", "lambda = 0.9\nepsilon = 0.001", "unknown key 'epsilon' in section [steps]", 22),
     ("center=(1.0,2.0,3.0)", "center=()", "h.center: empty vector literal", 7),
     ("center=(1.0,2.0,3.0)", "center=(1.0,x)", "h.center: expected a number, got 'x'", 7),
     ("f = l1 weight=0.25", "f =", "f: empty function spec", 6),
@@ -257,7 +258,6 @@ def problem_configs(draw):
         tau=draw(_NUM if manual else st.none() | _NUM),
         sigmas=draw(sigmas if manual else st.none() | sigmas),
         lam=draw(_NUM),
-        epsilon=draw(_NUM),
     )
     return ProblemConfig(
         dim_primal=draw(st.integers(1, 10 ** 6)),

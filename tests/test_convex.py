@@ -169,7 +169,7 @@ class TestSolveConvex:
     def test_kkt_stopping_rule(self):
         cp = lasso_1d()
         report, gap = ss.solve_convex(
-            cp, stop=ss.StoppingRule(tol=0.0, max_iter=100000, kkt_tol=1e-6))
+            cp, stop=ss.StoppingRule(tol=0.0, max_iter=100000), kkt_tol=1e-6)
         assert report.termination == "converged"
         assert gap.kkt_residual <= 1e-6
         # the rule is named with the residual it compared; the final state
@@ -180,7 +180,7 @@ class TestSolveConvex:
 
     def test_residual_rule_named_when_it_fires_first(self):
         report, _ = ss.solve_convex(
-            lasso_1d(), stop=ss.StoppingRule(tol=1e-6, max_iter=100000, kkt_tol=1e-300))
+            lasso_1d(), stop=ss.StoppingRule(tol=1e-6, max_iter=100000), kkt_tol=1e-300)
         assert report.stop.rule == "residual"
         assert report.stop.value == report.history[-1].residual
 
@@ -284,7 +284,7 @@ class TestReductions:
         spec = ss.lower_to_inclusion(cp)
         base = ss.suggest_steps(spec, safety=params["safety"])
         cfg = ss.validate_steps(spec, base.tau, base.sigmas,
-                                lambda_schedule=lambda n: params["lam"],
+                                lam=params["lam"],
                                 norms=base.norms)
         iters = 300
         report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=iters),
@@ -360,6 +360,15 @@ class TestQualification:
         assert rep.verdict == "satisfied"
         assert rep.witness[0] == pytest.approx(0.5)
 
+    def test_box_target_reached_through_scaled_L(self):
+        # the exact line search scales L^T c back to the anchor: L = 2 and
+        # c = 0.5 give g = 1, alpha = 1/4 and L x = 0.5, the box center
+        cp = self.base_problem(ss.catalog_prox("box", 1, lo=0.0, hi=1.0),
+                               L=ss.matrix_op(np.array([[2.0]])))
+        rep = ss.check_qualification(cp)
+        assert rep.verdict == "satisfied"
+        assert rep.witness[0] == 0.25
+
     def test_singleton_target_not_verified(self):
         cp = self.base_problem(ss.catalog_prox("point", 1, point=0.0),
                                r=[1.0])
@@ -380,6 +389,51 @@ class TestQualification:
         rep = ss.check_qualification(cp)
         # witnesses must come from dom f = [2, 3], which misses (0, 1)
         assert rep.verdict == "not-verified"
+
+    @staticmethod
+    def counted_box_problem(n, counts):
+        """Two box targets, |x_j - x_{j+1}| < 0.1 and 1 < x_j < 2, through
+        operators that count their applies and adjoint applies."""
+        def counting(L):
+            def apply(x):
+                counts["apply"] += 1
+                return L.apply(x)
+
+            def adjoint_apply(y):
+                counts["adjoint"] += 1
+                return L.adjoint_apply(y)
+            return ss.LinearOp(L.in_dim, L.out_dim, apply, adjoint_apply,
+                               norm_hint=L.norm_hint)
+
+        return ss.ConvexProblem(
+            layout=ss.SpaceLayout(n, (n - 1, n), (0.5, 0.5)),
+            f=ss.catalog_prox("zero", n), h=ss.quadratic_smooth(np.zeros(n)),
+            z=np.zeros(n),
+            blocks=(
+                ss.ConvexBlock(g=ss.catalog_prox("box", n - 1, lo=-0.1, hi=0.1),
+                               ell=ss.dirac_term(n - 1), L=counting(ss.diff1d_op(n)),
+                               r=np.zeros(n - 1)),
+                ss.ConvexBlock(g=ss.catalog_prox("box", n, lo=1.0, hi=2.0),
+                               ell=ss.dirac_term(n), L=counting(ss.identity_op(n)),
+                               r=np.zeros(n)),
+            ),
+        )
+
+    def test_box_targets_cost_a_constant_number_of_applies(self):
+        # one adjoint per box target and O(1) applies per block, not one
+        # per primal coordinate: the count does not move with n
+        seen = []
+        for n in (50, 400):
+            counts = {"apply": 0, "adjoint": 0}
+            rep = ss.check_qualification(self.counted_box_problem(n, counts))
+            assert rep.verdict == "satisfied"
+            np.testing.assert_allclose(rep.witness, 1.5, rtol=0, atol=1e-5)
+            seen.append(counts)
+        assert seen[0] == seen[1]
+        assert seen[0]["adjoint"] == 2
+        # 1 + 1 + 2 for the aimed candidates (each target, then both), and
+        # 2 for each of the candidates checked: 0, the second target's, done
+        assert seen[0]["apply"] == 4 + 2 * 2
 
 
 def ri_anchor_loop(dom):

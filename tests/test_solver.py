@@ -398,7 +398,7 @@ class TestCertifiedNorms:
 def one_step(spec, cfg, x0=None, v0=None, err=None, allow_inadmissible=False):
     """The state after one update from (x0, v0), with the single error
     ``err`` injected, taken through run."""
-    errors = None if err is None else ss.ErrorSchedule(at=lambda n: err)
+    errors = None if err is None else (lambda n: err)
     report = ss.run(spec, cfg, x0=x0, v0=v0, errors=errors,
                     stop=ss.StoppingRule(tol=0.0, max_iter=1),
                     allow_inadmissible=allow_inadmissible)
@@ -443,7 +443,7 @@ class TestIterateOnce:
     def test_relaxation_consistency(self, rng):
         spec = shrinkage_spec(n=5, weight=0.2)
         lam = 0.7
-        cfg = ss.validate_steps(spec, 0.4, (0.4,), lambda_schedule=lambda n: lam)
+        cfg = ss.validate_steps(spec, 0.4, (0.4,), lam=lam)
         st = ss.initial_state(spec.layout, x0=rng.standard_normal(5))
         nxt = one_step(spec, cfg, st.x, st.v)
         # the unrelaxed update (p, q), recovered from lam = 1 as x + (p - x)
@@ -464,11 +464,16 @@ class TestIterateOnce:
         one_step(spec, cfg, x0=np.array([1.0]), allow_inadmissible=True)
 
     def test_lambda_range_enforced(self):
+        # refused at setup, by both step constructors, before any run
         spec = shrinkage_spec(n=1)
-        for lam in (1.5, 0.0):
-            cfg = ss.validate_steps(spec, 0.5, (0.5,), lambda_schedule=lambda n: lam)
-            with pytest.raises(ValueError, match="outside"):
-                one_step(spec, cfg, x0=np.array([1.0]))
+        for lam in (1.5, 0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^lambda must lie in \]0, 1\], got "):
+                ss.validate_steps(spec, 0.5, (0.5,), lam=lam)
+            with pytest.raises(ValueError, match=r"^lambda must lie in \]0, 1\], got "):
+                ss.suggest_steps(spec, lam=lam)
+        # any constant in ]0, 1] is accepted, however small
+        for lam in (5e-4, 1.0):
+            assert ss.validate_steps(spec, 0.5, (0.5,), lam=lam).lam == lam
 
 
 class TestRun:
@@ -476,7 +481,7 @@ class TestRun:
         # the degenerate reduction contracts by (1 - lam * tau) per step
         spec = shrinkage_spec(n=1)
         lam, tau = 1.0, 0.5
-        cfg = ss.validate_steps(spec, tau, (0.5,), lambda_schedule=lambda n: lam)
+        cfg = ss.validate_steps(spec, tau, (0.5,), lam=lam)
         report = ss.run(spec, cfg, x0=np.array([1.0]),
                         stop=ss.StoppingRule(tol=1e-10, max_iter=500),
                         record_states=True)
@@ -556,13 +561,24 @@ class TestRun:
         assert report.stop.value <= report.stop.threshold
 
     def test_extra_stop_rule_named(self):
+        # the caller's rule reports its own name, value and threshold
         spec = shrinkage_spec(n=2)
         cfg = ss.suggest_steps(spec)
+        seen = []
+
+        def extra_stop(st):
+            value = float(np.max(np.abs(st.x)))
+            seen.append(value)
+            return ss.StopReason("sup_norm", value, 1e-3) if value <= 1e-3 else None
+
         report = ss.run(spec, cfg, x0=np.ones(2), stop=ss.StoppingRule(tol=0.0, max_iter=50),
-                        extra_stop=lambda st: st.n == 4)
+                        extra_stop=extra_stop)
         assert report.termination == "converged"
-        assert report.iterations == 4
-        assert report.stop == ss.StopReason("extra_stop")
+        assert 1 < report.iterations < 50
+        assert len(seen) == report.iterations
+        assert report.stop == ss.StopReason("sup_norm", seen[-1], 1e-3)
+        assert seen[-1] <= 1e-3 < min(seen[:-1])
+        assert report.stop.line() == f"sup_norm (value {seen[-1]:.17g}, threshold 0.001)"
 
     def test_divergence_error_is_private(self):
         assert not hasattr(ss, "DivergenceError")
@@ -588,7 +604,7 @@ class TestRun:
         b = rng.standard_normal(4)
         spec = shrinkage_spec(n=4, weight=0.15, center=b)
         lam, tau, sigma = 0.8, 0.6, 0.5
-        cfg = ss.validate_steps(spec, tau, (sigma,), lambda_schedule=lambda n: lam)
+        cfg = ss.validate_steps(spec, tau, (sigma,), lam=lam)
         layout = spec.layout
 
         amp, dec = 0.02, 0.7
@@ -601,9 +617,8 @@ class TestRun:
                 a1=amp * dec ** n * d1, a2=amp * dec ** n * d2,
                 b=(None,), c=(None,))
 
-        errors = ss.ErrorSchedule(at=schedule_at)
         iters = 200
-        report = ss.run(spec, cfg, x0=b, errors=errors,
+        report = ss.run(spec, cfg, x0=b, errors=schedule_at,
                         stop=ss.StoppingRule(tol=0.0, max_iter=iters),
                         record_states=True)
         prox = ss.catalog_prox("l1", 4, weight=0.15).prox
@@ -643,41 +658,66 @@ class TestRun:
                 assert lhs >= rhs - 1e-8
 
 
+def tiny_convex_problem():
+    """A one-block convex problem whose fixed point is the origin."""
+    return ss.ConvexProblem(
+        layout=ss.SpaceLayout(2, (2,), (1.0,)),
+        f=ss.catalog_prox("l1", 2, weight=0.5), h=ss.quadratic_smooth(np.zeros(2)),
+        z=np.zeros(2),
+        blocks=(ss.ConvexBlock(g=ss.catalog_prox("l1", 2, weight=0.5),
+                               ell=ss.dirac_term(2), L=ss.identity_op(2),
+                               r=np.zeros(2)),),
+    )
+
+
 class TestStoppingRule:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(ss.StoppingRule)] == ["tol", "max_iter"]
+
     @pytest.mark.parametrize("field, value", [
         ("tol", math.nan), ("tol", -1e-3), ("tol", math.inf),
         ("kkt_tol", math.nan), ("kkt_tol", -1.0), ("kkt_tol", math.inf),
     ])
     def test_bad_tolerance_refused_by_name(self, field, value):
+        # tol by StoppingRule, kkt_tol by solve_convex, through one check
         with pytest.raises(ValueError, match=f"^{field} must be finite and non-negative"):
-            ss.StoppingRule(**{field: value})
+            if field == "tol":
+                ss.StoppingRule(tol=value)
+            else:
+                ss.solve_convex(tiny_convex_problem(), kkt_tol=value)
 
     def test_zero_tolerances_accepted(self):
-        rule = ss.StoppingRule(tol=0.0, kkt_tol=0.0)
-        assert (rule.tol, rule.kkt_tol) == (0.0, 0.0)
+        rule = ss.StoppingRule(tol=0.0)
+        assert rule.tol == 0.0
+        report, _ = ss.solve_convex(tiny_convex_problem(), x0=np.ones(2),
+                                    stop=ss.StoppingRule(tol=0.0, max_iter=3), kkt_tol=0.0)
+        # a zero kkt_tol stops only on an exactly zero KKT residual
+        assert report.stop == ss.StopReason("kkt_tol", 0.0, 0.0)
 
 
 class TestErrorSchedules:
     def test_geometric_is_summable(self):
         layout = ss.SpaceLayout(3, (2,), (1.0,))
         sched = ss.geometric_errors(layout, amplitude=0.5, decay=0.9, seed=1)
-        total = sum(np.linalg.norm(sched.at(n).a1) for n in range(2000))
+        total = sum(np.linalg.norm(sched(n).a1) for n in range(2000))
         assert total == pytest.approx(0.5 / (1 - 0.9), rel=1e-6)
 
     def test_zero_schedule_flags(self):
-        layout = ss.SpaceLayout(2, (2,), (1.0,))
-        sched = ss.zero_errors(layout)
-        assert sched.is_zero
-        err = sched.at(5)
-        assert err.a1 is None and err.a2 is None
+        # no errors and errors that are all None take the same bits;
+        # used_errors says whether a callable was given
+        spec = shrinkage_spec(n=3, weight=0.2)
+        cfg = ss.suggest_steps(spec)
+        stop = ss.StoppingRule(tol=0.0, max_iter=20)
+        none = ss.solver.IterationErrors(b=(None,), c=(None,))
+        exact = ss.run(spec, cfg, x0=np.ones(3), stop=stop)
+        empty = ss.run(spec, cfg, x0=np.ones(3), stop=stop, errors=lambda n: none)
+        assert not exact.used_errors and empty.used_errors
+        assert_same_bits(exact.final_state.u, empty.final_state.u)
+        assert [r.residual for r in exact.history] == [r.residual for r in empty.history]
 
     def test_zero_amplitude_is_the_exact_schedule(self):
         layout = ss.SpaceLayout(2, (2,), (1.0,))
-        sched = ss.geometric_errors(layout, 0.0, 0.5)
-        assert sched.is_zero
-        err = sched.at(3)
-        assert err.a1 is None and err.a2 is None
-        assert err.b == (None,) and err.c == (None,)
+        assert ss.geometric_errors(layout, 0.0, 0.5) is None
 
     def test_decay_validation(self):
         layout = ss.SpaceLayout(2, (2,), (1.0,))
@@ -752,8 +792,8 @@ def reference_run(spec, cfg, stop, errors=None, x0=None, v0=None):
          else [np.array(vi, dtype=float) for vi in v0])
     steps, residuals = [], []
     for n in range(stop.max_iter):
-        lam = cfg.lambda_at(n)
-        err = errors.at(n) if errors is not None else None
+        lam = cfg.lam
+        err = errors(n) if errors is not None else None
         p, q = update(x, v, err)
         x1, v1 = relax(x, v, p, q, lam)
         if err is not None:
@@ -809,14 +849,14 @@ def recorded(spec):
 
 def relaxed(spec, cfg, lam):
     return ss.validate_steps(spec, cfg.tau, cfg.sigmas, norms=cfg.norms,
-                             lambda_schedule=lambda n: lam)
+                             lam=lam)
 
 
 def fb_case():
     cp, params = ss.benchmarks.fb_problem()
     spec = ss.lower_to_inclusion(cp)
     cfg = ss.validate_steps(spec, params["tau"], (params["sigma"],),
-                            lambda_schedule=lambda n: params["lam"])
+                            lam=params["lam"])
     return spec, cfg, None
 
 
@@ -901,7 +941,7 @@ def offsets_case(offset=0.0, weights=(1.0,), Dinv=None, C=None, lam=1.0):
         z=np.full(n, offset),
         blocks=blocks,
     )
-    cfg = ss.suggest_steps(spec, lambda_schedule=lambda k: lam)
+    cfg = ss.suggest_steps(spec, lam=lam)
     return spec, cfg, None
 
 
@@ -970,7 +1010,7 @@ def skip_flags(spec, cfg):
     flags |= {"r" for keep in ws.keep_r if not keep} | {"Dinv" for keep in ws.keep_Dinv if not keep}
     if all(w == 1.0 for w in spec.layout.weights):
         flags.add("omega")
-    if cfg.lambda_at(0) == 1.0:
+    if cfg.lam == 1.0:
         flags.add("lambda")
     return flags
 
@@ -1029,7 +1069,7 @@ class TestCarriedWeightedSum:
         blocks = tuple(dataclasses.replace(blk, L=counted(blk.L, c))
                        for blk, c in zip(spec.blocks, counts))
         spec = dataclasses.replace(spec, blocks=blocks)
-        cfg = ss.suggest_steps(spec, lambda_schedule=lambda n: lam)
+        cfg = ss.suggest_steps(spec, lam=lam)
         for c in counts:
             c.update(apply=0, adjoint=0)  # the norm estimates are setup
         errors = ss.geometric_errors(spec.layout, amplitude, 0.9)
@@ -1235,3 +1275,69 @@ class TestFlatState:
             for b in report.states[i + 1:]:
                 assert not np.shares_memory(a.u, b.u)
         assert not any(np.shares_memory(self.x0, st.u) for st in report.states)
+
+
+# ---------------------------------------------------------------------------
+# the standalone reference recursions on random instances
+
+
+def random_reference_problem(rng, blocks, smooth):
+    """A random convex problem: an l1 or sq_l2 f, a quadratic or zero h,
+    and ``blocks`` dual blocks, each a random ``matrix_op`` with an l1, l2
+    or box g and a dirac ell (no offsets, so the references apply)."""
+    n = int(rng.integers(3, 9))
+    dims = tuple(int(rng.integers(2, 7)) for _ in range(blocks))
+    raw = rng.uniform(0.2, 1.0, blocks)
+    weights = tuple(float(w) for w in raw / raw.sum())
+    f = (ss.catalog_prox("l1", n, weight=float(rng.uniform(0.05, 0.5))) if rng.random() < 0.5
+         else ss.catalog_prox("sq_l2", n, weight=1.0, center=rng.standard_normal(n)))
+    h = ss.quadratic_smooth(rng.standard_normal(n)) if smooth else ss.zero_smooth(n)
+    gs = []
+    for d in dims:
+        kind = rng.choice(["l1", "l2", "box"])
+        gs.append(ss.catalog_prox("box", d, lo=-0.5, hi=0.5) if kind == "box"
+                  else ss.catalog_prox(str(kind), d, weight=float(rng.uniform(0.1, 0.5))))
+    return ss.ConvexProblem(
+        layout=ss.SpaceLayout(n, dims, weights), f=f, h=h, z=np.zeros(n),
+        blocks=tuple(
+            ss.ConvexBlock(g=g, ell=ss.dirac_term(d),
+                           L=ss.matrix_op(rng.standard_normal((d, n))), r=np.zeros(d))
+            for g, d in zip(gs, dims)),
+    )
+
+
+REFERENCE_ITERS = 300
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_condat_reference_on_random_instances(seed):
+    # 1-3 blocks at a common step and a relaxation in ]0, 1]
+    rng = np.random.default_rng(1000 + seed)
+    cp = random_reference_problem(rng, blocks=1 + seed % 3, smooth=True)
+    lam = 1.0 if seed % 4 == 0 else float(1.0 - rng.uniform(0.0, 0.9))
+    spec = ss.lower_to_inclusion(cp)
+    cfg = ss.suggest_steps(spec, safety=float(rng.uniform(0.5, 0.99)), lam=lam)
+    assert cfg.lam == lam
+    report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=REFERENCE_ITERS),
+                    record_states=True)
+    xs, vs = ss.benchmarks.condat_reference(
+        cp.f.prox, cp.h.gradient, [blk.g.prox for blk in cp.blocks],
+        [blk.L for blk in cp.blocks], cp.layout.weights, cfg.tau, cfg.sigmas[0], lam,
+        np.zeros(cp.layout.dim_primal), [np.zeros(d) for d in cp.layout.dual_dims],
+        REFERENCE_ITERS)
+    assert ss.benchmarks.max_state_deviation(report.states, xs, vs) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chambolle_pock_reference_on_random_instances(seed):
+    # one unit-weight block, no smooth term, relaxation 1
+    rng = np.random.default_rng(2000 + seed)
+    cp = random_reference_problem(rng, blocks=1, smooth=False)
+    spec = ss.lower_to_inclusion(cp)
+    cfg = ss.suggest_steps(spec, safety=float(rng.uniform(0.5, 0.99)), lam=1.0)
+    report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=REFERENCE_ITERS),
+                    record_states=True)
+    xs, vs = ss.benchmarks.chambolle_pock_reference(
+        cp.f.prox, cp.blocks[0].g.prox, cp.blocks[0].L, cfg.tau, cfg.sigmas[0],
+        np.zeros(cp.layout.dim_primal), np.zeros(cp.layout.dual_dims[0]), REFERENCE_ITERS)
+    assert ss.benchmarks.max_state_deviation(report.states, xs, [[v] for v in vs]) <= 1e-12

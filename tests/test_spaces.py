@@ -163,7 +163,7 @@ class TestMetricProperties:
                          r=np.zeros(d))
                 for d in self.lay.dual_dims),
         )
-        cfg = ss.suggest_steps(spec, lambda_schedule=lambda n: 0.8)
+        cfg = ss.suggest_steps(spec, lam=0.8)
         report = ss.run(spec, cfg, x0=self.rng.standard_normal(3),
                         stop=ss.StoppingRule(tol=0.0, max_iter=20), record_states=True)
         for rec, a, b in zip(report.history, report.states, report.states[1:]):
