@@ -18,21 +18,20 @@ is a custom ``ResolventOp`` around the l1 prox, and one whose dual
 operator is ``ResolventOp.zero`` next to ``CocoerciveOp.zero``.  The
 last two run with explicit steps and norms.  Each library run also
 has a ``steps`` line (tau and the sigmas) and a ``margin`` line (the
-step condition's margin, ``None`` on a checkout whose configs have
-none), so a change of steps shows apart from a change of iterates.  The custom run takes the
-inverse-resolvent identity rather than the catalog's closed-form dual
-resolvent and uses no closed-form norm, so it pins that path even when
-those change; the zero run pins the dual step of the zero operator.
-A last library run has every term of the update that the others leave
-out: a nonzero ``z``, an ``r`` with -0.0 entries, two blocks weighted
-(0.7, 0.3), a ``quadratic_term`` D^{-1}, a ``zero_smooth`` C and
-relaxation 0.8.  Only ``cli.main``, ``final_state.x``/``.v``, the
-run histories and the step configs are read, no operator is built with a ``kind`` tag, and
+step condition's margin), so a change of steps shows apart from a
+change of iterates.  The custom run takes the inverse-resolvent
+identity rather than the catalog's closed-form dual resolvent and uses
+no closed-form norm, so it pins that path even when those change; the
+zero run pins the dual step of the zero operator.  A last library run
+has every term of the update that the others leave out: a nonzero
+``z``, an ``r`` with -0.0 entries, two blocks weighted (0.7, 0.3), a
+``quadratic_term`` D^{-1}, a ``zero_smooth`` C and relaxation 0.8.
+Only ``cli.main``, ``final_state.x``/``.v``, the run histories and the
+step configs are read, no operator is built with a ``kind`` tag, and
 CSV columns are found by header name, so the script runs unchanged on
-any checkout that has them; the relaxed runs take their steps from
-:func:`relaxed_steps`, which also reads a checkout whose
-``suggest_steps`` predates the ``lam`` argument.  Every run CSV is hashed a second time with
-its ``residual`` column dropped, so a change that moves only residuals
+any checkout that has these, ``suggest_steps(..., lam=)`` and
+``StepConfig.margin``.  Every run CSV is hashed a second time with its
+``residual`` column dropped, so a change that moves only residuals
 shows apart from a change of iterates.  Temporary directory names are
 replaced by ``<tmp>`` before hashing.
 """
@@ -175,16 +174,6 @@ max_iter = 100000
     solve_config("generated tv1d", cfg, tmp)
 
 
-def relaxed_steps(spec, lam: float):
-    """``suggest_steps`` at the constant relaxation ``lam``, through the
-    ``lam`` argument or, on a checkout that predates it, a constant
-    ``lambda_schedule``."""
-    try:
-        return solver.suggest_steps(spec, lam=lam)
-    except TypeError:
-        return solver.suggest_steps(spec, lambda_schedule=lambda n: lam)
-
-
 def tv2d_spec(b: np.ndarray) -> solver.ProblemSpec:
     n = b.size
     L = operators.grad2d_op(TV2D_SIDE, TV2D_SIDE)
@@ -206,7 +195,7 @@ def tv2d_spec(b: np.ndarray) -> solver.ProblemSpec:
 
 def emit_report(label: str, cfg, report) -> None:
     emit(f"{label} steps", f"tau {cfg.tau!r} sigmas {cfg.sigmas!r}".encode())
-    emit(f"{label} margin", repr(getattr(cfg, "margin", None)).encode())
+    emit(f"{label} margin", repr(cfg.margin).encode())
     st = report.final_state
     emit(f"{label} termination", f"{report.termination} {report.iterations}".encode())
     emit(f"{label} final x", floats(st.x))
@@ -230,7 +219,7 @@ def tv2d_runs() -> None:
     cfg = solver.suggest_steps(spec)
     emit_report("tv2d lambda=1", cfg, solver.run(spec, cfg, stop=stop))
 
-    cfg = relaxed_steps(spec, 0.9)
+    cfg = solver.suggest_steps(spec, lam=0.9)
     errors = solver.geometric_errors(spec.layout, 1e-3, 0.95, seed=3)
     report = solver.run(spec, cfg, stop=stop, errors=errors,
                         iter_metrics=lambda st: {"primal_obj": float(np.dot(st.x, st.x))})
@@ -279,7 +268,7 @@ def offsets_run() -> None:
         ),
     )
     spec = convex.lower_to_inclusion(cp)
-    cfg = relaxed_steps(spec, 0.8)
+    cfg = solver.suggest_steps(spec, lam=0.8)
     stop = solver.StoppingRule(tol=1e-10, max_iter=5000)
     emit_report("offsets z r omega Dinv lambda=0.8", cfg, solver.run(spec, cfg, stop=stop))
 

@@ -9,7 +9,6 @@ the README for the data model and the CLI.
 from .spaces import (
     ShapeMismatchError,
     SpaceLayout,
-    inner_weighted,
 )
 from .operators import (
     CocoerciveOp,

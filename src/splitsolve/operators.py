@@ -276,7 +276,9 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
     Stacks vertical differences ((rows-1) * cols values) above
     horizontal differences (rows * (cols-1) values).  The norm hint is
     the closed-form norm 2 sqrt(sin^2((rows-1) pi / (2 rows)) +
-    sin^2((cols-1) pi / (2 cols))) rounded up.
+    sin^2((cols-1) pi / (2 cols))) rounded up.  The adjoint adds the
+    horizontal differences in flat passes over a padded copy, with the
+    bits of the 2-D column updates (see the comment in ``adjoint``).
     """
     if rows < 2 or cols < 2:
         raise ValueError("grad2d needs rows >= 2 and cols >= 2")
@@ -291,16 +293,28 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
         return out
 
     def adjoint(y):
+        # per entry: -dv, + dv, then - dh and + dh as the strided 2-D
+        # updates out[:, :-1] -= dh; out[:, 1:] += dh would do, taken
+        # flat through buf = (z, dh row 0, z, dh row 1, ..., z) of length
+        # rows * cols + 1: buf[1:] lines dh up with out[:, :-1] and
+        # buf[:-1] with out[:, 1:].  Each z meets the column the update
+        # leaves out and changes no bit, signed zeros included: it is +0
+        # for the subtraction (x - (+0) = x) and -0 for the addition
+        # (x + (-0) = x)
         y = np.asarray(y, dtype=float)
         dv = y[:n_v].reshape(rows - 1, cols)
-        dh = y[n_v:].reshape(rows, cols - 1)
-        out = np.empty((rows, cols))
-        np.subtract(0.0, dv, out=out[:-1, :])
-        out[-1, :] = 0.0
-        out[1:, :] += dv
-        out[:, :-1] -= dh
-        out[:, 1:] += dh
-        return out.ravel()
+        out = np.empty(rows * cols)
+        img = out.reshape(rows, cols)
+        np.subtract(0.0, dv, out=img[:-1, :])
+        img[-1, :] = 0.0
+        img[1:, :] += dv
+        buf = np.empty(rows * cols + 1)
+        buf[1:].reshape(rows, cols)[:, :-1] = y[n_v:].reshape(rows, cols - 1)
+        buf[::cols] = 0.0
+        out -= buf[1:]
+        buf[::cols] = -0.0
+        out += buf[:-1]
+        return out
 
     hint = 2.0 * math.sqrt(
         math.sin((rows - 1) * math.pi / (2 * rows)) ** 2

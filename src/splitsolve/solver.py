@@ -43,6 +43,7 @@ reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -87,6 +88,12 @@ POWER_TOL = 1e-8
 POWER_MAX_ITER = 10000
 #: halvings of the bracket in :func:`suggest_steps`' bisection
 BISECTION_STEPS = 128
+#: :func:`run` forms the exact state norm at least once per this many
+#: iterations and carries an upper bound on it in between
+NORM_RESYNC = 64
+#: relative and absolute outward rounding of that bound (see :func:`run`)
+NORM_BOUND_SLACK = 1e-6
+NORM_BOUND_FLOOR = 1e-150
 
 
 class _DivergenceError(RuntimeError):
@@ -213,7 +220,11 @@ def _check_tolerance(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class IterationErrors:
-    """Error terms injected at one iteration; ``None`` means exact."""
+    """Error terms injected at one iteration; ``None`` means exact.
+
+    ``b`` and ``c`` hold one entry per dual block, or none at all for
+    "exact on every block"; :func:`run` refuses any other length.
+    """
 
     a1: Optional[np.ndarray] = None
     a2: Optional[np.ndarray] = None
@@ -595,8 +606,8 @@ class _Workspace:
     z and r_i when :func:`_vanishes` holds.
     """
 
-    __slots__ = ("wsum", "wsum_next", "tmp", "arg", "y", "finite_x", "dual_arg",
-                 "finite_v", "d", "dx", "dv", "s", "sx", "sv",
+    __slots__ = ("wsum", "wsum_next", "tmp", "arg", "y", "dual_arg",
+                 "d", "dx", "dv", "s", "sx", "sv",
                  "keep_C", "keep_z", "keep_Dinv", "keep_r")
 
     def __init__(self, spec: ProblemSpec):
@@ -605,8 +616,6 @@ class _Workspace:
         self.wsum, self.wsum_next, self.tmp, self.arg, self.y = (
             np.empty(n) for _ in range(5))
         self.dual_arg = tuple(np.empty(d) for d in dims)
-        self.finite_x = np.empty(n, dtype=bool)
-        self.finite_v = tuple(np.empty(d, dtype=bool) for d in dims)
         self.d = np.empty(layout.size)
         self.dx, self.dv = layout.split(self.d)
         self.s = np.empty(layout.size)
@@ -619,15 +628,26 @@ class _Workspace:
 
 def _kernel(spec, tau, sigmas, lam, st, wsum, err, ws, out):
     """One update from the state ``st`` into the state ``out``, given
-    ``wsum`` = :func:`_weighted_adjoint_sum` of ``st.v``.
+    ``wsum`` = :func:`_weighted_adjoint_sum` of ``st.v``; returns the
+    squared norms ``<dx, dx>`` and ``[<dv_i, dv_i>]`` of the unrelaxed
+    displacement, as :func:`_sq_norms` forms them.
 
-    The unrelaxed displacement always lands in ``ws.d``; with
-    ``out=None`` the relaxed update is not formed.  Every array
-    operation writes into ``ws`` or ``out``, never into ``st``,
-    ``wsum`` or an array an operator returned; an operator's result is
-    consumed before the buffer it was handed is written again.  The
-    operations and their order are those of the plain formulas in the
-    module docstring, less the passes that are exact IEEE identities
+    The displacement always lands in ``ws.d``; with ``out=None`` the
+    relaxed update is not formed.  The passes run in this order: the
+    coupling term t and p; dx = p - x and <dx, dx>; y = 2p - x; then per
+    block L_i y, the dual argument, q_i, dv_i = q_i - v_i and
+    <dv_i, dv_i>; last the relaxed update.  Each dot is the finiteness
+    test of its block: a sum of squares is finite only if every entry
+    is, so a finite dot clears p (or q_i) without a pass of its own, and
+    no L_i sees a y formed from a non-finite p.  Only a non-finite dot
+    looks at p or q_i, which raises :class:`_DivergenceError` naming the
+    block, or lets a finite update whose squares overflow go on.
+
+    Every array operation writes into ``ws`` or ``out``, never into
+    ``st``, ``wsum`` or an array an operator returned; an operator's
+    result is consumed before the buffer it was handed is written again.
+    The operations and their order are those of the plain formulas in
+    the module docstring, less the passes that are exact IEEE identities
     (each is named where it is skipped), so results are bitwise those of
     the formulas; the dual-block reduction runs in ascending block order.
     """
@@ -644,10 +664,12 @@ def _kernel(spec, tau, sigmas, lam, st, wsum, err, ws, out):
     p = spec.A.resolvent(tau, np.subtract(x, np.multiply(t, tau, out=ws.arg), out=ws.arg))
     if err is not None and err.a2 is not None:
         p = np.add(p, err.a2, out=ws.arg)
-    if not np.isfinite(p, out=ws.finite_x).all():
+    dx = np.subtract(p, x, out=ws.dx)
+    xx = float(np.dot(dx, dx))
+    if not math.isfinite(xx) and not np.isfinite(p).all():
         raise _DivergenceError("primal update p")
     y = np.subtract(np.multiply(p, 2.0, out=ws.y), x, out=ws.y)
-    np.subtract(p, x, out=ws.dx)
+    vv = []
     for i, blk in enumerate(spec.blocks):
         sigma, u = sigmas[i], ws.dual_arg[i]
         # L_i y - D_i^{-1} v_i - c_i - r_i, where a vanished term is not
@@ -664,21 +686,42 @@ def _kernel(spec, tau, sigmas, lam, st, wsum, err, ws, out):
         q = resolvent_of_inverse(blk.B, sigma, u)
         if err is not None and err.b[i] is not None:
             q = np.add(q, err.b[i], out=u)
-        if not np.isfinite(q, out=ws.finite_v[i]).all():
+        dvi = np.subtract(q, v[i], out=ws.dv[i])
+        vv.append(float(np.dot(dvi, dvi)))
+        if not math.isfinite(vv[i]) and not np.isfinite(q).all():
             raise _DivergenceError(f"dual update q[{i}]")
-        np.subtract(q, v[i], out=ws.dv[i])
-    if out is None:
-        return
-    if lam == 1.0:
-        # x * 1 = x
-        np.add(st.u, ws.d, out=out.u)
-    else:
-        np.add(st.u, np.multiply(ws.d, lam, out=out.u), out=out.u)
+    if out is not None:
+        if lam == 1.0:
+            # x * 1 = x
+            np.add(st.u, ws.d, out=out.u)
+        else:
+            np.add(st.u, np.multiply(ws.d, lam, out=out.u), out=out.u)
+    return xx, vv
 
 
 def _sq_norms(dx, dv):
     """``<dx, dx>`` and each ``<dv_i, dv_i>``."""
     return float(np.dot(dx, dx)), [float(np.dot(d, d)) for d in dv]
+
+
+def _state_norm(weights, st: IterState) -> float:
+    """The weighted norm of the state ``st``, as the stop test forms it."""
+    return math.sqrt(_weighted_sq(weights, *_sq_norms(st.x, st.v)))
+
+
+def _checked_errors(err: IterationErrors, m: int) -> IterationErrors:
+    """``err`` with an empty ``b`` or ``c`` read as exact on each of the
+    ``m`` blocks; any other length than ``m`` is refused by name."""
+    fields = {}
+    for name in ("b", "c"):
+        terms = getattr(err, name)
+        if not terms:
+            fields[name] = (None,) * m
+        elif len(terms) != m:
+            raise ValueError(
+                f"IterationErrors.{name} has {len(terms)} entries but the "
+                f"problem has {m} blocks (give one per block, or none)")
+    return dataclasses.replace(err, **fields) if fields else err
 
 
 def _weighted_sq(weights, xx, vv):
@@ -735,9 +778,11 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     and threshold) for the new state rather than ``None``;
     ``report.stop`` records which rule ended the run.  ``errors``, when
     given, maps the iteration index ``n`` to the :class:`IterationErrors`
-    injected there; ``None`` runs the exact iteration.  The relaxation
-    is ``cfg.lam``.  ``iter_metrics`` may attach objective values to
-    each history row.
+    injected there; ``None`` runs the exact iteration.  An empty ``b``
+    or ``c`` is exact on every block, and any other length than one
+    entry per block is refused with a ``ValueError`` naming the field.
+    The relaxation is ``cfg.lam``.  ``iter_metrics`` may attach
+    objective values to each history row.
 
     The renormed metric's cross term is sum_i w_i <L_i dx, dv_i>.  The
     weighted sum W_n = sum_i w_i L_i^T v_{i,n} that the update needs is
@@ -746,11 +791,23 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     the displacement (dx, dv) = (p - x, q - v) of the update, which
     serves as the step and as the residual's displacement, and the
     cross term is <dx, W_{n+1} - W_n>: no L_i is applied and no state
-    difference formed for the stop test.  Otherwise the step is
-    x_{n+1} - x_n (and so on), the residual's displacement is
-    (x + (p - x)) - x (and so on) and the cross term is formed block by
-    block.  Both forms are equal in exact arithmetic; they round
-    differently, most where the residual is small against the state.
+    difference formed for the stop test, and the squared norms are the
+    ones the update formed.  Otherwise the step is x_{n+1} - x_n (and
+    so on), the residual's displacement is (x + (p - x)) - x (and so on)
+    and the cross term is formed block by block.  Both forms are equal
+    in exact arithmetic; they round differently, most where the residual
+    is small against the state.
+
+    Finiteness is checked inside the update, by the squared norm of each
+    block's displacement (see :func:`_kernel`); a non-finite p or q_i
+    ends the run as ``"diverged"`` with ``failure`` naming the block and
+    the iteration.  The state norm enters only the threshold, so the
+    exact norm is formed only when it can change the decision: every
+    ``NORM_RESYNC`` iterations (iteration 0 included) and whenever the
+    residual is at most ``tol * (1 + U)``, where U is an upper bound
+    carried from the last exact norm by the triangle inequality, or U is
+    not finite.  The stop decision, ``report.stop`` and the history
+    keep the bits of forming the exact norm every iteration.
 
     With ``record_states=True`` the report keeps every iterate (index 0
     included) for post-hoc monitoring; with
@@ -812,9 +869,13 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     states: Optional[list[IterState]] = [st] if record_states else None
     reason = StopReason("max_iter", float(stop.max_iter), float(stop.max_iter))
     failure = None
+    # an upper bound on the computed norm of st, exact after a resync
+    bound = math.inf
 
     for n in range(stop.max_iter):
         err_n = None if errors is None else errors(n)
+        if err_n is not None:
+            err_n = _checked_errors(err_n, spec.num_blocks)
         if escapes:
             nxt = _state(n + 1, np.empty(layout.size), layout)
         else:
@@ -822,7 +883,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             nxt = IterState(n + 1, buf.u, buf.x, buf.v)
         t0 = time.perf_counter()
         try:
-            _kernel(spec, tau, sigmas, lam, st, wsum, err_n, ws, nxt)
+            sq = _kernel(spec, tau, sigmas, lam, st, wsum, err_n, ws, nxt)
         except _DivergenceError as exc:
             reason = StopReason("diverged")
             failure = f"non-finite value in {exc.block} at iteration {n}"
@@ -839,7 +900,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             # the step taken is the relaxation-1 displacement d, and
             # v_{n+1} - v_n = dv gives sum_i w_i L_i^T dv_i = W_{n+1} - W_n
             dwsum = np.subtract(wsum_next, wsum, out=ws.tmp) if admissible else None
-            step_sq = res_sq = _sq_norms(ws.dx, ws.dv)
+            step_sq = res_sq = sq
         else:
             np.subtract(nxt.u, st.u, out=ws.s)
             step_sq = _sq_norms(ws.sx, ws.sv)
@@ -849,7 +910,25 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             res_sq = _sq_norms(ws.dx, ws.dv)
         residual = _residual_norm(spec, cfg, admissible, ws.dx, ws.dv, res_sq, dwsum)
         step_norm = math.sqrt(_weighted_sq(weights, *step_sq))
-        state_norm = math.sqrt(_weighted_sq(weights, *_sq_norms(st.x, st.v)))
+        # the state norm enters only the threshold tol (1 + ||st||), and
+        # rounding is monotone: an upper bound U >= ||st|| gives a threshold
+        # at least as large, so a residual above tol (1 + U) cannot meet
+        # the exact one, and the exact norm is needed only at or below it
+        if (n % NORM_RESYNC == 0 or not math.isfinite(bound)
+                or residual <= stop.tol * (1.0 + bound)):
+            bound = _state_norm(weights, st)
+        state_norm = bound
+        # ||u_{n+1}|| <= ||u_n|| + ||u_{n+1} - u_n||, rounded outward.  With
+        # eps = 2^-53 and N the state's length plus twice the blocks, a
+        # computed norm lies within gamma_N / 2 + eps ~ (N / 2 + 1) eps of
+        # the true one (a sum of N nonnegative terms, then a square
+        # root); u_{n+1} - u_n differs from the step whose norm was taken
+        # by one rounding per entry (u_n + d, or the difference itself),
+        # and forming the bound costs three more.  So the relative slack
+        # must exceed (N + 8) eps, which 1e-6 does for N < 9e9.  Squares
+        # that underflow move a computed norm by at most sqrt(N) 2^-537
+        # < 1e-150 absolutely, which the floor covers.
+        bound = (state_norm + step_norm) * (1.0 + NORM_BOUND_SLACK) + NORM_BOUND_FLOOR
         wsum, wsum_next = wsum_next, wsum
         wall_ms = (time.perf_counter() - t0) * 1000.0
 

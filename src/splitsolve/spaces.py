@@ -22,7 +22,6 @@ __all__ = [
     "ShapeMismatchError",
     "SpaceLayout",
     "inner_blocks",
-    "inner_weighted",
 ]
 
 WEIGHT_SUM_TOL = 1e-12
@@ -111,9 +110,3 @@ def inner_blocks(weights, ax: np.ndarray, av, bx: np.ndarray, bv) -> float:
         s += w * float(np.dot(da, db))
     return s
 
-
-def inner_weighted(a: np.ndarray, b: np.ndarray, layout: SpaceLayout) -> float:
-    """Weighted inner product of two flat product-space arrays."""
-    ax, av = layout.split(np.asarray(a, dtype=float))
-    bx, bv = layout.split(np.asarray(b, dtype=float))
-    return inner_blocks(layout.weights, ax, av, bx, bv)

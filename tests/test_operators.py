@@ -486,6 +486,63 @@ class TestCatalog:
                 assert lhs <= rhs + 1e-10
 
 
+def grad2d_adjoint_2d(rows, cols, y):
+    """The grad2d adjoint as strided 2-D updates of the image, the
+    formulation the flat one must match bit for bit."""
+    n_v = (rows - 1) * cols
+    dv = y[:n_v].reshape(rows - 1, cols)
+    dh = y[n_v:].reshape(rows, cols - 1)
+    out = np.empty((rows, cols))
+    np.subtract(0.0, dv, out=out[:-1, :])
+    out[-1, :] = 0.0
+    out[1:, :] += dv
+    out[:, :-1] -= dh
+    out[:, 1:] += dh
+    return out.ravel()
+
+
+class TestGrad2dAdjoint:
+    """The adjoint adds the horizontal differences in flat passes over a
+    padded copy; every entry must keep the 2-D updates' bits."""
+
+    SHAPES = [(2, 2), (2, 7), (7, 2), (3, 4), (16, 16), (9, 31)]
+
+    @staticmethod
+    def signed_zeros(rng, size):
+        """Normal entries, about half of them replaced by +0 or -0."""
+        w = rng.standard_normal(size)
+        zeros = rng.random(size) < 0.5
+        w[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        return w
+
+    @pytest.mark.parametrize("rows, cols", SHAPES)
+    def test_bitwise_equal_to_2d_updates(self, rows, cols, rng):
+        op = grad2d_op(rows, cols)
+        cases = [self.signed_zeros(rng, op.out_dim) for _ in range(20)]
+        cases += [np.zeros(op.out_dim), np.full(op.out_dim, -0.0)]
+        for y in cases:
+            got = op.adjoint_apply(y)
+            want = grad2d_adjoint_2d(rows, cols, y)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("rows, cols", SHAPES)
+    def test_adjoint_of_apply(self, rows, cols, rng):
+        op = grad2d_op(rows, cols)
+        for _ in range(20):
+            x = self.signed_zeros(rng, op.in_dim)
+            y = self.signed_zeros(rng, op.out_dim)
+            lhs = float(np.dot(op.apply(x), y))
+            rhs = float(np.dot(x, op.adjoint_apply(y)))
+            assert abs(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(x) * np.linalg.norm(y))
+
+    def test_input_left_unchanged(self, rng):
+        op = grad2d_op(4, 5)
+        y = self.signed_zeros(rng, op.out_dim)
+        kept = y.copy()
+        op.adjoint_apply(y)
+        np.testing.assert_array_equal(y.view(np.int64), kept.view(np.int64))
+
+
 class TestPlainFormulas:
     """The built-in maps write into their output array; their values
     must equal the plain allocating formulas bit for bit, signed zeros

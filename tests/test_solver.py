@@ -554,7 +554,9 @@ class TestRun:
         assert report.termination == "converged"
         # the residual belongs to the state the last update started from
         start = report.states[-2]
-        state_norm = math.sqrt(ss.spaces.inner_weighted(start.u, start.u, spec.layout))
+        layout = spec.layout
+        state_norm = math.sqrt(ss.spaces.inner_blocks(
+            layout.weights, *layout.split(start.u), *layout.split(start.u)))
         assert report.stop.rule == "residual"
         assert report.stop.value == report.history[-1].residual
         assert report.stop.threshold == pytest.approx(stop.tol * (1.0 + state_norm), rel=1e-15)
@@ -740,11 +742,13 @@ class TestErrorSchedules:
 def reference_run(spec, cfg, stop, errors=None, x0=None, v0=None):
     """The update and the stopping arithmetic written with fresh arrays
     everywhere, from ``x0`` and ``v0`` (default 0); returns (step norms,
-    residuals, x, v).  The relaxation-1 update that the residual measures
-    is taken again, error-free, only when errors are injected, so the
-    resolvents are called in the same order as by ``run``.  At
-    relaxation 1 without errors the displacement p - x, q - v is both
-    the step and the residual's, whose cross term is
+    residuals, x, v, threshold), the last being tol (1 + ||state||) of
+    the last iteration from the exact state norm.  The relaxation-1
+    update that the residual measures is taken again, error-free, only
+    when errors are injected, so the resolvents are called in the same
+    order as by ``run``.  At relaxation 1 without errors the
+    displacement p - x, q - v is both the step and the residual's,
+    whose cross term is
     <p - x, W(v_{n+1}) - W(v_n)> with W(v) = sum_i w_i L_i^T v_i;
     otherwise the step is x_{n+1} - x_n, the residual's displacement
     (x + (p - x)) - x and so on, and the cross term is formed block by
@@ -818,11 +822,11 @@ def reference_run(spec, cfg, stop, errors=None, x0=None, v0=None):
             steps.append(math.sqrt(sq(dx, dv)))
         else:
             steps.append(math.sqrt(sq(x1 - x, [b - a for a, b in zip(v, v1)])))
-        state_norm = math.sqrt(sq(x, v))
+        threshold = stop.tol * (1.0 + math.sqrt(sq(x, v)))
         x, v = x1, v1
-        if residuals[-1] <= stop.tol * (1.0 + state_norm):
+        if residuals[-1] <= threshold:
             break
-    return steps, residuals, x, v
+    return steps, residuals, x, v, threshold
 
 
 def recorded(spec):
@@ -987,11 +991,12 @@ class TestBitwiseAgainstPlainLoop:
         x0, v0 = signed_zero_start(spec.layout)
         stop = ss.StoppingRule(tol=1e-9, max_iter=3000)
         spec_ref, log_ref = recorded(spec)
-        steps, residuals, x, v = reference_run(spec_ref, cfg, stop, errors, x0, v0)
+        steps, residuals, x, v, threshold = reference_run(spec_ref, cfg, stop, errors, x0, v0)
         spec_run, log_run = recorded(spec)
         report = ss.run(spec_run, cfg, x0=x0, v0=v0, stop=stop, errors=errors)
         assert report.termination == "converged"
         assert report.iterations == len(steps)
+        assert report.stop == ss.StopReason("residual", residuals[-1], threshold)
         assert_same_bits([rec.step_norm for rec in report.history], steps)
         assert_same_bits([rec.residual for rec in report.history], residuals)
         assert_same_bits(report.final_state.x, x)
@@ -1117,6 +1122,196 @@ class TestCarriedWeightedSum:
             "project-intersection": 223, "fb-reduction": 1000,
             "condat-reduction": 107, "two-step-reduction": 107,
         }
+
+
+# ---------------------------------------------------------------------------
+# the stop test: finiteness from the update's dots, a carried state-norm bound
+
+
+def failing_at(n_fail, fn):
+    """``fn`` that returns its result times inf from its call ``n_fail``
+    (0-based) on."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(1)
+        out = fn(*args)
+        return out * np.inf if len(calls) > n_fail else out
+    return wrapped
+
+
+def spied_state_norms(monkeypatch):
+    """Record ``(st.n, value)`` of every exact state norm ``run`` forms."""
+    calls = []
+    exact = ss.solver._state_norm
+
+    def spy(weights, st):
+        value = exact(weights, st)
+        calls.append((st.n, value))
+        return value
+    monkeypatch.setattr(ss.solver, "_state_norm", spy)
+    return calls
+
+
+def expected_norm_calls(report, tol, exact):
+    """The iterations at which the stop test must form the exact state
+    norm, by the carried bound's recursion, and the number of them at
+    which the residual is at most tol (1 + U); ``exact`` maps an
+    iteration to the norm formed there."""
+    due, near = [], 0
+    bound = math.inf
+    for n, rec in enumerate(report.history):
+        close = not math.isfinite(bound) or rec.residual <= tol * (1.0 + bound)
+        near += close
+        if n % ss.solver.NORM_RESYNC == 0 or close:
+            due.append(n)
+            bound = exact[n]
+        bound = ((bound + rec.step_norm) * (1.0 + ss.solver.NORM_BOUND_SLACK)
+                 + ss.solver.NORM_BOUND_FLOOR)
+    return due, near
+
+
+class TestStopTest:
+    """Finiteness is read off the squared norms the update forms, and the
+    exact state norm is formed only where it can change the decision."""
+
+    @pytest.mark.parametrize("where", ["B", "L"])
+    def test_non_finite_dual_update_names_block(self, where):
+        # block 1's B resolvent (box, taken through the inverse-resolvent
+        # identity) or L apply returns inf from iteration 3 on
+        spec, _ = random_spec(2)
+        norms = ss.certified_norms(spec)  # before L is replaced
+        blk = spec.blocks[1]
+        if where == "B":
+            blk = dataclasses.replace(blk, B=ss.ResolventOp(
+                blk.B.dim, failing_at(3, blk.B.resolvent)))
+        else:
+            blk = dataclasses.replace(blk, L=ss.LinearOp(
+                blk.L.in_dim, blk.L.out_dim, failing_at(3, blk.L.apply),
+                blk.L.adjoint_apply, norm_hint=blk.L.norm_hint))
+        spec = dataclasses.replace(spec, blocks=(spec.blocks[0], blk))
+        cfg = ss.suggest_steps(spec, norms=norms)
+        report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=10))
+        assert report.termination == "diverged"
+        assert report.stop == ss.StopReason("diverged")
+        assert report.failure == "non-finite value in dual update q[1] at iteration 3"
+        assert report.iterations == 3
+
+    def test_non_finite_primal_update_names_p_before_any_L(self):
+        spec, _ = random_spec(2)
+        seen = []
+
+        def watched(L):
+            def apply(y):
+                seen.append(bool(np.isfinite(y).all()))
+                return L.apply(y)
+            return ss.LinearOp(L.in_dim, L.out_dim, apply, L.adjoint_apply,
+                               norm_hint=L.norm_hint)
+
+        blocks = tuple(dataclasses.replace(blk, L=watched(blk.L)) for blk in spec.blocks)
+        A = ss.ResolventOp(spec.A.dim, failing_at(5, spec.A.resolvent))
+        spec = dataclasses.replace(spec, A=A, blocks=blocks)
+        cfg = ss.suggest_steps(spec)
+        seen.clear()  # the norm estimates are setup
+        report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=10))
+        assert report.failure == "non-finite value in primal update p at iteration 5"
+        assert report.iterations == 5
+        assert seen == [True] * 10
+
+    def test_finite_state_whose_squares_overflow_goes_on(self):
+        # from x = 1e200 the step is about -tau x: finite, but its square
+        # overflows, so the dot is inf while p is finite
+        spec = shrinkage_spec(n=4)
+        cfg = ss.suggest_steps(spec)
+        report = ss.run(spec, cfg, x0=np.full(4, 1e200),
+                        stop=ss.StoppingRule(tol=1e-10, max_iter=3))
+        assert report.failure is None
+        assert report.stop == ss.StopReason("max_iter", 3.0, 3.0)
+        assert all(rec.step_norm == math.inf for rec in report.history)
+        assert np.isfinite(report.final_state.u).all()
+        assert np.all(report.final_state.x > 1e150)
+
+    def test_exact_state_norm_formed_only_near_the_threshold(self, monkeypatch):
+        spec, cfg, _ = tv2d_case()
+        stop = ss.StoppingRule(tol=1e-9, max_iter=3000)
+        calls = spied_state_norms(monkeypatch)
+        report = ss.run(spec, cfg, stop=stop)
+        assert report.termination == "converged"
+        k = report.iterations
+        assert k > 4 * ss.solver.NORM_RESYNC
+        exact = dict(calls)
+        assert len(exact) == len(calls)  # at most once per iteration
+        due, near = expected_norm_calls(report, stop.tol, exact)
+        assert [n for n, _ in calls] == due
+        assert len(calls) <= math.ceil(k / ss.solver.NORM_RESYNC) + near
+        # the bound spares most of the passes
+        assert len(calls) < k // 8
+
+    def test_stop_reason_matches_reference_on_drifting_state(self, monkeypatch):
+        # from far out the state norm falls by four orders of magnitude, so
+        # the carried bound runs far above it; the stop must not move
+        spec, cfg, _ = tv2d_case()
+        rng = np.random.default_rng(4)
+        x0 = 1e4 * rng.standard_normal(spec.layout.dim_primal)
+        v0 = [1e4 * rng.standard_normal(d) for d in spec.layout.dual_dims]
+        stop = ss.StoppingRule(tol=1e-7, max_iter=5000)
+        steps, residuals, x, v, threshold = reference_run(spec, cfg, stop, None, x0, v0)
+        calls = spied_state_norms(monkeypatch)
+        report = ss.run(spec, cfg, x0=x0, v0=v0, stop=stop)
+        assert report.iterations == len(steps)
+        assert report.stop == ss.StopReason("residual", residuals[-1], threshold)
+        assert_same_bits([rec.residual for rec in report.history], residuals)
+        assert_same_bits(report.final_state.x, x)
+        k = report.iterations
+        assert (k - 1) % ss.solver.NORM_RESYNC != 0
+        assert calls[0][1] > 100 * calls[-1][1]
+        assert len(calls) < k // 8
+
+    def test_zero_tolerance_takes_exactly_k_steps(self, monkeypatch):
+        spec, rng = random_spec(5)
+        cfg = ss.suggest_steps(spec)
+        k = 3 * ss.solver.NORM_RESYNC + 5
+        calls = spied_state_norms(monkeypatch)
+        report = ss.run(spec, cfg, x0=rng.standard_normal(spec.layout.dim_primal),
+                        stop=ss.StoppingRule(tol=0.0, max_iter=k))
+        assert report.iterations == k
+        assert report.stop == ss.StopReason("max_iter", float(k), float(k))
+        # no residual is exactly 0, so only the resyncs form the norm
+        assert all(rec.residual > 0.0 for rec in report.history)
+        assert [n for n, _ in calls] == list(range(0, k, ss.solver.NORM_RESYNC))
+
+
+class TestErrorTuples:
+    """An empty ``b`` or ``c`` is exact on every block; any other length
+    than one entry per block is refused by name."""
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-3])
+    def test_empty_means_exact_on_every_block(self, scale):
+        spec, cfg, _ = condat_case()
+        m = spec.num_blocks
+        a2 = scale * np.random.default_rng(8).standard_normal(spec.layout.dim_primal)
+        stop = ss.StoppingRule(tol=1e-9, max_iter=500)
+        short = ss.run(spec, cfg, stop=stop,
+                       errors=lambda n: ss.IterationErrors(a2=a2 * 0.9 ** n))
+        full = ss.run(spec, cfg, stop=stop,
+                      errors=lambda n: ss.IterationErrors(a2=a2 * 0.9 ** n,
+                                                          b=(None,) * m, c=(None,) * m))
+        assert short.iterations == full.iterations > 1
+        assert short.stop == full.stop
+        for name in ("step_norm", "residual"):
+            assert_same_bits([getattr(r, name) for r in short.history],
+                             [getattr(r, name) for r in full.history])
+        assert_same_bits(short.final_state.u, full.final_state.u)
+
+    @pytest.mark.parametrize("field, length", [("b", 1), ("c", 1), ("b", 3)])
+    def test_wrong_length_refused_by_name(self, field, length):
+        spec, cfg, _ = condat_case()
+        assert spec.num_blocks == 2
+        terms = {field: (None,) * length}
+        with pytest.raises(ValueError, match=(
+                rf"^IterationErrors\.{field} has {length} entries but the "
+                r"problem has 2 blocks")):
+            ss.run(spec, cfg, errors=lambda n: ss.IterationErrors(**terms))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,19 @@ import splitsolve as ss
 from splitsolve.spaces import (
     ShapeMismatchError,
     SpaceLayout,
-    inner_weighted,
+    inner_blocks,
 )
 
 
 def flat(primal, duals):
     return np.concatenate([np.asarray(primal, float),
                            *(np.asarray(d, float) for d in duals)])
+
+
+def inner_weighted(a, b, lay):
+    """Weighted inner product of two flat product-space arrays, the
+    reduction the solver uses for its norms."""
+    return inner_blocks(lay.weights, *lay.split(a), *lay.split(b))
 
 
 def norm(a, lay):
