@@ -43,7 +43,6 @@ from .solver import (
     StoppingRule,
     _check_tolerance,
     _weighted_adjoint_sum,
-    initial_state,
     run,
     suggest_steps,
 )
@@ -114,9 +113,13 @@ def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
         out = np.subtract(x, b)
         return np.multiply(out, c, out=out)
 
+    def value(x):
+        d = x - b
+        return 0.5 * c * float(np.dot(d, d))
+
     return SmoothTerm(
         dim=b.size,
-        value=lambda x: 0.5 * c * float(np.dot(x - b, x - b)),
+        value=value,
         gradient=gradient,
         lipschitz_inv=(1.0 / c) if mu is None else float(mu),
         kind="sq_l2",
@@ -319,19 +322,24 @@ def lower_to_inclusion(cp: ConvexProblem) -> ProblemSpec:
 
 def _at_point(cp: ConvexProblem, x, v, sigmas):
     """The checked point shared by :func:`kkt_residual` and
-    :func:`evaluate_gap`: ``x`` and ``v`` copied into one state (with
-    :func:`initial_state`'s shape checks), one sigma per block (default
-    1), each L_i x and sum_i w_i L_i^T v_i."""
+    :func:`evaluate_gap`: ``x`` and each ``v_i`` as float arrays of
+    their block's shape (not copied), one sigma per block (default 1),
+    each L_i x and sum_i w_i L_i^T v_i."""
+    layout = cp.layout
     m = len(cp.blocks)
     sigmas = (1.0,) * m if sigmas is None else tuple(sigmas)
     if len(sigmas) != m:
         raise ValueError("one sigma per block is required")
-    st = initial_state(cp.layout, x, v)
-    n = cp.layout.dim_primal
-    Lx = [blk.L.apply(st.x) for blk in cp.blocks]
-    wsum = _weighted_adjoint_sum(cp.blocks, cp.layout.weights, st.v,
-                                 np.empty(n), np.empty(n))
-    return st.x, st.v, sigmas, Lx, wsum
+    x = np.asarray(x, dtype=float)
+    if x.shape != (layout.dim_primal,):
+        raise ValueError("x has the wrong shape")
+    v = tuple(np.asarray(vi, dtype=float) for vi in v)
+    if len(v) != m or any(vi.shape != (d,) for vi, d in zip(v, layout.dual_dims)):
+        raise ValueError("v has the wrong shapes")
+    n = layout.dim_primal
+    Lx = [blk.L.apply(x) for blk in cp.blocks]
+    wsum = _weighted_adjoint_sum(cp.blocks, layout.weights, v, np.empty(n), np.empty(n))
+    return x, v, sigmas, Lx, wsum
 
 
 def kkt_residual(cp: ConvexProblem, x: np.ndarray, v, tau: float = 1.0,
@@ -354,12 +362,18 @@ def _kkt_residual(cp: ConvexProblem, x: np.ndarray, v, sigmas, Lx,
     """:func:`kkt_residual` at a point checked by :func:`_at_point`."""
     weights = cp.layout.weights
     px = cp.f.prox(tau, x - tau * (wsum + cp.h.gradient(x) - cp.z))
-    res = float(np.linalg.norm(x - px))
+    res = _norm(x - px)
     for w, s, blk, vi, lxi in zip(weights, sigmas, cp.blocks, v, Lx):
         u = vi + s * (lxi - blk.ell.conj_gradient(vi) - blk.r)
         q = resolvent_of_inverse(resolvent_from_prox(blk.g), s, u)
-        res += w * float(np.linalg.norm(vi - q))
+        res += w * _norm(vi - q)
     return res
+
+
+def _norm(d: np.ndarray) -> float:
+    """``np.linalg.norm(d)`` for a 1-D float ``d``: its own formula there,
+    without its dispatch."""
+    return math.sqrt(float(np.dot(d, d)))
 
 
 def _infconv_value(blk: ConvexBlock, w: np.ndarray):
@@ -491,7 +505,9 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
         iter_metrics=iter_metrics, extra_stop=extra_stop,
     )
     final = report.final_state
-    gap = evaluate_gap(cp, final.x, final.v, tau=cfg.tau, sigmas=cfg.sigmas)
+    # a finite state whose squares overflow reads inf values, as in run
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = evaluate_gap(cp, final.x, final.v, tau=cfg.tau, sigmas=cfg.sigmas)
     if record_objective and report.history:
         report.history[-1] = replace(
             report.history[-1], primal_obj=gap.primal_value,

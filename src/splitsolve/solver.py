@@ -801,7 +801,11 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     Finiteness is checked inside the update, by the squared norm of each
     block's displacement (see :func:`_kernel`); a non-finite p or q_i
     ends the run as ``"diverged"`` with ``failure`` naming the block and
-    the iteration.  The state norm enters only the threshold, so the
+    the iteration.  The loop runs with numpy's overflow and invalid-value
+    warnings off, and nothing is lost by that: every non-finite update
+    still ends as a named ``"diverged"``, and a finite state whose
+    squares overflow goes on as before, its inf norms never meeting the
+    threshold.  The state norm enters only the threshold, so the
     exact norm is formed only when it can change the decision: every
     ``NORM_RESYNC`` iterations (iteration 0 included) and whenever the
     residual is at most ``tol * (1 + U)``, where U is an upper bound
@@ -872,87 +876,90 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     # an upper bound on the computed norm of st, exact after a resync
     bound = math.inf
 
-    for n in range(stop.max_iter):
-        err_n = None if errors is None else errors(n)
-        if err_n is not None:
-            err_n = _checked_errors(err_n, spec.num_blocks)
-        if escapes:
-            nxt = _state(n + 1, np.empty(layout.size), layout)
-        else:
-            buf = pair[n % 2]
-            nxt = IterState(n + 1, buf.u, buf.x, buf.v)
-        t0 = time.perf_counter()
-        try:
-            sq = _kernel(spec, tau, sigmas, lam, st, wsum, err_n, ws, nxt)
-        except _DivergenceError as exc:
-            reason = StopReason("diverged")
-            failure = f"non-finite value in {exc.block} at iteration {n}"
-            break
-
-        exact = err_n is None or all(
-            e is None for e in (err_n.a1, err_n.a2, *err_n.b, *err_n.c))
-        if not exact:
-            # the residual measures the error-free update from the same state
-            _kernel(spec, tau, sigmas, 1.0, st, wsum, None, ws, None)
-        # the next iteration's weighted sum, the same bits as forming it there
-        _weighted_adjoint_sum(spec.blocks, weights, nxt.v, wsum_next, ws.tmp)
-        if exact and lam == 1.0:
-            # the step taken is the relaxation-1 displacement d, and
-            # v_{n+1} - v_n = dv gives sum_i w_i L_i^T dv_i = W_{n+1} - W_n
-            dwsum = np.subtract(wsum_next, wsum, out=ws.tmp) if admissible else None
-            step_sq = res_sq = sq
-        else:
-            np.subtract(nxt.u, st.u, out=ws.s)
-            step_sq = _sq_norms(ws.sx, ws.sv)
-            # the relaxation-1 displacement (x + (p - x)) - x
-            np.subtract(np.add(st.u, ws.d, out=ws.d), st.u, out=ws.d)
-            dwsum = None
-            res_sq = _sq_norms(ws.dx, ws.dv)
-        residual = _residual_norm(spec, cfg, admissible, ws.dx, ws.dv, res_sq, dwsum)
-        step_norm = math.sqrt(_weighted_sq(weights, *step_sq))
-        # the state norm enters only the threshold tol (1 + ||st||), and
-        # rounding is monotone: an upper bound U >= ||st|| gives a threshold
-        # at least as large, so a residual above tol (1 + U) cannot meet
-        # the exact one, and the exact norm is needed only at or below it
-        if (n % NORM_RESYNC == 0 or not math.isfinite(bound)
-                or residual <= stop.tol * (1.0 + bound)):
-            bound = _state_norm(weights, st)
-        state_norm = bound
-        # ||u_{n+1}|| <= ||u_n|| + ||u_{n+1} - u_n||, rounded outward.  With
-        # eps = 2^-53 and N the state's length plus twice the blocks, a
-        # computed norm lies within gamma_N / 2 + eps ~ (N / 2 + 1) eps of
-        # the true one (a sum of N nonnegative terms, then a square
-        # root); u_{n+1} - u_n differs from the step whose norm was taken
-        # by one rounding per entry (u_n + d, or the difference itself),
-        # and forming the bound costs three more.  So the relative slack
-        # must exceed (N + 8) eps, which 1e-6 does for N < 9e9.  Squares
-        # that underflow move a computed norm by at most sqrt(N) 2^-537
-        # < 1e-150 absolutely, which the floor covers.
-        bound = (state_norm + step_norm) * (1.0 + NORM_BOUND_SLACK) + NORM_BOUND_FLOOR
-        wsum, wsum_next = wsum_next, wsum
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-
-        extras = iter_metrics(nxt) if iter_metrics is not None else {}
-        history.append(IterationRecord(
-            iter=n + 1, step_norm=step_norm, residual=residual,
-            wall_ms=wall_ms, **extras,
-        ))
-        if record_states:
-            states.append(nxt)
-        st = nxt
-
-        # norms can overflow to inf while the state is still finite; a
-        # non-finite residual must never satisfy the convergence test
-        threshold = stop.tol * (1.0 + state_norm)
-        if (math.isfinite(residual) and math.isfinite(state_norm)
-                and residual <= threshold):
-            reason = StopReason("residual", residual, threshold)
-            break
-        if extra_stop is not None:
-            extra = extra_stop(st)
-            if extra is not None:
-                reason = extra
+    # entered once per run (about 2 us); the docstring says why the
+    # warnings it silences are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(stop.max_iter):
+            err_n = None if errors is None else errors(n)
+            if err_n is not None:
+                err_n = _checked_errors(err_n, spec.num_blocks)
+            if escapes:
+                nxt = _state(n + 1, np.empty(layout.size), layout)
+            else:
+                buf = pair[n % 2]
+                nxt = IterState(n + 1, buf.u, buf.x, buf.v)
+            t0 = time.perf_counter()
+            try:
+                sq = _kernel(spec, tau, sigmas, lam, st, wsum, err_n, ws, nxt)
+            except _DivergenceError as exc:
+                reason = StopReason("diverged")
+                failure = f"non-finite value in {exc.block} at iteration {n}"
                 break
+
+            exact = err_n is None or all(
+                e is None for e in (err_n.a1, err_n.a2, *err_n.b, *err_n.c))
+            if not exact:
+                # the residual measures the error-free update from the same state
+                _kernel(spec, tau, sigmas, 1.0, st, wsum, None, ws, None)
+            # the next iteration's weighted sum, the same bits as forming it there
+            _weighted_adjoint_sum(spec.blocks, weights, nxt.v, wsum_next, ws.tmp)
+            if exact and lam == 1.0:
+                # the step taken is the relaxation-1 displacement d, and
+                # v_{n+1} - v_n = dv gives sum_i w_i L_i^T dv_i = W_{n+1} - W_n
+                dwsum = np.subtract(wsum_next, wsum, out=ws.tmp) if admissible else None
+                step_sq = res_sq = sq
+            else:
+                np.subtract(nxt.u, st.u, out=ws.s)
+                step_sq = _sq_norms(ws.sx, ws.sv)
+                # the relaxation-1 displacement (x + (p - x)) - x
+                np.subtract(np.add(st.u, ws.d, out=ws.d), st.u, out=ws.d)
+                dwsum = None
+                res_sq = _sq_norms(ws.dx, ws.dv)
+            residual = _residual_norm(spec, cfg, admissible, ws.dx, ws.dv, res_sq, dwsum)
+            step_norm = math.sqrt(_weighted_sq(weights, *step_sq))
+            # the state norm enters only the threshold tol (1 + ||st||), and
+            # rounding is monotone: an upper bound U >= ||st|| gives a threshold
+            # at least as large, so a residual above tol (1 + U) cannot meet
+            # the exact one, and the exact norm is needed only at or below it
+            if (n % NORM_RESYNC == 0 or not math.isfinite(bound)
+                    or residual <= stop.tol * (1.0 + bound)):
+                bound = _state_norm(weights, st)
+            state_norm = bound
+            # ||u_{n+1}|| <= ||u_n|| + ||u_{n+1} - u_n||, rounded outward.  With
+            # eps = 2^-53 and N the state's length plus twice the blocks, a
+            # computed norm lies within gamma_N / 2 + eps ~ (N / 2 + 1) eps of
+            # the true one (a sum of N nonnegative terms, then a square
+            # root); u_{n+1} - u_n differs from the step whose norm was taken
+            # by one rounding per entry (u_n + d, or the difference itself),
+            # and forming the bound costs three more.  So the relative slack
+            # must exceed (N + 8) eps, which 1e-6 does for N < 9e9.  Squares
+            # that underflow move a computed norm by at most sqrt(N) 2^-537
+            # < 1e-150 absolutely, which the floor covers.
+            bound = (state_norm + step_norm) * (1.0 + NORM_BOUND_SLACK) + NORM_BOUND_FLOOR
+            wsum, wsum_next = wsum_next, wsum
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+
+            extras = iter_metrics(nxt) if iter_metrics is not None else {}
+            history.append(IterationRecord(
+                iter=n + 1, step_norm=step_norm, residual=residual,
+                wall_ms=wall_ms, **extras,
+            ))
+            if record_states:
+                states.append(nxt)
+            st = nxt
+
+            # norms can overflow to inf while the state is still finite; a
+            # non-finite residual must never satisfy the convergence test
+            threshold = stop.tol * (1.0 + state_norm)
+            if (math.isfinite(residual) and math.isfinite(state_norm)
+                    and residual <= threshold):
+                reason = StopReason("residual", residual, threshold)
+                break
+            if extra_stop is not None:
+                extra = extra_stop(st)
+                if extra is not None:
+                    reason = extra
+                    break
 
     return RunReport(
         iterations=len(history),

@@ -141,8 +141,20 @@ class TestSolve:
         capsys.readouterr()
         assert code == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_state_whose_squares_overflow_runs_without_warnings(self, tmp_path,
+                                                                       capfd):
+        cfg = tmp_path / "far.cfg"
+        text = Path(LASSO).read_text()
+        cfg.write_text(text.replace("center=4.0", "center=1e200")
+                       .replace("max_iter = 20000", "max_iter = 3"))
+        code = main(["solve", str(cfg), "-o", str(tmp_path / "r.csv")])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert extract(captured.out, "stop") == "max_iter (value 3, threshold 3)"
+        assert "RuntimeWarning" not in captured.err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(Path(LASSO).read_text().replace(

@@ -13,6 +13,8 @@ from splitsolve.benchmarks import (
     condat_problem,
     condat_reference,
     cp_problem,
+    fb_problem,
+    forward_backward_reference,
     fused_lasso_problem,
     max_state_deviation,
 )
@@ -333,6 +335,116 @@ class TestReductions:
         bad_vs = list(vs)
         bad_vs[late] = [vs[late][0] - 1e-9]
         assert max_state_deviation(report.states, xs, bad_vs) > 1e-12
+
+
+def deviation_loop(states, xs, vs=None):
+    """The iterate-by-iterate form of ``max_state_deviation``, kept as
+    its reference on finite input (Python's max drops a NaN)."""
+    worst = 0.0
+    last = len(states) - 1
+    for k in range(len(xs)):
+        s = states[min(k, last)]
+        worst = max(worst, float(np.max(np.abs(s.x - xs[k]), initial=0.0)))
+        if vs is not None:
+            for d, ref in zip(s.v, vs[k]):
+                worst = max(worst, float(np.max(np.abs(d - ref), initial=0.0)))
+    return worst
+
+
+def trajectory(rng, layout, count):
+    """``count`` recorded states over ``layout`` with signed zeros, and
+    reference lists equal to them but for a few perturbed entries."""
+    states, xs, vs = [], [], []
+    for k in range(count):
+        u = rng.standard_normal(layout.size)
+        u[rng.random(layout.size) < 0.3] = 0.0
+        u[rng.random(layout.size) < 0.3] = -0.0
+        states.append(ss.IterState(k, u, *layout.split(u)))
+        ref = u.copy()
+        hit = rng.random(layout.size) < 0.1
+        ref[hit] += rng.standard_normal(hit.sum()) * 10.0 ** rng.integers(-16, -8, hit.sum())
+        flip = (ref == 0.0) & (rng.random(layout.size) < 0.5)
+        ref[flip] = -ref[flip]
+        x, v = layout.split(ref)
+        xs.append(x)
+        vs.append(list(v))
+    return states, xs, vs
+
+
+def same_float(got, want):
+    return np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
+class TestMaxStateDeviation:
+    LAYOUTS = [ss.SpaceLayout(5, (4,), (1.0,)),
+               ss.SpaceLayout(3, (2, 6), (0.6, 0.4)),
+               ss.SpaceLayout(4, (1, 3, 2), (0.5, 0.3, 0.2))]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_bulk_pass_matches_the_loop_bitwise(self, layout, seed):
+        rng = np.random.default_rng(seed)
+        states, xs, vs = trajectory(rng, layout, 12)
+        # early stops, against later iterates that differ or that repeat
+        # the last state's reference
+        cases = [(states, xs, vs), (states[:5], xs, vs), (states[:1], xs, vs),
+                 (states[:5], xs[:5] + xs[4:5] * 7, vs[:5] + vs[4:5] * 7)]
+        for got_states, xs_k, vs_k in cases:
+            for refs in ((xs_k, vs_k), (xs_k, None)):
+                got = max_state_deviation(got_states, *refs)
+                assert same_float(got, deviation_loop(got_states, *refs))
+        # identical trajectories, signed zeros included, deviate by +0.0
+        exact = [st.x.copy() for st in states]
+        assert same_float(max_state_deviation(states, exact), 0.0)
+        assert same_float(max_state_deviation(states, []), 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reference_entry_fails(self, rng, bad):
+        layout = self.LAYOUTS[1]
+        states, xs, vs = trajectory(rng, layout, 6)
+        bad_xs = [x.copy() for x in xs]
+        bad_xs[3][1] = bad
+        assert max_state_deviation(states, bad_xs, vs) == math.inf
+        bad_vs = [[vi.copy() for vi in vk] for vk in vs]
+        bad_vs[4][1][2] = bad
+        assert max_state_deviation(states, xs, bad_vs) == math.inf
+        # the same non-finite entry in the state: NaN - NaN and inf - inf
+        u = states[3].u.copy()
+        u[1] = bad
+        states[3] = ss.IterState(3, u, *layout.split(u))
+        assert max_state_deviation(states, bad_xs, vs) == math.inf
+
+    def test_nan_reference_iterate_no_longer_passes(self):
+        cp, params = fb_problem()
+        spec = ss.lower_to_inclusion(cp)
+        cfg = ss.validate_steps(spec, params["tau"], (params["sigma"],),
+                                lam=params["lam"])
+        report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=50),
+                        record_states=True)
+        xs = forward_backward_reference(cp.f.prox, cp.h.gradient, params["tau"],
+                                        params["lam"], np.zeros(10), 50)
+        assert max_state_deviation(report.states, xs) <= 1e-12
+        xs[20] = np.full(10, math.nan)
+        assert deviation_loop(report.states, xs) <= 1e-12  # the hole
+        assert max_state_deviation(report.states, xs) == math.inf
+
+    def test_malformed_reference_refused_by_name(self, rng):
+        layout = self.LAYOUTS[1]
+        states, xs, vs = trajectory(rng, layout, 6)
+        cases = [
+            (xs, vs[:3] + [vs[3][:1]] + vs[4:],
+             r"reference iterate 3 has 1 dual blocks, expected 2"),
+            (xs, vs[:2] + [vs[2] + [np.zeros(2)]] + vs[3:],
+             r"reference iterate 2 has 3 dual blocks, expected 2"),
+            (xs[:4] + [xs[4][:2]] + xs[5:], vs,
+             r"reference iterate 4: x has shape \(2,\), expected \(3,\)"),
+            (xs, vs[:1] + [[vs[1][0], np.zeros(5)]] + vs[2:],
+             r"reference iterate 1: v\[1\] has shape \(5,\), expected \(6,\)"),
+            (xs, vs[:5], r"vs has 5 iterates but xs has 6"),
+        ]
+        for bad_xs, bad_vs, message in cases:
+            with pytest.raises(ValueError, match=message):
+                max_state_deviation(states, bad_xs, bad_vs)
 
 
 class TestQualification:

@@ -1218,6 +1218,7 @@ class TestStopTest:
         assert report.iterations == 5
         assert seen == [True] * 10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_state_whose_squares_overflow_goes_on(self):
         # from x = 1e200 the step is about -tau x: finite, but its square
         # overflows, so the dot is inf while p is finite
