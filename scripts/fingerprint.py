@@ -13,7 +13,9 @@ columns on their own line, and stdout), ``check`` and ``diag`` of each
 ``configs/*.cfg``, ``solve`` of a generated TV-1D config, the text that
 ``serialize_config`` writes for each of these configs, and four
 library runs of TV-2D denoising: one at relaxation 1, one at relaxation
-0.9 with geometric errors and a metrics hook, one whose dual operator
+0.9 with geometric errors and a metrics hook (which ``run`` calls on
+every ``OBJECTIVE_STRIDE``-th row only; a ``hook rows`` line lists the
+rows it filled), one whose dual operator
 is a custom ``ResolventOp`` around the l1 prox, and one whose dual
 operator is ``ResolventOp.zero`` next to ``CocoerciveOp.zero``.  The
 last two run with explicit steps and norms.  Each library run also
@@ -203,9 +205,10 @@ def emit_report(label: str, cfg, report) -> None:
         emit(f"{label} final v[{i}]", floats(v))
     emit(f"{label} step_norm", floats([r.step_norm for r in report.history]))
     emit(f"{label} residual", floats([r.residual for r in report.history]))
-    objs = [r.primal_obj for r in report.history if r.primal_obj is not None]
-    if objs:
-        emit(f"{label} primal_obj", floats(objs))
+    filled = [r for r in report.history if r.primal_obj is not None]
+    if filled:
+        emit(f"{label} primal_obj", floats([r.primal_obj for r in filled]))
+        print(f"{label} hook rows: {' '.join(str(r.iter) for r in filled)}")
 
 
 def tv2d_runs() -> None:

@@ -210,8 +210,19 @@ def _parse_int(text: str, line: int, key: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {text!r}", line) from None
 
 
+def _parse_float_list(parts, line: int, key: str) -> tuple[float, ...]:
+    """The numbers of ``parts`` in one pass; only when one of them is not
+    a number are they parsed one by one, so the error names it."""
+    try:
+        return tuple(map(float, parts))
+    except ValueError:
+        for p in parts:
+            _parse_float(p, line, key)
+        raise
+
+
 def _parse_floats(text: str, line: int, key: str) -> tuple[float, ...]:
-    return tuple(_parse_float(v, line, key) for v in text.split())
+    return _parse_float_list(text.split(), line, key)
 
 
 def _choice(label: str, *options: str):
@@ -231,7 +242,7 @@ def _parse_param_value(text: str, line: int, key: str):
         parts = [p for p in inner.split(",") if p != ""]
         if not parts:
             raise ConfigError(f"{key}: empty vector literal", line)
-        return tuple(_parse_float(p, line, key) for p in parts)
+        return _parse_float_list(parts, line, key)
     return _parse_float(text, line, key)
 
 
@@ -267,7 +278,7 @@ def _parse_vecspec(text: str, line: int, key: str) -> VecSpec:
     if head == "literal":
         if len(parts) < 2:
             raise ConfigError(f"{key}: 'literal' needs at least one value", line)
-        return VecSpec("literal", tuple(_parse_float(p, line, key) for p in parts[1:]))
+        return VecSpec("literal", _parse_float_list(parts[1:], line, key))
     raise ConfigError(
         f"{key}: unknown vector form {head!r} (use zeros, const, or literal)", line
     )
@@ -302,7 +313,7 @@ def _parse_opspec(text: str, line: int, key: str) -> OpSpec:
             entries = chunk.split()
             if not entries:
                 raise ConfigError(f"{key}: empty matrix row", line)
-            row = tuple(_parse_float(e, line, key) for e in entries)
+            row = _parse_float_list(entries, line, key)
             if width is None:
                 width = len(row)
             elif len(row) != width:

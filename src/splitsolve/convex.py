@@ -29,11 +29,12 @@ from .operators import (
     Domain,
     LinearOp,
     ProxFunction,
+    _norm,
     _read_only_zeros,
     resolvent_from_prox,
-    resolvent_of_inverse,
 )
 from .solver import (
+    OBJECTIVE_STRIDE,
     Block,
     IterationErrors,
     ProblemSpec,
@@ -66,13 +67,6 @@ __all__ = [
     "kkt_residual",
     "check_qualification",
 ]
-
-# The metrics hook of solve_convex evaluates the gap and KKT values only on
-# every OBJECTIVE_STRIDE-th row (and the last): at n = 2000 one evaluation
-# costs more than one iteration, so a stride of 10 keeps the hook near a
-# tenth of the iteration time.
-OBJECTIVE_STRIDE = 10
-
 
 @dataclass(frozen=True)
 class SmoothTerm:
@@ -111,7 +105,8 @@ def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
 
     def gradient(x):
         out = np.subtract(x, b)
-        return np.multiply(out, c, out=out)
+        # x * 1 = x
+        return out if c == 1.0 else np.multiply(out, c, out=out)
 
     def value(x):
         d = x - b
@@ -324,12 +319,15 @@ def _at_point(cp: ConvexProblem, x, v, sigmas):
     """The checked point shared by :func:`kkt_residual` and
     :func:`evaluate_gap`: ``x`` and each ``v_i`` as float arrays of
     their block's shape (not copied), one sigma per block (default 1),
-    each L_i x and sum_i w_i L_i^T v_i."""
+    each L_i x and sum_i w_i L_i^T v_i.  A sigma that is not positive is
+    refused as :func:`resolvent_of_inverse` refuses it."""
     layout = cp.layout
     m = len(cp.blocks)
     sigmas = (1.0,) * m if sigmas is None else tuple(sigmas)
     if len(sigmas) != m:
         raise ValueError("one sigma per block is required")
+    if any(s <= 0 for s in sigmas):
+        raise ValueError("sigma must be strictly positive")
     x = np.asarray(x, dtype=float)
     if x.shape != (layout.dim_primal,):
         raise ValueError("x has the wrong shape")
@@ -352,9 +350,12 @@ def kkt_residual(cp: ConvexProblem, x: np.ndarray, v, tau: float = 1.0,
         + sum_i w_i ||v_i - prox_{sigma_i g_i*}(v_i + sigma_i (L_i x - grad ell_i*(v_i) - r_i))||
 
     A ``v`` or ``sigmas`` without one entry per block, or a wrongly
-    shaped ``x`` or ``v_i``, is refused with a ``ValueError``.
+    shaped ``x`` or ``v_i``, is refused with a ``ValueError``.  A finite
+    point whose squares overflow gives ``inf`` without a numpy warning,
+    as in :func:`splitsolve.solver.run`.
     """
-    return _kkt_residual(cp, *_at_point(cp, x, v, sigmas), tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _kkt_residual(cp, *_at_point(cp, x, v, sigmas), tau)
 
 
 def _kkt_residual(cp: ConvexProblem, x: np.ndarray, v, sigmas, Lx,
@@ -365,15 +366,17 @@ def _kkt_residual(cp: ConvexProblem, x: np.ndarray, v, sigmas, Lx,
     res = _norm(x - px)
     for w, s, blk, vi, lxi in zip(weights, sigmas, cp.blocks, v, Lx):
         u = vi + s * (lxi - blk.ell.conj_gradient(vi) - blk.r)
-        q = resolvent_of_inverse(resolvent_from_prox(blk.g), s, u)
-        res += w * _norm(vi - q)
+        res += w * _norm(vi - _conjugate_prox(blk.g, s, u))
     return res
 
 
-def _norm(d: np.ndarray) -> float:
-    """``np.linalg.norm(d)`` for a 1-D float ``d``: its own formula there,
-    without its dispatch."""
-    return math.sqrt(float(np.dot(d, d)))
+def _conjugate_prox(g: ProxFunction, sigma: float, u: np.ndarray) -> np.ndarray:
+    """``prox_{sigma g*}(u)`` for a float array ``u`` and ``sigma > 0``:
+    the bits of ``resolvent_of_inverse(resolvent_from_prox(g), sigma, u)``
+    without building the resolvent."""
+    if g.conjugate_prox is not None:
+        return g.conjugate_prox(sigma, u)
+    return u - sigma * g.prox(1.0 / sigma, u / sigma)
 
 
 def _infconv_value(blk: ConvexBlock, w: np.ndarray):
@@ -383,7 +386,8 @@ def _infconv_value(blk: ConvexBlock, w: np.ndarray):
     if blk.ell.kind == "quadratic":
         nu = blk.ell.params["nu"]
         p = blk.g.prox(1.0 / nu, w)
-        return blk.g.evaluate(p) + 0.5 * nu * float(np.dot(w - p, w - p))
+        d = w - p
+        return blk.g.evaluate(p) + 0.5 * nu * float(np.dot(d, d))
     return None
 
 
@@ -394,7 +398,8 @@ def _conj_infconv_f_h(cp: ConvexProblem, u: np.ndarray):
         b = cp.h.params["center"]
         w = b + u / c
         p = cp.f.prox(1.0 / c, w)
-        envelope = cp.f.evaluate(p) + 0.5 * c * float(np.dot(p - w, p - w))
+        d = p - w
+        envelope = cp.f.evaluate(p) + 0.5 * c * float(np.dot(d, d))
         return float(np.dot(b, u)) + float(np.dot(u, u)) / (2.0 * c) - envelope
     if cp.h.kind == "zero":
         if cp.f.conjugate_value is not None:
@@ -408,9 +413,16 @@ def evaluate_gap(cp: ConvexProblem, x, v, tau: float = 1.0, sigmas=None) -> GapR
 
     Terms outside the closed-form catalog are flagged in ``notes`` and
     the affected value (and the gap) reported as ``None`` rather than
-    approximated.  Inputs are checked as in :func:`kkt_residual`.
+    approximated.  Inputs are checked, and overflow is silent, as in
+    :func:`kkt_residual`.
     """
-    x, v, sigmas, Lx, wsum = _at_point(cp, x, v, sigmas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _evaluate_gap(cp, *_at_point(cp, x, v, sigmas), tau)
+
+
+def _evaluate_gap(cp: ConvexProblem, x: np.ndarray, v, sigmas, Lx,
+                  wsum: np.ndarray, tau: float) -> GapReport:
+    """:func:`evaluate_gap` at a point checked by :func:`_at_point`."""
     weights = cp.layout.weights
     notes: list[str] = []
 
@@ -470,9 +482,10 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     is at most ``kkt_tol``, and ``report.stop`` then names the rule
     ``"kkt_tol"`` with that residual and the tolerance.
     ``record_objective=True`` attaches objective, gap, and KKT values
-    to every ``OBJECTIVE_STRIDE``-th history row and to the last row,
-    which describes ``final_state`` and carries the values of the
-    returned :class:`GapReport`; the other rows leave them ``None``.
+    to every ``OBJECTIVE_STRIDE``-th history row, the rows on which
+    :func:`run` calls its metrics hook, and to the last row, which
+    describes ``final_state`` and carries the values of the returned
+    :class:`GapReport`; the other rows leave them ``None``.
     """
     if kkt_tol is not None:
         _check_tolerance("kkt_tol", kkt_tol)
@@ -483,8 +496,6 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     iter_metrics = None
     if record_objective:
         def iter_metrics(st):
-            if st.n % OBJECTIVE_STRIDE:
-                return {}
             rep = evaluate_gap(cp, st.x, st.v, tau=cfg.tau, sigmas=cfg.sigmas)
             return {
                 "primal_obj": rep.primal_value,
@@ -496,7 +507,9 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     extra_stop = None
     if kkt_tol is not None:
         def extra_stop(st):
-            kkt = kkt_residual(cp, st.x, st.v, tau=cfg.tau, sigmas=cfg.sigmas)
+            # run's loop already silences overflow, so kkt_residual's
+            # own errstate is skipped
+            kkt = _kkt_residual(cp, *_at_point(cp, st.x, st.v, cfg.sigmas), cfg.tau)
             return StopReason("kkt_tol", kkt, kkt_tol) if kkt <= kkt_tol else None
 
     report = run(
@@ -505,9 +518,7 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
         iter_metrics=iter_metrics, extra_stop=extra_stop,
     )
     final = report.final_state
-    # a finite state whose squares overflow reads inf values, as in run
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = evaluate_gap(cp, final.x, final.v, tau=cfg.tau, sigmas=cfg.sigmas)
+    gap = evaluate_gap(cp, final.x, final.v, tau=cfg.tau, sigmas=cfg.sigmas)
     if record_objective and report.history:
         report.history[-1] = replace(
             report.history[-1], primal_obj=gap.primal_value,

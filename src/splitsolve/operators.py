@@ -66,6 +66,14 @@ def _read_only_zeros(dim: int) -> np.ndarray:
     return zero
 
 
+def _norm(d: np.ndarray) -> float:
+    """``np.linalg.norm(d)`` for a real float array ``d``: its own formula
+    there (the square root of the dot of ``d.ravel(order="K")`` with
+    itself), without its dispatch."""
+    d = d.ravel(order="K")
+    return math.sqrt(float(d.dot(d)))
+
+
 def _round_up(value: float) -> float:
     """``value`` raised by ``NORM_HINT_ULPS`` units in the last place."""
     for _ in range(NORM_HINT_ULPS):
@@ -501,8 +509,9 @@ def _build_l1(dim, weight=1.0):
         evaluate=lambda x: c * float(np.sum(np.abs(x))),
         prox=prox,
         conjugate_value=conj,
-        # projection onto the conjugate's weight-radius sup-norm ball
-        conjugate_prox=lambda sigma, u: np.clip(u, -c, c),
+        # projection onto the conjugate's weight-radius sup-norm ball;
+        # ndarray.clip is np.clip's ufunc without its wrapper
+        conjugate_prox=lambda sigma, u: np.asarray(u, dtype=float).clip(-c, c),
         domain=Domain.full(),
         kind="l1",
         params={"weight": c},
@@ -530,7 +539,7 @@ def _build_box(dim, lo=0.0, hi=1.0):
     return ProxFunction(
         dim,
         evaluate=evaluate,
-        prox=lambda gamma, w: np.clip(w, lo_v, hi_v),
+        prox=lambda gamma, w: np.asarray(w, dtype=float).clip(lo_v, hi_v),
         conjugate_value=lambda u: float(np.sum(np.maximum(lo_v * u, hi_v * u))),
         # no conjugate_prox: the closed form u - sigma clip(u / sigma, lo, hi)
         # is the Moreau decomposition itself, and u - clip(u, sigma lo,
@@ -616,7 +625,7 @@ def _build_l2(dim, weight=1.0):
 
     def prox(gamma, w):
         w = np.asarray(w, dtype=float)
-        nw = float(np.linalg.norm(w))
+        nw = _norm(w)
         if nw <= gamma * c:
             return np.zeros_like(w)
         return (1.0 - gamma * c / nw) * w
@@ -627,7 +636,8 @@ def _build_l2(dim, weight=1.0):
 
     def conj_prox(sigma, u):
         # projection onto the conjugate's weight-radius ball
-        nu = float(np.linalg.norm(u))
+        u = np.asarray(u, dtype=float)
+        nu = _norm(u)
         return u if nu <= c else np.multiply(u, c / nu)
 
     return ProxFunction(

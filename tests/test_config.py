@@ -153,6 +153,8 @@ PARSER_ERRORS = [
     ("lambda = 0.9", "lambda = 0.9\nepsilon = 0.001", "unknown key 'epsilon' in section [steps]", 22),
     ("center=(1.0,2.0,3.0)", "center=()", "h.center: empty vector literal", 7),
     ("center=(1.0,2.0,3.0)", "center=(1.0,x)", "h.center: expected a number, got 'x'", 7),
+    ("center=(1.0,2.0,3.0)", "center=(1.0,2.0,1e)", "h.center: expected a number, got '1e'", 7),
+    ("center=(1.0,2.0,3.0)", "center=(u,2.0,w)", "h.center: expected a number, got 'u'", 7),
     ("f = l1 weight=0.25", "f =", "f: empty function spec", 6),
     ("g = l1 weight=0.4", "g = l1 weight",
      "g: malformed parameter 'weight' (expected name=value)", 13),

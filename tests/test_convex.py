@@ -17,6 +17,7 @@ from splitsolve.benchmarks import (
     forward_backward_reference,
     fused_lasso_problem,
     max_state_deviation,
+    tv1d_problem,
 )
 from splitsolve.convex import OBJECTIVE_STRIDE, check_gradient
 from splitsolve.reporting import format_run_csv
@@ -715,8 +716,7 @@ class TestSampledObjective:
             else:
                 assert None not in metric_values(rec)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_last_row_describes_final_state(self):
         cp, _ = fused_lasso_problem()
         cfg = ss.validate_steps(ss.lower_to_inclusion(cp), 100.0, (100.0,))
@@ -769,6 +769,31 @@ def test_quadratic_gradient_matches_formula(rng):
     x = rng.standard_normal(6)
     got = ss.quadratic_smooth(b, weight=0.3).gradient(x)
     assert_same_bits(got, 0.3 * (x - b))
+
+
+@pytest.mark.parametrize("size", [1, 50, 2000])
+def test_unit_weight_gradient_is_the_multiplied_formula(rng, size):
+    # the unit weight is not multiplied in; x * 1 = x keeps every bit,
+    # -0 (from -0 - (+0)) included
+    b = rng.standard_normal(size)
+    x = rng.standard_normal(size)
+    b[::2] = 0.0
+    x[::2] = -0.0
+    x[1::4] = b[1::4]
+    got = ss.quadratic_smooth(b).gradient(x)
+    assert np.signbit(got[::2]).all()
+    assert_same_bits(got, (x - b) * 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gap_and_kkt_quiet_at_overflowing_finite_point():
+    # squares of 1e307 overflow; the values read inf without a warning
+    cp, _ = tv1d_problem()
+    n = cp.layout.dim_primal
+    x, v = np.full(n, 1e307), (np.full(n - 1, -1e307),)
+    gap = ss.evaluate_gap(cp, x, v)
+    assert math.isinf(gap.primal_value) and math.isinf(gap.kkt_residual)
+    assert math.isinf(ss.kkt_residual(cp, x, v))
 
 
 @pytest.mark.parametrize("change, message", [

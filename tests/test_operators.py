@@ -597,6 +597,60 @@ class TestPlainFormulas:
                        (w + gamma * 1.5 * b) / (1.0 + gamma * 1.5))
         assert_same_bits(catalog_prox("linear", 12, a=b).prox(gamma, w), w - gamma * b)
 
+    #: entries a clip must pass through bit for bit: signed zeros,
+    #: infinities, NaN, and the bounds of the boxes below
+    CLIP_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 0.3, -0.3, -0.9)
+
+    @classmethod
+    def clip_inputs(cls, rng, size):
+        """Each special entry alone at size 1, else a standard-normal
+        vector with every special entry in it."""
+        if size == 1:
+            return [np.array([s]) for s in cls.CLIP_SPECIALS]
+        w = rng.standard_normal(size)
+        w[:len(cls.CLIP_SPECIALS)] = cls.CLIP_SPECIALS
+        return [w]
+
+    @pytest.mark.parametrize("size", [1, 50, 2000, 32512])
+    def test_l1_conjugate_prox_is_np_clip(self, rng, size):
+        for weight in (0.3, 1.0):
+            f = catalog_prox("l1", size, weight=weight)
+            for u in self.clip_inputs(rng, size):
+                assert_same_bits(f.conjugate_prox(0.7, u), np.clip(u, -weight, weight))
+
+    @pytest.mark.parametrize("size", [1, 50, 2000, 32512])
+    def test_box_prox_is_np_clip(self, rng, size):
+        lo = np.full(size, -0.9)
+        hi = np.full(size, 0.3)
+        lo[1::3] = -math.inf
+        hi[2::3] = math.inf
+        for bounds in ((lo, hi), (-0.0, 0.0), (0.0, 0.0)):
+            f = catalog_prox("box", size, lo=bounds[0], hi=bounds[1])
+            lo_v, hi_v = f.params["lo"], f.params["hi"]
+            for w in self.clip_inputs(rng, size):
+                assert_same_bits(f.prox(0.7, w), np.clip(w, lo_v, hi_v))
+
+    @pytest.mark.parametrize("size", [1, 50, 2000])
+    def test_l2_proxes_are_the_linalg_norm_forms(self, rng, size):
+        # contiguous, strided and reversed views: the norm's own ravel
+        # decides the order of the dot's terms, and a strided dot rounds
+        # differently from a contiguous one for about half of these draws
+        views = []
+        for _ in range(10):
+            for scale in (1e-3, 1.0, 1e3):
+                base = scale * self.signed(rng, 3 * size + 4)[:3 * size]
+                views += [base[:size], base[::3], base[::-3]]
+        for u in views:
+            for weight in (0.5, 2.0):
+                f = catalog_prox("l2", size, weight=weight)
+                gamma = 0.7
+                nw = float(np.linalg.norm(u))
+                want = (np.zeros_like(u) if nw <= gamma * weight
+                        else (1.0 - gamma * weight / nw) * u)
+                assert_same_bits(f.prox(gamma, u), want)
+                want = u if nw <= weight else np.multiply(u, weight / nw)
+                assert_same_bits(f.conjugate_prox(gamma, u), want)
+
     def test_estimate_norm(self, rng):
         op = matrix_op(rng.standard_normal((6, 9)))
         x = np.random.default_rng(4).standard_normal(9)

@@ -1374,19 +1374,30 @@ class TestAliasing:
             assert_same_bits(got, want)
 
     def test_hook_states_not_mutated_later(self):
+        # the hook runs on the rows 10, 20, ... only; every state it gets
+        # keeps its bits to the end of the run, and the iterates are those
+        # of a run without a hook
         kept = []
 
         def hook(st):
             kept.append((st, snapshot(st)))
-            return {}
+            return {"primal_obj": float(st.n)}
 
+        stop = ss.StoppingRule(tol=0.0, max_iter=45)
         report = ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0,
-                        stop=self.stop, iter_metrics=hook)
-        assert len(kept) == report.iterations
+                        stop=stop, iter_metrics=hook)
+        assert ss.solver.OBJECTIVE_STRIDE == 10
+        assert [st.n for st, _ in kept] == [10, 20, 30, 40]
+        assert [r.iter for r in report.history if r.primal_obj is not None] == [10, 20, 30, 40]
+        assert all(r.primal_obj in (None, float(r.iter)) for r in report.history)
+        plain = ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0, stop=stop,
+                       record_states=True)
         for st, arrays in kept:
             for got, want in zip(snapshot(st), arrays):
                 assert_same_bits(got, want)
-        assert kept[-1][0] is report.final_state
+            assert_same_bits(st.u, plain.states[st.n].u)
+        assert report.final_state.n == 45
+        assert_same_bits(report.final_state.u, plain.final_state.u)
 
     def test_final_state_survives_divergence(self):
         # iteration 3 fails; the state after iteration 2 must be intact
