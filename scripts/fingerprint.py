@@ -10,12 +10,17 @@ Usage::
 The outputs covered are every ``splitsolve bench`` suite (each CSV and
 the check lines), ``solve`` (CSV, its ``iter`` and ``step_norm``
 columns on their own line, and stdout), ``check`` and ``diag`` of each
-``configs/*.cfg``, ``solve`` of a generated TV-1D config, the text that
-``serialize_config`` writes for each of these configs, and four
+``configs/*.cfg``, ``solve`` of a generated TV-1D config and of a
+generated config with the branches the others miss (a ``box`` f, an
+``sq_l2`` h of weight 2.5, a nonzero ``z``, an ``r`` with -0.0 entries,
+a ``quadratic`` ell, two blocks weighted (0.7, 0.3) and a ``kkt_tol``
+that ends the run), the text that ``serialize_config`` writes for each
+of these configs, and four
 library runs of TV-2D denoising: one at relaxation 1, one at relaxation
 0.9 with geometric errors and a metrics hook (which ``run`` calls on
 every ``OBJECTIVE_STRIDE``-th row only; a ``hook rows`` line lists the
-rows it filled), one whose dual operator
+rows it filled; written ``lambda st, *_:`` so that it takes the state
+whether or not ``run`` passes its weighted sum too), one whose dual operator
 is a custom ``ResolventOp`` around the l1 prox, and one whose dual
 operator is ``ResolventOp.zero`` next to ``CocoerciveOp.zero``.  The
 last two run with explicit steps and norms.  Each library run also
@@ -176,6 +181,59 @@ max_iter = 100000
     solve_config("generated tv1d", cfg, tmp)
 
 
+def offsets_config(tmp: Path) -> None:
+    """``solve`` of a generated config with the branches the other
+    configs leave out: a ``box`` f, an ``sq_l2`` h of weight 2.5, a
+    nonzero ``z``, an ``r`` holding -0.0, a ``quadratic`` ell, two blocks
+    weighted (0.7, 0.3), and a ``kkt_tol`` that ends the run."""
+    n = 40
+    rng = np.random.default_rng(13)
+    b = np.repeat(rng.uniform(-1.0, 1.0, 5), n // 5)
+    z = 0.1 * rng.standard_normal(n)
+    r = 0.05 * rng.standard_normal(n - 1)
+    r[::5] = -0.0
+
+    def literal(values):
+        return "literal " + " ".join(repr(float(v)) for v in values)
+
+    center = ",".join(repr(float(v)) for v in b)
+    text = f"""[problem]
+dim_primal = {n}
+z = {literal(z)}
+f = box lo=-0.9 hi=0.9
+h = sq_l2 weight=2.5 center=({center})
+
+[block]
+dim = {n - 1}
+omega = 0.7
+L = diff1d
+g = l1 weight=0.3
+ell = quadratic nu=2.0
+r = {literal(r)}
+
+[block]
+dim = {n}
+omega = 0.3
+L = identity
+g = l2 weight=0.5
+ell = dirac
+r = zeros
+
+[steps]
+mode = auto
+safety = 0.99
+lambda = 1.0
+
+[stop]
+tol = 1e-14
+max_iter = 20000
+kkt_tol = 1e-9
+"""
+    cfg = tmp / "offsets.cfg"
+    cfg.write_text(text)
+    solve_config("generated offsets", cfg, tmp)
+
+
 def tv2d_spec(b: np.ndarray) -> solver.ProblemSpec:
     n = b.size
     L = operators.grad2d_op(TV2D_SIDE, TV2D_SIDE)
@@ -225,7 +283,7 @@ def tv2d_runs() -> None:
     cfg = solver.suggest_steps(spec, lam=0.9)
     errors = solver.geometric_errors(spec.layout, 1e-3, 0.95, seed=3)
     report = solver.run(spec, cfg, stop=stop, errors=errors,
-                        iter_metrics=lambda st: {"primal_obj": float(np.dot(st.x, st.x))})
+                        iter_metrics=lambda st, *_: {"primal_obj": float(np.dot(st.x, st.x))})
     emit_report("tv2d lambda=0.9 errors hook", cfg, report)
 
     m = spec.blocks[0].B.dim
@@ -282,6 +340,7 @@ def main() -> int:
         bench_suites(tmp)
         configs(tmp)
         tv1d_config(tmp)
+        offsets_config(tmp)
     tv2d_runs()
     offsets_run()
     return 0

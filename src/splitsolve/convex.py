@@ -25,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .operators import (
+    CATALOG_KINDS,
     CocoerciveOp,
     Domain,
     LinearOp,
@@ -43,6 +44,7 @@ from .solver import (
     StopReason,
     StoppingRule,
     _check_tolerance,
+    _vanishes,
     _weighted_adjoint_sum,
     run,
     suggest_steps,
@@ -318,9 +320,9 @@ def lower_to_inclusion(cp: ConvexProblem) -> ProblemSpec:
 def _at_point(cp: ConvexProblem, x, v, sigmas):
     """The checked point shared by :func:`kkt_residual` and
     :func:`evaluate_gap`: ``x`` and each ``v_i`` as float arrays of
-    their block's shape (not copied), one sigma per block (default 1),
-    each L_i x and sum_i w_i L_i^T v_i.  A sigma that is not positive is
-    refused as :func:`resolvent_of_inverse` refuses it."""
+    their block's shape (not copied) and one sigma per block (default
+    1).  A sigma that is not positive is refused as
+    :func:`resolvent_of_inverse` refuses it."""
     layout = cp.layout
     m = len(cp.blocks)
     sigmas = (1.0,) * m if sigmas is None else tuple(sigmas)
@@ -334,10 +336,7 @@ def _at_point(cp: ConvexProblem, x, v, sigmas):
     v = tuple(np.asarray(vi, dtype=float) for vi in v)
     if len(v) != m or any(vi.shape != (d,) for vi, d in zip(v, layout.dual_dims)):
         raise ValueError("v has the wrong shapes")
-    n = layout.dim_primal
-    Lx = [blk.L.apply(x) for blk in cp.blocks]
-    wsum = _weighted_adjoint_sum(cp.blocks, layout.weights, v, np.empty(n), np.empty(n))
-    return x, v, sigmas, Lx, wsum
+    return x, v, sigmas
 
 
 def kkt_residual(cp: ConvexProblem, x: np.ndarray, v, tau: float = 1.0,
@@ -354,20 +353,22 @@ def kkt_residual(cp: ConvexProblem, x: np.ndarray, v, tau: float = 1.0,
     point whose squares overflow gives ``inf`` without a numpy warning,
     as in :func:`splitsolve.solver.run`.
     """
+    x, v, sigmas = _at_point(cp, x, v, sigmas)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _kkt_residual(cp, *_at_point(cp, x, v, sigmas), tau)
+        return _GapPlan(cp, tau, sigmas).kkt(x, v)
 
 
-def _kkt_residual(cp: ConvexProblem, x: np.ndarray, v, sigmas, Lx,
-                  wsum: np.ndarray, tau: float) -> float:
-    """:func:`kkt_residual` at a point checked by :func:`_at_point`."""
-    weights = cp.layout.weights
-    px = cp.f.prox(tau, x - tau * (wsum + cp.h.gradient(x) - cp.z))
-    res = _norm(x - px)
-    for w, s, blk, vi, lxi in zip(weights, sigmas, cp.blocks, v, Lx):
-        u = vi + s * (lxi - blk.ell.conj_gradient(vi) - blk.r)
-        res += w * _norm(vi - _conjugate_prox(blk.g, s, u))
-    return res
+def evaluate_gap(cp: ConvexProblem, x, v, tau: float = 1.0, sigmas=None) -> GapReport:
+    """Evaluate the primal and dual objectives and their gap at (x, v).
+
+    Terms outside the closed-form catalog are flagged in ``notes`` and
+    the affected value (and the gap) reported as ``None`` rather than
+    approximated.  Inputs are checked, and overflow is silent, as in
+    :func:`kkt_residual`.
+    """
+    x, v, sigmas = _at_point(cp, x, v, sigmas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _GapPlan(cp, tau, sigmas).gap(x, v)
 
 
 def _conjugate_prox(g: ProxFunction, sigma: float, u: np.ndarray) -> np.ndarray:
@@ -391,78 +392,187 @@ def _infconv_value(blk: ConvexBlock, w: np.ndarray):
     return None
 
 
-def _conj_infconv_f_h(cp: ConvexProblem, u: np.ndarray):
-    """(f* inf-conv h*)(u) in the closed-form cases; None if unknown."""
-    if cp.h.kind == "sq_l2":
-        c = cp.h.params["weight"]
-        b = cp.h.params["center"]
-        w = b + u / c
-        p = cp.f.prox(1.0 / c, w)
-        d = p - w
-        envelope = cp.f.evaluate(p) + 0.5 * c * float(np.dot(d, d))
-        return float(np.dot(b, u)) + float(np.dot(u, u)) / (2.0 * c) - envelope
-    if cp.h.kind == "zero":
-        if cp.f.conjugate_value is not None:
-            return cp.f.conjugate_value(u)
-        return None
-    return None
+#: below this bound on max|b| + ||u|| / c every entry of b + u / c is
+#: finite, with room for the rounding of ||u|| and of the sum
+_ENVELOPE_LIMIT = 1e300
 
 
-def evaluate_gap(cp: ConvexProblem, x, v, tau: float = 1.0, sigmas=None) -> GapReport:
-    """Evaluate the primal and dual objectives and their gap at (x, v).
+class _GapPlan:
+    """The formulas of :func:`evaluate_gap` and :func:`kkt_residual` for
+    one problem and one set of steps, less the array passes that are
+    exact IEEE no-ops, decided once when the plan is built.
 
-    Terms outside the closed-form catalog are flagged in ``notes`` and
-    the affected value (and the gap) reported as ``None`` rather than
-    approximated.  Inputs are checked, and overflow is silent, as in
-    :func:`kkt_residual`.
+    Passes skipped for every input:
+
+    * subtracting ``z`` or ``r_i`` when every entry is +0.0
+      (:func:`splitsolve.solver._vanishes`): x - (+0) = x;
+    * subtracting the ``dirac`` conjugate gradient, which is +0;
+    * adding the gradient of the ``zero`` smooth term (+0) to the
+      weighted sum, which never holds -0;
+    * the prox (the identity) and the value (0.0) of the ``zero`` f;
+    * dividing by an ``sq_l2`` weight of 1: x / 1 = x.
+
+    For ``sq_l2`` h the primal value's x - b is the gradient's own
+    first pass, so the KKT argument reuses it and multiplies by the
+    weight only when it is not 1.
+
+    Terms skipped only when a value already in hand proves it exact:
+
+    * ``<x, z>`` for a vanishing ``z`` when h is ``sq_l2`` and h(x) is
+      finite: then x is finite, the dot is +-0, and f(x) + h(x) is not
+      -0 (h(x) >= +0), so subtracting it changes no bit;
+    * ``<v_i, r_i>`` for a vanishing ``r_i`` when g_i is a catalog kind,
+      ell_i is ``dirac`` or ``quadratic`` and g_i*(v_i) is finite: every
+      catalog conjugate value is non-finite at a non-finite point, so
+      v_i is finite and the dot is +-0, and g_i*(v_i) + ell_i*(v_i) is
+      not -0 (ell_i* >= +0);
+    * the Moreau envelope of the ``zero`` f for ``sq_l2`` h, 0.0 + (c/2)
+      <+0, +0> = +0.0, when ||u|| is finite and max|b| + ||u||/c stays
+      below ``_ENVELOPE_LIMIT``, so that w = b + u/c is finite.
+
+    Otherwise the plain formula runs, so every value keeps its bits,
+    at the overflowing, infinite and NaN points too.  The scratch arrays
+    are the plan's own; the methods return floats and never write into
+    ``x``, ``v`` or ``wsum``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _evaluate_gap(cp, *_at_point(cp, x, v, sigmas), tau)
 
+    def __init__(self, cp: ConvexProblem, tau: float, sigmas):
+        self.cp, self.tau, self.sigmas = cp, tau, sigmas
+        layout = cp.layout
+        n = layout.dim_primal
+        self.keep_z = not _vanishes(cp.z)
+        self.keep_r = tuple(not _vanishes(blk.r) for blk in cp.blocks)
+        self.drop_r_dot = tuple(
+            not keep and blk.g.kind in CATALOG_KINDS
+            and blk.ell.kind in ("dirac", "quadratic")
+            for keep, blk in zip(self.keep_r, cp.blocks))
+        self.f_zero = cp.f.kind == "zero"
+        self.sq = cp.h.kind == "sq_l2"
+        if self.sq:
+            self.c = cp.h.params["weight"]
+            self.b = cp.h.params["center"]
+            self.b_max = float(np.abs(self.b).max())
+        # d: x - b, then the gradient; arg: the primal KKT argument;
+        # u: z - wsum; wsum/tmp: the weighted sum when it is formed here;
+        # dual_arg: each block's KKT argument
+        self.d, self.arg, self.u, self.wsum, self.tmp = (np.empty(n) for _ in range(5))
+        self.dual_arg = tuple(np.empty(d) for d in layout.dual_dims)
 
-def _evaluate_gap(cp: ConvexProblem, x: np.ndarray, v, sigmas, Lx,
-                  wsum: np.ndarray, tau: float) -> GapReport:
-    """:func:`evaluate_gap` at a point checked by :func:`_at_point`."""
-    weights = cp.layout.weights
-    notes: list[str] = []
+    def _weighted_sum(self, v):
+        return _weighted_adjoint_sum(self.cp.blocks, self.cp.layout.weights, v,
+                                     self.wsum, self.tmp)
 
-    primal: Optional[float] = cp.f.evaluate(x) + cp.h.value(x) - float(np.dot(x, cp.z))
-    for i, (w, blk, lxi) in enumerate(zip(weights, cp.blocks, Lx)):
-        val = _infconv_value(blk, lxi - blk.r)
-        if val is None:
-            notes.append(f"block {i}: no closed form for (g inf-conv ell); "
-                         "primal value unavailable")
-            primal = None
-            break
-        primal = primal + w * val
+    def kkt(self, x, v, wsum=None, Lx=None, diff=None) -> float:
+        """:func:`kkt_residual` at a checked point, given ``wsum`` =
+        sum_i w_i L_i^T v_i (formed here when ``None``), each ``L_i x``
+        in ``Lx`` and, for ``sq_l2`` h, ``diff`` = x - b in ``self.d``,
+        where the caller has them."""
+        cp = self.cp
+        if wsum is None:
+            wsum = self._weighted_sum(v)
+        t = wsum
+        if cp.h.kind != "zero":
+            if self.sq:
+                grad = np.subtract(x, self.b, out=self.d) if diff is None else diff
+                if self.c != 1.0:
+                    grad = np.multiply(grad, self.c, out=self.d)
+            else:
+                grad = cp.h.gradient(x)
+            t = np.add(t, grad, out=self.arg)
+        if self.keep_z:
+            t = np.subtract(t, cp.z, out=self.arg)
+        arg = np.subtract(x, np.multiply(t, self.tau, out=self.arg), out=self.arg)
+        px = arg if self.f_zero else cp.f.prox(self.tau, arg)
+        res = _norm(np.subtract(x, px, out=self.arg))
+        for i, (w, s, blk, vi) in enumerate(zip(cp.layout.weights, self.sigmas,
+                                                cp.blocks, v)):
+            u = self.dual_arg[i]
+            a = blk.L.apply(x) if Lx is None else Lx[i]
+            if blk.ell.kind != "dirac":
+                a = np.subtract(a, blk.ell.conj_gradient(vi), out=u)
+            if self.keep_r[i]:
+                a = np.subtract(a, blk.r, out=u)
+            np.add(vi, np.multiply(a, s, out=u), out=u)
+            q = _conjugate_prox(blk.g, s, u)
+            res += w * _norm(np.subtract(vi, q, out=u))
+        return res
 
-    dual: Optional[float] = _conj_infconv_f_h(cp, cp.z - wsum)
-    if dual is None:
-        notes.append("no closed form for (f* inf-conv h*); dual value unavailable")
-    else:
-        for i, (w, blk, vi) in enumerate(zip(weights, cp.blocks, v)):
-            if blk.g.conjugate_value is None or blk.ell.conj_value is None:
-                notes.append(f"block {i}: conjugate of g or ell unavailable; "
-                             "dual value unavailable")
-                dual = None
+    def _dual_f_h(self, wsum):
+        """(f* inf-conv h*)(z - wsum) in the closed-form cases; None if
+        unknown."""
+        cp = self.cp
+        if self.sq:
+            c, b = self.c, self.b
+            u = np.subtract(cp.z, wsum, out=self.u)
+            uu = float(np.dot(u, u))
+            head = float(np.dot(b, u)) + uu / (2.0 * c)
+            if self.f_zero and self.b_max + math.sqrt(uu) / c < _ENVELOPE_LIMIT:
+                # the envelope is +0.0, and head - (+0) = head; a NaN or
+                # infinite ||u|| fails the test
+                return head
+            w = b + (u if c == 1.0 else u / c)
+            p = w if self.f_zero else cp.f.prox(1.0 / c, w)
+            d = p - w
+            fp = 0.0 if self.f_zero else cp.f.evaluate(p)
+            return head - (fp + 0.5 * c * float(np.dot(d, d)))
+        if cp.h.kind == "zero" and cp.f.conjugate_value is not None:
+            return cp.f.conjugate_value(np.subtract(cp.z, wsum, out=self.u))
+        return None
+
+    def gap(self, x, v, wsum=None) -> GapReport:
+        """:func:`evaluate_gap` at a checked point, given ``wsum`` as in
+        :meth:`kkt`."""
+        cp = self.cp
+        weights = cp.layout.weights
+        Lx = [blk.L.apply(x) for blk in cp.blocks]
+        if wsum is None:
+            wsum = self._weighted_sum(v)
+        notes: list[str] = []
+
+        fx = 0.0 if self.f_zero else cp.f.evaluate(x)
+        diff = None
+        if self.sq:
+            diff = np.subtract(x, self.b, out=self.d)
+            hx = 0.5 * self.c * float(np.dot(diff, diff))
+        else:
+            hx = cp.h.value(x)
+        primal: Optional[float] = fx + hx
+        if self.keep_z or not (self.sq and math.isfinite(hx)):
+            primal = primal - float(np.dot(x, cp.z))
+        for i, (w, blk, lxi) in enumerate(zip(weights, cp.blocks, Lx)):
+            val = _infconv_value(blk, lxi - blk.r if self.keep_r[i] else lxi)
+            if val is None:
+                notes.append(f"block {i}: no closed form for (g inf-conv ell); "
+                             "primal value unavailable")
+                primal = None
                 break
-            term = blk.g.conjugate_value(vi) + blk.ell.conj_value(vi) + float(np.dot(vi, blk.r))
-            dual = dual + w * term
-        if dual is not None and math.isinf(dual):
-            notes.append("dual point infeasible: dual value is +inf")
+            primal = primal + w * val
 
-    if primal is None or dual is None:
-        gap = None
-    else:
-        gap = primal + dual
+        dual: Optional[float] = self._dual_f_h(wsum)
+        if dual is None:
+            notes.append("no closed form for (f* inf-conv h*); dual value unavailable")
+        else:
+            for i, (w, blk, vi) in enumerate(zip(weights, cp.blocks, v)):
+                if blk.g.conjugate_value is None or blk.ell.conj_value is None:
+                    notes.append(f"block {i}: conjugate of g or ell unavailable; "
+                                 "dual value unavailable")
+                    dual = None
+                    break
+                g_conj = blk.g.conjugate_value(vi)
+                term = g_conj + blk.ell.conj_value(vi)
+                if not (self.drop_r_dot[i] and math.isfinite(g_conj)):
+                    term = term + float(np.dot(vi, blk.r))
+                dual = dual + w * term
+            if dual is not None and math.isinf(dual):
+                notes.append("dual point infeasible: dual value is +inf")
 
-    return GapReport(
-        primal_value=primal,
-        dual_value=dual,
-        gap=gap,
-        kkt_residual=_kkt_residual(cp, x, v, sigmas, Lx, wsum, tau),
-        notes=tuple(notes),
-    )
+        return GapReport(
+            primal_value=primal,
+            dual_value=dual,
+            gap=None if primal is None or dual is None else primal + dual,
+            kkt_residual=self.kkt(x, v, wsum, Lx, diff),
+            notes=tuple(notes),
+        )
 
 
 def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
@@ -485,7 +595,11 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     to every ``OBJECTIVE_STRIDE``-th history row, the rows on which
     :func:`run` calls its metrics hook, and to the last row, which
     describes ``final_state`` and carries the values of the returned
-    :class:`GapReport`; the other rows leave them ``None``.
+    :class:`GapReport`; the other rows leave them ``None``.  Both
+    hooks give the bits of :func:`evaluate_gap` and
+    :func:`kkt_residual` at the state, with the skipped passes planned
+    once per call and the weighted sum sum_i w_i L_i^T v_i taken from
+    :func:`run`, which carries it.
     """
     if kkt_tol is not None:
         _check_tolerance("kkt_tol", kkt_tol)
@@ -493,10 +607,15 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     if cfg is None:
         cfg = suggest_steps(spec)
 
+    # the hooks take the weighted sum run carries with each state, and
+    # run's loop already silences overflow, so the public functions'
+    # checks, sum and errstate are skipped
+    plan = (_GapPlan(cp, cfg.tau, cfg.sigmas)
+            if record_objective or kkt_tol is not None else None)
     iter_metrics = None
     if record_objective:
-        def iter_metrics(st):
-            rep = evaluate_gap(cp, st.x, st.v, tau=cfg.tau, sigmas=cfg.sigmas)
+        def iter_metrics(st, wsum):
+            rep = plan.gap(st.x, st.v, wsum)
             return {
                 "primal_obj": rep.primal_value,
                 "dual_obj": rep.dual_value,
@@ -506,10 +625,8 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
 
     extra_stop = None
     if kkt_tol is not None:
-        def extra_stop(st):
-            # run's loop already silences overflow, so kkt_residual's
-            # own errstate is skipped
-            kkt = _kkt_residual(cp, *_at_point(cp, st.x, st.v, cfg.sigmas), cfg.tau)
+        def extra_stop(st, wsum):
+            kkt = plan.kkt(st.x, st.v, wsum)
             return StopReason("kkt_tol", kkt, kkt_tol) if kkt <= kkt_tol else None
 
     report = run(

@@ -510,7 +510,10 @@ def _build_l1(dim, weight=1.0):
         prox=prox,
         conjugate_value=conj,
         # projection onto the conjugate's weight-radius sup-norm ball;
-        # ndarray.clip is np.clip's ufunc without its wrapper
+        # ndarray.clip skips np.clip's dispatch but still runs numpy's
+        # Python-level _clip before the clip ufunc (numpy 2.4, n = 1999:
+        # 2.0-3.7 us against 1.7-2.9 us for the bare ufunc, which only
+        # numpy's private modules export)
         conjugate_prox=lambda sigma, u: np.asarray(u, dtype=float).clip(-c, c),
         domain=Domain.full(),
         kind="l1",

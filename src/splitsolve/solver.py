@@ -95,12 +95,12 @@ NORM_RESYNC = 64
 NORM_BOUND_SLACK = 1e-6
 NORM_BOUND_FLOOR = 1e-150
 #: :func:`run` calls its metrics hook only on the history rows whose
-#: ``iter`` is a multiple of this.  Measured on TV-1D at n = 2000
-#: (``solve_convex(record_objective=True)`` against the same run without
-#: the hook, interleaved in one process on a 2-core shared host): one
-#: duality-gap evaluation costs 115-170 us inside the run, 2.5-3.4
-#: iterations of 39-49 us, so at this stride the hook adds 25-34 % to the
-#: iteration time, and on every row it would add 2.5-3.4 times it.
+#: ``iter`` is a multiple of this.  Measured on TV-1D at n = 2000 on a
+#: 2-core shared host (numpy 2.4, one BLAS thread): the gap and KKT
+#: evaluation that ``solve_convex(record_objective=True)`` hooks in, fed
+#: the run's weighted sum, costs 47-60 us per call, 1.0-1.5 iterations of
+#: 40-49 us, so at this stride the hook adds 10-15 % to the iteration
+#: time, and on every row it would add 1.0-1.5 times it.
 OBJECTIVE_STRIDE = 10
 
 
@@ -586,8 +586,9 @@ def _weighted_adjoint_sum(blocks, weights, v, out, tmp):
 def _vanishes(a: np.ndarray) -> bool:
     """Whether every entry of ``a`` is +0.0, so that subtracting ``a`` is
     exact: x - (+0) = x for every x.  A -0.0 entry does not vanish,
-    since -0 - (-0) = +0."""
-    return not (a.any() or np.signbit(a).any())
+    since -0 - (-0) = +0.  One pass over the bits: +0.0 is the only
+    double whose bits are all zero."""
+    return not np.count_nonzero(a.view(np.uint64))
 
 
 class _Workspace:
@@ -774,8 +775,9 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
         stop: Optional[StoppingRule] = None,
         allow_inadmissible: bool = False,
         record_states: bool = False,
-        iter_metrics: Optional[Callable[[IterState], dict]] = None,
-        extra_stop: Optional[Callable[[IterState], Optional[StopReason]]] = None,
+        iter_metrics: Optional[Callable[[IterState, np.ndarray], dict]] = None,
+        extra_stop: Optional[Callable[[IterState, np.ndarray],
+                                      Optional[StopReason]]] = None,
         ) -> RunReport:
     """Iterate until the stopping rule fires and report the run.
 
@@ -792,7 +794,13 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     The relaxation is ``cfg.lam``.  ``iter_metrics`` may attach
     objective values to the history rows whose ``iter`` is a multiple
     of ``OBJECTIVE_STRIDE``; it is called on those rows only, and every
-    other row leaves the objective fields ``None``.
+    other row leaves the objective fields ``None``.  Both hooks are
+    called as ``hook(state, wsum)``, where ``wsum`` is the weighted sum
+    sum_i w_i L_i^T v_i of ``state`` that the run carries (the bits of
+    :func:`_weighted_adjoint_sum` of ``state.v``), so a hook that needs
+    it does not form it again.  ``wsum`` is a workspace array of the
+    run: it is valid only during the call, and a hook must not write
+    into it or keep it.
 
     The renormed metric's cross term is sum_i w_i <L_i dx, dv_i>.  The
     weighted sum W_n = sum_i w_i L_i^T v_{i,n} that the update needs is
@@ -838,7 +846,8 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     a state handed out (to ``iter_metrics``, ``extra_stop``, the
     recorded states or ``final_state``) is never overwritten later;
     ``iter_metrics`` and ``extra_stop`` must not write into it either,
-    since the next weighted sum has been formed from it by then.
+    since the next weighted sum has been formed from it by then, and
+    the ``wsum`` they get with it is overwritten two iterations later.
     Operators may return their input array but must not keep it: the
     solver reuses the arrays it passes them.  The
     built-in zero maps (``CocoerciveOp.zero``, ``zero_smooth``,
@@ -954,7 +963,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             wsum, wsum_next = wsum_next, wsum
             wall_ms = (time.perf_counter() - t0) * 1000.0
 
-            extras = iter_metrics(nxt) if hook else {}
+            extras = iter_metrics(nxt, wsum) if hook else {}
             history.append(IterationRecord(
                 iter=n + 1, step_norm=step_norm, residual=residual,
                 wall_ms=wall_ms, **extras,
@@ -971,7 +980,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
                 reason = StopReason("residual", residual, threshold)
                 break
             if extra_stop is not None:
-                extra = extra_stop(st)
+                extra = extra_stop(st, wsum)
                 if extra is not None:
                     reason = extra
                     break

@@ -733,14 +733,15 @@ class TestSampledObjective:
 
     @pytest.mark.parametrize("iters", [1, 9, 37, 40])
     def test_gap_evaluations_counted(self, monkeypatch, iters):
+        # the hook and the final evaluate_gap both evaluate through the plan
         calls = []
-        evaluate = splitsolve.convex.evaluate_gap
+        evaluate = splitsolve.convex._GapPlan.gap
 
         def counted(*args, **kwargs):
             calls.append(1)
             return evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(splitsolve.convex, "evaluate_gap", counted)
+        monkeypatch.setattr(splitsolve.convex._GapPlan, "gap", counted)
         self.solve(iters)
         assert len(calls) == iters // OBJECTIVE_STRIDE + 1
 

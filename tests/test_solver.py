@@ -568,7 +568,7 @@ class TestRun:
         cfg = ss.suggest_steps(spec)
         seen = []
 
-        def extra_stop(st):
+        def extra_stop(st, wsum):
             value = float(np.max(np.abs(st.x)))
             seen.append(value)
             return ss.StopReason("sup_norm", value, 1e-3) if value <= 1e-3 else None
@@ -1020,6 +1020,18 @@ def skip_flags(spec, cfg):
     return flags
 
 
+def test_vanishes_only_for_positive_zeros():
+    # x - a = x for every x only when every entry of a is +0.0
+    tiny = np.nextafter(0.0, 1.0)
+    assert ss.solver._vanishes(np.zeros(7))
+    assert ss.solver._vanishes(np.zeros(12)[::3])
+    for bad in (-0.0, tiny, -tiny, 1.0, math.inf, -math.inf, math.nan):
+        a = np.zeros(7)
+        a[4] = bad
+        assert not ss.solver._vanishes(a)
+        assert not ss.solver._vanishes(np.repeat(a, 2)[::2])
+
+
 # ---------------------------------------------------------------------------
 # the weighted adjoint sum carried across iterations
 
@@ -1379,7 +1391,7 @@ class TestAliasing:
         # of a run without a hook
         kept = []
 
-        def hook(st):
+        def hook(st, wsum):
             kept.append((st, snapshot(st)))
             return {"primal_obj": float(st.n)}
 
@@ -1398,6 +1410,30 @@ class TestAliasing:
             assert_same_bits(st.u, plain.states[st.n].u)
         assert report.final_state.n == 45
         assert_same_bits(report.final_state.u, plain.final_state.u)
+
+    @pytest.mark.parametrize("lam", [1.0, 0.8])
+    def test_hooks_get_the_carried_weighted_sum(self, lam):
+        # both hooks get, with each state, the weighted sum the run carries:
+        # the bits of forming sum_i w_i L_i^T v_i from the state's v
+        cfg = relaxed(self.spec, self.cfg, lam)
+        seen = {"metrics": [], "stop": []}
+
+        def recorder(name):
+            def hook(st, wsum):
+                seen[name].append((st.n, [a.copy() for a in st.v], wsum.copy()))
+                return {} if name == "metrics" else None
+            return hook
+
+        stop = ss.StoppingRule(tol=0.0, max_iter=25)
+        ss.run(self.spec, cfg, x0=self.x0, v0=self.v0, stop=stop,
+               iter_metrics=recorder("metrics"), extra_stop=recorder("stop"))
+        assert [n for n, _, _ in seen["metrics"]] == [10, 20]
+        assert [n for n, _, _ in seen["stop"]] == list(range(1, 26))
+        n = self.spec.layout.dim_primal
+        for _, v, wsum in seen["metrics"] + seen["stop"]:
+            want = ss.solver._weighted_adjoint_sum(
+                self.spec.blocks, self.spec.layout.weights, v, np.empty(n), np.empty(n))
+            assert_same_bits(wsum, want)
 
     def test_final_state_survives_divergence(self):
         # iteration 3 fails; the state after iteration 2 must be intact
