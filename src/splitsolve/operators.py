@@ -406,18 +406,30 @@ def resolvent_of_inverse(B: ResolventOp, sigma: float, v: np.ndarray) -> np.ndar
     """
     if sigma <= 0:
         raise ValueError("sigma must be strictly positive")
-    v = np.asarray(v, dtype=float)
+    return _dual_step(B)(sigma, np.asarray(v, dtype=float))
+
+
+def _dual_step(B: ResolventOp) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The map ``(sigma, v) -> J_{sigma B^{-1}}(v)`` of
+    :func:`resolvent_of_inverse`, chosen once for ``B``: its
+    ``inverse_resolvent`` itself when set, else the inverse-resolvent
+    identity bound to ``B.resolvent``.  It neither checks ``sigma`` nor
+    converts ``v``, so a caller binds it once and hands it a positive
+    sigma and a float array on every call."""
     if B.inverse_resolvent is not None:
-        return B.inverse_resolvent(sigma, v)
-    return v - sigma * B.resolvent(1.0 / sigma, v / sigma)
+        return B.inverse_resolvent
+    resolvent = B.resolvent
+
+    def identity(sigma, v):
+        return v - sigma * resolvent(1.0 / sigma, v / sigma)
+    return identity
 
 
 def resolvent_from_prox(f: ProxFunction) -> ResolventOp:
     """Resolvent of the subdifferential of ``f`` (the prox map itself),
     with ``f``'s closed-form conjugate prox, if any, as the resolvent of
     the inverse."""
-    return ResolventOp(f.dim, lambda gamma, w: f.prox(gamma, w),
-                       inverse_resolvent=f.conjugate_prox)
+    return ResolventOp(f.dim, f.prox, inverse_resolvent=f.conjugate_prox)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ from .operators import (
     LinearOp,
     ResolventOp,
     estimate_norm,
-    resolvent_of_inverse,
+    _dual_step,
 )
 from .spaces import SpaceLayout
 
@@ -96,11 +96,12 @@ NORM_BOUND_SLACK = 1e-6
 NORM_BOUND_FLOOR = 1e-150
 #: :func:`run` calls its metrics hook only on the history rows whose
 #: ``iter`` is a multiple of this.  Measured on TV-1D at n = 2000 on a
-#: 2-core shared host (numpy 2.4, one BLAS thread): the gap and KKT
-#: evaluation that ``solve_convex(record_objective=True)`` hooks in, fed
-#: the run's weighted sum, costs 47-60 us per call, 1.0-1.5 iterations of
-#: 40-49 us, so at this stride the hook adds 10-15 % to the iteration
-#: time, and on every row it would add 1.0-1.5 times it.
+#: 2-core shared host (numpy 2.4, one BLAS thread; medians of four
+#: processes of 20 rounds): the gap and KKT evaluation that
+#: ``solve_convex(record_objective=True)`` hooks in, fed the run's
+#: weighted sum, costs 44-57 us per call, 0.9-1.1 iterations of 44-56 us,
+#: so at this stride the hook adds 9-11 % to the iteration time, and on
+#: every row it would add 0.9-1.1 times it.
 OBJECTIVE_STRIDE = 10
 
 
@@ -176,9 +177,12 @@ class StepConfig:
     paper's condition, and ``beta`` is the smallest cocoercivity
     constant (capped at ``BETA_CAP`` when every constant is infinite);
     they are reported, not tested: 2 rho beta > 1 implies a positive
-    margin, not the converse.  ``lam`` is the relaxation parameter of
-    every iteration; a non-finite value or one outside ]0, 1] is
-    refused with a ``ValueError`` that names ``lambda``.
+    margin, not the converse.  ``tau`` and every ``sigmas[i]`` must be
+    finite and positive, as :func:`validate_steps` requires, and are
+    refused by name otherwise; they are stored as floats.  ``lam`` is
+    the relaxation parameter of every iteration; a non-finite value or
+    one outside ]0, 1] is refused with a ``ValueError`` that names
+    ``lambda``.
     """
 
     tau: float
@@ -191,9 +195,12 @@ class StepConfig:
     lam: float = 1.0
 
     def __post_init__(self):
+        tau, sigmas = _checked_steps(self.tau, self.sigmas)
         lam = float(self.lam)
         if not 0.0 < lam <= 1.0:
             raise ValueError(f"lambda must lie in ]0, 1], got {lam!r}")
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "sigmas", sigmas)
         object.__setattr__(self, "lam", lam)
 
     @property
@@ -218,6 +225,23 @@ class StoppingRule:
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         _check_tolerance("tol", self.tol)
+
+
+def _checked_steps(tau, sigmas) -> tuple[float, tuple[float, ...]]:
+    """``tau`` and ``sigmas`` as floats, refused unless each is finite
+    and positive; the errors name the step."""
+    tau = float(tau)
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
+    if tau <= 0:
+        raise ValueError("tau must be strictly positive")
+    sigmas = tuple(float(s) for s in sigmas)
+    for i, s in enumerate(sigmas):
+        if not math.isfinite(s):
+            raise ValueError(f"sigma[{i}] must be finite, got {s!r}")
+    if any(s <= 0 for s in sigmas):
+        raise ValueError("every sigma must be strictly positive")
+    return tau, sigmas
 
 
 def _check_tolerance(name: str, value: float) -> None:
@@ -499,19 +523,9 @@ def validate_steps(spec: ProblemSpec, tau: float, sigmas, lam: float = 1.0,
     bounds; they are refused like :func:`certified_norms` refuses its
     own.
     """
-    tau = float(tau)
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau!r}")
-    if tau <= 0:
-        raise ValueError("tau must be strictly positive")
-    sigmas = tuple(float(s) for s in sigmas)
+    tau, sigmas = _checked_steps(tau, sigmas)
     if len(sigmas) != spec.num_blocks:
         raise ValueError("one sigma per block is required")
-    for i, s in enumerate(sigmas):
-        if not math.isfinite(s):
-            raise ValueError(f"sigma[{i}] must be finite, got {s!r}")
-    if any(s <= 0 for s in sigmas):
-        raise ValueError("every sigma must be strictly positive")
     norms = certified_norms(spec) if norms is None else _checked_norms(spec, norms)
     rho, beta, delta = _step_quantities(spec, tau, sigmas, norms)
     margin = _step_margin(spec, tau, sigmas, norms)
@@ -560,18 +574,33 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99, lam: float = 1.0,
 # iteration kernel
 
 
+#: +0.0 as a read-only 0-d float64 array.  numpy converts a Python float
+#: operand on every ufunc call and a 0-d array not, and x + (+0) has the
+#: same bits either way: an operand of a narrower type widens exactly.
+_PLUS_ZERO = np.zeros(())
+_PLUS_ZERO.setflags(write=False)
+
+
 def _weighted_adjoint_sum(blocks, weights, v, out, tmp):
-    """``sum_i w_i L_i^T v_i`` into ``out``, reduced in ascending block
-    order; ``tmp`` holds each weighted term.  Every caller forms the
-    coupling term here, so all of them get the same bits.
+    """``sum_i w_i L_i^T v_i`` into ``out``: :func:`_adjoint_sum` of the
+    blocks' ``(L_i.adjoint_apply, w_i)``.  Every caller forms the
+    coupling term there, so all of them get the same bits."""
+    return _adjoint_sum(tuple(zip((blk.L.adjoint_apply for blk in blocks), weights)),
+                        v, out, tmp)
+
+
+def _adjoint_sum(terms, v, out, tmp):
+    """``sum_i w_i L_i^T v_i`` into ``out``, given ``terms`` = one
+    ``(L_i.adjoint_apply, w_i)`` per block, reduced in ascending block
+    order; ``tmp`` holds each weighted term.
 
     The first term lands as ``term + 0.0``, which maps -0 to +0 exactly
     as filling ``out`` with zeros and adding did, so ``out`` never holds
     -0 (a sum is -0 only when both terms are).  A unit weight is not
     multiplied in.
     """
-    for i, (w, blk, vi) in enumerate(zip(weights, blocks, v)):
-        term = blk.L.adjoint_apply(vi)
+    for i, ((adjoint, w), vi) in enumerate(zip(terms, v)):
+        term = adjoint(vi)
         if w != 1.0:
             # else x * 1 = x
             term = np.multiply(term, w, out=tmp)
@@ -579,7 +608,7 @@ def _weighted_adjoint_sum(blocks, weights, v, out, tmp):
             np.add(out, term, out=out)
         else:
             # the fill and first add in one pass: -0 + 0.0 = +0 = 0.0 + -0
-            np.add(term, 0.0, out=out)
+            np.add(term, _PLUS_ZERO, out=out)
     return out
 
 
@@ -591,9 +620,55 @@ def _vanishes(a: np.ndarray) -> bool:
     return not np.count_nonzero(a.view(np.uint64))
 
 
+class _Metric:
+    """The renormed metric's quadratic form and the fixed-point residual
+    of :func:`run`, with tau, each ratio w_i / sigma_i and each
+    ``(L_i.apply, w_i)`` bound once.  The metric is positive definite
+    only for admissible steps; with ``admissible`` false the residual
+    falls back to the plain weighted norm (a run under an override)."""
+
+    __slots__ = ("tau", "weights", "ratios", "cross", "admissible")
+
+    def __init__(self, spec: ProblemSpec, tau: float, sigmas, admissible: bool = True):
+        weights = spec.layout.weights
+        self.tau, self.weights, self.admissible = tau, weights, admissible
+        # w_i / sigma_i * vv_i reads (w_i / sigma_i) * vv_i, so the ratio
+        # formed once has the same bits
+        self.ratios = tuple(w / s for w, s in zip(weights, sigmas))
+        self.cross = tuple(zip((blk.L.apply for blk in spec.blocks), weights))
+
+    def quadform(self, dx, dv, xx, vv, dwsum=None):
+        """Quadratic form at displacement (dx, dv), given the squared
+        norms ``xx``, ``vv`` of its blocks.
+
+        The cross term sum_i w_i <L_i dx, dv_i> is formed block by block,
+        or, when ``dwsum`` = sum_i w_i L_i^T dv_i is given, as
+        ``<dx, dwsum>`` after the diagonal terms, with no L_i apply."""
+        s = xx / self.tau
+        if dwsum is None:
+            for c, q, (apply, w), d in zip(self.ratios, vv, self.cross, dv):
+                s += c * q
+                s -= 2.0 * w * float(apply(dx).dot(d))
+            return s
+        for c, q in zip(self.ratios, vv):
+            s += c * q
+        return s - 2.0 * float(dx.dot(dwsum))
+
+    def residual(self, dx, dv, sq, dwsum=None):
+        """The norm of the displacement (dx, dv), whose squared block
+        norms are ``sq``, that :func:`run` reports as the residual."""
+        if not self.admissible:
+            return math.sqrt(_weighted_sq(self.weights, *sq))
+        quad = self.quadform(dx, dv, *sq, dwsum)
+        # an overflowed cross term must not read as a zero residual
+        return math.sqrt(max(quad, 0.0)) if math.isfinite(quad) else abs(quad)
+
+
 class _Workspace:
-    """Scratch arrays of the kernel and of the residual arithmetic, and
-    the kernel operations that are exact no-ops for the whole run.
+    """The run's step plan: the scratch arrays of the kernel and of the
+    residual arithmetic, the kernel operations that are exact no-ops for
+    the whole run, and the operators and steps of the update, each bound
+    once.
 
     ``wsum`` and ``wsum_next`` hold the weighted sums
     sum_i w_i L_i^T v_i of the current and the next state; :func:`run`
@@ -613,13 +688,29 @@ class _Workspace:
     subtracting r_i can change a bit.  C and D_i^{-1} are skipped when
     their kind is ``"zero"`` (the library zero map, which returns +0),
     z and r_i when :func:`_vanishes` holds.
+
+    The bound update: ``C`` is ``C.apply`` and ``z`` is z, each ``None``
+    when skipped; ``A`` is the resolvent of A; ``tau`` and ``lam`` are
+    the steps of ``cfg``, and ``tau_array`` and ``lam_array`` the same
+    two as 0-d float64 arrays, the multipliers of the float64 buffers t
+    and d (numpy converts a Python float operand on every call, a 0-d
+    array not, and the products have the same bits); ``adjoints`` holds
+    each ``(L_i.adjoint_apply, w_i)`` for :func:`_adjoint_sum`;
+    ``metric`` is the run's :class:`_Metric`; ``exact`` is
+    ``(None,) * m``, the ``b`` and ``c`` of an exact update; and
+    ``blocks`` holds one tuple per block: ``L_i.apply``,
+    ``D_i^{-1}.apply`` or ``None``, r_i or ``None``, sigma_i, the dual
+    step J_{sigma_i B_i^{-1}} (``operators._dual_step`` of B_i), and the
+    block's ``dual_arg`` and ``dv``.
     """
 
     __slots__ = ("wsum", "wsum_next", "tmp", "arg", "y", "dual_arg",
                  "d", "dx", "dv", "s", "sx", "sv",
-                 "keep_C", "keep_z", "keep_Dinv", "keep_r")
+                 "keep_C", "keep_z", "keep_Dinv", "keep_r",
+                 "C", "z", "A", "tau", "lam", "tau_array", "lam_array",
+                 "adjoints", "metric", "exact", "blocks")
 
-    def __init__(self, spec: ProblemSpec):
+    def __init__(self, spec: ProblemSpec, cfg: StepConfig):
         layout = spec.layout
         n, dims = layout.dim_primal, layout.dual_dims
         self.wsum, self.wsum_next, self.tmp, self.arg, self.y = (
@@ -634,17 +725,35 @@ class _Workspace:
         self.keep_Dinv = tuple(blk.Dinv.kind != "zero" for blk in spec.blocks)
         self.keep_r = tuple(not _vanishes(blk.r) for blk in spec.blocks)
 
+        self.C = spec.C.apply if self.keep_C else None
+        self.z = spec.z if self.keep_z else None
+        self.A = spec.A.resolvent
+        self.tau, self.lam = cfg.tau, cfg.lam
+        self.tau_array, self.lam_array = np.array(cfg.tau), np.array(cfg.lam)
+        self.adjoints = tuple(zip((blk.L.adjoint_apply for blk in spec.blocks),
+                                  layout.weights))
+        self.metric = _Metric(spec, cfg.tau, cfg.sigmas, cfg.admissible)
+        self.exact = (None,) * spec.num_blocks
+        self.blocks = tuple(
+            (blk.L.apply, blk.Dinv.apply if keep_Dinv else None,
+             blk.r if keep_r else None, sigma, _dual_step(blk.B), u, dvi)
+            for blk, keep_Dinv, keep_r, sigma, u, dvi in zip(
+                spec.blocks, self.keep_Dinv, self.keep_r, cfg.sigmas,
+                self.dual_arg, self.dv))
 
-def _kernel(spec, tau, sigmas, lam, st, wsum, err, ws, out):
-    """One update from the state ``st`` into the state ``out``, given
-    ``wsum`` = :func:`_weighted_adjoint_sum` of ``st.v``; returns the
-    squared norms ``<dx, dx>`` and ``[<dv_i, dv_i>]`` of the unrelaxed
-    displacement, as :func:`_sq_norms` forms them.
+
+def _kernel(ws, st, wsum, err, out):
+    """One update from the state ``st`` into the state ``out`` by the
+    plan ``ws``, given ``wsum`` = :func:`_weighted_adjoint_sum` of
+    ``st.v``; returns the squared norms ``<dx, dx>`` and
+    ``[<dv_i, dv_i>]`` of the unrelaxed displacement, as
+    :func:`_sq_norms` forms them.
 
     The displacement always lands in ``ws.d``; with ``out=None`` the
-    relaxed update is not formed.  The passes run in this order: the
-    coupling term t and p; dx = p - x and <dx, dx>; y = 2p - x; then per
-    block L_i y, the dual argument, q_i, dv_i = q_i - v_i and
+    relaxed update is not formed.  ``err=None`` is the exact update, and
+    its error terms are not looked up.  The passes run in this order:
+    the coupling term t and p; dx = p - x and <dx, dx>; y = 2p - x; then
+    per block L_i y, the dual argument, q_i, dv_i = q_i - v_i and
     <dv_i, dv_i>; last the relaxed update.  Each dot is the finiteness
     test of its block: a sum of squares is finite only if every entry
     is, so a finite dot clears p (or q_i) without a pass of its own, and
@@ -661,56 +770,62 @@ def _kernel(spec, tau, sigmas, lam, st, wsum, err, ws, out):
     the formulas; the dual-block reduction runs in ascending block order.
     """
     x, v = st.x, st.v
+    arg = ws.arg
+    if err is None:
+        a1 = a2 = None
+        bs = cs = ws.exact
+    else:
+        a1, a2, bs, cs = err.a1, err.a2, err.b, err.c
     t = wsum
-    if ws.keep_C:
+    if ws.C is not None:
         # else C x is +0, and t + (+0) = t since t never holds -0
-        t = np.add(t, spec.C.apply(x), out=ws.arg)
-    if err is not None and err.a1 is not None:
-        t = np.add(t, err.a1, out=ws.arg)
-    if ws.keep_z:
+        t = np.add(t, ws.C(x), out=arg)
+    if a1 is not None:
+        t = np.add(t, a1, out=arg)
+    if ws.z is not None:
         # else t - (+0) = t
-        t = np.subtract(t, spec.z, out=ws.arg)
-    p = spec.A.resolvent(tau, np.subtract(x, np.multiply(t, tau, out=ws.arg), out=ws.arg))
-    if err is not None and err.a2 is not None:
-        p = np.add(p, err.a2, out=ws.arg)
+        t = np.subtract(t, ws.z, out=arg)
+    p = ws.A(ws.tau, np.subtract(x, np.multiply(t, ws.tau_array, out=arg), out=arg))
+    if a2 is not None:
+        p = np.add(p, a2, out=arg)
     dx = np.subtract(p, x, out=ws.dx)
-    xx = float(np.dot(dx, dx))
+    xx = float(dx.dot(dx))
     if not math.isfinite(xx) and not np.isfinite(p).all():
         raise _DivergenceError("primal update p")
     y = np.subtract(np.multiply(p, 2.0, out=ws.y), x, out=ws.y)
     vv = []
-    for i, blk in enumerate(spec.blocks):
-        sigma, u = sigmas[i], ws.dual_arg[i]
+    for (apply, Dinv, r, sigma, dual, u, dvi), vi, b, c in zip(ws.blocks, v, bs, cs):
         # L_i y - D_i^{-1} v_i - c_i - r_i, where a vanished term is not
         # subtracted (x - (+0) = x) and the first subtraction left reads
         # L_i y; with none left, L_i y itself is scaled below
-        a = blk.L.apply(y)
-        if ws.keep_Dinv[i]:
-            a = np.subtract(a, blk.Dinv.apply(v[i]), out=u)
-        if err is not None and err.c[i] is not None:
-            a = np.subtract(a, err.c[i], out=u)
-        if ws.keep_r[i]:
-            a = np.subtract(a, blk.r, out=u)
-        np.add(v[i], np.multiply(a, sigma, out=u), out=u)
-        q = resolvent_of_inverse(blk.B, sigma, u)
-        if err is not None and err.b[i] is not None:
-            q = np.add(q, err.b[i], out=u)
-        dvi = np.subtract(q, v[i], out=ws.dv[i])
-        vv.append(float(np.dot(dvi, dvi)))
-        if not math.isfinite(vv[i]) and not np.isfinite(q).all():
-            raise _DivergenceError(f"dual update q[{i}]")
+        a = apply(y)
+        if Dinv is not None:
+            a = np.subtract(a, Dinv(vi), out=u)
+        if c is not None:
+            a = np.subtract(a, c, out=u)
+        if r is not None:
+            a = np.subtract(a, r, out=u)
+        np.add(vi, np.multiply(a, sigma, out=u), out=u)
+        q = dual(sigma, u)
+        if b is not None:
+            q = np.add(q, b, out=u)
+        np.subtract(q, vi, out=dvi)
+        qq = float(dvi.dot(dvi))
+        vv.append(qq)
+        if not math.isfinite(qq) and not np.isfinite(q).all():
+            raise _DivergenceError(f"dual update q[{len(vv) - 1}]")
     if out is not None:
-        if lam == 1.0:
+        if ws.lam == 1.0:
             # x * 1 = x
             np.add(st.u, ws.d, out=out.u)
         else:
-            np.add(st.u, np.multiply(ws.d, lam, out=out.u), out=out.u)
+            np.add(st.u, np.multiply(ws.d, ws.lam_array, out=out.u), out=out.u)
     return xx, vv
 
 
 def _sq_norms(dx, dv):
     """``<dx, dx>`` and each ``<dv_i, dv_i>``."""
-    return float(np.dot(dx, dx)), [float(np.dot(d, d)) for d in dv]
+    return float(dx.dot(dx)), [float(d.dot(d)) for d in dv]
 
 
 def _state_norm(weights, st: IterState) -> float:
@@ -743,31 +858,13 @@ def _weighted_sq(weights, xx, vv):
 
 
 def _v_quadform(spec, tau, sigmas, dx, dv, xx, vv, dwsum=None):
-    """Quadratic form of the renormed metric at displacement (dx, dv),
-    given the squared norms ``xx``, ``vv`` of its blocks.
-
-    The cross term sum_i w_i <L_i dx, dv_i> is formed block by block,
-    or, when ``dwsum`` = sum_i w_i L_i^T dv_i is given, as
-    ``<dx, dwsum>`` after the diagonal terms, with no L_i apply."""
-    weights = spec.layout.weights
-    s = xx / tau
-    for i, blk in enumerate(spec.blocks):
-        s += weights[i] / sigmas[i] * vv[i]
-        if dwsum is None:
-            s -= 2.0 * weights[i] * float(np.dot(blk.L.apply(dx), dv[i]))
-    if dwsum is not None:
-        s -= 2.0 * float(np.dot(dx, dwsum))
-    return s
+    """:meth:`_Metric.quadform` of the steps ``tau``, ``sigmas``."""
+    return _Metric(spec, tau, sigmas).quadform(dx, dv, xx, vv, dwsum)
 
 
 def _residual_norm(spec, cfg, admissible, dx, dv, sq, dwsum=None):
-    # the renormed metric is positive definite only for admissible steps;
-    # fall back to the plain weighted norm under an override
-    if not admissible:
-        return math.sqrt(_weighted_sq(spec.layout.weights, *sq))
-    quad = _v_quadform(spec, cfg.tau, cfg.sigmas, dx, dv, *sq, dwsum)
-    # an overflowed cross term must not read as a zero residual
-    return math.sqrt(max(quad, 0.0)) if math.isfinite(quad) else abs(quad)
+    """:meth:`_Metric.residual` of the steps ``cfg``."""
+    return _Metric(spec, cfg.tau, cfg.sigmas, admissible).residual(dx, dv, sq, dwsum)
 
 
 def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
@@ -864,12 +961,22 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     zeros before its first term.  So the bits are those of the plain
     formulas in the module docstring.
 
-    The dual step J_{sigma_i B_i^{-1}} is :func:`resolvent_of_inverse`:
-    the closed form ``B_i.inverse_resolvent`` where one is set
-    (``ResolventOp.zero`` and the blocks lowered from catalog functions
-    other than ``box``), else the inverse-resolvent identity on
-    ``B_i.resolvent``.
+    The update is bound once per run, before the first iteration (see
+    ``_Workspace``): the operators' callables, the steps, the skips and
+    each block's dual step J_{sigma_i B_i^{-1}}.  That dual step is the
+    one :func:`resolvent_of_inverse` takes: the closed form
+    ``B_i.inverse_resolvent`` where one is set (``ResolventOp.zero`` and
+    the blocks lowered from catalog functions other than ``box``), else
+    the inverse-resolvent identity on ``B_i.resolvent``.  The run calls
+    it directly, without :func:`resolvent_of_inverse`'s per-call check
+    of sigma_i, which :class:`StepConfig` has already made; a ``cfg``
+    whose ``sigmas`` do not number one per block is refused with a
+    ``ValueError`` before the first iteration.
     """
+    if len(cfg.sigmas) != spec.num_blocks:
+        raise ValueError(
+            f"one sigma per block is required: the steps have {len(cfg.sigmas)} "
+            f"and the problem has {spec.num_blocks} blocks")
     admissible = cfg.admissible
     if not admissible and not allow_inadmissible:
         raise InadmissibleStepsError(
@@ -881,17 +988,24 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     layout = spec.layout
     st = initial_state(layout, x0, v0)
     weights = layout.weights
-    tau, sigmas, lam = cfg.tau, cfg.sigmas, cfg.lam
+    lam, tol, m = cfg.lam, stop.tol, spec.num_blocks
 
-    ws = _Workspace(spec)
+    ws = _Workspace(spec, cfg)
     wsum, wsum_next = ws.wsum, ws.wsum_next
-    _weighted_adjoint_sum(spec.blocks, weights, st.v, wsum, ws.tmp)
+    adjoints, tmp, d, dx, dv = ws.adjoints, ws.tmp, ws.d, ws.dx, ws.dv
+    s, sx, sv = ws.s, ws.sx, ws.sv
+    residual_of = ws.metric.residual
+    clock = time.perf_counter
+    # the bound's relative outward rounding (see below), formed once
+    grow = 1.0 + NORM_BOUND_SLACK
+    _adjoint_sum(adjoints, st.v, wsum, tmp)
     # a state that leaves the loop keeps its array, so an update whose
     # state is handed out writes into a fresh one; the others alternate
     # between two arrays, neither of which is ever handed out before the
     # run ends
     every = record_states or extra_stop is not None
-    pair = None if every else [_state(0, np.empty(layout.size), layout) for _ in range(2)]
+    size = layout.size
+    pair = None if every else [_state(0, np.empty(size), layout) for _ in range(2)]
     history: list[IterationRecord] = []
     states: Optional[list[IterState]] = [st] if record_states else None
     reason = StopReason("max_iter", float(stop.max_iter), float(stop.max_iter))
@@ -905,16 +1019,16 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
         for n in range(stop.max_iter):
             err_n = None if errors is None else errors(n)
             if err_n is not None:
-                err_n = _checked_errors(err_n, spec.num_blocks)
+                err_n = _checked_errors(err_n, m)
             hook = iter_metrics is not None and (n + 1) % OBJECTIVE_STRIDE == 0
             if every or hook:
-                nxt = _state(n + 1, np.empty(layout.size), layout)
+                nxt = _state(n + 1, np.empty(size), layout)
             else:
                 buf = pair[n % 2]
                 nxt = IterState(n + 1, buf.u, buf.x, buf.v)
-            t0 = time.perf_counter()
+            t0 = clock()
             try:
-                sq = _kernel(spec, tau, sigmas, lam, st, wsum, err_n, ws, nxt)
+                sq = _kernel(ws, st, wsum, err_n, nxt)
             except _DivergenceError as exc:
                 reason = StopReason("diverged")
                 failure = f"non-finite value in {exc.block} at iteration {n}"
@@ -924,29 +1038,29 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
                 e is None for e in (err_n.a1, err_n.a2, *err_n.b, *err_n.c))
             if not exact:
                 # the residual measures the error-free update from the same state
-                _kernel(spec, tau, sigmas, 1.0, st, wsum, None, ws, None)
+                _kernel(ws, st, wsum, None, None)
             # the next iteration's weighted sum, the same bits as forming it there
-            _weighted_adjoint_sum(spec.blocks, weights, nxt.v, wsum_next, ws.tmp)
+            _adjoint_sum(adjoints, nxt.v, wsum_next, tmp)
             if exact and lam == 1.0:
                 # the step taken is the relaxation-1 displacement d, and
                 # v_{n+1} - v_n = dv gives sum_i w_i L_i^T dv_i = W_{n+1} - W_n
-                dwsum = np.subtract(wsum_next, wsum, out=ws.tmp) if admissible else None
+                dwsum = np.subtract(wsum_next, wsum, out=tmp) if admissible else None
                 step_sq = res_sq = sq
             else:
-                np.subtract(nxt.u, st.u, out=ws.s)
-                step_sq = _sq_norms(ws.sx, ws.sv)
+                np.subtract(nxt.u, st.u, out=s)
+                step_sq = _sq_norms(sx, sv)
                 # the relaxation-1 displacement (x + (p - x)) - x
-                np.subtract(np.add(st.u, ws.d, out=ws.d), st.u, out=ws.d)
+                np.subtract(np.add(st.u, d, out=d), st.u, out=d)
                 dwsum = None
-                res_sq = _sq_norms(ws.dx, ws.dv)
-            residual = _residual_norm(spec, cfg, admissible, ws.dx, ws.dv, res_sq, dwsum)
+                res_sq = _sq_norms(dx, dv)
+            residual = residual_of(dx, dv, res_sq, dwsum)
             step_norm = math.sqrt(_weighted_sq(weights, *step_sq))
             # the state norm enters only the threshold tol (1 + ||st||), and
             # rounding is monotone: an upper bound U >= ||st|| gives a threshold
             # at least as large, so a residual above tol (1 + U) cannot meet
             # the exact one, and the exact norm is needed only at or below it
             if (n % NORM_RESYNC == 0 or not math.isfinite(bound)
-                    or residual <= stop.tol * (1.0 + bound)):
+                    or residual <= tol * (1.0 + bound)):
                 bound = _state_norm(weights, st)
             state_norm = bound
             # ||u_{n+1}|| <= ||u_n|| + ||u_{n+1} - u_n||, rounded outward.  With
@@ -959,22 +1073,22 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             # must exceed (N + 8) eps, which 1e-6 does for N < 9e9.  Squares
             # that underflow move a computed norm by at most sqrt(N) 2^-537
             # < 1e-150 absolutely, which the floor covers.
-            bound = (state_norm + step_norm) * (1.0 + NORM_BOUND_SLACK) + NORM_BOUND_FLOOR
+            bound = (state_norm + step_norm) * grow + NORM_BOUND_FLOOR
             wsum, wsum_next = wsum_next, wsum
-            wall_ms = (time.perf_counter() - t0) * 1000.0
+            wall_ms = (clock() - t0) * 1000.0
 
-            extras = iter_metrics(nxt, wsum) if hook else {}
-            history.append(IterationRecord(
-                iter=n + 1, step_norm=step_norm, residual=residual,
-                wall_ms=wall_ms, **extras,
-            ))
+            if hook:
+                history.append(IterationRecord(n + 1, step_norm, residual, wall_ms,
+                                               **iter_metrics(nxt, wsum)))
+            else:
+                history.append(IterationRecord(n + 1, step_norm, residual, wall_ms))
             if record_states:
                 states.append(nxt)
             st = nxt
 
             # norms can overflow to inf while the state is still finite; a
             # non-finite residual must never satisfy the convergence test
-            threshold = stop.tol * (1.0 + state_norm)
+            threshold = tol * (1.0 + state_norm)
             if (math.isfinite(residual) and math.isfinite(state_norm)
                     and residual <= threshold):
                 reason = StopReason("residual", residual, threshold)

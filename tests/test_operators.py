@@ -11,6 +11,7 @@ from splitsolve.operators import (
     CocoerciveOp,
     LinearOp,
     ResolventOp,
+    _dual_step,
     catalog_prox,
     diff1d_op,
     estimate_norm,
@@ -307,6 +308,8 @@ class TestConjugateProxClosedForms:
     def test_dispatch_catalog_uses_closed_form(self, rng):
         for g in catalog_instances():
             B = resolvent_from_prox(g)
+            # the prox and the closed form themselves, no wrapper frame
+            assert B.resolvent is g.prox
             assert B.inverse_resolvent is g.conjugate_prox
             for sigma in (0.4, 2.5):
                 v = rng.standard_normal(g.dim)
@@ -321,6 +324,18 @@ class TestConjugateProxClosedForms:
                 v = rng.standard_normal(g.dim)
                 assert_same_bits(resolvent_of_inverse(B, sigma, v),
                                  self.moreau(g, sigma, v))
+
+    def test_bound_dual_step_is_the_dispatch(self, rng):
+        # what a run binds once per block: the closed form itself where
+        # one is set, else the identity, with the bits of the public entry
+        for g in catalog_instances():
+            for B in (resolvent_from_prox(g), ResolventOp(g.dim, g.prox)):
+                step = _dual_step(B)
+                if B.inverse_resolvent is not None:
+                    assert step is B.inverse_resolvent
+                for sigma in (0.4, 2.5):
+                    v = rng.standard_normal(g.dim)
+                    assert_same_bits(step(sigma, v), resolvent_of_inverse(B, sigma, v))
 
 
 def _point(dim):

@@ -117,6 +117,70 @@ class TestValidateSteps:
             ss.validate_steps(spec, 0.2, (0.2, value))
 
 
+def condat_spec():
+    cp, _ = ss.benchmarks.condat_problem()
+    return ss.lower_to_inclusion(cp)
+
+
+class TestHandBuiltSteps:
+    """A hand-built ``StepConfig`` is refused as :func:`validate_steps`
+    refuses its steps, by name, and ``run`` refuses a sigma count that
+    does not fit the problem before it iterates."""
+
+    @pytest.mark.parametrize("tau, message", [
+        (-0.5, "^tau must be strictly positive$"),
+        (0.0, "^tau must be strictly positive$"),
+        (-0.0, "^tau must be strictly positive$"),
+        (math.nan, "^tau must be finite, got nan$"),
+        (math.inf, "^tau must be finite, got inf$"),
+        (-math.inf, "^tau must be finite, got -inf$"),
+    ], ids=["negative", "zero", "-zero", "nan", "inf", "-inf"])
+    def test_bad_tau_refused_by_name(self, tau, message):
+        spec = condat_spec()
+        cfg = ss.suggest_steps(spec)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(cfg, tau=tau)
+        with pytest.raises(ValueError, match=message):
+            ss.validate_steps(spec, tau, cfg.sigmas, norms=cfg.norms)
+
+    @pytest.mark.parametrize("sigma, message", [
+        (0.0, "^every sigma must be strictly positive$"),
+        (-0.25, "^every sigma must be strictly positive$"),
+        (math.nan, r"^sigma\[1\] must be finite, got nan$"),
+        (math.inf, r"^sigma\[1\] must be finite, got inf$"),
+    ], ids=["zero", "negative", "nan", "inf"])
+    def test_bad_sigma_refused_by_name(self, sigma, message):
+        spec = condat_spec()
+        cfg = ss.suggest_steps(spec)
+        sigmas = (cfg.sigmas[0], sigma)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(cfg, sigmas=sigmas)
+        with pytest.raises(ValueError, match=message):
+            ss.validate_steps(spec, cfg.tau, sigmas, norms=cfg.norms)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_sigma_count_refused_before_iterating(self, count):
+        spec = condat_spec()
+        cfg = dataclasses.replace(ss.suggest_steps(spec), sigmas=(0.1,) * count)
+        asked = []
+
+        def errors(n):
+            asked.append(n)
+            return None
+        with pytest.raises(ValueError, match=(
+                f"^one sigma per block is required: the steps have {count} "
+                "and the problem has 2 blocks$")):
+            ss.run(spec, cfg, errors=errors)
+        assert asked == []
+
+    def test_steps_stored_as_floats(self):
+        cfg = ss.StepConfig(tau=1, sigmas=[2, np.float32(0.5)], rho=0.0, beta=1.0,
+                            delta=0.0, margin=1.0, norms=(1.0, 1.0))
+        assert type(cfg.tau) is float and cfg.tau == 1.0
+        assert cfg.sigmas == (2.0, 0.5)
+        assert all(type(s) is float for s in cfg.sigmas)
+
+
 class TestSuggestSteps:
     def test_worked_example(self):
         # mu = 1, ||L|| = 1, nu = inf: the margin at tau = sigma is
@@ -905,6 +969,20 @@ def custom_b_case():
     return dataclasses.replace(spec, blocks=(custom,)), cfg, None
 
 
+def mixed_dual_case():
+    """The condat problem with block 1's B a custom resolvent around the
+    l2 prox: block 0 takes the catalog's closed-form dual step and block
+    1 the inverse-resolvent identity, at relaxation 0.8 with geometric
+    errors."""
+    cp, _ = ss.benchmarks.condat_problem()
+    spec = ss.lower_to_inclusion(cp)
+    blk = spec.blocks[1]
+    custom = dataclasses.replace(blk, B=ss.ResolventOp(blk.B.dim, cp.blocks[1].g.prox))
+    spec = dataclasses.replace(spec, blocks=(spec.blocks[0], custom))
+    cfg = relaxed(spec, ss.suggest_steps(spec), 0.8)
+    return spec, cfg, ss.geometric_errors(spec.layout, 0.1, 0.9, seed=5)
+
+
 def negated_op(n):
     """-Id as a custom operator; it maps +0 entries to -0."""
     return ss.LinearOp(n, n, np.negative, np.negative, norm_hint=1.0)
@@ -958,6 +1036,7 @@ CASES = [
     (errors_case, "geometric-errors", "z r Dinv omega"),
     (tv2d_case, "tv2d-16x16", "z r Dinv omega lambda"),
     (custom_b_case, "tv2d-custom-B", "z r Dinv omega lambda"),
+    (mixed_dual_case, "mixed-dual-steps-errors-0.8", "z r Dinv"),
     (offsets_case, "offsets-+0", "z r Dinv omega lambda"),
     (lambda: offsets_case(offset=-0.0), "offsets--0", "Dinv omega lambda"),
     (lambda: offsets_case(offset=0.25), "offsets-0.25", "Dinv omega lambda"),
@@ -1010,7 +1089,7 @@ class TestBitwiseAgainstPlainLoop:
 
 def skip_flags(spec, cfg):
     """The skips the kernel takes on ``spec`` at every iteration."""
-    ws = ss.solver._Workspace(spec)
+    ws = ss.solver._Workspace(spec, cfg)
     flags = {name for name, keep in (("C", ws.keep_C), ("z", ws.keep_z)) if not keep}
     flags |= {"r" for keep in ws.keep_r if not keep} | {"Dinv" for keep in ws.keep_Dinv if not keep}
     if all(w == 1.0 for w in spec.layout.weights):
