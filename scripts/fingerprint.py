@@ -37,9 +37,9 @@ Only ``cli.main``, ``final_state.x``/``.v``, the run histories and the
 step configs are read, no operator is built with a ``kind`` tag, and
 CSV columns are found by header name, so the script runs unchanged on
 any checkout that has these, ``suggest_steps(..., lam=)`` and
-``StepConfig.margin``.  Every run CSV is hashed a second time with its
-``residual`` column dropped, so a change that moves only residuals
-shows apart from a change of iterates.  Temporary directory names are
+``step_condition(spec, cfg).margin``.  Every run CSV is hashed a
+second time with its ``residual`` column dropped, so a change that
+moves only residuals shows apart from a change of iterates.  Temporary directory names are
 replaced by ``<tmp>`` before hashing.
 """
 
@@ -253,9 +253,9 @@ def tv2d_spec(b: np.ndarray) -> solver.ProblemSpec:
     )
 
 
-def emit_report(label: str, cfg, report) -> None:
+def emit_report(label: str, spec, cfg, report) -> None:
     emit(f"{label} steps", f"tau {cfg.tau!r} sigmas {cfg.sigmas!r}".encode())
-    emit(f"{label} margin", repr(cfg.margin).encode())
+    emit(f"{label} margin", repr(solver.step_condition(spec, cfg).margin).encode())
     st = report.final_state
     emit(f"{label} termination", f"{report.termination} {report.iterations}".encode())
     emit(f"{label} final x", floats(st.x))
@@ -278,13 +278,13 @@ def tv2d_runs() -> None:
     stop = solver.StoppingRule(tol=1e-6, max_iter=3000)
 
     cfg = solver.suggest_steps(spec)
-    emit_report("tv2d lambda=1", cfg, solver.run(spec, cfg, stop=stop))
+    emit_report("tv2d lambda=1", spec, cfg, solver.run(spec, cfg, stop=stop))
 
     cfg = solver.suggest_steps(spec, lam=0.9)
     errors = solver.geometric_errors(spec.layout, 1e-3, 0.95, seed=3)
     report = solver.run(spec, cfg, stop=stop, errors=errors,
                         iter_metrics=lambda st, *_: {"primal_obj": float(np.dot(st.x, st.x))})
-    emit_report("tv2d lambda=0.9 errors hook", cfg, report)
+    emit_report("tv2d lambda=0.9 errors hook", spec, cfg, report)
 
     m = spec.blocks[0].B.dim
     l1 = operators.catalog_prox("l1", m, weight=0.3)
@@ -292,7 +292,8 @@ def tv2d_runs() -> None:
     spec = dataclasses.replace(spec, blocks=(custom,))
     # ||grad2d|| < sqrt(8), and tau = sigma = 0.25 gives the margin 3.5 - 8/4 > 0 at mu = 1
     cfg = solver.validate_steps(spec, 0.25, (0.25,), norms=(math.sqrt(8.0),))
-    emit_report("tv2d custom B explicit steps", cfg, solver.run(spec, cfg, stop=stop))
+    emit_report("tv2d custom B explicit steps", spec, cfg,
+                solver.run(spec, cfg, stop=stop))
 
     zero = dataclasses.replace(custom, B=operators.ResolventOp.zero(m),
                                Dinv=operators.CocoerciveOp.zero(m))
@@ -302,7 +303,8 @@ def tv2d_runs() -> None:
     # from a nonzero v, with a sigma that is not a power of two
     cfg = solver.validate_steps(spec, 0.25, (0.3,), norms=(math.sqrt(8.0),))
     v0 = (np.random.default_rng(5).standard_normal(m),)
-    emit_report("tv2d zero B explicit steps", cfg, solver.run(spec, cfg, v0=v0, stop=stop))
+    emit_report("tv2d zero B explicit steps", spec, cfg,
+                solver.run(spec, cfg, v0=v0, stop=stop))
 
 
 def offsets_run() -> None:
@@ -331,7 +333,8 @@ def offsets_run() -> None:
     spec = convex.lower_to_inclusion(cp)
     cfg = solver.suggest_steps(spec, lam=0.8)
     stop = solver.StoppingRule(tol=1e-10, max_iter=5000)
-    emit_report("offsets z r omega Dinv lambda=0.8", cfg, solver.run(spec, cfg, stop=stop))
+    emit_report("offsets z r omega Dinv lambda=0.8", spec, cfg,
+                solver.run(spec, cfg, stop=stop))
 
 
 def main() -> int:

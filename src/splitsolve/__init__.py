@@ -32,6 +32,7 @@ from .solver import (
     IterationErrors,
     ProblemSpec,
     RunReport,
+    StepCondition,
     StepConfig,
     StopReason,
     StoppingRule,
@@ -39,6 +40,7 @@ from .solver import (
     geometric_errors,
     initial_state,
     run,
+    step_condition,
     suggest_steps,
     validate_steps,
 )

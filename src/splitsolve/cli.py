@@ -38,6 +38,7 @@ from .solver import (
     StoppingRule,
     certified_norms,
     geometric_errors,
+    step_condition,
     suggest_steps,
     validate_steps,
 )
@@ -58,6 +59,7 @@ def _load(path: str):
 
 
 def _step_config(cp, pc, mode_override=None):
+    """The lowered problem, its steps and their step condition."""
     spec = lower_to_inclusion(cp)
     steps = pc.steps
     mode = mode_override or steps.mode
@@ -69,27 +71,27 @@ def _step_config(cp, pc, mode_override=None):
             raise ConfigError("manual steps need both tau and sigma")
         cfg = validate_steps(spec, steps.tau, steps.sigmas, lam=steps.lam,
                              norms=norms)
-    return spec, cfg
+    return spec, cfg, step_condition(spec, cfg)
 
 
-def _admissibility_lines(cfg):
+def _admissibility_lines(cond):
     return [
-        f"rho = {cfg.rho:.17g}",
-        f"beta = {cfg.beta:.17g}",
-        f"delta = {cfg.delta:.17g}",
-        f"margin = {cfg.margin:.17g}",
-        f"admissible = {'yes' if cfg.admissible else 'no'}",
+        f"rho = {cond.rho:.17g}",
+        f"beta = {cond.beta:.17g}",
+        f"delta = {cond.delta:.17g}",
+        f"margin = {cond.margin:.17g}",
+        f"admissible = {'yes' if cond.admissible else 'no'}",
     ]
 
 
 def cmd_solve(args) -> int:
     cp, pc = _load(args.config)
-    spec, cfg = _step_config(cp, pc, args.steps)
-    if not cfg.admissible and not args.unsafe_steps:
+    spec, cfg, cond = _step_config(cp, pc, args.steps)
+    if not cond.admissible and not args.unsafe_steps:
         print(f"refusing to solve: step sizes are inadmissible (margin = "
-              f"{cfg.margin:.17g} <= 0; rerun with --unsafe-steps to override)",
+              f"{cond.margin:.17g} <= 0; rerun with --unsafe-steps to override)",
               file=sys.stderr)
-        for line in _admissibility_lines(cfg):
+        for line in _admissibility_lines(cond):
             print(line, file=sys.stderr)
         return 1
 
@@ -104,12 +106,12 @@ def cmd_solve(args) -> int:
     )
 
     out = Path(args.output) if args.output else Path(args.config).with_suffix(".csv")
-    write_run_csv(out, report, cfg, include_timings=args.timings)
+    write_run_csv(out, report, cond, include_timings=args.timings)
 
     print(f"termination = {report.termination}")
     print(f"iterations = {report.iterations}")
     print(f"stop = {report.stop.line()}")
-    for line in _admissibility_lines(cfg):
+    for line in _admissibility_lines(cond):
         print(line)
     print(f"tau = {cfg.tau:.17g}")
     print("sigmas = " + " ".join(f"{s:.17g}" for s in cfg.sigmas))
@@ -134,13 +136,13 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     cp, pc = _load(args.config)
-    spec, cfg = _step_config(cp, pc)
+    spec, cfg, cond = _step_config(cp, pc)
     for i, (blk, nm) in enumerate(zip(spec.blocks, cfg.norms)):
         print(f"norm(L[{i}]) = {nm:.17g}")
         source = (f"closed form ({blk.L.kind})" if blk.L.kind in CLOSED_FORM_NORM_KINDS
                   else "power iteration")
         print(f"norm(L[{i}]) source = {source}")
-    for line in _admissibility_lines(cfg):
+    for line in _admissibility_lines(cond):
         print(line)
     print(f"tau = {cfg.tau:.17g}")
     print("sigmas = " + " ".join(f"{s:.17g}" for s in cfg.sigmas))
@@ -169,16 +171,16 @@ def cmd_bench(args) -> int:
 
 def cmd_diag(args) -> int:
     cp, pc = _load(args.config)
-    spec, cfg = _step_config(cp, pc)
+    spec, _, cond = _step_config(cp, pc)
     reports = certify_operators(spec)
     for rep in reports:
         print(f"{rep.name}: {'PASS' if rep.passed else 'FAIL'} (margin {rep.margin:.3e}, "
               f"threshold {rep.threshold:g}, samples {rep.samples})")
         if rep.note:
             print(f"  {rep.note}")
-    for line in _admissibility_lines(cfg):
+    for line in _admissibility_lines(cond):
         print(line)
-    return 0 if cfg.admissible and all(rep.passed for rep in reports) else 2
+    return 0 if cond.admissible and all(rep.passed for rep in reports) else 2
 
 
 def main(argv=None) -> int:

@@ -43,9 +43,10 @@ from .solver import (
     StepConfig,
     StopReason,
     StoppingRule,
+    _adjoint_sum,
     _check_tolerance,
+    _checked_steps,
     _vanishes,
-    _weighted_adjoint_sum,
     run,
     suggest_steps,
 )
@@ -317,26 +318,24 @@ def lower_to_inclusion(cp: ConvexProblem) -> ProblemSpec:
     )
 
 
-def _at_point(cp: ConvexProblem, x, v, sigmas):
+def _at_point(cp: ConvexProblem, x, v, tau, sigmas):
     """The checked point shared by :func:`kkt_residual` and
     :func:`evaluate_gap`: ``x`` and each ``v_i`` as float arrays of
-    their block's shape (not copied) and one sigma per block (default
-    1).  A sigma that is not positive is refused as
-    :func:`resolvent_of_inverse` refuses it."""
+    their block's shape (not copied), and tau and one sigma per block
+    (default 1) as floats, refused as :class:`StepConfig` refuses its
+    steps."""
     layout = cp.layout
     m = len(cp.blocks)
-    sigmas = (1.0,) * m if sigmas is None else tuple(sigmas)
+    tau, sigmas = _checked_steps(tau, (1.0,) * m if sigmas is None else sigmas)
     if len(sigmas) != m:
         raise ValueError("one sigma per block is required")
-    if any(s <= 0 for s in sigmas):
-        raise ValueError("sigma must be strictly positive")
     x = np.asarray(x, dtype=float)
     if x.shape != (layout.dim_primal,):
         raise ValueError("x has the wrong shape")
     v = tuple(np.asarray(vi, dtype=float) for vi in v)
     if len(v) != m or any(vi.shape != (d,) for vi, d in zip(v, layout.dual_dims)):
         raise ValueError("v has the wrong shapes")
-    return x, v, sigmas
+    return x, v, tau, sigmas
 
 
 def kkt_residual(cp: ConvexProblem, x: np.ndarray, v, tau: float = 1.0,
@@ -348,12 +347,13 @@ def kkt_residual(cp: ConvexProblem, x: np.ndarray, v, tau: float = 1.0,
         ||x - prox_{tau f}(x - tau (sum_i w_i L_i^T v_i + grad h(x) - z))||
         + sum_i w_i ||v_i - prox_{sigma_i g_i*}(v_i + sigma_i (L_i x - grad ell_i*(v_i) - r_i))||
 
-    A ``v`` or ``sigmas`` without one entry per block, or a wrongly
-    shaped ``x`` or ``v_i``, is refused with a ``ValueError``.  A finite
-    point whose squares overflow gives ``inf`` without a numpy warning,
-    as in :func:`splitsolve.solver.run`.
+    A ``v`` or ``sigmas`` without one entry per block, a wrongly shaped
+    ``x`` or ``v_i``, or a tau or sigma that is not finite and positive
+    is refused with a ``ValueError``.  A finite point whose squares
+    overflow gives ``inf`` without a numpy warning, as in
+    :func:`splitsolve.solver.run`.
     """
-    x, v, sigmas = _at_point(cp, x, v, sigmas)
+    x, v, tau, sigmas = _at_point(cp, x, v, tau, sigmas)
     with np.errstate(over="ignore", invalid="ignore"):
         return _GapPlan(cp, tau, sigmas).kkt(x, v)
 
@@ -366,7 +366,7 @@ def evaluate_gap(cp: ConvexProblem, x, v, tau: float = 1.0, sigmas=None) -> GapR
     approximated.  Inputs are checked, and overflow is silent, as in
     :func:`kkt_residual`.
     """
-    x, v, sigmas = _at_point(cp, x, v, sigmas)
+    x, v, tau, sigmas = _at_point(cp, x, v, tau, sigmas)
     with np.errstate(over="ignore", invalid="ignore"):
         return _GapPlan(cp, tau, sigmas).gap(x, v)
 
@@ -457,10 +457,8 @@ class _GapPlan:
         # dual_arg: each block's KKT argument
         self.d, self.arg, self.u, self.wsum, self.tmp = (np.empty(n) for _ in range(5))
         self.dual_arg = tuple(np.empty(d) for d in layout.dual_dims)
-
-    def _weighted_sum(self, v):
-        return _weighted_adjoint_sum(self.cp.blocks, self.cp.layout.weights, v,
-                                     self.wsum, self.tmp)
+        self.adjoints = tuple(zip((blk.L.adjoint_apply for blk in cp.blocks),
+                                  layout.weights))
 
     def kkt(self, x, v, wsum=None, Lx=None, diff=None) -> float:
         """:func:`kkt_residual` at a checked point, given ``wsum`` =
@@ -469,7 +467,7 @@ class _GapPlan:
         where the caller has them."""
         cp = self.cp
         if wsum is None:
-            wsum = self._weighted_sum(v)
+            wsum = _adjoint_sum(self.adjoints, v, self.wsum, self.tmp)
         t = wsum
         if cp.h.kind != "zero":
             if self.sq:
@@ -526,7 +524,7 @@ class _GapPlan:
         weights = cp.layout.weights
         Lx = [blk.L.apply(x) for blk in cp.blocks]
         if wsum is None:
-            wsum = self._weighted_sum(v)
+            wsum = _adjoint_sum(self.adjoints, v, self.wsum, self.tmp)
         notes: list[str] = []
 
         fx = 0.0 if self.f_zero else cp.f.evaluate(x)

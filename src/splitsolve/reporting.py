@@ -9,14 +9,16 @@ Unavailable fields stay blank.  Floats use '.' as the decimal
 separator with 17 significant digits, so values round-trip exactly and
 identical runs produce byte-identical files.  Timing is recorded in the
 report but written only on request, because wall-clock values would
-break byte-level reproducibility.
+break byte-level reproducibility.  The footer gives the termination,
+the iteration count and, when a :class:`StepCondition` is passed, its
+rho, beta and admissibility.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .solver import RunReport, StepConfig
+from .solver import RunReport, StepCondition
 
 __all__ = ["format_run_csv", "write_run_csv"]
 
@@ -27,7 +29,7 @@ def _cell(value: Optional[float]) -> str:
     return "" if value is None else f"{value:.17g}"
 
 
-def format_run_csv(report: RunReport, cfg: Optional[StepConfig] = None,
+def format_run_csv(report: RunReport, condition: Optional[StepCondition] = None,
                    include_timings: bool = False) -> str:
     lines = [_HEADER]
     for rec in report.history:
@@ -44,16 +46,16 @@ def format_run_csv(report: RunReport, cfg: Optional[StepConfig] = None,
         ]))
     lines.append(f"# termination={report.termination}")
     lines.append(f"# iterations={report.iterations}")
-    if cfg is not None:
-        lines.append(f"# rho={cfg.rho:.17g}")
-        lines.append(f"# beta={cfg.beta:.17g}")
-        lines.append(f"# admissible={'yes' if cfg.admissible else 'no'}")
+    if condition is not None:
+        lines.append(f"# rho={condition.rho:.17g}")
+        lines.append(f"# beta={condition.beta:.17g}")
+        lines.append(f"# admissible={'yes' if condition.admissible else 'no'}")
     if report.failure:
         lines.append(f"# failure={report.failure}")
     return "\n".join(lines) + "\n"
 
 
-def write_run_csv(path, report: RunReport, cfg: Optional[StepConfig] = None,
+def write_run_csv(path, report: RunReport, condition: Optional[StepCondition] = None,
                   include_timings: bool = False) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_run_csv(report, cfg, include_timings))
+        fh.write(format_run_csv(report, condition, include_timings))

@@ -65,6 +65,7 @@ __all__ = [
     "Block",
     "ProblemSpec",
     "StepConfig",
+    "StepCondition",
     "StoppingRule",
     "IterationErrors",
     "IterState",
@@ -73,6 +74,7 @@ __all__ = [
     "RunReport",
     "InadmissibleStepsError",
     "certified_norms",
+    "step_condition",
     "validate_steps",
     "suggest_steps",
     "initial_state",
@@ -168,29 +170,21 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Step sizes with the derived admissibility quantities.
+    """The steps of a run: ``tau``, one ``sigmas[i]`` per dual block,
+    the operator-norm bounds ``norms`` the step condition reads, and the
+    relaxation ``lam``.
 
-    ``margin`` is the blockwise margin of the module docstring
-    (``-inf`` when some 1/sigma_i <= 1/(2 nu_i)) and ``admissible``
-    says whether it is positive, which makes V - M^{-1}/2 positive
-    definite.  ``rho`` (a lower bound on V) and ``delta`` come from the
-    paper's condition, and ``beta`` is the smallest cocoercivity
-    constant (capped at ``BETA_CAP`` when every constant is infinite);
-    they are reported, not tested: 2 rho beta > 1 implies a positive
-    margin, not the converse.  ``tau`` and every ``sigmas[i]`` must be
-    finite and positive, as :func:`validate_steps` requires, and are
-    refused by name otherwise; they are stored as floats.  ``lam`` is
-    the relaxation parameter of every iteration; a non-finite value or
-    one outside ]0, 1] is refused with a ``ValueError`` that names
-    ``lambda``.
+    ``tau`` and every ``sigmas[i]`` must be finite and positive, as
+    :func:`validate_steps` requires, and are refused by name otherwise;
+    they and the norms are stored as floats.  ``lam`` is the relaxation
+    parameter of every iteration; a non-finite value or one outside
+    ]0, 1] is refused with a ``ValueError`` that names ``lambda``.  The
+    config holds no verdict: :func:`step_condition` derives it from the
+    steps and a problem whenever it is asked for.
     """
 
     tau: float
     sigmas: tuple[float, ...]
-    rho: float
-    beta: float
-    delta: float
-    margin: float
     norms: tuple[float, ...]
     lam: float = 1.0
 
@@ -201,7 +195,29 @@ class StepConfig:
             raise ValueError(f"lambda must lie in ]0, 1], got {lam!r}")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "sigmas", sigmas)
+        object.__setattr__(self, "norms", tuple(float(nm) for nm in self.norms))
         object.__setattr__(self, "lam", lam)
+
+
+@dataclass(frozen=True)
+class StepCondition:
+    """The step condition of one :class:`StepConfig` on one problem, as
+    :func:`step_condition` forms it.
+
+    ``margin`` is the blockwise margin of the module docstring
+    (``-inf`` when some 1/sigma_i <= 1/(2 nu_i)) and ``admissible``
+    says whether it is positive, which makes V - M^{-1}/2 positive
+    definite.  ``rho`` (a lower bound on V) and ``delta`` come from the
+    paper's condition, and ``beta`` is the smallest cocoercivity
+    constant (capped at ``BETA_CAP`` when every constant is infinite);
+    they are reported, not tested: 2 rho beta > 1 implies a positive
+    margin, not the converse.
+    """
+
+    margin: float
+    rho: float
+    beta: float
+    delta: float
 
     @property
     def admissible(self) -> bool:
@@ -509,36 +525,40 @@ def _bisected_step(spec, norms) -> float:
     return lo
 
 
+def step_condition(spec: ProblemSpec, cfg: StepConfig) -> StepCondition:
+    """The blockwise step condition of ``cfg`` on ``spec``.
+
+    The one place the margin, rho, beta and delta are formed: from the
+    steps and norms of ``cfg``, each time it is called, so the verdict
+    never outlives the steps it was formed from.  A ``cfg`` whose
+    ``sigmas`` do not number one per block is refused with a
+    ``ValueError``, and its ``norms`` are refused as
+    :func:`certified_norms` refuses its own.
+    """
+    if len(cfg.sigmas) != spec.num_blocks:
+        raise ValueError(
+            f"one sigma per block is required: the steps have {len(cfg.sigmas)} "
+            f"and the problem has {spec.num_blocks} blocks")
+    norms = _checked_norms(spec, cfg.norms)
+    return StepCondition(_step_margin(spec, cfg.tau, cfg.sigmas, norms),
+                         *_step_quantities(spec, cfg.tau, cfg.sigmas, norms))
+
+
 def validate_steps(spec: ProblemSpec, tau: float, sigmas, lam: float = 1.0,
                    norms: Optional[tuple[float, ...]] = None) -> StepConfig:
-    """Evaluate the blockwise step condition for given tau and sigmas.
+    """The steps tau and sigmas as a :class:`StepConfig` for ``spec``.
 
-    The steps are admissible when the margin of the module docstring is
-    positive.  That contains the paper's condition 2 rho beta > 1 (and
-    Condat's and Chambolle-Pock's as special cases); rho, beta and
-    delta are computed and reported beside the margin.  Inadmissibility
-    is a verdict recorded on the returned config, not an error; a
-    relaxation ``lam`` outside ]0, 1] is an error (see
-    :class:`StepConfig`).  ``norms`` may be passed to reuse previously certified operator-norm
-    bounds; they are refused like :func:`certified_norms` refuses its
-    own.
+    The steps are refused as :class:`StepConfig` refuses them, and a
+    sigma count or ``norms`` that does not fit the blocks as
+    :func:`step_condition` refuses it.  Inadmissibility is not an
+    error: :func:`step_condition` of the returned config gives the
+    verdict.  ``norms`` may be passed to reuse previously certified
+    operator-norm bounds; without them :func:`certified_norms` forms
+    them.
     """
-    tau, sigmas = _checked_steps(tau, sigmas)
-    if len(sigmas) != spec.num_blocks:
-        raise ValueError("one sigma per block is required")
-    norms = certified_norms(spec) if norms is None else _checked_norms(spec, norms)
-    rho, beta, delta = _step_quantities(spec, tau, sigmas, norms)
-    margin = _step_margin(spec, tau, sigmas, norms)
-    return StepConfig(
-        tau=tau,
-        sigmas=sigmas,
-        rho=rho,
-        beta=beta,
-        delta=delta,
-        margin=margin,
-        norms=norms,
-        lam=lam,
-    )
+    cfg = StepConfig(tau, sigmas, certified_norms(spec) if norms is None else norms, lam)
+    step_condition(spec, cfg)
+    return cfg
 
 
 def suggest_steps(spec: ProblemSpec, safety: float = 0.99, lam: float = 1.0,
@@ -551,8 +571,8 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99, lam: float = 1.0,
     ``S = sum_i w_i ||L_i||^2`` when every nu_i is infinite (Condat's
     condition at tau = sigma), else a bisection on the margin.  The
     margin falls as the common step grows, so any ``safety`` in ]0, 1[
-    makes the strict inequality hold.  ``lam`` is checked and recorded
-    as in :func:`validate_steps`.
+    makes the strict inequality hold.  ``lam`` and ``norms`` are
+    checked as in :func:`validate_steps`.
     """
     if not 0.0 < safety < 1.0:
         raise ValueError("safety must lie in ]0, 1[")
@@ -562,9 +582,8 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99, lam: float = 1.0,
     else:
         boundary = _bisected_step(spec, norms)
     step = safety * boundary
-    cfg = validate_steps(spec, step, (step,) * spec.num_blocks, lam=lam,
-                         norms=norms)
-    if not cfg.admissible:
+    cfg = StepConfig(step, (step,) * spec.num_blocks, norms, lam)
+    if not step_condition(spec, cfg).admissible:
         # cannot happen for safety < 1; guards against float pathologies
         raise RuntimeError("suggested steps failed the admissibility check")
     return cfg
@@ -581,18 +600,11 @@ _PLUS_ZERO = np.zeros(())
 _PLUS_ZERO.setflags(write=False)
 
 
-def _weighted_adjoint_sum(blocks, weights, v, out, tmp):
-    """``sum_i w_i L_i^T v_i`` into ``out``: :func:`_adjoint_sum` of the
-    blocks' ``(L_i.adjoint_apply, w_i)``.  Every caller forms the
-    coupling term there, so all of them get the same bits."""
-    return _adjoint_sum(tuple(zip((blk.L.adjoint_apply for blk in blocks), weights)),
-                        v, out, tmp)
-
-
 def _adjoint_sum(terms, v, out, tmp):
     """``sum_i w_i L_i^T v_i`` into ``out``, given ``terms`` = one
     ``(L_i.adjoint_apply, w_i)`` per block, reduced in ascending block
-    order; ``tmp`` holds each weighted term.
+    order; ``tmp`` holds each weighted term.  Every caller forms the
+    coupling term here, so all of them get the same bits.
 
     The first term lands as ``term + 0.0``, which maps -0 to +0 exactly
     as filling ``out`` with zeros and adding did, so ``out`` never holds
@@ -683,12 +695,6 @@ class _Workspace:
     the product space with per-block views ``dx``/``dv`` and
     ``sx``/``sv``.
 
-    ``keep_C``, ``keep_z``, ``keep_Dinv[i]`` and ``keep_r[i]`` say
-    whether adding C x, subtracting z, subtracting D_i^{-1} v_i and
-    subtracting r_i can change a bit.  C and D_i^{-1} are skipped when
-    their kind is ``"zero"`` (the library zero map, which returns +0),
-    z and r_i when :func:`_vanishes` holds.
-
     The bound update: ``C`` is ``C.apply`` and ``z`` is z, each ``None``
     when skipped; ``A`` is the resolvent of A; ``tau`` and ``lam`` are
     the steps of ``cfg``, and ``tau_array`` and ``lam_array`` the same
@@ -701,16 +707,17 @@ class _Workspace:
     ``blocks`` holds one tuple per block: ``L_i.apply``,
     ``D_i^{-1}.apply`` or ``None``, r_i or ``None``, sigma_i, the dual
     step J_{sigma_i B_i^{-1}} (``operators._dual_step`` of B_i), and the
-    block's ``dual_arg`` and ``dv``.
+    block's ``dual_arg`` and ``dv``.  C and D_i^{-1} are skipped when
+    their kind is ``"zero"`` (the library zero map, which returns +0),
+    z and r_i when :func:`_vanishes` holds.
     """
 
     __slots__ = ("wsum", "wsum_next", "tmp", "arg", "y", "dual_arg",
                  "d", "dx", "dv", "s", "sx", "sv",
-                 "keep_C", "keep_z", "keep_Dinv", "keep_r",
                  "C", "z", "A", "tau", "lam", "tau_array", "lam_array",
                  "adjoints", "metric", "exact", "blocks")
 
-    def __init__(self, spec: ProblemSpec, cfg: StepConfig):
+    def __init__(self, spec: ProblemSpec, cfg: StepConfig, admissible: bool):
         layout = spec.layout
         n, dims = layout.dim_primal, layout.dual_dims
         self.wsum, self.wsum_next, self.tmp, self.arg, self.y = (
@@ -720,32 +727,25 @@ class _Workspace:
         self.dx, self.dv = layout.split(self.d)
         self.s = np.empty(layout.size)
         self.sx, self.sv = layout.split(self.s)
-        self.keep_C = spec.C.kind != "zero"
-        self.keep_z = not _vanishes(spec.z)
-        self.keep_Dinv = tuple(blk.Dinv.kind != "zero" for blk in spec.blocks)
-        self.keep_r = tuple(not _vanishes(blk.r) for blk in spec.blocks)
-
-        self.C = spec.C.apply if self.keep_C else None
-        self.z = spec.z if self.keep_z else None
+        self.C = None if spec.C.kind == "zero" else spec.C.apply
+        self.z = None if _vanishes(spec.z) else spec.z
         self.A = spec.A.resolvent
         self.tau, self.lam = cfg.tau, cfg.lam
         self.tau_array, self.lam_array = np.array(cfg.tau), np.array(cfg.lam)
         self.adjoints = tuple(zip((blk.L.adjoint_apply for blk in spec.blocks),
                                   layout.weights))
-        self.metric = _Metric(spec, cfg.tau, cfg.sigmas, cfg.admissible)
+        self.metric = _Metric(spec, cfg.tau, cfg.sigmas, admissible)
         self.exact = (None,) * spec.num_blocks
         self.blocks = tuple(
-            (blk.L.apply, blk.Dinv.apply if keep_Dinv else None,
-             blk.r if keep_r else None, sigma, _dual_step(blk.B), u, dvi)
-            for blk, keep_Dinv, keep_r, sigma, u, dvi in zip(
-                spec.blocks, self.keep_Dinv, self.keep_r, cfg.sigmas,
-                self.dual_arg, self.dv))
+            (blk.L.apply, None if blk.Dinv.kind == "zero" else blk.Dinv.apply,
+             None if _vanishes(blk.r) else blk.r, sigma, _dual_step(blk.B), u, dvi)
+            for blk, sigma, u, dvi in zip(spec.blocks, cfg.sigmas, self.dual_arg, self.dv))
 
 
 def _kernel(ws, st, wsum, err, out):
     """One update from the state ``st`` into the state ``out`` by the
-    plan ``ws``, given ``wsum`` = :func:`_weighted_adjoint_sum` of
-    ``st.v``; returns the squared norms ``<dx, dx>`` and
+    plan ``ws``, given ``wsum`` = :func:`_adjoint_sum` of ``ws.adjoints``
+    and ``st.v``; returns the squared norms ``<dx, dx>`` and
     ``[<dv_i, dv_i>]`` of the unrelaxed displacement, as
     :func:`_sq_norms` forms them.
 
@@ -857,16 +857,6 @@ def _weighted_sq(weights, xx, vv):
     return s
 
 
-def _v_quadform(spec, tau, sigmas, dx, dv, xx, vv, dwsum=None):
-    """:meth:`_Metric.quadform` of the steps ``tau``, ``sigmas``."""
-    return _Metric(spec, tau, sigmas).quadform(dx, dv, xx, vv, dwsum)
-
-
-def _residual_norm(spec, cfg, admissible, dx, dv, sq, dwsum=None):
-    """:meth:`_Metric.residual` of the steps ``cfg``."""
-    return _Metric(spec, cfg.tau, cfg.sigmas, admissible).residual(dx, dv, sq, dwsum)
-
-
 def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
         errors: Optional[Callable[[int], IterationErrors]] = None,
         stop: Optional[StoppingRule] = None,
@@ -894,10 +884,10 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     other row leaves the objective fields ``None``.  Both hooks are
     called as ``hook(state, wsum)``, where ``wsum`` is the weighted sum
     sum_i w_i L_i^T v_i of ``state`` that the run carries (the bits of
-    :func:`_weighted_adjoint_sum` of ``state.v``), so a hook that needs
-    it does not form it again.  ``wsum`` is a workspace array of the
-    run: it is valid only during the call, and a hook must not write
-    into it or keep it.
+    :func:`_adjoint_sum` of ``state.v``), so a hook that needs it does
+    not form it again.  ``wsum`` is a workspace array of the run: it is
+    valid only during the call, and a hook must not write into it or
+    keep it.
 
     The renormed metric's cross term is sum_i w_i <L_i dx, dv_i>.  The
     weighted sum W_n = sum_i w_i L_i^T v_{i,n} that the update needs is
@@ -969,19 +959,21 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     the blocks lowered from catalog functions other than ``box``), else
     the inverse-resolvent identity on ``B_i.resolvent``.  The run calls
     it directly, without :func:`resolvent_of_inverse`'s per-call check
-    of sigma_i, which :class:`StepConfig` has already made; a ``cfg``
-    whose ``sigmas`` do not number one per block is refused with a
-    ``ValueError`` before the first iteration.
+    of sigma_i, which :class:`StepConfig` has already made.
+
+    Before the first iteration the run evaluates :func:`step_condition`
+    of ``cfg`` on ``spec`` itself: a ``cfg`` whose ``sigmas`` or
+    ``norms`` do not fit the blocks is refused with a ``ValueError``,
+    and inadmissible steps with :class:`InadmissibleStepsError` unless
+    ``allow_inadmissible`` is set; a run under that override measures
+    its residual in the plain weighted norm.
     """
-    if len(cfg.sigmas) != spec.num_blocks:
-        raise ValueError(
-            f"one sigma per block is required: the steps have {len(cfg.sigmas)} "
-            f"and the problem has {spec.num_blocks} blocks")
-    admissible = cfg.admissible
+    cond = step_condition(spec, cfg)
+    admissible = cond.admissible
     if not admissible and not allow_inadmissible:
         raise InadmissibleStepsError(
-            f"step sizes are inadmissible (margin = {cfg.margin:.17g} <= 0; "
-            f"rho = {cfg.rho:.17g}, beta = {cfg.beta:.17g}, delta = {cfg.delta:.17g}); "
+            f"step sizes are inadmissible (margin = {cond.margin:.17g} <= 0; "
+            f"rho = {cond.rho:.17g}, beta = {cond.beta:.17g}, delta = {cond.delta:.17g}); "
             "pass allow_inadmissible=True to run anyway"
         )
     stop = stop or StoppingRule()
@@ -990,7 +982,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     weights = layout.weights
     lam, tol, m = cfg.lam, stop.tol, spec.num_blocks
 
-    ws = _Workspace(spec, cfg)
+    ws = _Workspace(spec, cfg, admissible)
     wsum, wsum_next = ws.wsum, ws.wsum_next
     adjoints, tmp, d, dx, dv = ws.adjoints, ws.tmp, ws.d, ws.dx, ws.dv
     s, sx, sv = ws.s, ws.sx, ws.sv

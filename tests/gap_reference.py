@@ -18,7 +18,7 @@ import numpy as np
 
 from splitsolve.convex import ConvexBlock, ConvexProblem, GapReport
 from splitsolve.operators import ProxFunction, _norm
-from splitsolve.solver import _weighted_adjoint_sum
+from splitsolve.solver import _adjoint_sum
 
 
 def reference_gap(cp, x, v, tau=1.0, sigmas=None) -> GapReport:
@@ -52,7 +52,8 @@ def _at_point(cp: ConvexProblem, x, v, sigmas):
         raise ValueError("v has the wrong shapes")
     n = layout.dim_primal
     Lx = [blk.L.apply(x) for blk in cp.blocks]
-    wsum = _weighted_adjoint_sum(cp.blocks, layout.weights, v, np.empty(n), np.empty(n))
+    adjoints = tuple(zip((blk.L.adjoint_apply for blk in cp.blocks), layout.weights))
+    wsum = _adjoint_sum(adjoints, v, np.empty(n), np.empty(n))
     return x, v, sigmas, Lx, wsum
 
 

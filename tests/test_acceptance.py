@@ -201,14 +201,18 @@ def test_criterion_5_step_admissibility():
 
     ok = True
     s1 = spec_with(1, (1.0,), (1.0,))
+
+    def condition_at(spec, tau, sigmas):
+        return ss.step_condition(spec, ss.validate_steps(spec, tau, sigmas))
+
     ok &= report_line(5, "single-block rho deviation",
-                      abs(ss.validate_steps(s1, 0.5, (0.5,)).rho - 1.0), 1e-14)
-    boundary = ss.validate_steps(s1, 1.0, (1.0,))
+                      abs(condition_at(s1, 0.5, (0.5,)).rho - 1.0), 1e-14)
+    boundary = condition_at(s1, 1.0, (1.0,))
     ok &= report_line(5, "boundary rho deviation", abs(boundary.rho), 1e-14)
     assert not boundary.admissible
     s2 = spec_with(2, (0.5, 0.5), (1.0, 1.0))
     ok &= report_line(5, "two-block rho deviation",
-                      abs(ss.validate_steps(s2, 0.25, (0.25, 0.25)).rho - 3.0),
+                      abs(condition_at(s2, 0.25, (0.25, 0.25)).rho - 3.0),
                       1e-14)
 
     # suggested steps stay admissible across random problem data
@@ -229,8 +233,10 @@ def test_criterion_5_step_admissibility():
                                   C=ss.CocoerciveOp.zero(2), z=spec.z,
                                   blocks=spec.blocks)
         safety = float(rng.uniform(0.05, 0.999))
-        cfg = ss.suggest_steps(spec, safety=safety)
-        check = ss.validate_steps(spec, cfg.tau, cfg.sigmas, norms=cfg.norms)
+        steps = ss.suggest_steps(spec, safety=safety)
+        cfg = ss.step_condition(spec, steps)
+        check = ss.step_condition(spec, ss.validate_steps(
+            spec, steps.tau, steps.sigmas, norms=steps.norms))
         if not (cfg.admissible and check.admissible and check.margin > 0.0
                 and check.margin == cfg.margin):
             failures += 1
@@ -311,7 +317,7 @@ def test_criterion_9_operator_certificates():
             C=ss.CocoerciveOp(n, lambda x, s=c_scale: s * x, 1.0 / c_scale),
             z=np.zeros(n), blocks=tuple(blocks))
         cfg = ss.suggest_steps(spec, safety=float(rng.uniform(0.3, 0.99)))
-        failures += not cfg.admissible
+        failures += not ss.step_condition(spec, cfg).admissible
         failures += sum(not rep.passed
                         for rep in certify_operators(spec, samples=100, seed=k))
     ok = report_line(9, "certificate failures over 100 random instances",

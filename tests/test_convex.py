@@ -677,6 +677,21 @@ class TestKktResidual:
             for evaluate in (ss.kkt_residual, ss.evaluate_gap):
                 with pytest.raises(ValueError, match=message):
                     evaluate(cp, xc, vc, sigmas=sigmas)
+        # bad steps used to give a number (x = 1, v = 0: 4.3949 at tau = -1,
+        # 0.16 at tau = 0) or NaN, with no error
+        x, v = np.ones(8), (np.zeros(7), np.zeros(5))
+        steps = [
+            (-1.0, None, "^tau must be strictly positive$"),
+            (0.0, None, "^tau must be strictly positive$"),
+            (math.nan, None, "^tau must be finite, got nan$"),
+            (1.0, (math.nan, 1.0), r"^sigma\[0\] must be finite, got nan$"),
+            (1.0, (math.inf, 1.0), r"^sigma\[0\] must be finite, got inf$"),
+            (1.0, (0.0, 1.0), "^every sigma must be strictly positive$"),
+        ]
+        for tau, sigmas, message in steps:
+            for evaluate in (ss.kkt_residual, ss.evaluate_gap):
+                with pytest.raises(ValueError, match=message):
+                    evaluate(cp, x, v, tau=tau, sigmas=sigmas)
 
 
 def metric_values(obj):

@@ -5,7 +5,7 @@ import pytest
 
 import splitsolve as ss
 from splitsolve.diagnostics import TOL, certify_operators
-from splitsolve.solver import _sq_norms, _v_quadform
+from splitsolve.solver import _Metric, _sq_norms
 
 from conftest import shrinkage_spec, single_block_spec, v_distances, v_form
 
@@ -64,12 +64,12 @@ class TestBuildProductOps:
         # C = x/2 (mu = 2) and Dinv = v/4 (nu = 4); a zero map contributes 1/inf = 0
         spec = single_block_spec(mu=2.0, Dinv=ss.CocoerciveOp(1, lambda v: v / 4.0, 4.0))
         np.testing.assert_array_equal(np.diag(dense_minv(spec)), [0.5, 0.25])
-        cfg = ss.validate_steps(spec, 0.4, (0.4,))
-        assert cfg.margin == pytest.approx((2.5 - 0.25) - 1.0 / (2.5 - 0.125))
+        cond = ss.step_condition(spec, ss.validate_steps(spec, 0.4, (0.4,)))
+        assert cond.margin == pytest.approx((2.5 - 0.25) - 1.0 / (2.5 - 0.125))
         spec = single_block_spec()
         np.testing.assert_array_equal(np.diag(dense_minv(spec)), [1.0, 0.0])
-        cfg = ss.validate_steps(spec, 0.4, (0.4,))
-        assert cfg.margin == pytest.approx((2.5 - 0.5) - 1.0 / 2.5)
+        cond = ss.step_condition(spec, ss.validate_steps(spec, 0.4, (0.4,)))
+        assert cond.margin == pytest.approx((2.5 - 0.5) - 1.0 / 2.5)
 
     def test_v_linearity_probe(self, rng):
         # a quadratic form: homogeneous of degree 2 and obeys the parallelogram law
@@ -112,7 +112,8 @@ class TestCertifyStrongPositivity:
     def test_half_step_instance_passes(self):
         spec = single_block_spec()
         cfg = ss.validate_steps(spec, 0.5, (0.5,))
-        assert cfg.admissible and cfg.rho == pytest.approx(1.0)
+        cond = ss.step_condition(spec, cfg)
+        assert cond.admissible and cond.rho == pytest.approx(1.0)
         assert min_eig(dense_v(spec, cfg) - 0.5 * dense_minv(spec)) > 0.0
 
     def test_proof_inequality_sampled(self):
@@ -120,8 +121,9 @@ class TestCertifyStrongPositivity:
         # and V - M^{-1}/2 = [[2 - 2.5, -1], [-1, 2]] is indefinite
         spec = single_block_spec(mu=0.2)
         cfg = ss.validate_steps(spec, 0.5, (0.5,))
-        assert cfg.rho == pytest.approx(1.0) and cfg.margin == pytest.approx(-1.0)
-        assert not cfg.admissible
+        cond = ss.step_condition(spec, cfg)
+        assert cond.rho == pytest.approx(1.0) and cond.margin == pytest.approx(-1.0)
+        assert not cond.admissible
         assert min_eig(dense_v(spec, cfg) - 0.5 * dense_minv(spec)) < 0.0
         # while V alone stays positive definite
         assert min_eig(dense_v(spec, cfg)) > 0.0
@@ -139,8 +141,9 @@ class TestCertifyStrongPositivity:
         spec = single_block_spec()
         cfg = ss.validate_steps(spec, 0.5, (0.5,))
         v = dense_v(spec, cfg)
-        assert min_eig(v - cfg.rho * np.eye(2)) == pytest.approx(0.0, abs=1e-12)
-        assert min_eig(v - 1.5 * cfg.rho * np.eye(2)) < 0.0
+        rho = ss.step_condition(spec, cfg).rho
+        assert min_eig(v - rho * np.eye(2)) == pytest.approx(0.0, abs=1e-12)
+        assert min_eig(v - 1.5 * rho * np.eye(2)) < 0.0
 
     def test_asymmetry_mutation_fails(self):
         # the cross term of V read through L and through L^T agrees only
@@ -151,9 +154,9 @@ class TestCertifyStrongPositivity:
         cfg = ss.validate_steps(spec, 0.1, (0.1,))
         x, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         sq = _sq_norms(x, [v])
-        through_l = _v_quadform(spec, cfg.tau, cfg.sigmas, x, [v], *sq)
-        through_lt = _v_quadform(spec, cfg.tau, cfg.sigmas, x, [v], *sq,
-                                 dwsum=L.adjoint_apply(v))
+        metric = _Metric(spec, cfg.tau, cfg.sigmas)
+        through_l = metric.quadform(x, [v], *sq)
+        through_lt = metric.quadform(x, [v], *sq, dwsum=L.adjoint_apply(v))
         assert through_l != through_lt
         assert not verdicts(spec)["adjoint(L[0])"]
 

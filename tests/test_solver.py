@@ -46,53 +46,52 @@ def simple_spec(m=1, dim=1, norms=None, mu=1.0, nus=None, weights=None):
     )
 
 
+def condition_at(spec, tau, sigmas, **kwargs):
+    """:func:`step_condition` of the steps :func:`validate_steps` returns."""
+    return ss.step_condition(spec, ss.validate_steps(spec, tau, sigmas, **kwargs))
+
+
 class TestValidateSteps:
     def test_single_block_half_steps(self):
-        cfg = ss.validate_steps(simple_spec(), 0.5, (0.5,))
-        assert abs(cfg.rho - 1.0) <= 1e-14
-        assert cfg.beta == 1.0
-        assert cfg.admissible  # 2 * 1 * 1 > 1
+        cond = condition_at(simple_spec(), 0.5, (0.5,))
+        assert abs(cond.rho - 1.0) <= 1e-14
+        assert cond.beta == 1.0
+        assert cond.admissible  # 2 * 1 * 1 > 1
 
     def test_admissibility_tracks_beta(self):
         # beta = 0.4 < 0.5 makes 2 rho beta < 1: the paper's test fails, but
         # the margin (2 - 1/0.8) - 1/2 = 1/4 is positive
         spec = simple_spec(mu=0.4)
-        cfg = ss.validate_steps(spec, 0.5, (0.5,))
-        assert abs(cfg.rho - 1.0) <= 1e-14
-        assert 2.0 * cfg.rho * cfg.beta < 1.0
-        assert cfg.margin == pytest.approx(0.25, abs=1e-14)
-        assert cfg.admissible
+        cond = condition_at(spec, 0.5, (0.5,))
+        assert abs(cond.rho - 1.0) <= 1e-14
+        assert 2.0 * cond.rho * cond.beta < 1.0
+        assert cond.margin == pytest.approx(0.25, abs=1e-14)
+        assert cond.admissible
         # at mu = 0.2 the margin is (2 - 1/0.4) - 1/2 = -1
-        cfg = ss.validate_steps(simple_spec(mu=0.2), 0.5, (0.5,))
-        assert cfg.margin == pytest.approx(-1.0, abs=1e-14)
-        assert not cfg.admissible
-
-    def test_admissible_follows_replaced_margin(self):
-        cfg = ss.validate_steps(simple_spec(), 0.5, (0.5,))
-        assert cfg.admissible
-        assert not dataclasses.replace(cfg, margin=-1.0).admissible
-        assert dataclasses.replace(cfg, margin=0.0).admissible is False
+        cond = condition_at(simple_spec(mu=0.2), 0.5, (0.5,))
+        assert cond.margin == pytest.approx(-1.0, abs=1e-14)
+        assert not cond.admissible
 
     def test_margin_refuses_dual_step_past_twice_nu(self):
         # 1/sigma <= 1/(2 nu) leaves the dual block no slack at all
         spec = simple_spec(nus=(0.25,))
-        assert ss.validate_steps(spec, 0.1, (0.5,)).margin == -math.inf
-        assert ss.validate_steps(spec, 0.1, (0.4,)).margin > 0.0
+        assert condition_at(spec, 0.1, (0.5,)).margin == -math.inf
+        assert condition_at(spec, 0.1, (0.4,)).margin > 0.0
 
     def test_unit_coupling_boundary(self):
-        cfg = ss.validate_steps(simple_spec(), 1.0, (1.0,))
-        assert cfg.rho == 0.0
-        assert not cfg.admissible
+        cond = condition_at(simple_spec(), 1.0, (1.0,))
+        assert cond.rho == 0.0
+        assert not cond.admissible
 
     def test_two_block_quarter_steps(self):
         spec = simple_spec(m=2)
-        cfg = ss.validate_steps(spec, 0.25, (0.25, 0.25))
-        assert abs(cfg.rho - 3.0) <= 1e-14
+        cond = condition_at(spec, 0.25, (0.25, 0.25))
+        assert abs(cond.rho - 3.0) <= 1e-14
 
     def test_delta_positive_when_admissible(self):
-        cfg = ss.validate_steps(simple_spec(), 0.5, (0.5,))
-        assert cfg.delta == pytest.approx(1.0)  # 1/sqrt(0.25) - 1
-        assert cfg.delta > 0
+        cond = condition_at(simple_spec(), 0.5, (0.5,))
+        assert cond.delta == pytest.approx(1.0)  # 1/sqrt(0.25) - 1
+        assert cond.delta > 0
 
     def test_never_mutates_spec(self):
         spec = simple_spec()
@@ -174,11 +173,68 @@ class TestHandBuiltSteps:
         assert asked == []
 
     def test_steps_stored_as_floats(self):
-        cfg = ss.StepConfig(tau=1, sigmas=[2, np.float32(0.5)], rho=0.0, beta=1.0,
-                            delta=0.0, margin=1.0, norms=(1.0, 1.0))
+        cfg = ss.StepConfig(tau=1, sigmas=[2, np.float32(0.5)], norms=[1, 2.0])
         assert type(cfg.tau) is float and cfg.tau == 1.0
         assert cfg.sigmas == (2.0, 0.5)
         assert all(type(s) is float for s in cfg.sigmas)
+        assert cfg.norms == (1.0, 2.0)
+        assert all(type(nm) is float for nm in cfg.norms)
+
+    def test_inputs_only(self):
+        assert [f.name for f in dataclasses.fields(ss.StepConfig)] == [
+            "tau", "sigmas", "norms", "lam"]
+
+
+class TestStaleSteps:
+    """The verdict is formed from the steps the run is handed, so steps
+    replaced or built by hand past the step condition are refused before
+    iteration 0, whatever config they came from."""
+
+    @staticmethod
+    def stale_configs():
+        cp, _ = ss.benchmarks.condat_problem()
+        spec = ss.lower_to_inclusion(cp)
+        cfg = ss.suggest_steps(spec)
+        scaled = dataclasses.replace(cfg, tau=20.0 * cfg.tau,
+                                     sigmas=tuple(20.0 * s for s in cfg.sigmas))
+        by_hand = ss.StepConfig(tau=100.0, sigmas=(100.0, 100.0), norms=cfg.norms)
+        return cp, spec, cfg, {"scaled by 20": scaled, "built by hand": by_hand}
+
+    def test_condition_follows_the_steps(self):
+        _, spec, cfg, stale = self.stale_configs()
+        assert ss.step_condition(spec, cfg).margin == pytest.approx(0.0406, abs=1e-4)
+        assert ss.step_condition(spec, stale["scaled by 20"]).margin == pytest.approx(
+            -35.4, abs=0.1)
+        for bad in stale.values():
+            assert not ss.step_condition(spec, bad).admissible
+
+    @pytest.mark.parametrize("name", ["scaled by 20", "built by hand"])
+    def test_refused_before_iterating(self, name):
+        cp, spec, _, stale = self.stale_configs()
+        asked = []
+
+        def errors(n):
+            asked.append(n)
+            return None
+        with pytest.raises(ss.InadmissibleStepsError, match="^step sizes are inadmissible"):
+            ss.run(spec, stale[name], errors=errors)
+        with pytest.raises(ss.InadmissibleStepsError):
+            ss.solve_convex(cp, cfg=stale[name], errors=errors)
+        assert asked == []
+        # the override still runs them, into divergence
+        report = ss.run(spec, stale[name], errors=errors, allow_inadmissible=True)
+        assert report.termination == "diverged"
+        assert asked == list(range(report.iterations + 1))
+
+    @pytest.mark.parametrize("norms, message", [
+        ((1.0,), "^one norm per block is required$"),
+        ((1.0, math.nan), "^block 1: linear operator has non-finite norm nan$"),
+        ((1.0, 0.0), "^block 1: linear operator has zero estimated norm$"),
+    ], ids=["count", "nan", "zero"])
+    def test_bad_norms_refused_before_iterating(self, norms, message):
+        _, spec, cfg, _ = self.stale_configs()
+        with pytest.raises(ValueError, match=message):
+            ss.run(spec, dataclasses.replace(cfg, norms=norms))
 
 
 class TestSuggestSteps:
@@ -190,23 +246,25 @@ class TestSuggestSteps:
         assert tau == pytest.approx(0.77297, abs=1e-5)
         assert cfg.tau == pytest.approx(tau, rel=1e-14)
         assert cfg.sigmas[0] == cfg.tau
-        assert cfg.margin == pytest.approx(1.0 / tau - 0.5 - tau, rel=1e-12)
-        assert cfg.rho == pytest.approx(1.0 / tau - 1.0, rel=1e-12)
-        assert cfg.admissible
+        cond = ss.step_condition(simple_spec(), cfg)
+        assert cond.margin == pytest.approx(1.0 / tau - 0.5 - tau, rel=1e-12)
+        assert cond.rho == pytest.approx(1.0 / tau - 1.0, rel=1e-12)
+        assert cond.admissible
 
     def test_capped_beta(self):
         spec = simple_spec(mu=math.inf)  # every constant infinite
         cfg = ss.suggest_steps(spec, safety=0.99)
-        assert cfg.beta == BETA_CAP
+        cond = ss.step_condition(spec, cfg)
+        assert cond.beta == BETA_CAP
         assert cfg.tau == pytest.approx(0.99, rel=1e-9)
-        assert cfg.admissible
+        assert cond.admissible
 
     def test_safety_monotonicity(self):
         spec = simple_spec()
         big = ss.suggest_steps(spec, safety=0.99)
         small = ss.suggest_steps(spec, safety=0.5)
         assert small.tau < big.tau
-        assert small.admissible
+        assert ss.step_condition(spec, small).admissible
 
     def test_all_zero_norms_rejected(self):
         spec = simple_spec()
@@ -270,13 +328,13 @@ class TestBlockwiseCondition:
         coupling = math.sqrt(math.fsum(
             r * w * nm * nm for r, w, nm in zip(ratios, spec.layout.weights, norms)))
         tau = data.draw(st.floats(0.3, 1.5)) / (max(1.0, *ratios) / (2.0 * beta) + coupling)
-        cfg = ss.validate_steps(spec, tau, tuple(r * tau for r in ratios), norms=norms)
-        assert cfg.admissible == (cfg.margin > 0.0)
+        cond = condition_at(spec, tau, tuple(r * tau for r in ratios), norms=norms)
+        assert cond.admissible == (cond.margin > 0.0)
         # the relative 1e-9 keeps the cases where both tests coincide (one
         # block, tau = sigma, mu = nu) clear of rounding
-        if 2.0 * cfg.rho * cfg.beta > 1.0 + 1e-9:
-            assert cfg.margin > 0.0
-            assert cfg.admissible
+        if 2.0 * cond.rho * cond.beta > 1.0 + 1e-9:
+            assert cond.margin > 0.0
+            assert cond.admissible
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.integers(1, 4), st.integers(1, 3), constants,
@@ -317,7 +375,7 @@ class TestBlockwiseCondition:
             form[lo:hi, lo:hi] = w * (1.0 / sigma - 0.5 / nu) * np.eye(mat.shape[0])
             form[lo:hi, :n] = -w * mat
             form[:n, lo:hi] = -w * mat.T
-        assert cfg.admissible
+        assert ss.step_condition(spec, cfg).admissible
         assert np.linalg.eigvalsh(form)[0] > 0.0
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -327,7 +385,7 @@ class TestBlockwiseCondition:
         m = spec.num_blocks
         cfg = ss.suggest_steps(spec, safety=safety, norms=norms)
         assert cfg.sigmas == (cfg.tau,) * m
-        assert cfg.margin > 0.0
+        assert ss.step_condition(spec, cfg).margin > 0.0
         past = cfg.tau / safety * (1.0 + 1e-9)
         assert _step_margin(spec, past, (past,) * m, norms) <= 0.0
 
@@ -1089,9 +1147,11 @@ class TestBitwiseAgainstPlainLoop:
 
 def skip_flags(spec, cfg):
     """The skips the kernel takes on ``spec`` at every iteration."""
-    ws = ss.solver._Workspace(spec, cfg)
-    flags = {name for name, keep in (("C", ws.keep_C), ("z", ws.keep_z)) if not keep}
-    flags |= {"r" for keep in ws.keep_r if not keep} | {"Dinv" for keep in ws.keep_Dinv if not keep}
+    ws = ss.solver._Workspace(spec, cfg, True)
+    flags = {name for name, bound in (("C", ws.C), ("z", ws.z)) if bound is None}
+    # each block binds (L_i.apply, D_i^{-1}.apply, r_i, ...), None where skipped
+    flags |= {"Dinv" for blk in ws.blocks if blk[1] is None}
+    flags |= {"r" for blk in ws.blocks if blk[2] is None}
     if all(w == 1.0 for w in spec.layout.weights):
         flags.add("omega")
     if cfg.lam == 1.0:
@@ -1192,7 +1252,7 @@ class TestCarriedWeightedSum:
             d = b.u - a.u
             dx, dv = spec.layout.split(d)
             sq = ss.solver._sq_norms(dx, dv)
-            quad = ss.solver._v_quadform(spec, cfg.tau, cfg.sigmas, dx, dv, *sq)
+            quad = ss.solver._Metric(spec, cfg.tau, cfg.sigmas).quadform(dx, dv, *sq)
             assert rec.residual == pytest.approx(math.sqrt(quad), rel=1e-10)
 
     def test_overflowed_cross_term_is_not_a_zero_residual(self):
@@ -1200,8 +1260,9 @@ class TestCarriedWeightedSum:
         cfg = ss.suggest_steps(spec)
         dx, dv = np.array([1.0]), (np.array([1e-3]),)
         sq = ss.solver._sq_norms(dx, dv)
-        residual = ss.solver._residual_norm(spec, cfg, cfg.admissible, dx, dv, sq,
-                                            np.array([math.inf]))
+        metric = ss.solver._Metric(spec, cfg.tau, cfg.sigmas,
+                                   ss.step_condition(spec, cfg).admissible)
+        residual = metric.residual(dx, dv, sq, np.array([math.inf]))
         assert residual == math.inf
 
     def test_suite_iteration_counts_kept(self):
@@ -1510,8 +1571,9 @@ class TestAliasing:
         assert [n for n, _, _ in seen["stop"]] == list(range(1, 26))
         n = self.spec.layout.dim_primal
         for _, v, wsum in seen["metrics"] + seen["stop"]:
-            want = ss.solver._weighted_adjoint_sum(
-                self.spec.blocks, self.spec.layout.weights, v, np.empty(n), np.empty(n))
+            want = ss.solver._adjoint_sum(
+                tuple(zip((blk.L.adjoint_apply for blk in self.spec.blocks),
+                          self.spec.layout.weights)), v, np.empty(n), np.empty(n))
             assert_same_bits(wsum, want)
 
     def test_final_state_survives_divergence(self):
