@@ -44,9 +44,11 @@ from .solver import (
     StopReason,
     StoppingRule,
     _adjoint_sum,
+    _bind,
+    _check_sigma_count,
     _check_tolerance,
+    _checked_point,
     _checked_steps,
-    _vanishes,
     run,
     suggest_steps,
 )
@@ -298,6 +300,11 @@ def lower_to_inclusion(cp: ConvexProblem) -> ProblemSpec:
     """
     if cp.h.kind == "custom":
         check_gradient(cp.h)
+    return _lowered(cp)
+
+
+def _lowered(cp: ConvexProblem) -> ProblemSpec:
+    """:func:`lower_to_inclusion` without the gradient check."""
     blocks = tuple(
         Block(
             B=resolvent_from_prox(blk.g),
@@ -324,17 +331,10 @@ def _at_point(cp: ConvexProblem, x, v, tau, sigmas):
     their block's shape (not copied), and tau and one sigma per block
     (default 1) as floats, refused as :class:`StepConfig` refuses its
     steps."""
-    layout = cp.layout
     m = len(cp.blocks)
     tau, sigmas = _checked_steps(tau, (1.0,) * m if sigmas is None else sigmas)
-    if len(sigmas) != m:
-        raise ValueError("one sigma per block is required")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (layout.dim_primal,):
-        raise ValueError("x has the wrong shape")
-    v = tuple(np.asarray(vi, dtype=float) for vi in v)
-    if len(v) != m or any(vi.shape != (d,) for vi, d in zip(v, layout.dual_dims)):
-        raise ValueError("v has the wrong shapes")
+    _check_sigma_count(sigmas, m)
+    x, v = _checked_point(cp.layout, x, v)
     return x, v, tau, sigmas
 
 
@@ -351,11 +351,12 @@ def kkt_residual(cp: ConvexProblem, x: np.ndarray, v, tau: float = 1.0,
     ``x`` or ``v_i``, or a tau or sigma that is not finite and positive
     is refused with a ``ValueError``.  A finite point whose squares
     overflow gives ``inf`` without a numpy warning, as in
-    :func:`splitsolve.solver.run`.
+    :func:`splitsolve.solver.run`.  h is taken as given: the gradient
+    check of :func:`lower_to_inclusion` is not run.
     """
     x, v, tau, sigmas = _at_point(cp, x, v, tau, sigmas)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _GapPlan(cp, tau, sigmas).kkt(x, v)
+        return _GapPlan(cp, _lowered(cp), tau, sigmas).kkt(x, v)
 
 
 def evaluate_gap(cp: ConvexProblem, x, v, tau: float = 1.0, sigmas=None) -> GapReport:
@@ -363,21 +364,12 @@ def evaluate_gap(cp: ConvexProblem, x, v, tau: float = 1.0, sigmas=None) -> GapR
 
     Terms outside the closed-form catalog are flagged in ``notes`` and
     the affected value (and the gap) reported as ``None`` rather than
-    approximated.  Inputs are checked, and overflow is silent, as in
-    :func:`kkt_residual`.
+    approximated.  Inputs are checked, overflow is silent, and h is
+    taken as given, as in :func:`kkt_residual`.
     """
     x, v, tau, sigmas = _at_point(cp, x, v, tau, sigmas)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _GapPlan(cp, tau, sigmas).gap(x, v)
-
-
-def _conjugate_prox(g: ProxFunction, sigma: float, u: np.ndarray) -> np.ndarray:
-    """``prox_{sigma g*}(u)`` for a float array ``u`` and ``sigma > 0``:
-    the bits of ``resolvent_of_inverse(resolvent_from_prox(g), sigma, u)``
-    without building the resolvent."""
-    if g.conjugate_prox is not None:
-        return g.conjugate_prox(sigma, u)
-    return u - sigma * g.prox(1.0 / sigma, u / sigma)
+        return _GapPlan(cp, _lowered(cp), tau, sigmas).gap(x, v)
 
 
 def _infconv_value(blk: ConvexBlock, w: np.ndarray):
@@ -399,24 +391,14 @@ _ENVELOPE_LIMIT = 1e300
 
 class _GapPlan:
     """The formulas of :func:`evaluate_gap` and :func:`kkt_residual` for
-    one problem and one set of steps, less the array passes that are
-    exact IEEE no-ops, decided once when the plan is built.
+    one problem, lowered to ``spec``, and one set of steps, planned once.
 
-    Passes skipped for every input:
-
-    * subtracting ``z`` or ``r_i`` when every entry is +0.0
-      (:func:`splitsolve.solver._vanishes`): x - (+0) = x;
-    * subtracting the ``dirac`` conjugate gradient, which is +0;
-    * adding the gradient of the ``zero`` smooth term (+0) to the
-      weighted sum, which never holds -0;
-    * the prox (the identity) and the value (0.0) of the ``zero`` f;
-    * dividing by an ``sq_l2`` weight of 1: x / 1 = x.
-
-    For ``sq_l2`` h the primal value's x - b is the gradient's own
-    first pass, so the KKT argument reuses it and multiplies by the
-    weight only when it is not 1.
-
-    Terms skipped only when a value already in hand proves it exact:
+    The KKT residual is the fixed-point residual of the update that
+    :func:`splitsolve.solver.run` applies, bound by the same
+    :func:`splitsolve.solver._bind`: it skips the passes the run skips
+    and reads L_i x where the update reads L_i y.  The objective values
+    read from the binding which z and r_i vanish, and skip a few terms
+    only when a value already in hand proves the skip exact:
 
     * ``<x, z>`` for a vanishing ``z`` when h is ``sq_l2`` and h(x) is
       finite: then x is finite, the dot is +-0, and f(x) + h(x) is not
@@ -436,63 +418,49 @@ class _GapPlan:
     ``x``, ``v`` or ``wsum``.
     """
 
-    def __init__(self, cp: ConvexProblem, tau: float, sigmas):
-        self.cp, self.tau, self.sigmas = cp, tau, sigmas
-        layout = cp.layout
-        n = layout.dim_primal
-        self.keep_z = not _vanishes(cp.z)
-        self.keep_r = tuple(not _vanishes(blk.r) for blk in cp.blocks)
+    def __init__(self, cp: ConvexProblem, spec: ProblemSpec, tau: float, sigmas):
+        self.cp, self.tau = cp, tau
+        n = cp.layout.dim_primal
+        self.C, self.z, self.A, self.adjoints, self.blocks = _bind(spec, sigmas)
         self.drop_r_dot = tuple(
-            not keep and blk.g.kind in CATALOG_KINDS
+            r is None and blk.g.kind in CATALOG_KINDS
             and blk.ell.kind in ("dirac", "quadratic")
-            for keep, blk in zip(self.keep_r, cp.blocks))
+            for (_, _, r, _, _), blk in zip(self.blocks, cp.blocks))
         self.f_zero = cp.f.kind == "zero"
         self.sq = cp.h.kind == "sq_l2"
         if self.sq:
             self.c = cp.h.params["weight"]
             self.b = cp.h.params["center"]
             self.b_max = float(np.abs(self.b).max())
-        # d: x - b, then the gradient; arg: the primal KKT argument;
-        # u: z - wsum; wsum/tmp: the weighted sum when it is formed here;
-        # dual_arg: each block's KKT argument
+        # d: x - b; arg: the primal KKT argument; u: z - wsum; wsum/tmp:
+        # the weighted sum when it is formed here; dual_arg: each block's
+        # KKT argument
         self.d, self.arg, self.u, self.wsum, self.tmp = (np.empty(n) for _ in range(5))
-        self.dual_arg = tuple(np.empty(d) for d in layout.dual_dims)
-        self.adjoints = tuple(zip((blk.L.adjoint_apply for blk in cp.blocks),
-                                  layout.weights))
+        self.dual_arg = tuple(np.empty(d) for d in cp.layout.dual_dims)
 
-    def kkt(self, x, v, wsum=None, Lx=None, diff=None) -> float:
+    def kkt(self, x, v, wsum=None, Lx=None) -> float:
         """:func:`kkt_residual` at a checked point, given ``wsum`` =
-        sum_i w_i L_i^T v_i (formed here when ``None``), each ``L_i x``
-        in ``Lx`` and, for ``sq_l2`` h, ``diff`` = x - b in ``self.d``,
-        where the caller has them."""
-        cp = self.cp
+        sum_i w_i L_i^T v_i (formed here when ``None``) and each
+        ``L_i x`` in ``Lx``, where the caller has them."""
         if wsum is None:
             wsum = _adjoint_sum(self.adjoints, v, self.wsum, self.tmp)
+        arg = self.arg
         t = wsum
-        if cp.h.kind != "zero":
-            if self.sq:
-                grad = np.subtract(x, self.b, out=self.d) if diff is None else diff
-                if self.c != 1.0:
-                    grad = np.multiply(grad, self.c, out=self.d)
-            else:
-                grad = cp.h.gradient(x)
-            t = np.add(t, grad, out=self.arg)
-        if self.keep_z:
-            t = np.subtract(t, cp.z, out=self.arg)
-        arg = np.subtract(x, np.multiply(t, self.tau, out=self.arg), out=self.arg)
-        px = arg if self.f_zero else cp.f.prox(self.tau, arg)
-        res = _norm(np.subtract(x, px, out=self.arg))
-        for i, (w, s, blk, vi) in enumerate(zip(cp.layout.weights, self.sigmas,
-                                                cp.blocks, v)):
-            u = self.dual_arg[i]
-            a = blk.L.apply(x) if Lx is None else Lx[i]
-            if blk.ell.kind != "dirac":
-                a = np.subtract(a, blk.ell.conj_gradient(vi), out=u)
-            if self.keep_r[i]:
-                a = np.subtract(a, blk.r, out=u)
-            np.add(vi, np.multiply(a, s, out=u), out=u)
-            q = _conjugate_prox(blk.g, s, u)
-            res += w * _norm(np.subtract(vi, q, out=u))
+        if self.C is not None:
+            t = np.add(t, self.C(x), out=arg)
+        if self.z is not None:
+            t = np.subtract(t, self.z, out=arg)
+        p = self.A(self.tau, np.subtract(x, np.multiply(t, self.tau, out=arg), out=arg))
+        res = _norm(np.subtract(x, p, out=arg))
+        for i, ((apply, Dinv, r, sigma, dual), w, vi, u) in enumerate(zip(
+                self.blocks, self.cp.layout.weights, v, self.dual_arg)):
+            a = apply(x) if Lx is None else Lx[i]
+            if Dinv is not None:
+                a = np.subtract(a, Dinv(vi), out=u)
+            if r is not None:
+                a = np.subtract(a, r, out=u)
+            np.add(vi, np.multiply(a, sigma, out=u), out=u)
+            res += w * _norm(np.subtract(vi, dual(sigma, u), out=u))
         return res
 
     def _dual_f_h(self, wsum):
@@ -522,23 +490,23 @@ class _GapPlan:
         :meth:`kkt`."""
         cp = self.cp
         weights = cp.layout.weights
-        Lx = [blk.L.apply(x) for blk in cp.blocks]
+        Lx = [apply(x) for apply, *_ in self.blocks]
         if wsum is None:
             wsum = _adjoint_sum(self.adjoints, v, self.wsum, self.tmp)
         notes: list[str] = []
 
         fx = 0.0 if self.f_zero else cp.f.evaluate(x)
-        diff = None
         if self.sq:
             diff = np.subtract(x, self.b, out=self.d)
             hx = 0.5 * self.c * float(np.dot(diff, diff))
         else:
             hx = cp.h.value(x)
         primal: Optional[float] = fx + hx
-        if self.keep_z or not (self.sq and math.isfinite(hx)):
+        if self.z is not None or not (self.sq and math.isfinite(hx)):
             primal = primal - float(np.dot(x, cp.z))
-        for i, (w, blk, lxi) in enumerate(zip(weights, cp.blocks, Lx)):
-            val = _infconv_value(blk, lxi - blk.r if self.keep_r[i] else lxi)
+        for i, (w, blk, (_, _, r, _, _), lxi) in enumerate(
+                zip(weights, cp.blocks, self.blocks, Lx)):
+            val = _infconv_value(blk, lxi if r is None else lxi - r)
             if val is None:
                 notes.append(f"block {i}: no closed form for (g inf-conv ell); "
                              "primal value unavailable")
@@ -568,7 +536,7 @@ class _GapPlan:
             primal_value=primal,
             dual_value=dual,
             gap=None if primal is None or dual is None else primal + dual,
-            kkt_residual=self.kkt(x, v, wsum, Lx, diff),
+            kkt_residual=self.kkt(x, v, wsum, Lx),
             notes=tuple(notes),
         )
 
@@ -608,7 +576,7 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     # the hooks take the weighted sum run carries with each state, and
     # run's loop already silences overflow, so the public functions'
     # checks, sum and errstate are skipped
-    plan = (_GapPlan(cp, cfg.tau, cfg.sigmas)
+    plan = (_GapPlan(cp, spec, cfg.tau, cfg.sigmas)
             if record_objective or kkt_tol is not None else None)
     iter_metrics = None
     if record_objective:

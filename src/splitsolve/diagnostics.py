@@ -85,7 +85,10 @@ def _adjoint(name: str, L: LinearOp, samples: int, rng) -> CertificateReport:
 def certify_operators(spec: ProblemSpec, samples: int = 100,
                       seed: int = 0) -> list[CertificateReport]:
     """Certify C against mu, then each L_i's adjoint, then each D_i^{-1}
-    against nu_i, by ``samples`` seeded draws each."""
+    against nu_i, by ``samples`` seeded draws each; ``samples`` must be
+    an integer of at least 1."""
+    if not (isinstance(samples, (int, np.integer)) and samples >= 1):
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     blocks = spec.blocks
     return [

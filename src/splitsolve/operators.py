@@ -347,8 +347,8 @@ def estimate_norm(L: LinearOp, tol: float = 1e-8, max_iter: int = 10000,
     undercut.  On non-convergence the best iterate is returned with
     ``converged=False``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     rng = np.random.default_rng(seed)

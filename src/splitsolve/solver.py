@@ -238,6 +238,8 @@ class StoppingRule:
     max_iter: int = 10000
 
     def __post_init__(self):
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         _check_tolerance("tol", self.tol)
@@ -258,6 +260,14 @@ def _checked_steps(tau, sigmas) -> tuple[float, tuple[float, ...]]:
     if any(s <= 0 for s in sigmas):
         raise ValueError("every sigma must be strictly positive")
     return tau, sigmas
+
+
+def _check_sigma_count(sigmas, m: int) -> None:
+    """Refuse ``sigmas`` unless it holds one step per each of ``m`` blocks."""
+    if len(sigmas) != m:
+        raise ValueError(
+            f"one sigma per block is required: the steps have {len(sigmas)} "
+            f"and the problem has {m} blocks")
 
 
 def _check_tolerance(name: str, value: float) -> None:
@@ -396,21 +406,29 @@ class RunReport:
         return rule if rule in ("max_iter", "diverged") else "converged"
 
 
+def _checked_point(layout: SpaceLayout, x, v):
+    """``x`` and each ``v_i`` as float arrays (not copied), refused
+    unless ``x`` lies in H and ``v`` holds one point of each G_i; a
+    ``None`` component is passed on."""
+    if x is not None:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (layout.dim_primal,):
+            raise ValueError("x has the wrong shape")
+    if v is not None:
+        v = tuple(np.asarray(vi, dtype=float) for vi in v)
+        if [vi.shape for vi in v] != [(d,) for d in layout.dual_dims]:
+            raise ValueError("v has the wrong shapes")
+    return x, v
+
+
 def initial_state(layout: SpaceLayout, x0=None, v0=None) -> IterState:
     """State at iteration 0 in a fresh array; ``x0``/``v0`` are copied
     and missing components default to zero."""
+    x0, v0 = _checked_point(layout, x0, v0)
     st = _state(0, np.zeros(layout.size), layout)
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != st.x.shape:
-            raise ValueError("x has the wrong shape")
         st.x[...] = x0
     if v0 is not None:
-        v0 = tuple(np.asarray(vi, dtype=float) for vi in v0)
-        if len(v0) != layout.num_blocks or any(
-            vi.shape != dst.shape for vi, dst in zip(v0, st.v)
-        ):
-            raise ValueError("v has the wrong shapes")
         for dst, vi in zip(st.v, v0):
             dst[...] = vi
     return st
@@ -535,10 +553,7 @@ def step_condition(spec: ProblemSpec, cfg: StepConfig) -> StepCondition:
     ``ValueError``, and its ``norms`` are refused as
     :func:`certified_norms` refuses its own.
     """
-    if len(cfg.sigmas) != spec.num_blocks:
-        raise ValueError(
-            f"one sigma per block is required: the steps have {len(cfg.sigmas)} "
-            f"and the problem has {spec.num_blocks} blocks")
+    _check_sigma_count(cfg.sigmas, spec.num_blocks)
     norms = _checked_norms(spec, cfg.norms)
     return StepCondition(_step_margin(spec, cfg.tau, cfg.sigmas, norms),
                          *_step_quantities(spec, cfg.tau, cfg.sigmas, norms))
@@ -676,11 +691,34 @@ class _Metric:
         return math.sqrt(max(quad, 0.0)) if math.isfinite(quad) else abs(quad)
 
 
+def _bind(spec: ProblemSpec, sigmas):
+    """The update of ``spec`` at the dual steps ``sigmas``, bound once
+    for :func:`run` and for the KKT residual of :mod:`splitsolve.convex`:
+    ``(C, z, A, adjoints, blocks)``.
+
+    ``C`` is ``C.apply``, ``None`` for a ``"zero"`` C (the library zero
+    map, which returns +0); ``z`` is z, ``None`` when :func:`_vanishes`
+    holds; ``A`` is the resolvent of A; ``adjoints`` holds each
+    ``(L_i.adjoint_apply, w_i)`` for :func:`_adjoint_sum`; and each
+    block is ``(L_i.apply, D_i^{-1}.apply, r_i, sigma_i, dual)``, with
+    D_i^{-1} and r_i ``None`` when skipped as C and z are, and ``dual``
+    the map J_{sigma_i B_i^{-1}} of ``operators._dual_step``.
+    """
+    return (
+        None if spec.C.kind == "zero" else spec.C.apply,
+        None if _vanishes(spec.z) else spec.z,
+        spec.A.resolvent,
+        tuple(zip((blk.L.adjoint_apply for blk in spec.blocks), spec.layout.weights)),
+        tuple((blk.L.apply, None if blk.Dinv.kind == "zero" else blk.Dinv.apply,
+               None if _vanishes(blk.r) else blk.r, sigma, _dual_step(blk.B))
+              for blk, sigma in zip(spec.blocks, sigmas)),
+    )
+
+
 class _Workspace:
     """The run's step plan: the scratch arrays of the kernel and of the
-    residual arithmetic, the kernel operations that are exact no-ops for
-    the whole run, and the operators and steps of the update, each bound
-    once.
+    residual arithmetic, and the update of :func:`_bind` with the steps
+    of the run.
 
     ``wsum`` and ``wsum_next`` hold the weighted sums
     sum_i w_i L_i^T v_i of the current and the next state; :func:`run`
@@ -695,21 +733,15 @@ class _Workspace:
     the product space with per-block views ``dx``/``dv`` and
     ``sx``/``sv``.
 
-    The bound update: ``C`` is ``C.apply`` and ``z`` is z, each ``None``
-    when skipped; ``A`` is the resolvent of A; ``tau`` and ``lam`` are
-    the steps of ``cfg``, and ``tau_array`` and ``lam_array`` the same
-    two as 0-d float64 arrays, the multipliers of the float64 buffers t
-    and d (numpy converts a Python float operand on every call, a 0-d
-    array not, and the products have the same bits); ``adjoints`` holds
-    each ``(L_i.adjoint_apply, w_i)`` for :func:`_adjoint_sum`;
-    ``metric`` is the run's :class:`_Metric`; ``exact`` is
-    ``(None,) * m``, the ``b`` and ``c`` of an exact update; and
-    ``blocks`` holds one tuple per block: ``L_i.apply``,
-    ``D_i^{-1}.apply`` or ``None``, r_i or ``None``, sigma_i, the dual
-    step J_{sigma_i B_i^{-1}} (``operators._dual_step`` of B_i), and the
-    block's ``dual_arg`` and ``dv``.  C and D_i^{-1} are skipped when
-    their kind is ``"zero"`` (the library zero map, which returns +0),
-    z and r_i when :func:`_vanishes` holds.
+    ``C``, ``z``, ``A`` and ``adjoints`` are those of :func:`_bind`, and
+    ``blocks`` its block tuples, each followed by the block's
+    ``dual_arg`` and ``dv``; ``tau`` and ``lam`` are the steps of
+    ``cfg``, and ``tau_array`` and ``lam_array`` the same two as 0-d
+    float64 arrays, the multipliers of the float64 buffers t and d
+    (numpy converts a Python float operand on every call, a 0-d array
+    not, and the products have the same bits); ``metric`` is the run's
+    :class:`_Metric`; and ``exact`` is ``(None,) * m``, the ``b`` and
+    ``c`` of an exact update.
     """
 
     __slots__ = ("wsum", "wsum_next", "tmp", "arg", "y", "dual_arg",
@@ -727,19 +759,13 @@ class _Workspace:
         self.dx, self.dv = layout.split(self.d)
         self.s = np.empty(layout.size)
         self.sx, self.sv = layout.split(self.s)
-        self.C = None if spec.C.kind == "zero" else spec.C.apply
-        self.z = None if _vanishes(spec.z) else spec.z
-        self.A = spec.A.resolvent
+        self.C, self.z, self.A, self.adjoints, blocks = _bind(spec, cfg.sigmas)
         self.tau, self.lam = cfg.tau, cfg.lam
         self.tau_array, self.lam_array = np.array(cfg.tau), np.array(cfg.lam)
-        self.adjoints = tuple(zip((blk.L.adjoint_apply for blk in spec.blocks),
-                                  layout.weights))
         self.metric = _Metric(spec, cfg.tau, cfg.sigmas, admissible)
         self.exact = (None,) * spec.num_blocks
-        self.blocks = tuple(
-            (blk.L.apply, None if blk.Dinv.kind == "zero" else blk.Dinv.apply,
-             None if _vanishes(blk.r) else blk.r, sigma, _dual_step(blk.B), u, dvi)
-            for blk, sigma, u, dvi in zip(spec.blocks, cfg.sigmas, self.dual_arg, self.dv))
+        self.blocks = tuple(blk + (u, dvi)
+                            for blk, u, dvi in zip(blocks, self.dual_arg, self.dv))
 
 
 def _kernel(ws, st, wsum, err, out):
@@ -942,24 +968,17 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     the conjugate prox of the catalog ``zero`` function) return one
     shared read-only array.
 
-    Once per run the iteration decides which array passes are exact
-    no-ops and skips them: subtracting ``z`` or ``r_i`` when every entry
-    is +0.0 (x - (+0) = x; a -0.0 entry keeps its pass), applying ``C``
-    or ``D_i^{-1}`` when its ``kind`` is ``"zero"`` (the library zero
-    map, whose +0 changes no bit), multiplying by a weight or a
-    relaxation equal to 1 (x * 1 = x), and filling the weighted sum with
-    zeros before its first term.  So the bits are those of the plain
-    formulas in the module docstring.
-
-    The update is bound once per run, before the first iteration (see
-    ``_Workspace``): the operators' callables, the steps, the skips and
-    each block's dual step J_{sigma_i B_i^{-1}}.  That dual step is the
-    one :func:`resolvent_of_inverse` takes: the closed form
-    ``B_i.inverse_resolvent`` where one is set (``ResolventOp.zero`` and
-    the blocks lowered from catalog functions other than ``box``), else
-    the inverse-resolvent identity on ``B_i.resolvent``.  The run calls
-    it directly, without :func:`resolvent_of_inverse`'s per-call check
-    of sigma_i, which :class:`StepConfig` has already made.
+    The update is bound once per run, before the first iteration, by
+    ``_bind``: the operators' callables, the steps, and each block's
+    dual step, the map :func:`resolvent_of_inverse` takes, called
+    without its per-call check of sigma_i, which :class:`StepConfig`
+    has already made.  Array passes that are exact no-ops are skipped:
+    subtracting a ``z`` or ``r_i`` whose entries are all +0.0 (a -0.0
+    entry keeps its pass), applying a ``C`` or ``D_i^{-1}`` of kind
+    ``"zero"`` (whose +0 changes no bit), multiplying by a weight or a
+    relaxation of 1, and filling the weighted sum with zeros before its
+    first term.  So the bits are those of the plain formulas in the
+    module docstring.
 
     Before the first iteration the run evaluates :func:`step_condition`
     of ``cfg`` on ``spec`` itself: a ``cfg`` whose ``sigmas`` or

@@ -23,6 +23,7 @@ from splitsolve.convex import OBJECTIVE_STRIDE, check_gradient
 from splitsolve.reporting import format_run_csv
 
 from conftest import assert_same_bits
+from gap_reference import reference_gap
 
 
 def lasso_1d():
@@ -134,6 +135,19 @@ class TestLowering:
     def test_solve_rejects_wrong_custom_gradient(self):
         with pytest.raises(ValueError, match="finite-difference"):
             ss.solve_convex(self.wrong_gradient_problem())
+
+    def test_gap_and_kkt_skip_the_check(self):
+        # evaluate_gap and kkt_residual lower without the O(n^2) check,
+        # which this gradient fails, and still give the formulas' values
+        cp = self.wrong_gradient_problem()
+        x, v = np.full(1, 2.0), [np.full(d, 0.3) for d in cp.layout.dual_dims]
+        gap = ss.evaluate_gap(cp, x, v, tau=0.5)
+        kkt = ss.kkt_residual(cp, x, v, tau=0.5)
+        want = reference_gap(cp, x, v, tau=0.5)
+        assert repr(gap.kkt_residual) == repr(kkt) == repr(want.kkt_residual)
+        assert (repr(gap.primal_value), repr(gap.dual_value)) == (
+            repr(want.primal_value), repr(want.dual_value))
+        assert math.isfinite(kkt) and kkt > 0.0
 
 
 class TestSolveConvex:

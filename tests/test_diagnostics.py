@@ -244,6 +244,13 @@ class TestCertifyOperators:
         L = ss.matrix_op(scale * rng.standard_normal((4, 6)))
         assert all(verdicts(single_block_spec(L=L, dims=(6, 4))).values())
 
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, math.nan])
+    def test_bad_sample_count_refused(self, samples):
+        # no samples used to end in numpy's "zero-size array to reduction
+        # operation minimum which has no identity"
+        with pytest.raises(ValueError, match="^samples must be an integer >= 1, got "):
+            certify_operators(single_block_spec(), samples=samples)
+
 
 class TestFejerMonitor:
     """Distances to the final iterate in the renormed metric V, by the

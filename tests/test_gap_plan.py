@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import splitsolve as ss
-from splitsolve.convex import _GapPlan
+from splitsolve.convex import _GapPlan, _lowered
 from splitsolve.operators import CATALOG_KINDS
 from splitsolve.solver import _adjoint_sum
 
@@ -22,7 +22,14 @@ from gap_reference import reference_gap, reference_kkt
 
 N = 6
 KINDS = sorted(CATALOG_KINDS)
-H_CASES = {"sq_l2 weight 1": 1.0, "sq_l2 weight 2.5": 2.5, "zero": None}
+H_CASES = {
+    "sq_l2 weight 1": lambda rng: ss.quadratic_smooth(rng.standard_normal(N), weight=1.0),
+    "sq_l2 weight 2.5": lambda rng: ss.quadratic_smooth(rng.standard_normal(N), weight=2.5),
+    "zero": lambda rng: ss.zero_smooth(N),
+    # a finite mu lowers to a "custom" C, which the update applies (it
+    # returns +0), though h's kind is still "zero"
+    "zero mu 2": lambda rng: ss.zero_smooth(N, mu=2.0),
+}
 OFFSETS = ("vanishing", "signed zeros", "nonzero")
 WEIGHTS = ((1.0,), (0.7, 0.3))
 
@@ -54,8 +61,7 @@ def problem(f_kind, h_case, ell_kind, offsets, weights):
     through ``diff1d``, block 1 (when there are two) through a dense
     matrix, and the g kinds cycle with f's so that each kind occurs."""
     rng = np.random.default_rng(KINDS.index(f_kind) + 7 * len(weights))
-    c = H_CASES[h_case]
-    h = ss.zero_smooth(N) if c is None else ss.quadratic_smooth(rng.standard_normal(N), weight=c)
+    h = H_CASES[h_case](rng)
     ops = [ss.diff1d_op(N), ss.matrix_op(rng.standard_normal((N, N)))]
     blocks = []
     for i, w in enumerate(weights):
@@ -104,7 +110,7 @@ def reprs(rep):
 
 def assert_matches_reference(cp, tau, sigmas, pts):
     # one plan per problem, fed states in turn as the hooks are
-    plan = _GapPlan(cp, tau, (1.0,) * len(cp.blocks) if sigmas is None else sigmas)
+    plan = _GapPlan(cp, _lowered(cp), tau, (1.0,) * len(cp.blocks) if sigmas is None else sigmas)
     n = cp.layout.dim_primal
     adjoints = tuple(zip((blk.L.adjoint_apply for blk in cp.blocks), cp.layout.weights))
     for x, v in pts:

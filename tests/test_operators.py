@@ -90,6 +90,12 @@ class TestEstimateNorm:
             quotient = np.linalg.norm(L.apply(x)) / np.linalg.norm(x)
             assert est.value >= quotient - tol
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_bad_tolerance_refused(self, tol):
+        # a NaN tol used to run all max_iter steps and return converged=False
+        with pytest.raises(ValueError, match="^tol must be positive, got "):
+            estimate_norm(identity_op(3), tol=tol)
+
     def test_zero_operator(self):
         L = LinearOp(3, 3, lambda x: np.zeros(3), lambda y: np.zeros(3))
         est = estimate_norm(L)

@@ -810,6 +810,19 @@ class TestStoppingRule:
             else:
                 ss.solve_convex(tiny_convex_problem(), kkt_tol=value)
 
+    @pytest.mark.parametrize("value", [2.5, 10.0, math.nan, "10"])
+    def test_non_integer_max_iter_refused_by_name(self, value):
+        # 2.5 and NaN used to pass here and fail in run's range() with a TypeError
+        with pytest.raises(ValueError, match="^max_iter must be an integer, got "):
+            ss.StoppingRule(max_iter=value)
+
+    def test_numpy_integer_max_iter_runs(self):
+        report, _ = ss.solve_convex(tiny_convex_problem(), x0=np.full(2, 100.0),
+                                    stop=ss.StoppingRule(tol=0.0, max_iter=np.int64(3)))
+        assert report.stop == ss.StopReason("max_iter", 3.0, 3.0)
+        with pytest.raises(ValueError, match="^max_iter must be >= 1$"):
+            ss.StoppingRule(max_iter=0)
+
     def test_zero_tolerances_accepted(self):
         rule = ss.StoppingRule(tol=0.0)
         assert rule.tol == 0.0
