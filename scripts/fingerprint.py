@@ -39,8 +39,11 @@ CSV columns are found by header name, so the script runs unchanged on
 any checkout that has these, ``suggest_steps(..., lam=)`` and
 ``step_condition(spec, cfg).margin``.  Every run CSV is hashed a
 second time with its ``residual`` column dropped, so a change that
-moves only residuals shows apart from a change of iterates.  Temporary directory names are
-replaced by ``<tmp>`` before hashing.
+moves only residuals shows apart from a change of iterates.  At the
+final state of the relaxation-1 TV-2D run, ``evaluate_gap`` (the
+``repr`` of each field) and ``kkt_residual`` of the same problem,
+built as a ``ConvexProblem`` from public constructors, are hashed too.
+Temporary directory names are replaced by ``<tmp>`` before hashing.
 """
 
 from __future__ import annotations
@@ -253,6 +256,32 @@ def tv2d_spec(b: np.ndarray) -> solver.ProblemSpec:
     )
 
 
+def tv2d_convex(b: np.ndarray) -> convex.ConvexProblem:
+    """The problem of :func:`tv2d_spec` as a convex program: a zero f,
+    h = ||x - b||^2 / 2 and an l1 g with no inf-convolution."""
+    n = b.size
+    L = operators.grad2d_op(TV2D_SIDE, TV2D_SIDE)
+    m = L.out_dim
+    return convex.ConvexProblem(
+        layout=SpaceLayout(n, (m,), (1.0,)),
+        f=operators.catalog_prox("zero", n),
+        h=convex.quadratic_smooth(b, weight=1.0),
+        z=np.zeros(n),
+        blocks=(convex.ConvexBlock(g=operators.catalog_prox("l1", m, weight=0.3),
+                                   ell=convex.dirac_term(m), L=L, r=np.zeros(m)),),
+    )
+
+
+def emit_gap(label: str, cp, cfg, report) -> None:
+    """``evaluate_gap`` and ``kkt_residual`` at the run's final state."""
+    st = report.final_state
+    gap = convex.evaluate_gap(cp, st.x, st.v, tau=cfg.tau, sigmas=cfg.sigmas)
+    emit(f"{label} evaluate_gap", repr(tuple(
+        getattr(gap, f.name) for f in dataclasses.fields(gap))).encode())
+    emit(f"{label} kkt_residual", repr(convex.kkt_residual(
+        cp, st.x, st.v, tau=cfg.tau, sigmas=cfg.sigmas)).encode())
+
+
 def emit_report(label: str, spec, cfg, report) -> None:
     emit(f"{label} steps", f"tau {cfg.tau!r} sigmas {cfg.sigmas!r}".encode())
     emit(f"{label} margin", repr(solver.step_condition(spec, cfg).margin).encode())
@@ -278,7 +307,9 @@ def tv2d_runs() -> None:
     stop = solver.StoppingRule(tol=1e-6, max_iter=3000)
 
     cfg = solver.suggest_steps(spec)
-    emit_report("tv2d lambda=1", spec, cfg, solver.run(spec, cfg, stop=stop))
+    report = solver.run(spec, cfg, stop=stop)
+    emit_report("tv2d lambda=1", spec, cfg, report)
+    emit_gap("tv2d lambda=1", tv2d_convex(b), cfg, report)
 
     cfg = solver.suggest_steps(spec, lam=0.9)
     errors = solver.geometric_errors(spec.layout, 1e-3, 0.95, seed=3)

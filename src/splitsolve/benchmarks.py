@@ -443,11 +443,8 @@ REFERENCES: dict = {
 # suite drivers
 
 
-def _solve_tight(cp, tol=1e-13, max_iter=400_000, record_states=False, errors=None):
-    return solve_convex(
-        cp, stop=StoppingRule(tol=tol, max_iter=max_iter),
-        errors=errors, record_states=record_states,
-    )
+def _solve_tight(cp, tol=1e-13, max_iter=400_000, errors=None):
+    return solve_convex(cp, stop=StoppingRule(tol=tol, max_iter=max_iter), errors=errors)
 
 
 def _suite_fb_reduction() -> BenchOutcome:

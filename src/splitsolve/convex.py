@@ -25,11 +25,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .operators import (
-    CATALOG_KINDS,
     CocoerciveOp,
     Domain,
     LinearOp,
     ProxFunction,
+    _check_count,
     _norm,
     _read_only_zeros,
     resolvent_from_prox,
@@ -257,7 +257,9 @@ class QualificationReport:
 def check_gradient(h: SmoothTerm, points: int = 20, seed: int = 0,
                    rel_tol: float = 1e-5) -> float:
     """Central-difference check of the gradient; returns the worst
-    relative error and raises if it exceeds ``rel_tol``."""
+    relative error and raises if it exceeds ``rel_tol``; ``points``
+    must be an integer of at least 1."""
+    _check_count("points", points)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(points):
@@ -384,11 +386,6 @@ def _infconv_value(blk: ConvexBlock, w: np.ndarray):
     return None
 
 
-#: below this bound on max|b| + ||u|| / c every entry of b + u / c is
-#: finite, with room for the rounding of ||u|| and of the sum
-_ENVELOPE_LIMIT = 1e300
-
-
 class _GapPlan:
     """The formulas of :func:`evaluate_gap` and :func:`kkt_residual` for
     one problem, lowered to ``spec``, and one set of steps, planned once.
@@ -397,45 +394,22 @@ class _GapPlan:
     :func:`splitsolve.solver.run` applies, bound by the same
     :func:`splitsolve.solver._bind`: it skips the passes the run skips
     and reads L_i x where the update reads L_i y.  The objective values
-    read from the binding which z and r_i vanish, and skip a few terms
-    only when a value already in hand proves the skip exact:
-
-    * ``<x, z>`` for a vanishing ``z`` when h is ``sq_l2`` and h(x) is
-      finite: then x is finite, the dot is +-0, and f(x) + h(x) is not
-      -0 (h(x) >= +0), so subtracting it changes no bit;
-    * ``<v_i, r_i>`` for a vanishing ``r_i`` when g_i is a catalog kind,
-      ell_i is ``dirac`` or ``quadratic`` and g_i*(v_i) is finite: every
-      catalog conjugate value is non-finite at a non-finite point, so
-      v_i is finite and the dot is +-0, and g_i*(v_i) + ell_i*(v_i) is
-      not -0 (ell_i* >= +0);
-    * the Moreau envelope of the ``zero`` f for ``sq_l2`` h, 0.0 + (c/2)
-      <+0, +0> = +0.0, when ||u|| is finite and max|b| + ||u||/c stays
-      below ``_ENVELOPE_LIMIT``, so that w = b + u/c is finite.
-
-    Otherwise the plain formula runs, so every value keeps its bits,
-    at the overflowing, infinite and NaN points too.  The scratch arrays
-    are the plan's own; the methods return floats and never write into
-    ``x``, ``v`` or ``wsum``.
+    are the plain formulas; only the primal value's L_i x - r_i reads
+    from the binding whether r_i vanishes.  Every skip is an exact IEEE
+    identity, so every value keeps its bits, at the overflowing,
+    infinite and NaN points too.  The scratch arrays are the plan's
+    own; the methods return floats and never write into ``x``, ``v`` or
+    ``wsum``.
     """
 
     def __init__(self, cp: ConvexProblem, spec: ProblemSpec, tau: float, sigmas):
         self.cp, self.tau = cp, tau
         n = cp.layout.dim_primal
         self.C, self.z, self.A, self.adjoints, self.blocks = _bind(spec, sigmas)
-        self.drop_r_dot = tuple(
-            r is None and blk.g.kind in CATALOG_KINDS
-            and blk.ell.kind in ("dirac", "quadratic")
-            for (_, _, r, _, _), blk in zip(self.blocks, cp.blocks))
-        self.f_zero = cp.f.kind == "zero"
-        self.sq = cp.h.kind == "sq_l2"
-        if self.sq:
-            self.c = cp.h.params["weight"]
-            self.b = cp.h.params["center"]
-            self.b_max = float(np.abs(self.b).max())
-        # d: x - b; arg: the primal KKT argument; u: z - wsum; wsum/tmp:
-        # the weighted sum when it is formed here; dual_arg: each block's
+        # arg: the primal KKT argument; u: z - wsum; wsum/tmp: the
+        # weighted sum when it is formed here; dual_arg: each block's
         # KKT argument
-        self.d, self.arg, self.u, self.wsum, self.tmp = (np.empty(n) for _ in range(5))
+        self.arg, self.u, self.wsum, self.tmp = (np.empty(n) for _ in range(4))
         self.dual_arg = tuple(np.empty(d) for d in cp.layout.dual_dims)
 
     def kkt(self, x, v, wsum=None, Lx=None) -> float:
@@ -467,22 +441,17 @@ class _GapPlan:
         """(f* inf-conv h*)(z - wsum) in the closed-form cases; None if
         unknown."""
         cp = self.cp
-        if self.sq:
-            c, b = self.c, self.b
-            u = np.subtract(cp.z, wsum, out=self.u)
-            uu = float(np.dot(u, u))
-            head = float(np.dot(b, u)) + uu / (2.0 * c)
-            if self.f_zero and self.b_max + math.sqrt(uu) / c < _ENVELOPE_LIMIT:
-                # the envelope is +0.0, and head - (+0) = head; a NaN or
-                # infinite ||u|| fails the test
-                return head
-            w = b + (u if c == 1.0 else u / c)
-            p = w if self.f_zero else cp.f.prox(1.0 / c, w)
+        u = np.subtract(cp.z, wsum, out=self.u)
+        if cp.h.kind == "sq_l2":
+            c = cp.h.params["weight"]
+            b = cp.h.params["center"]
+            w = b + u / c
+            p = cp.f.prox(1.0 / c, w)
             d = p - w
-            fp = 0.0 if self.f_zero else cp.f.evaluate(p)
-            return head - (fp + 0.5 * c * float(np.dot(d, d)))
+            envelope = cp.f.evaluate(p) + 0.5 * c * float(np.dot(d, d))
+            return float(np.dot(b, u)) + float(np.dot(u, u)) / (2.0 * c) - envelope
         if cp.h.kind == "zero" and cp.f.conjugate_value is not None:
-            return cp.f.conjugate_value(np.subtract(cp.z, wsum, out=self.u))
+            return cp.f.conjugate_value(u)
         return None
 
     def gap(self, x, v, wsum=None) -> GapReport:
@@ -495,15 +464,7 @@ class _GapPlan:
             wsum = _adjoint_sum(self.adjoints, v, self.wsum, self.tmp)
         notes: list[str] = []
 
-        fx = 0.0 if self.f_zero else cp.f.evaluate(x)
-        if self.sq:
-            diff = np.subtract(x, self.b, out=self.d)
-            hx = 0.5 * self.c * float(np.dot(diff, diff))
-        else:
-            hx = cp.h.value(x)
-        primal: Optional[float] = fx + hx
-        if self.z is not None or not (self.sq and math.isfinite(hx)):
-            primal = primal - float(np.dot(x, cp.z))
+        primal: Optional[float] = cp.f.evaluate(x) + cp.h.value(x) - float(np.dot(x, cp.z))
         for i, (w, blk, (_, _, r, _, _), lxi) in enumerate(
                 zip(weights, cp.blocks, self.blocks, Lx)):
             val = _infconv_value(blk, lxi if r is None else lxi - r)
@@ -524,10 +485,8 @@ class _GapPlan:
                                  "dual value unavailable")
                     dual = None
                     break
-                g_conj = blk.g.conjugate_value(vi)
-                term = g_conj + blk.ell.conj_value(vi)
-                if not (self.drop_r_dot[i] and math.isfinite(g_conj)):
-                    term = term + float(np.dot(vi, blk.r))
+                term = (blk.g.conjugate_value(vi) + blk.ell.conj_value(vi)
+                        + float(np.dot(vi, blk.r)))
                 dual = dual + w * term
             if dual is not None and math.isinf(dual):
                 notes.append("dual point infeasible: dual value is +inf")
@@ -561,11 +520,12 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     to every ``OBJECTIVE_STRIDE``-th history row, the rows on which
     :func:`run` calls its metrics hook, and to the last row, which
     describes ``final_state`` and carries the values of the returned
-    :class:`GapReport`; the other rows leave them ``None``.  Both
-    hooks give the bits of :func:`evaluate_gap` and
-    :func:`kkt_residual` at the state, with the skipped passes planned
-    once per call and the weighted sum sum_i w_i L_i^T v_i taken from
-    :func:`run`, which carries it.
+    :class:`GapReport`; the other rows leave them ``None``.  The
+    problem is lowered and the gap evaluation planned once per call:
+    both hooks and the returned :class:`GapReport` come from that one
+    plan, with the bits of :func:`evaluate_gap` and
+    :func:`kkt_residual` at the state, and the hooks take the weighted
+    sum sum_i w_i L_i^T v_i from :func:`run`, which carries it.
     """
     if kkt_tol is not None:
         _check_tolerance("kkt_tol", kkt_tol)
@@ -573,11 +533,11 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     if cfg is None:
         cfg = suggest_steps(spec)
 
-    # the hooks take the weighted sum run carries with each state, and
-    # run's loop already silences overflow, so the public functions'
-    # checks, sum and errstate are skipped
-    plan = (_GapPlan(cp, spec, cfg.tau, cfg.sigmas)
-            if record_objective or kkt_tol is not None else None)
+    # one plan for the hooks and the returned report: the run's states
+    # need none of the public functions' checks, the hooks take the
+    # weighted sum run carries with each state, and run's loop already
+    # silences overflow
+    plan = _GapPlan(cp, spec, cfg.tau, cfg.sigmas)
     iter_metrics = None
     if record_objective:
         def iter_metrics(st, wsum):
@@ -601,7 +561,8 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
         iter_metrics=iter_metrics, extra_stop=extra_stop,
     )
     final = report.final_state
-    gap = evaluate_gap(cp, final.x, final.v, tau=cfg.tau, sigmas=cfg.sigmas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = plan.gap(final.x, final.v)
     if record_objective and report.history:
         report.history[-1] = replace(
             report.history[-1], primal_obj=gap.primal_value,
@@ -691,8 +652,10 @@ def check_qualification(cp: ConvexProblem, samples: int = 32,
     degenerate (singleton-like) target cannot be certified by sampling
     and is conservatively not verified.  Each candidate costs a fixed
     number of operator applications per block, so the search is linear
-    in the dimension.
+    in the dimension.  ``samples``, the number of random candidates
+    after the aimed ones, must be an integer of at least 0.
     """
+    _check_count("samples", samples, minimum=0)
     ell_domains = {"dirac": lambda d: Domain.singleton(np.zeros(d)),
                    "quadratic": lambda d: Domain.full()}
     if cp.f.domain is None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import CocoerciveOp, LinearOp
+from .operators import CocoerciveOp, LinearOp, _check_count
 from .solver import ProblemSpec
 
 __all__ = ["CertificateReport", "certify_operators"]
@@ -87,8 +87,7 @@ def certify_operators(spec: ProblemSpec, samples: int = 100,
     """Certify C against mu, then each L_i's adjoint, then each D_i^{-1}
     against nu_i, by ``samples`` seeded draws each; ``samples`` must be
     an integer of at least 1."""
-    if not (isinstance(samples, (int, np.integer)) and samples >= 1):
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    _check_count("samples", samples)
     rng = np.random.default_rng(seed)
     blocks = spec.blocks
     return [

@@ -332,6 +332,14 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
                     kind="grad2d")
 
 
+def _check_count(name: str, value, minimum: int = 1) -> None:
+    """Refuse a count that is a ``bool``, is not an integer (Python or
+    numpy), or is below ``minimum``, naming the argument."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # norm estimation
 
@@ -349,8 +357,7 @@ def estimate_norm(L: LinearOp, tol: float = 1e-8, max_iter: int = 10000,
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _check_count("max_iter", max_iter)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(L.in_dim)
     nx = np.linalg.norm(x)

@@ -57,6 +57,7 @@ from .operators import (
     LinearOp,
     ResolventOp,
     estimate_norm,
+    _check_count,
     _dual_step,
 )
 from .spaces import SpaceLayout
@@ -238,10 +239,7 @@ class StoppingRule:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if not isinstance(self.max_iter, (int, np.integer)):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        _check_count("max_iter", self.max_iter)
         _check_tolerance("tol", self.tol)
 
 
@@ -892,100 +890,60 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
         extra_stop: Optional[Callable[[IterState, np.ndarray],
                                       Optional[StopReason]]] = None,
         ) -> RunReport:
-    """Iterate until the stopping rule fires and report the run.
+    """Iterate until a stopping rule fires and report the run.
 
-    Convergence is declared when the fixed-point residual (displacement
-    of one exact relaxation-1 update, in the renormed metric) of the
-    current state drops below ``stop.tol * (1 + ||state||)``, or when
+    Arguments: ``cfg`` holds the steps and the relaxation ``cfg.lam``;
+    ``x0`` and ``v0`` (zero by default) are copied into the initial
+    state.  ``errors``, when given, maps the iteration index ``n`` to
+    the :class:`IterationErrors` injected there; ``None`` runs the exact
+    iteration.  An empty ``b`` or ``c`` is exact on every block, and any
+    other length than one entry per block is refused with a
+    ``ValueError`` naming the field.  Before the first iteration the run
+    evaluates :func:`step_condition` of ``cfg`` on ``spec``: a ``cfg``
+    whose ``sigmas`` or ``norms`` do not fit the blocks is refused with
+    a ``ValueError``, and inadmissible steps with
+    :class:`InadmissibleStepsError` unless ``allow_inadmissible`` is
+    set; a run under that override measures its residual in the plain
+    weighted norm.
+
+    Stop rules: the run stops once the fixed-point residual of the
+    current state (the displacement of one exact relaxation-1 update, in
+    the renormed metric) is at most ``stop.tol * (1 + ||state||)``, once
     ``extra_stop`` returns a :class:`StopReason` (its own rule, value
-    and threshold) for the new state rather than ``None``;
-    ``report.stop`` records which rule ended the run.  ``errors``, when
-    given, maps the iteration index ``n`` to the :class:`IterationErrors`
-    injected there; ``None`` runs the exact iteration.  An empty ``b``
-    or ``c`` is exact on every block, and any other length than one
-    entry per block is refused with a ``ValueError`` naming the field.
-    The relaxation is ``cfg.lam``.  ``iter_metrics`` may attach
-    objective values to the history rows whose ``iter`` is a multiple
-    of ``OBJECTIVE_STRIDE``; it is called on those rows only, and every
-    other row leaves the objective fields ``None``.  Both hooks are
+    and threshold) for the new state rather than ``None``, after
+    ``stop.max_iter`` iterations, or on a non-finite p or q_i, which
+    ends the run as ``"diverged"`` with ``failure`` naming the block and
+    the iteration.  ``report.stop`` records which rule ended the run.
+    With ``stop=StoppingRule(tol=0.0, max_iter=k)`` the run takes
+    exactly ``k`` steps unless one lands on an exact fixed point.  The
+    loop runs with numpy's overflow and invalid-value warnings off: a
+    finite state whose squares overflow goes on, its inf norms never
+    meeting the threshold.
+
+    Hooks: ``iter_metrics`` may attach objective values to the history
+    rows whose ``iter`` is a multiple of ``OBJECTIVE_STRIDE``; it is
+    called on those rows only, and every other row leaves the objective
+    fields ``None``.  ``extra_stop`` is called on every row.  Both are
     called as ``hook(state, wsum)``, where ``wsum`` is the weighted sum
     sum_i w_i L_i^T v_i of ``state`` that the run carries (the bits of
-    :func:`_adjoint_sum` of ``state.v``), so a hook that needs it does
-    not form it again.  ``wsum`` is a workspace array of the run: it is
-    valid only during the call, and a hook must not write into it or
-    keep it.
+    :func:`_adjoint_sum` of ``state.v``).  With ``record_states=True``
+    the report keeps every iterate, index 0 included.
 
-    The renormed metric's cross term is sum_i w_i <L_i dx, dv_i>.  The
-    weighted sum W_n = sum_i w_i L_i^T v_{i,n} that the update needs is
-    formed once per iteration, at the end of the previous one, and
-    carried.  At relaxation 1 without injected errors the step taken is
-    the displacement (dx, dv) = (p - x, q - v) of the update, which
-    serves as the step and as the residual's displacement, and the
-    cross term is <dx, W_{n+1} - W_n>: no L_i is applied and no state
-    difference formed for the stop test, and the squared norms are the
-    ones the update formed.  Otherwise the step is x_{n+1} - x_n (and
-    so on), the residual's displacement is (x + (p - x)) - x (and so on)
-    and the cross term is formed block by block.  Both forms are equal
-    in exact arithmetic; they round differently, most where the residual
-    is small against the state.
-
-    Finiteness is checked inside the update, by the squared norm of each
-    block's displacement (see :func:`_kernel`); a non-finite p or q_i
-    ends the run as ``"diverged"`` with ``failure`` naming the block and
-    the iteration.  The loop runs with numpy's overflow and invalid-value
-    warnings off, and nothing is lost by that: every non-finite update
-    still ends as a named ``"diverged"``, and a finite state whose
-    squares overflow goes on as before, its inf norms never meeting the
-    threshold.  The state norm enters only the threshold, so the
-    exact norm is formed only when it can change the decision: every
-    ``NORM_RESYNC`` iterations (iteration 0 included) and whenever the
-    residual is at most ``tol * (1 + U)``, where U is an upper bound
-    carried from the last exact norm by the triangle inequality, or U is
-    not finite.  The stop decision, ``report.stop`` and the history
-    keep the bits of forming the exact norm every iteration.
-
-    With ``record_states=True`` the report keeps every iterate (index 0
-    included) for post-hoc monitoring; with
-    ``stop=StoppingRule(tol=0.0, max_iter=k)`` it takes exactly ``k``
-    steps unless one lands on an exact fixed point.
-
-    Every state is an :class:`IterState` over one flat array; ``x0``
-    and ``v0`` are copied into the initial state.  The iteration works
-    in arrays allocated once per run: two state arrays alternate.  An
-    update whose state is handed out writes into a fresh array instead:
-    every update when ``record_states`` or ``extra_stop`` is given, and
-    with ``iter_metrics`` the updates of its rows.  The iteration never
-    writes into ``x0``/``v0`` or into an array an operator returned, and
-    a state handed out (to ``iter_metrics``, ``extra_stop``, the
-    recorded states or ``final_state``) is never overwritten later;
-    ``iter_metrics`` and ``extra_stop`` must not write into it either,
-    since the next weighted sum has been formed from it by then, and
-    the ``wsum`` they get with it is overwritten two iterations later.
+    Aliasing: the iteration never writes into ``x0``/``v0`` or into an
+    array an operator returned, and a state handed out (to a hook, in
+    ``report.states`` or as ``final_state``) is never overwritten later.
+    A hook must not write into its state, since the next weighted sum
+    has been formed from it by then, nor into ``wsum``, which is valid
+    only during the call and is overwritten two iterations later.
     Operators may return their input array but must not keep it: the
-    solver reuses the arrays it passes them.  The
-    built-in zero maps (``CocoerciveOp.zero``, ``zero_smooth``,
-    ``dirac_term``, the inverse resolvent of ``ResolventOp.zero`` and
-    the conjugate prox of the catalog ``zero`` function) return one
-    shared read-only array.
+    solver reuses the arrays it passes them.  The built-in zero maps
+    return one shared read-only array.
 
-    The update is bound once per run, before the first iteration, by
-    ``_bind``: the operators' callables, the steps, and each block's
-    dual step, the map :func:`resolvent_of_inverse` takes, called
-    without its per-call check of sigma_i, which :class:`StepConfig`
-    has already made.  Array passes that are exact no-ops are skipped:
-    subtracting a ``z`` or ``r_i`` whose entries are all +0.0 (a -0.0
-    entry keeps its pass), applying a ``C`` or ``D_i^{-1}`` of kind
-    ``"zero"`` (whose +0 changes no bit), multiplying by a weight or a
-    relaxation of 1, and filling the weighted sum with zeros before its
-    first term.  So the bits are those of the plain formulas in the
-    module docstring.
-
-    Before the first iteration the run evaluates :func:`step_condition`
-    of ``cfg`` on ``spec`` itself: a ``cfg`` whose ``sigmas`` or
-    ``norms`` do not fit the blocks is refused with a ``ValueError``,
-    and inadmissible steps with :class:`InadmissibleStepsError` unless
-    ``allow_inadmissible`` is set; a run under that override measures
-    its residual in the plain weighted norm.
+    README's "The stop test", "Passes the iteration skips" and "Run
+    CSV" say how the update is bound once per run, which array passes
+    are skipped as exact no-ops, and how the residual and the state
+    norm are formed without extra passes; every value keeps the bits of
+    the plain formulas in the module docstring.
     """
     cond = step_condition(spec, cfg)
     admissible = cond.admissible

@@ -774,6 +774,29 @@ class TestSampledObjective:
         self.solve(iters)
         assert len(calls) == iters // OBJECTIVE_STRIDE + 1
 
+    @pytest.mark.parametrize("hooks", [{}, {"record_objective": True}, {"kkt_tol": 1e-30}],
+                             ids=["no hooks", "record_objective", "kkt_tol"])
+    def test_problem_lowered_and_planned_once(self, monkeypatch, hooks):
+        # the returned report comes from the plan the hooks use, not from
+        # a second lowering and plan behind evaluate_gap
+        lowered, plans = [], []
+        lower = splitsolve.convex._lowered
+        init = splitsolve.convex._GapPlan.__init__
+
+        def counted_lower(cp):
+            lowered.append(1)
+            return lower(cp)
+
+        def counted_init(plan, *args):
+            plans.append(1)
+            init(plan, *args)
+
+        monkeypatch.setattr(splitsolve.convex, "_lowered", counted_lower)
+        monkeypatch.setattr(splitsolve.convex._GapPlan, "__init__", counted_init)
+        cp, _ = fused_lasso_problem()
+        ss.solve_convex(cp, stop=ss.StoppingRule(tol=0.0, max_iter=12), **hooks)
+        assert (len(lowered), len(plans)) == (1, 1)
+
     def test_csv_residual_on_every_row(self):
         _, report, _ = self.solve(37)
         lines = format_run_csv(report).splitlines()

@@ -813,14 +813,14 @@ class TestStoppingRule:
     @pytest.mark.parametrize("value", [2.5, 10.0, math.nan, "10"])
     def test_non_integer_max_iter_refused_by_name(self, value):
         # 2.5 and NaN used to pass here and fail in run's range() with a TypeError
-        with pytest.raises(ValueError, match="^max_iter must be an integer, got "):
+        with pytest.raises(ValueError, match="^max_iter must be an integer >= 1, got "):
             ss.StoppingRule(max_iter=value)
 
     def test_numpy_integer_max_iter_runs(self):
         report, _ = ss.solve_convex(tiny_convex_problem(), x0=np.full(2, 100.0),
                                     stop=ss.StoppingRule(tol=0.0, max_iter=np.int64(3)))
         assert report.stop == ss.StopReason("max_iter", 3.0, 3.0)
-        with pytest.raises(ValueError, match="^max_iter must be >= 1$"):
+        with pytest.raises(ValueError, match="^max_iter must be an integer >= 1, got 0$"):
             ss.StoppingRule(max_iter=0)
 
     def test_zero_tolerances_accepted(self):
@@ -830,6 +830,45 @@ class TestStoppingRule:
                                     stop=ss.StoppingRule(tol=0.0, max_iter=3), kkt_tol=0.0)
         # a zero kkt_tol stops only on an exactly zero KKT residual
         assert report.stop == ss.StopReason("kkt_tol", 0.0, 0.0)
+
+
+COUNT_CALLS = {
+    # used to die in range() with a TypeError
+    "estimate_norm max_iter=2.5": (
+        "max_iter", 1, lambda: ss.estimate_norm(ss.identity_op(2), max_iter=2.5)),
+    # bool is an int, so True used to count as 1
+    "estimate_norm max_iter=True": (
+        "max_iter", 1, lambda: ss.estimate_norm(ss.identity_op(2), max_iter=True)),
+    "StoppingRule max_iter=True": ("max_iter", 1, lambda: ss.StoppingRule(max_iter=True)),
+    "certify_operators samples=True": (
+        "samples", 1, lambda: ss.certify_operators(
+            ss.lower_to_inclusion(tiny_convex_problem()), samples=True)),
+    # used to return 0.0, a check of no points that passes
+    "check_gradient points=0": (
+        "points", 1, lambda: ss.convex.check_gradient(ss.quadratic_smooth(np.zeros(2)),
+                                                       points=0)),
+    # used to raise a TypeError
+    "check_qualification samples=2.5": (
+        "samples", 0, lambda: ss.check_qualification(tiny_convex_problem(), samples=2.5)),
+    # used to be taken as no samples
+    "check_qualification samples=-1": (
+        "samples", 0, lambda: ss.check_qualification(tiny_convex_problem(), samples=-1)),
+}
+
+
+@pytest.mark.parametrize("call", COUNT_CALLS)
+def test_count_argument_refused_by_name(call):
+    name, minimum, fn = COUNT_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {minimum}, got "):
+        fn()
+
+
+def test_count_arguments_at_their_minimum_accepted():
+    cp = tiny_convex_problem()
+    assert ss.estimate_norm(ss.identity_op(2), max_iter=np.int64(1)).iterations == 1
+    assert ss.check_qualification(cp, samples=0).verdict == "satisfied"
+    assert ss.convex.check_gradient(ss.quadratic_smooth(np.zeros(2)), points=1) <= 1e-5
+    assert len(ss.certify_operators(ss.lower_to_inclusion(cp), samples=1)) == 3
 
 
 class TestErrorSchedules:
