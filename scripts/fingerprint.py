@@ -36,8 +36,8 @@ has every term of the update that the others leave out: a nonzero
 Only ``cli.main``, ``final_state.x``/``.v``, the run histories and the
 step configs are read, no operator is built with a ``kind`` tag, and
 CSV columns are found by header name, so the script runs unchanged on
-any checkout that has these, ``suggest_steps(..., lam=)`` and
-``step_condition(spec, cfg).margin``.  Every run CSV is hashed a
+any checkout that has these, ``suggest_steps(..., lam=)``,
+``step_condition(spec, cfg).margin`` and ``ConvexProblem.spec``.  Every run CSV is hashed a
 second time with its ``residual`` column dropped, so a change that
 moves only residuals shows apart from a change of iterates.  At the
 final state of the relaxation-1 TV-2D run, ``evaluate_gap`` (the
@@ -361,7 +361,7 @@ def offsets_run() -> None:
                                L=operators.identity_op(n), r=np.zeros(n)),
         ),
     )
-    spec = convex.lower_to_inclusion(cp)
+    spec = cp.spec
     cfg = solver.suggest_steps(spec, lam=0.8)
     stop = solver.StoppingRule(tol=1e-10, max_iter=5000)
     emit_report("offsets z r omega Dinv lambda=0.8", spec, cfg,

@@ -79,7 +79,8 @@ def main():
     stage_final, _ = long_run(tv_stage)
     stage_cert = B.tv_certificate_violation(params["b"], params["weight"],
                                             stage_final.x)
-    composed = B.soft_threshold(stage_final.x, params["alpha"])
+    l1 = ss.catalog_prox("l1", 10, weight=params["alpha"])
+    composed = l1.prox(1.0, stage_final.x)
     dev = np.max(np.abs(composed - final.x))
     print(f"  [fusedlasso] stage certificate {stage_cert:.3e}; "
           f"composition deviation {dev:.3e}")

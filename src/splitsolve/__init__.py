@@ -55,7 +55,6 @@ from .convex import (
     dirac_term,
     evaluate_gap,
     kkt_residual,
-    lower_to_inclusion,
     quadratic_smooth,
     quadratic_term,
     solve_convex,

@@ -19,7 +19,6 @@ from .convex import (
     ConvexBlock,
     ConvexProblem,
     dirac_term,
-    lower_to_inclusion,
     quadratic_smooth,
     quadratic_term,
     solve_convex,
@@ -47,10 +46,6 @@ __all__ = [
     "run_suite",
     "REFERENCES",
 ]
-
-SUITE_NAMES = ("tv1d", "fusedlasso", "project-intersection",
-               "fb-reduction", "condat-reduction")
-
 
 @dataclass(frozen=True)
 class BenchCheck:
@@ -334,11 +329,6 @@ def huber_tv_dual_from_primal(weight, nu, x) -> np.ndarray:
     return np.clip(nu * (x[1:] - x[:-1]), -weight, weight)
 
 
-def soft_threshold(x, t):
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
 def _stacked(refs, shape, block):
     """The reference iterates ``refs`` stacked into one array (``np.array``
     of the list, the same array as ``np.stack`` in a third of its time);
@@ -449,7 +439,7 @@ def _solve_tight(cp, tol=1e-13, max_iter=400_000, errors=None):
 
 def _suite_fb_reduction() -> BenchOutcome:
     cp, params = fb_problem()
-    spec = lower_to_inclusion(cp)
+    spec = cp.spec
     cfg = validate_steps(spec, params["tau"], (params["sigma"],), lam=params["lam"])
     iters = 1000
     report = run(spec, cfg, stop=StoppingRule(tol=0.0, max_iter=iters),
@@ -466,7 +456,7 @@ def _suite_fb_reduction() -> BenchOutcome:
 
 def _suite_condat_reduction() -> BenchOutcome:
     cp, params = condat_problem()
-    spec = lower_to_inclusion(cp)
+    spec = cp.spec
     cfg = suggest_steps(spec, safety=params["safety"], lam=params["lam"])
     iters = 1000
     report = run(spec, cfg, stop=StoppingRule(tol=0.0, max_iter=iters),
@@ -483,7 +473,7 @@ def _suite_condat_reduction() -> BenchOutcome:
                          dev, 1e-12, dev <= 1e-12)]
 
     cp2, params2 = cp_problem()
-    spec2 = lower_to_inclusion(cp2)
+    spec2 = cp2.spec
     cfg2 = suggest_steps(spec2, safety=params2["safety"])
     report2 = run(spec2, cfg2, stop=StoppingRule(tol=0.0, max_iter=iters),
                   record_states=True)
@@ -560,15 +550,16 @@ def _suite_intersection() -> BenchOutcome:
 
 
 _SUITES = {
-    "fb-reduction": _suite_fb_reduction,
-    "condat-reduction": _suite_condat_reduction,
     "tv1d": _suite_tv1d,
     "fusedlasso": _suite_fusedlasso,
     "project-intersection": _suite_intersection,
+    "fb-reduction": _suite_fb_reduction,
+    "condat-reduction": _suite_condat_reduction,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str) -> BenchOutcome:
     if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; known: {sorted(_SUITES)}")
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     return _SUITES[name]()

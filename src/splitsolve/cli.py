@@ -30,13 +30,12 @@ from pathlib import Path
 
 from . import benchmarks
 from .config import ConfigError, build_problem, parse_config_file
-from .convex import check_qualification, lower_to_inclusion, solve_convex
+from .convex import check_qualification, solve_convex
 from .diagnostics import certify_operators
 from .operators import CLOSED_FORM_NORM_KINDS
 from .reporting import write_run_csv
 from .solver import (
     StoppingRule,
-    certified_norms,
     geometric_errors,
     step_condition,
     suggest_steps,
@@ -59,19 +58,17 @@ def _load(path: str):
 
 
 def _step_config(cp, pc, mode_override=None):
-    """The lowered problem, its steps and their step condition."""
-    spec = lower_to_inclusion(cp)
+    """The steps of the problem and their step condition."""
+    spec = cp.spec
     steps = pc.steps
     mode = mode_override or steps.mode
-    norms = certified_norms(spec)
     if mode == "auto":
-        cfg = suggest_steps(spec, safety=steps.safety, lam=steps.lam, norms=norms)
+        cfg = suggest_steps(spec, safety=steps.safety, lam=steps.lam)
     else:
         if steps.tau is None or steps.sigmas is None:
             raise ConfigError("manual steps need both tau and sigma")
-        cfg = validate_steps(spec, steps.tau, steps.sigmas, lam=steps.lam,
-                             norms=norms)
-    return spec, cfg, step_condition(spec, cfg)
+        cfg = validate_steps(spec, steps.tau, steps.sigmas, lam=steps.lam)
+    return cfg, step_condition(spec, cfg)
 
 
 def _admissibility_lines(cond):
@@ -86,7 +83,7 @@ def _admissibility_lines(cond):
 
 def cmd_solve(args) -> int:
     cp, pc = _load(args.config)
-    spec, cfg, cond = _step_config(cp, pc, args.steps)
+    cfg, cond = _step_config(cp, pc, args.steps)
     if not cond.admissible and not args.unsafe_steps:
         print(f"refusing to solve: step sizes are inadmissible (margin = "
               f"{cond.margin:.17g} <= 0; rerun with --unsafe-steps to override)",
@@ -136,8 +133,8 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     cp, pc = _load(args.config)
-    spec, cfg, cond = _step_config(cp, pc)
-    for i, (blk, nm) in enumerate(zip(spec.blocks, cfg.norms)):
+    cfg, cond = _step_config(cp, pc)
+    for i, (blk, nm) in enumerate(zip(cp.blocks, cfg.norms)):
         print(f"norm(L[{i}]) = {nm:.17g}")
         source = (f"closed form ({blk.L.kind})" if blk.L.kind in CLOSED_FORM_NORM_KINDS
                   else "power iteration")
@@ -154,10 +151,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.suite not in benchmarks.SUITE_NAMES:
-        print(f"unknown suite {args.suite!r}; known: "
-              f"{', '.join(benchmarks.SUITE_NAMES)}", file=sys.stderr)
-        return 1
     outcome = benchmarks.run_suite(args.suite)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -171,8 +164,8 @@ def cmd_bench(args) -> int:
 
 def cmd_diag(args) -> int:
     cp, pc = _load(args.config)
-    spec, _, cond = _step_config(cp, pc)
-    reports = certify_operators(spec)
+    _, cond = _step_config(cp, pc)
+    reports = certify_operators(cp.spec)
     for rep in reports:
         print(f"{rep.name}: {'PASS' if rep.passed else 'FAIL'} (margin {rep.margin:.3e}, "
               f"threshold {rep.threshold:g}, samples {rep.samples})")

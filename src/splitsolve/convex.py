@@ -4,11 +4,12 @@ Problems of the form
 
     minimize  f(x) + sum_i w_i (g_i inf-conv ell_i)(L_i x - r_i) + h(x) - <x, z>
 
-are lowered to the monotone inclusion solved by :mod:`splitsolve.solver`
-via the standard correspondences: the resolvent of the subdifferential
-of f is its prox, the smooth term enters through its gradient (which is
-mu-cocoercive when (1/mu)-Lipschitz), and each strongly convex ell_i
-enters through the gradient of its conjugate.  The dual problem
+are lowered, once per :class:`ConvexProblem` when it is built, to the
+monotone inclusion solved by :mod:`splitsolve.solver` via the standard
+correspondences: the resolvent of the subdifferential of f is its prox,
+the smooth term enters through its gradient (which is mu-cocoercive
+when (1/mu)-Lipschitz), and each strongly convex ell_i enters through
+the gradient of its conjugate.  The dual problem
 
     minimize  (f* inf-conv h*)(z - sum_i w_i L_i^T v_i)
               + sum_i w_i (g_i*(v_i) + ell_i*(v_i) + <v_i, r_i>)
@@ -66,7 +67,6 @@ __all__ = [
     "dirac_term",
     "quadratic_term",
     "check_gradient",
-    "lower_to_inclusion",
     "solve_convex",
     "evaluate_gap",
     "kkt_residual",
@@ -87,6 +87,19 @@ class SmoothTerm:
     def __post_init__(self):
         if not self.lipschitz_inv > 0:
             raise ValueError("lipschitz_inv (mu) must be strictly positive")
+        if self.kind == "sq_l2" and not _holds_sq_l2_params(self.params, self.dim):
+            raise ValueError('a SmoothTerm of kind "sq_l2" needs params "weight" '
+                             f'(a number) and "center" ({self.dim} numbers)')
+
+
+def _holds_sq_l2_params(params: dict, dim: int) -> bool:
+    """Whether ``params`` has the numeric ``weight`` and ``center`` that
+    the gap evaluator reads for kind ``"sq_l2"``."""
+    try:
+        float(params["weight"])
+        return np.shape(np.asarray(params["center"], dtype=float)) == (dim,)
+    except (KeyError, TypeError, ValueError):
+        return False
 
 
 def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
@@ -212,11 +225,27 @@ class ConvexBlock:
 
 @dataclass(frozen=True)
 class ConvexProblem:
+    """A convex program and the monotone inclusion it lowers to.
+
+    ``spec`` is derived, not passed: the :class:`ProblemSpec` whose
+    iteration reproduces the minimization iteration step for step (the
+    prox of f as A, the gradient of h as C, each conjugate gradient of
+    ell_i as D_i^{-1}; ``zero_smooth`` and ``dirac_term`` give maps of
+    kind ``"zero"``, which the iteration skips).  It is formed once, when
+    the problem is built (``dataclasses.replace`` builds it again), and
+    every solve, gap and KKT evaluation reads it.  A smooth term of kind
+    ``"custom"`` must first pass :func:`check_gradient` (O(n^2)
+    evaluations; a wrong gradient raises its ``ValueError``); the
+    catalog terms are trusted by their ``kind`` tag, as in
+    :func:`evaluate_gap`, and their gradients are pinned by tests.
+    """
+
     layout: SpaceLayout
     f: ProxFunction
     h: SmoothTerm
     z: np.ndarray
     blocks: tuple[ConvexBlock, ...]
+    spec: ProblemSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
@@ -228,6 +257,26 @@ class ConvexProblem:
         for i, (blk, d) in enumerate(zip(self.blocks, lay.dual_dims)):
             if blk.g.dim != d or blk.ell.dim != d:
                 raise ValueError(f"block {i}: g/ell dimension mismatch")
+        if self.h.kind == "custom":
+            check_gradient(self.h)
+        blocks = tuple(
+            Block(
+                B=resolvent_from_prox(blk.g),
+                Dinv=CocoerciveOp(blk.ell.dim, blk.ell.conj_gradient, blk.ell.nu,
+                                  kind=_map_kind(blk.ell.kind == "dirac", blk.ell.nu)),
+                L=blk.L,
+                r=blk.r,
+            )
+            for blk in self.blocks
+        )
+        object.__setattr__(self, "spec", ProblemSpec(
+            layout=lay,
+            A=resolvent_from_prox(self.f),
+            C=CocoerciveOp(self.h.dim, self.h.gradient, self.h.lipschitz_inv,
+                           kind=_map_kind(self.h.kind == "zero", self.h.lipschitz_inv)),
+            z=self.z,
+            blocks=blocks,
+        ))
 
 
 @dataclass(frozen=True)
@@ -287,46 +336,6 @@ def _map_kind(zero: bool, constant: float) -> str:
     return "zero" if zero and math.isinf(constant) else "custom"
 
 
-def lower_to_inclusion(cp: ConvexProblem) -> ProblemSpec:
-    """Build the monotone-inclusion data whose solver iteration
-    reproduces the minimization iteration step for step.
-
-    A smooth term of kind ``"custom"`` (user code) must pass
-    :func:`check_gradient` first, which costs O(n^2) objective
-    evaluations; the catalog terms (``quadratic_smooth``,
-    ``zero_smooth``) are trusted by their ``kind`` tag, as in
-    :func:`evaluate_gap`, and their gradients are pinned by tests.  The
-    check only raises or passes, so skipping it changes no result.
-    ``zero_smooth`` and ``dirac_term`` lower to maps of kind ``"zero"``,
-    which the iteration skips.
-    """
-    if cp.h.kind == "custom":
-        check_gradient(cp.h)
-    return _lowered(cp)
-
-
-def _lowered(cp: ConvexProblem) -> ProblemSpec:
-    """:func:`lower_to_inclusion` without the gradient check."""
-    blocks = tuple(
-        Block(
-            B=resolvent_from_prox(blk.g),
-            Dinv=CocoerciveOp(blk.ell.dim, blk.ell.conj_gradient, blk.ell.nu,
-                              kind=_map_kind(blk.ell.kind == "dirac", blk.ell.nu)),
-            L=blk.L,
-            r=blk.r,
-        )
-        for blk in cp.blocks
-    )
-    return ProblemSpec(
-        layout=cp.layout,
-        A=resolvent_from_prox(cp.f),
-        C=CocoerciveOp(cp.h.dim, cp.h.gradient, cp.h.lipschitz_inv,
-                       kind=_map_kind(cp.h.kind == "zero", cp.h.lipschitz_inv)),
-        z=cp.z,
-        blocks=blocks,
-    )
-
-
 def _at_point(cp: ConvexProblem, x, v, tau, sigmas):
     """The checked point shared by :func:`kkt_residual` and
     :func:`evaluate_gap`: ``x`` and each ``v_i`` as float arrays of
@@ -353,12 +362,11 @@ def kkt_residual(cp: ConvexProblem, x: np.ndarray, v, tau: float = 1.0,
     ``x`` or ``v_i``, or a tau or sigma that is not finite and positive
     is refused with a ``ValueError``.  A finite point whose squares
     overflow gives ``inf`` without a numpy warning, as in
-    :func:`splitsolve.solver.run`.  h is taken as given: the gradient
-    check of :func:`lower_to_inclusion` is not run.
+    :func:`splitsolve.solver.run`.
     """
     x, v, tau, sigmas = _at_point(cp, x, v, tau, sigmas)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _GapPlan(cp, _lowered(cp), tau, sigmas).kkt(x, v)
+        return _GapPlan(cp, tau, sigmas).kkt(x, v)
 
 
 def evaluate_gap(cp: ConvexProblem, x, v, tau: float = 1.0, sigmas=None) -> GapReport:
@@ -366,12 +374,12 @@ def evaluate_gap(cp: ConvexProblem, x, v, tau: float = 1.0, sigmas=None) -> GapR
 
     Terms outside the closed-form catalog are flagged in ``notes`` and
     the affected value (and the gap) reported as ``None`` rather than
-    approximated.  Inputs are checked, overflow is silent, and h is
-    taken as given, as in :func:`kkt_residual`.
+    approximated.  Inputs are checked and overflow is silent, as in
+    :func:`kkt_residual`.
     """
     x, v, tau, sigmas = _at_point(cp, x, v, tau, sigmas)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _GapPlan(cp, _lowered(cp), tau, sigmas).gap(x, v)
+        return _GapPlan(cp, tau, sigmas).gap(x, v)
 
 
 def _infconv_value(blk: ConvexBlock, w: np.ndarray):
@@ -379,7 +387,7 @@ def _infconv_value(blk: ConvexBlock, w: np.ndarray):
     if blk.ell.kind == "dirac":
         return blk.g.evaluate(w)
     if blk.ell.kind == "quadratic":
-        nu = blk.ell.params["nu"]
+        nu = blk.ell.nu
         p = blk.g.prox(1.0 / nu, w)
         d = w - p
         return blk.g.evaluate(p) + 0.5 * nu * float(np.dot(d, d))
@@ -388,7 +396,7 @@ def _infconv_value(blk: ConvexBlock, w: np.ndarray):
 
 class _GapPlan:
     """The formulas of :func:`evaluate_gap` and :func:`kkt_residual` for
-    one problem, lowered to ``spec``, and one set of steps, planned once.
+    one problem and one set of steps, planned once on ``cp.spec``.
 
     The KKT residual is the fixed-point residual of the update that
     :func:`splitsolve.solver.run` applies, bound by the same
@@ -402,10 +410,10 @@ class _GapPlan:
     ``wsum``.
     """
 
-    def __init__(self, cp: ConvexProblem, spec: ProblemSpec, tau: float, sigmas):
+    def __init__(self, cp: ConvexProblem, tau: float, sigmas):
         self.cp, self.tau = cp, tau
         n = cp.layout.dim_primal
-        self.C, self.z, self.A, self.adjoints, self.blocks = _bind(spec, sigmas)
+        self.C, self.z, self.A, self.adjoints, self.blocks = _bind(cp.spec, sigmas)
         # arg: the primal KKT argument; u: z - wsum; wsum/tmp: the
         # weighted sum when it is formed here; dual_arg: each block's
         # KKT argument
@@ -508,7 +516,7 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
                  allow_inadmissible: bool = False,
                  record_states: bool = False,
                  record_objective: bool = False) -> tuple[RunReport, GapReport]:
-    """Lower the problem, iterate, and report convergence and the gap.
+    """Iterate on ``cp.spec`` and report convergence and the gap.
 
     With ``cfg=None`` the step sizes are those of :func:`suggest_steps`
     at its defaults.  ``stop`` and ``errors`` are passed to :func:`run`.
@@ -520,16 +528,15 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     to every ``OBJECTIVE_STRIDE``-th history row, the rows on which
     :func:`run` calls its metrics hook, and to the last row, which
     describes ``final_state`` and carries the values of the returned
-    :class:`GapReport`; the other rows leave them ``None``.  The
-    problem is lowered and the gap evaluation planned once per call:
-    both hooks and the returned :class:`GapReport` come from that one
+    :class:`GapReport`; the other rows leave them ``None``.  The gap
+    evaluation is planned once per call: both hooks and the returned :class:`GapReport` come from that one
     plan, with the bits of :func:`evaluate_gap` and
     :func:`kkt_residual` at the state, and the hooks take the weighted
     sum sum_i w_i L_i^T v_i from :func:`run`, which carries it.
     """
     if kkt_tol is not None:
         _check_tolerance("kkt_tol", kkt_tol)
-    spec = lower_to_inclusion(cp)
+    spec = cp.spec
     if cfg is None:
         cfg = suggest_steps(spec)
 
@@ -537,7 +544,7 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     # need none of the public functions' checks, the hooks take the
     # weighted sum run carries with each state, and run's loop already
     # silences overflow
-    plan = _GapPlan(cp, spec, cfg.tau, cfg.sigmas)
+    plan = _GapPlan(cp, cfg.tau, cfg.sigmas)
     iter_metrics = None
     if record_objective:
         def iter_metrics(st, wsum):

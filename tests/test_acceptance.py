@@ -52,7 +52,7 @@ def report_line(criterion, label, value, bound, larger_is_fine=False):
 @pytest.fixture(scope="session")
 def fb_run():
     cp, params = fb_problem()
-    spec = ss.lower_to_inclusion(cp)
+    spec = cp.spec
     cfg = ss.validate_steps(spec, params["tau"], (params["sigma"],),
                             lam=params["lam"])
     t0 = time.perf_counter()
@@ -69,7 +69,7 @@ def fb_run():
 @pytest.fixture(scope="session")
 def condat_run():
     cp, params = condat_problem()
-    spec = ss.lower_to_inclusion(cp)
+    spec = cp.spec
     base = ss.suggest_steps(spec, safety=params["safety"])
     cfg = ss.validate_steps(spec, base.tau, base.sigmas,
                             lam=params["lam"],
@@ -91,7 +91,7 @@ def condat_run():
 @pytest.fixture(scope="session")
 def cp_run():
     cp2, params = cp_problem()
-    spec = ss.lower_to_inclusion(cp2)
+    spec = cp2.spec
     cfg = ss.suggest_steps(spec, safety=params["safety"])
     t0 = time.perf_counter()
     report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=1000),
@@ -107,7 +107,7 @@ def cp_run():
 
 def _tight_solve(builder):
     cp, params = builder()
-    spec = ss.lower_to_inclusion(cp)
+    spec = cp.spec
     cfg = ss.suggest_steps(spec, safety=0.99)
     t0 = time.perf_counter()
     report, gap = ss.solve_convex(

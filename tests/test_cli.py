@@ -91,6 +91,20 @@ class TestSolve:
         assert "# termination=converged" in text
         assert "# admissible=yes" in text
 
+    def test_problem_lowered_once(self, tmp_path, capsys, monkeypatch):
+        # the steps and the solve read the one ProblemSpec the built
+        # problem holds
+        specs = []
+        post_init = splitsolve.solver.ProblemSpec.__post_init__
+
+        def counted_post_init(spec):
+            specs.append(1)
+            post_init(spec)
+
+        monkeypatch.setattr(splitsolve.solver.ProblemSpec, "__post_init__", counted_post_init)
+        assert main(["solve", LASSO, "-o", str(tmp_path / "r.csv")]) == 0
+        assert len(specs) == 1
+
     def test_auto_steps_echoed(self, tmp_path, capsys):
         code = main(["solve", LASSO, "-o", str(tmp_path / "r.csv"), "--steps", "auto"])
         stdout = capsys.readouterr().out
@@ -528,7 +542,10 @@ class TestBench:
         code = main(["bench", "nope", "-o", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert code == 1
-        assert "unknown suite" in captured.err
+        assert captured.err == ("unknown suite 'nope'; known: tv1d, fusedlasso, "
+                                "project-intersection, fb-reduction, condat-reduction\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestDiag:

@@ -23,7 +23,6 @@ from splitsolve.convex import OBJECTIVE_STRIDE, check_gradient
 from splitsolve.reporting import format_run_csv
 
 from conftest import assert_same_bits
-from gap_reference import reference_gap
 
 
 def lasso_1d():
@@ -56,7 +55,7 @@ class TestLowering:
                 g=ss.catalog_prox("zero", 5), ell=ss.dirac_term(5),
                 L=ss.identity_op(5), r=np.zeros(5)),),
         )
-        spec = ss.lower_to_inclusion(cp)
+        spec = cp.spec
         w = rng.standard_normal(5)
         soft = np.sign(w) * np.maximum(np.abs(w) - 0.7 * 0.4, 0.0)
         np.testing.assert_array_equal(spec.A.resolvent(0.7, w), soft)
@@ -65,7 +64,7 @@ class TestLowering:
 
     def test_dirac_ell_lowers_to_zero_map(self):
         cp = lasso_1d()
-        spec = ss.lower_to_inclusion(cp)
+        spec = cp.spec
         blk = spec.blocks[0]
         assert math.isinf(blk.Dinv.constant)
         assert np.all(blk.Dinv.apply(np.array([3.0])) == 0.0)
@@ -84,7 +83,7 @@ class TestLowering:
             blocks=(ss.ConvexBlock(g=ss.catalog_prox("l1", 3), ell=ell,
                                    L=ss.identity_op(3), r=np.zeros(3)),),
         )
-        spec = ss.lower_to_inclusion(cp)
+        spec = cp.spec
         assert (spec.C.kind, spec.blocks[0].Dinv.kind) == kinds
 
     def test_quadratic_ell_lowers_to_scaled_identity(self, rng):
@@ -109,7 +108,7 @@ class TestLowering:
 
     @pytest.mark.parametrize("dim", [1, 7, 50])
     def test_catalog_gradients_pass_the_check(self, dim, rng):
-        # lower_to_inclusion trusts these kinds and skips the check
+        # ConvexProblem trusts these kinds and skips the check
         terms = [ss.zero_smooth(dim)]
         for weight in (0.25, 1.0, 3.5):
             terms.append(ss.quadratic_smooth(-1.5, weight=weight, dim=dim))
@@ -118,36 +117,66 @@ class TestLowering:
             assert check_gradient(h) <= 1e-5
 
     @staticmethod
-    def wrong_gradient_problem():
-        cp = lasso_1d()
-        bad = ss.SmoothTerm(
+    def wrong_gradient_term():
+        return ss.SmoothTerm(
             dim=1,
             value=lambda x: 0.5 * float(np.dot(x - 4.0, x - 4.0)),
             gradient=lambda x: 1.5 * (x - 4.0),  # wrong scale
             lipschitz_inv=1.0,
         )
-        return dataclasses.replace(cp, h=bad)
 
     def test_lowering_rejects_wrong_custom_gradient(self):
+        # the problem is lowered, and its custom h checked, when it is built
+        cp = lasso_1d()
         with pytest.raises(ValueError, match="finite-difference"):
-            ss.lower_to_inclusion(self.wrong_gradient_problem())
+            ss.ConvexProblem(layout=cp.layout, f=cp.f, h=self.wrong_gradient_term(),
+                             z=cp.z, blocks=cp.blocks)
 
     def test_solve_rejects_wrong_custom_gradient(self):
+        # dataclasses.replace builds again, so no problem that reaches a
+        # solve holds an unchecked custom h
         with pytest.raises(ValueError, match="finite-difference"):
-            ss.solve_convex(self.wrong_gradient_problem())
+            ss.solve_convex(dataclasses.replace(lasso_1d(), h=self.wrong_gradient_term()))
 
-    def test_gap_and_kkt_skip_the_check(self):
-        # evaluate_gap and kkt_residual lower without the O(n^2) check,
-        # which this gradient fails, and still give the formulas' values
-        cp = self.wrong_gradient_problem()
-        x, v = np.full(1, 2.0), [np.full(d, 0.3) for d in cp.layout.dual_dims]
-        gap = ss.evaluate_gap(cp, x, v, tau=0.5)
-        kkt = ss.kkt_residual(cp, x, v, tau=0.5)
-        want = reference_gap(cp, x, v, tau=0.5)
-        assert repr(gap.kkt_residual) == repr(kkt) == repr(want.kkt_residual)
-        assert (repr(gap.primal_value), repr(gap.dual_value)) == (
-            repr(want.primal_value), repr(want.dual_value))
-        assert math.isfinite(kkt) and kkt > 0.0
+    def test_custom_gradient_checked_and_lowered_once_per_problem(self, monkeypatch):
+        # building runs the check and the lowering; solving the problem
+        # and evaluating its gap and KKT residual repeat neither
+        base = lasso_1d()
+        checks, specs = [], []
+        check = splitsolve.convex.check_gradient
+        post_init = ss.ProblemSpec.__post_init__
+
+        def counted_check(h, *args, **kwargs):
+            checks.append(1)
+            return check(h, *args, **kwargs)
+
+        def counted_post_init(spec):
+            specs.append(1)
+            post_init(spec)
+
+        monkeypatch.setattr(splitsolve.convex, "check_gradient", counted_check)
+        monkeypatch.setattr(ss.ProblemSpec, "__post_init__", counted_post_init)
+        h = ss.SmoothTerm(dim=1, value=lambda x: 0.5 * float(np.dot(x - 4.0, x - 4.0)),
+                          gradient=lambda x: x - 4.0, lipschitz_inv=1.0)
+        cp = dataclasses.replace(base, h=h)
+        assert (len(checks), len(specs)) == (1, 1)
+        report, _ = ss.solve_convex(cp, stop=ss.StoppingRule(tol=0.0, max_iter=12),
+                                    record_objective=True, kkt_tol=1e-30)
+        x, v = report.final_state.x, report.final_state.v
+        ss.evaluate_gap(cp, x, v, tau=0.5)
+        ss.kkt_residual(cp, x, v, tau=0.5)
+        assert (len(checks), len(specs)) == (1, 1)
+
+    def test_spec_is_derived_not_passed(self):
+        cp = lasso_1d()
+        assert isinstance(cp.spec, ss.ProblemSpec)
+        assert cp.spec.layout is cp.layout and cp.spec.z is cp.z
+        with pytest.raises(TypeError):
+            ss.ConvexProblem(layout=cp.layout, f=cp.f, h=cp.h, z=cp.z,
+                             blocks=cp.blocks, spec=cp.spec)
+        cp2 = dataclasses.replace(cp, z=np.full(1, 0.5))
+        assert cp2.spec is not cp.spec
+        np.testing.assert_array_equal(cp2.spec.z, np.full(1, 0.5))
 
 
 class TestSolveConvex:
@@ -286,7 +315,7 @@ class TestEvaluateGap:
 class TestReductions:
     def test_iterates_identical_to_lowered_run(self):
         cp, _ = fused_lasso_problem()
-        spec = ss.lower_to_inclusion(cp)
+        spec = cp.spec
         cfg = ss.suggest_steps(spec)
         stop = ss.StoppingRule(tol=0.0, max_iter=50)
         direct = ss.run(spec, cfg, stop=stop, record_states=True)
@@ -298,7 +327,7 @@ class TestReductions:
 
     def test_condat_reduction_bitwise(self):
         cp, params = condat_problem()
-        spec = ss.lower_to_inclusion(cp)
+        spec = cp.spec
         base = ss.suggest_steps(spec, safety=params["safety"])
         cfg = ss.validate_steps(spec, base.tau, base.sigmas,
                                 lam=params["lam"],
@@ -316,7 +345,7 @@ class TestReductions:
 
     def test_chambolle_pock_reduction_bitwise(self):
         cp2, params = cp_problem()
-        spec = ss.lower_to_inclusion(cp2)
+        spec = cp2.spec
         cfg = ss.suggest_steps(spec, safety=params["safety"])
         iters = 300
         report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=iters),
@@ -331,7 +360,7 @@ class TestReductions:
         # the two-step run lands on an exact fixed point long before 1000
         # iterations; its last state must match every later reference iterate
         cp2, params = cp_problem()
-        spec = ss.lower_to_inclusion(cp2)
+        spec = cp2.spec
         cfg = ss.suggest_steps(spec, safety=params["safety"])
         iters = 1000
         report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=iters),
@@ -431,7 +460,7 @@ class TestMaxStateDeviation:
 
     def test_nan_reference_iterate_no_longer_passes(self):
         cp, params = fb_problem()
-        spec = ss.lower_to_inclusion(cp)
+        spec = cp.spec
         cfg = ss.validate_steps(spec, params["tau"], (params["sigma"],),
                                 lam=params["lam"])
         report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=50),
@@ -726,7 +755,7 @@ class TestSampledObjective:
 
     def test_stride_rows_match_recorded_states(self):
         cp, report, _ = self.solve(37, record_states=True)
-        cfg = ss.suggest_steps(ss.lower_to_inclusion(cp))
+        cfg = ss.suggest_steps(cp.spec)
         sampled = [rec for rec in report.history if rec.iter % OBJECTIVE_STRIDE == 0]
         assert [rec.iter for rec in sampled] == [10, 20, 30]
         for rec in sampled:
@@ -748,7 +777,7 @@ class TestSampledObjective:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_last_row_describes_final_state(self):
         cp, _ = fused_lasso_problem()
-        cfg = ss.validate_steps(ss.lower_to_inclusion(cp), 100.0, (100.0,))
+        cfg = ss.validate_steps(cp.spec, 100.0, (100.0,))
         report, gap = ss.solve_convex(cp, cfg=cfg, allow_inadmissible=True,
                                       stop=ss.StoppingRule(tol=0.0, max_iter=5000),
                                       record_objective=True)
@@ -778,20 +807,21 @@ class TestSampledObjective:
                              ids=["no hooks", "record_objective", "kkt_tol"])
     def test_problem_lowered_and_planned_once(self, monkeypatch, hooks):
         # the returned report comes from the plan the hooks use, not from
-        # a second lowering and plan behind evaluate_gap
+        # a second lowering and plan behind evaluate_gap; the one lowering
+        # is the problem's own, made when it is built
         lowered, plans = [], []
-        lower = splitsolve.convex._lowered
+        post_init = ss.ProblemSpec.__post_init__
         init = splitsolve.convex._GapPlan.__init__
 
-        def counted_lower(cp):
+        def counted_post_init(spec):
             lowered.append(1)
-            return lower(cp)
+            post_init(spec)
 
         def counted_init(plan, *args):
             plans.append(1)
             init(plan, *args)
 
-        monkeypatch.setattr(splitsolve.convex, "_lowered", counted_lower)
+        monkeypatch.setattr(ss.ProblemSpec, "__post_init__", counted_post_init)
         monkeypatch.setattr(splitsolve.convex._GapPlan, "__init__", counted_init)
         cp, _ = fused_lasso_problem()
         ss.solve_convex(cp, stop=ss.StoppingRule(tol=0.0, max_iter=12), **hooks)
@@ -807,6 +837,42 @@ class TestSampledObjective:
         for row, rec in zip(rows, report.history):
             assert math.isfinite(float(row[col]))
             assert row[col] == f"{rec.residual:.17g}"
+
+
+class TestKindTagsWithoutParams:
+    """A catalog ``kind`` tag on a hand-built term reaches the gap
+    formulas without the catalog constructor's ``params``."""
+
+    @staticmethod
+    def quadratic_block(ell):
+        cp = lasso_1d()
+        return dataclasses.replace(cp, blocks=(dataclasses.replace(cp.blocks[0], ell=ell),))
+
+    def test_quadratic_ell_reads_nu(self):
+        nu = 2.5
+        bare = ss.StronglyConvexTerm(1, lambda v: v / nu, nu,
+                                     conj_value=lambda v: float(np.dot(v, v)) / (2.0 * nu),
+                                     kind="quadratic")
+        cp, want_cp = self.quadratic_block(bare), self.quadratic_block(ss.quadratic_term(1, nu))
+        x, v = np.full(1, 2.0), [np.full(1, 0.3)]
+        assert repr(ss.evaluate_gap(cp, x, v)) == repr(ss.evaluate_gap(want_cp, x, v))
+        report, gap = ss.solve_convex(cp, stop=ss.StoppingRule(tol=0.0, max_iter=12),
+                                      record_objective=True)
+        want_report, want_gap = ss.solve_convex(
+            want_cp, stop=ss.StoppingRule(tol=0.0, max_iter=12), record_objective=True)
+        assert repr(gap) == repr(want_gap)
+        assert format_run_csv(report) == format_run_csv(want_report)
+        assert report.history[-1].primal_obj is not None
+
+    @pytest.mark.parametrize("params", [
+        {}, {"weight": 1.0}, {"center": np.array([4.0])},
+        {"weight": "heavy", "center": np.array([4.0])},
+        {"weight": 1.0, "center": np.zeros(2)},
+    ], ids=["none", "no center", "no weight", "text weight", "wrong center size"])
+    def test_sq_l2_without_numeric_params_refused(self, params):
+        with pytest.raises(ValueError, match='kind "sq_l2" needs params'):
+            ss.SmoothTerm(1, lambda x: 0.5 * float(np.dot(x - 4.0, x - 4.0)),
+                          lambda x: x - 4.0, 1.0, kind="sq_l2", params=params)
 
 
 def test_zero_maps_share_one_read_only_array():
@@ -859,7 +925,7 @@ def test_gap_and_kkt_quiet_at_overflowing_finite_point():
 ], ids=["z", "count", "L", "r"])
 def test_problem_and_inclusion_share_shape_messages(change, message):
     cp = lasso_1d()
-    spec = ss.lower_to_inclusion(cp)
+    spec = cp.spec
     for problem in (cp, spec):
         with pytest.raises(ValueError) as info:
             dataclasses.replace(problem, **change(problem))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import splitsolve as ss
-from splitsolve.convex import _GapPlan, _lowered
+from splitsolve.convex import _GapPlan
 from splitsolve.operators import CATALOG_KINDS
 from splitsolve.solver import _adjoint_sum
 
@@ -97,7 +97,7 @@ def points(cp, seed=0):
         x, v = rng.standard_normal(N), [0.05 * rng.standard_normal(d) for d in dims]
         v[-1][0] = bad
         out.append((x, v))
-    spec = ss.lower_to_inclusion(cp)
+    spec = cp.spec
     report = ss.run(spec, ss.suggest_steps(spec), stop=ss.StoppingRule(tol=1e-9, max_iter=300))
     out.append((report.final_state.x, report.final_state.v))
     return out
@@ -110,7 +110,7 @@ def reprs(rep):
 
 def assert_matches_reference(cp, tau, sigmas, pts):
     # one plan per problem, fed states in turn as the hooks are
-    plan = _GapPlan(cp, _lowered(cp), tau, (1.0,) * len(cp.blocks) if sigmas is None else sigmas)
+    plan = _GapPlan(cp, tau, (1.0,) * len(cp.blocks) if sigmas is None else sigmas)
     n = cp.layout.dim_primal
     adjoints = tuple(zip((blk.L.adjoint_apply for blk in cp.blocks), cp.layout.weights))
     for x, v in pts:
@@ -241,7 +241,7 @@ def test_solve_convex_rows_and_kkt_stop_match_reference(f_kind, h_case, ell_kind
     # the hooks' rows and the kkt_tol rule's stop iteration and value are
     # those of the plain formulas at the recorded states
     cp = problem(f_kind, h_case, ell_kind, "nonzero", weights)
-    cfg = ss.suggest_steps(ss.lower_to_inclusion(cp))
+    cfg = ss.suggest_steps(cp.spec)
     kkt_tol = 1e-7
     report, gap = ss.solve_convex(cp, cfg=cfg, stop=ss.StoppingRule(tol=0.0, max_iter=3000),
                                   kkt_tol=kkt_tol, record_objective=True,

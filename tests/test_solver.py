@@ -118,7 +118,7 @@ class TestValidateSteps:
 
 def condat_spec():
     cp, _ = ss.benchmarks.condat_problem()
-    return ss.lower_to_inclusion(cp)
+    return cp.spec
 
 
 class TestHandBuiltSteps:
@@ -193,7 +193,7 @@ class TestStaleSteps:
     @staticmethod
     def stale_configs():
         cp, _ = ss.benchmarks.condat_problem()
-        spec = ss.lower_to_inclusion(cp)
+        spec = cp.spec
         cfg = ss.suggest_steps(spec)
         scaled = dataclasses.replace(cfg, tau=20.0 * cfg.tau,
                                      sigmas=tuple(20.0 * s for s in cfg.sigmas))
@@ -842,7 +842,7 @@ COUNT_CALLS = {
     "StoppingRule max_iter=True": ("max_iter", 1, lambda: ss.StoppingRule(max_iter=True)),
     "certify_operators samples=True": (
         "samples", 1, lambda: ss.certify_operators(
-            ss.lower_to_inclusion(tiny_convex_problem()), samples=True)),
+            tiny_convex_problem().spec, samples=True)),
     # used to return 0.0, a check of no points that passes
     "check_gradient points=0": (
         "points", 1, lambda: ss.convex.check_gradient(ss.quadratic_smooth(np.zeros(2)),
@@ -868,7 +868,7 @@ def test_count_arguments_at_their_minimum_accepted():
     assert ss.estimate_norm(ss.identity_op(2), max_iter=np.int64(1)).iterations == 1
     assert ss.check_qualification(cp, samples=0).verdict == "satisfied"
     assert ss.convex.check_gradient(ss.quadratic_smooth(np.zeros(2)), points=1) <= 1e-5
-    assert len(ss.certify_operators(ss.lower_to_inclusion(cp), samples=1)) == 3
+    assert len(ss.certify_operators(cp.spec, samples=1)) == 3
 
 
 class TestErrorSchedules:
@@ -1032,7 +1032,7 @@ def relaxed(spec, cfg, lam):
 
 def fb_case():
     cp, params = ss.benchmarks.fb_problem()
-    spec = ss.lower_to_inclusion(cp)
+    spec = cp.spec
     cfg = ss.validate_steps(spec, params["tau"], (params["sigma"],),
                             lam=params["lam"])
     return spec, cfg, None
@@ -1040,14 +1040,14 @@ def fb_case():
 
 def condat_case():
     cp, params = ss.benchmarks.condat_problem()
-    spec = ss.lower_to_inclusion(cp)
+    spec = cp.spec
     return spec, relaxed(spec, ss.suggest_steps(spec, safety=params["safety"]),
                          params["lam"]), None
 
 
 def errors_case():
     cp, _ = ss.benchmarks.fused_lasso_problem()
-    spec = ss.lower_to_inclusion(cp)
+    spec = cp.spec
     cfg = relaxed(spec, ss.suggest_steps(spec), 0.9)
     return spec, cfg, ss.geometric_errors(spec.layout, 0.1, 0.9, seed=9)
 
@@ -1085,7 +1085,7 @@ def mixed_dual_case():
     1 the inverse-resolvent identity, at relaxation 0.8 with geometric
     errors."""
     cp, _ = ss.benchmarks.condat_problem()
-    spec = ss.lower_to_inclusion(cp)
+    spec = cp.spec
     blk = spec.blocks[1]
     custom = dataclasses.replace(blk, B=ss.ResolventOp(blk.B.dim, cp.blocks[1].g.prox))
     spec = dataclasses.replace(spec, blocks=(spec.blocks[0], custom))
@@ -1650,7 +1650,7 @@ class TestAliasing:
         # the catalog zero function's conjugate prox returns one shared
         # read-only array; an injected b error must not land in it
         cp, _ = ss.benchmarks.fb_problem()
-        spec = ss.lower_to_inclusion(cp)
+        spec = cp.spec
         cfg = ss.suggest_steps(spec)
         report = ss.run(spec, cfg, stop=self.stop,
                         errors=ss.geometric_errors(spec.layout, 0.1, 0.9, seed=2))
@@ -1751,7 +1751,7 @@ def test_condat_reference_on_random_instances(seed):
     rng = np.random.default_rng(1000 + seed)
     cp = random_reference_problem(rng, blocks=1 + seed % 3, smooth=True)
     lam = 1.0 if seed % 4 == 0 else float(1.0 - rng.uniform(0.0, 0.9))
-    spec = ss.lower_to_inclusion(cp)
+    spec = cp.spec
     cfg = ss.suggest_steps(spec, safety=float(rng.uniform(0.5, 0.99)), lam=lam)
     assert cfg.lam == lam
     report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=REFERENCE_ITERS),
@@ -1769,7 +1769,7 @@ def test_chambolle_pock_reference_on_random_instances(seed):
     # one unit-weight block, no smooth term, relaxation 1
     rng = np.random.default_rng(2000 + seed)
     cp = random_reference_problem(rng, blocks=1, smooth=False)
-    spec = ss.lower_to_inclusion(cp)
+    spec = cp.spec
     cfg = ss.suggest_steps(spec, safety=float(rng.uniform(0.5, 0.99)), lam=1.0)
     report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=REFERENCE_ITERS),
                     record_states=True)
