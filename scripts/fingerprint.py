@@ -32,7 +32,18 @@ no closed-form norm, so it pins that path even when those change; the
 zero run pins the dual step of the zero operator.  A last library run
 has every term of the update that the others leave out: a nonzero
 ``z``, an ``r`` with -0.0 entries, two blocks weighted (0.7, 0.3), a
-``quadratic_term`` D^{-1}, a ``zero_smooth`` C and relaxation 0.8.
+``quadratic_term`` D^{-1}, a ``zero_smooth`` C and relaxation 0.8.  A TV-2D run at relaxation 0.9 with neither
+errors nor a hook pins the gradient's residual cross term alone.  Two
+last runs start from x and v holding -0.0, each with a single
+unit-weight block, one coupled through the identity (whose adjoint
+passes -0 on, so the weighted sum's ``+ 0.0`` pass must stay) and one
+through a 1-D difference (whose adjoint never returns -0, so that pass
+may go); they stop after a few iterations, while zeros are left in
+the iterates.  The sign of a zero in the weighted sum washes out of the
+iterates, so these runs also hash what the update hands on: the
+argument of every call of A (a pass-through resolvent that records
+it), and the weighted sum an ``extra_stop`` hook is handed on every
+row.
 Only ``cli.main``, ``final_state.x``/``.v``, the run histories and the
 step configs are read, no operator is built with a ``kind`` tag, and
 CSV columns are found by header name, so the script runs unchanged on
@@ -317,6 +328,9 @@ def tv2d_runs() -> None:
                         iter_metrics=lambda st, *_: {"primal_obj": float(np.dot(st.x, st.x))})
     emit_report("tv2d lambda=0.9 errors hook", spec, cfg, report)
 
+    report = solver.run(spec, cfg, stop=stop)
+    emit_report("tv2d lambda=0.9", spec, cfg, report)
+
     m = spec.blocks[0].B.dim
     l1 = operators.catalog_prox("l1", m, weight=0.3)
     custom = dataclasses.replace(spec.blocks[0], B=operators.ResolventOp(m, l1.prox))
@@ -368,6 +382,48 @@ def offsets_run() -> None:
                 solver.run(spec, cfg, stop=stop))
 
 
+def signed_zero_runs() -> None:
+    """x0 = -0 and v0 holding -0.0, +0.0 and a few nonzero entries, with
+    an identity block, then a diff1d block; a zero C, z and r, so that
+    the update hands the weighted sum to A without adding to it."""
+    n = 12
+    rng = np.random.default_rng(17)
+    for label, L in (("identity", operators.identity_op(n)),
+                     ("diff1d", operators.diff1d_op(n))):
+        m = L.out_dim
+        args = []
+
+        def resolvent(gamma, w):
+            args.append(floats(w))
+            return w
+
+        spec = solver.ProblemSpec(
+            layout=SpaceLayout(n, (m,), (1.0,)),
+            A=operators.ResolventOp(n, resolvent),
+            C=operators.CocoerciveOp.zero(n),
+            z=np.zeros(n),
+            blocks=(solver.Block(
+                B=operators.resolvent_from_prox(operators.catalog_prox("l1", m, weight=0.5)),
+                Dinv=operators.CocoerciveOp.zero(m), L=L, r=np.zeros(m)),),
+        )
+        v0 = np.zeros(m)
+        v0[1::2] = -0.0
+        v0[::5] = 0.3 * rng.standard_normal(len(v0[::5]))
+        sums = []
+
+        def extra_stop(st, wsum, *_):
+            sums.append(floats(wsum))
+            return None
+
+        cfg = solver.suggest_steps(spec)
+        report = solver.run(spec, cfg, x0=np.full(n, -0.0), v0=(v0,),
+                            stop=solver.StoppingRule(tol=0.0, max_iter=4),
+                            extra_stop=extra_stop)
+        emit_report(f"signed zeros {label}", spec, cfg, report)
+        emit(f"signed zeros {label} A arguments", b"".join(args))
+        emit(f"signed zeros {label} wsum", b"".join(sums))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
@@ -377,6 +433,7 @@ def main() -> int:
         offsets_config(tmp)
     tv2d_runs()
     offsets_run()
+    signed_zero_runs()
     return 0
 
 

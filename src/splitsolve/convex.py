@@ -31,6 +31,7 @@ from .operators import (
     LinearOp,
     ProxFunction,
     _check_count,
+    _linear_into,
     _norm,
     _read_only_zeros,
     resolvent_from_prox,
@@ -128,7 +129,7 @@ def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
 
     def value(x):
         d = x - b
-        return 0.5 * c * float(np.dot(d, d))
+        return 0.5 * c * float(d.dot(d))
 
     return SmoothTerm(
         dim=b.size,
@@ -170,7 +171,6 @@ class StronglyConvexTerm:
     nu: float
     conj_value: Optional[Callable[[np.ndarray], float]] = None
     kind: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.nu > 0:
@@ -191,7 +191,6 @@ def dirac_term(dim: int) -> StronglyConvexTerm:
         nu=math.inf,
         conj_value=lambda v: 0.0,
         kind="dirac",
-        params={},
     )
 
 
@@ -206,9 +205,8 @@ def quadratic_term(dim: int, nu: float = 1.0) -> StronglyConvexTerm:
         dim=dim,
         conj_gradient=lambda v: v / nu,
         nu=nu,
-        conj_value=lambda v: float(np.dot(v, v)) / (2.0 * nu),
+        conj_value=lambda v: float(v.dot(v)) / (2.0 * nu),
         kind="quadratic",
-        params={"nu": nu},
     )
 
 
@@ -390,7 +388,7 @@ def _infconv_value(blk: ConvexBlock, w: np.ndarray):
         nu = blk.ell.nu
         p = blk.g.prox(1.0 / nu, w)
         d = w - p
-        return blk.g.evaluate(p) + 0.5 * nu * float(np.dot(d, d))
+        return blk.g.evaluate(p) + 0.5 * nu * float(d.dot(d))
     return None
 
 
@@ -401,24 +399,28 @@ class _GapPlan:
     The KKT residual is the fixed-point residual of the update that
     :func:`splitsolve.solver.run` applies, bound by the same
     :func:`splitsolve.solver._bind`: it skips the passes the run skips
-    and reads L_i x where the update reads L_i y.  The objective values
-    are the plain formulas; only the primal value's L_i x - r_i reads
-    from the binding whether r_i vanishes.  Every skip is an exact IEEE
-    identity, so every value keeps its bits, at the overflowing,
-    infinite and NaN points too.  The scratch arrays are the plan's
-    own; the methods return floats and never write into ``x``, ``v`` or
-    ``wsum``.
+    (the dead argument of an exact-zero dual step included), writes
+    into the plan's buffers as the run does, and reads L_i x where the
+    update reads L_i y.  The objective values are the plain formulas;
+    only the primal value's L_i x - r_i reads from the binding whether
+    r_i vanishes.  Every skip is an exact IEEE identity, so every value
+    keeps its bits, at the overflowing, infinite and NaN points too.
+    The scratch arrays are the plan's own; the methods return floats
+    and never write into ``x``, ``v`` or ``wsum``.
     """
 
     def __init__(self, cp: ConvexProblem, tau: float, sigmas):
         self.cp, self.tau = cp, tau
         n = cp.layout.dim_primal
+        dims = cp.layout.dual_dims
         self.C, self.z, self.A, self.adjoints, self.blocks = _bind(cp.spec, sigmas)
+        self.applies = tuple(_linear_into(blk.L.apply) for blk in cp.spec.blocks)
         # arg: the primal KKT argument; u: z - wsum; wsum/tmp: the
-        # weighted sum when it is formed here; dual_arg: each block's
-        # KKT argument
+        # weighted sum when it is formed here; lx: each L_i x;
+        # dual_arg: each block's KKT argument; dual_out: its dual step
         self.arg, self.u, self.wsum, self.tmp = (np.empty(n) for _ in range(4))
-        self.dual_arg = tuple(np.empty(d) for d in cp.layout.dual_dims)
+        self.lx, self.dual_arg, self.dual_out = (
+            tuple(np.empty(d) for d in dims) for _ in range(3))
 
     def kkt(self, x, v, wsum=None, Lx=None) -> float:
         """:func:`kkt_residual` at a checked point, given ``wsum`` =
@@ -434,15 +436,17 @@ class _GapPlan:
             t = np.subtract(t, self.z, out=arg)
         p = self.A(self.tau, np.subtract(x, np.multiply(t, self.tau, out=arg), out=arg))
         res = _norm(np.subtract(x, p, out=arg))
-        for i, ((apply, Dinv, r, sigma, dual), w, vi, u) in enumerate(zip(
-                self.blocks, self.cp.layout.weights, v, self.dual_arg)):
-            a = apply(x) if Lx is None else Lx[i]
-            if Dinv is not None:
-                a = np.subtract(a, Dinv(vi), out=u)
-            if r is not None:
-                a = np.subtract(a, r, out=u)
-            np.add(vi, np.multiply(a, sigma, out=u), out=u)
-            res += w * _norm(np.subtract(vi, dual(sigma, u), out=u))
+        for i, ((L, Dinv, r, sigma, dual), w, vi, u, q) in enumerate(zip(
+                self.blocks, self.cp.layout.weights, v, self.dual_arg, self.dual_out)):
+            if L is not None:
+                # else the dual step is the exact 0 and its argument is dead
+                a = L(x, u) if Lx is None else Lx[i]
+                if Dinv is not None:
+                    a = np.subtract(a, Dinv(vi), out=u)
+                if r is not None:
+                    a = np.subtract(a, r, out=u)
+                np.add(vi, np.multiply(a, sigma, out=u), out=u)
+            res += w * _norm(np.subtract(vi, dual(sigma, u, q), out=u))
         return res
 
     def _dual_f_h(self, wsum):
@@ -456,8 +460,8 @@ class _GapPlan:
             w = b + u / c
             p = cp.f.prox(1.0 / c, w)
             d = p - w
-            envelope = cp.f.evaluate(p) + 0.5 * c * float(np.dot(d, d))
-            return float(np.dot(b, u)) + float(np.dot(u, u)) / (2.0 * c) - envelope
+            envelope = cp.f.evaluate(p) + 0.5 * c * float(d.dot(d))
+            return float(b.dot(u)) + float(u.dot(u)) / (2.0 * c) - envelope
         if cp.h.kind == "zero" and cp.f.conjugate_value is not None:
             return cp.f.conjugate_value(u)
         return None
@@ -467,12 +471,12 @@ class _GapPlan:
         :meth:`kkt`."""
         cp = self.cp
         weights = cp.layout.weights
-        Lx = [apply(x) for apply, *_ in self.blocks]
+        Lx = [apply(x, out) for apply, out in zip(self.applies, self.lx)]
         if wsum is None:
             wsum = _adjoint_sum(self.adjoints, v, self.wsum, self.tmp)
         notes: list[str] = []
 
-        primal: Optional[float] = cp.f.evaluate(x) + cp.h.value(x) - float(np.dot(x, cp.z))
+        primal: Optional[float] = cp.f.evaluate(x) + cp.h.value(x) - float(x.dot(cp.z))
         for i, (w, blk, (_, _, r, _, _), lxi) in enumerate(
                 zip(weights, cp.blocks, self.blocks, Lx)):
             val = _infconv_value(blk, lxi if r is None else lxi - r)
@@ -494,7 +498,7 @@ class _GapPlan:
                     dual = None
                     break
                 term = (blk.g.conjugate_value(vi) + blk.ell.conj_value(vi)
-                        + float(np.dot(vi, blk.r)))
+                        + float(vi.dot(blk.r)))
                 dual = dual + w * term
             if dual is not None and math.isinf(dual):
                 notes.append("dual point infeasible: dual value is +inf")

@@ -74,6 +74,30 @@ def _norm(d: np.ndarray) -> float:
     return math.sqrt(float(d.dot(d)))
 
 
+def _vector(x, dim: int, name: str) -> np.ndarray:
+    """``x`` as a float array, refused with a ``ValueError`` that names
+    the operator ``name`` unless it is a vector of length ``dim``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise ValueError(f"{name} takes a vector of length {dim}, got shape {x.shape}")
+    return x
+
+
+def _same(x, out):
+    """The buffer form of the identity: ``x`` itself, ``out`` unwritten."""
+    return x
+
+
+def _linear_into(fn) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The buffer form ``(x, out) -> L x`` of a ``LinearOp.apply`` or
+    ``adjoint_apply``: ``fn.into`` for the library kinds, which writes
+    into the contiguous float array ``out`` (or, for the identity,
+    returns ``x``), and for any other operator a call of ``fn(x)`` that
+    leaves ``out`` alone."""
+    into = getattr(fn, "into", None)
+    return into if into is not None else (lambda x, out: fn(x))
+
+
 def _round_up(value: float) -> float:
     """``value`` raised by ``NORM_HINT_ULPS`` units in the last place."""
     for _ in range(NORM_HINT_ULPS):
@@ -94,6 +118,12 @@ class LinearOp:
     ``kind`` tags of the catalog functions.  A custom hint is only a
     starting point: step certification still runs power iteration and
     repairs a hint below the true norm.
+
+    The library constructors' ``apply`` and ``adjoint_apply`` refuse an
+    input of the wrong length by name, and each carries its buffer form
+    as ``.into(x, out)``, which it calls on a fresh array: the step plan
+    of :func:`splitsolve.solver.run` binds that form to its own buffers.
+    Any other callable is called as it is.
     """
 
     in_dim: int
@@ -137,9 +167,28 @@ class ResolventOp:
         inverse is the normal cone of the origin, whose resolvent is
         exactly 0: ``inverse_resolvent`` returns one shared read-only
         zero array."""
-        zero = _read_only_zeros(dim)
         return ResolventOp(dim, lambda gamma, w: np.asarray(w, dtype=float),
-                           inverse_resolvent=lambda sigma, w: zero)
+                           inverse_resolvent=_ExactZero(dim))
+
+
+class _ExactZero:
+    """The exact-zero dual step ``(sigma, u) -> 0``: the inverse
+    resolvent of :meth:`ResolventOp.zero` and the conjugate prox of the
+    ``zero`` catalog function.  Every call returns one shared read-only
+    zero array, and so does its buffer form ``into(sigma, u, out)``,
+    which writes nothing; the step plan of :func:`splitsolve.solver.run`
+    recognises it and skips the dual argument it would ignore."""
+
+    __slots__ = ("zero",)
+
+    def __init__(self, dim: int):
+        self.zero = _read_only_zeros(dim)
+
+    def __call__(self, sigma, u):
+        return self.zero
+
+    def into(self, sigma, u, out):
+        return self.zero
 
 
 @dataclass(frozen=True)
@@ -235,10 +284,17 @@ class NormEstimate:
 
 
 def identity_op(dim: int) -> LinearOp:
-    """The identity; apply and adjoint return their input array."""
-    return LinearOp(dim, dim, lambda x: np.asarray(x, dtype=float),
-                    lambda y: np.asarray(y, dtype=float), norm_hint=1.0,
-                    kind="identity")
+    """The identity; apply and adjoint return their input array, and
+    so does their buffer form."""
+
+    def apply(x):
+        return _vector(x, dim, "identity apply")
+
+    def adjoint(y):
+        return _vector(y, dim, "identity adjoint")
+
+    apply.into = adjoint.into = _same
+    return LinearOp(dim, dim, apply, adjoint, norm_hint=1.0, kind="identity")
 
 
 def matrix_op(mat, norm_hint: Optional[float] = None) -> LinearOp:
@@ -250,29 +306,45 @@ def matrix_op(mat, norm_hint: Optional[float] = None) -> LinearOp:
                     norm_hint=norm_hint)
 
 
+#: library kinds whose adjoint never returns -0.0, so that adding +0.0 to
+#: it changes no bit (proved at :func:`diff1d_op` and :func:`grad2d_op`)
+NO_NEGATIVE_ZERO_ADJOINT_KINDS = frozenset({"diff1d", "grad2d"})
+
+
 def diff1d_op(n: int) -> LinearOp:
     """Forward-difference operator R^n -> R^(n-1), x -> (x_{k+1} - x_k).
 
     Its largest singular value is 2 sin((n-1) pi / (2n)); the norm hint
     is that value rounded up.
+
+    The adjoint never returns -0.0.  In round-to-nearest a - b is -0
+    only for a = -0 and b = +0, and a + b only when both are -0.  Entry
+    k < n - 1 first holds 0.0 - y_k, which is never -0 (its first
+    operand is +0), and the last entry is +0.0; adding y_{k-1} to an
+    entry that is not -0 leaves it not -0.
     """
     if n < 2:
         raise ValueError("diff1d needs n >= 2")
 
-    def apply(x):
-        x = np.asarray(x, dtype=float)
-        return x[1:] - x[:-1]
+    def apply_into(x, out):
+        return np.subtract(x[1:], x[:-1], out=out)
 
-    def adjoint(y):
+    def adjoint_into(y, out):
         # 0.0 - y and a zero last entry reproduce np.zeros(n) -= y, signed
         # zeros included, without filling the output twice
-        y = np.asarray(y, dtype=float)
-        out = np.empty(n)
         np.subtract(0.0, y, out=out[:-1])
         out[-1] = 0.0
-        out[1:] += y
+        tail = out[1:]
+        np.add(tail, y, out=tail)
         return out
 
+    def apply(x):
+        return apply_into(_vector(x, n, "diff1d apply"), np.empty(n - 1))
+
+    def adjoint(y):
+        return adjoint_into(_vector(y, n - 1, "diff1d adjoint"), np.empty(n))
+
+    apply.into, adjoint.into = apply_into, adjoint_into
     return LinearOp(n, n - 1, apply, adjoint,
                     norm_hint=_round_up(2.0 * math.sin((n - 1) * math.pi / (2 * n))),
                     kind="diff1d")
@@ -286,21 +358,24 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
     the closed-form norm 2 sqrt(sin^2((rows-1) pi / (2 rows)) +
     sin^2((cols-1) pi / (2 cols))) rounded up.  The adjoint adds the
     horizontal differences in flat passes over a padded copy, with the
-    bits of the 2-D column updates (see the comment in ``adjoint``).
+    bits of the 2-D column updates (see the comment in ``adjoint_into``).
+
+    The adjoint never returns -0.0: the vertical passes leave no -0, as
+    in :func:`diff1d_op`, and then subtracting (a - b is -0 only for
+    a = -0) and adding (a + b is -0 only when both are) cannot make one.
     """
     if rows < 2 or cols < 2:
         raise ValueError("grad2d needs rows >= 2 and cols >= 2")
     n_v = (rows - 1) * cols
     n_h = rows * (cols - 1)
 
-    def apply(x):
-        img = np.asarray(x, dtype=float).reshape(rows, cols)
-        out = np.empty(n_v + n_h)
+    def apply_into(x, out):
+        img = x.reshape(rows, cols)
         np.subtract(img[1:, :], img[:-1, :], out=out[:n_v].reshape(rows - 1, cols))
         np.subtract(img[:, 1:], img[:, :-1], out=out[n_v:].reshape(rows, cols - 1))
         return out
 
-    def adjoint(y):
+    def adjoint_into(y, out):
         # per entry: -dv, + dv, then - dh and + dh as the strided 2-D
         # updates out[:, :-1] -= dh; out[:, 1:] += dh would do, taken
         # flat through buf = (z, dh row 0, z, dh row 1, ..., z) of length
@@ -309,9 +384,7 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
         # leaves out and changes no bit, signed zeros included: it is +0
         # for the subtraction (x - (+0) = x) and -0 for the addition
         # (x + (-0) = x)
-        y = np.asarray(y, dtype=float)
         dv = y[:n_v].reshape(rows - 1, cols)
-        out = np.empty(rows * cols)
         img = out.reshape(rows, cols)
         np.subtract(0.0, dv, out=img[:-1, :])
         img[-1, :] = 0.0
@@ -324,6 +397,13 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
         out += buf[:-1]
         return out
 
+    def apply(x):
+        return apply_into(_vector(x, rows * cols, "grad2d apply"), np.empty(n_v + n_h))
+
+    def adjoint(y):
+        return adjoint_into(_vector(y, n_v + n_h, "grad2d adjoint"), np.empty(rows * cols))
+
+    apply.into, adjoint.into = apply_into, adjoint_into
     hint = 2.0 * math.sqrt(
         math.sin((rows - 1) * math.pi / (2 * rows)) ** 2
         + math.sin((cols - 1) * math.pi / (2 * cols)) ** 2
@@ -375,7 +455,7 @@ def estimate_norm(L: LinearOp, tol: float = 1e-8, max_iter: int = 10000,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for iterations in range(1, max_iter + 1):
             w = L.adjoint_apply(L.apply(x))
-            lam = float(np.dot(x, w))
+            lam = float(x.dot(w))
             resid = float(np.linalg.norm(np.subtract(w, np.multiply(x, lam, out=r), out=r)))
             if resid <= tol * max(abs(lam), 1e-300):
                 converged = True
@@ -420,16 +500,35 @@ def _dual_step(B: ResolventOp) -> Callable[[float, np.ndarray], np.ndarray]:
     """The map ``(sigma, v) -> J_{sigma B^{-1}}(v)`` of
     :func:`resolvent_of_inverse`, chosen once for ``B``: its
     ``inverse_resolvent`` itself when set, else the inverse-resolvent
-    identity bound to ``B.resolvent``.  It neither checks ``sigma`` nor
-    converts ``v``, so a caller binds it once and hands it a positive
-    sigma and a float array on every call."""
+    identity bound to ``B.resolvent``, whose buffer form
+    ``.into(sigma, v, out)`` forms it in ``out`` (an array other than
+    ``v``).  It neither checks ``sigma`` nor converts ``v``, so a caller
+    binds it once and hands it a positive sigma and a float array on
+    every call."""
     if B.inverse_resolvent is not None:
         return B.inverse_resolvent
     resolvent = B.resolvent
 
+    def into(sigma, v, out):
+        # v - sigma J_{B / sigma}(v / sigma), each pass into out; sigma * w
+        # and w * sigma have the same bits
+        w = resolvent(1.0 / sigma, np.divide(v, sigma, out=out))
+        return np.subtract(v, np.multiply(w, sigma, out=out), out=out)
+
     def identity(sigma, v):
-        return v - sigma * resolvent(1.0 / sigma, v / sigma)
+        return into(sigma, v, np.empty(v.shape))
+
+    identity.into = into
     return identity
+
+
+def _dual_into(step) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
+    """The buffer form ``(sigma, u, out) -> step(sigma, u)`` of a dual
+    step of :func:`_dual_step`: ``step.into`` for the inverse-resolvent
+    identity, the catalog's ``l1`` clip and the exact zero, and for any
+    other step a call of ``step`` that leaves ``out`` alone."""
+    into = getattr(step, "into", None)
+    return into if into is not None else (lambda sigma, u, out: step(sigma, u))
 
 
 def resolvent_from_prox(f: ProxFunction) -> ResolventOp:
@@ -497,9 +596,9 @@ def _build_sq_l2(dim, weight=1.0, center=0.0):
 
     return ProxFunction(
         dim,
-        evaluate=lambda x: 0.5 * c * float(np.dot(x - b, x - b)),
+        evaluate=lambda x: 0.5 * c * float((x - b).dot(x - b)),
         prox=prox,
-        conjugate_value=lambda u: float(np.dot(b, u)) + float(np.dot(u, u)) / (2.0 * c),
+        conjugate_value=lambda u: float(b.dot(u)) + float(u.dot(u)) / (2.0 * c),
         conjugate_prox=conj_prox,
         domain=Domain.full(),
         kind="sq_l2",
@@ -523,17 +622,24 @@ def _build_l1(dim, weight=1.0):
         slack = INDICATOR_TOL * (1.0 + c)
         return 0.0 if float(np.max(np.abs(u), initial=0.0)) <= c + slack else math.inf
 
+    def conj_prox_into(sigma, u, out):
+        # projection onto the conjugate's weight-radius sup-norm ball,
+        # clip(u, -c, c) as numpy's clip ufunc forms it for floats,
+        # min(max(u, -c), c) with a NaN u passed on, in its two public
+        # ufuncs: ndarray.clip runs numpy's Python-level _clip first
+        return np.minimum(np.maximum(u, -c, out=out), c, out=out)
+
+    def conj_prox(sigma, u):
+        u = np.asarray(u, dtype=float)
+        return conj_prox_into(sigma, u, np.empty(u.shape))
+
+    conj_prox.into = conj_prox_into
     return ProxFunction(
         dim,
         evaluate=lambda x: c * float(np.sum(np.abs(x))),
         prox=prox,
         conjugate_value=conj,
-        # projection onto the conjugate's weight-radius sup-norm ball;
-        # ndarray.clip skips np.clip's dispatch but still runs numpy's
-        # Python-level _clip before the clip ufunc (numpy 2.4, n = 1999:
-        # 2.0-3.7 us against 1.7-2.9 us for the bare ufunc, which only
-        # numpy's private modules export)
-        conjugate_prox=lambda sigma, u: np.asarray(u, dtype=float).clip(-c, c),
+        conjugate_prox=conj_prox,
         domain=Domain.full(),
         kind="l1",
         params={"weight": c},
@@ -586,7 +692,7 @@ def _build_point(dim, point=0.0):
         dim,
         evaluate=evaluate,
         prox=lambda gamma, w: p.copy(),
-        conjugate_value=lambda u: float(np.dot(p, u)),
+        conjugate_value=lambda u: float(p.dot(u)),
         conjugate_prox=lambda sigma, u: np.subtract(u, np.multiply(p, sigma)),
         domain=Domain.singleton(p),
         kind="point",
@@ -601,14 +707,12 @@ def _build_zero(dim):
         return 0.0 if float(np.max(np.abs(u), initial=0.0)) <= INDICATOR_TOL else math.inf
 
     # the conjugate is the indicator of the origin
-    zero = _read_only_zeros(dim)
-
     return ProxFunction(
         dim,
         evaluate=lambda x: 0.0,
         prox=lambda gamma, w: np.asarray(w, dtype=float),
         conjugate_value=conj,
-        conjugate_prox=lambda sigma, u: zero,
+        conjugate_prox=_ExactZero(dim),
         domain=Domain.full(),
         kind="zero",
         params={},
@@ -630,7 +734,7 @@ def _build_linear(dim, a=0.0):
 
     return ProxFunction(
         dim,
-        evaluate=lambda x: float(np.dot(a_v, x)),
+        evaluate=lambda x: float(a_v.dot(x)),
         prox=prox,
         conjugate_value=conj,
         # the conjugate is the indicator of the point a

@@ -45,7 +45,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -53,12 +56,16 @@ import numpy as np
 
 from .operators import (
     CLOSED_FORM_NORM_KINDS,
+    NO_NEGATIVE_ZERO_ADJOINT_KINDS,
     CocoerciveOp,
     LinearOp,
     ResolventOp,
     estimate_norm,
     _check_count,
+    _dual_into,
     _dual_step,
+    _ExactZero,
+    _linear_into,
 )
 from .spaces import SpaceLayout
 
@@ -232,7 +239,8 @@ class StoppingRule:
     ``tol`` bounds the fixed-point residual (displacement of one exact
     relaxation-1 update, measured in the renormed metric) relative to
     ``1 + ||state||``; it must be finite and non-negative, and
-    ``tol = 0`` stops only on an exactly zero residual.
+    ``tol = 0`` stops only on an exactly zero residual.  A ``bool`` or
+    a value that is not a real number is refused by name.
     """
 
     tol: float = 1e-10
@@ -269,7 +277,11 @@ def _check_sigma_count(sigmas, m: int) -> None:
 
 
 def _check_tolerance(name: str, value: float) -> None:
-    """Refuse a stopping tolerance that is not finite and non-negative."""
+    """Refuse a stopping tolerance that is a ``bool``, is not a real
+    number (Python or numpy), or is not finite and non-negative, naming
+    the argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
@@ -337,10 +349,6 @@ class IterState:
     v: tuple[np.ndarray, ...]
 
 
-def _state(n: int, u: np.ndarray, layout: SpaceLayout) -> IterState:
-    return IterState(n, u, *layout.split(u))
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     """One history row; ``iter`` counts completed iterations (1-based).
@@ -359,6 +367,58 @@ class IterationRecord:
     dual_obj: Optional[float] = None
     gap: Optional[float] = None
     kkt: Optional[float] = None
+
+
+class _History(Sequence):
+    """The history rows of a run, a read-only sequence of
+    :class:`IterationRecord` that :func:`run` fills as columns.
+
+    A row is kept as its ``step_norm``, ``residual`` and ``wall_ms``
+    (``iter`` is its index plus one), and its record is built each time
+    it is read; a row with objective values (a metrics-hook row, or one
+    assigned as ``history[k] = record``) keeps the record it was given.
+    """
+
+    __slots__ = ("step_norm", "residual", "wall_ms", "records")
+
+    def __init__(self):
+        self.step_norm: list[float] = []
+        self.residual: list[float] = []
+        self.wall_ms: list[float] = []
+        self.records: dict[int, IterationRecord] = {}
+
+    def __len__(self) -> int:
+        return len(self.step_norm)
+
+    def _index(self, k) -> int:
+        k = operator.index(k)
+        n = len(self)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError("history index out of range")
+        return k
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = self._index(k)
+        rec = self.records.get(k)
+        if rec is None:
+            rec = IterationRecord(k + 1, self.step_norm[k], self.residual[k], self.wall_ms[k])
+        return rec
+
+    def __setitem__(self, k, rec: IterationRecord) -> None:
+        self.records[self._index(k)] = rec
+
+    def __iter__(self):
+        records = self.records
+        for k, row in enumerate(zip(self.step_norm, self.residual, self.wall_ms)):
+            rec = records.get(k)
+            yield IterationRecord(k + 1, *row) if rec is None else rec
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 @dataclass(frozen=True)
@@ -386,10 +446,15 @@ class StopReason:
 
 @dataclass
 class RunReport:
-    """Outcome of :func:`run`; ``stop`` says which rule ended it."""
+    """Outcome of :func:`run`; ``stop`` says which rule ended it.
+
+    ``history`` holds one :class:`IterationRecord` per iteration; it
+    reads like a list (``len``, indexing, slicing, iteration), and a row
+    can be replaced by assigning a record to it.
+    """
 
     iterations: int
-    history: list[IterationRecord]
+    history: Sequence[IterationRecord]
     final_state: IterState
     stop: StopReason
     states: Optional[list[IterState]] = None
@@ -419,17 +484,23 @@ def _checked_point(layout: SpaceLayout, x, v):
     return x, v
 
 
+def _initial_point(layout: SpaceLayout, x0, v0):
+    """``(u, x, v)`` of :func:`initial_state`."""
+    x0, v0 = _checked_point(layout, x0, v0)
+    u = np.zeros(layout.size)
+    x, v = layout.split(u)
+    if x0 is not None:
+        x[...] = x0
+    if v0 is not None:
+        for dst, vi in zip(v, v0):
+            dst[...] = vi
+    return u, x, v
+
+
 def initial_state(layout: SpaceLayout, x0=None, v0=None) -> IterState:
     """State at iteration 0 in a fresh array; ``x0``/``v0`` are copied
     and missing components default to zero."""
-    x0, v0 = _checked_point(layout, x0, v0)
-    st = _state(0, np.zeros(layout.size), layout)
-    if x0 is not None:
-        st.x[...] = x0
-    if v0 is not None:
-        for dst, vi in zip(st.v, v0):
-            dst[...] = vi
-    return st
+    return IterState(0, *_initial_point(layout, x0, v0))
 
 
 # ---------------------------------------------------------------------------
@@ -613,27 +684,50 @@ _PLUS_ZERO = np.zeros(())
 _PLUS_ZERO.setflags(write=False)
 
 
+def _adjoint_terms(spec: ProblemSpec) -> tuple:
+    """The terms of :func:`_adjoint_sum` for ``spec``: one
+    ``(adjoint, w_i, signless)`` per block, where ``adjoint`` is the
+    buffer form ``(v, out) -> L_i^T v`` of ``L_i.adjoint_apply`` (see
+    ``operators._linear_into``) and ``signless`` says that it is the
+    library's ``diff1d`` or ``grad2d`` adjoint, which writes into ``out``
+    and never returns -0.0."""
+    return tuple(
+        (_linear_into(blk.L.adjoint_apply), w,
+         blk.L.kind in NO_NEGATIVE_ZERO_ADJOINT_KINDS
+         and getattr(blk.L.adjoint_apply, "into", None) is not None)
+        for blk, w in zip(spec.blocks, spec.layout.weights))
+
+
 def _adjoint_sum(terms, v, out, tmp):
-    """``sum_i w_i L_i^T v_i`` into ``out``, given ``terms`` = one
-    ``(L_i.adjoint_apply, w_i)`` per block, reduced in ascending block
-    order; ``tmp`` holds each weighted term.  Every caller forms the
+    """``sum_i w_i L_i^T v_i`` into ``out``, given the
+    :func:`_adjoint_terms` ``terms``, reduced in ascending block order;
+    ``tmp`` holds each later weighted term.  Every caller forms the
     coupling term here, so all of them get the same bits.
 
     The first term lands as ``term + 0.0``, which maps -0 to +0 exactly
     as filling ``out`` with zeros and adding did, so ``out`` never holds
     -0 (a sum is -0 only when both terms are).  A unit weight is not
-    multiplied in.
+    multiplied in, and a unit-weight signless first term, which holds
+    no -0, is its own ``term + 0.0``: it is written into ``out`` and the
+    pass is skipped.  (A weighted one keeps it: a tiny negative entry
+    times w_i can round to -0.)
     """
-    for i, ((adjoint, w), vi) in enumerate(zip(terms, v)):
-        term = adjoint(vi)
-        if w != 1.0:
-            # else x * 1 = x
-            term = np.multiply(term, w, out=tmp)
+    for i, ((adjoint, w, signless), vi) in enumerate(zip(terms, v)):
         if i:
+            term = adjoint(vi, tmp)
+            if w != 1.0:
+                # else x * 1 = x
+                term = np.multiply(term, w, out=tmp)
             np.add(out, term, out=out)
-        else:
-            # the fill and first add in one pass: -0 + 0.0 = +0 = 0.0 + -0
-            np.add(term, _PLUS_ZERO, out=out)
+            continue
+        term = adjoint(vi, out)
+        if w != 1.0:
+            term = np.multiply(term, w, out=out)
+        elif signless:
+            # term is out and holds no -0, so term + 0.0 = term
+            continue
+        # the fill and first add in one pass: -0 + 0.0 = +0 = 0.0 + -0
+        np.add(term, _PLUS_ZERO, out=out)
     return out
 
 
@@ -648,9 +742,11 @@ def _vanishes(a: np.ndarray) -> bool:
 class _Metric:
     """The renormed metric's quadratic form and the fixed-point residual
     of :func:`run`, with tau, each ratio w_i / sigma_i and each
-    ``(L_i.apply, w_i)`` bound once.  The metric is positive definite
-    only for admissible steps; with ``admissible`` false the residual
-    falls back to the plain weighted norm (a run under an override)."""
+    ``(L_i, w_i, buffer)`` bound once, ``L_i`` in its buffer form
+    writing into the block's own ``buffer``.  The metric is positive
+    definite only for admissible steps; with ``admissible`` false the
+    residual falls back to the plain weighted norm (a run under an
+    override)."""
 
     __slots__ = ("tau", "weights", "ratios", "cross", "admissible")
 
@@ -660,7 +756,8 @@ class _Metric:
         # w_i / sigma_i * vv_i reads (w_i / sigma_i) * vv_i, so the ratio
         # formed once has the same bits
         self.ratios = tuple(w / s for w, s in zip(weights, sigmas))
-        self.cross = tuple(zip((blk.L.apply for blk in spec.blocks), weights))
+        self.cross = tuple(zip((_linear_into(blk.L.apply) for blk in spec.blocks),
+                               weights, (np.empty(d) for d in spec.layout.dual_dims)))
 
     def quadform(self, dx, dv, xx, vv, dwsum=None):
         """Quadratic form at displacement (dx, dv), given the squared
@@ -671,9 +768,9 @@ class _Metric:
         ``<dx, dwsum>`` after the diagonal terms, with no L_i apply."""
         s = xx / self.tau
         if dwsum is None:
-            for c, q, (apply, w), d in zip(self.ratios, vv, self.cross, dv):
+            for c, q, (apply, w, buf), d in zip(self.ratios, vv, self.cross, dv):
                 s += c * q
-                s -= 2.0 * w * float(apply(dx).dot(d))
+                s -= 2.0 * w * float(apply(dx, buf).dot(d))
             return s
         for c, q in zip(self.ratios, vv):
             s += c * q
@@ -696,20 +793,30 @@ def _bind(spec: ProblemSpec, sigmas):
 
     ``C`` is ``C.apply``, ``None`` for a ``"zero"`` C (the library zero
     map, which returns +0); ``z`` is z, ``None`` when :func:`_vanishes`
-    holds; ``A`` is the resolvent of A; ``adjoints`` holds each
-    ``(L_i.adjoint_apply, w_i)`` for :func:`_adjoint_sum`; and each
-    block is ``(L_i.apply, D_i^{-1}.apply, r_i, sigma_i, dual)``, with
-    D_i^{-1} and r_i ``None`` when skipped as C and z are, and ``dual``
-    the map J_{sigma_i B_i^{-1}} of ``operators._dual_step``.
+    holds; ``A`` is the resolvent of A; ``adjoints`` are the
+    :func:`_adjoint_terms`; and each block is
+    ``(L_i, D_i^{-1}.apply, r_i, sigma_i, dual)``.  ``L_i`` is the buffer
+    form ``(y, out) -> L_i y`` of ``L_i.apply`` (``operators._linear_into``),
+    and ``dual`` the buffer form ``(sigma, u, out) -> J_{sigma B_i^{-1}}(u)``
+    of the block's dual step (``operators._dual_into``), which needs an
+    ``out`` other than ``u``.  D_i^{-1} and r_i are ``None`` when skipped
+    as C and z are, and ``L_i`` is ``None`` when the dual step is the
+    library's exact 0, which reads no argument, so that
+    v_i + sigma_i (L_i y - ...) need not be formed.
     """
+    blocks = []
+    for blk, sigma in zip(spec.blocks, sigmas):
+        step = _dual_step(blk.B)
+        blocks.append((
+            None if isinstance(step, _ExactZero) else _linear_into(blk.L.apply),
+            None if blk.Dinv.kind == "zero" else blk.Dinv.apply,
+            None if _vanishes(blk.r) else blk.r, sigma, _dual_into(step)))
     return (
         None if spec.C.kind == "zero" else spec.C.apply,
         None if _vanishes(spec.z) else spec.z,
         spec.A.resolvent,
-        tuple(zip((blk.L.adjoint_apply for blk in spec.blocks), spec.layout.weights)),
-        tuple((blk.L.apply, None if blk.Dinv.kind == "zero" else blk.Dinv.apply,
-               None if _vanishes(blk.r) else blk.r, sigma, _dual_step(blk.B))
-              for blk, sigma in zip(spec.blocks, sigmas)),
+        _adjoint_terms(spec),
+        tuple(blocks),
     )
 
 
@@ -723,9 +830,10 @@ class _Workspace:
     swaps them after each iteration.  ``tmp`` holds one weighted term of
     such a sum and, once the sum is formed, the difference of the two.
     ``y``, ``arg`` (the coupling term t, then the argument handed to the
-    resolvent of A, and p itself when an ``a2`` error is added) and the
-    per-block ``dual_arg`` (the argument handed to the dual resolvent,
-    and q itself when a ``b`` error is added) never leave an update.
+    resolvent of A, and p itself when an ``a2`` error is added), the
+    per-block ``dual_arg`` (L_i y, then the argument handed to the dual
+    step, then q itself when a ``b`` error is added) and the per-block
+    ``dual_out`` (where the dual step forms q) never leave an update.
     ``d`` receives the unrelaxed displacement (p - x, q - v) of the last
     update and ``s`` the displacement of the step taken, both flat over
     the product space with per-block views ``dx``/``dv`` and
@@ -733,16 +841,16 @@ class _Workspace:
 
     ``C``, ``z``, ``A`` and ``adjoints`` are those of :func:`_bind`, and
     ``blocks`` its block tuples, each followed by the block's
-    ``dual_arg`` and ``dv``; ``tau`` and ``lam`` are the steps of
-    ``cfg``, and ``tau_array`` and ``lam_array`` the same two as 0-d
-    float64 arrays, the multipliers of the float64 buffers t and d
+    ``dual_arg``, ``dual_out`` and ``dv``; ``tau`` and ``lam`` are the
+    steps of ``cfg``, and ``tau_array`` and ``lam_array`` the same two as
+    0-d float64 arrays, the multipliers of the float64 buffers t and d
     (numpy converts a Python float operand on every call, a 0-d array
     not, and the products have the same bits); ``metric`` is the run's
     :class:`_Metric`; and ``exact`` is ``(None,) * m``, the ``b`` and
     ``c`` of an exact update.
     """
 
-    __slots__ = ("wsum", "wsum_next", "tmp", "arg", "y", "dual_arg",
+    __slots__ = ("wsum", "wsum_next", "tmp", "arg", "y", "dual_arg", "dual_out",
                  "d", "dx", "dv", "s", "sx", "sv",
                  "C", "z", "A", "tau", "lam", "tau_array", "lam_array",
                  "adjoints", "metric", "exact", "blocks")
@@ -753,6 +861,7 @@ class _Workspace:
         self.wsum, self.wsum_next, self.tmp, self.arg, self.y = (
             np.empty(n) for _ in range(5))
         self.dual_arg = tuple(np.empty(d) for d in dims)
+        self.dual_out = tuple(np.empty(d) for d in dims)
         self.d = np.empty(layout.size)
         self.dx, self.dv = layout.split(self.d)
         self.s = np.empty(layout.size)
@@ -762,16 +871,16 @@ class _Workspace:
         self.tau_array, self.lam_array = np.array(cfg.tau), np.array(cfg.lam)
         self.metric = _Metric(spec, cfg.tau, cfg.sigmas, admissible)
         self.exact = (None,) * spec.num_blocks
-        self.blocks = tuple(blk + (u, dvi)
-                            for blk, u, dvi in zip(blocks, self.dual_arg, self.dv))
+        self.blocks = tuple(blk + bufs for blk, bufs in zip(
+            blocks, zip(self.dual_arg, self.dual_out, self.dv)))
 
 
-def _kernel(ws, st, wsum, err, out):
-    """One update from the state ``st`` into the state ``out`` by the
-    plan ``ws``, given ``wsum`` = :func:`_adjoint_sum` of ``ws.adjoints``
-    and ``st.v``; returns the squared norms ``<dx, dx>`` and
-    ``[<dv_i, dv_i>]`` of the unrelaxed displacement, as
-    :func:`_sq_norms` forms them.
+def _kernel(ws, u, x, v, wsum, err, out):
+    """One update from the state ``(u, x, v)`` (the flat array and its
+    views) into the flat array ``out`` by the plan ``ws``, given
+    ``wsum`` = :func:`_adjoint_sum` of ``ws.adjoints`` and ``v``;
+    returns the squared norms ``<dx, dx>`` and ``[<dv_i, dv_i>]`` of the
+    unrelaxed displacement, as :func:`_sq_norms` forms them.
 
     The displacement always lands in ``ws.d``; with ``out=None`` the
     relaxed update is not formed.  ``err=None`` is the exact update, and
@@ -786,14 +895,15 @@ def _kernel(ws, st, wsum, err, out):
     block, or lets a finite update whose squares overflow go on.
 
     Every array operation writes into ``ws`` or ``out``, never into
-    ``st``, ``wsum`` or an array an operator returned; an operator's
+    ``u``, ``wsum`` or an array an operator returned; an operator's
     result is consumed before the buffer it was handed is written again.
     The operations and their order are those of the plain formulas in
     the module docstring, less the passes that are exact IEEE identities
-    (each is named where it is skipped), so results are bitwise those of
-    the formulas; the dual-block reduction runs in ascending block order.
+    (each is named where it is skipped) and the dual argument of an
+    exact-zero dual step, which reads none, so results are bitwise those
+    of the formulas; the dual-block reduction runs in ascending block
+    order.
     """
-    x, v = st.x, st.v
     arg = ws.arg
     if err is None:
         a1 = a2 = None
@@ -818,21 +928,23 @@ def _kernel(ws, st, wsum, err, out):
         raise _DivergenceError("primal update p")
     y = np.subtract(np.multiply(p, 2.0, out=ws.y), x, out=ws.y)
     vv = []
-    for (apply, Dinv, r, sigma, dual, u, dvi), vi, b, c in zip(ws.blocks, v, bs, cs):
-        # L_i y - D_i^{-1} v_i - c_i - r_i, where a vanished term is not
-        # subtracted (x - (+0) = x) and the first subtraction left reads
-        # L_i y; with none left, L_i y itself is scaled below
-        a = apply(y)
-        if Dinv is not None:
-            a = np.subtract(a, Dinv(vi), out=u)
-        if c is not None:
-            a = np.subtract(a, c, out=u)
-        if r is not None:
-            a = np.subtract(a, r, out=u)
-        np.add(vi, np.multiply(a, sigma, out=u), out=u)
-        q = dual(sigma, u)
+    for (L, Dinv, r, sigma, dual, u_i, q_i, dvi), vi, b, c in zip(ws.blocks, v, bs, cs):
+        if L is not None:
+            # L_i y - D_i^{-1} v_i - c_i - r_i, where a vanished term is not
+            # subtracted (x - (+0) = x) and the first subtraction left reads
+            # L_i y; with none left, L_i y itself is scaled below
+            a = L(y, u_i)
+            if Dinv is not None:
+                a = np.subtract(a, Dinv(vi), out=u_i)
+            if c is not None:
+                a = np.subtract(a, c, out=u_i)
+            if r is not None:
+                a = np.subtract(a, r, out=u_i)
+            np.add(vi, np.multiply(a, sigma, out=u_i), out=u_i)
+        # else the dual step is the exact 0 and its argument is dead
+        q = dual(sigma, u_i, q_i)
         if b is not None:
-            q = np.add(q, b, out=u)
+            q = np.add(q, b, out=u_i)
         np.subtract(q, vi, out=dvi)
         qq = float(dvi.dot(dvi))
         vv.append(qq)
@@ -841,9 +953,9 @@ def _kernel(ws, st, wsum, err, out):
     if out is not None:
         if ws.lam == 1.0:
             # x * 1 = x
-            np.add(st.u, ws.d, out=out.u)
+            np.add(u, ws.d, out=out)
         else:
-            np.add(st.u, np.multiply(ws.d, ws.lam_array, out=out.u), out=out.u)
+            np.add(u, np.multiply(ws.d, ws.lam_array, out=out), out=out)
     return xx, vv
 
 
@@ -852,9 +964,9 @@ def _sq_norms(dx, dv):
     return float(dx.dot(dx)), [float(d.dot(d)) for d in dv]
 
 
-def _state_norm(weights, st: IterState) -> float:
-    """The weighted norm of the state ``st``, as the stop test forms it."""
-    return math.sqrt(_weighted_sq(weights, *_sq_norms(st.x, st.v)))
+def _state_norm(weights, x, v) -> float:
+    """The weighted norm of the state ``(x, v)``, as the stop test forms it."""
+    return math.sqrt(_weighted_sq(weights, *_sq_norms(x, v)))
 
 
 def _checked_errors(err: IterationErrors, m: int) -> IterationErrors:
@@ -955,7 +1067,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
         )
     stop = stop or StoppingRule()
     layout = spec.layout
-    st = initial_state(layout, x0, v0)
+    u, x, v = _initial_point(layout, x0, v0)
     weights = layout.weights
     lam, tol, m = cfg.lam, stop.tol, spec.num_blocks
 
@@ -967,19 +1079,31 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     clock = time.perf_counter
     # the bound's relative outward rounding (see below), formed once
     grow = 1.0 + NORM_BOUND_SLACK
-    _adjoint_sum(adjoints, st.v, wsum, tmp)
+    _adjoint_sum(adjoints, v, wsum, tmp)
     # a state that leaves the loop keeps its array, so an update whose
     # state is handed out writes into a fresh one; the others alternate
     # between two arrays, neither of which is ever handed out before the
-    # run ends
+    # run ends.  A state is an IterState only once it is handed out.
     every = record_states or extra_stop is not None
-    size = layout.size
-    pair = None if every else [_state(0, np.empty(size), layout) for _ in range(2)]
-    history: list[IterationRecord] = []
+    size, dim = layout.size, layout.dim_primal
+    cuts = np.cumsum((dim, *layout.dual_dims)).tolist()
+    spans = tuple(slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+
+    def fresh():
+        # (u, x, v) of a new array, the views SpaceLayout.split makes
+        w = np.empty(size)
+        return w, w[:dim], tuple([w[sl] for sl in spans])
+
+    pair = None if every else (fresh(), fresh())
+    # the current state as an IterState, once one is built for it
+    st = IterState(0, u, x, v) if record_states else None
+    history = _History()
+    add_step, add_residual, add_wall = (
+        history.step_norm.append, history.residual.append, history.wall_ms.append)
     states: Optional[list[IterState]] = [st] if record_states else None
     reason = StopReason("max_iter", float(stop.max_iter), float(stop.max_iter))
     failure = None
-    # an upper bound on the computed norm of st, exact after a resync
+    # an upper bound on the computed norm of the state, exact after a resync
     bound = math.inf
 
     # entered once per run (about 2 us); the docstring says why the
@@ -990,14 +1114,11 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             if err_n is not None:
                 err_n = _checked_errors(err_n, m)
             hook = iter_metrics is not None and (n + 1) % OBJECTIVE_STRIDE == 0
-            if every or hook:
-                nxt = _state(n + 1, np.empty(size), layout)
-            else:
-                buf = pair[n % 2]
-                nxt = IterState(n + 1, buf.u, buf.x, buf.v)
+            handed = every or hook
+            nu, nx, nv = fresh() if handed else pair[n % 2]
             t0 = clock()
             try:
-                sq = _kernel(ws, st, wsum, err_n, nxt)
+                sq = _kernel(ws, u, x, v, wsum, err_n, nu)
             except _DivergenceError as exc:
                 reason = StopReason("diverged")
                 failure = f"non-finite value in {exc.block} at iteration {n}"
@@ -1007,30 +1128,31 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
                 e is None for e in (err_n.a1, err_n.a2, *err_n.b, *err_n.c))
             if not exact:
                 # the residual measures the error-free update from the same state
-                _kernel(ws, st, wsum, None, None)
+                _kernel(ws, u, x, v, wsum, None, None)
             # the next iteration's weighted sum, the same bits as forming it there
-            _adjoint_sum(adjoints, nxt.v, wsum_next, tmp)
+            _adjoint_sum(adjoints, nv, wsum_next, tmp)
             if exact and lam == 1.0:
                 # the step taken is the relaxation-1 displacement d, and
                 # v_{n+1} - v_n = dv gives sum_i w_i L_i^T dv_i = W_{n+1} - W_n
                 dwsum = np.subtract(wsum_next, wsum, out=tmp) if admissible else None
                 step_sq = res_sq = sq
             else:
-                np.subtract(nxt.u, st.u, out=s)
+                np.subtract(nu, u, out=s)
                 step_sq = _sq_norms(sx, sv)
                 # the relaxation-1 displacement (x + (p - x)) - x
-                np.subtract(np.add(st.u, d, out=d), st.u, out=d)
+                np.subtract(np.add(u, d, out=d), u, out=d)
                 dwsum = None
                 res_sq = _sq_norms(dx, dv)
             residual = residual_of(dx, dv, res_sq, dwsum)
             step_norm = math.sqrt(_weighted_sq(weights, *step_sq))
-            # the state norm enters only the threshold tol (1 + ||st||), and
-            # rounding is monotone: an upper bound U >= ||st|| gives a threshold
-            # at least as large, so a residual above tol (1 + U) cannot meet
-            # the exact one, and the exact norm is needed only at or below it
+            # the state norm enters only the threshold tol (1 + ||u_n||), and
+            # rounding is monotone: an upper bound U >= ||u_n|| gives a
+            # threshold at least as large, so a residual above tol (1 + U)
+            # cannot meet the exact one, and the exact norm is needed only at
+            # or below it
             if (n % NORM_RESYNC == 0 or not math.isfinite(bound)
                     or residual <= tol * (1.0 + bound)):
-                bound = _state_norm(weights, st)
+                bound = _state_norm(weights, x, v)
             state_norm = bound
             # ||u_{n+1}|| <= ||u_n|| + ||u_{n+1} - u_n||, rounded outward.  With
             # eps = 2^-53 and N the state's length plus twice the blocks, a
@@ -1046,14 +1168,16 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             wsum, wsum_next = wsum_next, wsum
             wall_ms = (clock() - t0) * 1000.0
 
+            add_step(step_norm)
+            add_residual(residual)
+            add_wall(wall_ms)
+            u, x, v = nu, nx, nv
+            st = IterState(n + 1, u, x, v) if handed else None
             if hook:
-                history.append(IterationRecord(n + 1, step_norm, residual, wall_ms,
-                                               **iter_metrics(nxt, wsum)))
-            else:
-                history.append(IterationRecord(n + 1, step_norm, residual, wall_ms))
+                history[n] = IterationRecord(n + 1, step_norm, residual, wall_ms,
+                                             **iter_metrics(st, wsum))
             if record_states:
-                states.append(nxt)
-            st = nxt
+                states.append(st)
 
             # norms can overflow to inf while the state is still finite; a
             # non-finite residual must never satisfy the convergence test
@@ -1071,7 +1195,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     return RunReport(
         iterations=len(history),
         history=history,
-        final_state=st,
+        final_state=st if st is not None else IterState(len(history), u, x, v),
         stop=reason,
         states=states,
         used_errors=errors is not None,

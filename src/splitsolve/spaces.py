@@ -105,8 +105,8 @@ class SpaceLayout:
 def inner_blocks(weights, ax: np.ndarray, av, bx: np.ndarray, bv) -> float:
     """Weighted inner product <ax, bx> + sum_i w_i <av_i, bv_i> of two
     split points, reduced in ascending block order."""
-    s = float(np.dot(ax, bx))
+    s = float(ax.dot(bx))
     for w, da, db in zip(weights, av, bv):
-        s += w * float(np.dot(da, db))
+        s += w * float(da.dot(db))
     return s
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from splitsolve.convex import ConvexBlock, ConvexProblem, GapReport
 from splitsolve.operators import ProxFunction, _norm
-from splitsolve.solver import _adjoint_sum
 
 
 def reference_gap(cp, x, v, tau=1.0, sigmas=None) -> GapReport:
@@ -50,11 +49,17 @@ def _at_point(cp: ConvexProblem, x, v, sigmas):
     v = tuple(np.asarray(vi, dtype=float) for vi in v)
     if len(v) != m or any(vi.shape != (d,) for vi, d in zip(v, layout.dual_dims)):
         raise ValueError("v has the wrong shapes")
-    n = layout.dim_primal
     Lx = [blk.L.apply(x) for blk in cp.blocks]
-    adjoints = tuple(zip((blk.L.adjoint_apply for blk in cp.blocks), layout.weights))
-    wsum = _adjoint_sum(adjoints, v, np.empty(n), np.empty(n))
-    return x, v, sigmas, Lx, wsum
+    return x, v, sigmas, Lx, plain_adjoint_sum(cp.blocks, layout.weights, v)
+
+
+def plain_adjoint_sum(blocks, weights, v) -> np.ndarray:
+    """``sum_i w_i L_i^T v_i`` as the plain formula: zeros, then each
+    weighted term added in ascending block order."""
+    wsum = np.zeros(blocks[0].L.in_dim)
+    for w, blk, vi in zip(weights, blocks, v):
+        wsum = wsum + w * blk.L.adjoint_apply(vi)
+    return wsum
 
 
 def _kkt_residual(cp: ConvexProblem, x: np.ndarray, v, sigmas, Lx,
@@ -83,7 +88,7 @@ def _infconv_value(blk: ConvexBlock, w: np.ndarray):
     if blk.ell.kind == "dirac":
         return blk.g.evaluate(w)
     if blk.ell.kind == "quadratic":
-        nu = blk.ell.params["nu"]
+        nu = blk.ell.nu
         p = blk.g.prox(1.0 / nu, w)
         d = w - p
         return blk.g.evaluate(p) + 0.5 * nu * float(np.dot(d, d))

@@ -16,9 +16,8 @@ import pytest
 import splitsolve as ss
 from splitsolve.convex import _GapPlan
 from splitsolve.operators import CATALOG_KINDS
-from splitsolve.solver import _adjoint_sum
 
-from gap_reference import reference_gap, reference_kkt
+from gap_reference import plain_adjoint_sum, reference_gap, reference_kkt
 
 N = 6
 KINDS = sorted(CATALOG_KINDS)
@@ -111,8 +110,6 @@ def reprs(rep):
 def assert_matches_reference(cp, tau, sigmas, pts):
     # one plan per problem, fed states in turn as the hooks are
     plan = _GapPlan(cp, tau, (1.0,) * len(cp.blocks) if sigmas is None else sigmas)
-    n = cp.layout.dim_primal
-    adjoints = tuple(zip((blk.L.adjoint_apply for blk in cp.blocks), cp.layout.weights))
     for x, v in pts:
         want = reference_gap(cp, x, v, tau=tau, sigmas=sigmas)
         want_kkt = reference_kkt(cp, x, v, tau=tau, sigmas=sigmas)
@@ -120,7 +117,7 @@ def assert_matches_reference(cp, tau, sigmas, pts):
         assert reprs(ss.evaluate_gap(cp, x, v, tau=tau, sigmas=sigmas)) == reprs(want)
         assert repr(ss.kkt_residual(cp, x, v, tau=tau, sigmas=sigmas)) == repr(want_kkt)
         with np.errstate(over="ignore", invalid="ignore"):
-            wsum = _adjoint_sum(adjoints, v, np.empty(n), np.empty(n))
+            wsum = plain_adjoint_sum(cp.blocks, cp.layout.weights, v)
             assert reprs(plan.gap(x, v, wsum)) == reprs(want)
             assert repr(plan.kkt(x, v, wsum)) == repr(want_kkt)
 

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitsolve.operators import (
+    NO_NEGATIVE_ZERO_ADJOINT_KINDS,
     CocoerciveOp,
     LinearOp,
     ResolventOp,
+    _dual_into,
     _dual_step,
+    _linear_into,
     catalog_prox,
     diff1d_op,
     estimate_norm,
@@ -181,6 +184,150 @@ class TestAdjoints:
             lhs = op.apply(a * x + y)
             rhs = a * op.apply(x) + op.apply(y)
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+class TestInputLength:
+    """The library operators refuse an input of the wrong length by name."""
+
+    @pytest.mark.parametrize("op, name", [
+        (identity_op(5), "identity"),
+        (diff1d_op(5), "diff1d"),
+        (grad2d_op(3, 4), "grad2d"),
+    ])
+    def test_wrong_length_refused_by_name(self, op, name):
+        for call, dim, side in ((op.apply, op.in_dim, "apply"),
+                                (op.adjoint_apply, op.out_dim, "adjoint")):
+            for bad in (np.ones(dim - 1), np.ones(dim + 1), np.ones((1, dim)), 1.0):
+                with pytest.raises(ValueError, match=f"^{name} {side} takes a vector "
+                                                     f"of length {dim}, got shape"):
+                    call(bad)
+            assert call(np.ones(dim)).shape == ((op.out_dim if side == "apply"
+                                                 else op.in_dim),)
+
+    def test_diff1d_apply_no_longer_shortens(self):
+        # a length-4 input used to give 3 differences of a length-5 operator
+        with pytest.raises(ValueError, match="^diff1d apply takes a vector of length 5"):
+            diff1d_op(5).apply(np.ones(4))
+
+    def test_lists_still_accepted(self):
+        assert_same_bits(diff1d_op(3).apply([1.0, 4.0, 2.0]), [3.0, -2.0])
+        assert_same_bits(identity_op(2).adjoint_apply([1.0, -0.0]), [1.0, -0.0])
+
+
+#: entries every buffer form must pass through with the bits of its public
+#: callable: signed zeros, infinities, NaN, subnormals and the smallest normal
+SPECIAL_ENTRIES = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                   5e-324, -5e-324, 1e-310, -1e-310,
+                   2.2250738585072014e-308, -2.2250738585072014e-308)
+
+
+def special_vectors(n, extra=()):
+    """Length-``n`` float vectors mixing the special entries, ``extra``
+    and arbitrary doubles."""
+    entry = st.one_of(st.sampled_from(SPECIAL_ENTRIES + tuple(extra)),
+                      st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    return st.lists(entry, min_size=n, max_size=n).map(lambda xs: np.array(xs, dtype=float))
+
+
+def garbage(n):
+    """A buffer whose stale content a buffer form must overwrite."""
+    return np.full(n, -12345.678)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBufferForms:
+    """Each buffer-writing form returns the bits of its public callable,
+    which allocates and calls it, into a buffer that held anything."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), shape=st.tuples(st.integers(2, 5), st.integers(2, 5)))
+    def test_linear_forms_match_public(self, data, shape):
+        rows, cols = shape
+        for op in (identity_op(rows), diff1d_op(rows), grad2d_op(rows, cols)):
+            for call, n_in, n_out in ((op.apply, op.in_dim, op.out_dim),
+                                      (op.adjoint_apply, op.out_dim, op.in_dim)):
+                x = data.draw(special_vectors(n_in))
+                out = garbage(n_out)
+                got = _linear_into(call)(x, out)
+                assert_same_bits(got, call(x))
+                if op.kind == "identity":
+                    assert got is x
+                else:
+                    assert got is out
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), shape=st.tuples(st.integers(2, 5), st.integers(2, 5)))
+    def test_signless_adjoints_never_return_negative_zero(self, data, shape):
+        # what lets a unit-weight first term skip the adjoint sum's + 0.0
+        rows, cols = shape
+        for op in (diff1d_op(rows), grad2d_op(rows, cols)):
+            assert op.kind in NO_NEGATIVE_ZERO_ADJOINT_KINDS
+            y = data.draw(special_vectors(op.out_dim))
+            out = op.adjoint_apply(y)
+            assert not np.any((out == 0.0) & np.signbit(out))
+            assert_same_bits(out + 0.0, out)
+
+    def test_identity_adjoint_passes_negative_zero(self):
+        assert "identity" not in NO_NEGATIVE_ZERO_ADJOINT_KINDS
+        assert np.signbit(identity_op(2).adjoint_apply(np.array([-0.0, 1.0]))[0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40),
+           weight=st.sampled_from([0.3, 1.0, 5e-324, 1e300]))
+    def test_l1_clip_form_matches_public_and_np_clip(self, data, n, weight):
+        g = catalog_prox("l1", n, weight=weight)
+        u = data.draw(special_vectors(n, extra=(weight, -weight)))
+        out = garbage(n)
+        got = _dual_into(g.conjugate_prox)(0.7, u, out)
+        assert got is out
+        assert_same_bits(got, g.conjugate_prox(0.7, u))
+        assert_same_bits(got, np.clip(u, -weight, weight))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_exact_zero_form_is_the_shared_zero(self, data, n):
+        u = data.draw(special_vectors(n))
+        for step in (catalog_prox("zero", n).conjugate_prox,
+                     ResolventOp.zero(n).inverse_resolvent):
+            out = garbage(n)
+            got = _dual_into(step)(0.7, u, out)
+            assert got is step(0.7, u)
+            assert_same_bits(got, np.zeros(n))
+            assert_same_bits(out, garbage(n))  # written nowhere
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12),
+           sigma=st.sampled_from([0.4, 1.0, 2.5, 1e-300, 1e300]))
+    def test_inverse_resolvent_identity_form_matches_public(self, data, n, sigma):
+        # box (returns a new array) and zero (returns its input) proxes, as
+        # a custom ResolventOp: the identity v - sigma J_{B/sigma}(v/sigma)
+        for g in (catalog_prox("box", n, lo=-1.0, hi=2.0), catalog_prox("zero", n)):
+            B = ResolventOp(n, g.prox)
+            step = _dual_step(B)
+            u = data.draw(special_vectors(n))
+            out = garbage(n)
+            with np.errstate(all="ignore"):
+                got = _dual_into(step)(sigma, u, out)
+                want = u - sigma * g.prox(1.0 / sigma, u / sigma)
+                assert got is out
+                assert_same_bits(got, step(sigma, u))
+                assert_same_bits(got, resolvent_of_inverse(B, sigma, u))
+            assert_same_bits(got, want)
+
+    def test_custom_callables_keep_their_call(self, rng):
+        seen = []
+
+        def apply(x):
+            seen.append(x)
+            return 2.0 * x
+
+        x, out = rng.standard_normal(3), garbage(3)
+        assert_same_bits(_linear_into(apply)(x, out), 2.0 * x)
+        assert seen == [x] and not hasattr(apply, "into")
+        assert_same_bits(out, garbage(3))
+        step = catalog_prox("l2", 3).conjugate_prox
+        assert_same_bits(_dual_into(step)(0.5, x, out), step(0.5, x))
+        assert_same_bits(out, garbage(3))
 
 
 class TestResolventOfInverse:

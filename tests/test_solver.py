@@ -19,6 +19,7 @@ from splitsolve.solver import (
 )
 
 from conftest import assert_same_bits, degenerate_block, shrinkage_spec
+from gap_reference import plain_adjoint_sum
 
 
 def simple_spec(m=1, dim=1, norms=None, mu=1.0, nus=None, weights=None):
@@ -810,6 +811,23 @@ class TestStoppingRule:
             else:
                 ss.solve_convex(tiny_convex_problem(), kkt_tol=value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tol", True), ("tol", "1e-3"), ("tol", None),
+        ("kkt_tol", True), ("kkt_tol", "1e-3"),
+    ])
+    def test_bool_or_non_real_tolerance_refused_by_name(self, field, value):
+        # True used to be stored as a tolerance and "1e-3" to die in
+        # math.isfinite with a raw TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
+            if field == "tol":
+                ss.StoppingRule(tol=value)
+            else:
+                ss.solve_convex(tiny_convex_problem(), kkt_tol=value)
+
+    @pytest.mark.parametrize("value", [np.float64(1e-3), np.float32(1e-3), 0, np.int64(0)])
+    def test_real_tolerances_accepted(self, value):
+        assert ss.StoppingRule(tol=value).tol == value
+
     @pytest.mark.parametrize("value", [2.5, 10.0, math.nan, "10"])
     def test_non_integer_max_iter_refused_by_name(self, value):
         # 2.5 and NaN used to pass here and fail in run's range() with a TypeError
@@ -1345,14 +1363,22 @@ def failing_at(n_fail, fn):
 
 
 def spied_state_norms(monkeypatch):
-    """Record ``(st.n, value)`` of every exact state norm ``run`` forms."""
-    calls = []
-    exact = ss.solver._state_norm
+    """Record ``(n, value)`` of every exact state norm ``run`` forms, with
+    ``n`` the iteration of the state, counted as the updates ``run`` has
+    taken into a new state before the norm, less one."""
+    calls, updates = [], []
+    exact, kernel = ss.solver._state_norm, ss.solver._kernel
 
-    def spy(weights, st):
-        value = exact(weights, st)
-        calls.append((st.n, value))
+    def counted(ws, u, x, v, wsum, err, out):
+        if out is not None:
+            updates.append(out)
+        return kernel(ws, u, x, v, wsum, err, out)
+
+    def spy(weights, x, v):
+        value = exact(weights, x, v)
+        calls.append((len(updates) - 1, value))
         return value
+    monkeypatch.setattr(ss.solver, "_kernel", counted)
     monkeypatch.setattr(ss.solver, "_state_norm", spy)
     return calls
 
@@ -1621,12 +1647,9 @@ class TestAliasing:
                iter_metrics=recorder("metrics"), extra_stop=recorder("stop"))
         assert [n for n, _, _ in seen["metrics"]] == [10, 20]
         assert [n for n, _, _ in seen["stop"]] == list(range(1, 26))
-        n = self.spec.layout.dim_primal
         for _, v, wsum in seen["metrics"] + seen["stop"]:
-            want = ss.solver._adjoint_sum(
-                tuple(zip((blk.L.adjoint_apply for blk in self.spec.blocks),
-                          self.spec.layout.weights)), v, np.empty(n), np.empty(n))
-            assert_same_bits(wsum, want)
+            assert_same_bits(wsum, plain_adjoint_sum(self.spec.blocks,
+                                                     self.spec.layout.weights, v))
 
     def test_final_state_survives_divergence(self):
         # iteration 3 fails; the state after iteration 2 must be intact
@@ -1711,6 +1734,75 @@ class TestFlatState:
             for b in report.states[i + 1:]:
                 assert not np.shares_memory(a.u, b.u)
         assert not any(np.shares_memory(self.x0, st.u) for st in report.states)
+
+
+class TestPerIterationObjects:
+    """A run builds an ``IterState`` only for a state it hands out (the
+    final state, a metrics-hook row's, every recorded one) and an
+    ``IterationRecord`` only for a metrics-hook row; the other rows are
+    kept as columns and their records built when the history is read."""
+
+    ITERS = 25
+
+    def setup_method(self):
+        cp, _ = ss.benchmarks.tv1d_problem()
+        self.spec = cp.spec
+        self.cfg = ss.suggest_steps(self.spec)
+        self.stop = ss.StoppingRule(tol=0.0, max_iter=self.ITERS)
+
+    @staticmethod
+    def counting(monkeypatch):
+        counts = {"IterState": 0, "IterationRecord": 0}
+        for name in counts:
+            base = getattr(ss.solver, name)
+
+            def init(self, *args, _base=base, _name=name, **kwargs):
+                counts[_name] += 1
+                _base.__init__(self, *args, **kwargs)
+            monkeypatch.setattr(ss.solver, name, type(name, (base,), {"__init__": init}))
+        return counts
+
+    @pytest.mark.parametrize("hook, record, states, records", [
+        (False, False, 1, 0),           # the final state only
+        (True, False, 2 + 1, 2),        # rows 10 and 20, then the final state
+        (False, True, ITERS + 1, 0),    # every state, index 0 included
+    ], ids=["pair path", "metrics hook", "record_states"])
+    def test_constructions(self, monkeypatch, hook, record, states, records):
+        plain = ss.run(self.spec, self.cfg, stop=self.stop, record_states=True)
+        plain_rows = list(plain.history)
+        counts = self.counting(monkeypatch)
+        report = ss.run(self.spec, self.cfg, stop=self.stop, record_states=record,
+                        iter_metrics=(lambda st, wsum: {"gap": float(st.n)}) if hook else None)
+        assert counts == {"IterState": states, "IterationRecord": records}
+        assert report.final_state.n == self.ITERS
+        assert_same_bits(report.final_state.u, plain.final_state.u)
+        # reading the history builds the rows' records, with the bits of
+        # the run that built a state on every row
+        assert len(report.history) == self.ITERS
+        for got, want in zip(report.history, plain_rows):
+            assert (got.iter, got.gap is None) == (want.iter, not (hook and got.iter % 10 == 0))
+            assert_same_bits([got.step_norm, got.residual], [want.step_norm, want.residual])
+        assert counts["IterationRecord"] == self.ITERS
+
+    def test_history_reads_like_a_list_of_frozen_records(self):
+        report = ss.run(self.spec, self.cfg, stop=self.stop,
+                        iter_metrics=lambda st, wsum: {"kkt": 1.5})
+        history = report.history
+        rows = list(history)
+        assert [r.iter for r in rows] == list(range(1, self.ITERS + 1))
+        assert history[-1] == rows[-1] and history[0] == rows[0]
+        assert history[3:7] == rows[3:7] and history[::-5] == rows[::-5]
+        assert history[9] is history[9]  # a hook row keeps its record
+        assert history[9].kkt == 1.5 and history[8].kkt is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            history[4].residual = 0.0
+        for bad in (self.ITERS, -self.ITERS - 1):
+            with pytest.raises(IndexError):
+                history[bad]
+        history[-1] = dataclasses.replace(rows[-1], gap=2.0)
+        assert history[self.ITERS - 1].gap == 2.0
+        assert list(history)[:-1] == rows[:-1]
+        assert repr(history) == repr(list(history))
 
 
 # ---------------------------------------------------------------------------
