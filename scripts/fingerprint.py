@@ -14,7 +14,9 @@ columns on their own line, and stdout), ``check`` and ``diag`` of each
 generated config with the branches the others miss (a ``box`` f, an
 ``sq_l2`` h of weight 2.5, a nonzero ``z``, an ``r`` with -0.0 entries,
 a ``quadratic`` ell, two blocks weighted (0.7, 0.3) and a ``kkt_tol``
-that ends the run), the text that ``serialize_config`` writes for each
+that ends the run) and of a generated config whose h is ``zero`` with
+a declared ``mu = 2.0`` (a zero gradient that counts in the step
+condition, which a run skips), the text that ``serialize_config`` writes for each
 of these configs, and four
 library runs of TV-2D denoising: one at relaxation 1, one at relaxation
 0.9 with geometric errors and a metrics hook (which ``run`` calls on
@@ -248,6 +250,43 @@ kkt_tol = 1e-9
     solve_config("generated offsets", cfg, tmp)
 
 
+def zero_mu_config(tmp: Path) -> None:
+    """``solve`` of a generated config whose h is ``zero`` with a
+    declared ``mu = 2.0``: the zero gradient is skipped by the run, and
+    its constant enters the step condition."""
+    n = 30
+    rng = np.random.default_rng(19)
+    b = np.repeat(rng.uniform(-1.0, 1.0, 5), n // 5) + 0.05 * rng.standard_normal(n)
+    center = ",".join(repr(float(v)) for v in b)
+    text = f"""[problem]
+dim_primal = {n}
+z = zeros
+f = sq_l2 weight=1.0 center=({center})
+h = zero
+mu = 2.0
+
+[block]
+dim = {n - 1}
+omega = 1.0
+L = diff1d
+g = l1 weight=0.3
+ell = dirac
+r = zeros
+
+[steps]
+mode = auto
+safety = 0.99
+lambda = 1.0
+
+[stop]
+tol = 1e-10
+max_iter = 20000
+"""
+    cfg = tmp / "zero_mu.cfg"
+    cfg.write_text(text)
+    solve_config("generated zero h mu=2", cfg, tmp)
+
+
 def tv2d_spec(b: np.ndarray) -> solver.ProblemSpec:
     n = b.size
     L = operators.grad2d_op(TV2D_SIDE, TV2D_SIDE)
@@ -431,6 +470,7 @@ def main() -> int:
         configs(tmp)
         tv1d_config(tmp)
         offsets_config(tmp)
+        zero_mu_config(tmp)
     tv2d_runs()
     offsets_run()
     signed_zero_runs()

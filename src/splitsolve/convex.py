@@ -30,10 +30,9 @@ from .operators import (
     Domain,
     LinearOp,
     ProxFunction,
-    _check_count,
-    _linear_into,
+    _bound,
     _norm,
-    _read_only_zeros,
+    _Zero,
     resolvent_from_prox,
 )
 from .solver import (
@@ -54,7 +53,7 @@ from .solver import (
     run,
     suggest_steps,
 )
-from .spaces import SpaceLayout
+from .spaces import SpaceLayout, _check_count
 
 __all__ = [
     "SmoothTerm",
@@ -144,13 +143,13 @@ def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
 def zero_smooth(dim: int, mu: Optional[float] = None) -> SmoothTerm:
     """The identically zero smooth term (gradient 0, mu = inf).
 
-    The gradient returns one shared read-only zero array.
+    The gradient returns one shared read-only zero array, and a run
+    skips it, whatever ``mu``.
     """
-    zero = _read_only_zeros(dim)
     return SmoothTerm(
         dim=dim,
         value=lambda x: 0.0,
-        gradient=lambda x: zero,
+        gradient=_Zero(dim),
         lipschitz_inv=math.inf if mu is None else float(mu),
         kind="zero",
         params={},
@@ -182,12 +181,11 @@ def dirac_term(dim: int) -> StronglyConvexTerm:
 
     This is the degenerate choice that removes the inf-convolution:
     (g inf-conv ell) = g.  The conjugate gradient returns one shared
-    read-only zero array.
+    read-only zero array, and a run skips it.
     """
-    zero = _read_only_zeros(dim)
     return StronglyConvexTerm(
         dim=dim,
-        conj_gradient=lambda v: zero,
+        conj_gradient=_Zero(dim),
         nu=math.inf,
         conj_value=lambda v: 0.0,
         kind="dirac",
@@ -228,8 +226,8 @@ class ConvexProblem:
     ``spec`` is derived, not passed: the :class:`ProblemSpec` whose
     iteration reproduces the minimization iteration step for step (the
     prox of f as A, the gradient of h as C, each conjugate gradient of
-    ell_i as D_i^{-1}; ``zero_smooth`` and ``dirac_term`` give maps of
-    kind ``"zero"``, which the iteration skips).  It is formed once, when
+    ell_i as D_i^{-1}; ``zero_smooth`` and ``dirac_term`` give the exact
+    zero, which the iteration skips).  It is formed once, when
     the problem is built (``dataclasses.replace`` builds it again), and
     every solve, gap and KKT evaluation reads it.  A smooth term of kind
     ``"custom"`` must first pass :func:`check_gradient` (O(n^2)
@@ -260,8 +258,7 @@ class ConvexProblem:
         blocks = tuple(
             Block(
                 B=resolvent_from_prox(blk.g),
-                Dinv=CocoerciveOp(blk.ell.dim, blk.ell.conj_gradient, blk.ell.nu,
-                                  kind=_map_kind(blk.ell.kind == "dirac", blk.ell.nu)),
+                Dinv=CocoerciveOp(blk.ell.dim, blk.ell.conj_gradient, blk.ell.nu),
                 L=blk.L,
                 r=blk.r,
             )
@@ -270,8 +267,7 @@ class ConvexProblem:
         object.__setattr__(self, "spec", ProblemSpec(
             layout=lay,
             A=resolvent_from_prox(self.f),
-            C=CocoerciveOp(self.h.dim, self.h.gradient, self.h.lipschitz_inv,
-                           kind=_map_kind(self.h.kind == "zero", self.h.lipschitz_inv)),
+            C=CocoerciveOp(self.h.dim, self.h.gradient, self.h.lipschitz_inv),
             z=self.z,
             blocks=blocks,
         ))
@@ -324,14 +320,6 @@ def check_gradient(h: SmoothTerm, points: int = 20, seed: int = 0,
             f"{worst:.3e} > {rel_tol:g}"
         )
     return worst
-
-
-def _map_kind(zero: bool, constant: float) -> str:
-    """``CocoerciveOp.kind`` of a lowered map: ``"zero"`` for the
-    gradient of ``zero_smooth`` or of the conjugate of ``dirac_term``,
-    unless a finite declared constant (``zero_smooth(mu=...)``) asks for
-    it to count in the step-size bound."""
-    return "zero" if zero and math.isinf(constant) else "custom"
 
 
 def _at_point(cp: ConvexProblem, x, v, tau, sigmas):
@@ -414,7 +402,7 @@ class _GapPlan:
         n = cp.layout.dim_primal
         dims = cp.layout.dual_dims
         self.C, self.z, self.A, self.adjoints, self.blocks = _bind(cp.spec, sigmas)
-        self.applies = tuple(_linear_into(blk.L.apply) for blk in cp.spec.blocks)
+        self.applies = tuple(_bound(blk.L.apply) for blk in cp.spec.blocks)
         # arg: the primal KKT argument; u: z - wsum; wsum/tmp: the
         # weighted sum when it is formed here; lx: each L_i x;
         # dual_arg: each block's KKT argument; dual_out: its dual step

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import CocoerciveOp, LinearOp, _check_count
+from .operators import CocoerciveOp, LinearOp
 from .solver import ProblemSpec
+from .spaces import _check_count
 
 __all__ = ["CertificateReport", "certify_operators"]
 

@@ -28,6 +28,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .spaces import _check_count
+
 __all__ = [
     "LinearOp",
     "ResolventOp",
@@ -59,13 +61,6 @@ CLOSED_FORM_NORM_KINDS = frozenset({"identity", "diff1d", "grad2d"})
 NORM_HINT_ULPS = 4
 
 
-def _read_only_zeros(dim: int) -> np.ndarray:
-    """A zero vector that cannot be written, for zero maps to share."""
-    zero = np.zeros(dim)
-    zero.flags.writeable = False
-    return zero
-
-
 def _norm(d: np.ndarray) -> float:
     """``np.linalg.norm(d)`` for a real float array ``d``: its own formula
     there (the square root of the dot of ``d.ravel(order="K")`` with
@@ -74,28 +69,76 @@ def _norm(d: np.ndarray) -> float:
     return math.sqrt(float(d.dot(d)))
 
 
-def _vector(x, dim: int, name: str) -> np.ndarray:
-    """``x`` as a float array, refused with a ``ValueError`` that names
-    the operator ``name`` unless it is a vector of length ``dim``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError(f"{name} takes a vector of length {dim}, got shape {x.shape}")
-    return x
-
-
 def _same(x, out):
     """The buffer form of the identity: ``x`` itself, ``out`` unwritten."""
     return x
 
 
-def _linear_into(fn) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The buffer form ``(x, out) -> L x`` of a ``LinearOp.apply`` or
-    ``adjoint_apply``: ``fn.into`` for the library kinds, which writes
-    into the contiguous float array ``out`` (or, for the identity,
-    returns ``x``), and for any other operator a call of ``fn(x)`` that
-    leaves ``out`` alone."""
-    into = getattr(fn, "into", None)
-    return into if into is not None else (lambda x, out: fn(x))
+class _Form:
+    """A library map given by its buffer form ``into(x, out)``, which
+    writes the value into the float array ``out`` and returns it (the
+    identity's returns ``x``).  A call refuses an ``x`` that is not a
+    vector of length ``in_dim`` by ``name`` and hands ``into`` a fresh
+    ``out``.  ``signless``: the map never returns -0.0 (proved for the
+    ``diff1d`` and ``grad2d`` adjoints).  With ``__slots__``, a
+    ``functools.wraps`` wrapper does not inherit the form."""
+
+    __slots__ = ("into", "shape", "out_dim", "name", "signless")
+
+    def __init__(self, into, in_dim: int, out_dim: int, name: str, signless: bool = False):
+        self.into, self.shape, self.out_dim = into, (in_dim,), out_dim
+        self.name, self.signless = name, signless
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.shape:
+            raise self.refusal(x)
+        return self.into(x, np.empty(self.out_dim))
+
+    def refusal(self, x: np.ndarray) -> ValueError:
+        return ValueError(f"{self.name} takes a vector of length {self.shape[0]}, "
+                          f"got shape {x.shape}")
+
+
+class _DualForm(_Form):
+    """A library dual step ``(sigma, u) -> J_{sigma B^{-1}}(u)`` given by
+    ``into(sigma, u, out)``, whose ``out`` must not be ``u``."""
+
+    __slots__ = ()
+
+    def __call__(self, sigma, u):
+        u = np.asarray(u, dtype=float)
+        if u.shape != self.shape:
+            raise self.refusal(u)
+        return self.into(sigma, u, np.empty(self.out_dim))
+
+
+class _Zero:
+    """The exact zero on ``dim`` entries, as a map or a dual step: any
+    call returns one shared read-only zero array and writes nothing, so
+    it is its own buffer form.  A run skips the passes that add or
+    subtract it, and the dual argument it ignores."""
+
+    __slots__ = ("zero",)
+
+    def __init__(self, dim: int):
+        self.zero = np.zeros(dim)
+        self.zero.flags.writeable = False
+
+    def __call__(self, *args):
+        return self.zero
+
+    into = __call__
+
+
+def _bound(fn) -> Callable:
+    """The buffer form of a map ``fn(x)`` or a dual step ``fn(sigma, u)``,
+    which takes an output array last: ``fn.into`` for a :class:`_Form` or
+    :class:`_Zero`, else a call of ``fn`` that leaves the output alone
+    (with a fixed arity: a ``*args`` call costs more)."""
+    if isinstance(fn, (_Form, _Zero)):
+        return fn.into
+    return lambda a, b, out=None: fn(a) if out is None else fn(a, b)
 
 
 def _round_up(value: float) -> float:
@@ -119,11 +162,11 @@ class LinearOp:
     starting point: step certification still runs power iteration and
     repairs a hint below the true norm.
 
-    The library constructors' ``apply`` and ``adjoint_apply`` refuse an
-    input of the wrong length by name, and each carries its buffer form
-    as ``.into(x, out)``, which it calls on a fresh array: the step plan
-    of :func:`splitsolve.solver.run` binds that form to its own buffers.
-    Any other callable is called as it is.
+    The library constructors' ``apply`` and ``adjoint_apply`` are
+    buffer forms (``operators._Form``): called, they refuse an input of
+    the wrong length by name, and :func:`splitsolve.solver.run` binds
+    their forms to its own buffers.  Any other callable, a wrapper
+    around a form included, is called as it is.
     """
 
     in_dim: int
@@ -134,8 +177,8 @@ class LinearOp:
     kind: str = "custom"
 
     def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError("operator dimensions must be positive")
+        _check_count("in_dim", self.in_dim)
+        _check_count("out_dim", self.out_dim)
         if self.norm_hint is not None and not self.norm_hint >= 0:
             raise ValueError("norm_hint must be nonnegative")
         if self.kind in CLOSED_FORM_NORM_KINDS and self.norm_hint is None:
@@ -168,27 +211,7 @@ class ResolventOp:
         exactly 0: ``inverse_resolvent`` returns one shared read-only
         zero array."""
         return ResolventOp(dim, lambda gamma, w: np.asarray(w, dtype=float),
-                           inverse_resolvent=_ExactZero(dim))
-
-
-class _ExactZero:
-    """The exact-zero dual step ``(sigma, u) -> 0``: the inverse
-    resolvent of :meth:`ResolventOp.zero` and the conjugate prox of the
-    ``zero`` catalog function.  Every call returns one shared read-only
-    zero array, and so does its buffer form ``into(sigma, u, out)``,
-    which writes nothing; the step plan of :func:`splitsolve.solver.run`
-    recognises it and skips the dual argument it would ignore."""
-
-    __slots__ = ("zero",)
-
-    def __init__(self, dim: int):
-        self.zero = _read_only_zeros(dim)
-
-    def __call__(self, sigma, u):
-        return self.zero
-
-    def into(self, sigma, u, out):
-        return self.zero
+                           inverse_resolvent=_Zero(dim))
 
 
 @dataclass(frozen=True)
@@ -196,32 +219,24 @@ class CocoerciveOp:
     """Single-valued map with a cocoercivity constant.
 
     ``constant = inf`` encodes the zero operator (or stronger); it keeps
-    degenerate blocks out of the step-size bound.  ``kind`` is
-    ``"custom"`` unless a library constructor sets it: ``"zero"`` marks
-    the library zero map (:meth:`zero`, and the lowered ``zero_smooth``
-    and ``dirac_term``), whose ``apply`` returns +0.0 everywhere, so
-    :func:`splitsolve.solver.run` skips its application (adding or
-    subtracting +0 there changes no bit).  A ``"zero"`` kind needs
-    ``constant = inf``.
+    degenerate blocks out of the step-size bound.  :func:`splitsolve.solver.run`
+    skips the library's exact zero (the ``apply`` of :meth:`zero`, and the
+    lowered ``zero_smooth`` and ``dirac_term``, whatever their constant):
+    adding or subtracting its +0 changes no bit.
     """
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
     constant: float
-    kind: str = "custom"
 
     def __post_init__(self):
         if not self.constant > 0:
             raise ValueError("cocoercivity constant must be strictly positive")
-        if self.kind == "zero" and not math.isinf(self.constant):
-            raise ValueError("a zero map has cocoercivity constant inf, "
-                             f"got {self.constant!r}")
 
     @staticmethod
     def zero(dim: int) -> "CocoerciveOp":
         """The zero map; every call returns one shared read-only array."""
-        zero = _read_only_zeros(dim)
-        return CocoerciveOp(dim, lambda v: zero, math.inf, kind="zero")
+        return CocoerciveOp(dim, _Zero(dim), math.inf)
 
 
 @dataclass(frozen=True)
@@ -286,15 +301,8 @@ class NormEstimate:
 def identity_op(dim: int) -> LinearOp:
     """The identity; apply and adjoint return their input array, and
     so does their buffer form."""
-
-    def apply(x):
-        return _vector(x, dim, "identity apply")
-
-    def adjoint(y):
-        return _vector(y, dim, "identity adjoint")
-
-    apply.into = adjoint.into = _same
-    return LinearOp(dim, dim, apply, adjoint, norm_hint=1.0, kind="identity")
+    return LinearOp(dim, dim, _Form(_same, dim, dim, "identity apply"),
+                    _Form(_same, dim, dim, "identity adjoint"), norm_hint=1.0, kind="identity")
 
 
 def matrix_op(mat, norm_hint: Optional[float] = None) -> LinearOp:
@@ -304,11 +312,6 @@ def matrix_op(mat, norm_hint: Optional[float] = None) -> LinearOp:
         raise ValueError("matrix_op expects a 2-D array")
     return LinearOp(m.shape[1], m.shape[0], lambda x: m @ x, lambda y: m.T @ y,
                     norm_hint=norm_hint)
-
-
-#: library kinds whose adjoint never returns -0.0, so that adding +0.0 to
-#: it changes no bit (proved at :func:`diff1d_op` and :func:`grad2d_op`)
-NO_NEGATIVE_ZERO_ADJOINT_KINDS = frozenset({"diff1d", "grad2d"})
 
 
 def diff1d_op(n: int) -> LinearOp:
@@ -323,8 +326,7 @@ def diff1d_op(n: int) -> LinearOp:
     operand is +0), and the last entry is +0.0; adding y_{k-1} to an
     entry that is not -0 leaves it not -0.
     """
-    if n < 2:
-        raise ValueError("diff1d needs n >= 2")
+    _check_count("n", n, minimum=2)
 
     def apply_into(x, out):
         return np.subtract(x[1:], x[:-1], out=out)
@@ -338,14 +340,8 @@ def diff1d_op(n: int) -> LinearOp:
         np.add(tail, y, out=tail)
         return out
 
-    def apply(x):
-        return apply_into(_vector(x, n, "diff1d apply"), np.empty(n - 1))
-
-    def adjoint(y):
-        return adjoint_into(_vector(y, n - 1, "diff1d adjoint"), np.empty(n))
-
-    apply.into, adjoint.into = apply_into, adjoint_into
-    return LinearOp(n, n - 1, apply, adjoint,
+    return LinearOp(n, n - 1, _Form(apply_into, n, n - 1, "diff1d apply"),
+                    _Form(adjoint_into, n - 1, n, "diff1d adjoint", signless=True),
                     norm_hint=_round_up(2.0 * math.sin((n - 1) * math.pi / (2 * n))),
                     kind="diff1d")
 
@@ -364,6 +360,8 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
     in :func:`diff1d_op`, and then subtracting (a - b is -0 only for
     a = -0) and adding (a + b is -0 only when both are) cannot make one.
     """
+    _check_count("rows", rows)
+    _check_count("cols", cols)
     if rows < 2 or cols < 2:
         raise ValueError("grad2d needs rows >= 2 and cols >= 2")
     n_v = (rows - 1) * cols
@@ -397,27 +395,14 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
         out += buf[:-1]
         return out
 
-    def apply(x):
-        return apply_into(_vector(x, rows * cols, "grad2d apply"), np.empty(n_v + n_h))
-
-    def adjoint(y):
-        return adjoint_into(_vector(y, n_v + n_h, "grad2d adjoint"), np.empty(rows * cols))
-
-    apply.into, adjoint.into = apply_into, adjoint_into
     hint = 2.0 * math.sqrt(
         math.sin((rows - 1) * math.pi / (2 * rows)) ** 2
         + math.sin((cols - 1) * math.pi / (2 * cols)) ** 2
     )
-    return LinearOp(rows * cols, n_v + n_h, apply, adjoint, norm_hint=_round_up(hint),
-                    kind="grad2d")
-
-
-def _check_count(name: str, value, minimum: int = 1) -> None:
-    """Refuse a count that is a ``bool``, is not an integer (Python or
-    numpy), or is below ``minimum``, naming the argument."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < minimum):
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    n = rows * cols
+    return LinearOp(n, n_v + n_h, _Form(apply_into, n, n_v + n_h, "grad2d apply"),
+                    _Form(adjoint_into, n_v + n_h, n, "grad2d adjoint", signless=True),
+                    norm_hint=_round_up(hint), kind="grad2d")
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +485,8 @@ def _dual_step(B: ResolventOp) -> Callable[[float, np.ndarray], np.ndarray]:
     """The map ``(sigma, v) -> J_{sigma B^{-1}}(v)`` of
     :func:`resolvent_of_inverse`, chosen once for ``B``: its
     ``inverse_resolvent`` itself when set, else the inverse-resolvent
-    identity bound to ``B.resolvent``, whose buffer form
-    ``.into(sigma, v, out)`` forms it in ``out`` (an array other than
-    ``v``).  It neither checks ``sigma`` nor converts ``v``, so a caller
-    binds it once and hands it a positive sigma and a float array on
-    every call."""
+    identity bound to ``B.resolvent`` as a :class:`_DualForm`.  It does
+    not check ``sigma``: a caller binds it once and hands it a positive one."""
     if B.inverse_resolvent is not None:
         return B.inverse_resolvent
     resolvent = B.resolvent
@@ -515,20 +497,7 @@ def _dual_step(B: ResolventOp) -> Callable[[float, np.ndarray], np.ndarray]:
         w = resolvent(1.0 / sigma, np.divide(v, sigma, out=out))
         return np.subtract(v, np.multiply(w, sigma, out=out), out=out)
 
-    def identity(sigma, v):
-        return into(sigma, v, np.empty(v.shape))
-
-    identity.into = into
-    return identity
-
-
-def _dual_into(step) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
-    """The buffer form ``(sigma, u, out) -> step(sigma, u)`` of a dual
-    step of :func:`_dual_step`: ``step.into`` for the inverse-resolvent
-    identity, the catalog's ``l1`` clip and the exact zero, and for any
-    other step a call of ``step`` that leaves ``out`` alone."""
-    into = getattr(step, "into", None)
-    return into if into is not None else (lambda sigma, u, out: step(sigma, u))
+    return _DualForm(into, B.dim, B.dim, "inverse resolvent")
 
 
 def resolvent_from_prox(f: ProxFunction) -> ResolventOp:
@@ -570,8 +539,7 @@ def catalog_prox(kind: str, dim: int, **params) -> ProxFunction:
     Kinds: ``sq_l2`` (weight, center), ``l1`` (weight), ``box`` (lo,
     hi), ``point`` (point), ``zero``, ``linear`` (a), ``l2`` (weight).
     """
-    if dim < 1:
-        raise ValueError("dim must be positive")
+    _check_count("dim", dim)
     builder = _CATALOG.get(kind)
     if builder is None:
         raise ValueError(f"unknown prox kind {kind!r}; known: {sorted(_CATALOG)}")
@@ -629,17 +597,12 @@ def _build_l1(dim, weight=1.0):
         # ufuncs: ndarray.clip runs numpy's Python-level _clip first
         return np.minimum(np.maximum(u, -c, out=out), c, out=out)
 
-    def conj_prox(sigma, u):
-        u = np.asarray(u, dtype=float)
-        return conj_prox_into(sigma, u, np.empty(u.shape))
-
-    conj_prox.into = conj_prox_into
     return ProxFunction(
         dim,
         evaluate=lambda x: c * float(np.sum(np.abs(x))),
         prox=prox,
         conjugate_value=conj,
-        conjugate_prox=conj_prox,
+        conjugate_prox=_DualForm(conj_prox_into, dim, dim, "l1 conjugate prox"),
         domain=Domain.full(),
         kind="l1",
         params={"weight": c},
@@ -712,7 +675,7 @@ def _build_zero(dim):
         evaluate=lambda x: 0.0,
         prox=lambda gamma, w: np.asarray(w, dtype=float),
         conjugate_value=conj,
-        conjugate_prox=_ExactZero(dim),
+        conjugate_prox=_Zero(dim),
         domain=Domain.full(),
         kind="zero",
         params={},

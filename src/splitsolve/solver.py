@@ -56,18 +56,16 @@ import numpy as np
 
 from .operators import (
     CLOSED_FORM_NORM_KINDS,
-    NO_NEGATIVE_ZERO_ADJOINT_KINDS,
     CocoerciveOp,
     LinearOp,
     ResolventOp,
     estimate_norm,
-    _check_count,
-    _dual_into,
+    _bound,
     _dual_step,
-    _ExactZero,
-    _linear_into,
+    _Form,
+    _Zero,
 )
-from .spaces import SpaceLayout
+from .spaces import SpaceLayout, _check_count
 
 __all__ = [
     "Block",
@@ -291,7 +289,8 @@ class IterationErrors:
     """Error terms injected at one iteration; ``None`` means exact.
 
     ``b`` and ``c`` hold one entry per dual block, or none at all for
-    "exact on every block"; :func:`run` refuses any other length.
+    "exact on every block"; :func:`run` refuses any other length, and
+    any term whose shape is not its block's ``(dim,)``.
     """
 
     a1: Optional[np.ndarray] = None
@@ -686,16 +685,13 @@ _PLUS_ZERO.setflags(write=False)
 
 def _adjoint_terms(spec: ProblemSpec) -> tuple:
     """The terms of :func:`_adjoint_sum` for ``spec``: one
-    ``(adjoint, w_i, signless)`` per block, where ``adjoint`` is the
-    buffer form ``(v, out) -> L_i^T v`` of ``L_i.adjoint_apply`` (see
-    ``operators._linear_into``) and ``signless`` says that it is the
-    library's ``diff1d`` or ``grad2d`` adjoint, which writes into ``out``
-    and never returns -0.0."""
-    return tuple(
-        (_linear_into(blk.L.adjoint_apply), w,
-         blk.L.kind in NO_NEGATIVE_ZERO_ADJOINT_KINDS
-         and getattr(blk.L.adjoint_apply, "into", None) is not None)
-        for blk, w in zip(spec.blocks, spec.layout.weights))
+    ``(adjoint, w_i, signless)`` per block, ``adjoint`` the buffer form
+    ``(v, out) -> L_i^T v`` of ``L_i.adjoint_apply`` (``operators._bound``)
+    and ``signless`` whether it is a library form that writes into
+    ``out`` and never returns -0.0 (the diff1d and grad2d adjoints)."""
+    adjoints = (blk.L.adjoint_apply for blk in spec.blocks)
+    return tuple((_bound(adj), w, isinstance(adj, _Form) and adj.signless)
+                 for adj, w in zip(adjoints, spec.layout.weights))
 
 
 def _adjoint_sum(terms, v, out, tmp):
@@ -756,7 +752,7 @@ class _Metric:
         # w_i / sigma_i * vv_i reads (w_i / sigma_i) * vv_i, so the ratio
         # formed once has the same bits
         self.ratios = tuple(w / s for w, s in zip(weights, sigmas))
-        self.cross = tuple(zip((_linear_into(blk.L.apply) for blk in spec.blocks),
+        self.cross = tuple(zip((_bound(blk.L.apply) for blk in spec.blocks),
                                weights, (np.empty(d) for d in spec.layout.dual_dims)))
 
     def quadform(self, dx, dv, xx, vv, dwsum=None):
@@ -789,30 +785,26 @@ class _Metric:
 def _bind(spec: ProblemSpec, sigmas):
     """The update of ``spec`` at the dual steps ``sigmas``, bound once
     for :func:`run` and for the KKT residual of :mod:`splitsolve.convex`:
-    ``(C, z, A, adjoints, blocks)``.
-
-    ``C`` is ``C.apply``, ``None`` for a ``"zero"`` C (the library zero
-    map, which returns +0); ``z`` is z, ``None`` when :func:`_vanishes`
-    holds; ``A`` is the resolvent of A; ``adjoints`` are the
-    :func:`_adjoint_terms`; and each block is
-    ``(L_i, D_i^{-1}.apply, r_i, sigma_i, dual)``.  ``L_i`` is the buffer
-    form ``(y, out) -> L_i y`` of ``L_i.apply`` (``operators._linear_into``),
-    and ``dual`` the buffer form ``(sigma, u, out) -> J_{sigma B_i^{-1}}(u)``
-    of the block's dual step (``operators._dual_into``), which needs an
-    ``out`` other than ``u``.  D_i^{-1} and r_i are ``None`` when skipped
-    as C and z are, and ``L_i`` is ``None`` when the dual step is the
-    library's exact 0, which reads no argument, so that
-    v_i + sigma_i (L_i y - ...) need not be formed.
+    ``(C, z, A, adjoints, blocks)``.  ``C`` is ``C.apply``, ``None`` for
+    the exact zero (``operators._Zero``, which returns +0); ``z`` is z,
+    ``None`` when :func:`_vanishes` holds; ``A`` is the resolvent of A;
+    ``adjoints`` are the :func:`_adjoint_terms`; and each block is
+    ``(L_i, D_i^{-1}.apply, r_i, sigma_i, dual)``, with the buffer forms
+    (``operators._bound``) ``(y, out) -> L_i y`` and
+    ``(sigma, u, out) -> J_{sigma B_i^{-1}}(u)``, whose ``out`` must not
+    be ``u``.  D_i^{-1} and r_i are ``None`` when skipped as C and z
+    are, and ``L_i`` when the dual step is the exact zero, which reads no
+    argument, so that v_i + sigma_i (L_i y - ...) need not be formed.
     """
     blocks = []
     for blk, sigma in zip(spec.blocks, sigmas):
         step = _dual_step(blk.B)
         blocks.append((
-            None if isinstance(step, _ExactZero) else _linear_into(blk.L.apply),
-            None if blk.Dinv.kind == "zero" else blk.Dinv.apply,
-            None if _vanishes(blk.r) else blk.r, sigma, _dual_into(step)))
+            None if isinstance(step, _Zero) else _bound(blk.L.apply),
+            None if isinstance(blk.Dinv.apply, _Zero) else blk.Dinv.apply,
+            None if _vanishes(blk.r) else blk.r, sigma, _bound(step)))
     return (
-        None if spec.C.kind == "zero" else spec.C.apply,
+        None if isinstance(spec.C.apply, _Zero) else spec.C.apply,
         None if _vanishes(spec.z) else spec.z,
         spec.A.resolvent,
         _adjoint_terms(spec),
@@ -969,9 +961,13 @@ def _state_norm(weights, x, v) -> float:
     return math.sqrt(_weighted_sq(weights, *_sq_norms(x, v)))
 
 
-def _checked_errors(err: IterationErrors, m: int) -> IterationErrors:
-    """``err`` with an empty ``b`` or ``c`` read as exact on each of the
-    ``m`` blocks; any other length than ``m`` is refused by name."""
+def _checked_errors(err: IterationErrors, layout: SpaceLayout) -> Optional[IterationErrors]:
+    """``err`` with an empty ``b`` or ``c`` read as exact on each block,
+    ``None`` when no term is given (the exact update).  A ``b`` or ``c``
+    without one entry per block, and a term not of its block's shape
+    (numpy would broadcast a length-1 term), are refused by name."""
+    m, dims, n = layout.num_blocks, layout.dual_dims, layout.dim_primal
+    given = _given_error_term(err.a1, n, "a1") | _given_error_term(err.a2, n, "a2")
     fields = {}
     for name in ("b", "c"):
         terms = getattr(err, name)
@@ -981,7 +977,23 @@ def _checked_errors(err: IterationErrors, m: int) -> IterationErrors:
             raise ValueError(
                 f"IterationErrors.{name} has {len(terms)} entries but the "
                 f"problem has {m} blocks (give one per block, or none)")
+        else:
+            for i in range(m):
+                given |= _given_error_term(terms[i], dims[i], name, i)
+    if not given:
+        return None
     return dataclasses.replace(err, **fields) if fields else err
+
+
+def _given_error_term(term, dim: int, name: str, index: Optional[int] = None) -> bool:
+    """Whether ``term`` is given; one not of shape ``(dim,)`` is refused."""
+    if term is None:
+        return False
+    if (term.shape if type(term) is np.ndarray else np.shape(term)) != (dim,):
+        where = name if index is None else f"{name}[{index}]"
+        raise ValueError(f"IterationErrors.{where} must have shape ({dim},), "
+                         f"got {np.shape(term)}")
+    return True
 
 
 def _weighted_sq(weights, xx, vv):
@@ -1008,15 +1020,15 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     ``x0`` and ``v0`` (zero by default) are copied into the initial
     state.  ``errors``, when given, maps the iteration index ``n`` to
     the :class:`IterationErrors` injected there; ``None`` runs the exact
-    iteration.  An empty ``b`` or ``c`` is exact on every block, and any
-    other length than one entry per block is refused with a
-    ``ValueError`` naming the field.  Before the first iteration the run
-    evaluates :func:`step_condition` of ``cfg`` on ``spec``: a ``cfg``
-    whose ``sigmas`` or ``norms`` do not fit the blocks is refused with
-    a ``ValueError``, and inadmissible steps with
-    :class:`InadmissibleStepsError` unless ``allow_inadmissible`` is
-    set; a run under that override measures its residual in the plain
-    weighted norm.
+    iteration.  An empty ``b`` or ``c`` is exact on every block; any
+    other length than one entry per block, and a term whose shape is not
+    its block's, are refused with a ``ValueError`` naming the field.
+    Before the first iteration the run evaluates :func:`step_condition`
+    of ``cfg`` on ``spec``: a ``cfg`` whose ``sigmas`` or ``norms`` do
+    not fit the blocks is refused with a ``ValueError``, and
+    inadmissible steps with :class:`InadmissibleStepsError` unless
+    ``allow_inadmissible`` is set; a run under that override measures
+    its residual in the plain weighted norm.
 
     Stop rules: the run stops once the fixed-point residual of the
     current state (the displacement of one exact relaxation-1 update, in
@@ -1069,7 +1081,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     layout = spec.layout
     u, x, v = _initial_point(layout, x0, v0)
     weights = layout.weights
-    lam, tol, m = cfg.lam, stop.tol, spec.num_blocks
+    lam, tol = cfg.lam, stop.tol
 
     ws = _Workspace(spec, cfg, admissible)
     wsum, wsum_next = ws.wsum, ws.wsum_next
@@ -1112,7 +1124,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
         for n in range(stop.max_iter):
             err_n = None if errors is None else errors(n)
             if err_n is not None:
-                err_n = _checked_errors(err_n, m)
+                err_n = _checked_errors(err_n, layout)
             hook = iter_metrics is not None and (n + 1) % OBJECTIVE_STRIDE == 0
             handed = every or hook
             nu, nx, nv = fresh() if handed else pair[n % 2]
@@ -1124,14 +1136,12 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
                 failure = f"non-finite value in {exc.block} at iteration {n}"
                 break
 
-            exact = err_n is None or all(
-                e is None for e in (err_n.a1, err_n.a2, *err_n.b, *err_n.c))
-            if not exact:
+            if err_n is not None:
                 # the residual measures the error-free update from the same state
                 _kernel(ws, u, x, v, wsum, None, None)
             # the next iteration's weighted sum, the same bits as forming it there
             _adjoint_sum(adjoints, nv, wsum_next, tmp)
-            if exact and lam == 1.0:
+            if err_n is None and lam == 1.0:
                 # the step taken is the relaxation-1 displacement d, and
                 # v_{n+1} - v_n = dv gives sum_i w_i L_i^T dv_i = W_{n+1} - W_n
                 dwsum = np.subtract(wsum_next, wsum, out=tmp) if admissible else None

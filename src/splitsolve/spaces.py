@@ -27,6 +27,14 @@ __all__ = [
 WEIGHT_SUM_TOL = 1e-12
 
 
+def _check_count(name: str, value, minimum: int = 1) -> None:
+    """Refuse a count that is a ``bool``, is not an integer (Python or
+    numpy), or is below ``minimum``, naming the argument."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 class ShapeMismatchError(ValueError):
     """Block shapes disagree.  ``block`` names the offending component."""
 
@@ -42,23 +50,23 @@ class ShapeMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class SpaceLayout:
-    """Dimensions of H and the G_i, plus the dual-block weights."""
+    """Dimensions of H and the G_i (integers >= 1), plus the dual-block weights."""
 
     dim_primal: int
     dual_dims: tuple[int, ...]
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dual_dims", tuple(int(d) for d in self.dual_dims))
+        _check_count("dim_primal", self.dim_primal)
+        dims = tuple(self.dual_dims)
+        for i, d in enumerate(dims):
+            _check_count(f"dual_dims[{i}]", d)
+        object.__setattr__(self, "dual_dims", tuple(int(d) for d in dims))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if self.dim_primal < 1:
-            raise ValueError("dim_primal must be a positive integer")
         if len(self.dual_dims) < 1:
             raise ValueError("at least one dual block is required")
         if len(self.weights) != len(self.dual_dims):
             raise ValueError("weights and dual_dims must have equal length")
-        if any(d < 1 for d in self.dual_dims):
-            raise ValueError("every dual dimension must be a positive integer")
         if any(not 0.0 < w <= 1.0 for w in self.weights):
             raise ValueError("every weight must lie in ]0, 1]")
         if abs(math.fsum(self.weights) - 1.0) > WEIGHT_SUM_TOL:

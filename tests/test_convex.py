@@ -69,14 +69,14 @@ class TestLowering:
         assert math.isinf(blk.Dinv.constant)
         assert np.all(blk.Dinv.apply(np.array([3.0])) == 0.0)
 
-    @pytest.mark.parametrize("h, ell, kinds", [
-        (ss.zero_smooth(3), ss.dirac_term(3), ("zero", "zero")),
-        (ss.zero_smooth(3, mu=2.0), ss.quadratic_term(3, nu=2.0), ("custom", "custom")),
-        (ss.quadratic_smooth(np.ones(3)), ss.dirac_term(3), ("custom", "zero")),
+    @pytest.mark.parametrize("h, ell, skipped", [
+        (ss.zero_smooth(3), ss.dirac_term(3), (True, True)),
+        (ss.zero_smooth(3, mu=2.0), ss.quadratic_term(3, nu=2.0), (True, False)),
+        (ss.quadratic_smooth(np.ones(3)), ss.dirac_term(3), (False, True)),
     ], ids=["zero-dirac", "finite-mu-quadratic", "quadratic-dirac"])
-    def test_zero_maps_lower_to_zero_kind(self, h, ell, kinds):
-        # the kernel skips a "zero" map; zero_smooth with a finite mu
-        # keeps its constant in the step bound and so stays "custom"
+    def test_zero_maps_lower_to_zero_kind(self, h, ell, skipped):
+        # the kernel skips the library's exact zero; zero_smooth with a
+        # finite mu is skipped too, and keeps its constant in the step bound
         cp = ss.ConvexProblem(
             layout=ss.SpaceLayout(3, (3,), (1.0,)),
             f=ss.catalog_prox("sq_l2", 3), h=h, z=np.zeros(3),
@@ -84,7 +84,9 @@ class TestLowering:
                                    L=ss.identity_op(3), r=np.zeros(3)),),
         )
         spec = cp.spec
-        assert (spec.C.kind, spec.blocks[0].Dinv.kind) == kinds
+        C, _, _, _, ((_, Dinv, *_),) = ss.solver._bind(spec, (1.0,))
+        assert (C is None, Dinv is None) == skipped
+        assert (spec.C.constant, spec.blocks[0].Dinv.constant) == (h.lipschitz_inv, ell.nu)
 
     def test_quadratic_ell_lowers_to_scaled_identity(self, rng):
         term = ss.quadratic_term(4, nu=2.5)

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitsolve.operators import (
-    NO_NEGATIVE_ZERO_ADJOINT_KINDS,
     CocoerciveOp,
     LinearOp,
     ResolventOp,
-    _dual_into,
+    _bound,
     _dual_step,
-    _linear_into,
+    _Form,
+    _Zero,
     catalog_prox,
     diff1d_op,
     estimate_norm,
@@ -25,7 +25,8 @@ from splitsolve.operators import (
     resolvent_of_inverse,
 )
 
-from splitsolve.solver import POWER_MAX_ITER, POWER_TOL
+from splitsolve.solver import POWER_MAX_ITER, POWER_TOL, Block, ProblemSpec, _bind
+from splitsolve.spaces import SpaceLayout
 
 from conftest import assert_same_bits, materialize
 
@@ -212,6 +213,18 @@ class TestInputLength:
     def test_lists_still_accepted(self):
         assert_same_bits(diff1d_op(3).apply([1.0, 4.0, 2.0]), [3.0, -2.0])
         assert_same_bits(identity_op(2).adjoint_apply([1.0, -0.0]), [1.0, -0.0])
+        assert_same_bits(catalog_prox("l1", 2).conjugate_prox(0.5, [3.0, -0.0]), [1.0, -0.0])
+
+    @pytest.mark.parametrize("step, name", [
+        (catalog_prox("l1", 4).conjugate_prox, "l1 conjugate prox"),
+        (_dual_step(ResolventOp(4, catalog_prox("box", 4).prox)), "inverse resolvent"),
+    ], ids=["l1", "identity"])
+    def test_dual_forms_refuse_wrong_length_by_name(self, step, name):
+        for bad in (np.ones(3), np.ones(5), np.ones((1, 4)), 1.0):
+            with pytest.raises(ValueError, match=f"^{name} takes a vector of length 4, "
+                                                 "got shape"):
+                step(0.5, bad)
+        assert step(0.5, np.ones(4)).shape == (4,)
 
 
 #: entries every buffer form must pass through with the bits of its public
@@ -248,7 +261,7 @@ class TestBufferForms:
                                       (op.adjoint_apply, op.out_dim, op.in_dim)):
                 x = data.draw(special_vectors(n_in))
                 out = garbage(n_out)
-                got = _linear_into(call)(x, out)
+                got = _bound(call)(x, out)
                 assert_same_bits(got, call(x))
                 if op.kind == "identity":
                     assert got is x
@@ -261,14 +274,14 @@ class TestBufferForms:
         # what lets a unit-weight first term skip the adjoint sum's + 0.0
         rows, cols = shape
         for op in (diff1d_op(rows), grad2d_op(rows, cols)):
-            assert op.kind in NO_NEGATIVE_ZERO_ADJOINT_KINDS
+            assert op.adjoint_apply.signless
             y = data.draw(special_vectors(op.out_dim))
             out = op.adjoint_apply(y)
             assert not np.any((out == 0.0) & np.signbit(out))
             assert_same_bits(out + 0.0, out)
 
     def test_identity_adjoint_passes_negative_zero(self):
-        assert "identity" not in NO_NEGATIVE_ZERO_ADJOINT_KINDS
+        assert not identity_op(2).adjoint_apply.signless
         assert np.signbit(identity_op(2).adjoint_apply(np.array([-0.0, 1.0]))[0])
 
     @settings(max_examples=80, deadline=None)
@@ -278,7 +291,7 @@ class TestBufferForms:
         g = catalog_prox("l1", n, weight=weight)
         u = data.draw(special_vectors(n, extra=(weight, -weight)))
         out = garbage(n)
-        got = _dual_into(g.conjugate_prox)(0.7, u, out)
+        got = _bound(g.conjugate_prox)(0.7, u, out)
         assert got is out
         assert_same_bits(got, g.conjugate_prox(0.7, u))
         assert_same_bits(got, np.clip(u, -weight, weight))
@@ -290,7 +303,7 @@ class TestBufferForms:
         for step in (catalog_prox("zero", n).conjugate_prox,
                      ResolventOp.zero(n).inverse_resolvent):
             out = garbage(n)
-            got = _dual_into(step)(0.7, u, out)
+            got = _bound(step)(0.7, u, out)
             assert got is step(0.7, u)
             assert_same_bits(got, np.zeros(n))
             assert_same_bits(out, garbage(n))  # written nowhere
@@ -307,7 +320,7 @@ class TestBufferForms:
             u = data.draw(special_vectors(n))
             out = garbage(n)
             with np.errstate(all="ignore"):
-                got = _dual_into(step)(sigma, u, out)
+                got = _bound(step)(sigma, u, out)
                 want = u - sigma * g.prox(1.0 / sigma, u / sigma)
                 assert got is out
                 assert_same_bits(got, step(sigma, u))
@@ -322,11 +335,11 @@ class TestBufferForms:
             return 2.0 * x
 
         x, out = rng.standard_normal(3), garbage(3)
-        assert_same_bits(_linear_into(apply)(x, out), 2.0 * x)
-        assert seen == [x] and not hasattr(apply, "into")
+        assert_same_bits(_bound(apply)(x, out), 2.0 * x)
+        assert seen == [x] and not isinstance(apply, _Form)
         assert_same_bits(out, garbage(3))
         step = catalog_prox("l2", 3).conjugate_prox
-        assert_same_bits(_dual_into(step)(0.5, x, out), step(0.5, x))
+        assert_same_bits(_bound(step)(0.5, x, out), step(0.5, x))
         assert_same_bits(out, garbage(3))
 
 
@@ -582,15 +595,29 @@ class TestFenchelYoungProperty:
         assert abs(lhs - float(np.dot(x, u))) <= self.tol(x, u)
 
 
-class TestCocoerciveKind:
-    def test_zero_map_is_tagged(self):
-        assert CocoerciveOp.zero(3).kind == "zero"
-        assert CocoerciveOp(3, lambda v: v, 1.0).kind == "custom"
+class TestExactZeroMap:
+    """The exact zero is declared by its type: what ``_bind`` skips is
+    the library's zero map, whatever its constant, and nothing else."""
 
-    def test_zero_kind_needs_infinite_constant(self):
-        with pytest.raises(ValueError, match="zero map has cocoercivity constant inf"):
-            CocoerciveOp(3, lambda v: np.zeros(3), 2.0, kind="zero")
-        assert CocoerciveOp(3, lambda v: np.zeros(3), math.inf, kind="zero").kind == "zero"
+    @staticmethod
+    def bound_skips(C, Dinv):
+        spec = ProblemSpec(SpaceLayout(3, (3,), (1.0,)), ResolventOp.zero(3), C, np.zeros(3),
+                           (Block(ResolventOp.zero(3), Dinv, identity_op(3), np.zeros(3)),))
+        bound_C, _, _, _, ((_, bound_Dinv, *_),) = _bind(spec, (1.0,))
+        return bound_C is None, bound_Dinv is None
+
+    def test_zero_map_is_skipped(self):
+        assert isinstance(CocoerciveOp.zero(3).apply, _Zero)
+        assert self.bound_skips(CocoerciveOp.zero(3), CocoerciveOp.zero(3)) == (True, True)
+
+    def test_a_map_returning_zeros_is_applied(self):
+        custom = CocoerciveOp(3, lambda v: np.zeros(3), math.inf)
+        assert self.bound_skips(custom, custom) == (False, False)
+
+    def test_zero_map_with_finite_constant_is_skipped(self):
+        finite = CocoerciveOp(3, _Zero(3), 2.0)
+        assert finite.constant == 2.0
+        assert self.bound_skips(finite, finite) == (True, True)
 
 
 class TestCatalog:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -871,6 +872,19 @@ COUNT_CALLS = {
     # used to be taken as no samples
     "check_qualification samples=-1": (
         "samples", 0, lambda: ss.check_qualification(tiny_convex_problem(), samples=-1)),
+    # used to become dual_dims (2,)
+    "SpaceLayout dual_dims=(2.5,)": (
+        r"dual_dims\[0\]", 1, lambda: ss.SpaceLayout(3, (2.5,), (1.0,))),
+    # used to be built, and np.zeros(layout.size) then raised a TypeError
+    "SpaceLayout dim_primal=2.5": ("dim_primal", 1, lambda: ss.SpaceLayout(2.5, (2,), (1.0,))),
+    # the non-integers below used to be built, diff1d_op(2.5) as a 2.5 -> 1.5 operator
+    "diff1d_op n=2.5": ("n", 2, lambda: ss.diff1d_op(2.5)),
+    "diff1d_op n=1": ("n", 2, lambda: ss.diff1d_op(1)),
+    "identity_op dim=2.5": ("in_dim", 1, lambda: ss.identity_op(2.5)),
+    "LinearOp out_dim=0": ("out_dim", 1, lambda: ss.LinearOp(2, 0, np.negative, np.negative)),
+    "grad2d_op rows=2.5": ("rows", 1, lambda: ss.grad2d_op(2.5, 3)),
+    "grad2d_op cols=3.0": ("cols", 1, lambda: ss.grad2d_op(3, 3.0)),
+    "catalog_prox dim=2.5": ("dim", 1, lambda: ss.catalog_prox("l1", 2.5)),
 }
 
 
@@ -887,6 +901,12 @@ def test_count_arguments_at_their_minimum_accepted():
     assert ss.check_qualification(cp, samples=0).verdict == "satisfied"
     assert ss.convex.check_gradient(ss.quadratic_smooth(np.zeros(2)), points=1) <= 1e-5
     assert len(ss.certify_operators(cp.spec, samples=1)) == 3
+    layout = ss.SpaceLayout(np.int64(1), (np.int64(1),), (1.0,))
+    assert layout.size == 2 and type(layout.dual_dims[0]) is int
+    assert ss.diff1d_op(np.int64(2)).out_dim == 1
+    assert ss.identity_op(np.int64(1)).in_dim == 1
+    assert ss.grad2d_op(np.int64(2), 2).out_dim == 4
+    assert ss.catalog_prox("l1", np.int64(1)).dim == 1
 
 
 class TestErrorSchedules:
@@ -1229,6 +1249,70 @@ def skip_flags(spec, cfg):
     return flags
 
 
+def test_wrapped_library_operator_is_called_every_iteration():
+    # functools.wraps copies no buffer form onto a wrapper, so the run
+    # calls the wrapper, and it gets the bits of the bare operator
+    cp, _ = ss.benchmarks.tv1d_problem()
+    spec, cfg = cp.spec, ss.suggest_steps(cp.spec)
+    L = spec.blocks[0].L
+    counts = {"apply": 0, "adjoint": 0}
+
+    def traced(name, fn):
+        @functools.wraps(fn)
+        def wrapper(x):
+            counts[name] += 1
+            return fn(x)
+        return wrapper
+
+    wrapped = dataclasses.replace(L, apply=traced("apply", L.apply),
+                                  adjoint_apply=traced("adjoint", L.adjoint_apply))
+    spec_w = dataclasses.replace(spec, blocks=(dataclasses.replace(spec.blocks[0], L=wrapped),))
+    stop = ss.StoppingRule(tol=0.0, max_iter=25)
+    report = ss.run(spec_w, cfg, stop=stop)
+    bare = ss.run(spec, cfg, stop=stop)
+    assert report.iterations == 25
+    # lambda = 1 without errors: L once and L^T once per iteration, L^T
+    # once more for the initial weighted sum
+    assert counts == {"apply": 25, "adjoint": 26}
+    assert_same_bits(report.final_state.u, bare.final_state.u)
+    for name in ("step_norm", "residual"):
+        assert_same_bits([getattr(r, name) for r in report.history],
+                         [getattr(r, name) for r in bare.history])
+
+
+def zero_smooth_mu_case():
+    """The tv1d suite problem with f the data term and h = zero_smooth
+    with a declared mu = 2."""
+    cp, params = ss.benchmarks.tv1d_problem()
+    n = cp.layout.dim_primal
+    cp = dataclasses.replace(cp, f=ss.catalog_prox("sq_l2", n, center=params["b"]),
+                             h=ss.zero_smooth(n, mu=2.0))
+    return cp.spec, ss.suggest_steps(cp.spec), None
+
+
+def test_zero_smooth_with_finite_mu_skips_its_pass_and_keeps_its_constant():
+    spec, cfg, _ = zero_smooth_mu_case()
+    assert skip_flags(spec, cfg) >= {"C"}
+    assert spec.C.constant == 2.0
+    norm = cfg.norms[0]
+    margin = (1.0 / cfg.tau - 0.5 / 2.0) - math.fsum([norm * norm / (1.0 / cfg.sigmas[0])])
+    assert ss.step_condition(spec, cfg).margin == margin
+    x0, v0 = signed_zero_start(spec.layout)
+    stop = ss.StoppingRule(tol=1e-9, max_iter=3000)
+    spec_ref, log_ref = recorded(spec)
+    steps, residuals, x, v, _ = reference_run(spec_ref, cfg, stop, None, x0, v0)
+    spec_run, log_run = recorded(spec)
+    report = ss.run(spec_run, cfg, x0=x0, v0=v0, stop=stop)
+    assert report.termination == "converged" and report.iterations == len(steps)
+    assert_same_bits([rec.step_norm for rec in report.history], steps)
+    assert_same_bits([rec.residual for rec in report.history], residuals)
+    assert_same_bits(report.final_state.x, x)
+    assert_same_bits(report.final_state.v[0], v[0])
+    assert len(log_run) == len(log_ref)
+    for got, want in zip(log_run, log_ref):
+        assert_same_bits(got, want)
+
+
 def test_vanishes_only_for_positive_zeros():
     # x - a = x for every x only when every entry of a is +0.0
     tiny = np.nextafter(0.0, 1.0)
@@ -1543,6 +1627,35 @@ class TestErrorTuples:
                 rf"^IterationErrors\.{field} has {length} entries but the "
                 r"problem has 2 blocks")):
             ss.run(spec, cfg, errors=lambda n: ss.IterationErrors(**terms))
+
+    @pytest.mark.parametrize("field, index, size", [
+        ("a1", None, 1), ("a2", None, 1), ("b", 0, 1), ("c", 0, 1),
+        ("a1", None, 49), ("b", 0, 50), ("c", 0, 48),
+    ])
+    def test_wrong_shape_refused_by_name(self, field, index, size):
+        # a length-1 term would broadcast over every entry of its block
+        cp, _ = ss.benchmarks.tv1d_problem()
+        spec = cp.spec
+        assert (spec.layout.dim_primal, spec.layout.dual_dims) == (50, (49,))
+        term = np.full(size, 1e-3)
+        terms = {field: term if index is None else (term,)}
+        name = field if index is None else rf"{field}\[{index}\]"
+        want = 50 if index is None else 49
+        with pytest.raises(ValueError, match=(
+                rf"^IterationErrors\.{name} must have shape \({want},\), "
+                rf"got \({size},\)$")):
+            ss.run(spec, ss.suggest_steps(spec),
+                   errors=lambda n: ss.IterationErrors(**terms))
+
+    def test_list_terms_of_the_right_length_run(self):
+        cp, _ = ss.benchmarks.tv1d_problem()
+        spec, cfg = cp.spec, ss.suggest_steps(cp.spec)
+        stop = ss.StoppingRule(tol=0.0, max_iter=5)
+        a1 = np.linspace(-1e-3, 1e-3, 50)
+        listed = ss.run(spec, cfg, stop=stop,
+                        errors=lambda n: ss.IterationErrors(a1=list(a1)))
+        arrays = ss.run(spec, cfg, stop=stop, errors=lambda n: ss.IterationErrors(a1=a1))
+        assert_same_bits(listed.final_state.u, arrays.final_state.u)
 
 
 # ---------------------------------------------------------------------------
