@@ -251,15 +251,17 @@ def _parse_funcspec(text: str, line: int, key: str) -> FuncSpec:
     if not parts:
         raise ConfigError(f"{key}: empty function spec", line)
     kind = parts[0]
-    params = []
+    params = {}
     for part in parts[1:]:
-        if "=" not in part:
+        name, eq, raw = part.partition("=")
+        if not (name and eq):
             raise ConfigError(
                 f"{key}: malformed parameter {part!r} (expected name=value)", line
             )
-        name, _, raw = part.partition("=")
-        params.append((name, _parse_param_value(raw, line, f"{key}.{name}")))
-    return FuncSpec(kind, tuple(sorted(params)))
+        if name in params:
+            raise ConfigError(f"{key}: duplicate parameter {name!r}", line)
+        params[name] = _parse_param_value(raw, line, f"{key}.{name}")
+    return FuncSpec(kind, tuple(sorted(params.items())))
 
 
 def _parse_vecspec(text: str, line: int, key: str) -> VecSpec:
@@ -552,7 +554,7 @@ def _build_smooth(spec: FuncSpec, dim: int, mu: Optional[float]):
         return zero_smooth(dim, mu=mu)
     if spec.kind == "sq_l2":
         d = spec.param_dict()
-        weight = float(d.pop("weight", 1.0))
+        weight = d.pop("weight", 1.0)
         center = d.pop("center", 0.0)
         if d:
             raise ConfigError(f"unexpected parameters {sorted(d)}")
@@ -571,7 +573,7 @@ def _build_ell(spec: FuncSpec, dim: int):
         return dirac_term(dim)
     if spec.kind == "quadratic":
         d = spec.param_dict()
-        nu = float(d.pop("nu", 1.0))
+        nu = d.pop("nu", 1.0)
         if d:
             raise ConfigError(f"unexpected parameters {sorted(d)}")
         return quadratic_term(dim, nu=nu)

@@ -47,13 +47,12 @@ from .solver import (
     _adjoint_sum,
     _bind,
     _check_sigma_count,
-    _check_tolerance,
     _checked_point,
     _checked_steps,
     run,
     suggest_steps,
 )
-from .spaces import SpaceLayout, _check_count
+from .spaces import SpaceLayout, _check_count, _check_real
 
 __all__ = [
     "SmoothTerm",
@@ -85,8 +84,8 @@ class SmoothTerm:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.lipschitz_inv > 0:
-            raise ValueError("lipschitz_inv (mu) must be strictly positive")
+        _check_count("dim", self.dim)
+        object.__setattr__(self, "lipschitz_inv", _check_real("mu", self.lipschitz_inv, ends="]]"))
         if self.kind == "sq_l2" and not _holds_sq_l2_params(self.params, self.dim):
             raise ValueError('a SmoothTerm of kind "sq_l2" needs params "weight" '
                              f'(a number) and "center" ({self.dim} numbers)')
@@ -108,11 +107,7 @@ def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
 
     ``mu`` overrides the cocoercivity claim (diagnostics use only).
     """
-    c = float(weight)
-    if c <= 0:
-        raise ValueError("weight must be positive")
-    if not math.isfinite(c):
-        raise ValueError(f"weight must be finite, got {c!r}")
+    c = _check_real("weight", weight)
     b = np.asarray(center, dtype=float)
     if b.ndim == 0:
         if dim is None:
@@ -134,7 +129,7 @@ def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
         dim=b.size,
         value=value,
         gradient=gradient,
-        lipschitz_inv=(1.0 / c) if mu is None else float(mu),
+        lipschitz_inv=(1.0 / c) if mu is None else mu,
         kind="sq_l2",
         params={"weight": c, "center": b},
     )
@@ -150,7 +145,7 @@ def zero_smooth(dim: int, mu: Optional[float] = None) -> SmoothTerm:
         dim=dim,
         value=lambda x: 0.0,
         gradient=_Zero(dim),
-        lipschitz_inv=math.inf if mu is None else float(mu),
+        lipschitz_inv=math.inf if mu is None else mu,
         kind="zero",
         params={},
     )
@@ -172,8 +167,8 @@ class StronglyConvexTerm:
     kind: str = "custom"
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError("nu must be strictly positive")
+        _check_count("dim", self.dim)
+        object.__setattr__(self, "nu", _check_real("nu", self.nu, ends="]]"))
 
 
 def dirac_term(dim: int) -> StronglyConvexTerm:
@@ -194,11 +189,7 @@ def dirac_term(dim: int) -> StronglyConvexTerm:
 
 def quadratic_term(dim: int, nu: float = 1.0) -> StronglyConvexTerm:
     """ell = (nu/2) ||.||^2; conjugate gradient v -> v / nu."""
-    nu = float(nu)
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    if not math.isfinite(nu):
-        raise ValueError(f"nu must be finite, got {nu!r}")
+    nu = _check_real("nu", nu)
     return StronglyConvexTerm(
         dim=dim,
         conj_gradient=lambda v: v / nu,
@@ -300,9 +291,10 @@ class QualificationReport:
 def check_gradient(h: SmoothTerm, points: int = 20, seed: int = 0,
                    rel_tol: float = 1e-5) -> float:
     """Central-difference check of the gradient; returns the worst
-    relative error and raises if it exceeds ``rel_tol``; ``points``
-    must be an integer of at least 1."""
+    relative error and raises if it exceeds ``rel_tol``, which must lie
+    in ]0, inf[; ``points`` must be an integer of at least 1."""
     _check_count("points", points)
+    _check_real("rel_tol", rel_tol)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(points):
@@ -512,8 +504,8 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
 
     With ``cfg=None`` the step sizes are those of :func:`suggest_steps`
     at its defaults.  ``stop`` and ``errors`` are passed to :func:`run`.
-    When ``kkt_tol`` is set (finite and non-negative, refused otherwise
-    like ``stop.tol``) the run also stops once the optimality residual
+    When ``kkt_tol`` is set (in [0, inf[, refused otherwise like
+    ``stop.tol``) the run also stops once the optimality residual
     is at most ``kkt_tol``, and ``report.stop`` then names the rule
     ``"kkt_tol"`` with that residual and the tolerance.
     ``record_objective=True`` attaches objective, gap, and KKT values
@@ -527,7 +519,7 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     sum sum_i w_i L_i^T v_i from :func:`run`, which carries it.
     """
     if kkt_tol is not None:
-        _check_tolerance("kkt_tol", kkt_tol)
+        _check_real("kkt_tol", kkt_tol, ends="[[")
     spec = cp.spec
     if cfg is None:
         cfg = suggest_steps(spec)

@@ -22,13 +22,14 @@ the Moreau decomposition), and a closed-form prox catalog.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .spaces import _check_count
+from .spaces import _check_count, _check_real
 
 __all__ = [
     "LinearOp",
@@ -122,6 +123,7 @@ class _Zero:
     __slots__ = ("zero",)
 
     def __init__(self, dim: int):
+        _check_count("dim", dim)
         self.zero = np.zeros(dim)
         self.zero.flags.writeable = False
 
@@ -152,7 +154,8 @@ def _round_up(value: float) -> float:
 class LinearOp:
     """Bounded linear operator with adjoint.
 
-    ``norm_hint`` is an upper bound on the operator norm.  ``kind`` is
+    ``norm_hint`` is an upper bound on the operator norm, in [0, inf]
+    (an infinite one fails certification, by block).  ``kind`` is
     ``"custom"`` unless a library constructor sets it; for the kinds in
     ``CLOSED_FORM_NORM_KINDS`` (``identity_op``, ``diff1d_op``,
     ``grad2d_op``) the hint is the closed-form norm, rounded up by
@@ -179,8 +182,8 @@ class LinearOp:
     def __post_init__(self):
         _check_count("in_dim", self.in_dim)
         _check_count("out_dim", self.out_dim)
-        if self.norm_hint is not None and not self.norm_hint >= 0:
-            raise ValueError("norm_hint must be nonnegative")
+        if self.norm_hint is not None:
+            _check_real("norm_hint", self.norm_hint, ends="[]")
         if self.kind in CLOSED_FORM_NORM_KINDS and self.norm_hint is None:
             raise ValueError(f"a {self.kind} operator needs its closed-form norm_hint")
 
@@ -203,6 +206,9 @@ class ResolventOp:
     dim: int
     resolvent: Callable[[float, np.ndarray], np.ndarray]
     inverse_resolvent: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        _check_count("dim", self.dim)
 
     @staticmethod
     def zero(dim: int) -> "ResolventOp":
@@ -230,8 +236,8 @@ class CocoerciveOp:
     constant: float
 
     def __post_init__(self):
-        if not self.constant > 0:
-            raise ValueError("cocoercivity constant must be strictly positive")
+        _check_count("dim", self.dim)
+        object.__setattr__(self, "constant", _check_real("constant", self.constant, ends="]]"))
 
     @staticmethod
     def zero(dim: int) -> "CocoerciveOp":
@@ -283,6 +289,9 @@ class ProxFunction:
     domain: Optional[Domain] = None
     kind: str = "custom"
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_count("dim", self.dim)
 
 
 @dataclass(frozen=True)
@@ -420,8 +429,7 @@ def estimate_norm(L: LinearOp, tol: float = 1e-8, max_iter: int = 10000,
     undercut.  On non-convergence the best iterate is returned with
     ``converged=False``.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    _check_real("tol", tol)
     _check_count("max_iter", max_iter)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(L.in_dim)
@@ -464,7 +472,7 @@ def estimate_norm(L: LinearOp, tol: float = 1e-8, max_iter: int = 10000,
 
 
 def resolvent_of_inverse(B: ResolventOp, sigma: float, v: np.ndarray) -> np.ndarray:
-    """Resolvent of the inverse operator, J_{sigma B^{-1}}(v).
+    """Resolvent of the inverse operator, J_{sigma B^{-1}}(v), for sigma in ]0, inf[.
 
     Returns ``B.inverse_resolvent(sigma, v)`` when ``B`` has one, and
     otherwise uses the inverse-resolvent identity
@@ -476,9 +484,7 @@ def resolvent_of_inverse(B: ResolventOp, sigma: float, v: np.ndarray) -> np.ndar
     result may be ``v`` itself or an array ``B`` keeps; do not write
     into it.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be strictly positive")
-    return _dual_step(B)(sigma, np.asarray(v, dtype=float))
+    return _dual_step(B)(_check_real("sigma", sigma), np.asarray(v, dtype=float))
 
 
 def _dual_step(B: ResolventOp) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -524,31 +530,26 @@ def _as_vec(value, dim: int, name: str, finite: bool = True) -> np.ndarray:
     return arr
 
 
-def _weight(value, kind: str) -> float:
-    c = float(value)
-    if c <= 0:
-        raise ValueError(f"{kind} weight must be positive")
-    if not math.isfinite(c):
-        raise ValueError(f"{kind} weight must be finite, got {c!r}")
-    return c
-
-
 def catalog_prox(kind: str, dim: int, **params) -> ProxFunction:
     """Build a catalog function with a closed-form prox.
 
     Kinds: ``sq_l2`` (weight, center), ``l1`` (weight), ``box`` (lo,
     hi), ``point`` (point), ``zero``, ``linear`` (a), ``l2`` (weight).
+    An unknown kind or parameter is refused with a ``ValueError``.
     """
     _check_count("dim", dim)
     builder = _CATALOG.get(kind)
     if builder is None:
         raise ValueError(f"unknown prox kind {kind!r}; known: {sorted(_CATALOG)}")
+    known = _CATALOG_PARAMS[kind]
+    if params.keys() - known:
+        raise ValueError(f"{kind}: unknown parameters {sorted(params.keys() - known)}; known: {known}")
     return builder(dim, **params)
 
 
 def _build_sq_l2(dim, weight=1.0, center=0.0):
     """(weight/2) ||x - center||^2"""
-    c = _weight(weight, "sq_l2")
+    c = _check_real("sq_l2 weight", weight)
     b = _as_vec(center, dim, "center")
 
     def prox(gamma, w):
@@ -576,7 +577,7 @@ def _build_sq_l2(dim, weight=1.0, center=0.0):
 
 def _build_l1(dim, weight=1.0):
     """weight * ||x||_1, prox = soft threshold"""
-    c = _weight(weight, "l1")
+    c = _check_real("l1 weight", weight)
 
     def prox(gamma, w):
         w = np.asarray(w, dtype=float)
@@ -710,7 +711,7 @@ def _build_linear(dim, a=0.0):
 
 def _build_l2(dim, weight=1.0):
     """weight * ||x||_2, prox = block soft threshold"""
-    c = _weight(weight, "l2")
+    c = _check_real("l2 weight", weight)
 
     def prox(gamma, w):
         w = np.asarray(w, dtype=float)
@@ -752,3 +753,6 @@ _CATALOG = {
 }
 #: the kinds :func:`catalog_prox` builds
 CATALOG_KINDS = frozenset(_CATALOG)
+#: each kind's parameters, read from its builder's signature after ``dim``
+_CATALOG_PARAMS = {kind: list(inspect.signature(build).parameters)[1:]
+                   for kind, build in _CATALOG.items()}

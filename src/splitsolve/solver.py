@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import operator
 import time
 from collections.abc import Sequence
@@ -65,7 +64,7 @@ from .operators import (
     _Form,
     _Zero,
 )
-from .spaces import SpaceLayout, _check_count
+from .spaces import SpaceLayout, _check_count, _check_real
 
 __all__ = [
     "Block",
@@ -180,13 +179,11 @@ class StepConfig:
     the operator-norm bounds ``norms`` the step condition reads, and the
     relaxation ``lam``.
 
-    ``tau`` and every ``sigmas[i]`` must be finite and positive, as
-    :func:`validate_steps` requires, and are refused by name otherwise;
-    they and the norms are stored as floats.  ``lam`` is the relaxation
-    parameter of every iteration; a non-finite value or one outside
-    ]0, 1] is refused with a ``ValueError`` that names ``lambda``.  The
-    config holds no verdict: :func:`step_condition` derives it from the
-    steps and a problem whenever it is asked for.
+    ``tau``, each ``sigmas[i]`` and each ``norms[i]`` must lie in ]0, inf[
+    and ``lam``, the relaxation of every iteration, in ]0, 1], or a
+    ``ValueError`` names it; all are stored as floats.  The config holds
+    no verdict: :func:`step_condition` derives it from the steps and a
+    problem whenever it is asked for.
     """
 
     tau: float
@@ -196,13 +193,10 @@ class StepConfig:
 
     def __post_init__(self):
         tau, sigmas = _checked_steps(self.tau, self.sigmas)
-        lam = float(self.lam)
-        if not 0.0 < lam <= 1.0:
-            raise ValueError(f"lambda must lie in ]0, 1], got {lam!r}")
+        object.__setattr__(self, "lam", _check_real("lambda", self.lam, high=1.0, ends="]]"))
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "sigmas", sigmas)
-        object.__setattr__(self, "norms", tuple(float(nm) for nm in self.norms))
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "norms", _checked_norms(self.norms))
 
 
 @dataclass(frozen=True)
@@ -236,9 +230,9 @@ class StoppingRule:
 
     ``tol`` bounds the fixed-point residual (displacement of one exact
     relaxation-1 update, measured in the renormed metric) relative to
-    ``1 + ||state||``; it must be finite and non-negative, and
-    ``tol = 0`` stops only on an exactly zero residual.  A ``bool`` or
-    a value that is not a real number is refused by name.
+    ``1 + ||state||``; it must lie in [0, inf[, and ``tol = 0`` stops
+    only on an exactly zero residual.  ``max_iter`` is an integer of at
+    least 1.  Anything else, a ``bool`` included, is refused by name.
     """
 
     tol: float = 1e-10
@@ -246,24 +240,13 @@ class StoppingRule:
 
     def __post_init__(self):
         _check_count("max_iter", self.max_iter)
-        _check_tolerance("tol", self.tol)
+        _check_real("tol", self.tol, ends="[[")
 
 
 def _checked_steps(tau, sigmas) -> tuple[float, tuple[float, ...]]:
-    """``tau`` and ``sigmas`` as floats, refused unless each is finite
-    and positive; the errors name the step."""
-    tau = float(tau)
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau!r}")
-    if tau <= 0:
-        raise ValueError("tau must be strictly positive")
-    sigmas = tuple(float(s) for s in sigmas)
-    for i, s in enumerate(sigmas):
-        if not math.isfinite(s):
-            raise ValueError(f"sigma[{i}] must be finite, got {s!r}")
-    if any(s <= 0 for s in sigmas):
-        raise ValueError("every sigma must be strictly positive")
-    return tau, sigmas
+    """``tau`` and ``sigmas`` as floats, each refused by name unless in ]0, inf[."""
+    return _check_real("tau", tau), tuple(
+        _check_real(f"sigma[{i}]", s) for i, s in enumerate(sigmas))
 
 
 def _check_sigma_count(sigmas, m: int) -> None:
@@ -272,16 +255,6 @@ def _check_sigma_count(sigmas, m: int) -> None:
         raise ValueError(
             f"one sigma per block is required: the steps have {len(sigmas)} "
             f"and the problem has {m} blocks")
-
-
-def _check_tolerance(name: str, value: float) -> None:
-    """Refuse a stopping tolerance that is a ``bool``, is not a real
-    number (Python or numpy), or is not finite and non-negative, naming
-    the argument."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -304,13 +277,11 @@ def geometric_errors(layout: SpaceLayout, amplitude: float, decay: float,
     """Errors ``amplitude * decay^n`` times fixed unit directions, as the
     callable ``n -> IterationErrors`` that :func:`run` takes.
 
-    Summable by construction for ``decay in ]0, 1[``.  Amplitude 0 gives
-    ``None``, the exact iteration.
+    Summable by construction for ``decay`` in ]0, 1[; ``amplitude`` lies
+    in [0, inf[, and 0 gives ``None``, the exact iteration.
     """
-    if not (math.isfinite(amplitude) and amplitude >= 0):
-        raise ValueError(f"amplitude must be finite and non-negative, got {amplitude!r}")
-    if not 0.0 < decay < 1.0:
-        raise ValueError("decay must lie in ]0, 1[")
+    amplitude = _check_real("amplitude", amplitude, ends="[[")
+    decay = _check_real("decay", decay, high=1.0)
     if amplitude == 0.0:
         return None
     rng = np.random.default_rng(seed)
@@ -535,20 +506,15 @@ def certified_norms(spec: ProblemSpec, seed: int = 0) -> tuple[float, ...]:
             # estimate_norm returns max(hint, estimate); only a hint is used as it is
             norms.append(est.value if est.value == blk.L.norm_hint
                          else est.value * NORM_SAFETY)
-    return _checked_norms(spec, norms)
+    return _checked_norms(norms, spec.num_blocks)
 
 
-def _checked_norms(spec: ProblemSpec, norms) -> tuple[float, ...]:
-    """``norms`` as a tuple, refused unless it holds one finite,
-    positive bound per block; the errors name the block."""
-    norms = tuple(float(nm) for nm in norms)
-    if len(norms) != spec.num_blocks:
+def _checked_norms(norms, m: Optional[int] = None) -> tuple[float, ...]:
+    """``norms`` as floats, each refused unless in ]0, inf[, naming its
+    block; given the number of blocks ``m``, refused unless one per block."""
+    norms = tuple(_check_real(f"block {i}: norm of L", nm) for i, nm in enumerate(norms))
+    if m is not None and len(norms) != m:
         raise ValueError("one norm per block is required")
-    for i, value in enumerate(norms):
-        if not math.isfinite(value):
-            raise ValueError(f"block {i}: linear operator has non-finite norm {value!r}")
-        if value <= 0.0:
-            raise ValueError(f"block {i}: linear operator has zero estimated norm")
     return norms
 
 
@@ -622,7 +588,7 @@ def step_condition(spec: ProblemSpec, cfg: StepConfig) -> StepCondition:
     :func:`certified_norms` refuses its own.
     """
     _check_sigma_count(cfg.sigmas, spec.num_blocks)
-    norms = _checked_norms(spec, cfg.norms)
+    norms = _checked_norms(cfg.norms, spec.num_blocks)
     return StepCondition(_step_margin(spec, cfg.tau, cfg.sigmas, norms),
                          *_step_quantities(spec, cfg.tau, cfg.sigmas, norms))
 
@@ -655,16 +621,19 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99, lam: float = 1.0,
     condition at tau = sigma), else a bisection on the margin.  The
     margin falls as the common step grows, so any ``safety`` in ]0, 1[
     makes the strict inequality hold.  ``lam`` and ``norms`` are
-    checked as in :func:`validate_steps`.
+    checked as in :func:`validate_steps`.  A step that is not positive
+    (1/(2 mu), a 1/(2 nu_i) or a ||L_i||^2 overflowed) is refused.
     """
-    if not 0.0 < safety < 1.0:
-        raise ValueError("safety must lie in ]0, 1[")
-    norms = certified_norms(spec) if norms is None else _checked_norms(spec, norms)
+    safety = _check_real("safety", safety, high=1.0)
+    norms = certified_norms(spec) if norms is None else _checked_norms(norms, spec.num_blocks)
     if all(math.isinf(blk.Dinv.constant) for blk in spec.blocks):
         boundary = _closed_form_step(spec, norms)
     else:
         boundary = _bisected_step(spec, norms)
     step = safety * boundary
+    if not step > 0.0:
+        raise ValueError(f"no positive step size exists for mu = {spec.C.constant!r}, nu = "
+                         f"{[b.Dinv.constant for b in spec.blocks]!r} and norms {norms!r}")
     cfg = StepConfig(step, (step,) * spec.num_blocks, norms, lam)
     if not step_condition(spec, cfg).admissible:
         # cannot happen for safety < 1; guards against float pathologies

@@ -14,6 +14,7 @@ weighted ones defined here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,28 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 def _check_count(name: str, value, minimum: int = 1) -> None:
-    """Refuse a count that is a ``bool``, is not an integer (Python or
-    numpy), or is below ``minimum``, naming the argument."""
+    """Refuse a count or dimension that is a ``bool``, is not an integer
+    (Python or numpy), or is below ``minimum``, naming the argument;
+    :func:`_check_real` is its counterpart for real numbers."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_real(name: str, value, low: float = 0.0, high: float = math.inf,
+                ends: str = "][") -> float:
+    """``value`` as a float, refused by name if it is a ``bool``, not a
+    real number (Python or numpy), or NaN or outside the interval from
+    ``low`` to ``high`` with brackets ``ends``: ``"]["`` open, ``"[]"`` closed."""
+    # a float is let through first: the ABC check costs about 1 us a call
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    x = float(value)
+    if not ((low <= x if ends[0] == "[" else low < x)
+            and (x <= high if ends[1] == "]" else x < high)):
+        raise ValueError(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {x!r}")
+    return x
 
 
 class ShapeMismatchError(ValueError):
@@ -62,13 +80,13 @@ class SpaceLayout:
         for i, d in enumerate(dims):
             _check_count(f"dual_dims[{i}]", d)
         object.__setattr__(self, "dual_dims", tuple(int(d) for d in dims))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(
+            _check_real(f"weights[{i}]", w, high=1.0, ends="]]")
+            for i, w in enumerate(self.weights)))
         if len(self.dual_dims) < 1:
             raise ValueError("at least one dual block is required")
         if len(self.weights) != len(self.dual_dims):
             raise ValueError("weights and dual_dims must have equal length")
-        if any(not 0.0 < w <= 1.0 for w in self.weights):
-            raise ValueError("every weight must lie in ]0, 1]")
         if abs(math.fsum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weights must sum to 1 within {WEIGHT_SUM_TOL:g} "

@@ -182,9 +182,9 @@ class TestSolve:
         assert extract(captured.out, "stop") == "diverged"
 
     @pytest.mark.parametrize("stop, message", [
-        ("tol = nan", "tol must be finite and non-negative, got nan"),
-        ("tol = -1e-9", "tol must be finite and non-negative, got -1e-09"),
-        ("tol = 1e-12\nkkt_tol = nan", "kkt_tol must be finite and non-negative, got nan"),
+        ("tol = nan", "tol must lie in [0, inf[, got nan"),
+        ("tol = -1e-9", "tol must lie in [0, inf[, got -1e-09"),
+        ("tol = 1e-12\nkkt_tol = nan", "kkt_tol must lie in [0, inf[, got nan"),
     ], ids=["tol-nan", "tol-negative", "kkt_tol-nan"])
     def test_bad_tolerance_refused(self, tmp_path, capsys, stop, message):
         cfg = tmp_path / "tol.cfg"
@@ -195,10 +195,10 @@ class TestSolve:
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("steps, message", [
-        ("tau = nan\nsigma = 0.5", "tau must be finite, got nan"),
-        ("tau = inf\nsigma = 0.5", "tau must be finite, got inf"),
-        ("tau = 0.5\nsigma = nan", "sigma[0] must be finite, got nan"),
-        ("tau = 0.5\nsigma = inf", "sigma[0] must be finite, got inf"),
+        ("tau = nan\nsigma = 0.5", "tau must lie in ]0, inf[, got nan"),
+        ("tau = inf\nsigma = 0.5", "tau must lie in ]0, inf[, got inf"),
+        ("tau = 0.5\nsigma = nan", "sigma[0] must lie in ]0, inf[, got nan"),
+        ("tau = 0.5\nsigma = inf", "sigma[0] must lie in ]0, inf[, got inf"),
     ], ids=["tau-nan", "tau-inf", "sigma-nan", "sigma-inf"])
     def test_non_finite_manual_steps_refused(self, tmp_path, capsys, steps, message):
         cfg = tmp_path / "steps.cfg"
@@ -217,7 +217,7 @@ class TestSolve:
         code = main(["solve", str(cfg), "-o", str(tmp_path / "r.csv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"amplitude must be finite and non-negative, got {amplitude}\n"
+        assert err == f"amplitude must lie in [0, inf[, got {amplitude}\n"
         assert not (tmp_path / "r.csv").exists()
 
     def test_stop_line_names_the_residual_rule(self, tmp_path, capsys):
@@ -310,7 +310,7 @@ class TestNonFiniteOperator:
         extra = ["-o", str(tmp_path / "r.csv")] if command == "solve" else []
         assert main([command, str(cfg), *extra]) == 1
         err = capsys.readouterr().err
-        assert "block 0: linear operator has non-finite norm nan" in err
+        assert "block 0: norm of L must lie in ]0, inf[, got nan" in err
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.filterwarnings("error")
@@ -319,7 +319,7 @@ class TestNonFiniteOperator:
         cfg.write_text(Path(LASSO).read_text().replace("L = identity", "L = matrix 1e308"))
         assert main(["solve", str(cfg), "-o", str(tmp_path / "r.csv")]) == 1
         captured = capfd.readouterr()
-        assert captured.err == "block 0: linear operator has non-finite norm nan\n"
+        assert captured.err == "block 0: norm of L must lie in ]0, inf[, got nan\n"
         assert not (tmp_path / "r.csv").exists()
 
 
@@ -327,9 +327,9 @@ class TestNonFiniteValues:
     """A non-finite catalog parameter, z or r is refused by name at setup."""
 
     CASES = [
-        ("g = l1 weight=1.0", "g = l1 weight=nan", "block 0: g: l1 weight must be finite, got nan"),
-        ("g = l1 weight=1.0", "g = l1 weight=inf", "block 0: g: l1 weight must be finite, got inf"),
-        ("f = zero", "f = sq_l2 weight=nan", "f: sq_l2 weight must be finite, got nan"),
+        ("g = l1 weight=1.0", "g = l1 weight=nan", "block 0: g: l1 weight must lie in ]0, inf[, got nan"),
+        ("g = l1 weight=1.0", "g = l1 weight=inf", "block 0: g: l1 weight must lie in ]0, inf[, got inf"),
+        ("f = zero", "f = sq_l2 weight=nan", "f: sq_l2 weight must lie in ]0, inf[, got nan"),
         ("z = zeros", "z = const nan", "z must be finite"),
         ("g = l1 weight=1.0", "g = box lo=nan hi=3", "block 0: g: lo must be finite or -inf"),
         ("g = l1 weight=1.0", "g = box lo=inf hi=inf", "block 0: g: lo must be finite or -inf"),
@@ -339,7 +339,7 @@ class TestNonFiniteValues:
          "h: center must be finite"),
         ("f = zero", "f = linear a=inf", "f: a must be finite"),
         ("r = zeros", "r = const inf", "block 0: r must be finite"),
-        ("ell = dirac", "ell = quadratic nu=inf", "block 0: ell: nu must be finite, got inf"),
+        ("ell = dirac", "ell = quadratic nu=inf", "block 0: ell: nu must lie in ]0, inf[, got inf"),
     ]
 
     @pytest.mark.filterwarnings("error")
@@ -363,6 +363,39 @@ class TestNonFiniteValues:
         cfg.write_text(Path(LASSO).read_text().replace("g = l1 weight=1.0", f"g = box {box}"))
         assert main(["check", str(cfg)]) == 0
         capsys.readouterr()
+
+
+class TestSetupRefusals:
+    """Refusals at setup end each command with exit 1 and one line on
+    stderr, never a traceback."""
+
+    CASES = [
+        # used to end in a TypeError traceback from sorted()
+        ("h = sq_l2 weight=1.0 center=4.0", "h = sq_l2 weight=1.0 weight=(1,2) center=4.0",
+         "{cfg}:line 9: h: duplicate parameter 'weight'"),
+        # used to print the private builder's TypeError
+        ("g = l1 weight=1.0", "g = l1 bogus=1",
+         "{cfg}:block 0: g: l1: unknown parameters ['bogus']; known: ['weight']"),
+        # used to read "tau must be strictly positive", a step never set
+        ("z = zeros", "z = zeros\nmu = 1e-320",
+         "no positive step size exists for mu = 1e-320, nu = [inf] and norms (1.0,)"),
+        ("ell = dirac", "ell = quadratic nu=1e-320",
+         "no positive step size exists for mu = 1.0, nu = [1e-320] and norms (1.0,)"),
+    ]
+
+    @pytest.mark.parametrize("command", ["solve", "check", "diag"])
+    @pytest.mark.parametrize("old, new, message", CASES, ids=[c[1] for c in CASES])
+    def test_refused_in_one_line(self, tmp_path, capsys, command, old, new, message):
+        text = Path(LASSO).read_text()
+        assert text.count(old) == 1
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace(old, new))
+        extra = ["-o", str(tmp_path / "r.csv")] if command == "solve" else []
+        assert main([command, str(cfg), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message.format(cfg=cfg) + "\n"
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestDeterminism:

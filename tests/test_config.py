@@ -206,6 +206,20 @@ PARSER_ERRORS = [
 ]
 
 
+@pytest.mark.parametrize("new, message", [
+    # used to die in sorted() with a TypeError
+    ("f = l1 weight=0.25 weight=(1,2)", "f: duplicate parameter 'weight'"),
+    # used to run with the last weight, in either order
+    ("f = l1 weight=0.5 weight=0.25", "f: duplicate parameter 'weight'"),
+    # used to be parsed as a parameter with an empty name
+    ("f = l1 =0.25", "f: malformed parameter '=0.25' (expected name=value)"),
+], ids=["repeated-vector", "repeated-scalar", "empty-name"])
+def test_function_spec_parameter_refused_with_line(new, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(BASIC.replace("f = l1 weight=0.25", new))
+    assert (exc.value.message, exc.value.line) == (message, 6)
+
+
 @pytest.mark.parametrize("old, new, message, line", PARSER_ERRORS)
 def test_parser_error_message_and_line(old, new, message, line):
     assert BASIC.count(old) == 1
@@ -414,12 +428,13 @@ class TestHostileConfigs:
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("ell = dirac", "ell = quadratic nu=0", "nu must be positive"),
+    ("ell = dirac", "ell = quadratic nu=0", r"nu must lie in \]0, inf\[, got 0.0"),
     ("L = identity", "L = grad2d rows=1 cols=1", "grad2d needs rows >= 2"),
-    ("ell = dirac", "ell = quadratic nu=(1,2)", "^block 0: ell: float"),
+    ("ell = dirac", "ell = quadratic nu=(1,2)",
+     r"^block 0: ell: nu must be a real number, got \(1.0, 2.0\)$"),
     ("L = identity", "L = diff1d", "^block 0: L: diff1d maps dim 1 to 0, block has 1$"),
     ("h = sq_l2 weight=1.0 center=4.0", "h = sq_l2 weight=-1.0 center=4.0",
-     "^h: weight must be positive$"),
+     r"^h: weight must lie in \]0, inf\[, got -1.0$"),
 ])
 def test_block_construction_errors_are_config_errors(old, new, message):
     text = (Path(__file__).resolve().parents[1] / "configs" / "lasso1d.cfg").read_text()

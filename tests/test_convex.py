@@ -726,12 +726,12 @@ class TestKktResidual:
         # 0.16 at tau = 0) or NaN, with no error
         x, v = np.ones(8), (np.zeros(7), np.zeros(5))
         steps = [
-            (-1.0, None, "^tau must be strictly positive$"),
-            (0.0, None, "^tau must be strictly positive$"),
-            (math.nan, None, "^tau must be finite, got nan$"),
-            (1.0, (math.nan, 1.0), r"^sigma\[0\] must be finite, got nan$"),
-            (1.0, (math.inf, 1.0), r"^sigma\[0\] must be finite, got inf$"),
-            (1.0, (0.0, 1.0), "^every sigma must be strictly positive$"),
+            (-1.0, None, r"^tau must lie in \]0, inf\[, got -1.0$"),
+            (0.0, None, r"^tau must lie in \]0, inf\[, got 0.0$"),
+            (math.nan, None, r"^tau must lie in \]0, inf\[, got nan$"),
+            (1.0, (math.nan, 1.0), r"^sigma\[0\] must lie in \]0, inf\[, got nan$"),
+            (1.0, (math.inf, 1.0), r"^sigma\[0\] must lie in \]0, inf\[, got inf$"),
+            (1.0, (0.0, 1.0), r"^sigma\[0\] must lie in \]0, inf\[, got 0.0$"),
         ]
         for tau, sigmas, message in steps:
             for evaluate in (ss.kkt_residual, ss.evaluate_gap):

@@ -97,7 +97,7 @@ class TestEstimateNorm:
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
     def test_bad_tolerance_refused(self, tol):
         # a NaN tol used to run all max_iter steps and return converged=False
-        with pytest.raises(ValueError, match="^tol must be positive, got "):
+        with pytest.raises(ValueError, match=r"^tol must lie in \]0, inf\[, got "):
             estimate_norm(identity_op(3), tol=tol)
 
     def test_zero_operator(self):
@@ -643,6 +643,18 @@ class TestCatalog:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown prox kind"):
             catalog_prox("entropy", 3)
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("l1", {"bogus": 1}, "l1: unknown parameters ['bogus']; known: ['weight']"),
+        ("sq_l2", {"weight": 1, "lo": 0, "hi": 1},
+         "sq_l2: unknown parameters ['hi', 'lo']; known: ['weight', 'center']"),
+        ("zero", {"weight": 1}, "zero: unknown parameters ['weight']; known: []"),
+    ])
+    def test_unknown_parameter_refused_naming_the_known_ones(self, kind, params, message):
+        # used to raise the builder's TypeError, which names a private function
+        with pytest.raises(ValueError) as exc:
+            catalog_prox(kind, 3, **params)
+        assert str(exc.value) == message
 
     def test_firm_nonexpansiveness(self, rng):
         for g in catalog_instances():

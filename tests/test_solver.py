@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,9 +113,9 @@ class TestValidateSteps:
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_steps_refused_by_name(self, value):
         spec = simple_spec(m=2)
-        with pytest.raises(ValueError, match=f"^tau must be finite, got {value!r}$"):
+        with pytest.raises(ValueError, match=f"^tau must lie in \\]0, inf\\[, got {value!r}$"):
             ss.validate_steps(spec, value, (0.2, 0.2))
-        with pytest.raises(ValueError, match=f"^sigma\\[1\\] must be finite, got {value!r}$"):
+        with pytest.raises(ValueError, match=f"^sigma\\[1\\] must lie in \\]0, inf\\[, got {value!r}$"):
             ss.validate_steps(spec, 0.2, (0.2, value))
 
 
@@ -129,12 +130,12 @@ class TestHandBuiltSteps:
     does not fit the problem before it iterates."""
 
     @pytest.mark.parametrize("tau, message", [
-        (-0.5, "^tau must be strictly positive$"),
-        (0.0, "^tau must be strictly positive$"),
-        (-0.0, "^tau must be strictly positive$"),
-        (math.nan, "^tau must be finite, got nan$"),
-        (math.inf, "^tau must be finite, got inf$"),
-        (-math.inf, "^tau must be finite, got -inf$"),
+        (-0.5, r"^tau must lie in \]0, inf\[, got -0.5$"),
+        (0.0, r"^tau must lie in \]0, inf\[, got 0.0$"),
+        (-0.0, r"^tau must lie in \]0, inf\[, got -0.0$"),
+        (math.nan, r"^tau must lie in \]0, inf\[, got nan$"),
+        (math.inf, r"^tau must lie in \]0, inf\[, got inf$"),
+        (-math.inf, r"^tau must lie in \]0, inf\[, got -inf$"),
     ], ids=["negative", "zero", "-zero", "nan", "inf", "-inf"])
     def test_bad_tau_refused_by_name(self, tau, message):
         spec = condat_spec()
@@ -145,10 +146,10 @@ class TestHandBuiltSteps:
             ss.validate_steps(spec, tau, cfg.sigmas, norms=cfg.norms)
 
     @pytest.mark.parametrize("sigma, message", [
-        (0.0, "^every sigma must be strictly positive$"),
-        (-0.25, "^every sigma must be strictly positive$"),
-        (math.nan, r"^sigma\[1\] must be finite, got nan$"),
-        (math.inf, r"^sigma\[1\] must be finite, got inf$"),
+        (0.0, r"^sigma\[1\] must lie in \]0, inf\[, got 0.0$"),
+        (-0.25, r"^sigma\[1\] must lie in \]0, inf\[, got -0.25$"),
+        (math.nan, r"^sigma\[1\] must lie in \]0, inf\[, got nan$"),
+        (math.inf, r"^sigma\[1\] must lie in \]0, inf\[, got inf$"),
     ], ids=["zero", "negative", "nan", "inf"])
     def test_bad_sigma_refused_by_name(self, sigma, message):
         spec = condat_spec()
@@ -230,8 +231,8 @@ class TestStaleSteps:
 
     @pytest.mark.parametrize("norms, message", [
         ((1.0,), "^one norm per block is required$"),
-        ((1.0, math.nan), "^block 1: linear operator has non-finite norm nan$"),
-        ((1.0, 0.0), "^block 1: linear operator has zero estimated norm$"),
+        ((1.0, math.nan), r"^block 1: norm of L must lie in \]0, inf\[, got nan$"),
+        ((1.0, 0.0), r"^block 1: norm of L must lie in \]0, inf\[, got 0.0$"),
     ], ids=["count", "nan", "zero"])
     def test_bad_norms_refused_before_iterating(self, norms, message):
         _, spec, cfg, _ = self.stale_configs()
@@ -268,9 +269,21 @@ class TestSuggestSteps:
         assert small.tau < big.tau
         assert ss.step_condition(spec, small).admissible
 
+    @pytest.mark.parametrize("mu, nu, values", [
+        (1e-320, math.inf, "mu = 1e-320, nu = [inf]"),
+        (1.0, 1e-320, "mu = 1.0, nu = [1e-320]"),
+    ], ids=["closed-form", "bisection"])
+    def test_underflowed_step_refused_naming_the_constants(self, mu, nu, values):
+        # 1/(2 mu) or 1/(2 nu) overflows and the boundary step is 0, which
+        # used to be refused as "tau must be strictly positive"
+        spec = simple_spec(mu=mu, nus=(nu,))
+        with pytest.raises(ValueError, match=re.escape(
+                f"no positive step size exists for {values} and norms (1.0,)")):
+            ss.suggest_steps(spec)
+
     def test_all_zero_norms_rejected(self):
         spec = simple_spec()
-        with pytest.raises(ValueError, match="zero"):
+        with pytest.raises(ValueError, match=r"norm of L must lie in \]0, inf\[, got 0.0"):
             ss.suggest_steps(spec, norms=(0.0,))
 
     def test_zero_norm_caught_by_certification(self):
@@ -287,7 +300,7 @@ class TestSuggestSteps:
                 r=np.zeros(2),
             ),),
         )
-        with pytest.raises(ValueError, match="zero estimated norm"):
+        with pytest.raises(ValueError, match=r"norm of L must lie in \]0, inf\[, got 0.0"):
             ss.certified_norms(spec)
 
 
@@ -458,9 +471,9 @@ class TestCertifiedNorms:
             z=np.zeros(2),
             blocks=(degenerate_block(2), degenerate_block(2, L)),
         )
-        with pytest.raises(ValueError, match="block 1: linear operator has non-finite norm"):
+        with pytest.raises(ValueError, match=r"block 1: norm of L must lie in \]0, inf\[, got"):
             ss.certified_norms(spec)
-        with pytest.raises(ValueError, match="block 1: .*non-finite"):
+        with pytest.raises(ValueError, match=r"block 1: norm of L must lie in \]0, inf\[, got"):
             ss.suggest_steps(spec)
 
     def test_bounds_rayleigh_quotients(self, rng):
@@ -502,9 +515,9 @@ class TestCertifiedNorms:
 
     @pytest.mark.parametrize("norms, message", [
         ((1.0,), "one norm per block"),
-        ((1.0, math.nan), "block 1: linear operator has non-finite norm"),
-        ((1.0, math.inf), "block 1: linear operator has non-finite norm"),
-        ((1.0, 0.0), "block 1: linear operator has zero estimated norm"),
+        ((1.0, math.nan), r"block 1: norm of L must lie in \]0, inf\[, got nan"),
+        ((1.0, math.inf), r"block 1: norm of L must lie in \]0, inf\[, got inf"),
+        ((1.0, 0.0), r"block 1: norm of L must lie in \]0, inf\[, got 0.0"),
     ], ids=["short", "nan", "inf", "zero"])
     def test_caller_norms_refused_like_certified_ones(self, norms, message):
         spec = simple_spec(m=2)
@@ -515,7 +528,7 @@ class TestCertifiedNorms:
 
     @pytest.mark.parametrize("hint", [math.nan, -1.0])
     def test_nan_or_negative_hint_refused(self, hint):
-        with pytest.raises(ValueError, match="norm_hint must be nonnegative"):
+        with pytest.raises(ValueError, match=r"^norm_hint must lie in \[0, inf\], got "):
             ss.LinearOp(2, 2, lambda x: x, lambda y: y, norm_hint=hint)
 
 
@@ -806,7 +819,7 @@ class TestStoppingRule:
     ])
     def test_bad_tolerance_refused_by_name(self, field, value):
         # tol by StoppingRule, kkt_tol by solve_convex, through one check
-        with pytest.raises(ValueError, match=f"^{field} must be finite and non-negative"):
+        with pytest.raises(ValueError, match=f"^{field} must lie in \\[0, inf\\[, got {value!r}$"):
             if field == "tol":
                 ss.StoppingRule(tol=value)
             else:
@@ -909,6 +922,141 @@ def test_count_arguments_at_their_minimum_accepted():
     assert ss.catalog_prox("l1", np.int64(1)).dim == 1
 
 
+#: name, call: each dimension argument that the library maps and terms
+#: take, a call that passes it on
+DIM_CALLS = {
+    # these four used to die in np.zeros with a TypeError naming no argument
+    "zero_smooth": lambda d: ss.zero_smooth(d),
+    "dirac_term": lambda d: ss.dirac_term(d),
+    "CocoerciveOp.zero": lambda d: ss.CocoerciveOp.zero(d),
+    "ResolventOp.zero": lambda d: ss.ResolventOp.zero(d),
+    # these used to be built
+    "quadratic_term": lambda d: ss.quadratic_term(d),
+    "SmoothTerm": lambda d: ss.SmoothTerm(d, lambda x: 0.0, np.negative, 1.0),
+    "StronglyConvexTerm": lambda d: ss.StronglyConvexTerm(d, np.negative, 1.0),
+    "ResolventOp": lambda d: ss.ResolventOp(d, lambda gamma, w: w),
+    "CocoerciveOp": lambda d: ss.CocoerciveOp(d, np.negative, 1.0),
+    "ProxFunction": lambda d: ss.ProxFunction(d, lambda x: 0.0, lambda gamma, w: w),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 0, -1, True], ids=["2.5", "0", "-1", "True"])
+@pytest.mark.parametrize("call", DIM_CALLS)
+def test_dimension_refused_by_name(call, value):
+    with pytest.raises(ValueError, match=f"^dim must be an integer >= 1, got {value!r}$"):
+        DIM_CALLS[call](value)
+    assert DIM_CALLS[call](np.int64(2)).dim == 2
+
+
+def _gradient_check_of_sq_norm(rel_tol):
+    """check_gradient on ||x||^2 with the gradient 2x scaled by 1.55 (55 %
+    off) at ``rel_tol``."""
+    h = ss.SmoothTerm(3, lambda x: float(x.dot(x)), lambda x: 3.1 * x, 1.0)
+    return ss.convex.check_gradient(h, rel_tol=rel_tol)
+
+
+#: name in the message, interval (low, high, brackets as written) and a
+#: call that passes the value, for each real-number argument of the
+#: public entry points; every one is checked by spaces._check_real
+REAL_CALLS = {
+    "StepConfig tau": ("tau", 0.0, math.inf, "][", lambda t: ss.StepConfig(t, (0.1,), (1.0,))),
+    "validate_steps sigma": ("sigma[1]", 0.0, math.inf, "][",
+                             lambda s: ss.validate_steps(simple_spec(m=2), 0.1, (0.1, s))),
+    "StepConfig lam": ("lambda", 0.0, 1.0, "]]",
+                       lambda lam: ss.StepConfig(0.1, (0.1,), (1.0,), lam)),
+    "StoppingRule tol": ("tol", 0.0, math.inf, "[[", lambda t: ss.StoppingRule(tol=t)),
+    "solve_convex kkt_tol": ("kkt_tol", 0.0, math.inf, "[[", lambda t: ss.solve_convex(
+        tiny_convex_problem(), stop=ss.StoppingRule(max_iter=1), kkt_tol=t)),
+    "geometric_errors amplitude": ("amplitude", 0.0, math.inf, "[[", lambda a: ss.geometric_errors(
+        ss.SpaceLayout(2, (2,), (1.0,)), a, 0.5)),
+    "geometric_errors decay": ("decay", 0.0, 1.0, "][", lambda d: ss.geometric_errors(
+        ss.SpaceLayout(2, (2,), (1.0,)), 0.1, d)),
+    "validate_steps norms": ("block 0: norm of L", 0.0, math.inf, "][", lambda nm: ss.validate_steps(
+        simple_spec(), 0.1, (0.1,), norms=(nm,))),
+    "suggest_steps safety": ("safety", 0.0, 1.0, "][",
+                             lambda s: ss.suggest_steps(simple_spec(), safety=s)),
+    "LinearOp norm_hint": ("norm_hint", 0.0, math.inf, "[]",
+                           lambda h: ss.LinearOp(2, 2, np.negative, np.negative, norm_hint=h)),
+    "CocoerciveOp constant": ("constant", 0.0, math.inf, "]]",
+                              lambda c: ss.CocoerciveOp(2, np.negative, c)),
+    "estimate_norm tol": ("tol", 0.0, math.inf, "][",
+                          lambda t: ss.estimate_norm(ss.identity_op(2), tol=t)),
+    "resolvent_of_inverse sigma": ("sigma", 0.0, math.inf, "][", lambda s: ss.resolvent_of_inverse(
+        ss.resolvent_from_prox(ss.catalog_prox("box", 2)), s, np.ones(2))),
+    "catalog sq_l2 weight": ("sq_l2 weight", 0.0, math.inf, "][",
+                             lambda w: ss.catalog_prox("sq_l2", 2, weight=w)),
+    "catalog l1 weight": ("l1 weight", 0.0, math.inf, "][",
+                          lambda w: ss.catalog_prox("l1", 2, weight=w)),
+    "catalog l2 weight": ("l2 weight", 0.0, math.inf, "][",
+                          lambda w: ss.catalog_prox("l2", 2, weight=w)),
+    "SmoothTerm lipschitz_inv": ("mu", 0.0, math.inf, "]]",
+                                 lambda mu: ss.SmoothTerm(2, lambda x: 0.0, np.negative, mu)),
+    "StronglyConvexTerm nu": ("nu", 0.0, math.inf, "]]",
+                              lambda nu: ss.StronglyConvexTerm(2, np.negative, nu)),
+    "quadratic_smooth weight": ("weight", 0.0, math.inf, "][",
+                                lambda w: ss.quadratic_smooth(np.zeros(2), weight=w)),
+    "quadratic_term nu": ("nu", 0.0, math.inf, "][", lambda nu: ss.quadratic_term(2, nu=nu)),
+    "check_gradient rel_tol": ("rel_tol", 0.0, math.inf, "][", _gradient_check_of_sq_norm),
+    "SpaceLayout weights": ("weights[0]", 0.0, 1.0, "]]",
+                            lambda w: ss.SpaceLayout(2, (2,), (w,))),
+}
+
+
+def _real_cases():
+    """(entry, value, message): a bool, a string, a tuple, NaN, the
+    infinities and each interval end through every entry of
+    ``REAL_CALLS``; ``message`` is ``None`` where the value is in the
+    interval."""
+    for entry, (name, low, high, ends, _) in REAL_CALLS.items():
+        for value in (True, "0.5", (0.5,)):
+            yield entry, value, f"{name} must be a real number, got {value!r}"
+        interval = f"{ends[0]}{low:g}, {high:g}{ends[1]}"
+        inside = {low: ends[0] == "[", high: ends[1] == "]"}
+        for value in (math.nan, -math.inf, low, high, math.inf):
+            if not inside.get(value, False):
+                yield entry, value, f"{name} must lie in {interval}, got {value!r}"
+            elif value == high or value == low:
+                yield entry, value, None
+
+
+@pytest.mark.parametrize("entry, value, message", _real_cases(),
+                         ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_real_argument_refused_by_name(entry, value, message):
+    call = REAL_CALLS[entry][-1]
+    if message is None:
+        call(value)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
+class TestRealArgumentsThatUsedToPass:
+    def test_nan_tolerance_fails_a_wrong_gradient(self):
+        # a NaN rel_tol used to pass a gradient that is 55 % off
+        with pytest.raises(ValueError, match="^gradient fails"):
+            _gradient_check_of_sq_norm(1e-5)
+        with pytest.raises(ValueError, match=r"^rel_tol must lie in \]0, inf\[, got nan$"):
+            _gradient_check_of_sq_norm(math.nan)
+
+    def test_nan_sigma_refused_by_resolvent_of_inverse(self):
+        # used to return a finite vector
+        B = ss.resolvent_from_prox(ss.catalog_prox("box", 2))
+        with pytest.raises(ValueError, match=r"^sigma must lie in \]0, inf\[, got nan$"):
+            ss.resolvent_of_inverse(B, math.nan, np.ones(2))
+
+    def test_bool_step_refused(self):
+        # True used to be stored as the step 1.0
+        with pytest.raises(ValueError, match="^tau must be a real number, got True$"):
+            ss.StepConfig(True, (0.1,), (1.0,))
+        with pytest.raises(ValueError, match=r"^sigma\[0\] must be a real number, got True$"):
+            ss.validate_steps(simple_spec(), 0.1, (True,))
+
+    def test_string_weight_refused(self):
+        # "2" used to be read as the weight 2.0
+        with pytest.raises(ValueError, match="^l1 weight must be a real number, got '2'$"):
+            ss.catalog_prox("l1", 3, weight="2")
+
+
 class TestErrorSchedules:
     def test_geometric_is_summable(self):
         layout = ss.SpaceLayout(3, (2,), (1.0,))
@@ -943,7 +1091,7 @@ class TestErrorSchedules:
     @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf, -0.1])
     def test_bad_amplitude_refused_by_name(self, amplitude):
         layout = ss.SpaceLayout(2, (2,), (1.0,))
-        with pytest.raises(ValueError, match="amplitude must be finite and non-negative"):
+        with pytest.raises(ValueError, match=r"^amplitude must lie in \[0, inf\[, got "):
             ss.geometric_errors(layout, amplitude, 0.5)
 
 
