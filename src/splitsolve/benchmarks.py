@@ -25,7 +25,14 @@ from .convex import (
     zero_smooth,
 )
 from .operators import catalog_prox, diff1d_op, identity_op, matrix_op
-from .solver import StoppingRule, geometric_errors, run, suggest_steps, validate_steps
+from .solver import (
+    StoppingRule,
+    _States,
+    geometric_errors,
+    run,
+    suggest_steps,
+    validate_steps,
+)
 from .spaces import SpaceLayout
 
 __all__ = [
@@ -351,15 +358,17 @@ def max_state_deviation(states, xs, vs=None) -> float:
     iterate lists: ``xs[k]`` against ``states[k].x`` and, when ``vs`` is
     given, each ``vs[k][i]`` against ``states[k].v[i]``.
 
-    Each block (x, then each v_i) of the states and of the references
-    is stacked once and compared over the whole trajectory in one array
-    pass, with the same value as comparing iterate by iterate
-    (subtraction rounds entry by entry; abs and max are exact).  A
-    ``tol = 0`` run stops when it lands on an exact fixed point, where
-    every later iterate equals its last state; that final state is then
-    compared against each remaining reference iterate as well, so the
-    check always covers the whole reference list.  An empty ``xs``
-    gives 0.0.
+    The flat arrays ``u`` of the states are stacked once (a run's
+    recorded states are read as arrays, without building an
+    ``IterState``), each block (x, then each v_i) of the references is
+    stacked once and subtracted from its columns, and the whole
+    trajectory is compared in one pass, with the same value as comparing
+    iterate by iterate (subtraction rounds entry by entry; abs and max
+    are exact).  A ``tol = 0`` run stops when it lands on an exact fixed
+    point, where every later iterate equals its last state; that final
+    state is then compared against each remaining reference iterate as
+    well, so the check always covers the whole reference list.  An
+    empty ``xs`` gives 0.0.
 
     A NaN in any difference (a NaN reference entry, or inf - inf) gives
     ``inf``, so a non-finite reference never passes a bound.  A ``vs``
@@ -369,29 +378,31 @@ def max_state_deviation(states, xs, vs=None) -> float:
     """
     if not len(xs):
         return 0.0
-    last = len(states) - 1
-    picked = [states[min(k, last)] for k in range(len(xs))]
-    blocks = [("x", [s.x for s in picked], xs)]
+    first = states[0]
+    rows = ([row[0] for row in states.rows] if isinstance(states, _States)
+            else [st.u for st in states])
+    last = len(rows) - 1
+    got = np.array([rows[min(k, last)] for k in range(len(xs))])
+    n = first.x.size
+    blocks = [("x", slice(0, n), xs)]
     if vs is not None:
-        m = len(states[0].v)
+        m = len(first.v)
         if len(vs) != len(xs):
             raise ValueError(f"vs has {len(vs)} iterates but xs has {len(xs)}")
         for k, vk in enumerate(vs):
             if len(vk) != m:
                 raise ValueError(f"reference iterate {k} has {len(vk)} dual "
                                  f"blocks, expected {m}")
-        blocks += [(f"v[{i}]", [s.v[i] for s in picked], [vk[i] for vk in vs])
-                   for i in range(m)]
-    worst = 0.0
+        for i, vi in enumerate(first.v):
+            blocks.append((f"v[{i}]", slice(n, n + vi.size), [vk[i] for vk in vs]))
+            n += vi.size
+    diff = got[:, :n]
     with np.errstate(invalid="ignore"):  # inf - inf is caught as NaN below
-        for block, got, refs in blocks:
-            got = np.array(got)
-            diff = np.subtract(got, _stacked(refs, got.shape[1:], block), out=got)
-            dev = float(np.max(np.abs(diff, out=diff), initial=0.0))
-            if math.isnan(dev):
-                return math.inf
-            worst = max(worst, dev)
-    return worst
+        for block, cols, refs in blocks:
+            part = diff[:, cols]
+            np.subtract(part, _stacked(refs, part.shape[1:], block), out=part)
+        worst = float(np.max(np.abs(diff, out=diff), initial=0.0))
+    return math.inf if math.isnan(worst) else worst
 
 
 # ---------------------------------------------------------------------------

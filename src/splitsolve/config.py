@@ -301,6 +301,8 @@ def _parse_opspec(text: str, line: int, key: str) -> OpSpec:
             name, _, raw = part.partition("=")
             if name not in ("rows", "cols") or not raw:
                 raise ConfigError(f"{key}: grad2d expects rows=.. cols=.., got {part!r}", line)
+            if name in params:
+                raise ConfigError(f"{key}: duplicate parameter {name!r}", line)
             params[name] = _parse_int(raw, line, f"{key}.{name}")
         if set(params) != {"rows", "cols"}:
             raise ConfigError(f"{key}: grad2d needs both rows= and cols=", line)

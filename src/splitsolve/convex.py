@@ -31,7 +31,9 @@ from .operators import (
     LinearOp,
     ProxFunction,
     _bound,
+    _MapForm,
     _norm,
+    _scalar,
     _Zero,
     resolvent_from_prox,
 )
@@ -86,26 +88,40 @@ class SmoothTerm:
     def __post_init__(self):
         _check_count("dim", self.dim)
         object.__setattr__(self, "lipschitz_inv", _check_real("mu", self.lipschitz_inv, ends="]]"))
-        if self.kind == "sq_l2" and not _holds_sq_l2_params(self.params, self.dim):
-            raise ValueError('a SmoothTerm of kind "sq_l2" needs params "weight" '
-                             f'(a number) and "center" ({self.dim} numbers)')
+        if self.kind == "sq_l2":
+            object.__setattr__(self, "params", _sq_l2_params(self.params, self.dim))
 
 
-def _holds_sq_l2_params(params: dict, dim: int) -> bool:
-    """Whether ``params`` has the numeric ``weight`` and ``center`` that
-    the gap evaluator reads for kind ``"sq_l2"``."""
+def _sq_l2_params(params: dict, dim: int) -> dict:
+    """``params`` with the ``weight`` and ``center`` that the gap
+    evaluator reads for kind ``"sq_l2"`` checked and stored as a float in
+    ]0, inf[ and a finite float vector of length ``dim``; anything else
+    is refused with a ``ValueError`` that names it."""
+    need = (f'a SmoothTerm of kind "sq_l2" needs params "weight" (a number in ]0, inf[) '
+            f'and "center" ({dim} finite numbers)')
+    missing = [key for key in ("weight", "center") if key not in params]
+    if missing:
+        raise ValueError(f"{need}: {', '.join(map(repr, missing))} missing")
     try:
-        float(params["weight"])
-        return np.shape(np.asarray(params["center"], dtype=float)) == (dim,)
-    except (KeyError, TypeError, ValueError):
-        return False
+        weight = _check_real("weight", params["weight"])
+        center = np.asarray(params["center"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{need}: {exc}") from None
+    if center.shape != (dim,):
+        raise ValueError(f"{need}: center has shape {center.shape}")
+    if not np.isfinite(center).all():
+        raise ValueError(f"{need}: center is not finite")
+    return {**params, "weight": weight, "center": center}
 
 
 def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
                      mu: Optional[float] = None) -> SmoothTerm:
     """h(x) = (weight/2) ||x - center||^2; gradient is weight-Lipschitz.
 
-    ``mu`` overrides the cocoercivity claim (diagnostics use only).
+    ``mu`` overrides the cocoercivity claim (diagnostics use only).  The
+    gradient is a buffer form (``operators._MapForm``): called, it
+    refuses an ``x`` of the wrong length by name, and
+    :func:`splitsolve.solver.run` binds its form into its own buffer.
     """
     c = _check_real("weight", weight)
     b = np.asarray(center, dtype=float)
@@ -116,10 +132,12 @@ def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
     if not np.isfinite(b).all():
         raise ValueError("center must be finite")
 
-    def gradient(x):
-        out = np.subtract(x, b)
+    scale = _scalar(c)
+
+    def gradient_into(x, out):
+        np.subtract(x, b, out=out)
         # x * 1 = x
-        return out if c == 1.0 else np.multiply(out, c, out=out)
+        return out if c == 1.0 else np.multiply(out, scale, out=out)
 
     def value(x):
         d = x - b
@@ -128,7 +146,7 @@ def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
     return SmoothTerm(
         dim=b.size,
         value=value,
-        gradient=gradient,
+        gradient=_MapForm(gradient_into, b.size, b.size, "sq_l2 gradient"),
         lipschitz_inv=(1.0 / c) if mu is None else mu,
         kind="sq_l2",
         params={"weight": c, "center": b},
@@ -390,15 +408,16 @@ class _GapPlan:
     """
 
     def __init__(self, cp: ConvexProblem, tau: float, sigmas):
-        self.cp, self.tau = cp, tau
+        self.cp, self.tau = cp, _scalar(tau)
         n = cp.layout.dim_primal
         dims = cp.layout.dual_dims
-        self.C, self.z, self.A, self.adjoints, self.blocks = _bind(cp.spec, sigmas)
+        self.C, self.z, self.A, self.adjoints, self.blocks = _bind(cp.spec, tau, sigmas)
         self.applies = tuple(_bound(blk.L.apply) for blk in cp.spec.blocks)
-        # arg: the primal KKT argument; u: z - wsum; wsum/tmp: the
-        # weighted sum when it is formed here; lx: each L_i x;
-        # dual_arg: each block's KKT argument; dual_out: its dual step
-        self.arg, self.u, self.wsum, self.tmp = (np.empty(n) for _ in range(4))
+        # arg: C x, then the primal KKT argument; p: its resolvent;
+        # u: z - wsum; wsum/tmp: the weighted sum when it is formed here;
+        # lx: each L_i x; dual_arg: each block's KKT argument; dual_out:
+        # its dual step
+        self.arg, self.p, self.u, self.wsum, self.tmp = (np.empty(n) for _ in range(5))
         self.lx, self.dual_arg, self.dual_out = (
             tuple(np.empty(d) for d in dims) for _ in range(3))
 
@@ -411,10 +430,10 @@ class _GapPlan:
         arg = self.arg
         t = wsum
         if self.C is not None:
-            t = np.add(t, self.C(x), out=arg)
+            t = np.add(t, self.C(x, arg), out=arg)
         if self.z is not None:
             t = np.subtract(t, self.z, out=arg)
-        p = self.A(self.tau, np.subtract(x, np.multiply(t, self.tau, out=arg), out=arg))
+        p = self.A(np.subtract(x, np.multiply(t, self.tau, out=arg), out=arg), self.p)
         res = _norm(np.subtract(x, p, out=arg))
         for i, ((L, Dinv, r, sigma, dual), w, vi, u, q) in enumerate(zip(
                 self.blocks, self.cp.layout.weights, v, self.dual_arg, self.dual_out)):
@@ -426,7 +445,7 @@ class _GapPlan:
                 if r is not None:
                     a = np.subtract(a, r, out=u)
                 np.add(vi, np.multiply(a, sigma, out=u), out=u)
-            res += w * _norm(np.subtract(vi, dual(sigma, u, q), out=u))
+            res += w * _norm(np.subtract(vi, dual(u, q), out=u))
         return res
 
     def _dual_f_h(self, wsum):

@@ -59,9 +59,12 @@ from .operators import (
     LinearOp,
     ResolventOp,
     estimate_norm,
+    _at,
     _bound,
     _dual_step,
-    _Form,
+    _MapForm,
+    _PLUS_ZERO,
+    _scalar,
     _Zero,
 )
 from .spaces import SpaceLayout, _check_count, _check_real
@@ -339,7 +342,32 @@ class IterationRecord:
     kkt: Optional[float] = None
 
 
-class _History(Sequence):
+class _Rows(Sequence):
+    """A read-only sequence that :func:`run` fills in a form of its own:
+    item k is ``_item(k)``, a slice the list of its items, and an index
+    out of range raises ``IndexError`` naming ``_what``."""
+
+    __slots__ = ()
+
+    def _index(self, k) -> int:
+        k = operator.index(k)
+        n = len(self)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError(f"{self._what} index out of range")
+        return k
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return self._item(self._index(k))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class _History(_Rows):
     """The history rows of a run, a read-only sequence of
     :class:`IterationRecord` that :func:`run` fills as columns.
 
@@ -350,6 +378,7 @@ class _History(Sequence):
     """
 
     __slots__ = ("step_norm", "residual", "wall_ms", "records")
+    _what = "history"
 
     def __init__(self):
         self.step_norm: list[float] = []
@@ -360,19 +389,7 @@ class _History(Sequence):
     def __len__(self) -> int:
         return len(self.step_norm)
 
-    def _index(self, k) -> int:
-        k = operator.index(k)
-        n = len(self)
-        if k < 0:
-            k += n
-        if not 0 <= k < n:
-            raise IndexError("history index out of range")
-        return k
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        k = self._index(k)
+    def _item(self, k: int) -> IterationRecord:
         rec = self.records.get(k)
         if rec is None:
             rec = IterationRecord(k + 1, self.step_norm[k], self.residual[k], self.wall_ms[k])
@@ -387,8 +404,34 @@ class _History(Sequence):
             rec = records.get(k)
             yield IterationRecord(k + 1, *row) if rec is None else rec
 
-    def __repr__(self) -> str:
-        return repr(list(self))
+
+class _States(_Rows):
+    """The recorded states of a run, a read-only sequence of
+    :class:`IterState` that :func:`run` fills with arrays.
+
+    State k is kept as ``rows[k]``, its flat array ``u`` with the views
+    ``x`` and ``v`` the run formed for it, and its :class:`IterState` is
+    built when it is first read and kept, so that a state read twice is
+    one object (the last is ``final_state``, and a state handed to a
+    hook is that one).  :func:`splitsolve.benchmarks.max_state_deviation`
+    reads the ``u`` of ``rows`` without building a state.
+    """
+
+    __slots__ = ("rows", "built")
+    _what = "states"
+
+    def __init__(self):
+        self.rows: list[tuple] = []
+        self.built: dict[int, IterState] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _item(self, k: int) -> IterState:
+        st = self.built.get(k)
+        if st is None:
+            st = self.built[k] = IterState(k, *self.rows[k])
+        return st
 
 
 @dataclass(frozen=True)
@@ -420,14 +463,17 @@ class RunReport:
 
     ``history`` holds one :class:`IterationRecord` per iteration; it
     reads like a list (``len``, indexing, slicing, iteration), and a row
-    can be replaced by assigning a record to it.
+    can be replaced by assigning a record to it.  ``states``, with
+    ``record_states``, holds every state, index 0 included; it reads
+    like a list too, but is read-only, and ``states[-1]`` is
+    ``final_state``.
     """
 
     iterations: int
     history: Sequence[IterationRecord]
     final_state: IterState
     stop: StopReason
-    states: Optional[list[IterState]] = None
+    states: Optional[Sequence[IterState]] = None
     used_errors: bool = False
     failure: Optional[str] = None
 
@@ -645,21 +691,22 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99, lam: float = 1.0,
 # iteration kernel
 
 
-#: +0.0 as a read-only 0-d float64 array.  numpy converts a Python float
-#: operand on every ufunc call and a 0-d array not, and x + (+0) has the
-#: same bits either way: an operand of a narrower type widens exactly.
-_PLUS_ZERO = np.zeros(())
-_PLUS_ZERO.setflags(write=False)
+#: 2.0 as the multiplier of y = 2p - x (see ``operators._scalar``)
+_TWO = _scalar(2.0)
+_TWO.flags.writeable = False
 
 
 def _adjoint_terms(spec: ProblemSpec) -> tuple:
     """The terms of :func:`_adjoint_sum` for ``spec``: one
     ``(adjoint, w_i, signless)`` per block, ``adjoint`` the buffer form
-    ``(v, out) -> L_i^T v`` of ``L_i.adjoint_apply`` (``operators._bound``)
-    and ``signless`` whether it is a library form that writes into
-    ``out`` and never returns -0.0 (the diff1d and grad2d adjoints)."""
+    ``(v, out) -> L_i^T v`` of ``L_i.adjoint_apply`` (``operators._bound``),
+    ``w_i`` a 0-d float64 array (``operators._scalar``) or ``None`` for a
+    unit weight, and ``signless`` whether the adjoint is a library form
+    that writes into ``out`` and never returns -0.0 (the diff1d and
+    grad2d adjoints)."""
     adjoints = (blk.L.adjoint_apply for blk in spec.blocks)
-    return tuple((_bound(adj), w, isinstance(adj, _Form) and adj.signless)
+    return tuple((_bound(adj), None if w == 1.0 else _scalar(w),
+                  isinstance(adj, _MapForm) and adj.signless)
                  for adj, w in zip(adjoints, spec.layout.weights))
 
 
@@ -680,13 +727,13 @@ def _adjoint_sum(terms, v, out, tmp):
     for i, ((adjoint, w, signless), vi) in enumerate(zip(terms, v)):
         if i:
             term = adjoint(vi, tmp)
-            if w != 1.0:
+            if w is not None:
                 # else x * 1 = x
                 term = np.multiply(term, w, out=tmp)
             np.add(out, term, out=out)
             continue
         term = adjoint(vi, out)
-        if w != 1.0:
+        if w is not None:
             term = np.multiply(term, w, out=out)
         elif signless:
             # term is out and holds no -0, so term + 0.0 = term
@@ -751,18 +798,20 @@ class _Metric:
         return math.sqrt(max(quad, 0.0)) if math.isfinite(quad) else abs(quad)
 
 
-def _bind(spec: ProblemSpec, sigmas):
-    """The update of ``spec`` at the dual steps ``sigmas``, bound once
-    for :func:`run` and for the KKT residual of :mod:`splitsolve.convex`:
-    ``(C, z, A, adjoints, blocks)``.  ``C`` is ``C.apply``, ``None`` for
-    the exact zero (``operators._Zero``, which returns +0); ``z`` is z,
-    ``None`` when :func:`_vanishes` holds; ``A`` is the resolvent of A;
+def _bind(spec: ProblemSpec, tau: float, sigmas):
+    """The update of ``spec`` at the steps ``tau`` and ``sigmas``, bound
+    once for :func:`run` and for the KKT residual of
+    :mod:`splitsolve.convex`: ``(C, z, A, adjoints, blocks)``, each map
+    in its buffer form (``operators._bound``, ``operators._at``).  ``C``
+    is ``(x, out) -> C x``, ``None`` for the exact zero
+    (``operators._Zero``, which returns +0); ``z`` is z, ``None`` when
+    :func:`_vanishes` holds; ``A`` is ``(w, out) -> J_{tau A}(w)``;
     ``adjoints`` are the :func:`_adjoint_terms`; and each block is
-    ``(L_i, D_i^{-1}.apply, r_i, sigma_i, dual)``, with the buffer forms
-    (``operators._bound``) ``(y, out) -> L_i y`` and
-    ``(sigma, u, out) -> J_{sigma B_i^{-1}}(u)``, whose ``out`` must not
-    be ``u``.  D_i^{-1} and r_i are ``None`` when skipped as C and z
-    are, and ``L_i`` when the dual step is the exact zero, which reads no
+    ``(L_i, D_i^{-1}.apply, r_i, sigma_i, dual)``, with ``(y, out) ->
+    L_i y``, sigma_i as a 0-d float64 array (``operators._scalar``) and
+    ``(u, out) -> J_{sigma_i B_i^{-1}}(u)``, whose ``out`` must not be
+    ``u``.  D_i^{-1} and r_i are ``None`` when skipped as C and z are,
+    and ``L_i`` when the dual step is the exact zero, which reads no
     argument, so that v_i + sigma_i (L_i y - ...) need not be formed.
     """
     blocks = []
@@ -771,11 +820,11 @@ def _bind(spec: ProblemSpec, sigmas):
         blocks.append((
             None if isinstance(step, _Zero) else _bound(blk.L.apply),
             None if isinstance(blk.Dinv.apply, _Zero) else blk.Dinv.apply,
-            None if _vanishes(blk.r) else blk.r, sigma, _bound(step)))
+            None if _vanishes(blk.r) else blk.r, _scalar(sigma), _at(step, sigma)))
     return (
-        None if isinstance(spec.C.apply, _Zero) else spec.C.apply,
+        None if isinstance(spec.C.apply, _Zero) else _bound(spec.C.apply),
         None if _vanishes(spec.z) else spec.z,
-        spec.A.resolvent,
+        _at(spec.A.resolvent, tau),
         _adjoint_terms(spec),
         tuple(blocks),
     )
@@ -783,53 +832,52 @@ def _bind(spec: ProblemSpec, sigmas):
 
 class _Workspace:
     """The run's step plan: the scratch arrays of the kernel and of the
-    residual arithmetic, and the update of :func:`_bind` with the steps
-    of the run.
+    residual arithmetic, and the update of :func:`_bind` at the steps of
+    the run.
 
     ``wsum`` and ``wsum_next`` hold the weighted sums
     sum_i w_i L_i^T v_i of the current and the next state; :func:`run`
     swaps them after each iteration.  ``tmp`` holds one weighted term of
     such a sum and, once the sum is formed, the difference of the two.
-    ``y``, ``arg`` (the coupling term t, then the argument handed to the
-    resolvent of A, and p itself when an ``a2`` error is added), the
-    per-block ``dual_arg`` (L_i y, then the argument handed to the dual
-    step, then q itself when a ``b`` error is added) and the per-block
-    ``dual_out`` (where the dual step forms q) never leave an update.
-    ``d`` receives the unrelaxed displacement (p - x, q - v) of the last
-    update and ``s`` the displacement of the step taken, both flat over
-    the product space with per-block views ``dx``/``dv`` and
-    ``sx``/``sv``.
+    ``y``, ``arg`` (C x, then the coupling term t, then the argument
+    handed to the resolvent of A, and p itself when an ``a2`` error is
+    added), ``p`` (where the resolvent of A forms p), the per-block
+    ``dual_arg`` (L_i y, then the argument handed to the dual step, then
+    q itself when a ``b`` error is added) and the per-block ``dual_out``
+    (where the dual step forms q) never leave an update.  ``d`` receives
+    the unrelaxed displacement (p - x, q - v) of the last update and
+    ``s`` the displacement of the step taken, both flat over the product
+    space with per-block views ``dx``/``dv`` and ``sx``/``sv``.
 
     ``C``, ``z``, ``A`` and ``adjoints`` are those of :func:`_bind`, and
     ``blocks`` its block tuples, each followed by the block's
-    ``dual_arg``, ``dual_out`` and ``dv``; ``tau`` and ``lam`` are the
-    steps of ``cfg``, and ``tau_array`` and ``lam_array`` the same two as
-    0-d float64 arrays, the multipliers of the float64 buffers t and d
-    (numpy converts a Python float operand on every call, a 0-d array
-    not, and the products have the same bits); ``metric`` is the run's
-    :class:`_Metric`; and ``exact`` is ``(None,) * m``, the ``b`` and
-    ``c`` of an exact update.
+    ``dual_arg``, ``dual_out`` and ``dv``; ``lam`` is the relaxation of
+    ``cfg``, and ``tau_array`` and ``lam_array`` are tau and lam as 0-d
+    float64 arrays, the multipliers of the float64 buffers t and d
+    (``operators._scalar``); ``metric`` is the run's :class:`_Metric`;
+    and ``exact`` is ``(None,) * m``, the ``b`` and ``c`` of an exact
+    update.
     """
 
-    __slots__ = ("wsum", "wsum_next", "tmp", "arg", "y", "dual_arg", "dual_out",
+    __slots__ = ("wsum", "wsum_next", "tmp", "arg", "p", "y", "dual_arg", "dual_out",
                  "d", "dx", "dv", "s", "sx", "sv",
-                 "C", "z", "A", "tau", "lam", "tau_array", "lam_array",
+                 "C", "z", "A", "lam", "tau_array", "lam_array",
                  "adjoints", "metric", "exact", "blocks")
 
     def __init__(self, spec: ProblemSpec, cfg: StepConfig, admissible: bool):
         layout = spec.layout
         n, dims = layout.dim_primal, layout.dual_dims
-        self.wsum, self.wsum_next, self.tmp, self.arg, self.y = (
-            np.empty(n) for _ in range(5))
+        self.wsum, self.wsum_next, self.tmp, self.arg, self.p, self.y = (
+            np.empty(n) for _ in range(6))
         self.dual_arg = tuple(np.empty(d) for d in dims)
         self.dual_out = tuple(np.empty(d) for d in dims)
         self.d = np.empty(layout.size)
         self.dx, self.dv = layout.split(self.d)
         self.s = np.empty(layout.size)
         self.sx, self.sv = layout.split(self.s)
-        self.C, self.z, self.A, self.adjoints, blocks = _bind(spec, cfg.sigmas)
-        self.tau, self.lam = cfg.tau, cfg.lam
-        self.tau_array, self.lam_array = np.array(cfg.tau), np.array(cfg.lam)
+        self.C, self.z, self.A, self.adjoints, blocks = _bind(spec, cfg.tau, cfg.sigmas)
+        self.lam = cfg.lam
+        self.tau_array, self.lam_array = _scalar(cfg.tau), _scalar(cfg.lam)
         self.metric = _Metric(spec, cfg.tau, cfg.sigmas, admissible)
         self.exact = (None,) * spec.num_blocks
         self.blocks = tuple(blk + bufs for blk, bufs in zip(
@@ -874,20 +922,20 @@ def _kernel(ws, u, x, v, wsum, err, out):
     t = wsum
     if ws.C is not None:
         # else C x is +0, and t + (+0) = t since t never holds -0
-        t = np.add(t, ws.C(x), out=arg)
+        t = np.add(t, ws.C(x, arg), out=arg)
     if a1 is not None:
         t = np.add(t, a1, out=arg)
     if ws.z is not None:
         # else t - (+0) = t
         t = np.subtract(t, ws.z, out=arg)
-    p = ws.A(ws.tau, np.subtract(x, np.multiply(t, ws.tau_array, out=arg), out=arg))
+    p = ws.A(np.subtract(x, np.multiply(t, ws.tau_array, out=arg), out=arg), ws.p)
     if a2 is not None:
         p = np.add(p, a2, out=arg)
     dx = np.subtract(p, x, out=ws.dx)
     xx = float(dx.dot(dx))
     if not math.isfinite(xx) and not np.isfinite(p).all():
         raise _DivergenceError("primal update p")
-    y = np.subtract(np.multiply(p, 2.0, out=ws.y), x, out=ws.y)
+    y = np.subtract(np.multiply(p, _TWO, out=ws.y), x, out=ws.y)
     vv = []
     for (L, Dinv, r, sigma, dual, u_i, q_i, dvi), vi, b, c in zip(ws.blocks, v, bs, cs):
         if L is not None:
@@ -903,7 +951,7 @@ def _kernel(ws, u, x, v, wsum, err, out):
                 a = np.subtract(a, r, out=u_i)
             np.add(vi, np.multiply(a, sigma, out=u_i), out=u_i)
         # else the dual step is the exact 0 and its argument is dead
-        q = dual(sigma, u_i, q_i)
+        q = dual(u_i, q_i)
         if b is not None:
             q = np.add(q, b, out=u_i)
         np.subtract(q, vi, out=dvi)
@@ -1064,7 +1112,8 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     # a state that leaves the loop keeps its array, so an update whose
     # state is handed out writes into a fresh one; the others alternate
     # between two arrays, neither of which is ever handed out before the
-    # run ends.  A state is an IterState only once it is handed out.
+    # run ends.  A state is an IterState only once it is handed out to a
+    # hook or read: a recorded one is kept as its arrays until then.
     every = record_states or extra_stop is not None
     size, dim = layout.size, layout.dim_primal
     cuts = np.cumsum((dim, *layout.dual_dims)).tolist()
@@ -1077,11 +1126,13 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
 
     pair = None if every else (fresh(), fresh())
     # the current state as an IterState, once one is built for it
-    st = IterState(0, u, x, v) if record_states else None
+    st = None
     history = _History()
     add_step, add_residual, add_wall = (
         history.step_norm.append, history.residual.append, history.wall_ms.append)
-    states: Optional[list[IterState]] = [st] if record_states else None
+    states = _States() if record_states else None
+    if record_states:
+        states.rows.append((u, x, v))
     reason = StopReason("max_iter", float(stop.max_iter), float(stop.max_iter))
     failure = None
     # an upper bound on the computed norm of the state, exact after a resync
@@ -1151,12 +1202,16 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             add_residual(residual)
             add_wall(wall_ms)
             u, x, v = nu, nx, nv
-            st = IterState(n + 1, u, x, v) if handed else None
+            if record_states:
+                states.rows.append((u, x, v))
+            st = None
+            if hook or extra_stop is not None:
+                st = IterState(n + 1, u, x, v)
+                if record_states:
+                    states.built[n + 1] = st
             if hook:
                 history[n] = IterationRecord(n + 1, step_norm, residual, wall_ms,
                                              **iter_metrics(st, wsum))
-            if record_states:
-                states.append(st)
 
             # norms can overflow to inf while the state is still finite; a
             # non-finite residual must never satisfy the convergence test
@@ -1171,6 +1226,8 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
                     reason = extra
                     break
 
+    if record_states:
+        st = states[-1]
     return RunReport(
         iterations=len(history),
         history=history,

@@ -41,12 +41,19 @@ def _check_real(name: str, value, low: float = 0.0, high: float = math.inf,
                 ends: str = "][") -> float:
     """``value`` as a float, refused by name if it is a ``bool``, not a
     real number (Python or numpy), or NaN or outside the interval from
-    ``low`` to ``high`` with brackets ``ends``: ``"]["`` open, ``"[]"`` closed."""
+    ``low`` to ``high`` with brackets ``ends``: ``"]["`` open, ``"[]"`` closed.
+    A real beyond the float range (an ``int`` such as ``10**400``) is
+    refused by name too."""
     # a float is let through first: the ABC check costs about 1 us a call
     if type(value) is not float and (isinstance(value, bool)
                                      or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        # its repr may hold thousands of digits, or raise past int's limit
+        raise ValueError(f"{name} must be a real number in the float range, "
+                         f"got one beyond it ({type(value).__name__})") from None
     if not ((low <= x if ends[0] == "[" else low < x)
             and (x <= high if ends[1] == "]" else x < high)):
         raise ValueError(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {x!r}")

@@ -173,6 +173,9 @@ PARSER_ERRORS = [
      "L: grad2d expects rows=.. cols=.., got 'size=3'", 12),
     ("L = diff1d", "L = grad2d rows=", "L: grad2d expects rows=.. cols=.., got 'rows='", 12),
     ("L = diff1d", "L = grad2d rows=2", "L: grad2d needs both rows= and cols=", 12),
+    # used to parse as rows=1 cols=1, the repeat resolved silently
+    ("L = diff1d", "L = grad2d rows=1 cols=1 rows=1", "L: duplicate parameter 'rows'", 12),
+    ("L = diff1d", "L = grad2d cols=4 rows=2 cols=3", "L: duplicate parameter 'cols'", 12),
     ("L = diff1d", "L = grad2d rows=2 cols=x", "L.cols: expected an integer, got 'x'", 12),
     ("L = diff1d", "L = matrix", "L: matrix needs row entries", 12),
     ("L = diff1d", "L = matrix 1 0 ; ; 0 1", "L: empty matrix row", 12),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ class TestLowering:
                                    L=ss.identity_op(3), r=np.zeros(3)),),
         )
         spec = cp.spec
-        C, _, _, _, ((_, Dinv, *_),) = ss.solver._bind(spec, (1.0,))
+        C, _, _, _, ((_, Dinv, *_),) = ss.solver._bind(spec, 1.0, (1.0,))
         assert (C is None, Dinv is None) == skipped
         assert (spec.C.constant, spec.blocks[0].Dinv.constant) == (h.lipschitz_inv, ell.nu)
 
@@ -840,6 +841,18 @@ class TestSampledObjective:
             assert math.isfinite(float(row[col]))
             assert row[col] == f"{rec.residual:.17g}"
 
+    @pytest.mark.parametrize("timings", [False, True])
+    def test_csv_from_columns_is_the_csv_of_the_records(self, timings):
+        # the run's columnar history is written from its columns; a plain
+        # list of the same records gives the same bytes, hook rows, the
+        # replaced last row and the wall times included
+        _, report, _ = self.solve(37)
+        assert report.history[9].gap is not None and report.history[-1].gap is not None
+        as_list = dataclasses.replace(report, history=list(report.history))
+        text = format_run_csv(report, include_timings=timings)
+        assert text == format_run_csv(as_list, include_timings=timings)
+        assert len(text.splitlines()) == 1 + 37 + 2
+
 
 class TestKindTagsWithoutParams:
     """A catalog ``kind`` tag on a hand-built term reaches the gap
@@ -875,6 +888,38 @@ class TestKindTagsWithoutParams:
         with pytest.raises(ValueError, match='kind "sq_l2" needs params'):
             ss.SmoothTerm(1, lambda x: 0.5 * float(np.dot(x - 4.0, x - 4.0)),
                           lambda x: x - 4.0, 1.0, kind="sq_l2", params=params)
+
+
+    @pytest.mark.parametrize("weight, message", [
+        (-1.0, r"weight must lie in \]0, inf\[, got -1.0$"),
+        (True, r"weight must be a real number, got True$"),
+        (math.nan, r"weight must lie in \]0, inf\[, got nan$"),
+        ("2", r"weight must be a real number, got '2'$"),
+    ], ids=["negative", "bool", "nan", "text"])
+    def test_sq_l2_weight_refused_by_name(self, weight, message):
+        # -1.0 and True used to be read by the gap formulas (gap 1.99 and
+        # 2.01 on this problem), NaN likewise, and "2" died in evaluate_gap
+        with pytest.raises(ValueError, match='^a SmoothTerm of kind "sq_l2" needs params .*: '
+                                             + message):
+            ss.SmoothTerm(1, lambda x: 0.5 * float(np.dot(x - 4.0, x - 4.0)),
+                          lambda x: x - 4.0, 1.0, kind="sq_l2",
+                          params={"weight": weight, "center": np.array([4.0])})
+
+    @pytest.mark.parametrize("center, message", [
+        ([math.inf], "center is not finite"), ([4.0, math.nan], "center has shape (2,)"),
+        (4.0, "center has shape ()"), ([math.nan], "center is not finite"),
+    ])
+    def test_sq_l2_center_refused(self, center, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            ss.SmoothTerm(1, lambda x: 0.0, lambda x: x, 1.0, kind="sq_l2",
+                          params={"weight": 1.0, "center": center})
+
+    def test_sq_l2_params_stored_checked(self):
+        h = ss.SmoothTerm(2, lambda x: 0.0, lambda x: x, 1.0, kind="sq_l2",
+                          params={"weight": np.float32(2.0), "center": [1, 2], "note": "kept"})
+        assert type(h.params["weight"]) is float and h.params["weight"] == 2.0
+        assert_same_bits(h.params["center"], [1.0, 2.0])
+        assert h.params["note"] == "kept"
 
 
 def test_zero_maps_share_one_read_only_array():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from splitsolve.operators import (
     CocoerciveOp,
     LinearOp,
     ResolventOp,
+    _at,
     _bound,
     _dual_step,
     _Form,
@@ -25,6 +27,7 @@ from splitsolve.operators import (
     resolvent_of_inverse,
 )
 
+from splitsolve.convex import quadratic_smooth
 from splitsolve.solver import POWER_MAX_ITER, POWER_TOL, Block, ProblemSpec, _bind
 from splitsolve.spaces import SpaceLayout
 
@@ -291,7 +294,7 @@ class TestBufferForms:
         g = catalog_prox("l1", n, weight=weight)
         u = data.draw(special_vectors(n, extra=(weight, -weight)))
         out = garbage(n)
-        got = _bound(g.conjugate_prox)(0.7, u, out)
+        got = _at(g.conjugate_prox, 0.7)(u, out)
         assert got is out
         assert_same_bits(got, g.conjugate_prox(0.7, u))
         assert_same_bits(got, np.clip(u, -weight, weight))
@@ -303,7 +306,7 @@ class TestBufferForms:
         for step in (catalog_prox("zero", n).conjugate_prox,
                      ResolventOp.zero(n).inverse_resolvent):
             out = garbage(n)
-            got = _bound(step)(0.7, u, out)
+            got = _at(step, 0.7)(u, out)
             assert got is step(0.7, u)
             assert_same_bits(got, np.zeros(n))
             assert_same_bits(out, garbage(n))  # written nowhere
@@ -320,7 +323,7 @@ class TestBufferForms:
             u = data.draw(special_vectors(n))
             out = garbage(n)
             with np.errstate(all="ignore"):
-                got = _bound(step)(sigma, u, out)
+                got = _at(step, sigma)(u, out)
                 want = u - sigma * g.prox(1.0 / sigma, u / sigma)
                 assert got is out
                 assert_same_bits(got, step(sigma, u))
@@ -339,8 +342,152 @@ class TestBufferForms:
         assert seen == [x] and not isinstance(apply, _Form)
         assert_same_bits(out, garbage(3))
         step = catalog_prox("l2", 3).conjugate_prox
-        assert_same_bits(_bound(step)(0.5, x, out), step(0.5, x))
+        assert_same_bits(_at(step, 0.5)(x, out), step(0.5, x))
         assert_same_bits(out, garbage(3))
+
+
+#: finite entries, signed zeros and subnormals included, for the centers
+#: and bounds the catalog keeps
+FINITE_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.3, -0.3, 1e300, -1e300)
+
+
+def finite_vectors(n):
+    entry = st.one_of(st.sampled_from(FINITE_SPECIALS),
+                      st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+    return st.lists(entry, min_size=n, max_size=n).map(lambda xs: np.array(xs, dtype=float))
+
+
+STEPS = st.sampled_from([0.4, 0.7, 1.0, 2.5, 1e-300, 5e-324, 1e300])
+WEIGHTS = st.sampled_from([0.3, 1.0, 2.5, 5e-324, 1e300])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestCatalogForms:
+    """The catalog proxes, conjugate proxes and the quadratic gradient are
+    buffer forms: bound at a step (``_at``) or as a map (``_bound``), each
+    returns the bits of its plain allocating formula into a buffer that
+    held anything, and into its own argument, at signed zeros,
+    infinities, NaN and subnormals; called, it returns the same bits."""
+
+    @staticmethod
+    def check(fn, gamma, w, want, returns_input=False):
+        form = _at(fn, gamma)
+        out = garbage(w.size)
+        got = form(w, out)
+        assert got is (w if returns_input else out)
+        assert_same_bits(got, want)
+        inplace = w.copy()
+        assert_same_bits(form(inplace, inplace), want)
+        assert_same_bits(fn(gamma, w), want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), gamma=STEPS, weight=WEIGHTS)
+    def test_l1_prox(self, data, n, gamma, weight):
+        g = catalog_prox("l1", n, weight=weight)
+        t = gamma * weight
+        w = data.draw(special_vectors(n, extra=(t, -t)))
+        self.check(g.prox, gamma, w, np.sign(w) * np.maximum(np.abs(w) - t, 0.0))
+
+    def test_l1_prox_signed_zeros(self):
+        # np.sign(-0.0) is +0.0, so -0 maps to +0 (copysign would keep -0),
+        # while a negative entry inside the threshold maps to -0
+        g = catalog_prox("l1", 4, weight=1.0)
+        got = g.prox(0.5, np.array([-0.0, 0.0, -0.25, 0.25]))
+        assert_same_bits(got, [0.0, 0.0, -0.0, 0.0])
+        out = garbage(4)
+        assert_same_bits(_at(g.prox, 0.5)(np.array([-0.0, -0.25, -0.5, -0.75]), out),
+                         [0.0, -0.0, -0.0, -0.25])
+
+    def test_a_call_binds_each_new_step(self, rng):
+        # a call keeps the step it bound last and binds again for another
+        b, w = rng.standard_normal(6), rng.standard_normal(6)
+        l1 = catalog_prox("l1", 6, weight=0.3)
+        sq = catalog_prox("sq_l2", 6, weight=1.5, center=b)
+        for gamma in (0.5, 0.5, 2.0, 0.5, np.float64(2.0)):
+            assert_same_bits(l1.prox(gamma, w),
+                             np.sign(w) * np.maximum(np.abs(w) - gamma * 0.3, 0.0))
+            assert_same_bits(sq.prox(gamma, w), (w + b * (gamma * 1.5)) / (1.0 + gamma * 1.5))
+            assert sq.prox.last[0] == gamma
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), gamma=STEPS, weight=WEIGHTS)
+    def test_sq_l2_prox_and_conjugate_prox(self, data, n, gamma, weight):
+        b = data.draw(finite_vectors(n))
+        g = catalog_prox("sq_l2", n, weight=weight, center=b)
+        w = data.draw(special_vectors(n))
+        self.check(g.prox, gamma, w, (w + b * (gamma * weight)) / (1.0 + gamma * weight))
+        self.check(g.conjugate_prox, gamma, w, (w - b * gamma) / (1.0 + gamma / weight))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), gamma=STEPS)
+    def test_box_prox(self, data, n, gamma):
+        lo = data.draw(finite_vectors(n))
+        hi = lo + np.abs(data.draw(finite_vectors(n)))
+        lo[::3] = -math.inf
+        hi[1::3] = math.inf
+        g = catalog_prox("box", n, lo=lo, hi=hi)
+        w = data.draw(special_vectors(n, extra=tuple(lo[1:2]) + tuple(hi[:1])))
+        self.check(g.prox, gamma, w, np.clip(w, g.params["lo"], g.params["hi"]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), gamma=STEPS)
+    def test_zero_prox_and_resolvent_return_their_input(self, data, n, gamma):
+        w = data.draw(special_vectors(n))
+        for fn in (catalog_prox("zero", n).prox, ResolventOp.zero(n).resolvent):
+            self.check(fn, gamma, w, w, returns_input=True)
+            assert fn(gamma, w) is w
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), weight=WEIGHTS)
+    def test_quadratic_gradient(self, data, n, weight):
+        b = data.draw(finite_vectors(n))
+        grad = quadratic_smooth(b, weight=weight).gradient
+        x = data.draw(special_vectors(n))
+        want = x - b if weight == 1.0 else (x - b) * weight
+        out = garbage(n)
+        assert _bound(grad)(x, out) is out
+        assert_same_bits(out, want)
+        assert_same_bits(grad(x), want)
+
+    def forms(self, n):
+        """(name, call) of every library form, each on a length-``n`` input."""
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal(n)
+        sq = catalog_prox("sq_l2", n, weight=1.5, center=b)
+        l1 = catalog_prox("l1", n, weight=0.3)
+        box = catalog_prox("box", n, lo=-0.5, hi=0.5)
+        return [
+            ("l1 prox", lambda w: l1.prox(0.7, w)),
+            ("l1 conjugate prox", lambda w: l1.conjugate_prox(0.7, w)),
+            ("sq_l2 prox", lambda w: sq.prox(0.7, w)),
+            ("sq_l2 conjugate prox", lambda w: sq.conjugate_prox(0.7, w)),
+            ("box prox", lambda w: box.prox(0.7, w)),
+            ("zero prox", lambda w: catalog_prox("zero", n).prox(0.7, w)),
+            ("zero resolvent", lambda w: ResolventOp.zero(n).resolvent(0.7, w)),
+            ("inverse resolvent", lambda w: _dual_step(ResolventOp(n, box.prox))(0.7, w)),
+            ("sq_l2 gradient", quadratic_smooth(b, weight=2.0).gradient),
+            ("identity apply", identity_op(n).apply),
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 9))
+    def test_public_call_never_writes_into_its_argument(self, data, n):
+        for name, call in self.forms(n):
+            w = data.draw(special_vectors(n))
+            kept = w.copy()
+            got = call(w)
+            assert_same_bits(w, kept)
+            assert got.shape == (n,)
+            # only the pass-through maps return their argument
+            assert (got is w) == (name in ("zero prox", "zero resolvent", "identity apply"))
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.ones(5), np.ones((1, 4)), 1.0],
+                             ids=["short", "long", "matrix", "scalar"])
+    def test_public_call_refuses_a_wrong_shape_by_name(self, bad):
+        for name, call in self.forms(4):
+            with pytest.raises(ValueError, match=f"^{name} takes a vector of length 4, "
+                                                 f"got shape {re.escape(str(np.shape(bad)))}$"):
+                call(bad)
 
 
 class TestResolventOfInverse:
@@ -603,7 +750,7 @@ class TestExactZeroMap:
     def bound_skips(C, Dinv):
         spec = ProblemSpec(SpaceLayout(3, (3,), (1.0,)), ResolventOp.zero(3), C, np.zeros(3),
                            (Block(ResolventOp.zero(3), Dinv, identity_op(3), np.zeros(3)),))
-        bound_C, _, _, _, ((_, bound_Dinv, *_),) = _bind(spec, (1.0,))
+        bound_C, _, _, _, ((_, bound_Dinv, *_),) = _bind(spec, 1.0, (1.0,))
         return bound_C is None, bound_Dinv is None
 
     def test_zero_map_is_skipped(self):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -837,6 +838,14 @@ class TestStoppingRule:
                 ss.StoppingRule(tol=value)
             else:
                 ss.solve_convex(tiny_convex_problem(), kkt_tol=value)
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, 10**5000, Fraction(10**400, 3)],
+                             ids=["int", "negative int", "int past the repr limit", "fraction"])
+    def test_real_beyond_the_float_range_refused_by_name(self, value):
+        # used to escape from float() as an OverflowError
+        with pytest.raises(ValueError, match=r"^tol must be a real number in the float range, "
+                                             rf"got one beyond it \({type(value).__name__}\)$"):
+            ss.StoppingRule(tol=value)
 
     @pytest.mark.parametrize("value", [np.float64(1e-3), np.float32(1e-3), 0, np.int64(0)])
     def test_real_tolerances_accepted(self, value):
@@ -1996,12 +2005,46 @@ class TestFlatState:
                 assert not np.shares_memory(a.u, b.u)
         assert not any(np.shares_memory(self.x0, st.u) for st in report.states)
 
+    def test_recorded_states_read_like_a_read_only_list(self):
+        report = ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0,
+                        stop=ss.StoppingRule(tol=0.0, max_iter=6), record_states=True)
+        states = report.states
+        assert len(states) == 7
+        assert states[6] is states[-1] is report.final_state
+        assert states[2] is states[2] and states[-7] is states[0]
+        assert [st.n for st in states[1:4]] == [1, 2, 3]
+        assert states[::-3] == [states[6], states[3], states[0]]
+        assert list(states) == states[:]
+        for bad in (7, -8):
+            with pytest.raises(IndexError):
+                states[bad]
+        with pytest.raises(TypeError):
+            states[0] = states[1]
+        assert_same_bits(states[0].u, np.concatenate([self.x0, *self.v0]))
+
+    def test_a_hooked_state_is_the_recorded_one(self):
+        seen = {}
+
+        def hook(st, wsum):
+            seen[st.n] = st
+            return {}
+
+        def stop(st, wsum):
+            seen.setdefault(st.n, st)
+            return None
+
+        report = ss.run(self.spec, self.cfg, stop=ss.StoppingRule(tol=0.0, max_iter=25),
+                        record_states=True, iter_metrics=hook, extra_stop=stop)
+        assert sorted(seen) == list(range(1, 26))
+        assert all(report.states[n] is st for n, st in seen.items())
+
 
 class TestPerIterationObjects:
     """A run builds an ``IterState`` only for a state it hands out (the
-    final state, a metrics-hook row's, every recorded one) and an
-    ``IterationRecord`` only for a metrics-hook row; the other rows are
-    kept as columns and their records built when the history is read."""
+    final state and a metrics-hook row's) and an ``IterationRecord`` only
+    for a metrics-hook row; the other rows are kept as columns and their
+    records built when the history is read, and a recorded state is kept
+    as its arrays and built when it is first read."""
 
     ITERS = 25
 
@@ -2026,17 +2069,27 @@ class TestPerIterationObjects:
     @pytest.mark.parametrize("hook, record, states, records", [
         (False, False, 1, 0),           # the final state only
         (True, False, 2 + 1, 2),        # rows 10 and 20, then the final state
-        (False, True, ITERS + 1, 0),    # every state, index 0 included
+        (False, True, 1, 0),            # the final state, states[-1]
     ], ids=["pair path", "metrics hook", "record_states"])
     def test_constructions(self, monkeypatch, hook, record, states, records):
         plain = ss.run(self.spec, self.cfg, stop=self.stop, record_states=True)
-        plain_rows = list(plain.history)
+        plain_rows, plain_states = list(plain.history), list(plain.states)
         counts = self.counting(monkeypatch)
         report = ss.run(self.spec, self.cfg, stop=self.stop, record_states=record,
                         iter_metrics=(lambda st, wsum: {"gap": float(st.n)}) if hook else None)
         assert counts == {"IterState": states, "IterationRecord": records}
         assert report.final_state.n == self.ITERS
         assert_same_bits(report.final_state.u, plain.final_state.u)
+        if record:
+            # reading the states builds each once, with the bits of the
+            # states of the plain run
+            kept = list(report.states)
+            assert counts["IterState"] == self.ITERS + 1
+            assert [st.n for st in kept] == list(range(self.ITERS + 1))
+            for got, want in zip(kept, plain_states):
+                assert_same_bits(got.u, want.u)
+            assert all(a is b for a, b in zip(kept, report.states))
+            assert counts["IterState"] == self.ITERS + 1
         # reading the history builds the rows' records, with the bits of
         # the run that built a state on every row
         assert len(report.history) == self.ITERS
@@ -2044,6 +2097,20 @@ class TestPerIterationObjects:
             assert (got.iter, got.gap is None) == (want.iter, not (hook and got.iter % 10 == 0))
             assert_same_bits([got.step_norm, got.residual], [want.step_norm, want.residual])
         assert counts["IterationRecord"] == self.ITERS
+
+    def test_max_state_deviation_reads_the_recorded_arrays(self, monkeypatch):
+        # one stack of the flat arrays, without building the states, and
+        # the value of comparing the built states
+        plain = ss.run(self.spec, self.cfg, stop=self.stop, record_states=True)
+        xs = [st.x.copy() for st in plain.states]
+        vs = [[vi.copy() for vi in st.v] for st in plain.states]
+        xs[7] = xs[7] + 1e-9
+        report = ss.run(self.spec, self.cfg, stop=self.stop, record_states=True)
+        counts = self.counting(monkeypatch)
+        dev = ss.benchmarks.max_state_deviation(report.states, xs, vs)
+        assert counts["IterState"] == 1  # states[0], for the block sizes
+        assert_same_bits(dev, ss.benchmarks.max_state_deviation(list(report.states), xs, vs))
+        assert_same_bits(dev, float(np.max(np.abs(plain.states[7].x - xs[7]))))
 
     def test_history_reads_like_a_list_of_frozen_records(self):
         report = ss.run(self.spec, self.cfg, stop=self.stop,
