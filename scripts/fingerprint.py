@@ -28,7 +28,10 @@ operator is ``ResolventOp.zero`` next to ``CocoerciveOp.zero``.  The
 last two run with explicit steps and norms.  Each library run also
 has a ``steps`` line (tau and the sigmas) and a ``margin`` line (the
 step condition's margin), so a change of steps shows apart from a
-change of iterates.  The custom run takes the inverse-resolvent
+change of iterates; a run on balanced steps (``cfg.balance`` set, as
+``suggest_steps`` sets it) also has a ``final steps`` line (the steps
+in force at the end and the number of changes, ``report.steps`` and
+``report.step_changes``), so a change of balancing shows apart too.  The custom run takes the inverse-resolvent
 identity rather than the catalog's closed-form dual resolvent and uses
 no closed-form norm, so it pins that path even when those change; the
 zero run pins the dual step of the zero operator.  A last library run
@@ -335,6 +338,10 @@ def emit_gap(label: str, cp, cfg, report) -> None:
 def emit_report(label: str, spec, cfg, report) -> None:
     emit(f"{label} steps", f"tau {cfg.tau!r} sigmas {cfg.sigmas!r}".encode())
     emit(f"{label} margin", repr(solver.step_condition(spec, cfg).margin).encode())
+    if getattr(cfg, "balance", None) is not None:
+        final = report.steps
+        emit(f"{label} final steps", (f"tau {final.tau!r} sigmas {final.sigmas!r} "
+                                      f"changes {report.step_changes}").encode())
     st = report.final_state
     emit(f"{label} termination", f"{report.termination} {report.iterations}".encode())
     emit(f"{label} final x", floats(st.x))

@@ -4,13 +4,20 @@
 Runs one million iterations of the solver on each reference instance,
 validates the outcome with the exact optimality certificates (and with
 cvxpy when it is installed), and prints a REFERENCES dict ready to paste
-into src/splitsolve/benchmarks.py.
+into src/splitsolve/benchmarks.py.  The smoothed-TV certificate comes
+from ``tests/huber_tv.py``, which the acceptance tests share.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
 import splitsolve as ss
 from splitsolve import benchmarks as B
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from huber_tv import huber_tv_certificate_violation, huber_tv_dual_from_primal  # noqa: E402
 
 ITERS = 1_000_000
 
@@ -103,10 +110,10 @@ def main():
     # smoothed-TV strong-convergence instance ----------------------------
     cp, params = B.huber_tv_problem()
     final, gap = long_run(cp)
-    cert = B.huber_tv_certificate_violation(
+    cert = huber_tv_certificate_violation(
         params["b"], params["alpha"], params["weight"], params["nu"], final.x)
     vdev = np.max(np.abs(
-        final.v[0] - B.huber_tv_dual_from_primal(params["weight"],
+        final.v[0] - huber_tv_dual_from_primal(params["weight"],
                                                  params["nu"], final.x)))
     print(f"[hubertv] objective {gap.primal_value:.17g} kkt {gap.kkt_residual:.3e} "
           f"certificate {cert:.3e} dual-closed-form deviation {vdev:.3e}")

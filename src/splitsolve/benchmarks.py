@@ -11,7 +11,7 @@ suite.  ``scripts/make_references.py`` regenerates the frozen values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -311,31 +311,6 @@ def tv_certificate_violation(b, weight, x) -> float:
     return worst
 
 
-def huber_tv_certificate_violation(b, alpha, weight, nu, x) -> float:
-    """Worst violation of the optimality system of the smoothed-TV
-    instance at the candidate x (single-valued except for the l1 part)."""
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = x[1:] - x[:-1]
-    hp = np.clip(nu * d, -weight, weight)  # derivative of the smoothed penalty
-    dt = np.zeros_like(x)
-    dt[:-1] -= hp
-    dt[1:] += hp
-    s = b - x - dt  # must lie in alpha * subdifferential of ||.||_1
-    worst = float(np.max(np.abs(s) - alpha, initial=0.0))
-    on = np.abs(x) > 1e-6 * (1.0 + np.max(np.abs(x)))
-    if np.any(on):
-        worst = max(worst, float(np.max(np.abs(s[on] - alpha * np.sign(x[on])))))
-    return worst
-
-
-def huber_tv_dual_from_primal(weight, nu, x) -> np.ndarray:
-    """Closed-form dual block variable at a primal point of the
-    smoothed-TV instance (gradient of the smoothed penalty)."""
-    x = np.asarray(x, dtype=float)
-    return np.clip(nu * (x[1:] - x[:-1]), -weight, weight)
-
-
 def _stacked(refs, shape, block):
     """The reference iterates ``refs`` stacked into one array (``np.array``
     of the list, the same array as ``np.stack`` in a third of its time);
@@ -468,7 +443,7 @@ def _suite_fb_reduction() -> BenchOutcome:
 def _suite_condat_reduction() -> BenchOutcome:
     cp, params = condat_problem()
     spec = cp.spec
-    cfg = suggest_steps(spec, safety=params["safety"], lam=params["lam"])
+    cfg = replace(suggest_steps(spec, safety=params["safety"], lam=params["lam"]), balance=None)
     iters = 1000
     report = run(spec, cfg, stop=StoppingRule(tol=0.0, max_iter=iters),
                  record_states=True)
@@ -485,7 +460,7 @@ def _suite_condat_reduction() -> BenchOutcome:
 
     cp2, params2 = cp_problem()
     spec2 = cp2.spec
-    cfg2 = suggest_steps(spec2, safety=params2["safety"])
+    cfg2 = replace(suggest_steps(spec2, safety=params2["safety"]), balance=None)
     report2 = run(spec2, cfg2, stop=StoppingRule(tol=0.0, max_iter=iters),
                   record_states=True)
     xs2, vs2 = chambolle_pock_reference(

@@ -4,7 +4,10 @@ Commands::
 
     splitsolve solve <config> [-o out.csv] [--steps auto|manual]
                               [--unsafe-steps] [--timings]
-    splitsolve check <config>       (each norm(L[i]) with its source)
+                                    (the starting steps, then the steps in
+                                     force at the end and the changes made)
+    splitsolve check <config>       (each norm(L[i]) with its source, and
+                                     whether the steps are fixed or balanced)
     splitsolve bench <suite> -o <dir>
     splitsolve diag  <config>       (samples mu, each nu_i and each L[i]'s
                                      adjoint, then the step condition)
@@ -12,9 +15,9 @@ Commands::
 Exit codes: 0 success/converged, 1 configuration error (including a
 non-finite catalog parameter, ``z`` or ``r``, a ``lambda`` that is
 not finite or lies outside ]0, 1] (refused by solve, check and diag
-alike), an admissibility refusal without ``--unsafe-steps``, an operator norm whose power iteration did
-not converge, and a config or output path that cannot be read or
-written), 2 iteration budget exhausted, a failed bench check, or a
+alike), an admissibility refusal without ``--unsafe-steps``, a norm
+bound that is not finite and positive, and a config or output path
+that cannot be read or written), 2 iteration budget exhausted, a failed bench check, or a
 failed diag certificate or inadmissible steps under diag, 3 divergence.
 Commands read steps, errors, stop rule and seed from the parsed config;
 ``SPLITSOLVE_SEED`` (an integer) replaces its seed.
@@ -112,6 +115,11 @@ def cmd_solve(args) -> int:
         print(line)
     print(f"tau = {cfg.tau:.17g}")
     print("sigmas = " + " ".join(f"{s:.17g}" for s in cfg.sigmas))
+    final = report.steps
+    print(f"final tau = {final.tau:.17g}")
+    print("final sigmas = " + " ".join(f"{s:.17g}" for s in final.sigmas))
+    print("final ratio = " + " ".join(f"{s / final.tau:.17g}" for s in final.sigmas))
+    print(f"step changes = {report.step_changes}")
     if gap.primal_value is not None:
         print(f"primal objective = {gap.primal_value:.17g}")
     if gap.dual_value is not None:
@@ -143,6 +151,7 @@ def cmd_check(args) -> int:
         print(line)
     print(f"tau = {cfg.tau:.17g}")
     print("sigmas = " + " ".join(f"{s:.17g}" for s in cfg.sigmas))
+    print(f"steps = {'fixed' if cfg.balance is None else 'balanced'}")
     qual = check_qualification(cp)
     print(f"qualification = {qual.verdict}")
     if qual.reason:

@@ -535,7 +535,11 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     evaluation is planned once per call: both hooks and the returned :class:`GapReport` come from that one
     plan, with the bits of :func:`evaluate_gap` and
     :func:`kkt_residual` at the state, and the hooks take the weighted
-    sum sum_i w_i L_i^T v_i from :func:`run`, which carries it.
+    sum sum_i w_i L_i^T v_i from :func:`run`, which carries it.  The
+    plan is formed at the starting steps of ``cfg``: on balanced steps
+    the hooks, ``kkt_tol`` and the returned report keep evaluating the
+    KKT residual there, one yardstick for every row of the run, while
+    ``report.steps`` gives the steps in force at the end.
     """
     if kkt_tol is not None:
         _check_real("kkt_tol", kkt_tol, ends="[[")

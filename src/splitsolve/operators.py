@@ -55,11 +55,16 @@ __all__ = [
 INDICATOR_TOL = 1e-9
 #: ``LinearOp.kind`` tags whose ``norm_hint`` is a closed-form upper bound
 #: on the operator norm
-CLOSED_FORM_NORM_KINDS = frozenset({"identity", "diff1d", "grad2d"})
+CLOSED_FORM_NORM_KINDS = frozenset({"identity", "diff1d", "grad2d", "matrix"})
 #: ulps by which a closed-form norm computed in floating point is raised;
 #: the computed diff1d and grad2d values lie up to 1.13 ulps below the
 #: exact norm, so the raised hints are upper bounds
 NORM_HINT_ULPS = 4
+#: relative inflation of a norm computed by a floating-point algorithm
+#: whose error is not bounded by a few ulps: a power-iteration estimate
+#: (in :func:`splitsolve.solver.certified_norms`) or :func:`matrix_op`'s
+#: singular value decomposition
+NORM_SAFETY = 1.000001
 
 
 def _norm(d: np.ndarray) -> float:
@@ -219,12 +224,13 @@ class LinearOp:
     (an infinite one fails certification, by block).  ``kind`` is
     ``"custom"`` unless a library constructor sets it; for the kinds in
     ``CLOSED_FORM_NORM_KINDS`` (``identity_op``, ``diff1d_op``,
-    ``grad2d_op``) the hint is the closed-form norm, rounded up by
+    ``grad2d_op``, ``matrix_op``) the hint is an upper bound formed by
+    the constructor: the closed-form norm, rounded up by
     ``NORM_HINT_ULPS`` ulps where it is not exact (the identity's 1.0
-    is), so it is a strict upper bound and is used as it is, like the
-    ``kind`` tags of the catalog functions.  A custom hint is only a
-    starting point: step certification still runs power iteration and
-    repairs a hint below the true norm.
+    is), or the matrix's 2-norm inflated by ``NORM_SAFETY``, and it is
+    used as it is, like the ``kind`` tags of the catalog functions.  A
+    custom hint is only a starting point: step certification still runs
+    power iteration and repairs a hint below the true norm.
 
     The library constructors' ``apply`` and ``adjoint_apply`` are
     buffer forms (``operators._MapForm``): called, they refuse an input of
@@ -383,12 +389,30 @@ def identity_op(dim: int) -> LinearOp:
 
 
 def matrix_op(mat, norm_hint: Optional[float] = None) -> LinearOp:
-    """Dense-matrix operator; adjoint is the transpose."""
-    m = np.asarray(mat, dtype=float)
+    """Dense-matrix operator; adjoint is the transpose.
+
+    The operator keeps a read-only copy of ``mat``, so the matrix it
+    applies is the one its norm hint bounds.  The hint is an upper bound
+    on ||M||_2 without power iteration (kind ``"matrix"``, used as it
+    is): the largest singular value ``np.linalg.norm(M, 2)`` times
+    ``NORM_SAFETY``.  A singular value decomposition rounds it by up to
+    p(m, n) eps ||M||, with p growing with the size, so a few ulps would
+    not cover it; 1e-6 does.  A ``norm_hint`` given here replaces the
+    bound only when it is larger.  A matrix with a non-finite entry has
+    the hint inf, and a zero matrix the hint 0, which norm certification
+    refuses by block.
+    """
+    m = np.array(mat, dtype=float)
     if m.ndim != 2:
         raise ValueError("matrix_op expects a 2-D array")
+    if 0 in m.shape:
+        raise ValueError(f"matrix_op expects at least one row and one column, got shape {m.shape}")
+    m.setflags(write=False)
+    bound = float(np.linalg.norm(m, 2)) * NORM_SAFETY if np.isfinite(m).all() else math.inf
+    if norm_hint is not None:
+        bound = max(_check_real("norm_hint", norm_hint, ends="[]"), bound)
     return LinearOp(m.shape[1], m.shape[0], lambda x: m @ x, lambda y: m.T @ y,
-                    norm_hint=norm_hint)
+                    norm_hint=bound, kind="matrix")
 
 
 def diff1d_op(n: int) -> LinearOp:

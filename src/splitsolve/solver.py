@@ -55,6 +55,7 @@ import numpy as np
 
 from .operators import (
     CLOSED_FORM_NORM_KINDS,
+    NORM_SAFETY,
     CocoerciveOp,
     LinearOp,
     ResolventOp,
@@ -92,8 +93,6 @@ __all__ = [
 
 #: cap substituted for an infinite cocoercivity bound in the reported beta
 BETA_CAP = 1e12
-#: inflation applied to power-iteration estimates (never to certified hints)
-NORM_SAFETY = 1.000001
 POWER_TOL = 1e-8
 POWER_MAX_ITER = 10000
 #: halvings of the bracket in :func:`suggest_steps`' bisection
@@ -113,6 +112,21 @@ NORM_BOUND_FLOOR = 1e-150
 #: so at this stride the hook adds 9-11 % to the iteration time, and on
 #: every row it would add 0.9-1.1 times it.
 OBJECTIVE_STRIDE = 10
+#: a run on balanced steps checks the balance of its primal and dual
+#: residuals on the history rows whose ``iter`` is a multiple of this.
+#: Measured on the TV problems and the suites: a check every 10 rows
+#: saves 3 % more iterations than every 25, and every 50 loses 7-11 %.
+#: It must stay at least 20 until the plain-loop floor of
+#: ``bench/workloads.py`` (``LibTv2d.baseline``) pins its steps: that
+#: gate compares the first ``bench/baseline.py`` ``PREFIX`` = 20 iterates
+#: of ``suggest_steps`` and ``run`` with a loop on fixed steps
+BALANCE_STRIDE = 25
+#: the constants of README's balance rule ("Fixed and balanced steps")
+_BALANCE_TARGET = 2.0
+_BALANCE_BAND = 1.5
+_BALANCE_ALPHA = 0.5
+_BALANCE_DECAY = 0.95
+_BALANCE_FLOOR = 1e-3
 
 
 class _DivergenceError(RuntimeError):
@@ -179,13 +193,16 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class StepConfig:
     """The steps of a run: ``tau``, one ``sigmas[i]`` per dual block,
-    the operator-norm bounds ``norms`` the step condition reads, and the
-    relaxation ``lam``.
+    the operator-norm bounds ``norms`` the step condition reads, the
+    relaxation ``lam``, and whether the steps are fixed or balanced.
 
     ``tau``, each ``sigmas[i]`` and each ``norms[i]`` must lie in ]0, inf[
     and ``lam``, the relaxation of every iteration, in ]0, 1], or a
-    ``ValueError`` names it; all are stored as floats.  The config holds
-    no verdict: :func:`step_condition` derives it from the steps and a
+    ``ValueError`` names it; all are stored as floats.  ``balance`` is
+    ``None`` for fixed steps, which :func:`run` keeps for the whole
+    run; :func:`suggest_steps` sets it to its ``safety`` in ]0, 1[,
+    at which :func:`run` re-derives balanced steps.  The config holds no
+    verdict: :func:`step_condition` derives it from the steps and a
     problem whenever it is asked for.
     """
 
@@ -193,10 +210,13 @@ class StepConfig:
     sigmas: tuple[float, ...]
     norms: tuple[float, ...]
     lam: float = 1.0
+    balance: Optional[float] = None
 
     def __post_init__(self):
         tau, sigmas = _checked_steps(self.tau, self.sigmas)
         object.__setattr__(self, "lam", _check_real("lambda", self.lam, high=1.0, ends="]]"))
+        if self.balance is not None:
+            object.__setattr__(self, "balance", _check_real("balance", self.balance, high=1.0))
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "sigmas", sigmas)
         object.__setattr__(self, "norms", _checked_norms(self.norms))
@@ -466,7 +486,10 @@ class RunReport:
     can be replaced by assigning a record to it.  ``states``, with
     ``record_states``, holds every state, index 0 included; it reads
     like a list too, but is read-only, and ``states[-1]`` is
-    ``final_state``.
+    ``final_state``.  ``steps`` is the :class:`StepConfig` in force at
+    the end, which took the last update, and ``step_changes`` the
+    number of times a balanced run changed its steps; a run on fixed
+    steps reports its own config and 0.
     """
 
     iterations: int
@@ -476,6 +499,8 @@ class RunReport:
     states: Optional[Sequence[IterState]] = None
     used_errors: bool = False
     failure: Optional[str] = None
+    steps: Optional[StepConfig] = None
+    step_changes: int = 0
 
     @property
     def termination(self) -> str:
@@ -527,9 +552,9 @@ def certified_norms(spec: ProblemSpec, seed: int = 0) -> tuple[float, ...]:
     """Upper bounds on the block operator norms for the step condition.
 
     Operators whose kind is in ``CLOSED_FORM_NORM_KINDS`` (the library's
-    identity, difference and gradient operators) contribute their
-    closed-form ``norm_hint``, exact or rounded up to a strict upper
-    bound, without any power iteration.  Every other operator is
+    identity, difference, gradient and matrix operators) contribute
+    their ``norm_hint``, an upper bound formed when the operator was
+    built, without any power iteration.  Every other operator is
     estimated: a user hint is taken at face value unless the estimate
     exceeds it (a hint below the true norm is repaired), and an
     estimate is inflated by ``NORM_SAFETY`` because an underestimate
@@ -594,33 +619,48 @@ def _step_margin(spec, tau, sigmas, norms) -> float:
     return (1.0 / tau - 0.5 / spec.C.constant) - math.fsum(terms)
 
 
-def _closed_form_step(spec, norms) -> float:
-    """The root of the margin along tau = sigma_i when every nu_i is
-    infinite: 1/tau - h = S tau with h = 1/(2 mu) and
+def _closed_form_step(spec, norms, ratio: float = 1.0) -> float:
+    """The root of the margin along sigma_i = ratio * tau when every
+    nu_i is infinite: 1/tau - h = r S tau with h = 1/(2 mu) and
     S = sum_i w_i ||L_i||^2, rationalized so that nothing cancels."""
     h = 0.5 / spec.C.constant
-    s = math.fsum(w * nm * nm for w, nm in zip(spec.layout.weights, norms))
+    s = ratio * math.fsum(w * nm * nm for w, nm in zip(spec.layout.weights, norms))
     return 2.0 / (h + math.sqrt(h * h + 4.0 * s))
 
 
-def _bisected_step(spec, norms) -> float:
-    """The largest tau with a positive margin at tau = sigma_i, by
-    ``BISECTION_STEPS`` halvings.
+def _bisected_step(spec, norms, ratio: float = 1.0) -> float:
+    """The largest tau with a positive margin at sigma_i = ratio * tau,
+    by ``BISECTION_STEPS`` halvings.
 
-    The margin falls as the common step grows.  The bracket starts at
-    ]0, 2 tau0], where tau0 is :func:`_closed_form_step`: a finite nu_i
+    The margin falls as tau grows.  The bracket starts at ]0, 2 tau0],
+    where tau0 is :func:`_closed_form_step` at ``ratio``: a finite nu_i
     only lowers the margin, and at 2 tau0 it is at most
     h - 3/(2 tau0) <= -1/(2 tau0) < 0, since 1/tau0 >= h.
     """
     m = spec.num_blocks
-    lo, hi = 0.0, 2.0 * _closed_form_step(spec, norms)
+    lo, hi = 0.0, 2.0 * _closed_form_step(spec, norms, ratio)
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if _step_margin(spec, mid, (mid,) * m, norms) > 0.0:
+        if _step_margin(spec, mid, (ratio * mid,) * m, norms) > 0.0:
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _ratio_steps(spec, norms, safety: float, ratio: float = 1.0):
+    """``(tau, sigmas)`` with ``tau = safety * tau*`` and every
+    ``sigma_i = ratio * tau``, where ``tau*`` is the largest tau with a
+    positive margin at sigma_i = ratio * tau: :func:`_closed_form_step`
+    when every nu_i is infinite, else :func:`_bisected_step`.  The
+    margin falls as tau grows at a fixed ratio, so any ``safety`` in
+    ]0, 1[ makes it positive.  At ratio 1 every sigma_i is tau itself."""
+    if all(math.isinf(blk.Dinv.constant) for blk in spec.blocks):
+        boundary = _closed_form_step(spec, norms, ratio)
+    else:
+        boundary = _bisected_step(spec, norms, ratio)
+    tau = safety * boundary
+    return tau, (ratio * tau,) * spec.num_blocks
 
 
 def step_condition(spec: ProblemSpec, cfg: StepConfig) -> StepCondition:
@@ -658,7 +698,8 @@ def validate_steps(spec: ProblemSpec, tau: float, sigmas, lam: float = 1.0,
 
 def suggest_steps(spec: ProblemSpec, safety: float = 0.99, lam: float = 1.0,
                   norms: Optional[tuple[float, ...]] = None) -> StepConfig:
-    """Pick equal step sizes that satisfy the blockwise step condition.
+    """Pick equal step sizes that satisfy the blockwise step condition,
+    as the start of a balanced run.
 
     Sets ``tau = sigma_i = safety * tau*``, where ``tau*`` is the
     largest common step with a positive margin: the boundary root
@@ -669,18 +710,18 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99, lam: float = 1.0,
     makes the strict inequality hold.  ``lam`` and ``norms`` are
     checked as in :func:`validate_steps`.  A step that is not positive
     (1/(2 mu), a 1/(2 nu_i) or a ||L_i||^2 overflowed) is refused.
+
+    The config's ``balance`` is ``safety``, so :func:`run` balances the
+    ratio sigma_i / tau from these steps on;
+    ``dataclasses.replace(cfg, balance=None)`` holds them fixed.
     """
     safety = _check_real("safety", safety, high=1.0)
     norms = certified_norms(spec) if norms is None else _checked_norms(norms, spec.num_blocks)
-    if all(math.isinf(blk.Dinv.constant) for blk in spec.blocks):
-        boundary = _closed_form_step(spec, norms)
-    else:
-        boundary = _bisected_step(spec, norms)
-    step = safety * boundary
+    step, sigmas = _ratio_steps(spec, norms, safety)
     if not step > 0.0:
         raise ValueError(f"no positive step size exists for mu = {spec.C.constant!r}, nu = "
                          f"{[b.Dinv.constant for b in spec.blocks]!r} and norms {norms!r}")
-    cfg = StepConfig(step, (step,) * spec.num_blocks, norms, lam)
+    cfg = StepConfig(step, sigmas, norms, lam, safety)
     if not step_condition(spec, cfg).admissible:
         # cannot happen for safety < 1; guards against float pathologies
         raise RuntimeError("suggested steps failed the admissibility check")
@@ -755,21 +796,25 @@ class _Metric:
     """The renormed metric's quadratic form and the fixed-point residual
     of :func:`run`, with tau, each ratio w_i / sigma_i and each
     ``(L_i, w_i, buffer)`` bound once, ``L_i`` in its buffer form
-    writing into the block's own ``buffer``.  The metric is positive
-    definite only for admissible steps; with ``admissible`` false the
-    residual falls back to the plain weighted norm (a run under an
-    override)."""
+    writing into the block's own ``buffer``; :meth:`bind` binds tau and
+    the ratios again for new steps.  The metric is positive definite
+    only for admissible steps; with ``admissible`` false the residual
+    falls back to the plain weighted norm (a run under an override)."""
 
     __slots__ = ("tau", "weights", "ratios", "cross", "admissible")
 
     def __init__(self, spec: ProblemSpec, tau: float, sigmas, admissible: bool = True):
-        weights = spec.layout.weights
-        self.tau, self.weights, self.admissible = tau, weights, admissible
+        self.weights, self.admissible = spec.layout.weights, admissible
+        self.cross = tuple(zip((_bound(blk.L.apply) for blk in spec.blocks),
+                               self.weights, (np.empty(d) for d in spec.layout.dual_dims)))
+        self.bind(tau, sigmas)
+
+    def bind(self, tau: float, sigmas) -> None:
+        """Measure in the metric of the steps ``tau`` and ``sigmas``."""
+        self.tau = tau
         # w_i / sigma_i * vv_i reads (w_i / sigma_i) * vv_i, so the ratio
         # formed once has the same bits
-        self.ratios = tuple(w / s for w, s in zip(weights, sigmas))
-        self.cross = tuple(zip((_bound(blk.L.apply) for blk in spec.blocks),
-                               weights, (np.empty(d) for d in spec.layout.dual_dims)))
+        self.ratios = tuple(w / s for w, s in zip(self.weights, sigmas))
 
     def quadform(self, dx, dv, xx, vv, dwsum=None):
         """Quadratic form at displacement (dx, dv), given the squared
@@ -813,27 +858,43 @@ def _bind(spec: ProblemSpec, tau: float, sigmas):
     ``u``.  D_i^{-1} and r_i are ``None`` when skipped as C and z are,
     and ``L_i`` when the dual step is the exact zero, which reads no
     argument, so that v_i + sigma_i (L_i y - ...) need not be formed.
+    The maps that do not depend on the steps come from
+    :func:`_bind_maps`, and the step maps from :func:`_bind_steps`.
     """
-    blocks = []
-    for blk, sigma in zip(spec.blocks, sigmas):
+    C, z, adjoints, maps = _bind_maps(spec)
+    return C, z, _at(spec.A.resolvent, tau), adjoints, _bind_steps(maps, sigmas)
+
+
+def _bind_maps(spec: ProblemSpec):
+    """The part of :func:`_bind` that no step enters: ``(C, z, adjoints,
+    maps)``, each of ``maps`` ``(L_i, D_i^{-1}.apply, r_i, step)`` with
+    ``step`` the block's ``operators._dual_step``."""
+    maps = []
+    for blk in spec.blocks:
         step = _dual_step(blk.B)
-        blocks.append((
+        maps.append((
             None if isinstance(step, _Zero) else _bound(blk.L.apply),
             None if isinstance(blk.Dinv.apply, _Zero) else blk.Dinv.apply,
-            None if _vanishes(blk.r) else blk.r, _scalar(sigma), _at(step, sigma)))
+            None if _vanishes(blk.r) else blk.r, step))
     return (
         None if isinstance(spec.C.apply, _Zero) else _bound(spec.C.apply),
         None if _vanishes(spec.z) else spec.z,
-        _at(spec.A.resolvent, tau),
         _adjoint_terms(spec),
-        tuple(blocks),
+        tuple(maps),
     )
+
+
+def _bind_steps(maps, sigmas) -> tuple:
+    """The blocks of :func:`_bind` from the :func:`_bind_maps` ``maps``
+    at the dual steps ``sigmas``."""
+    return tuple((L, Dinv, r, _scalar(sigma), _at(step, sigma))
+                 for (L, Dinv, r, step), sigma in zip(maps, sigmas))
 
 
 class _Workspace:
     """The run's step plan: the scratch arrays of the kernel and of the
-    residual arithmetic, and the update of :func:`_bind` at the steps of
-    the run.
+    residual arithmetic, and the update of :func:`_bind` at the steps in
+    force.
 
     ``wsum`` and ``wsum_next`` hold the weighted sums
     sum_i w_i L_i^T v_i of the current and the next state; :func:`run`
@@ -849,18 +910,19 @@ class _Workspace:
     ``s`` the displacement of the step taken, both flat over the product
     space with per-block views ``dx``/``dv`` and ``sx``/``sv``.
 
-    ``C``, ``z``, ``A`` and ``adjoints`` are those of :func:`_bind`, and
-    ``blocks`` its block tuples, each followed by the block's
-    ``dual_arg``, ``dual_out`` and ``dv``; ``lam`` is the relaxation of
-    ``cfg``, and ``tau_array`` and ``lam_array`` are tau and lam as 0-d
-    float64 arrays, the multipliers of the float64 buffers t and d
-    (``operators._scalar``); ``metric`` is the run's :class:`_Metric`;
-    and ``exact`` is ``(None,) * m``, the ``b`` and ``c`` of an exact
-    update.
+    ``C``, ``z`` and ``adjoints`` are those of :func:`_bind_maps`, which
+    no step enters, and ``maps`` its blocks; ``A``, ``tau_array`` (tau
+    as a 0-d float64 array, the multiplier of the buffer t,
+    ``operators._scalar``) and ``blocks``, the :func:`_bind_steps`
+    tuples each followed by the block's ``dual_arg``, ``dual_out`` and
+    ``dv``, are bound to the steps by :meth:`bind`; ``lam`` is the
+    relaxation of ``cfg`` and ``lam_array`` lam as a 0-d array; ``metric``
+    is the run's :class:`_Metric`; and ``exact`` is ``(None,) * m``, the
+    ``b`` and ``c`` of an exact update.
     """
 
     __slots__ = ("wsum", "wsum_next", "tmp", "arg", "p", "y", "dual_arg", "dual_out",
-                 "d", "dx", "dv", "s", "sx", "sv",
+                 "d", "dx", "dv", "s", "sx", "sv", "resolvent", "maps",
                  "C", "z", "A", "lam", "tau_array", "lam_array",
                  "adjoints", "metric", "exact", "blocks")
 
@@ -875,13 +937,89 @@ class _Workspace:
         self.dx, self.dv = layout.split(self.d)
         self.s = np.empty(layout.size)
         self.sx, self.sv = layout.split(self.s)
-        self.C, self.z, self.A, self.adjoints, blocks = _bind(spec, cfg.tau, cfg.sigmas)
+        self.C, self.z, self.adjoints, self.maps = _bind_maps(spec)
+        self.resolvent = spec.A.resolvent
         self.lam = cfg.lam
-        self.tau_array, self.lam_array = _scalar(cfg.tau), _scalar(cfg.lam)
+        self.lam_array = _scalar(cfg.lam)
         self.metric = _Metric(spec, cfg.tau, cfg.sigmas, admissible)
         self.exact = (None,) * spec.num_blocks
+        self.bind(cfg.tau, cfg.sigmas)
+
+    def bind(self, tau: float, sigmas) -> None:
+        """Bind the update and the metric to the steps ``tau`` and
+        ``sigmas``: A at tau, ``tau_array``, each block's sigma_i and its
+        dual step, and the metric's tau and ratios.  No buffer is
+        allocated, and the maps no step enters stay bound."""
+        self.A = _at(self.resolvent, tau)
+        self.tau_array = _scalar(tau)
         self.blocks = tuple(blk + bufs for blk, bufs in zip(
-            blocks, zip(self.dual_arg, self.dual_out, self.dv)))
+            _bind_steps(self.maps, sigmas), zip(self.dual_arg, self.dual_out, self.dv)))
+        self.metric.bind(tau, sigmas)
+
+
+class _Balance:
+    """The primal-dual ratio r = sigma_i / tau of a balanced run, and the
+    rule of README's "Fixed and balanced steps" that changes it.
+
+    :meth:`check` forms the primal and dual residuals from a row's
+    relaxation-1 displacement (dx, dv) = (p - x, q - v), in buffers the
+    row no longer needs.  A change binds the plan ``ws`` to the steps
+    :func:`_ratio_steps` derives at the new r.  If those are not positive
+    and finite (the boundary overflowed) or :func:`step_condition` finds
+    them inadmissible (rounding past the margin), the change is not made
+    and balancing stops, so a run never ends on a failed change.
+    ``cfg`` is the :class:`StepConfig` in force, ``ratio`` r, ``alpha``
+    the relative change the next one makes (0 once balancing stopped)
+    and ``changes`` the number made.
+    """
+
+    __slots__ = ("spec", "ws", "cfg", "ratio", "alpha", "changes")
+
+    def __init__(self, spec: ProblemSpec, cfg: StepConfig, ws: _Workspace):
+        self.spec, self.ws, self.cfg = spec, ws, cfg
+        self.ratio, self.alpha, self.changes = 1.0, _BALANCE_ALPHA, 0
+
+    def check(self, dx, dv, dwsum) -> None:
+        """Apply the rule to the displacement ``(dx, dv)``, given
+        ``dwsum`` = sum_i w_i L_i^T dv_i or ``None`` to form it."""
+        if self.alpha < _BALANCE_FLOOR:
+            return
+        ws = self.ws
+        if dwsum is None:
+            # arg and tmp are free once the updates of the row are formed
+            dwsum = _adjoint_sum(ws.adjoints, dv, ws.arg, ws.tmp)
+        # P = ||(x - p) / tau - sum_i w_i L_i^T (v_i - q_i)||, in y, which
+        # is free too, as are the metric's L_i dx buffers and each dual_out
+        prim = np.subtract(np.divide(dx, ws.tau_array, out=ws.y), dwsum, out=ws.y)
+        primal = math.sqrt(float(prim.dot(prim)))
+        dual_sq = 0.0
+        for (apply, w, buf), (_, _, _, sigma, _, _, out, dvi) in zip(
+                ws.metric.cross, ws.blocks):
+            # (v_i - q_i) / sigma_i - L_i (x - p), up to its sign
+            gap = np.subtract(np.divide(dvi, sigma, out=out), apply(dx, buf), out=out)
+            dual_sq += w * float(gap.dot(gap))
+        dual = math.sqrt(dual_sq)
+        if not (math.isfinite(primal) and math.isfinite(dual)):
+            return
+        if primal > _BALANCE_BAND * _BALANCE_TARGET * dual:
+            ratio = self.ratio * (1.0 - self.alpha)
+        elif primal < _BALANCE_TARGET * dual / _BALANCE_BAND:
+            ratio = self.ratio / (1.0 - self.alpha)
+        else:
+            return
+        spec, old = self.spec, self.cfg
+        tau, sigmas = _ratio_steps(spec, old.norms, old.balance, ratio)
+        cfg = (StepConfig(tau, sigmas, old.norms, old.lam, old.balance)
+               if 0.0 < tau < math.inf and 0.0 < sigmas[0] < math.inf else None)
+        if cfg is None or not step_condition(spec, cfg).admissible:
+            # the boundary overflowed or rounded past the margin: keep
+            # the steps in force and stop balancing
+            self.alpha = 0.0
+            return
+        ws.bind(cfg.tau, cfg.sigmas)
+        self.cfg, self.ratio = cfg, ratio
+        self.alpha *= _BALANCE_DECAY
+        self.changes += 1
 
 
 def _kernel(ws, u, x, v, wsum, err, out):
@@ -1061,6 +1199,18 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     finite state whose squares overflow goes on, its inf norms never
     meeting the threshold.
 
+    Balanced steps: a ``cfg`` whose ``balance`` is set (the configs of
+    :func:`suggest_steps`) starts at its steps and balances the ratio
+    sigma_i / tau by the rule of README's "Fixed and balanced steps";
+    any other config, and a run under the override with inadmissible
+    steps, keeps its steps fixed.  The ratio changes at most 122 times,
+    and from the iterate after the last change the run is a fixed-step
+    run, to which the convergence theorem applies.  The residual of each
+    row, and so the ``tol`` rule, is measured in the metric of the steps
+    that took that row's update.  ``report.steps`` and
+    ``report.step_changes`` give the steps in force at the end and the
+    number of changes.
+
     Hooks: ``iter_metrics`` may attach objective values to the history
     rows whose ``iter`` is a multiple of ``OBJECTIVE_STRIDE``; it is
     called on those rows only, and every other row leaves the objective
@@ -1101,6 +1251,10 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     lam, tol = cfg.lam, stop.tol
 
     ws = _Workspace(spec, cfg, admissible)
+    balance = _Balance(spec, cfg, ws) if cfg.balance is not None and admissible else None
+    # n of the last update the budget allows: a balance check after it
+    # would bind steps that no update takes
+    last = stop.max_iter - 1
     wsum, wsum_next = ws.wsum, ws.wsum_next
     adjoints, tmp, d, dx, dv = ws.adjoints, ws.tmp, ws.d, ws.dx, ws.dv
     s, sx, sv = ws.s, ws.sx, ws.sv
@@ -1225,6 +1379,10 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
                 if extra is not None:
                     reason = extra
                     break
+            if balance is not None and (n + 1) % BALANCE_STRIDE == 0 and n < last:
+                # d holds the row's relaxation-1 displacement and tmp, when
+                # dwsum is, its weighted adjoint sum; neither hook sees them
+                balance.check(dx, dv, dwsum)
 
     if record_states:
         st = states[-1]
@@ -1236,4 +1394,6 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
         states=states,
         used_errors=errors is not None,
         failure=failure,
+        steps=cfg if balance is None else balance.cfg,
+        step_changes=0 if balance is None else balance.changes,
     )

@@ -8,6 +8,9 @@ import splitsolve.convex
 import splitsolve.operators
 import splitsolve.solver
 from splitsolve.cli import main
+from splitsolve.config import build_problem, parse_config_file
+from splitsolve.convex import solve_convex
+from splitsolve.solver import StoppingRule, suggest_steps
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 LASSO = str(CONFIG_DIR / "lasso1d.cfg")
@@ -112,6 +115,39 @@ class TestSolve:
         # mu = 1, ||L|| = 1: 0.99 times the root of 1/tau - 1/2 = tau
         assert float(extract(stdout, "tau")) == pytest.approx(
             0.99 * (math.sqrt(4.25) - 0.5) / 2.0, rel=1e-14)
+
+    def test_final_steps_printed(self, tmp_path, capsys):
+        # intersect.cfg has auto steps, which balance; tau and sigmas
+        # print the starting steps, the final lines those of the last update
+        assert main(["solve", INTERSECT, "-o", str(tmp_path / "r.csv")]) == 0
+        stdout = capsys.readouterr().out
+        keys = [line.split(" =")[0] for line in stdout.splitlines()]
+        at = keys.index("sigmas") + 1
+        assert keys[at:at + 4] == ["final tau", "final sigmas", "final ratio", "step changes"]
+        pc = parse_config_file(INTERSECT)
+        cp = build_problem(pc)
+        start = suggest_steps(cp.spec, safety=pc.steps.safety, lam=pc.steps.lam)
+        report, _ = solve_convex(cp, cfg=start, stop=StoppingRule(tol=pc.stop.tol,
+                                                                  max_iter=pc.stop.max_iter))
+        final = report.steps
+        assert report.step_changes >= 1 and final.tau != start.tau
+        assert extract(stdout, "tau") == f"{start.tau:.17g}"
+        assert extract(stdout, "final tau") == f"{final.tau:.17g}"
+        assert extract(stdout, "final sigmas") == " ".join(f"{s:.17g}" for s in final.sigmas)
+        assert extract(stdout, "final ratio") == " ".join(
+            f"{s / final.tau:.17g}" for s in final.sigmas)
+        assert extract(stdout, "step changes") == str(report.step_changes)
+
+    def test_manual_steps_stay_fixed(self, tmp_path, capsys):
+        cfg = tmp_path / "manual.cfg"
+        cfg.write_text(Path(LASSO).read_text().replace(
+            "mode = auto\nsafety = 0.99", "mode = manual\ntau = 0.25\nsigma = 0.5"))
+        assert main(["solve", str(cfg), "-o", str(tmp_path / "r.csv")]) == 0
+        stdout = capsys.readouterr().out
+        assert extract(stdout, "final tau") == "0.25"
+        assert extract(stdout, "final sigmas") == "0.5"
+        assert extract(stdout, "final ratio") == "2"
+        assert extract(stdout, "step changes") == "0"
 
     def test_inadmissible_refused_without_override(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -310,7 +346,8 @@ class TestNonFiniteOperator:
         extra = ["-o", str(tmp_path / "r.csv")] if command == "solve" else []
         assert main([command, str(cfg), *extra]) == 1
         err = capsys.readouterr().err
-        assert "block 0: norm of L must lie in ]0, inf[, got nan" in err
+        # a matrix with a non-finite entry has the norm bound inf
+        assert "block 0: norm of L must lie in ]0, inf[, got inf" in err
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.filterwarnings("error")
@@ -319,7 +356,9 @@ class TestNonFiniteOperator:
         cfg.write_text(Path(LASSO).read_text().replace("L = identity", "L = matrix 1e308"))
         assert main(["solve", str(cfg), "-o", str(tmp_path / "r.csv")]) == 1
         captured = capfd.readouterr()
-        assert captured.err == "block 0: norm of L must lie in ]0, inf[, got nan\n"
+        # the norm 1e308 is finite and exact; its square overflows the step
+        assert captured.err == ("no positive step size exists for mu = 1.0, nu = [inf] "
+                                "and norms (1.000001e+308,)\n")
         assert not (tmp_path / "r.csv").exists()
 
 
@@ -474,18 +513,31 @@ class TestCheck:
         # (1/0.25 - 1/2) - 2 * 0.5 * 1 / (1/0.25)
         assert float(extract("\n".join(lines), "margin")) == pytest.approx(3.25, abs=1e-14)
 
-    def test_unconverged_power_iteration_exits_1(self, tmp_path, capsys, monkeypatch):
-        # ||diag(2, 1)|| needs about 14 power steps to reach the tolerance
+    @pytest.mark.parametrize("text, steps", [
+        (TWO_BLOCK_CHECK, "fixed"),
+        (TWO_BLOCK_CHECK.replace("mode = manual\ntau = 0.25\nsigma = 0.25", "mode = auto"),
+         "balanced"),
+    ], ids=["manual", "auto"])
+    def test_steps_mode_printed(self, tmp_path, capsys, text, steps):
+        cfg = tmp_path / "steps.cfg"
+        cfg.write_text(text)
+        assert main(["check", str(cfg)]) == 0
+        stdout = capsys.readouterr().out
+        keys = [line.split(" =")[0] for line in stdout.splitlines()]
+        assert keys[keys.index("sigmas") + 1] == "steps"
+        assert extract(stdout, "steps") == steps
+
+    def test_matrix_norm_needs_no_power_iteration(self, tmp_path, capsys, monkeypatch):
+        # ||diag(2, 1)|| needed about 14 power steps to reach the tolerance;
+        # a matrix norm is closed form now, so a budget of 3 is never used
         monkeypatch.setattr(splitsolve.solver, "POWER_MAX_ITER", 3)
         cfg = tmp_path / "m.cfg"
         cfg.write_text(MATRIX_CHECK)
         for command in ("check", "solve"):
             assert main([command, str(cfg), *(["-o", str(tmp_path / "r.csv")]
-                                              if command == "solve" else [])]) == 1
-            err = capsys.readouterr().err
-            assert ("block 0: power iteration for the norm of L did not converge "
-                    "within 3 iterations") in err
-        assert not (tmp_path / "r.csv").exists()
+                                              if command == "solve" else [])]) == 0
+            assert capsys.readouterr().err == ""
+        assert (tmp_path / "r.csv").exists()
 
     def test_bad_weights_named(self, tmp_path, capsys):
         cfg = tmp_path / "badw.cfg"
@@ -504,7 +556,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("text, norm, source", [
         (TWO_BLOCK_CHECK, 1.0, "closed form (identity)"),
-        (MATRIX_CHECK, 2.0, "power iteration"),
+        (MATRIX_CHECK, 2.0, "closed form (matrix)"),
     ], ids=["identity", "matrix"])
     def test_norm_source(self, tmp_path, capsys, text, norm, source):
         cfg = tmp_path / "src.cfg"

@@ -349,7 +349,7 @@ class TestReductions:
     def test_chambolle_pock_reduction_bitwise(self):
         cp2, params = cp_problem()
         spec = cp2.spec
-        cfg = ss.suggest_steps(spec, safety=params["safety"])
+        cfg = dataclasses.replace(ss.suggest_steps(spec, safety=params["safety"]), balance=None)
         iters = 300
         report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=iters),
                         record_states=True)
@@ -364,7 +364,7 @@ class TestReductions:
         # iterations; its last state must match every later reference iterate
         cp2, params = cp_problem()
         spec = cp2.spec
-        cfg = ss.suggest_steps(spec, safety=params["safety"])
+        cfg = dataclasses.replace(ss.suggest_steps(spec, safety=params["safety"]), balance=None)
         iters = 1000
         report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=iters),
                         record_states=True)

@@ -62,7 +62,8 @@ class TestEstimateNorm:
         assert est.value == pytest.approx(1.0, abs=1e-10)
 
     def test_diagonal(self):
-        L = matrix_op(np.diag([1.0, 2.0]))
+        mat = matrix_op(np.diag([1.0, 2.0]))
+        L = LinearOp(2, 2, mat.apply, mat.adjoint_apply)  # drop the hint
         est = estimate_norm(L, tol=1e-10)
         assert est.value == pytest.approx(2.0, abs=1e-8)
 
@@ -1006,7 +1007,9 @@ class TestPlainFormulas:
                 assert_same_bits(f.conjugate_prox(gamma, u), want)
 
     def test_estimate_norm(self, rng):
-        op = matrix_op(rng.standard_normal((6, 9)))
+        mat = matrix_op(rng.standard_normal((6, 9)))
+        # without the matrix's closed-form hint, which the estimate never undercuts
+        op = LinearOp(9, 6, mat.apply, mat.adjoint_apply)
         x = np.random.default_rng(4).standard_normal(9)
         x = x / np.linalg.norm(x)
         for iterations in range(1, 51):

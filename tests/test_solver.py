@@ -21,7 +21,8 @@ from splitsolve.solver import (
     _step_margin,
 )
 
-from conftest import assert_same_bits, degenerate_block, shrinkage_spec
+from conftest import (assert_same_bits, degenerate_block, materialize, shrinkage_spec,
+                      single_block_spec)
 from gap_reference import plain_adjoint_sum
 
 
@@ -186,7 +187,7 @@ class TestHandBuiltSteps:
 
     def test_inputs_only(self):
         assert [f.name for f in dataclasses.fields(ss.StepConfig)] == [
-            "tau", "sigmas", "norms", "lam"]
+            "tau", "sigmas", "norms", "lam", "balance"]
 
 
 class TestStaleSteps:
@@ -447,6 +448,42 @@ class TestCertifiedNorms:
         with pytest.raises(ValueError, match="closed-form"):
             dataclasses.replace(ss.diff1d_op(4), norm_hint=None)
 
+    def test_matrix_norm_is_an_upper_bound_where_power_iteration_fails(self):
+        # rows 2 u1 and (x0 + u2) / sqrt(2), with x0 the seeded power start
+        # and u1, u2 orthonormal and orthogonal to it: from x0, power
+        # iteration lands on the eigenvalue 1 of M^T M in two steps and
+        # never sees the 4 along u1
+        x0 = np.random.default_rng(0).standard_normal(6)
+        x0 /= np.linalg.norm(x0)
+        q, _ = np.linalg.qr(np.column_stack([x0, np.eye(6)[:, :2]]))
+        u1, u2 = q[:, 1], q[:, 2]
+        mat = np.vstack([2.0 * u1, (x0 + u2) / math.sqrt(2.0)])
+        bare = ss.LinearOp(6, 2, lambda x: mat @ x, lambda y: mat.T @ y)
+        est = ss.estimate_norm(bare, tol=POWER_TOL, max_iter=POWER_MAX_ITER)
+        assert est.converged and est.value == pytest.approx(1.0, abs=1e-12)
+        L = ss.matrix_op(mat)
+        assert L.kind == "matrix" and L.norm_hint >= 2.0
+        (norm,) = ss.certified_norms(one_block_spec(L))
+        assert norm == L.norm_hint
+        # a caller's hint raises the bound but never lowers it
+        assert ss.matrix_op(mat, norm_hint=1.0).norm_hint == L.norm_hint
+        assert ss.matrix_op(mat, norm_hint=3.0).norm_hint == 3.0
+
+    def test_matrix_bound_holds_after_the_caller_changes_the_matrix(self):
+        mat = np.random.default_rng(3).standard_normal((7, 5))
+        L = ss.matrix_op(mat)
+        assert L.norm_hint == np.linalg.norm(mat, 2) * NORM_SAFETY
+        before = materialize(L)
+        mat *= 10.0
+        assert_same_bits(materialize(L), before)
+        assert np.linalg.norm(materialize(L), 2) <= L.norm_hint
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrix_refused_by_name(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"matrix_op expects at least one row and one column, got shape {shape}")):
+            ss.matrix_op(np.zeros(shape))
+
     def test_custom_hint_below_true_norm_is_repaired(self):
         L = ss.LinearOp(3, 3, lambda x: 2.0 * x, lambda y: 2.0 * y, norm_hint=0.1)
         assert L.kind == "custom"
@@ -495,7 +532,9 @@ class TestCertifiedNorms:
     def test_unconverged_power_iteration_refused_naming_block(self, monkeypatch):
         # singular values 1 and 0.999 separate too slowly for 20 power steps
         monkeypatch.setattr(ss.solver, "POWER_MAX_ITER", 20)
-        L = ss.matrix_op(np.diag([1.0, 0.999]))
+        d = np.array([1.0, 0.999])
+        # a custom operator: a matrix_op's norm is closed form
+        L = ss.LinearOp(2, 2, lambda x: d * x, lambda y: d * y)
         assert not ss.estimate_norm(L, tol=POWER_TOL, max_iter=20).converged
         spec = ss.ProblemSpec(
             layout=ss.SpaceLayout(2, (2, 2), (0.5, 0.5)),
@@ -1261,7 +1300,7 @@ def tv2d_case():
         blocks=(ss.Block(B=ss.resolvent_from_prox(ss.catalog_prox("l1", m, weight=0.3)),
                          Dinv=ss.CocoerciveOp.zero(m), L=L, r=np.zeros(m)),),
     )
-    return spec, ss.suggest_steps(spec), None
+    return spec, dataclasses.replace(ss.suggest_steps(spec), balance=None), None
 
 
 def custom_b_case():
@@ -1328,7 +1367,7 @@ def offsets_case(offset=0.0, weights=(1.0,), Dinv=None, C=None, lam=1.0):
         z=np.full(n, offset),
         blocks=blocks,
     )
-    cfg = ss.suggest_steps(spec, lam=lam)
+    cfg = dataclasses.replace(ss.suggest_steps(spec, lam=lam), balance=None)
     return spec, cfg, None
 
 
@@ -1444,7 +1483,7 @@ def zero_smooth_mu_case():
     n = cp.layout.dim_primal
     cp = dataclasses.replace(cp, f=ss.catalog_prox("sq_l2", n, center=params["b"]),
                              h=ss.zero_smooth(n, mu=2.0))
-    return cp.spec, ss.suggest_steps(cp.spec), None
+    return cp.spec, dataclasses.replace(ss.suggest_steps(cp.spec), balance=None), None
 
 
 def test_zero_smooth_with_finite_mu_skips_its_pass_and_keeps_its_constant():
@@ -1553,7 +1592,7 @@ class TestCarriedWeightedSum:
     def test_residual_agrees_with_blockwise_cross_term(self, seed):
         weights = ((1.0,), (0.6, 0.4), (0.5, 0.3, 0.2))[seed % 3]
         spec, rng = random_spec(seed, weights)
-        cfg = ss.suggest_steps(spec)
+        cfg = dataclasses.replace(ss.suggest_steps(spec), balance=None)
         x0 = rng.standard_normal(spec.layout.dim_primal)
         v0 = [rng.standard_normal(d) for d in spec.layout.dual_dims]
         report = ss.run(spec, cfg, x0=x0, v0=v0, stop=ss.StoppingRule(tol=0.0, max_iter=40),
@@ -1580,9 +1619,11 @@ class TestCarriedWeightedSum:
         counts = {name: rep.iterations
                   for suite in ss.benchmarks.SUITE_NAMES
                   for name, rep in ss.benchmarks.run_suite(suite).reports.items()}
+        # the tv1d, fusedlasso and intersection suites run on balanced
+        # steps; on fixed ones they took 364, 51, 259 and 223
         assert counts == {
-            "tv1d": 364, "fusedlasso": 51, "fusedlasso-errors": 259,
-            "project-intersection": 223, "fb-reduction": 1000,
+            "tv1d": 204, "fusedlasso": 51, "fusedlasso-errors": 260,
+            "project-intersection": 116, "fb-reduction": 1000,
             "condat-reduction": 107, "two-step-reduction": 107,
         }
 
@@ -2173,6 +2214,7 @@ def test_condat_reference_on_random_instances(seed):
     lam = 1.0 if seed % 4 == 0 else float(1.0 - rng.uniform(0.0, 0.9))
     spec = cp.spec
     cfg = ss.suggest_steps(spec, safety=float(rng.uniform(0.5, 0.99)), lam=lam)
+    cfg = dataclasses.replace(cfg, balance=None)
     assert cfg.lam == lam
     report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=REFERENCE_ITERS),
                     record_states=True)
@@ -2191,9 +2233,200 @@ def test_chambolle_pock_reference_on_random_instances(seed):
     cp = random_reference_problem(rng, blocks=1, smooth=False)
     spec = cp.spec
     cfg = ss.suggest_steps(spec, safety=float(rng.uniform(0.5, 0.99)), lam=1.0)
+    cfg = dataclasses.replace(cfg, balance=None)
     report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=REFERENCE_ITERS),
                     record_states=True)
     xs, vs = ss.benchmarks.chambolle_pock_reference(
         cp.f.prox, cp.blocks[0].g.prox, cp.blocks[0].L, cfg.tau, cfg.sigmas[0],
         np.zeros(cp.layout.dim_primal), np.zeros(cp.layout.dual_dims[0]), REFERENCE_ITERS)
     assert ss.benchmarks.max_state_deviation(report.states, xs, [[v] for v in vs]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# balanced steps: suggest_steps configs balance sigma_i / tau inside run
+
+
+def _kkt_counts():
+    """``scripts/kkt_counts.py`` as a module."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "scripts" / "kkt_counts.py"
+    spec = importlib.util.spec_from_file_location("kkt_counts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bound_steps(monkeypatch):
+    """The ``(tau, sigmas)`` of every binding of a run's step plan."""
+    bound = []
+    bind = ss.solver._Workspace.bind
+
+    def recording(ws, tau, sigmas):
+        bound.append((tau, tuple(sigmas)))
+        bind(ws, tau, sigmas)
+
+    monkeypatch.setattr(ss.solver._Workspace, "bind", recording)
+    return bound
+
+
+class TestBalancedSteps:
+    @staticmethod
+    def tv1d():
+        cp, _ = ss.benchmarks.tv1d_problem()
+        return cp.spec, ss.suggest_steps(cp.spec)
+
+    def test_suggested_steps_are_marked_balanced(self):
+        spec, cfg = self.tv1d()
+        assert cfg.balance == 0.99 and cfg.sigmas == (cfg.tau,)
+        assert ss.suggest_steps(spec, safety=0.5).balance == 0.5
+        assert ss.validate_steps(spec, cfg.tau, cfg.sigmas).balance is None
+        with pytest.raises(ValueError, match=r"balance must lie in \]0, 1\["):
+            dataclasses.replace(cfg, balance=1.0)
+
+    def test_first_iterates_are_those_of_fixed_steps(self):
+        spec, cfg = self.tv1d()
+        stop = ss.StoppingRule(tol=0.0, max_iter=40)
+        balanced = ss.run(spec, cfg, stop=stop, record_states=True)
+        fixed = ss.run(spec, dataclasses.replace(cfg, balance=None), stop=stop, record_states=True)
+        assert balanced.step_changes >= 1
+        for k in range(ss.solver.BALANCE_STRIDE + 1):
+            assert_same_bits(balanced.states[k].u, fixed.states[k].u)
+        assert not np.array_equal(balanced.states[-1].u, fixed.states[-1].u)
+
+    def test_update_after_a_change_is_a_fixed_step_update(self):
+        # the change on row 25 binds the plan to the new steps: update 26
+        # has the bits of one update at those steps from state 25
+        spec, cfg = self.tv1d()
+        stride = ss.solver.BALANCE_STRIDE
+        report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=stride + 1),
+                        record_states=True)
+        assert report.step_changes == 1 and report.steps != cfg
+        start = report.states[stride]
+        one = ss.run(spec, dataclasses.replace(report.steps, balance=None), x0=start.x, v0=start.v,
+                     stop=ss.StoppingRule(tol=0.0, max_iter=1))
+        assert_same_bits(report.final_state.u, one.final_state.u)
+        # the row's residual is measured in the metric of the new steps
+        assert_same_bits(report.history[-1].residual, one.history[0].residual)
+
+    def test_no_change_on_the_last_row(self):
+        spec, cfg = self.tv1d()
+        stride = ss.solver.BALANCE_STRIDE
+        report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=stride))
+        assert report.step_changes == 0 and report.steps is cfg
+
+    def test_every_binding_admissible_and_changes_bounded(self, monkeypatch):
+        # a target of 0 makes every check lower the ratio, and a stride of
+        # 1 checks every row, so the run makes every change alpha allows
+        monkeypatch.setattr(ss.solver, "BALANCE_STRIDE", 1)
+        monkeypatch.setattr(ss.solver, "_BALANCE_TARGET", 0.0)
+        bound = bound_steps(monkeypatch)
+        spec, cfg = self.tv1d()
+        report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=300))
+        assert report.step_changes == 122
+        assert len(bound) == 123 and bound[0] == (cfg.tau, cfg.sigmas)
+        assert bound[-1] == (report.steps.tau, report.steps.sigmas)
+        taus = [tau for tau, _ in bound]
+        assert taus == sorted(taus)  # a smaller ratio allows a larger tau
+        for tau, sigmas in bound:
+            step = ss.StepConfig(tau, sigmas, cfg.norms)
+            assert ss.step_condition(spec, step).admissible
+        # 0.5 * 0.95^121 >= 1e-3 > 0.5 * 0.95^122
+        assert 0.5 * 0.95 ** 121 >= 1e-3 > 0.5 * 0.95 ** 122
+
+    @pytest.mark.parametrize("how", ["overflow", "inadmissible"])
+    def test_failed_change_keeps_the_steps_and_stops(self, monkeypatch, how):
+        # a large target makes the first check raise the ratio to 2; there
+        # the boundary's 4 r S overflows to a step of 0, and "inadmissible"
+        # re-derives the steps at a safety past the margin
+        monkeypatch.setattr(ss.solver, "BALANCE_STRIDE", 1)
+        monkeypatch.setattr(ss.solver, "_BALANCE_TARGET", 1e30)
+        norm = math.sqrt(3e307) if how == "overflow" else 1.0
+        spec = single_block_spec(L=ss.matrix_op(norm * np.eye(2)), dims=(2, 2))
+        cfg = ss.suggest_steps(spec)
+        ratios = []
+        ratio_steps = ss.solver._ratio_steps
+
+        def attempted(spec, norms, safety, ratio):
+            ratios.append(ratio)
+            return ratio_steps(spec, norms, 1.5 if how == "inadmissible" else safety, ratio)
+
+        monkeypatch.setattr(ss.solver, "_ratio_steps", attempted)
+        bound = bound_steps(monkeypatch)
+        report = ss.run(spec, cfg, x0=np.ones(2), v0=(np.ones(2),),
+                        stop=ss.StoppingRule(tol=0.0, max_iter=50))
+        # the overflowing run lands on its fixed point at row 2; the other
+        # runs all 50 rows, and no check after the first tries again
+        assert report.iterations == (2 if how == "overflow" else 50)
+        assert ratios == [2.0]
+        assert report.steps is cfg and report.step_changes == 0
+        assert bound == [(cfg.tau, cfg.sigmas)]
+
+    def test_changes_reallocate_nothing(self, monkeypatch):
+        plans = []
+        init = ss.solver._Workspace.__init__
+
+        def kept(ws, *args):
+            init(ws, *args)
+            plans.append((ws, {name: getattr(ws, name) for name in
+                               ("wsum", "wsum_next", "tmp", "arg", "p", "y", "d", "s")},
+                          ws.dual_arg, ws.dual_out, ws.metric))
+
+        monkeypatch.setattr(ss.solver._Workspace, "__init__", kept)
+        spec, cfg = self.tv1d()
+        report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=1e-12, max_iter=2000))
+        assert report.step_changes >= 2 and len(plans) == 1
+        ws, arrays, dual_arg, dual_out, metric = plans[0]
+        assert all(getattr(ws, name) is arr for name, arr in arrays.items())
+        assert ws.dual_arg is dual_arg and ws.dual_out is dual_out and ws.metric is metric
+        assert [blk[5:] for blk in ws.blocks] == [
+            (a, o, d) for a, o, d in zip(dual_arg, dual_out, ws.dv)]
+        assert ws.metric.tau == report.steps.tau
+        assert ws.metric.ratios == (1.0 / report.steps.sigmas[0],)
+
+    @pytest.mark.parametrize("how", ["validate_steps", "hand-built", "override"])
+    def test_fixed_configs_never_change(self, monkeypatch, how):
+        bound = bound_steps(monkeypatch)
+        spec, cfg = self.tv1d()
+        allow = how == "override"
+        if how == "validate_steps":
+            cfg = dataclasses.replace(cfg, balance=None)
+        elif how == "hand-built":
+            cfg = ss.StepConfig(cfg.tau, cfg.sigmas, cfg.norms)
+        else:
+            # a balanced config whose steps were replaced by inadmissible ones
+            cfg = dataclasses.replace(cfg, tau=1.5, sigmas=(1.5,))
+            assert not ss.step_condition(spec, cfg).admissible
+        report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=200),
+                        allow_inadmissible=allow)
+        assert report.iterations == 200
+        assert report.steps is cfg and report.step_changes == 0
+        assert bound == [(cfg.tau, cfg.sigmas)]
+
+    def test_relaxed_run_with_errors_converges(self):
+        cp, params = ss.benchmarks.tv1d_problem()
+        spec = cp.spec
+        cfg = ss.suggest_steps(spec, lam=0.8)
+        errors = ss.geometric_errors(spec.layout, 0.1, 0.9, seed=4)
+        stop = ss.StoppingRule(tol=1e-12, max_iter=20000)
+        report = ss.run(spec, cfg, stop=stop, errors=errors)
+        assert report.termination == "converged" and report.step_changes >= 1
+        assert ss.step_condition(spec, report.steps).admissible
+        assert report.steps.lam == 0.8 and report.steps.balance == cfg.balance
+        cert = ss.benchmarks.tv_certificate_violation(params["b"], params["weight"],
+                                                      report.final_state.x)
+        assert cert <= 1e-7
+        fixed = ss.run(spec, dataclasses.replace(cfg, balance=None), stop=stop, errors=errors)
+        assert report.iterations < fixed.iterations
+        assert np.max(np.abs(report.final_state.x - fixed.final_state.x)) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [12, 7])
+    def test_tv1d_kkt_count_falls(self, seed):
+        counts = _kkt_counts()
+        cp = counts.tv1d_problem(counts.workloads.tv1d_signal(seed))
+        cfg = ss.suggest_steps(cp.spec)
+        fixed, _ = counts.iters_to_kkt(cp, dataclasses.replace(cfg, balance=None))
+        balanced, report = counts.iters_to_kkt(cp, cfg)
+        assert report.step_changes >= 1
+        assert balanced is not None and fixed is not None
+        assert balanced < 0.5 * fixed
