@@ -7,9 +7,10 @@ Usage::
     PYTHONPATH=<other>/src python scripts/fingerprint.py > b.txt
     diff a.txt b.txt
 
-The outputs covered are every ``splitsolve bench`` suite (each CSV and
-the check lines), ``solve`` (CSV, its ``iter`` and ``step_norm``
-columns on their own line, and stdout), ``check`` and ``diag`` of each
+The outputs covered are every ``splitsolve bench`` suite (each CSV, the
+check lines, and each check's value by its ``repr``, all 17 digits,
+from a second ``benchmarks.run_suite``), ``solve`` (CSV, its ``iter``
+and ``step_norm`` columns on their own line, and stdout), ``check`` and ``diag`` of each
 ``configs/*.cfg``, ``solve`` of a generated TV-1D config and of a
 generated config with the branches the others miss (a ``box`` f, an
 ``sq_l2`` h of weight 2.5, a nonzero ``z``, an ``r`` with -0.0 entries,
@@ -49,8 +50,9 @@ iterates, so these runs also hash what the update hands on: the
 argument of every call of A (a pass-through resolvent that records
 it), and the weighted sum an ``extra_stop`` hook is handed on every
 row.
-Only ``cli.main``, ``final_state.x``/``.v``, the run histories and the
-step configs are read, no operator is built with a ``kind`` tag, and
+Only ``cli.main``, ``benchmarks.run_suite`` (its checks' values),
+``final_state.x``/``.v``, the run histories and the step configs are
+read, no operator is built with a ``kind`` tag, and
 CSV columns are found by header name, so the script runs unchanged on
 any checkout that has these, ``suggest_steps(..., lam=)``,
 ``step_condition(spec, cfg).margin`` and ``ConvexProblem.spec``.  Every run CSV is hashed a
@@ -110,6 +112,8 @@ def bench_suites(tmp: Path) -> None:
         emit(f"bench {suite} stdout", stdout)
         for csv in sorted(out_dir.glob("*.csv")):
             emit_csv(f"bench {suite} {csv.name}", csv.read_bytes())
+        for check in benchmarks.run_suite(suite).checks:
+            emit(f"bench {suite} {check.label} value", repr(check.value).encode())
 
 
 def csv_columns(text: str, names) -> bytes:

@@ -81,16 +81,66 @@ class BenchOutcome:
 
 # ---------------------------------------------------------------------------
 # standalone reference recursions (no solver imports; plain loops)
+#
+# Each recursion stops computing at its first repeated state.  Without
+# error sequences, a recursion's next state is a function of its current
+# state alone (the maps it is handed must be functions of their
+# arguments, as the library's are), so a state with the bits of the state
+# one or two iterates before it starts a cycle of period 1 or 2, and
+# every later iterate is a copy of the one that many iterates back.  The
+# bits are compared (``tobytes`` of x and of every v_i), so -0.0 and
+# +0.0, and NaN payloads, tell states apart.  A longer cycle runs on to
+# ``iters``: finding one would mean keeping the bits of every past state,
+# and periods 1 and 2 cover the suites' problems.  The lists returned are those of the full loop, bit for bit,
+# with ``iters + 1`` entries and no entry aliasing another.
+
+
+class _Repeats:
+    """The bits of the last two states of a recursion, from its ``first``."""
+
+    def __init__(self, *first):
+        self.keys = []
+        self.period(*first)
+
+    def period(self, *arrays) -> int:
+        """1 or 2 when the state ``arrays`` has the bits of the state one
+        or two iterates before it, else 0 (and the state is kept)."""
+        key = b"".join(a.tobytes() for a in arrays)
+        for back in (1, 2):
+            if len(self.keys) >= back and self.keys[-back] == key:
+                return back
+        self.keys = self.keys[-1:] + [key]
+        return 0
+
+
+def _fill(seq, period, total, copy):
+    """``seq`` extended to ``total`` entries by repeating its cycle of
+    ``period`` entries, each new entry a ``copy`` of the one ``period``
+    back."""
+    while len(seq) < total:
+        seq.append(copy(seq[-period]))
+    return seq
+
+
+def _copy_blocks(vk):
+    return [vi.copy() for vi in vk]
 
 
 def forward_backward_reference(prox, grad, tau, lam, x0, iters,
                                a1_seq=None, a2_seq=None):
-    """Relaxed forward-backward recursion; returns all iterates.
+    """Relaxed forward-backward recursion; returns all ``iters + 1`` iterates.
 
     x_{n+1} = x_n + lam (prox(tau, x_n - tau (grad(x_n) + a1_n)) + a2_n - x_n)
+
+    The loop stops computing at its first repeated state (period 1 or 2)
+    and fills the list with copies of the cycle, which is exact because
+    x_{n+1} is then a function of x_n alone (see above).  ``a1_seq`` or
+    ``a2_seq`` depend on n and turn the stop off.  The list still holds
+    every iterate, and ``fb-reduction`` compares each one with the run.
     """
     x = np.asarray(x0, dtype=float).copy()
     xs = [x]
+    repeats = _Repeats(x) if a1_seq is None and a2_seq is None else None
     for n in range(iters):
         t = grad(x)
         if a1_seq is not None:
@@ -100,6 +150,8 @@ def forward_backward_reference(prox, grad, tau, lam, x0, iters,
             p = p + a2_seq(n)
         x = x + lam * (p - x)
         xs.append(x)
+        if repeats is not None and (period := repeats.period(x)):
+            return _fill(xs, period, iters + 1, np.ndarray.copy)
     return xs
 
 
@@ -108,12 +160,18 @@ def condat_reference(f_prox, h_grad, g_proxes, L_ops, weights, tau, sigma,
     """Primal-dual recursion with a common dual step and no offsets.
 
     The dual prox is the conjugate prox evaluated by the Moreau
-    decomposition.  Returns the full primal and dual iterate lists.
+    decomposition.  Returns the full primal and dual iterate lists,
+    ``iters + 1`` entries each.  The loop stops computing at its first
+    repeated state (x and every v_i; period 1 or 2) and fills the lists
+    with copies of the cycle, which is exact because the next state is a
+    function of the current one alone (see above); ``condat-reduction``
+    still compares every iterate with the run.
     """
     x = np.asarray(x0, dtype=float).copy()
     v = [np.asarray(vi, dtype=float).copy() for vi in v0]
     xs = [x]
     vs = [list(v)]
+    repeats = _Repeats(x, *v)
     for _ in range(iters):
         wsum = np.zeros_like(x)
         for w, L, vi in zip(weights, L_ops, v):
@@ -127,15 +185,27 @@ def condat_reference(f_prox, h_grad, g_proxes, L_ops, weights, tau, sigma,
             v[i] = v[i] + lam * (q - v[i])
         xs.append(x)
         vs.append(list(v))
+        if period := repeats.period(x, *v):
+            return (_fill(xs, period, iters + 1, np.ndarray.copy),
+                    _fill(vs, period, iters + 1, _copy_blocks))
     return xs, vs
 
 
 def chambolle_pock_reference(f_prox, g_prox, L, tau, sigma, x0, v0, iters):
-    """Two-step primal-dual recursion (single block, unit relaxation)."""
+    """Two-step primal-dual recursion (single block, unit relaxation).
+
+    Returns the primal and dual iterate lists, ``iters + 1`` entries
+    each.  The loop stops computing at its first repeated state (x and
+    v; period 1 or 2) and fills the lists with copies of the cycle,
+    which is exact because the next state is a function of the current
+    one alone (see above); ``condat-reduction`` still compares every
+    iterate with the run.
+    """
     x = np.asarray(x0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
     xs = [x]
     vs = [v]
+    repeats = _Repeats(x, v)
     for _ in range(iters):
         p = f_prox(tau, x - tau * L.adjoint_apply(v))
         y = 2.0 * p - x
@@ -145,6 +215,9 @@ def chambolle_pock_reference(f_prox, g_prox, L, tau, sigma, x0, v0, iters):
         v = v + (q - v)
         xs.append(x)
         vs.append(v)
+        if period := repeats.period(x, v):
+            return (_fill(xs, period, iters + 1, np.ndarray.copy),
+                    _fill(vs, period, iters + 1, np.ndarray.copy))
     return xs, vs
 
 

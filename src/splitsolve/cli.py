@@ -160,9 +160,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    outcome = benchmarks.run_suite(args.suite)
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.suite in benchmarks.SUITE_NAMES:  # run_suite refuses other names
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"cannot make the output directory -o {out_dir}: {exc.strerror}",
+                  file=sys.stderr)
+            return 1
+    outcome = benchmarks.run_suite(args.suite)
     for name, report in outcome.reports.items():
         write_run_csv(out_dir / f"{name}.csv", report)
     for check in outcome.checks:

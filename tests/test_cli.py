@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import splitsolve.benchmarks
 import splitsolve.convex
 import splitsolve.operators
 import splitsolve.solver
@@ -631,6 +632,23 @@ class TestBench:
                                 "project-intersection, fb-reduction, condat-reduction\n")
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_output_path_that_is_a_file_refused_before_the_suite_runs(
+            self, tmp_path, capsys, monkeypatch, sub):
+        ran = []
+        monkeypatch.setattr(splitsolve.benchmarks, "run_suite", ran.append)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / sub if sub else taken
+        code = main(["bench", "fb-reduction", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert ran == []
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot make the output directory -o {out}: ")
+        assert captured.err.count("\n") == 1
+        assert taken.read_text() == "kept\n"
 
 
 class TestDiag:

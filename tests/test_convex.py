@@ -384,6 +384,167 @@ class TestReductions:
         assert max_state_deviation(report.states, xs, bad_vs) > 1e-12
 
 
+def plain_forward_backward(prox, grad, tau, lam, x0, iters, a1_seq=None, a2_seq=None):
+    """``forward_backward_reference`` as a plain loop, without its early stop."""
+    x = np.asarray(x0, dtype=float).copy()
+    xs = [x]
+    for n in range(iters):
+        t = grad(x)
+        if a1_seq is not None:
+            t = t + a1_seq(n)
+        p = prox(tau, x - tau * t)
+        if a2_seq is not None:
+            p = p + a2_seq(n)
+        x = x + lam * (p - x)
+        xs.append(x)
+    return xs
+
+
+def plain_condat(f_prox, h_grad, g_proxes, L_ops, weights, tau, sigma, lam, x0, v0, iters):
+    """``condat_reference`` as a plain loop, without its early stop."""
+    x = np.asarray(x0, dtype=float).copy()
+    v = [np.asarray(vi, dtype=float).copy() for vi in v0]
+    xs, vs = [x], [list(v)]
+    for _ in range(iters):
+        wsum = np.zeros_like(x)
+        for w, L, vi in zip(weights, L_ops, v):
+            wsum = wsum + w * L.adjoint_apply(vi)
+        p = f_prox(tau, x - tau * (wsum + h_grad(x)))
+        y = 2.0 * p - x
+        x = x + lam * (p - x)
+        for i, (g_prox, L) in enumerate(zip(g_proxes, L_ops)):
+            u = v[i] + sigma * L.apply(y)
+            q = u - sigma * g_prox(1.0 / sigma, u / sigma)
+            v[i] = v[i] + lam * (q - v[i])
+        xs.append(x)
+        vs.append(list(v))
+    return xs, vs
+
+
+def plain_chambolle_pock(f_prox, g_prox, L, tau, sigma, x0, v0, iters):
+    """``chambolle_pock_reference`` as a plain loop, without its early stop."""
+    x = np.asarray(x0, dtype=float).copy()
+    v = np.asarray(v0, dtype=float).copy()
+    xs, vs = [x], [v]
+    for _ in range(iters):
+        p = f_prox(tau, x - tau * L.adjoint_apply(v))
+        y = 2.0 * p - x
+        x = x + (p - x)
+        u = v + sigma * L.apply(y)
+        q = u - sigma * g_prox(1.0 / sigma, u / sigma)
+        v = v + (q - v)
+        xs.append(x)
+        vs.append(v)
+    return xs, vs
+
+
+def suite_reference(name):
+    """The reference recursion of a reduction suite, its plain loop and
+    its arguments on the suite's problem up to ``iters``, the primal
+    prox first."""
+    if name == "fb":
+        cp, params = fb_problem()
+        return (forward_backward_reference, plain_forward_backward,
+                (cp.f.prox, cp.h.gradient, params["tau"], params["lam"],
+                 np.zeros(10)))
+    if name == "condat":
+        cp, params = condat_problem()
+        cfg = dataclasses.replace(ss.suggest_steps(cp.spec, safety=params["safety"],
+                                                   lam=params["lam"]), balance=None)
+        return (condat_reference, plain_condat,
+                (cp.f.prox, cp.h.gradient, [blk.g.prox for blk in cp.blocks],
+                 [blk.L for blk in cp.blocks], cp.layout.weights, cfg.tau, cfg.sigmas[0],
+                 params["lam"], np.zeros(8), [np.zeros(7), np.zeros(5)]))
+    cp, params = cp_problem()
+    cfg = dataclasses.replace(ss.suggest_steps(cp.spec, safety=params["safety"]), balance=None)
+    blk = cp.blocks[0]
+    return (chambolle_pock_reference, plain_chambolle_pock,
+            (cp.f.prox, blk.g.prox, blk.L, cfg.tau, cfg.sigmas[0],
+             np.zeros(12), np.zeros(11)))
+
+
+def iterate_lists(result):
+    """The iterate lists a reference returns: xs alone, or xs and vs."""
+    return [result] if isinstance(result, list) else list(result)
+
+
+def counting(prox):
+    calls = []
+
+    def counted(tau, w):
+        calls.append(1)
+        return prox(tau, w)
+    return counted, calls
+
+
+class TestReferenceRecursions:
+    @pytest.mark.parametrize("iters", [1, 2, 3, 300, 1000])
+    @pytest.mark.parametrize("name", ["fb", "condat", "cp"])
+    def test_lists_are_the_plain_loops_bit_for_bit(self, name, iters):
+        reference, plain, args = suite_reference(name)
+        got = iterate_lists(reference(*args, iters))
+        want = iterate_lists(plain(*args, iters))
+        assert len(got) == len(want)
+        arrays = []
+        for got_list, want_list in zip(got, want):
+            assert len(got_list) == len(want_list) == iters + 1
+            for g, w in zip(got_list, want_list):
+                if isinstance(w, list):  # the dual blocks of one iterate
+                    assert len(g) == len(w)
+                    for gi, wi in zip(g, w):
+                        assert_same_bits(gi, wi)
+                    arrays.extend(g)
+                else:
+                    assert_same_bits(g, w)
+                    arrays.append(g)
+        entries = [entry for got_list in got for entry in got_list]
+        assert len({id(e) for e in entries}) == len(entries)
+        assert len({id(a) for a in arrays}) == len(arrays)
+
+    @pytest.mark.parametrize("name, most", [("fb", 40), ("condat", 120), ("cp", 120)])
+    def test_stops_computing_at_the_first_repeated_state(self, name, most):
+        reference, _, args = suite_reference(name)
+        prox, calls = counting(args[0])
+        reference(prox, *args[1:], 1000)
+        assert 0 < len(calls) <= most
+
+    @pytest.mark.parametrize("seq", ["a1_seq", "a2_seq"])
+    def test_error_sequences_run_every_iterate(self, seq):
+        _, _, args = suite_reference("fb")
+        prox, calls = counting(args[0])
+        args = (prox,) + args[1:]
+        errors = {seq: lambda n: np.zeros(10)}
+        got = forward_backward_reference(*args, 1000, **errors)
+        assert len(calls) == 1000
+        want = plain_forward_backward(*args, 1000, **errors)
+        for g, w in zip(got, want, strict=True):
+            assert_same_bits(g, w)
+
+    def test_sign_of_a_zero_tells_states_apart(self):
+        # x: -0, 1, +0, 2, 2, ...: the state at 2 differs from the one at 0
+        # only in the sign of its zero, and the iterates after it differ
+        def prox(tau, w):
+            return np.where(np.signbit(w), 1.0, np.where(w == 1.0, 0.0, 2.0))
+
+        counted, calls = counting(prox)
+        xs = forward_backward_reference(counted, np.zeros_like, 0.5, 1.0,
+                                        np.array([-0.0]), 6)
+        want = plain_forward_backward(prox, np.zeros_like, 0.5, 1.0, np.array([-0.0]), 6)
+        assert_same_bits(np.concatenate(xs), [-0.0, 1.0, 0.0, 2.0, 2.0, 2.0, 2.0])
+        assert_same_bits(np.concatenate(xs), np.concatenate(want))
+        assert len(calls) == 4  # the state at 4 repeats the one at 3
+
+    def test_longer_cycle_runs_to_iters(self):
+        # 1 -> 2 -> 3 -> 1: period 3 is not looked for
+        def prox(tau, w):
+            return w % 3.0 + 1.0
+
+        counted, calls = counting(prox)
+        xs = forward_backward_reference(counted, np.zeros_like, 0.5, 1.0, np.ones(1), 30)
+        assert len(calls) == 30
+        assert_same_bits(np.concatenate(xs), np.tile([1.0, 2.0, 3.0], 11)[:31])
+
+
 def deviation_loop(states, xs, vs=None):
     """The iterate-by-iterate form of ``max_state_deviation``, kept as
     its reference on finite input (Python's max drops a NaN)."""
