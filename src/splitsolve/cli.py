@@ -20,7 +20,7 @@ bound that is not finite and positive, and a config or output path
 that cannot be read or written), 2 iteration budget exhausted, a failed bench check, or a
 failed diag certificate or inadmissible steps under diag, 3 divergence.
 Commands read steps, errors, stop rule and seed from the parsed config;
-``SPLITSOLVE_SEED`` (an integer) replaces its seed.
+``SPLITSOLVE_SEED`` (an integer >= 0) replaces its seed.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .convex import check_qualification, solve_convex
 from .diagnostics import certify_operators
 from .operators import CLOSED_FORM_NORM_KINDS
 from .reporting import write_run_csv
+from .spaces import _check_count
 from .solver import (
     StoppingRule,
     geometric_errors,
@@ -54,9 +55,10 @@ def _load(path: str):
     raw = os.environ.get("SPLITSOLVE_SEED")
     if raw is not None:
         try:
-            pc = dataclasses.replace(pc, seed=int(raw))
+            seed = _check_count("SPLITSOLVE_SEED", int(raw), minimum=0)
         except ValueError:
-            raise ConfigError(f"SPLITSOLVE_SEED must be an integer, got {raw!r}") from None
+            raise ConfigError(f"SPLITSOLVE_SEED must be an integer >= 0, got {raw!r}") from None
+        pc = dataclasses.replace(pc, seed=seed)
     return build_problem(pc), pc
 
 

@@ -7,7 +7,7 @@ section, and optional ``[errors]`` and ``[stop]`` sections::
 
     [problem]
     dim_primal = 10
-    seed = 7                 # optional (default 0)
+    seed = 7                 # optional (default 0), an integer >= 0
     z = zeros                # zeros | const <x> | literal <x1> <x2> ...
     f = l1 weight=0.2
     h = sq_l2 weight=1.0 center=(0.5,1.0,...)
@@ -80,7 +80,7 @@ from .operators import (
     identity_op,
     matrix_op,
 )
-from .spaces import SpaceLayout
+from .spaces import SpaceLayout, _check_count, _check_vector
 
 __all__ = [
     "ConfigError",
@@ -115,16 +115,13 @@ class VecSpec:
     values: tuple[float, ...] = ()
 
     def resolve(self, dim: int, name: str = "vector") -> np.ndarray:
-        """The vector of length ``dim``; ``name`` labels a refusal."""
+        """The vector of length ``dim``, a literal as written (the problem
+        refuses another length by ``name``); ``name`` labels a refusal."""
         if self.kind == "zeros":
             return np.zeros(dim)
-        if self.kind == "literal" and len(self.values) != dim:
-            raise ConfigError(
-                f"vector literal has {len(self.values)} entries, expected {dim}")
-        values = np.asarray(self.values, dtype=float)
-        if not np.isfinite(values).all():
-            raise ConfigError(f"{name} must be finite")
-        return np.full(dim, values[0]) if self.kind == "const" else values
+        if self.kind == "const":
+            return _check_vector(name, self.values[0], dim, scalar=True, finite=True)
+        return _check_vector(name, self.values, finite=True)
 
 
 @dataclass(frozen=True)
@@ -208,6 +205,14 @@ def _parse_int(text: str, line: int, key: str) -> int:
         return int(text)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {text!r}", line) from None
+
+
+def _parse_seed(text: str, line: int, key: str) -> int:
+    seed = _parse_int(text, line, key)
+    try:
+        return _check_count(key, seed, minimum=0)
+    except ValueError as exc:
+        raise ConfigError(str(exc), line) from None
 
 
 def _parse_float_list(parts, line: int, key: str) -> tuple[float, ...]:
@@ -384,7 +389,7 @@ class _Section(NamedTuple):
 _SECTIONS = {
     "problem": _Section(ProblemConfig, 1, 1, {
         "dim_primal": ("dim_primal", _parse_int, str),
-        "seed": ("seed", _parse_int, str),
+        "seed": ("seed", _parse_seed, str),
         "z": ("z", _parse_vecspec, _fmt_vecspec),
         "f": ("f", _parse_funcspec, _fmt_funcspec),
         "h": ("h", _parse_funcspec, _fmt_funcspec),
@@ -560,11 +565,7 @@ def _build_smooth(spec: FuncSpec, dim: int, mu: Optional[float]):
         center = d.pop("center", 0.0)
         if d:
             raise ConfigError(f"unexpected parameters {sorted(d)}")
-        center_arr = np.asarray(center, dtype=float)
-        if center_arr.ndim == 1 and center_arr.size != dim:
-            raise ConfigError(
-                f"center has {center_arr.size} entries, expected {dim}")
-        return quadratic_smooth(center_arr, weight=weight, dim=dim, mu=mu)
+        return quadratic_smooth(center, weight=weight, dim=dim, mu=mu)
     raise ConfigError(f"unknown smooth kind {spec.kind!r} (use sq_l2 or zero)")
 
 
@@ -604,11 +605,8 @@ def _build_operator(spec: OpSpec, in_dim: int, out_dim: int) -> LinearOp:
             raise ConfigError(
                 f"grad2d output dimension is {op.out_dim}, block has {out_dim}")
         return op
-    mat = np.asarray(spec.param_dict()["rows"], dtype=float)
-    if mat.shape != (out_dim, in_dim):
-        raise ConfigError(
-            f"matrix shape {mat.shape} disagrees with block ({out_dim}, {in_dim})")
-    return matrix_op(mat)
+    # the problem refuses a matrix of another shape, naming its block
+    return matrix_op(np.asarray(spec.param_dict()["rows"], dtype=float))
 
 
 def build_problem(pc: ProblemConfig) -> ConvexProblem:

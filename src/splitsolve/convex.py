@@ -48,13 +48,12 @@ from .solver import (
     StoppingRule,
     _adjoint_sum,
     _bind,
-    _check_sigma_count,
     _checked_point,
     _checked_steps,
     run,
     suggest_steps,
 )
-from .spaces import SpaceLayout, _check_count, _check_real
+from .spaces import SpaceLayout, _check_blocks, _check_count, _check_real, _check_vector
 
 __all__ = [
     "SmoothTerm",
@@ -104,13 +103,9 @@ def _sq_l2_params(params: dict, dim: int) -> dict:
         raise ValueError(f"{need}: {', '.join(map(repr, missing))} missing")
     try:
         weight = _check_real("weight", params["weight"])
-        center = np.asarray(params["center"], dtype=float)
-    except (TypeError, ValueError) as exc:
+        center = _check_vector("center", params["center"], dim, finite=True)
+    except ValueError as exc:
         raise ValueError(f"{need}: {exc}") from None
-    if center.shape != (dim,):
-        raise ValueError(f"{need}: center has shape {center.shape}")
-    if not np.isfinite(center).all():
-        raise ValueError(f"{need}: center is not finite")
     return {**params, "weight": weight, "center": center}
 
 
@@ -118,19 +113,19 @@ def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
                      mu: Optional[float] = None) -> SmoothTerm:
     """h(x) = (weight/2) ||x - center||^2; gradient is weight-Lipschitz.
 
+    ``center`` is a vector, or a scalar filled to length ``dim``; a
+    ``dim`` that disagrees with a vector center is refused by name.
     ``mu`` overrides the cocoercivity claim (diagnostics use only).  The
     gradient is a buffer form (``operators._MapForm``): called, it
     refuses an ``x`` of the wrong length by name, and
     :func:`splitsolve.solver.run` binds its form into its own buffer.
     """
     c = _check_real("weight", weight)
-    b = np.asarray(center, dtype=float)
-    if b.ndim == 0:
-        if dim is None:
-            raise ValueError("dim is required for a scalar center")
-        b = np.full(dim, float(b))
-    if not np.isfinite(b).all():
-        raise ValueError("center must be finite")
+    b = _check_vector("center", center)
+    if dim is None and b.ndim == 0:
+        raise ValueError("dim is required for a scalar center")
+    dim = len(b) if dim is None else _check_count("dim", dim)
+    b = _check_vector("center", b, dim, scalar=True, finite=True)
 
     scale = _scalar(c)
 
@@ -225,7 +220,7 @@ class ConvexBlock:
     r: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
+        object.__setattr__(self, "r", _check_vector("r", self.r))
 
 
 @dataclass(frozen=True)
@@ -253,12 +248,11 @@ class ConvexProblem:
     spec: ProblemSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         lay = self.layout
         if self.f.dim != lay.dim_primal or self.h.dim != lay.dim_primal:
             raise ValueError("f and h must act on the primal space")
-        lay.check_coupling(self.z, self.blocks)
+        object.__setattr__(self, "z", lay.check_coupling(self.z, self.blocks))
         for i, (blk, d) in enumerate(zip(self.blocks, lay.dual_dims)):
             if blk.g.dim != d or blk.ell.dim != d:
                 raise ValueError(f"block {i}: g/ell dimension mismatch")
@@ -340,7 +334,7 @@ def _at_point(cp: ConvexProblem, x, v, tau, sigmas):
     steps."""
     m = len(cp.blocks)
     tau, sigmas = _checked_steps(tau, (1.0,) * m if sigmas is None else sigmas)
-    _check_sigma_count(sigmas, m)
+    _check_blocks("sigmas", sigmas, m)
     x, v = _checked_point(cp.layout, x, v)
     return x, v, tau, sigmas
 

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spaces import _check_count, _check_real
+from .spaces import ShapeMismatchError, _check_count, _check_real, _check_vector
 
 __all__ = [
     "LinearOp",
@@ -112,10 +112,6 @@ class _Form:
     def __init__(self, in_dim: int, out_dim: Optional[int], name: str):
         self.shape, self.out_dim, self.name = (in_dim,), out_dim, name
 
-    def _refusal(self, x: np.ndarray) -> ValueError:
-        return ValueError(f"{self.name} takes a vector of length {self.shape[0]}, "
-                          f"got shape {x.shape}")
-
 
 class _MapForm(_Form):
     """A map ``x -> y`` given by ``into(x, out)``, which writes y into the
@@ -135,7 +131,7 @@ class _MapForm(_Form):
         # cost 1.7 us, inline 1.1 us
         x = np.asarray(x, dtype=float)
         if x.shape != self.shape:
-            raise self._refusal(x)
+            raise ShapeMismatchError(f"{self.name} input", self.shape, x.shape)
         return self.into(x, None if self.out_dim is None else np.empty(self.out_dim))
 
 
@@ -161,7 +157,7 @@ class _StepForm(_Form):
     def __call__(self, gamma, w):
         w = np.asarray(w, dtype=float)
         if w.shape != self.shape:
-            raise self._refusal(w)
+            raise ShapeMismatchError(f"{self.name} input", self.shape, w.shape)
         last = self.last
         if last is None or last[0] != gamma:
             last = self.last = (gamma, self.at(gamma))
@@ -616,19 +612,6 @@ def resolvent_from_prox(f: ProxFunction) -> ResolventOp:
 # prox catalog
 
 
-def _as_vec(value, dim: int, name: str, finite: bool = True) -> np.ndarray:
-    """``value`` as a length-``dim`` vector; its entries must be finite
-    unless ``finite`` is false."""
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(dim, float(arr))
-    elif arr.shape != (dim,):
-        raise ValueError(f"{name} must be a scalar or a vector of length {dim}")
-    if finite and not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
 def catalog_prox(kind: str, dim: int, **params) -> ProxFunction:
     """Build a catalog function with a closed-form prox.
 
@@ -649,7 +632,7 @@ def catalog_prox(kind: str, dim: int, **params) -> ProxFunction:
 def _build_sq_l2(dim, weight=1.0, center=0.0):
     """(weight/2) ||x - center||^2"""
     c = _check_real("sq_l2 weight", weight)
-    b = _as_vec(center, dim, "center")
+    b = _check_vector("center", center, dim, scalar=True, finite=True)
 
     def prox_at(gamma):
         # (w + gamma c b) / (1 + gamma c), with gamma c b formed once
@@ -732,8 +715,8 @@ def _build_l1(dim, weight=1.0):
 
 def _build_box(dim, lo=0.0, hi=1.0):
     """indicator of the box [lo, hi]"""
-    lo_v = _as_vec(lo, dim, "lo", finite=False)
-    hi_v = _as_vec(hi, dim, "hi", finite=False)
+    lo_v = _check_vector("lo", lo, dim, scalar=True)
+    hi_v = _check_vector("hi", hi, dim, scalar=True)
     if np.any(lo_v > hi_v):
         raise ValueError("box is empty: lo exceeds hi in some coordinate")
     # a side may be open; NaN compares false both ways
@@ -770,7 +753,7 @@ def _build_box(dim, lo=0.0, hi=1.0):
 
 def _build_point(dim, point=0.0):
     """indicator of a single point (default the origin)"""
-    p = _as_vec(point, dim, "point")
+    p = _check_vector("point", point, dim, scalar=True, finite=True)
     scale = 1.0 + float(np.max(np.abs(p)))
 
     def evaluate(x):
@@ -810,7 +793,7 @@ def _build_zero(dim):
 
 def _build_linear(dim, a=0.0):
     """<a, x>, prox shifts by -gamma a"""
-    a_v = _as_vec(a, dim, "a")
+    a_v = _check_vector("a", a, dim, scalar=True, finite=True)
     scale = 1.0 + float(np.max(np.abs(a_v)))
 
     def prox(gamma, w):

@@ -43,7 +43,6 @@ reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 import time
@@ -68,7 +67,7 @@ from .operators import (
     _scalar,
     _Zero,
 )
-from .spaces import SpaceLayout, _check_count, _check_real
+from .spaces import SpaceLayout, _check_blocks, _check_count, _check_real, _check_vector
 
 __all__ = [
     "Block",
@@ -153,7 +152,7 @@ class Block:
     r: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
+        object.__setattr__(self, "r", _check_vector("r", self.r))
 
 
 @dataclass(frozen=True)
@@ -171,14 +170,13 @@ class ProblemSpec:
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         lay = self.layout
         if self.A.dim != lay.dim_primal:
             raise ValueError("A acts on the wrong dimension")
         if self.C.dim != lay.dim_primal:
             raise ValueError("C acts on the wrong dimension")
-        lay.check_coupling(self.z, self.blocks)
+        object.__setattr__(self, "z", lay.check_coupling(self.z, self.blocks))
         for i, (blk, d) in enumerate(zip(self.blocks, lay.dual_dims)):
             if blk.B.dim != d:
                 raise ValueError(f"block {i}: B acts on the wrong dimension")
@@ -272,21 +270,13 @@ def _checked_steps(tau, sigmas) -> tuple[float, tuple[float, ...]]:
         _check_real(f"sigma[{i}]", s) for i, s in enumerate(sigmas))
 
 
-def _check_sigma_count(sigmas, m: int) -> None:
-    """Refuse ``sigmas`` unless it holds one step per each of ``m`` blocks."""
-    if len(sigmas) != m:
-        raise ValueError(
-            f"one sigma per block is required: the steps have {len(sigmas)} "
-            f"and the problem has {m} blocks")
-
-
 @dataclass(frozen=True)
 class IterationErrors:
     """Error terms injected at one iteration; ``None`` means exact.
 
     ``b`` and ``c`` hold one entry per dual block, or none at all for
-    "exact on every block"; :func:`run` refuses any other length, and
-    any term whose shape is not its block's ``(dim,)``.
+    "exact on every block"; :func:`run` refuses another count, and any
+    term that is not a vector of its block's length, by name.
     """
 
     a1: Optional[np.ndarray] = None
@@ -301,10 +291,12 @@ def geometric_errors(layout: SpaceLayout, amplitude: float, decay: float,
     callable ``n -> IterationErrors`` that :func:`run` takes.
 
     Summable by construction for ``decay`` in ]0, 1[; ``amplitude`` lies
-    in [0, inf[, and 0 gives ``None``, the exact iteration.
+    in [0, inf[, and 0 gives ``None``, the exact iteration.  ``seed``
+    is an integer >= 0.
     """
     amplitude = _check_real("amplitude", amplitude, ends="[[")
     decay = _check_real("decay", decay, high=1.0)
+    _check_count("seed", seed, minimum=0)
     if amplitude == 0.0:
         return None
     rng = np.random.default_rng(seed)
@@ -511,17 +503,15 @@ class RunReport:
 
 
 def _checked_point(layout: SpaceLayout, x, v):
-    """``x`` and each ``v_i`` as float arrays (not copied), refused
-    unless ``x`` lies in H and ``v`` holds one point of each G_i; a
+    """``x`` and each ``v_i`` as float arrays (not copied), refused by
+    name unless ``x`` lies in H and ``v`` holds one point of each G_i; a
     ``None`` component is passed on."""
     if x is not None:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (layout.dim_primal,):
-            raise ValueError("x has the wrong shape")
+        x = _check_vector("x", x, layout.dim_primal)
     if v is not None:
-        v = tuple(np.asarray(vi, dtype=float) for vi in v)
-        if [vi.shape for vi in v] != [(d,) for d in layout.dual_dims]:
-            raise ValueError("v has the wrong shapes")
+        _check_blocks("v", v, layout.num_blocks)
+        v = tuple(_check_vector("v", vi, d, index=i)
+                  for i, (vi, d) in enumerate(zip(v, layout.dual_dims)))
     return x, v
 
 
@@ -584,8 +574,8 @@ def _checked_norms(norms, m: Optional[int] = None) -> tuple[float, ...]:
     """``norms`` as floats, each refused unless in ]0, inf[, naming its
     block; given the number of blocks ``m``, refused unless one per block."""
     norms = tuple(_check_real(f"block {i}: norm of L", nm) for i, nm in enumerate(norms))
-    if m is not None and len(norms) != m:
-        raise ValueError("one norm per block is required")
+    if m is not None:
+        _check_blocks("norms", norms, m)
     return norms
 
 
@@ -673,7 +663,7 @@ def step_condition(spec: ProblemSpec, cfg: StepConfig) -> StepCondition:
     ``ValueError``, and its ``norms`` are refused as
     :func:`certified_norms` refuses its own.
     """
-    _check_sigma_count(cfg.sigmas, spec.num_blocks)
+    _check_blocks("sigmas", cfg.sigmas, spec.num_blocks)
     norms = _checked_norms(cfg.norms, spec.num_blocks)
     return StepCondition(_step_margin(spec, cfg.tau, cfg.sigmas, norms),
                          *_step_quantities(spec, cfg.tau, cfg.sigmas, norms))
@@ -1030,16 +1020,17 @@ def _kernel(ws, u, x, v, wsum, err, out):
     unrelaxed displacement, as :func:`_sq_norms` forms them.
 
     The displacement always lands in ``ws.d``; with ``out=None`` the
-    relaxed update is not formed.  ``err=None`` is the exact update, and
-    its error terms are not looked up.  The passes run in this order:
-    the coupling term t and p; dx = p - x and <dx, dx>; y = 2p - x; then
-    per block L_i y, the dual argument, q_i, dv_i = q_i - v_i and
-    <dv_i, dv_i>; last the relaxed update.  Each dot is the finiteness
-    test of its block: a sum of squares is finite only if every entry
-    is, so a finite dot clears p (or q_i) without a pass of its own, and
-    no L_i sees a y formed from a non-finite p.  Only a non-finite dot
-    looks at p or q_i, which raises :class:`_DivergenceError` naming the
-    block, or lets a finite update whose squares overflow go on.
+    relaxed update is not formed.  ``err`` holds the terms that
+    :func:`_checked_errors` returns; ``None``, the exact update, is not
+    looked into.  The passes run in this order: the coupling term t and
+    p; dx = p - x and <dx, dx>; y = 2p - x; then per block L_i y, the
+    dual argument, q_i, dv_i = q_i - v_i and <dv_i, dv_i>; last the
+    relaxed update.  Each dot is the finiteness test of its block: a sum
+    of squares is finite only if every entry is, so a finite dot clears
+    p (or q_i) without a pass of its own, and no L_i sees a y formed
+    from a non-finite p.  Only a non-finite dot looks at p or q_i, which
+    raises :class:`_DivergenceError` naming the block, or lets a finite
+    update whose squares overflow go on.
 
     Every array operation writes into ``ws`` or ``out``, never into
     ``u``, ``wsum`` or an array an operator returned; an operator's
@@ -1056,7 +1047,7 @@ def _kernel(ws, u, x, v, wsum, err, out):
         a1 = a2 = None
         bs = cs = ws.exact
     else:
-        a1, a2, bs, cs = err.a1, err.a2, err.b, err.c
+        a1, a2, bs, cs = err
     t = wsum
     if ws.C is not None:
         # else C x is +0, and t + (+0) = t since t never holds -0
@@ -1116,39 +1107,31 @@ def _state_norm(weights, x, v) -> float:
     return math.sqrt(_weighted_sq(weights, *_sq_norms(x, v)))
 
 
-def _checked_errors(err: IterationErrors, layout: SpaceLayout) -> Optional[IterationErrors]:
-    """``err`` with an empty ``b`` or ``c`` read as exact on each block,
-    ``None`` when no term is given (the exact update).  A ``b`` or ``c``
-    without one entry per block, and a term not of its block's shape
-    (numpy would broadcast a length-1 term), are refused by name."""
-    m, dims, n = layout.num_blocks, layout.dual_dims, layout.dim_primal
-    given = _given_error_term(err.a1, n, "a1") | _given_error_term(err.a2, n, "a2")
-    fields = {}
-    for name in ("b", "c"):
-        terms = getattr(err, name)
-        if not terms:
-            fields[name] = (None,) * m
-        elif len(terms) != m:
-            raise ValueError(
-                f"IterationErrors.{name} has {len(terms)} entries but the "
-                f"problem has {m} blocks (give one per block, or none)")
-        else:
-            for i in range(m):
-                given |= _given_error_term(terms[i], dims[i], name, i)
-    if not given:
-        return None
-    return dataclasses.replace(err, **fields) if fields else err
-
-
-def _given_error_term(term, dim: int, name: str, index: Optional[int] = None) -> bool:
-    """Whether ``term`` is given; one not of shape ``(dim,)`` is refused."""
-    if term is None:
-        return False
-    if (term.shape if type(term) is np.ndarray else np.shape(term)) != (dim,):
-        where = name if index is None else f"{name}[{index}]"
-        raise ValueError(f"IterationErrors.{where} must have shape ({dim},), "
-                         f"got {np.shape(term)}")
-    return True
+def _checked_errors(err: IterationErrors, layout: SpaceLayout):
+    """The terms ``[a1, a2, b, c]`` of ``err``, each ``None`` or checked
+    by :func:`_check_vector` (numpy would broadcast a length-1 term), an
+    empty ``b`` or ``c`` read as exact on each block; ``None`` when no
+    term is given (the exact update)."""
+    # loops by index: a run checks the terms of every row
+    dims, n, m = layout.dual_dims, layout.dim_primal, layout.num_blocks
+    a1, a2 = err.a1, err.a2
+    given = a1 is not None or a2 is not None
+    terms = [a1 if a1 is None else _check_vector("IterationErrors.a1", a1, n),
+             a2 if a2 is None else _check_vector("IterationErrors.a2", a2, n)]
+    for name, seq in (("IterationErrors.b", err.b), ("IterationErrors.c", err.c)):
+        if not seq:
+            terms.append((None,) * m)
+            continue
+        _check_blocks(name, seq, m)
+        checked = []
+        for i in range(m):
+            t = seq[i]
+            if t is not None:
+                given = True
+                t = _check_vector(name, t, dims[i], index=i)
+            checked.append(t)
+        terms.append(checked)
+    return terms if given else None
 
 
 def _weighted_sq(weights, xx, vv):
@@ -1174,11 +1157,8 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     Arguments: ``cfg`` holds the steps and the relaxation ``cfg.lam``;
     ``x0`` and ``v0`` (zero by default) are copied into the initial
     state.  ``errors``, when given, maps the iteration index ``n`` to
-    the :class:`IterationErrors` injected there; ``None`` runs the exact
-    iteration.  An empty ``b`` or ``c`` is exact on every block; any
-    other length than one entry per block, and a term whose shape is not
-    its block's, are refused with a ``ValueError`` naming the field.
-    Before the first iteration the run evaluates :func:`step_condition`
+    the :class:`IterationErrors` injected there, checked as its
+    docstring says; ``None`` runs the exact iteration.  Before the first iteration the run evaluates :func:`step_condition`
     of ``cfg`` on ``spec``: a ``cfg`` whose ``sigmas`` or ``norms`` do
     not fit the blocks is refused with a ``ValueError``, and
     inadmissible steps with :class:`InadmissibleStepsError` unless

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,13 +30,14 @@ __all__ = [
 WEIGHT_SUM_TOL = 1e-12
 
 
-def _check_count(name: str, value, minimum: int = 1) -> None:
-    """Refuse a count or dimension that is a ``bool``, is not an integer
-    (Python or numpy), or is below ``minimum``, naming the argument;
-    :func:`_check_real` is its counterpart for real numbers."""
+def _check_count(name: str, value, minimum: int = 1):
+    """``value``, refused by name if it is a ``bool``, is not an integer
+    (Python or numpy), or is below ``minimum``; :func:`_check_real` is
+    its counterpart for real numbers."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _check_real(name: str, value, low: float = 0.0, high: float = math.inf,
@@ -61,16 +64,55 @@ def _check_real(name: str, value, low: float = 0.0, high: float = math.inf,
 
 
 class ShapeMismatchError(ValueError):
-    """Block shapes disagree.  ``block`` names the offending component."""
+    """The vector ``block`` names has shape ``got``, not ``expected = (dim,)``."""
 
     def __init__(self, block, expected, got):
         self.block = block
         self.expected = tuple(expected)
         self.got = tuple(got)
         super().__init__(
-            f"shape mismatch in block '{block}': expected shape "
-            f"{self.expected}, got {self.got}"
-        )
+            f"{block} must be a vector of length {self.expected[0]}, got shape {self.got}")
+
+
+_FLOAT = np.dtype(float)
+
+
+def _check_vector(name: str, value, dim: Optional[int] = None, scalar: bool = False,
+                  finite: bool = False, index: Optional[int] = None) -> np.ndarray:
+    """``value`` as a float array of shape ``(dim,)`` (not copied if it
+    is one), refused by ``name`` (``name[index]`` given an ``index``):
+    a string or a value numpy cannot read as reals with a ``ValueError``,
+    another shape with :class:`ShapeMismatchError`.  ``dim=None`` takes
+    any shape, ``scalar`` fills a vector with a 0-d value, and
+    ``finite`` refuses a NaN or infinite entry."""
+    # a float vector of the right length is let through first: a run
+    # checks its error terms on every row
+    if (type(value) is np.ndarray and value.dtype is _FLOAT and not finite
+            and (dim is None or value.shape == (dim,))):
+        return value
+    if index is not None:
+        name = f"{name}[{index}]"
+    try:
+        if isinstance(value, (str, bytes)):
+            raise TypeError
+        value = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a vector of real numbers, "
+                         f"got {reprlib.repr(value)}") from None
+    if dim is not None and value.shape != (dim,):
+        if not (scalar and value.ndim == 0):
+            raise ShapeMismatchError(name, (dim,), value.shape)
+        value = np.full(dim, value[()])
+    if finite and not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def _check_blocks(name: str, seq, m: int) -> None:
+    """Refuse ``seq`` by name unless it holds one entry per each of ``m`` blocks."""
+    if len(seq) != m:
+        raise ValueError(f"{name} must hold one entry per dual block: expected {m}, "
+                         f"got {len(seq)}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +134,7 @@ class SpaceLayout:
             for i, w in enumerate(self.weights)))
         if len(self.dual_dims) < 1:
             raise ValueError("at least one dual block is required")
-        if len(self.weights) != len(self.dual_dims):
-            raise ValueError("weights and dual_dims must have equal length")
+        _check_blocks("weights", self.weights, len(self.dual_dims))
         if abs(math.fsum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weights must sum to 1 within {WEIGHT_SUM_TOL:g} "
@@ -110,9 +151,9 @@ class SpaceLayout:
         return self.dim_primal + sum(self.dual_dims)
 
     def split(self, u: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Views ``(x, (v_1, ..., v_m))`` of the blocks of the flat array ``u``."""
-        if np.shape(u) != (self.size,):
-            raise ShapeMismatchError("u", (self.size,), np.shape(u))
+        """Views ``(x, (v_1, ..., v_m))`` of the blocks of the flat array
+        ``u``, as :func:`_check_vector` reads it (a float array is not copied)."""
+        u = _check_vector("u", u, self.size)
         start = self.dim_primal
         duals = []
         for d in self.dual_dims:
@@ -120,19 +161,18 @@ class SpaceLayout:
             start += d
         return u[:self.dim_primal], tuple(duals)
 
-    def check_coupling(self, z: np.ndarray, blocks) -> None:
-        """Raise ``ValueError`` unless ``z`` lies in H and each of the
-        ``num_blocks`` blocks has an ``L`` from H to its G_i and an
-        offset ``r`` in G_i."""
-        if z.shape != (self.dim_primal,):
-            raise ValueError("z has the wrong shape")
-        if len(blocks) != self.num_blocks:
-            raise ValueError("number of blocks disagrees with layout")
+    def check_coupling(self, z, blocks) -> np.ndarray:
+        """``z`` as a float vector of H; ``z``, the count of ``blocks``,
+        each block's ``L`` (from H to its G_i) and its offset ``r`` (in
+        G_i) are refused by name unless they fit the layout."""
+        z = _check_vector("z", z, self.dim_primal)
+        _check_blocks("blocks", blocks, self.num_blocks)
         for i, (blk, d) in enumerate(zip(blocks, self.dual_dims)):
             if blk.L.in_dim != self.dim_primal or blk.L.out_dim != d:
-                raise ValueError(f"block {i}: L has the wrong dimensions")
-            if blk.r.shape != (d,):
-                raise ValueError(f"block {i}: r has the wrong shape")
+                raise ValueError(f"block {i}: L must map length {self.dim_primal} to {d}, "
+                                 f"got {blk.L.in_dim} to {blk.L.out_dim}")
+            _check_vector(f"block {i}: r", blk.r, d)
+        return z
 
 
 def inner_blocks(weights, ax: np.ndarray, av, bx: np.ndarray, bv) -> float:

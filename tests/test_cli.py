@@ -421,6 +421,14 @@ class TestSetupRefusals:
          "no positive step size exists for mu = 1e-320, nu = [inf] and norms (1.0,)"),
         ("ell = dirac", "ell = quadratic nu=1e-320",
          "no positive step size exists for mu = 1.0, nu = [1e-320] and norms (1.0,)"),
+        # a vector of the wrong length, refused by the problem with both shapes
+        ("h = sq_l2 weight=1.0 center=4.0", "h = sq_l2 weight=1.0 center=(4.0,1.0)",
+         "{cfg}:h: center must be a vector of length 1, got shape (2,)"),
+        ("z = zeros", "z = literal 1 2", "{cfg}:z must be a vector of length 1, got shape (2,)"),
+        ("r = zeros", "r = literal 0 0",
+         "{cfg}:block 0: r must be a vector of length 1, got shape (2,)"),
+        # refused at its line whether or not errors are on
+        ("seed = 1", "seed = -1", "{cfg}:line 6: seed must be an integer >= 0, got -1"),
     ]
 
     @pytest.mark.parametrize("command", ["solve", "check", "diag"])
@@ -481,7 +489,30 @@ class TestDeterminism:
         extra = ["-o", str(tmp_path / "r.csv")] if command == "solve" else []
         assert main([command, FUSED, *extra]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"{FUSED}:SPLITSOLVE_SEED must be an integer, got '4.5'\n"
+        assert captured.err == f"{FUSED}:SPLITSOLVE_SEED must be an integer >= 0, got '4.5'\n"
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "check", "diag"])
+    @pytest.mark.parametrize("where", ["config", "env"])
+    def test_negative_seed_refused_by_name(self, tmp_path, capsys, monkeypatch, command, where):
+        # with geometric errors, both used to end in numpy's bare
+        # "expected non-negative integer"
+        noisy = Path(FUSED).read_text() + "\n[errors]\nkind = geometric\namplitude = 0.1\ndecay = 0.9\n"
+        line = noisy.splitlines().index("seed = 7") + 1
+        cfg = tmp_path / "noisy.cfg"
+        if where == "config":
+            monkeypatch.delenv("SPLITSOLVE_SEED", raising=False)
+            cfg.write_text(noisy.replace("seed = 7", "seed = -1"))
+            message = f"line {line}: seed must be an integer >= 0, got -1"
+        else:
+            monkeypatch.setenv("SPLITSOLVE_SEED", "-5")
+            cfg.write_text(noisy)
+            message = "SPLITSOLVE_SEED must be an integer >= 0, got '-5'"
+        extra = ["-o", str(tmp_path / "r.csv")] if command == "solve" else []
+        assert main([command, str(cfg), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{cfg}:{message}\n"
         assert captured.out == ""
         assert not (tmp_path / "r.csv").exists()
 

@@ -319,7 +319,8 @@ class TestBuild:
 
     def test_vector_length_mismatch(self):
         text = BASIC.replace("r = literal 0.1 -0.2", "r = literal 0.1 0.2 0.3")
-        with pytest.raises(ConfigError, match="entries"):
+        with pytest.raises(ConfigError, match=r"^block 0: r must be a vector of length 2, "
+                                              r"got shape \(3,\)$"):
             build_problem(parse_config(text))
 
     def test_stencil_dimension_checks(self):
@@ -335,7 +336,7 @@ class TestBuild:
 
     def test_matrix_shape_mismatch(self):
         text = BASIC.replace("L = diff1d", "L = matrix 1 0 ; 0 1")
-        with pytest.raises(ConfigError, match="matrix shape"):
+        with pytest.raises(ConfigError, match=r"^block 0: L must map length 3 to 2, got 2 to 2$"):
             build_problem(parse_config(text))
 
     def test_grad2d_stencil(self):

@@ -119,6 +119,18 @@ class TestLowering:
         for h in terms:
             assert check_gradient(h) <= 1e-5
 
+    def test_quadratic_smooth_dim_must_fit_a_vector_center(self):
+        # used to build a term of dim 2, the center's length
+        with pytest.raises(ss.ShapeMismatchError,
+                           match=r"^center must be a vector of length 3, got shape \(2,\)$"):
+            ss.quadratic_smooth([1.0, 2.0], dim=3)
+        with pytest.raises(ValueError, match="^dim is required for a scalar center$"):
+            ss.quadratic_smooth(1.0)
+        with pytest.raises(ValueError, match=r"^dim must be an integer >= 1, got 0$"):
+            ss.quadratic_smooth(1.0, dim=0)
+        assert ss.quadratic_smooth([1.0, 2.0], dim=2).dim == 2
+        assert_same_bits(ss.quadratic_smooth(1.5, dim=3).params["center"], np.full(3, 1.5))
+
     @staticmethod
     def wrong_gradient_term():
         return ss.SmoothTerm(
@@ -875,10 +887,11 @@ class TestKktResidual:
         v = (rng.standard_normal(7), rng.standard_normal(5))
         ss.kkt_residual(cp, x, v, sigmas=(1.0, 1.0))
         cases = [
-            (x, v[:1], None, "v has the wrong shapes"),
-            (x, (v[0], v[1][:4]), None, "v has the wrong shapes"),
-            (x[:7], v, None, "x has the wrong shape"),
-            (x, v, (1.0,), "one sigma per block"),
+            (x, v[:1], None, "^v must hold one entry per dual block: expected 2, got 1$"),
+            (x, (v[0], v[1][:4]), None,
+             r"^v\[1\] must be a vector of length 5, got shape \(4,\)$"),
+            (x[:7], v, None, r"^x must be a vector of length 8, got shape \(7,\)$"),
+            (x, v, (1.0,), "^sigmas must hold one entry per dual block: expected 2, got 1$"),
         ]
         for xc, vc, sigmas, message in cases:
             for evaluate in (ss.kkt_residual, ss.evaluate_gap):
@@ -1067,8 +1080,10 @@ class TestKindTagsWithoutParams:
                           params={"weight": weight, "center": np.array([4.0])})
 
     @pytest.mark.parametrize("center, message", [
-        ([math.inf], "center is not finite"), ([4.0, math.nan], "center has shape (2,)"),
-        (4.0, "center has shape ()"), ([math.nan], "center is not finite"),
+        ([math.inf], "center must be finite"),
+        ([4.0, math.nan], "center must be a vector of length 1, got shape (2,)"),
+        (4.0, "center must be a vector of length 1, got shape ()"),
+        ([math.nan], "center must be finite"),
     ])
     def test_sq_l2_center_refused(self, center, message):
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
@@ -1124,12 +1139,13 @@ def test_gap_and_kkt_quiet_at_overflowing_finite_point():
 
 
 @pytest.mark.parametrize("change, message", [
-    (lambda p: {"z": np.zeros(2)}, "z has the wrong shape"),
-    (lambda p: {"blocks": p.blocks * 2}, "number of blocks disagrees with layout"),
+    (lambda p: {"z": np.zeros(2)}, "z must be a vector of length 1, got shape (2,)"),
+    (lambda p: {"blocks": p.blocks * 2},
+     "blocks must hold one entry per dual block: expected 1, got 2"),
     (lambda p: {"blocks": (dataclasses.replace(p.blocks[0], L=ss.diff1d_op(2)),)},
-     "block 0: L has the wrong dimensions"),
+     "block 0: L must map length 1 to 1, got 2 to 1"),
     (lambda p: {"blocks": (dataclasses.replace(p.blocks[0], r=np.zeros(3)),)},
-     "block 0: r has the wrong shape"),
+     "block 0: r must be a vector of length 1, got shape (3,)"),
 ], ids=["z", "count", "L", "r"])
 def test_problem_and_inclusion_share_shape_messages(change, message):
     cp = lasso_1d()

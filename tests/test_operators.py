@@ -203,7 +203,7 @@ class TestInputLength:
         for call, dim, side in ((op.apply, op.in_dim, "apply"),
                                 (op.adjoint_apply, op.out_dim, "adjoint")):
             for bad in (np.ones(dim - 1), np.ones(dim + 1), np.ones((1, dim)), 1.0):
-                with pytest.raises(ValueError, match=f"^{name} {side} takes a vector "
+                with pytest.raises(ValueError, match=f"^{name} {side} input must be a vector "
                                                      f"of length {dim}, got shape"):
                     call(bad)
             assert call(np.ones(dim)).shape == ((op.out_dim if side == "apply"
@@ -211,7 +211,7 @@ class TestInputLength:
 
     def test_diff1d_apply_no_longer_shortens(self):
         # a length-4 input used to give 3 differences of a length-5 operator
-        with pytest.raises(ValueError, match="^diff1d apply takes a vector of length 5"):
+        with pytest.raises(ValueError, match="^diff1d apply input must be a vector of length 5"):
             diff1d_op(5).apply(np.ones(4))
 
     def test_lists_still_accepted(self):
@@ -225,7 +225,7 @@ class TestInputLength:
     ], ids=["l1", "identity"])
     def test_dual_forms_refuse_wrong_length_by_name(self, step, name):
         for bad in (np.ones(3), np.ones(5), np.ones((1, 4)), 1.0):
-            with pytest.raises(ValueError, match=f"^{name} takes a vector of length 4, "
+            with pytest.raises(ValueError, match=f"^{name} input must be a vector of length 4, "
                                                  "got shape"):
                 step(0.5, bad)
         assert step(0.5, np.ones(4)).shape == (4,)
@@ -486,7 +486,7 @@ class TestCatalogForms:
                              ids=["short", "long", "matrix", "scalar"])
     def test_public_call_refuses_a_wrong_shape_by_name(self, bad):
         for name, call in self.forms(4):
-            with pytest.raises(ValueError, match=f"^{name} takes a vector of length 4, "
+            with pytest.raises(ValueError, match=f"^{name} input must be a vector of length 4, "
                                                  f"got shape {re.escape(str(np.shape(bad)))}$"):
                 call(bad)
 

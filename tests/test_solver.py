@@ -172,8 +172,7 @@ class TestHandBuiltSteps:
             asked.append(n)
             return None
         with pytest.raises(ValueError, match=(
-                f"^one sigma per block is required: the steps have {count} "
-                "and the problem has 2 blocks$")):
+                f"^sigmas must hold one entry per dual block: expected 2, got {count}$")):
             ss.run(spec, cfg, errors=errors)
         assert asked == []
 
@@ -232,7 +231,7 @@ class TestStaleSteps:
         assert asked == list(range(report.iterations + 1))
 
     @pytest.mark.parametrize("norms, message", [
-        ((1.0,), "^one norm per block is required$"),
+        ((1.0,), "^norms must hold one entry per dual block: expected 2, got 1$"),
         ((1.0, math.nan), r"^block 1: norm of L must lie in \]0, inf\[, got nan$"),
         ((1.0, 0.0), r"^block 1: norm of L must lie in \]0, inf\[, got 0.0$"),
     ], ids=["count", "nan", "zero"])
@@ -554,7 +553,7 @@ class TestCertifiedNorms:
         assert norm >= 1.0
 
     @pytest.mark.parametrize("norms, message", [
-        ((1.0,), "one norm per block"),
+        ((1.0,), "norms must hold one entry per dual block: expected 2, got 1"),
         ((1.0, math.nan), r"block 1: norm of L must lie in \]0, inf\[, got nan"),
         ((1.0, math.inf), r"block 1: norm of L must lie in \]0, inf\[, got inf"),
         ((1.0, 0.0), r"block 1: norm of L must lie in \]0, inf\[, got 0.0"),
@@ -1135,6 +1134,13 @@ class TestErrorSchedules:
             ss.geometric_errors(layout, 0.1, 1.0)
         with pytest.raises(ValueError):
             ss.geometric_errors(layout, -0.1, 0.5)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_bad_seed_refused_by_name(self, seed):
+        # a negative seed used to reach numpy's "expected non-negative integer"
+        layout = ss.SpaceLayout(2, (2,), (1.0,))
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed!r}$"):
+            ss.geometric_errors(layout, 0.1, 0.5, seed=seed)
 
     @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf, -0.1])
     def test_bad_amplitude_refused_by_name(self, amplitude):
@@ -1822,8 +1828,8 @@ class TestErrorTuples:
         assert spec.num_blocks == 2
         terms = {field: (None,) * length}
         with pytest.raises(ValueError, match=(
-                rf"^IterationErrors\.{field} has {length} entries but the "
-                r"problem has 2 blocks")):
+                rf"^IterationErrors\.{field} must hold one entry per dual block: "
+                rf"expected 2, got {length}$")):
             ss.run(spec, cfg, errors=lambda n: ss.IterationErrors(**terms))
 
     @pytest.mark.parametrize("field, index, size", [
@@ -1840,8 +1846,8 @@ class TestErrorTuples:
         name = field if index is None else rf"{field}\[{index}\]"
         want = 50 if index is None else 49
         with pytest.raises(ValueError, match=(
-                rf"^IterationErrors\.{name} must have shape \({want},\), "
-                rf"got \({size},\)$")):
+                rf"^IterationErrors\.{name} must be a vector of length {want}, "
+                rf"got shape \({size},\)$")):
             ss.run(spec, ss.suggest_steps(spec),
                    errors=lambda n: ss.IterationErrors(**terms))
 

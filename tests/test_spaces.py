@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 import splitsolve as ss
+from splitsolve import benchmarks
 from splitsolve.spaces import (
     ShapeMismatchError,
     SpaceLayout,
@@ -75,7 +78,7 @@ class TestSplit:
     @pytest.mark.parametrize("shape", [(8,), (10,), (3, 3), ()])
     def test_wrong_shape_raises(self, shape):
         lay = SpaceLayout(3, (2, 4), (0.25, 0.75))
-        with pytest.raises(ShapeMismatchError, match=r"expected shape \(9,\)"):
+        with pytest.raises(ShapeMismatchError, match=r"^u must be a vector of length 9, got shape"):
             lay.split(np.zeros(shape))
 
 
@@ -109,9 +112,9 @@ class TestInnerWeighted:
     def test_shape_mismatch_names_block(self):
         lay = SpaceLayout(2, (3,), (1.0,))
         good = np.zeros(lay.size)
-        with pytest.raises(ShapeMismatchError, match="block 'u'"):
+        with pytest.raises(ShapeMismatchError, match="^u must be"):
             inner_weighted(good, np.zeros(4), lay)
-        with pytest.raises(ShapeMismatchError, match=r"expected shape \(5,\), got \(6,\)"):
+        with pytest.raises(ShapeMismatchError, match=r"^u must be a vector of length 5, got shape \(6,\)$"):
             inner_weighted(np.zeros(6), good, lay)
 
 
@@ -175,3 +178,130 @@ class TestMetricProperties:
         for rec, a, b in zip(report.history, report.states, report.states[1:]):
             d = b.u - a.u
             assert rec.step_norm == math.sqrt(inner_weighted(d, d, spec.layout))
+
+
+# ---------------------------------------------------------------------------
+# one refusal for every vector argument and every per-block sequence
+
+
+def _two_block():
+    """The two-block problem (H of length 8, G of lengths 7 and 5), its
+    inclusion and suggested steps."""
+    cp, _ = benchmarks.condat_problem()
+    return cp, cp.spec, ss.suggest_steps(cp.spec)
+
+
+def _one_row(spec, cfg, **errors):
+    return ss.run(spec, cfg, stop=ss.StoppingRule(max_iter=1),
+                  errors=lambda n: ss.IterationErrors(**errors))
+
+
+def _replace_block(problem, i, **change):
+    blocks = list(problem.blocks)
+    blocks[i] = dataclasses.replace(blocks[i], **change)
+    return dataclasses.replace(problem, blocks=tuple(blocks))
+
+
+#: entry point -> (argument name, length, call of a value, whether a 0-d
+#: value is filled to the length rather than refused)
+VECTOR_ENTRIES = {
+    "initial_state x0": ("x", 8, lambda cp, spec, cfg, w: ss.initial_state(spec.layout, x0=w), False),
+    "initial_state v0": ("v[1]", 5, lambda cp, spec, cfg, w: ss.initial_state(
+        spec.layout, v0=(np.zeros(7), w)), False),
+    "run x0": ("x", 8, lambda cp, spec, cfg, w: ss.run(spec, cfg, x0=w), False),
+    "kkt_residual v": ("v[0]", 7, lambda cp, spec, cfg, w: ss.kkt_residual(
+        cp, np.zeros(8), (w, np.zeros(5))), False),
+    "evaluate_gap x": ("x", 8, lambda cp, spec, cfg, w: ss.evaluate_gap(
+        cp, w, (np.zeros(7), np.zeros(5))), False),
+    "run a1": ("IterationErrors.a1", 8, lambda cp, spec, cfg, w: _one_row(spec, cfg, a1=w), False),
+    "run a2": ("IterationErrors.a2", 8, lambda cp, spec, cfg, w: _one_row(spec, cfg, a2=w), False),
+    "run b": ("IterationErrors.b[1]", 5, lambda cp, spec, cfg, w: _one_row(
+        spec, cfg, b=(None, w)), False),
+    "run c": ("IterationErrors.c[0]", 7, lambda cp, spec, cfg, w: _one_row(
+        spec, cfg, c=(w, None)), False),
+    "ProblemSpec z": ("z", 8, lambda cp, spec, cfg, w: dataclasses.replace(spec, z=w), False),
+    "ConvexProblem z": ("z", 8, lambda cp, spec, cfg, w: dataclasses.replace(cp, z=w), False),
+    "Block r": ("r", 5, lambda cp, spec, cfg, w: _replace_block(spec, 1, r=w), False),
+    "ConvexBlock r": ("r", 7, lambda cp, spec, cfg, w: _replace_block(cp, 0, r=w), False),
+    "split u": ("u", 20, lambda cp, spec, cfg, w: spec.layout.split(w), False),
+    "sq_l2 center": ("center", 8, lambda cp, spec, cfg, w: ss.catalog_prox(
+        "sq_l2", 8, center=w), True),
+    "box lo": ("lo", 8, lambda cp, spec, cfg, w: ss.catalog_prox("box", 8, lo=w, hi=2.0), True),
+    "box hi": ("hi", 8, lambda cp, spec, cfg, w: ss.catalog_prox("box", 8, lo=-2.0, hi=w), True),
+    "point point": ("point", 8, lambda cp, spec, cfg, w: ss.catalog_prox("point", 8, point=w), True),
+    "linear a": ("a", 8, lambda cp, spec, cfg, w: ss.catalog_prox("linear", 8, a=w), True),
+    "SmoothTerm center": ("center", 8, lambda cp, spec, cfg, w: ss.SmoothTerm(
+        8, lambda x: 0.0, lambda x: x, 1.0, kind="sq_l2",
+        params={"weight": 1.0, "center": w}), False),
+    "quadratic_smooth center": ("center", 8, lambda cp, spec, cfg, w: ss.quadratic_smooth(
+        w, dim=8), True),
+}
+
+
+def _bad_vectors(dim, scalar_filled):
+    yield "long", np.ones(dim + 1)
+    yield "matrix", np.ones((1, dim))
+    if not scalar_filled:
+        yield "0-d", np.array(1.0)
+
+
+@pytest.mark.parametrize("entry", sorted(VECTOR_ENTRIES))
+def test_vector_argument_refused_by_name(entry):
+    name, dim, call, scalar_filled = VECTOR_ENTRIES[entry]
+    cp, spec, cfg = _two_block()
+    for label, bad in _bad_vectors(dim, scalar_filled):
+        want = (rf"(^|: ){re.escape(name)} must be a vector of length {dim}, "
+                rf"got shape {re.escape(str(bad.shape))}$")
+        with pytest.raises(ValueError, match=want):
+            call(cp, spec, cfg, bad)
+    with pytest.raises(ValueError, match=(
+            rf"(^|: ){re.escape(name)} must be a vector of real numbers, got 'abc'$")):
+        call(cp, spec, cfg, "abc")
+    # the right length passes
+    call(cp, spec, cfg, np.zeros(dim) if name != "hi" else np.full(dim, 2.0))
+
+
+def test_shape_refusal_is_a_shape_mismatch_error():
+    cp, spec, cfg = _two_block()
+    with pytest.raises(ShapeMismatchError) as info:
+        ss.run(spec, cfg, v0=(np.zeros(7), np.zeros((5, 1))))
+    assert (info.value.block, info.value.expected, info.value.got) == ("v[1]", (5,), (5, 1))
+
+
+#: entry point -> (sequence name, call of a sequence of ``k`` valid entries)
+BLOCK_ENTRIES = {
+    "initial_state v0": ("v", lambda cp, spec, cfg, k: ss.initial_state(
+        spec.layout, v0=(np.zeros(7), np.zeros(5), np.zeros(5))[:k])),
+    "kkt_residual v": ("v", lambda cp, spec, cfg, k: ss.kkt_residual(
+        cp, np.zeros(8), (np.zeros(7), np.zeros(5), np.zeros(5))[:k])),
+    "kkt_residual sigmas": ("sigmas", lambda cp, spec, cfg, k: ss.kkt_residual(
+        cp, np.zeros(8), (np.zeros(7), np.zeros(5)), sigmas=(1.0,) * k)),
+    "run sigmas": ("sigmas", lambda cp, spec, cfg, k: ss.run(
+        spec, dataclasses.replace(cfg, sigmas=(0.1,) * k))),
+    "run norms": ("norms", lambda cp, spec, cfg, k: ss.run(
+        spec, dataclasses.replace(cfg, norms=(1.0,) * k))),
+    "validate_steps norms": ("norms", lambda cp, spec, cfg, k: ss.validate_steps(
+        spec, 0.1, (0.1, 0.1), norms=(1.0,) * k)),
+    "run b": ("IterationErrors.b", lambda cp, spec, cfg, k: _one_row(
+        spec, cfg, b=(np.zeros(7), np.zeros(5), np.zeros(5))[:k])),
+    "run c": ("IterationErrors.c", lambda cp, spec, cfg, k: _one_row(
+        spec, cfg, c=(None,) * k)),
+    "SpaceLayout weights": ("weights", lambda cp, spec, cfg, k: SpaceLayout(
+        8, (7, 5), ((1.0,), (0.6, 0.4), (0.2, 0.3, 0.5))[k - 1])),
+    "ProblemSpec blocks": ("blocks", lambda cp, spec, cfg, k: dataclasses.replace(
+        spec, blocks=(spec.blocks * 2)[:k])),
+    "ConvexProblem blocks": ("blocks", lambda cp, spec, cfg, k: dataclasses.replace(
+        cp, blocks=(cp.blocks * 2)[:k])),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BLOCK_ENTRIES))
+def test_block_count_refused_by_name(entry):
+    name, call = BLOCK_ENTRIES[entry]
+    cp, spec, cfg = _two_block()
+    for k in (1, 3):
+        with pytest.raises(ValueError, match=(
+                rf"^{re.escape(name)} must hold one entry per dual block: "
+                rf"expected 2, got {k}$")):
+            call(cp, spec, cfg, k)
+    call(cp, spec, cfg, 2)
