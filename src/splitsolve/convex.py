@@ -30,7 +30,6 @@ from .operators import (
     Domain,
     LinearOp,
     ProxFunction,
-    _bound,
     _MapForm,
     _norm,
     _scalar,
@@ -47,13 +46,13 @@ from .solver import (
     StopReason,
     StoppingRule,
     _adjoint_sum,
-    _bind,
     _checked_point,
     _checked_steps,
+    _Workspace,
     run,
     suggest_steps,
 )
-from .spaces import SpaceLayout, _check_blocks, _check_count, _check_real, _check_vector
+from .spaces import SpaceLayout, _check_blocks, _check_count, _check_dim, _check_real, _check_vector
 
 __all__ = [
     "SmoothTerm",
@@ -250,12 +249,12 @@ class ConvexProblem:
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         lay = self.layout
-        if self.f.dim != lay.dim_primal or self.h.dim != lay.dim_primal:
-            raise ValueError("f and h must act on the primal space")
+        _check_dim("f", self.f.dim, lay.dim_primal)
+        _check_dim("h", self.h.dim, lay.dim_primal)
         object.__setattr__(self, "z", lay.check_coupling(self.z, self.blocks))
         for i, (blk, d) in enumerate(zip(self.blocks, lay.dual_dims)):
-            if blk.g.dim != d or blk.ell.dim != d:
-                raise ValueError(f"block {i}: g/ell dimension mismatch")
+            _check_dim(f"block {i}: g", blk.g.dim, d)
+            _check_dim(f"block {i}: ell", blk.ell.dim, d)
         if self.h.kind == "custom":
             check_gradient(self.h)
         blocks = tuple(
@@ -386,51 +385,47 @@ def _infconv_value(blk: ConvexBlock, w: np.ndarray):
 
 class _GapPlan:
     """The formulas of :func:`evaluate_gap` and :func:`kkt_residual` for
-    one problem and one set of steps, planned once on ``cp.spec``.
+    one problem and one set of steps, evaluated on a
+    :class:`splitsolve.solver._Workspace` ``ws`` of the plan's own,
+    bound once on ``cp.spec``.
 
     The KKT residual is the fixed-point residual of the update that
-    :func:`splitsolve.solver.run` applies, bound by the same
-    :func:`splitsolve.solver._bind`: it skips the passes the run skips
-    (the dead argument of an exact-zero dual step included), writes
-    into the plan's buffers as the run does, and reads L_i x where the
-    update reads L_i y.  The objective values are the plain formulas;
-    only the primal value's L_i x - r_i reads from the binding whether
-    r_i vanishes.  Every skip is an exact IEEE identity, so every value
-    keeps its bits, at the overflowing, infinite and NaN points too.
-    The scratch arrays are the plan's own; the methods return floats
-    and never write into ``x``, ``v`` or ``wsum``.
+    :func:`splitsolve.solver.run` applies, bound as the run binds it:
+    it skips the passes README's "Passes the iteration skips" names,
+    reads L_i x where the update reads L_i y, and writes where the
+    update writes (C x and the primal argument in ``arg``, p in ``p``,
+    each dual argument and q_i in the block's ``dual_arg`` and
+    ``dual_out``).  :meth:`gap` forms each L_i x in the ``cross``
+    buffers, z - wsum in ``y`` and, when no ``wsum`` is handed in, the
+    weighted sum in ``wsum`` and ``tmp``.  The objective values are the
+    plain formulas; only the primal value's L_i x - r_i reads from the
+    binding whether r_i vanishes.  Every skip is an exact IEEE identity,
+    so every value keeps its bits, at the overflowing, infinite and NaN
+    points too.  The methods return floats and never write into ``x``,
+    ``v`` or ``wsum``.
     """
 
     def __init__(self, cp: ConvexProblem, tau: float, sigmas):
-        self.cp, self.tau = cp, _scalar(tau)
-        n = cp.layout.dim_primal
-        dims = cp.layout.dual_dims
-        self.C, self.z, self.A, self.adjoints, self.blocks = _bind(cp.spec, tau, sigmas)
-        self.applies = tuple(_bound(blk.L.apply) for blk in cp.spec.blocks)
-        # arg: C x, then the primal KKT argument; p: its resolvent;
-        # u: z - wsum; wsum/tmp: the weighted sum when it is formed here;
-        # lx: each L_i x; dual_arg: each block's KKT argument; dual_out:
-        # its dual step
-        self.arg, self.p, self.u, self.wsum, self.tmp = (np.empty(n) for _ in range(5))
-        self.lx, self.dual_arg, self.dual_out = (
-            tuple(np.empty(d) for d in dims) for _ in range(3))
+        self.cp = cp
+        self.ws = _Workspace(cp.spec, tau, sigmas)
 
     def kkt(self, x, v, wsum=None, Lx=None) -> float:
         """:func:`kkt_residual` at a checked point, given ``wsum`` =
         sum_i w_i L_i^T v_i (formed here when ``None``) and each
         ``L_i x`` in ``Lx``, where the caller has them."""
+        ws = self.ws
         if wsum is None:
-            wsum = _adjoint_sum(self.adjoints, v, self.wsum, self.tmp)
-        arg = self.arg
+            wsum = _adjoint_sum(ws.adjoints, v, ws.wsum, ws.tmp)
+        arg = ws.arg
         t = wsum
-        if self.C is not None:
-            t = np.add(t, self.C(x, arg), out=arg)
-        if self.z is not None:
-            t = np.subtract(t, self.z, out=arg)
-        p = self.A(np.subtract(x, np.multiply(t, self.tau, out=arg), out=arg), self.p)
+        if ws.C is not None:
+            t = np.add(t, ws.C(x, arg), out=arg)
+        if ws.z is not None:
+            t = np.subtract(t, ws.z, out=arg)
+        p = ws.A(np.subtract(x, np.multiply(t, ws.tau_array, out=arg), out=arg), ws.p)
         res = _norm(np.subtract(x, p, out=arg))
-        for i, ((L, Dinv, r, sigma, dual), w, vi, u, q) in enumerate(zip(
-                self.blocks, self.cp.layout.weights, v, self.dual_arg, self.dual_out)):
+        for i, ((L, Dinv, r, sigma, dual, u, q, _), w, vi) in enumerate(zip(
+                ws.blocks, ws.weights, v)):
             if L is not None:
                 # else the dual step is the exact 0 and its argument is dead
                 a = L(x, u) if Lx is None else Lx[i]
@@ -446,7 +441,7 @@ class _GapPlan:
         """(f* inf-conv h*)(z - wsum) in the closed-form cases; None if
         unknown."""
         cp = self.cp
-        u = np.subtract(cp.z, wsum, out=self.u)
+        u = np.subtract(cp.z, wsum, out=self.ws.y)
         if cp.h.kind == "sq_l2":
             c = cp.h.params["weight"]
             b = cp.h.params["center"]
@@ -462,16 +457,16 @@ class _GapPlan:
     def gap(self, x, v, wsum=None) -> GapReport:
         """:func:`evaluate_gap` at a checked point, given ``wsum`` as in
         :meth:`kkt`."""
-        cp = self.cp
-        weights = cp.layout.weights
-        Lx = [apply(x, out) for apply, out in zip(self.applies, self.lx)]
+        cp, ws = self.cp, self.ws
+        weights = ws.weights
+        Lx = [apply(x, out) for apply, _, out in ws.cross]
         if wsum is None:
-            wsum = _adjoint_sum(self.adjoints, v, self.wsum, self.tmp)
+            wsum = _adjoint_sum(ws.adjoints, v, ws.wsum, ws.tmp)
         notes: list[str] = []
 
         primal: Optional[float] = cp.f.evaluate(x) + cp.h.value(x) - float(x.dot(cp.z))
-        for i, (w, blk, (_, _, r, _, _), lxi) in enumerate(
-                zip(weights, cp.blocks, self.blocks, Lx)):
+        for i, (w, blk, (_, _, r, *_), lxi) in enumerate(
+                zip(weights, cp.blocks, ws.blocks, Lx)):
             val = _infconv_value(blk, lxi if r is None else lxi - r)
             if val is None:
                 notes.append(f"block {i}: no closed form for (g inf-conv ell); "
@@ -525,11 +520,14 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     to every ``OBJECTIVE_STRIDE``-th history row, the rows on which
     :func:`run` calls its metrics hook, and to the last row, which
     describes ``final_state`` and carries the values of the returned
-    :class:`GapReport`; the other rows leave them ``None``.  The gap
-    evaluation is planned once per call: both hooks and the returned :class:`GapReport` come from that one
-    plan, with the bits of :func:`evaluate_gap` and
-    :func:`kkt_residual` at the state, and the hooks take the weighted
-    sum sum_i w_i L_i^T v_i from :func:`run`, which carries it.  The
+    :class:`GapReport`; the other rows leave them ``None``.
+
+    The gap evaluation is planned once per call, on a step plan of its
+    own (README's "Passes the iteration skips"): both hooks and the
+    returned :class:`GapReport` come from that one plan, with the bits
+    of :func:`evaluate_gap` and :func:`kkt_residual` at the state, and
+    the hooks take the weighted sum sum_i w_i L_i^T v_i from
+    :func:`run`, which carries it, never the run's buffers.  The
     plan is formed at the starting steps of ``cfg``: on balanced steps
     the hooks, ``kkt_tol`` and the returned report keep evaluating the
     KKT residual there, one yardstick for every row of the run, while

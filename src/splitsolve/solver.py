@@ -67,7 +67,7 @@ from .operators import (
     _scalar,
     _Zero,
 )
-from .spaces import SpaceLayout, _check_blocks, _check_count, _check_real, _check_vector
+from .spaces import SpaceLayout, _check_blocks, _check_count, _check_dim, _check_real, _check_vector
 
 __all__ = [
     "Block",
@@ -172,16 +172,12 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         lay = self.layout
-        if self.A.dim != lay.dim_primal:
-            raise ValueError("A acts on the wrong dimension")
-        if self.C.dim != lay.dim_primal:
-            raise ValueError("C acts on the wrong dimension")
+        _check_dim("A", self.A.dim, lay.dim_primal)
+        _check_dim("C", self.C.dim, lay.dim_primal)
         object.__setattr__(self, "z", lay.check_coupling(self.z, self.blocks))
         for i, (blk, d) in enumerate(zip(self.blocks, lay.dual_dims)):
-            if blk.B.dim != d:
-                raise ValueError(f"block {i}: B acts on the wrong dimension")
-            if blk.Dinv.dim != d:
-                raise ValueError(f"block {i}: Dinv acts on the wrong dimension")
+            _check_dim(f"block {i}: B", blk.B.dim, d)
+            _check_dim(f"block {i}: Dinv", blk.Dinv.dim, d)
 
     @property
     def num_blocks(self) -> int:
@@ -782,33 +778,117 @@ def _vanishes(a: np.ndarray) -> bool:
     return not np.count_nonzero(a.view(np.uint64))
 
 
-class _Metric:
-    """The renormed metric's quadratic form and the fixed-point residual
-    of :func:`run`, with tau, each ratio w_i / sigma_i and each
-    ``(L_i, w_i, buffer)`` bound once, ``L_i`` in its buffer form
-    writing into the block's own ``buffer``; :meth:`bind` binds tau and
-    the ratios again for new steps.  The metric is positive definite
-    only for admissible steps; with ``admissible`` false the residual
-    falls back to the plain weighted norm (a run under an override)."""
+def _bind_maps(spec: ProblemSpec):
+    """The maps of ``spec`` that no step enters, in their buffer forms
+    (``operators._bound``): ``(C, z, adjoints, maps)``.  ``C`` is
+    ``(x, out) -> C x``, ``None`` for the exact zero (``operators._Zero``,
+    which returns +0); ``z`` is z, ``None`` when :func:`_vanishes` holds;
+    ``adjoints`` are the :func:`_adjoint_terms`; and each of ``maps`` is
+    ``(L_i, D_i^{-1}.apply, r_i, step)``, with ``(y, out) -> L_i y`` and
+    ``step`` the block's ``operators._dual_step``.  D_i^{-1} and r_i are
+    ``None`` when skipped as C and z are, and ``L_i`` when the dual step
+    is the exact zero, which reads no argument, so that
+    v_i + sigma_i (L_i y - ...) need not be formed."""
+    maps = []
+    for blk in spec.blocks:
+        step = _dual_step(blk.B)
+        maps.append((
+            None if isinstance(step, _Zero) else _bound(blk.L.apply),
+            None if isinstance(blk.Dinv.apply, _Zero) else blk.Dinv.apply,
+            None if _vanishes(blk.r) else blk.r, step))
+    return (
+        None if isinstance(spec.C.apply, _Zero) else _bound(spec.C.apply),
+        None if _vanishes(spec.z) else spec.z,
+        _adjoint_terms(spec),
+        tuple(maps),
+    )
 
-    __slots__ = ("tau", "weights", "ratios", "cross", "admissible")
 
-    def __init__(self, spec: ProblemSpec, tau: float, sigmas, admissible: bool = True):
-        self.weights, self.admissible = spec.layout.weights, admissible
+class _Workspace:
+    """The step plan: the update of ``spec`` at the steps in force, the
+    renormed metric V of those steps and the buffers both write into.
+    :func:`run` iterates on one, and the gap plan of
+    :mod:`splitsolve.convex` evaluates the KKT residual on one of its
+    own; README's "Passes the iteration skips" says what the binding
+    skips.
+
+    Buffers, none of which is reallocated by :meth:`bind`: ``wsum`` and
+    ``wsum_next`` hold the weighted sums sum_i w_i L_i^T v_i of the
+    current and the next state (:func:`run` swaps them after each
+    iteration); ``tmp`` one weighted term of such a sum, then the
+    difference of the two; ``arg`` C x, then the coupling term t, then
+    the argument handed to the resolvent of A (and p itself when an
+    ``a2`` error is added); ``p`` where that resolvent forms p; ``y``
+    2p - x; each block's ``dual_arg`` L_i y, then the argument handed to
+    the dual step (and q_i itself when a ``b`` error is added), and its
+    ``dual_out`` where the dual step forms q_i; ``d`` the unrelaxed
+    displacement (p - x, q - v) of the last update and ``s`` the
+    displacement of the step taken, both flat over the product space
+    with per-block views ``dx``/``dv`` and ``sx``/``sv``; and the third
+    entry of each ``cross`` tuple ``(L_i, w_i, buffer)``, where the
+    metric's cross term forms L_i dx.
+
+    The binding: ``C``, ``z``, ``adjoints`` and ``maps`` are those of
+    :func:`_bind_maps`, which no step enters; ``A`` (J_{tau A} in its
+    buffer form, ``operators._at``), ``tau``, ``tau_array`` (tau as a
+    0-d float64 array, ``operators._scalar``), ``ratios`` (each
+    w_i / sigma_i) and ``blocks`` are bound to the steps by
+    :meth:`bind`.  Each block is ``(L_i, D_i^{-1}.apply, r_i, sigma_i,
+    dual, dual_arg, dual_out, dv_i)``: the first three from ``maps``,
+    sigma_i as a 0-d float64 array, ``dual`` the buffer form
+    ``(u, out) -> J_{sigma_i B_i^{-1}}(u)``, whose ``out`` must not be
+    ``u``, and the block's buffers.  ``lam`` is the relaxation and
+    ``lam_array`` lam as a 0-d array; ``weights`` the w_i; ``exact``
+    ``(None,) * m``, the ``b`` and ``c`` of an exact update; and
+    ``admissible`` whether V is positive definite at the steps: without
+    it :meth:`residual` falls back to the plain weighted norm (a run
+    under an override).
+    """
+
+    __slots__ = ("wsum", "wsum_next", "tmp", "arg", "p", "y", "dual_arg", "dual_out",
+                 "d", "dx", "dv", "s", "sx", "sv", "resolvent", "maps",
+                 "C", "z", "A", "lam", "tau", "tau_array", "lam_array", "weights",
+                 "ratios", "cross", "admissible", "adjoints", "exact", "blocks")
+
+    def __init__(self, spec: ProblemSpec, tau: float, sigmas, lam: float = 1.0,
+                 admissible: bool = True):
+        layout = spec.layout
+        n, dims = layout.dim_primal, layout.dual_dims
+        self.wsum, self.wsum_next, self.tmp, self.arg, self.p, self.y = (
+            np.empty(n) for _ in range(6))
+        self.dual_arg = tuple(np.empty(d) for d in dims)
+        self.dual_out = tuple(np.empty(d) for d in dims)
+        self.d = np.empty(layout.size)
+        self.dx, self.dv = layout.split(self.d)
+        self.s = np.empty(layout.size)
+        self.sx, self.sv = layout.split(self.s)
+        self.C, self.z, self.adjoints, self.maps = _bind_maps(spec)
+        self.resolvent = spec.A.resolvent
+        self.lam, self.lam_array = lam, _scalar(lam)
+        self.weights, self.admissible = layout.weights, admissible
         self.cross = tuple(zip((_bound(blk.L.apply) for blk in spec.blocks),
-                               self.weights, (np.empty(d) for d in spec.layout.dual_dims)))
+                               self.weights, (np.empty(d) for d in dims)))
+        self.exact = (None,) * spec.num_blocks
         self.bind(tau, sigmas)
 
     def bind(self, tau: float, sigmas) -> None:
-        """Measure in the metric of the steps ``tau`` and ``sigmas``."""
-        self.tau = tau
+        """Bind the update and the metric to the steps ``tau`` and
+        ``sigmas``: A at tau, ``tau``, ``tau_array``, the ratios, and each
+        block's sigma_i and dual step.  No buffer is allocated, and the
+        maps no step enters stay bound."""
+        self.A = _at(self.resolvent, tau)
+        self.tau, self.tau_array = tau, _scalar(tau)
         # w_i / sigma_i * vv_i reads (w_i / sigma_i) * vv_i, so the ratio
         # formed once has the same bits
         self.ratios = tuple(w / s for w, s in zip(self.weights, sigmas))
+        self.blocks = tuple(
+            (L, Dinv, r, _scalar(sigma), _at(step, sigma), u, q, dvi)
+            for (L, Dinv, r, step), sigma, u, q, dvi in zip(
+                self.maps, sigmas, self.dual_arg, self.dual_out, self.dv))
 
     def quadform(self, dx, dv, xx, vv, dwsum=None):
-        """Quadratic form at displacement (dx, dv), given the squared
-        norms ``xx``, ``vv`` of its blocks.
+        """The quadratic form of V at the displacement (dx, dv), given the
+        squared norms ``xx``, ``vv`` of its blocks.
 
         The cross term sum_i w_i <L_i dx, dv_i> is formed block by block,
         or, when ``dwsum`` = sum_i w_i L_i^T dv_i is given, as
@@ -833,127 +913,16 @@ class _Metric:
         return math.sqrt(max(quad, 0.0)) if math.isfinite(quad) else abs(quad)
 
 
-def _bind(spec: ProblemSpec, tau: float, sigmas):
-    """The update of ``spec`` at the steps ``tau`` and ``sigmas``, bound
-    once for :func:`run` and for the KKT residual of
-    :mod:`splitsolve.convex`: ``(C, z, A, adjoints, blocks)``, each map
-    in its buffer form (``operators._bound``, ``operators._at``).  ``C``
-    is ``(x, out) -> C x``, ``None`` for the exact zero
-    (``operators._Zero``, which returns +0); ``z`` is z, ``None`` when
-    :func:`_vanishes` holds; ``A`` is ``(w, out) -> J_{tau A}(w)``;
-    ``adjoints`` are the :func:`_adjoint_terms`; and each block is
-    ``(L_i, D_i^{-1}.apply, r_i, sigma_i, dual)``, with ``(y, out) ->
-    L_i y``, sigma_i as a 0-d float64 array (``operators._scalar``) and
-    ``(u, out) -> J_{sigma_i B_i^{-1}}(u)``, whose ``out`` must not be
-    ``u``.  D_i^{-1} and r_i are ``None`` when skipped as C and z are,
-    and ``L_i`` when the dual step is the exact zero, which reads no
-    argument, so that v_i + sigma_i (L_i y - ...) need not be formed.
-    The maps that do not depend on the steps come from
-    :func:`_bind_maps`, and the step maps from :func:`_bind_steps`.
-    """
-    C, z, adjoints, maps = _bind_maps(spec)
-    return C, z, _at(spec.A.resolvent, tau), adjoints, _bind_steps(maps, sigmas)
-
-
-def _bind_maps(spec: ProblemSpec):
-    """The part of :func:`_bind` that no step enters: ``(C, z, adjoints,
-    maps)``, each of ``maps`` ``(L_i, D_i^{-1}.apply, r_i, step)`` with
-    ``step`` the block's ``operators._dual_step``."""
-    maps = []
-    for blk in spec.blocks:
-        step = _dual_step(blk.B)
-        maps.append((
-            None if isinstance(step, _Zero) else _bound(blk.L.apply),
-            None if isinstance(blk.Dinv.apply, _Zero) else blk.Dinv.apply,
-            None if _vanishes(blk.r) else blk.r, step))
-    return (
-        None if isinstance(spec.C.apply, _Zero) else _bound(spec.C.apply),
-        None if _vanishes(spec.z) else spec.z,
-        _adjoint_terms(spec),
-        tuple(maps),
-    )
-
-
-def _bind_steps(maps, sigmas) -> tuple:
-    """The blocks of :func:`_bind` from the :func:`_bind_maps` ``maps``
-    at the dual steps ``sigmas``."""
-    return tuple((L, Dinv, r, _scalar(sigma), _at(step, sigma))
-                 for (L, Dinv, r, step), sigma in zip(maps, sigmas))
-
-
-class _Workspace:
-    """The run's step plan: the scratch arrays of the kernel and of the
-    residual arithmetic, and the update of :func:`_bind` at the steps in
-    force.
-
-    ``wsum`` and ``wsum_next`` hold the weighted sums
-    sum_i w_i L_i^T v_i of the current and the next state; :func:`run`
-    swaps them after each iteration.  ``tmp`` holds one weighted term of
-    such a sum and, once the sum is formed, the difference of the two.
-    ``y``, ``arg`` (C x, then the coupling term t, then the argument
-    handed to the resolvent of A, and p itself when an ``a2`` error is
-    added), ``p`` (where the resolvent of A forms p), the per-block
-    ``dual_arg`` (L_i y, then the argument handed to the dual step, then
-    q itself when a ``b`` error is added) and the per-block ``dual_out``
-    (where the dual step forms q) never leave an update.  ``d`` receives
-    the unrelaxed displacement (p - x, q - v) of the last update and
-    ``s`` the displacement of the step taken, both flat over the product
-    space with per-block views ``dx``/``dv`` and ``sx``/``sv``.
-
-    ``C``, ``z`` and ``adjoints`` are those of :func:`_bind_maps`, which
-    no step enters, and ``maps`` its blocks; ``A``, ``tau_array`` (tau
-    as a 0-d float64 array, the multiplier of the buffer t,
-    ``operators._scalar``) and ``blocks``, the :func:`_bind_steps`
-    tuples each followed by the block's ``dual_arg``, ``dual_out`` and
-    ``dv``, are bound to the steps by :meth:`bind`; ``lam`` is the
-    relaxation of ``cfg`` and ``lam_array`` lam as a 0-d array; ``metric``
-    is the run's :class:`_Metric`; and ``exact`` is ``(None,) * m``, the
-    ``b`` and ``c`` of an exact update.
-    """
-
-    __slots__ = ("wsum", "wsum_next", "tmp", "arg", "p", "y", "dual_arg", "dual_out",
-                 "d", "dx", "dv", "s", "sx", "sv", "resolvent", "maps",
-                 "C", "z", "A", "lam", "tau_array", "lam_array",
-                 "adjoints", "metric", "exact", "blocks")
-
-    def __init__(self, spec: ProblemSpec, cfg: StepConfig, admissible: bool):
-        layout = spec.layout
-        n, dims = layout.dim_primal, layout.dual_dims
-        self.wsum, self.wsum_next, self.tmp, self.arg, self.p, self.y = (
-            np.empty(n) for _ in range(6))
-        self.dual_arg = tuple(np.empty(d) for d in dims)
-        self.dual_out = tuple(np.empty(d) for d in dims)
-        self.d = np.empty(layout.size)
-        self.dx, self.dv = layout.split(self.d)
-        self.s = np.empty(layout.size)
-        self.sx, self.sv = layout.split(self.s)
-        self.C, self.z, self.adjoints, self.maps = _bind_maps(spec)
-        self.resolvent = spec.A.resolvent
-        self.lam = cfg.lam
-        self.lam_array = _scalar(cfg.lam)
-        self.metric = _Metric(spec, cfg.tau, cfg.sigmas, admissible)
-        self.exact = (None,) * spec.num_blocks
-        self.bind(cfg.tau, cfg.sigmas)
-
-    def bind(self, tau: float, sigmas) -> None:
-        """Bind the update and the metric to the steps ``tau`` and
-        ``sigmas``: A at tau, ``tau_array``, each block's sigma_i and its
-        dual step, and the metric's tau and ratios.  No buffer is
-        allocated, and the maps no step enters stay bound."""
-        self.A = _at(self.resolvent, tau)
-        self.tau_array = _scalar(tau)
-        self.blocks = tuple(blk + bufs for blk, bufs in zip(
-            _bind_steps(self.maps, sigmas), zip(self.dual_arg, self.dual_out, self.dv)))
-        self.metric.bind(tau, sigmas)
-
-
 class _Balance:
     """The primal-dual ratio r = sigma_i / tau of a balanced run, and the
     rule of README's "Fixed and balanced steps" that changes it.
 
     :meth:`check` forms the primal and dual residuals from a row's
-    relaxation-1 displacement (dx, dv) = (p - x, q - v), in buffers the
-    row no longer needs.  A change binds the plan ``ws`` to the steps
+    relaxation-1 displacement (dx, dv) = (p - x, q - v), in buffers of
+    the plan ``ws`` that the row no longer needs: the primal one in
+    ``y`` (the weighted sum of dv in ``arg`` and ``tmp``, unless it is
+    handed in), each L_i dx in its ``cross`` buffer and each dual one in
+    the block's ``dual_out``.  A change binds the plan to the steps
     :func:`_ratio_steps` derives at the new r.  If those are not positive
     and finite (the boundary overflowed) or :func:`step_condition` finds
     them inadmissible (rounding past the margin), the change is not made
@@ -979,12 +948,11 @@ class _Balance:
             # arg and tmp are free once the updates of the row are formed
             dwsum = _adjoint_sum(ws.adjoints, dv, ws.arg, ws.tmp)
         # P = ||(x - p) / tau - sum_i w_i L_i^T (v_i - q_i)||, in y, which
-        # is free too, as are the metric's L_i dx buffers and each dual_out
+        # is free too, as are the cross term's L_i dx buffers and each dual_out
         prim = np.subtract(np.divide(dx, ws.tau_array, out=ws.y), dwsum, out=ws.y)
         primal = math.sqrt(float(prim.dot(prim)))
         dual_sq = 0.0
-        for (apply, w, buf), (_, _, _, sigma, _, _, out, dvi) in zip(
-                ws.metric.cross, ws.blocks):
+        for (apply, w, buf), (_, _, _, sigma, _, _, out, dvi) in zip(ws.cross, ws.blocks):
             # (v_i - q_i) / sigma_i - L_i (x - p), up to its sign
             gap = np.subtract(np.divide(dvi, sigma, out=out), apply(dx, buf), out=out)
             dual_sq += w * float(gap.dot(gap))
@@ -1158,8 +1126,9 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     ``x0`` and ``v0`` (zero by default) are copied into the initial
     state.  ``errors``, when given, maps the iteration index ``n`` to
     the :class:`IterationErrors` injected there, checked as its
-    docstring says; ``None`` runs the exact iteration.  Before the first iteration the run evaluates :func:`step_condition`
-    of ``cfg`` on ``spec``: a ``cfg`` whose ``sigmas`` or ``norms`` do
+    docstring says; ``None`` runs the exact iteration.  Before the
+    first iteration the run evaluates :func:`step_condition` of
+    ``cfg`` on ``spec``: a ``cfg`` whose ``sigmas`` or ``norms`` do
     not fit the blocks is refused with a ``ValueError``, and
     inadmissible steps with :class:`InadmissibleStepsError` unless
     ``allow_inadmissible`` is set; a run under that override measures
@@ -1230,7 +1199,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     weights = layout.weights
     lam, tol = cfg.lam, stop.tol
 
-    ws = _Workspace(spec, cfg, admissible)
+    ws = _Workspace(spec, cfg.tau, cfg.sigmas, lam, admissible)
     balance = _Balance(spec, cfg, ws) if cfg.balance is not None and admissible else None
     # n of the last update the budget allows: a balance check after it
     # would bind steps that no update takes
@@ -1238,7 +1207,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     wsum, wsum_next = ws.wsum, ws.wsum_next
     adjoints, tmp, d, dx, dv = ws.adjoints, ws.tmp, ws.d, ws.dx, ws.dv
     s, sx, sv = ws.s, ws.sx, ws.sv
-    residual_of = ws.metric.residual
+    residual_of = ws.residual
     clock = time.perf_counter
     # the bound's relative outward rounding (see below), formed once
     grow = 1.0 + NORM_BOUND_SLACK

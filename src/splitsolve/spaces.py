@@ -108,6 +108,13 @@ def _check_vector(name: str, value, dim: Optional[int] = None, scalar: bool = Fa
     return value
 
 
+def _check_dim(name: str, dim: int, expected: int) -> None:
+    """Refuse the operator or term ``name`` by name unless it acts on
+    vectors of length ``expected``, the length of its space."""
+    if dim != expected:
+        raise ValueError(f"{name} must act on length {expected}, got {dim}")
+
+
 def _check_blocks(name: str, seq, m: int) -> None:
     """Refuse ``seq`` by name unless it holds one entry per each of ``m`` blocks."""
     if len(seq) != m:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import splitsolve as ss
-from splitsolve.solver import _Metric, _sq_norms
+from splitsolve.solver import _Workspace, _sq_norms
 
 
 @pytest.fixture
@@ -75,7 +75,7 @@ def v_form(spec, cfg, u):
     """<u, V u> for a flat product-space array ``u``, by the solver's
     quadratic form of the renormed metric V of the steps in ``cfg``."""
     x, v = spec.layout.split(np.asarray(u, dtype=float))
-    return _Metric(spec, cfg.tau, cfg.sigmas).quadform(x, v, *_sq_norms(x, v))
+    return _Workspace(spec, cfg.tau, cfg.sigmas).quadform(x, v, *_sq_norms(x, v))
 
 
 def v_distances(spec, cfg, states):

@@ -85,8 +85,8 @@ class TestLowering:
                                    L=ss.identity_op(3), r=np.zeros(3)),),
         )
         spec = cp.spec
-        C, _, _, _, ((_, Dinv, *_),) = ss.solver._bind(spec, 1.0, (1.0,))
-        assert (C is None, Dinv is None) == skipped
+        ws = ss.solver._Workspace(spec, 1.0, (1.0,))
+        assert (ws.C is None, ws.blocks[0][1] is None) == skipped
         assert (spec.C.constant, spec.blocks[0].Dinv.constant) == (h.lipschitz_inv, ell.nu)
 
     def test_quadratic_ell_lowers_to_scaled_identity(self, rng):

@@ -5,7 +5,7 @@ import pytest
 
 import splitsolve as ss
 from splitsolve.diagnostics import TOL, certify_operators
-from splitsolve.solver import _Metric, _sq_norms
+from splitsolve.solver import _Workspace, _sq_norms
 
 from conftest import shrinkage_spec, single_block_spec, v_distances, v_form
 
@@ -154,9 +154,9 @@ class TestCertifyStrongPositivity:
         cfg = ss.validate_steps(spec, 0.1, (0.1,))
         x, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         sq = _sq_norms(x, [v])
-        metric = _Metric(spec, cfg.tau, cfg.sigmas)
-        through_l = metric.quadform(x, [v], *sq)
-        through_lt = metric.quadform(x, [v], *sq, dwsum=L.adjoint_apply(v))
+        plan = _Workspace(spec, cfg.tau, cfg.sigmas)
+        through_l = plan.quadform(x, [v], *sq)
+        through_lt = plan.quadform(x, [v], *sq, dwsum=L.adjoint_apply(v))
         assert through_l != through_lt
         assert not verdicts(spec)["adjoint(L[0])"]
 

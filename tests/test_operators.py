@@ -28,7 +28,7 @@ from splitsolve.operators import (
 )
 
 from splitsolve.convex import quadratic_smooth
-from splitsolve.solver import POWER_MAX_ITER, POWER_TOL, Block, ProblemSpec, _bind
+from splitsolve.solver import POWER_MAX_ITER, POWER_TOL, Block, ProblemSpec, _Workspace
 from splitsolve.spaces import SpaceLayout
 
 from conftest import assert_same_bits, materialize
@@ -744,15 +744,15 @@ class TestFenchelYoungProperty:
 
 
 class TestExactZeroMap:
-    """The exact zero is declared by its type: what ``_bind`` skips is
+    """The exact zero is declared by its type: what the step plan skips is
     the library's zero map, whatever its constant, and nothing else."""
 
     @staticmethod
     def bound_skips(C, Dinv):
         spec = ProblemSpec(SpaceLayout(3, (3,), (1.0,)), ResolventOp.zero(3), C, np.zeros(3),
                            (Block(ResolventOp.zero(3), Dinv, identity_op(3), np.zeros(3)),))
-        bound_C, _, _, _, ((_, bound_Dinv, *_),) = _bind(spec, 1.0, (1.0,))
-        return bound_C is None, bound_Dinv is None
+        ws = _Workspace(spec, 1.0, (1.0,))
+        return ws.C is None, ws.blocks[0][1] is None
 
     def test_zero_map_is_skipped(self):
         assert isinstance(CocoerciveOp.zero(3).apply, _Zero)

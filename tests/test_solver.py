@@ -1439,7 +1439,7 @@ class TestBitwiseAgainstPlainLoop:
 
 def skip_flags(spec, cfg):
     """The skips the kernel takes on ``spec`` at every iteration."""
-    ws = ss.solver._Workspace(spec, cfg, True)
+    ws = ss.solver._Workspace(spec, cfg.tau, cfg.sigmas, cfg.lam)
     flags = {name for name, bound in (("C", ws.C), ("z", ws.z)) if bound is None}
     # each block binds (L_i.apply, D_i^{-1}.apply, r_i, ...), None where skipped
     flags |= {"Dinv" for blk in ws.blocks if blk[1] is None}
@@ -1608,7 +1608,7 @@ class TestCarriedWeightedSum:
             d = b.u - a.u
             dx, dv = spec.layout.split(d)
             sq = ss.solver._sq_norms(dx, dv)
-            quad = ss.solver._Metric(spec, cfg.tau, cfg.sigmas).quadform(dx, dv, *sq)
+            quad = ss.solver._Workspace(spec, cfg.tau, cfg.sigmas).quadform(dx, dv, *sq)
             assert rec.residual == pytest.approx(math.sqrt(quad), rel=1e-10)
 
     def test_overflowed_cross_term_is_not_a_zero_residual(self):
@@ -1616,9 +1616,9 @@ class TestCarriedWeightedSum:
         cfg = ss.suggest_steps(spec)
         dx, dv = np.array([1.0]), (np.array([1e-3]),)
         sq = ss.solver._sq_norms(dx, dv)
-        metric = ss.solver._Metric(spec, cfg.tau, cfg.sigmas,
-                                   ss.step_condition(spec, cfg).admissible)
-        residual = metric.residual(dx, dv, sq, np.array([math.inf]))
+        ws = ss.solver._Workspace(spec, cfg.tau, cfg.sigmas,
+                                  admissible=ss.step_condition(spec, cfg).admissible)
+        residual = ws.residual(dx, dv, sq, np.array([math.inf]))
         assert residual == math.inf
 
     def test_suite_iteration_counts_kept(self):
@@ -2376,19 +2376,19 @@ class TestBalancedSteps:
             init(ws, *args)
             plans.append((ws, {name: getattr(ws, name) for name in
                                ("wsum", "wsum_next", "tmp", "arg", "p", "y", "d", "s")},
-                          ws.dual_arg, ws.dual_out, ws.metric))
+                          ws.dual_arg, ws.dual_out, ws.cross))
 
         monkeypatch.setattr(ss.solver._Workspace, "__init__", kept)
         spec, cfg = self.tv1d()
         report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=1e-12, max_iter=2000))
         assert report.step_changes >= 2 and len(plans) == 1
-        ws, arrays, dual_arg, dual_out, metric = plans[0]
+        ws, arrays, dual_arg, dual_out, cross = plans[0]
         assert all(getattr(ws, name) is arr for name, arr in arrays.items())
-        assert ws.dual_arg is dual_arg and ws.dual_out is dual_out and ws.metric is metric
+        assert ws.dual_arg is dual_arg and ws.dual_out is dual_out and ws.cross is cross
         assert [blk[5:] for blk in ws.blocks] == [
             (a, o, d) for a, o, d in zip(dual_arg, dual_out, ws.dv)]
-        assert ws.metric.tau == report.steps.tau
-        assert ws.metric.ratios == (1.0 / report.steps.sigmas[0],)
+        assert ws.tau == report.steps.tau
+        assert ws.ratios == (1.0 / report.steps.sigmas[0],)
 
     @pytest.mark.parametrize("how", ["validate_steps", "hand-built", "override"])
     def test_fixed_configs_never_change(self, monkeypatch, how):

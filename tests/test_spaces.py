@@ -235,6 +235,10 @@ VECTOR_ENTRIES = {
         params={"weight": 1.0, "center": w}), False),
     "quadratic_smooth center": ("center", 8, lambda cp, spec, cfg, w: ss.quadratic_smooth(
         w, dim=8), True),
+    "diff1d apply": ("diff1d apply input", 8, lambda cp, spec, cfg, w: ss.diff1d_op(8).apply(
+        w), False),
+    "l1 prox": ("l1 prox input", 8, lambda cp, spec, cfg, w: ss.catalog_prox("l1", 8).prox(
+        0.5, w), False),
 }
 
 
@@ -259,6 +263,40 @@ def test_vector_argument_refused_by_name(entry):
         call(cp, spec, cfg, "abc")
     # the right length passes
     call(cp, spec, cfg, np.zeros(dim) if name != "hi" else np.full(dim, 2.0))
+
+
+#: entry point -> (operator or term name, length of its space, call of one
+#: acting on length ``k``)
+DIMENSION_ENTRIES = {
+    "ProblemSpec A": ("A", 8, lambda cp, spec, k: dataclasses.replace(
+        spec, A=ss.ResolventOp.zero(k))),
+    "ProblemSpec C": ("C", 8, lambda cp, spec, k: dataclasses.replace(
+        spec, C=ss.CocoerciveOp.zero(k))),
+    "ProblemSpec B": ("block 1: B", 5, lambda cp, spec, k: _replace_block(
+        spec, 1, B=ss.ResolventOp.zero(k))),
+    "ProblemSpec Dinv": ("block 1: Dinv", 5, lambda cp, spec, k: _replace_block(
+        spec, 1, Dinv=ss.CocoerciveOp.zero(k))),
+    "ConvexProblem f": ("f", 8, lambda cp, spec, k: dataclasses.replace(
+        cp, f=ss.catalog_prox("l1", k))),
+    "ConvexProblem h": ("h", 8, lambda cp, spec, k: dataclasses.replace(
+        cp, h=ss.zero_smooth(k))),
+    "ConvexProblem g": ("block 0: g", 7, lambda cp, spec, k: _replace_block(
+        cp, 0, g=ss.catalog_prox("l1", k))),
+    "ConvexProblem ell": ("block 0: ell", 7, lambda cp, spec, k: _replace_block(
+        cp, 0, ell=ss.dirac_term(k))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DIMENSION_ENTRIES))
+def test_operator_dimension_refused_by_name(entry):
+    name, dim, call = DIMENSION_ENTRIES[entry]
+    cp, spec, _ = _two_block()
+    for k in (dim - 1, dim + 1):
+        with pytest.raises(ValueError, match=(
+                rf"^{re.escape(name)} must act on length {dim}, got {k}$")):
+            call(cp, spec, k)
+    # the right length passes
+    call(cp, spec, dim)
 
 
 def test_shape_refusal_is_a_shape_mismatch_error():
