@@ -192,7 +192,8 @@ def condat_reference(f_prox, h_grad, g_proxes, L_ops, weights, tau, sigma,
 
 
 def chambolle_pock_reference(f_prox, g_prox, L, tau, sigma, x0, v0, iters):
-    """Two-step primal-dual recursion (single block, unit relaxation).
+    """Two-step primal-dual recursion (single block, unit relaxation),
+    as Chambolle and Pock (JMIV 2011) write it: x = p, v = q.
 
     Returns the primal and dual iterate lists, ``iters + 1`` entries
     each.  The loop stops computing at its first repeated state (x and
@@ -209,10 +210,9 @@ def chambolle_pock_reference(f_prox, g_prox, L, tau, sigma, x0, v0, iters):
     for _ in range(iters):
         p = f_prox(tau, x - tau * L.adjoint_apply(v))
         y = 2.0 * p - x
-        x = x + (p - x)
         u = v + sigma * L.apply(y)
         q = u - sigma * g_prox(1.0 / sigma, u / sigma)
-        v = v + (q - v)
+        x, v = p, q
         xs.append(x)
         vs.append(v)
         if period := repeats.period(x, v):

@@ -393,9 +393,10 @@ class _GapPlan:
     :func:`splitsolve.solver.run` applies, bound as the run binds it:
     it skips the passes README's "Passes the iteration skips" names,
     reads L_i x where the update reads L_i y, and writes where the
-    update writes (C x and the primal argument in ``arg``, p in ``p``,
-    each dual argument and q_i in the block's ``dual_arg`` and
-    ``dual_out``).  :meth:`gap` forms each L_i x in the ``cross``
+    update of a relaxed run writes (C x in ``arg``, the primal argument
+    and p in ``p``, each dual argument and q_i in the block's
+    ``dual_arg`` and ``dual_out``).  The plan holds no array of the
+    product space's length.  :meth:`gap` forms each L_i x in the ``cross``
     buffers, z - wsum in ``y`` and, when no ``wsum`` is handed in, the
     weighted sum in ``wsum`` and ``tmp``.  The objective values are the
     plain formulas; only the primal value's L_i x - r_i reads from the
@@ -422,9 +423,9 @@ class _GapPlan:
             t = np.add(t, ws.C(x, arg), out=arg)
         if ws.z is not None:
             t = np.subtract(t, ws.z, out=arg)
-        p = ws.A(np.subtract(x, np.multiply(t, ws.tau_array, out=arg), out=arg), ws.p)
+        p = ws.A(np.subtract(x, np.multiply(t, ws.tau_array, out=arg), out=ws.p), ws.p)
         res = _norm(np.subtract(x, p, out=arg))
-        for i, ((L, Dinv, r, sigma, dual, u, q, _), w, vi) in enumerate(zip(
+        for i, ((L, Dinv, r, sigma, dual, u, q), w, vi) in enumerate(zip(
                 ws.blocks, ws.weights, v)):
             if L is not None:
                 # else the dual step is the exact 0 and its argument is dead

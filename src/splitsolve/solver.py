@@ -14,7 +14,13 @@ update (one step, relaxation lam, error terms a1/a2/b_i/c_i):
     v_{i,n+1} = v_{i,n} + lam (q_{i,n} - v_{i,n})
 
 The relaxation is one constant lam in ]0, 1], so the paper's positive
-lower bound on lam_n holds with lam itself.  The error terms come
+lower bound on lam_n holds with lam itself.  At lam = 1 without error
+terms the relaxed steps are just
+
+    x_{n+1} = p_n,    v_{i,n+1} = q_{i,n},
+
+as Chambolle and Pock (JMIV 2011) write them, and the next state holds
+p_n and each q_{i,n} themselves.  The error terms come
 from an optional callable ``n -> IterationErrors``; the convergence
 theory needs their norms to be summable.
 
@@ -43,6 +49,7 @@ reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import time
@@ -721,6 +728,8 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99, lam: float = 1.0,
 #: 2.0 as the multiplier of y = 2p - x (see ``operators._scalar``)
 _TWO = _scalar(2.0)
 _TWO.flags.writeable = False
+#: the b and c of an exact update, on any number of blocks
+_EXACT = itertools.repeat(None)
 
 
 def _adjoint_terms(spec: ProblemSpec) -> tuple:
@@ -810,23 +819,21 @@ class _Workspace:
     :func:`run` iterates on one, and the gap plan of
     :mod:`splitsolve.convex` evaluates the KKT residual on one of its
     own; README's "Passes the iteration skips" says what the binding
-    skips.
+    skips.  The plan holds no array of the product space's length: the
+    displacement, the step taken and the next weighted sum belong to
+    :func:`run` alone.
 
-    Buffers, none of which is reallocated by :meth:`bind`: ``wsum`` and
-    ``wsum_next`` hold the weighted sums sum_i w_i L_i^T v_i of the
-    current and the next state (:func:`run` swaps them after each
-    iteration); ``tmp`` one weighted term of such a sum, then the
-    difference of the two; ``arg`` C x, then the coupling term t, then
-    the argument handed to the resolvent of A (and p itself when an
-    ``a2`` error is added); ``p`` where that resolvent forms p; ``y``
-    2p - x; each block's ``dual_arg`` L_i y, then the argument handed to
-    the dual step (and q_i itself when a ``b`` error is added), and its
-    ``dual_out`` where the dual step forms q_i; ``d`` the unrelaxed
-    displacement (p - x, q - v) of the last update and ``s`` the
-    displacement of the step taken, both flat over the product space
-    with per-block views ``dx``/``dv`` and ``sx``/``sv``; and the third
-    entry of each ``cross`` tuple ``(L_i, w_i, buffer)``, where the
-    metric's cross term forms L_i dx.
+    Buffers, none of which is reallocated by :meth:`bind`: ``wsum``
+    holds the weighted sum sum_i w_i L_i^T v_i of the current state;
+    ``tmp`` one weighted term of such a sum, then the difference of two;
+    ``arg`` C x, then the coupling term t; ``p`` the argument handed to
+    the resolvent of A, then p (with an ``a2`` error added, if any),
+    whenever p does not land in the next state; ``y`` 2p - x; each
+    block's ``dual_arg`` L_i y, then the argument handed to the dual
+    step, and its ``dual_out`` where q_i lands (with a ``b`` error
+    added, if any) whenever it does not land in the next state; and the
+    third entry of each ``cross`` tuple ``(L_i, w_i, buffer)``, where
+    the metric's cross term forms L_i dx.
 
     The binding: ``C``, ``z``, ``adjoints`` and ``maps`` are those of
     :func:`_bind_maps`, which no step enters; ``A`` (J_{tau A} in its
@@ -834,41 +841,30 @@ class _Workspace:
     0-d float64 array, ``operators._scalar``), ``ratios`` (each
     w_i / sigma_i) and ``blocks`` are bound to the steps by
     :meth:`bind`.  Each block is ``(L_i, D_i^{-1}.apply, r_i, sigma_i,
-    dual, dual_arg, dual_out, dv_i)``: the first three from ``maps``,
-    sigma_i as a 0-d float64 array, ``dual`` the buffer form
+    dual, dual_arg, dual_out)``: the first three from ``maps``, sigma_i
+    as a 0-d float64 array, ``dual`` the buffer form
     ``(u, out) -> J_{sigma_i B_i^{-1}}(u)``, whose ``out`` must not be
-    ``u``, and the block's buffers.  ``lam`` is the relaxation and
-    ``lam_array`` lam as a 0-d array; ``weights`` the w_i; ``exact``
-    ``(None,) * m``, the ``b`` and ``c`` of an exact update; and
+    ``u``, and the block's buffers.  ``weights`` are the w_i, and
     ``admissible`` whether V is positive definite at the steps: without
     it :meth:`residual` falls back to the plain weighted norm (a run
     under an override).
     """
 
-    __slots__ = ("wsum", "wsum_next", "tmp", "arg", "p", "y", "dual_arg", "dual_out",
-                 "d", "dx", "dv", "s", "sx", "sv", "resolvent", "maps",
-                 "C", "z", "A", "lam", "tau", "tau_array", "lam_array", "weights",
-                 "ratios", "cross", "admissible", "adjoints", "exact", "blocks")
+    __slots__ = ("wsum", "tmp", "arg", "p", "y", "dual_arg", "dual_out", "resolvent",
+                 "maps", "C", "z", "A", "tau", "tau_array", "weights", "ratios", "cross",
+                 "admissible", "adjoints", "blocks")
 
-    def __init__(self, spec: ProblemSpec, tau: float, sigmas, lam: float = 1.0,
-                 admissible: bool = True):
+    def __init__(self, spec: ProblemSpec, tau: float, sigmas, admissible: bool = True):
         layout = spec.layout
         n, dims = layout.dim_primal, layout.dual_dims
-        self.wsum, self.wsum_next, self.tmp, self.arg, self.p, self.y = (
-            np.empty(n) for _ in range(6))
+        self.wsum, self.tmp, self.arg, self.p, self.y = (np.empty(n) for _ in range(5))
         self.dual_arg = tuple(np.empty(d) for d in dims)
         self.dual_out = tuple(np.empty(d) for d in dims)
-        self.d = np.empty(layout.size)
-        self.dx, self.dv = layout.split(self.d)
-        self.s = np.empty(layout.size)
-        self.sx, self.sv = layout.split(self.s)
         self.C, self.z, self.adjoints, self.maps = _bind_maps(spec)
         self.resolvent = spec.A.resolvent
-        self.lam, self.lam_array = lam, _scalar(lam)
         self.weights, self.admissible = layout.weights, admissible
         self.cross = tuple(zip((_bound(blk.L.apply) for blk in spec.blocks),
                                self.weights, (np.empty(d) for d in dims)))
-        self.exact = (None,) * spec.num_blocks
         self.bind(tau, sigmas)
 
     def bind(self, tau: float, sigmas) -> None:
@@ -882,9 +878,9 @@ class _Workspace:
         # formed once has the same bits
         self.ratios = tuple(w / s for w, s in zip(self.weights, sigmas))
         self.blocks = tuple(
-            (L, Dinv, r, _scalar(sigma), _at(step, sigma), u, q, dvi)
-            for (L, Dinv, r, step), sigma, u, q, dvi in zip(
-                self.maps, sigmas, self.dual_arg, self.dual_out, self.dv))
+            (L, Dinv, r, _scalar(sigma), _at(step, sigma), u, q)
+            for (L, Dinv, r, step), sigma, u, q in zip(
+                self.maps, sigmas, self.dual_arg, self.dual_out))
 
     def quadform(self, dx, dv, xx, vv, dwsum=None):
         """The quadratic form of V at the displacement (dx, dv), given the
@@ -952,7 +948,7 @@ class _Balance:
         prim = np.subtract(np.divide(dx, ws.tau_array, out=ws.y), dwsum, out=ws.y)
         primal = math.sqrt(float(prim.dot(prim)))
         dual_sq = 0.0
-        for (apply, w, buf), (_, _, _, sigma, _, _, out, dvi) in zip(ws.cross, ws.blocks):
+        for (apply, w, buf), (_, _, _, sigma, _, _, out), dvi in zip(ws.cross, ws.blocks, dv):
             # (v_i - q_i) / sigma_i - L_i (x - p), up to its sign
             gap = np.subtract(np.divide(dvi, sigma, out=out), apply(dx, buf), out=out)
             dual_sq += w * float(gap.dot(gap))
@@ -980,42 +976,51 @@ class _Balance:
         self.changes += 1
 
 
-def _kernel(ws, u, x, v, wsum, err, out):
-    """One update from the state ``(u, x, v)`` (the flat array and its
-    views) into the flat array ``out`` by the plan ``ws``, given
-    ``wsum`` = :func:`_adjoint_sum` of ``ws.adjoints`` and ``v``;
-    returns the squared norms ``<dx, dx>`` and ``[<dv_i, dv_i>]`` of the
-    unrelaxed displacement, as :func:`_sq_norms` forms them.
+def _kernel(ws, x, v, wsum, err, into, dx, dv):
+    """One update from the state ``(x, v)`` by the plan ``ws``, given
+    ``wsum`` = :func:`_adjoint_sum` of ``ws.adjoints`` and ``v``; writes
+    the unrelaxed displacement (p - x, q - v) into ``dx`` and ``dv`` and
+    returns its squared norms ``<dx, dx>`` and ``[<dv_i, dv_i>]``, as
+    :func:`_sq_norms` forms them.
 
-    The displacement always lands in ``ws.d``; with ``out=None`` the
-    relaxed update is not formed.  ``err`` holds the terms that
-    :func:`_checked_errors` returns; ``None``, the exact update, is not
-    looked into.  The passes run in this order: the coupling term t and
-    p; dx = p - x and <dx, dx>; y = 2p - x; then per block L_i y, the
-    dual argument, q_i, dv_i = q_i - v_i and <dv_i, dv_i>; last the
-    relaxed update.  Each dot is the finiteness test of its block: a sum
-    of squares is finite only if every entry is, so a finite dot clears
-    p (or q_i) without a pass of its own, and no L_i sees a y formed
-    from a non-finite p.  Only a non-finite dot looks at p or q_i, which
-    raises :class:`_DivergenceError` naming the block, or lets a finite
-    update whose squares overflow go on.
+    ``into`` is ``(x', v')``, the views of the next state, or ``None``.
+    Given them (an error-free update at relaxation 1), the argument of
+    J_{tau A} is formed in ``x'`` and handed to it as its ``out`` as
+    well, each dual step is handed ``v'_i`` as its ``out``, and a result
+    that a callable returned elsewhere (a custom map's array, the shared
+    zero of ``operators._Zero``) is copied into place, so the next state
+    holds p and each q_i.  With ``None`` the same passes write into
+    ``ws.p`` and the ``dual_out`` buffers, and p and q_i stay where they
+    were returned unless an error term is added to them.  ``err`` holds
+    the terms that :func:`_checked_errors` returns; ``None``, the exact
+    update, is not looked into.
 
-    Every array operation writes into ``ws`` or ``out``, never into
-    ``u``, ``wsum`` or an array an operator returned; an operator's
-    result is consumed before the buffer it was handed is written again.
-    The operations and their order are those of the plain formulas in
-    the module docstring, less the passes that are exact IEEE identities
-    (each is named where it is skipped) and the dual argument of an
-    exact-zero dual step, which reads none, so results are bitwise those
-    of the formulas; the dual-block reduction runs in ascending block
-    order.
+    The passes run in this order: the coupling term t and p; dx = p - x
+    and <dx, dx>; y = 2p - x; then per block L_i y, the dual argument,
+    q_i, dv_i = q_i - v_i and <dv_i, dv_i>.  Each dot is the finiteness
+    test of its block: a sum of squares is finite only if every entry
+    is, so a finite dot clears p (or q_i) without a pass of its own, and
+    no L_i sees a y formed from a non-finite p.  Only a non-finite dot
+    looks at p or q_i, which raises :class:`_DivergenceError` naming the
+    block, or lets a finite update whose squares overflow go on.
+
+    Every array operation writes into ``ws``, ``into``, ``dx`` or
+    ``dv``, never into ``x``, ``v``, ``wsum`` or an array an operator
+    returned; an operator's result is consumed before the buffer it was
+    handed is written again.  The operations and their order are those
+    of the plain formulas in the module docstring, less the passes that
+    are exact IEEE identities (each is named where it is skipped) and
+    the dual argument of an exact-zero dual step, which reads none, so
+    results are bitwise those of the formulas; the dual-block reduction
+    runs in ascending block order.
     """
     arg = ws.arg
     if err is None:
         a1 = a2 = None
-        bs = cs = ws.exact
+        bs = cs = _EXACT
     else:
         a1, a2, bs, cs = err
+    px, qs = (ws.p, ws.dual_out) if into is None else into
     t = wsum
     if ws.C is not None:
         # else C x is +0, and t + (+0) = t since t never holds -0
@@ -1025,16 +1030,20 @@ def _kernel(ws, u, x, v, wsum, err, out):
     if ws.z is not None:
         # else t - (+0) = t
         t = np.subtract(t, ws.z, out=arg)
-    p = ws.A(np.subtract(x, np.multiply(t, ws.tau_array, out=arg), out=arg), ws.p)
+    p = ws.A(np.subtract(x, np.multiply(t, ws.tau_array, out=arg), out=px), px)
     if a2 is not None:
-        p = np.add(p, a2, out=arg)
-    dx = np.subtract(p, x, out=ws.dx)
+        p = np.add(p, a2, out=px)
+    elif p is not px and into is not None:
+        np.copyto(px, p)
+        p = px
+    np.subtract(p, x, out=dx)
     xx = float(dx.dot(dx))
     if not math.isfinite(xx) and not np.isfinite(p).all():
         raise _DivergenceError("primal update p")
     y = np.subtract(np.multiply(p, _TWO, out=ws.y), x, out=ws.y)
     vv = []
-    for (L, Dinv, r, sigma, dual, u_i, q_i, dvi), vi, b, c in zip(ws.blocks, v, bs, cs):
+    for (L, Dinv, r, sigma, dual, u_i, _), vi, q_i, dvi, b, c in zip(
+            ws.blocks, v, qs, dv, bs, cs):
         if L is not None:
             # L_i y - D_i^{-1} v_i - c_i - r_i, where a vanished term is not
             # subtracted (x - (+0) = x) and the first subtraction left reads
@@ -1050,18 +1059,15 @@ def _kernel(ws, u, x, v, wsum, err, out):
         # else the dual step is the exact 0 and its argument is dead
         q = dual(u_i, q_i)
         if b is not None:
-            q = np.add(q, b, out=u_i)
+            q = np.add(q, b, out=q_i)
+        elif q is not q_i and into is not None:
+            np.copyto(q_i, q)
+            q = q_i
         np.subtract(q, vi, out=dvi)
         qq = float(dvi.dot(dvi))
         vv.append(qq)
         if not math.isfinite(qq) and not np.isfinite(q).all():
             raise _DivergenceError(f"dual update q[{len(vv) - 1}]")
-    if out is not None:
-        if ws.lam == 1.0:
-            # x * 1 = x
-            np.add(u, ws.d, out=out)
-        else:
-            np.add(u, np.multiply(ws.d, ws.lam_array, out=out), out=out)
     return xx, vv
 
 
@@ -1176,8 +1182,10 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     has been formed from it by then, nor into ``wsum``, which is valid
     only during the call and is overwritten two iterations later.
     Operators may return their input array but must not keep it: the
-    solver reuses the arrays it passes them.  The built-in zero maps
-    return one shared read-only array.
+    solver reuses the arrays it passes them, and on an error-free update
+    at relaxation 1 hands the resolvent of A the next state's x as its
+    argument, so a resolvent that returns its input returns the next x
+    itself.  The built-in zero maps return one shared read-only array.
 
     README's "The stop test", "Passes the iteration skips" and "Run
     CSV" say how the update is bound once per run, which array passes
@@ -1197,16 +1205,25 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     layout = spec.layout
     u, x, v = _initial_point(layout, x0, v0)
     weights = layout.weights
-    lam, tol = cfg.lam, stop.tol
+    tol = stop.tol
 
-    ws = _Workspace(spec, cfg.tau, cfg.sigmas, lam, admissible)
+    ws = _Workspace(spec, cfg.tau, cfg.sigmas, admissible)
     balance = _Balance(spec, cfg, ws) if cfg.balance is not None and admissible else None
     # n of the last update the budget allows: a balance check after it
     # would bind steps that no update takes
     last = stop.max_iter - 1
-    wsum, wsum_next = ws.wsum, ws.wsum_next
-    adjoints, tmp, d, dx, dv = ws.adjoints, ws.tmp, ws.d, ws.dx, ws.dv
-    s, sx, sv = ws.s, ws.sx, ws.sv
+    size, dim = layout.size, layout.dim_primal
+    # the relaxation lam as a 0-d array, None at lam = 1 (x * 1 = x)
+    scale = None if cfg.lam == 1.0 else _scalar(cfg.lam)
+    # the run's own buffers: the next weighted sum, the unrelaxed
+    # displacement d and, when an update can be relaxed, the step s taken
+    wsum, wsum_next = ws.wsum, np.empty(dim)
+    d = np.empty(size)
+    dx, dv = layout.split(d)
+    if scale is not None or errors is not None:
+        s = np.empty(size)
+        sx, sv = layout.split(s)
+    adjoints, tmp = ws.adjoints, ws.tmp
     residual_of = ws.residual
     clock = time.perf_counter
     # the bound's relative outward rounding (see below), formed once
@@ -1218,7 +1235,6 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     # run ends.  A state is an IterState only once it is handed out to a
     # hook or read: a recorded one is kept as its arrays until then.
     every = record_states or extra_stop is not None
-    size, dim = layout.size, layout.dim_primal
     cuts = np.cumsum((dim, *layout.dual_dims)).tolist()
     spans = tuple(slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]))
 
@@ -1251,20 +1267,25 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             hook = iter_metrics is not None and (n + 1) % OBJECTIVE_STRIDE == 0
             handed = every or hook
             nu, nx, nv = fresh() if handed else pair[n % 2]
+            # an error-free update at relaxation 1 forms p and each q_i in
+            # the next state; any other takes the relaxed formula u + lam d
+            direct = err_n is None and scale is None
             t0 = clock()
             try:
-                sq = _kernel(ws, u, x, v, wsum, err_n, nu)
+                sq = _kernel(ws, x, v, wsum, err_n, (nx, nv) if direct else None, dx, dv)
             except _DivergenceError as exc:
                 reason = StopReason("diverged")
                 failure = f"non-finite value in {exc.block} at iteration {n}"
                 break
 
-            if err_n is not None:
-                # the residual measures the error-free update from the same state
-                _kernel(ws, u, x, v, wsum, None, None)
+            if not direct:
+                np.add(u, d if scale is None else np.multiply(d, scale, out=nu), out=nu)
+                if err_n is not None:
+                    # the residual measures the error-free update from the same state
+                    _kernel(ws, x, v, wsum, None, None, dx, dv)
             # the next iteration's weighted sum, the same bits as forming it there
             _adjoint_sum(adjoints, nv, wsum_next, tmp)
-            if err_n is None and lam == 1.0:
+            if direct:
                 # the step taken is the relaxation-1 displacement d, and
                 # v_{n+1} - v_n = dv gives sum_i w_i L_i^T dv_i = W_{n+1} - W_n
                 dwsum = np.subtract(wsum_next, wsum, out=tmp) if admissible else None
@@ -1292,10 +1313,11 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             # computed norm lies within gamma_N / 2 + eps ~ (N / 2 + 1) eps of
             # the true one (a sum of N nonnegative terms, then a square
             # root); u_{n+1} - u_n differs from the step whose norm was taken
-            # by one rounding per entry (u_n + d, or the difference itself),
-            # and forming the bound costs three more.  So the relative slack
-            # must exceed (N + 8) eps, which 1e-6 does for N < 9e9.  Squares
-            # that underflow move a computed norm by at most sqrt(N) 2^-537
+            # by one rounding per entry (d's own where u_{n+1} holds p and q,
+            # else u_n + d, or the difference itself), and forming the bound
+            # costs three more.  So the relative slack must exceed
+            # (N + 8) eps, which 1e-6 does for N < 9e9.  Squares that
+            # underflow move a computed norm by at most sqrt(N) 2^-537
             # < 1e-150 absolutely, which the floor covers.
             bound = (state_norm + step_norm) * grow + NORM_BOUND_FLOOR
             wsum, wsum_next = wsum_next, wsum

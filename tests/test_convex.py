@@ -441,10 +441,9 @@ def plain_chambolle_pock(f_prox, g_prox, L, tau, sigma, x0, v0, iters):
     for _ in range(iters):
         p = f_prox(tau, x - tau * L.adjoint_apply(v))
         y = 2.0 * p - x
-        x = x + (p - x)
         u = v + sigma * L.apply(y)
         q = u - sigma * g_prox(1.0 / sigma, u / sigma)
-        v = v + (q - v)
+        x, v = p, q
         xs.append(x)
         vs.append(v)
     return xs, vs

@@ -1160,13 +1160,13 @@ def reference_run(spec, cfg, stop, errors=None, x0=None, v0=None):
     the last iteration from the exact state norm.  The relaxation-1
     update that the residual measures is taken again, error-free, only
     when errors are injected, so the resolvents are called in the same
-    order as by ``run``.  At relaxation 1 without errors the
-    displacement p - x, q - v is both the step and the residual's,
-    whose cross term is
+    order as by ``run``.  At relaxation 1 without errors the next state
+    is (p, q) itself, and the displacement p - x, q - v is both the step
+    and the residual's, whose cross term is
     <p - x, W(v_{n+1}) - W(v_n)> with W(v) = sum_i w_i L_i^T v_i;
-    otherwise the step is x_{n+1} - x_n, the residual's displacement
-    (x + (p - x)) - x and so on, and the cross term is formed block by
-    block."""
+    otherwise the next state is x + lam (p - x) and so on, the step is
+    x_{n+1} - x_n, the residual's displacement (x + (p - x)) - x and so
+    on, and the cross term is formed block by block."""
     weights = spec.layout.weights
     tau, sigmas = cfg.tau, cfg.sigmas
 
@@ -1213,10 +1213,10 @@ def reference_run(spec, cfg, stop, errors=None, x0=None, v0=None):
         lam = cfg.lam
         err = errors(n) if errors is not None else None
         p, q = update(x, v, err)
-        x1, v1 = relax(x, v, p, q, lam)
+        carried = err is None and lam == 1.0
+        x1, v1 = (p, q) if carried else relax(x, v, p, q, lam)
         if err is not None:
             p, q = update(x, v, None)
-        carried = err is None and lam == 1.0
         if carried:
             dx = p - x
             dv = [qi - vi for vi, qi in zip(v, q)]
@@ -1246,7 +1246,7 @@ def reference_run(spec, cfg, stop, errors=None, x0=None, v0=None):
 def recorded(spec):
     """``spec`` with the resolvent of A and each dual resolvent keeping a
     copy of every argument in one log, and the log.  The arguments carry
-    signed zeros that the state loses (v + (q - v) is never -0)."""
+    signed zeros that a relaxed state loses (v + (q - v) is never -0)."""
     log = []
 
     def keep(fn):
@@ -1377,6 +1377,13 @@ def offsets_case(offset=0.0, weights=(1.0,), Dinv=None, C=None, lam=1.0):
     return spec, cfg, None
 
 
+def errors_at_one_case():
+    """The offsets problem at relaxation 1 with geometric errors, so every
+    update takes the relaxed formula x + (p - x)."""
+    spec, cfg, _ = offsets_case()
+    return spec, cfg, ss.geometric_errors(spec.layout, 0.1, 0.9, seed=3)
+
+
 #: (case, id, skipped): ``skipped`` names the kernel passes the case
 #: skips, so each skip is met where it applies and where it must not; the
 #: weighted sum's zero fill is folded into its first add on every case
@@ -1395,6 +1402,7 @@ CASES = [
     (lambda: offsets_case(Dinv=ss.CocoerciveOp(12, lambda v: 0.5 * v, 2.0)),
      "custom-Dinv", "z r omega lambda"),
     (lambda: offsets_case(C=ss.CocoerciveOp.zero(12)), "zero-C", "C z r Dinv omega lambda"),
+    (errors_at_one_case, "errors-lambda-1", "z r Dinv omega lambda"),
 ]
 
 
@@ -1439,7 +1447,7 @@ class TestBitwiseAgainstPlainLoop:
 
 def skip_flags(spec, cfg):
     """The skips the kernel takes on ``spec`` at every iteration."""
-    ws = ss.solver._Workspace(spec, cfg.tau, cfg.sigmas, cfg.lam)
+    ws = ss.solver._Workspace(spec, cfg.tau, cfg.sigmas)
     flags = {name for name, bound in (("C", ws.C), ("z", ws.z)) if bound is None}
     # each block binds (L_i.apply, D_i^{-1}.apply, r_i, ...), None where skipped
     flags |= {"Dinv" for blk in ws.blocks if blk[1] is None}
@@ -1449,6 +1457,107 @@ def skip_flags(spec, cfg):
     if cfg.lam == 1.0:
         flags.add("lambda")
     return flags
+
+
+def landing_spec(n, A=None, B=None):
+    """One identity block on R^n with zero C, z and r, and A and B the
+    zero operator unless given: p = J_{tau A}(x - tau v) and
+    q = J_{sigma B^{-1}}(v + sigma (2p - x))."""
+    return ss.ProblemSpec(
+        layout=ss.SpaceLayout(n, (n,), (1.0,)),
+        A=A or ss.ResolventOp.zero(n),
+        C=ss.CocoerciveOp.zero(n),
+        z=np.zeros(n),
+        blocks=(ss.Block(B=B or ss.ResolventOp.zero(n), Dinv=ss.CocoerciveOp.zero(n),
+                         L=ss.identity_op(n), r=np.zeros(n)),),
+    )
+
+
+def one_update(spec, x0, v0):
+    """The report of one update from ``(x0, v0)`` at tau = sigma = 1/2 and
+    relaxation 1, and the plain loop's next state."""
+    cfg = ss.validate_steps(spec, 0.5, (0.5,))
+    stop = ss.StoppingRule(tol=0.0, max_iter=1)
+    *_, x, v, _ = reference_run(spec, cfg, stop, None, x0, v0)
+    return ss.run(spec, cfg, x0=x0, v0=v0, stop=stop), x, v
+
+
+class TestNextStateHoldsTheUpdate:
+    """At relaxation 1 without errors the next state is (p, q) itself,
+    not x + (p - x): p and each q_i are formed in the next state, or
+    copied there when a callable returns another array."""
+
+    def test_tiny_p_is_kept_where_the_relaxed_sum_loses_it(self):
+        tiny = 2.0 ** -60
+        spec = landing_spec(3, A=ss.ResolventOp(3, lambda gamma, w: np.full(3, tiny)))
+        report, x, _ = one_update(spec, np.ones(3), [np.zeros(3)])
+        assert 1.0 + (tiny - 1.0) == 0.0  # the relaxed formula's x_1
+        assert_same_bits(report.final_state.x, np.full(3, tiny))
+        assert_same_bits(x, np.full(3, tiny))
+
+    def test_negative_zero_p_and_q_are_kept(self):
+        def minus_zero(gamma, w):
+            return np.full(3, -0.0)
+
+        spec = landing_spec(3, A=ss.ResolventOp(3, minus_zero),
+                            B=ss.ResolventOp(3, lambda gamma, w: w, minus_zero))
+        report, x, v = one_update(spec, np.ones(3), [np.ones(3)])
+        assert_same_bits(report.final_state.x, np.full(3, -0.0))
+        assert_same_bits(report.final_state.v[0], np.full(3, -0.0))
+        assert_same_bits(x, report.final_state.x)
+        assert_same_bits(v[0], report.final_state.v[0])
+
+    @pytest.mark.parametrize("how", ["fresh-resolvent", "resolvent-returns-input",
+                                     "fresh-dual-step", "zero-dual-step"])
+    def test_result_lands_in_the_next_state(self, how):
+        # the fresh results are tiny, so that x + (p - x) and v + (q - v)
+        # round them away
+        n = 4
+        seen = []
+
+        def tiny(gamma, w):
+            return w * 2.0 ** -60
+
+        def same(gamma, w):
+            seen.append(w)
+            return w
+
+        A = B = None
+        if how == "fresh-resolvent":
+            A = ss.ResolventOp(n, tiny)
+        elif how == "resolvent-returns-input":
+            A = ss.ResolventOp(n, same)
+        elif how == "fresh-dual-step":
+            B = ss.ResolventOp(n, lambda gamma, w: w, tiny)
+        spec = landing_spec(n, A=A, B=B)
+        report, x, v = one_update(spec, np.linspace(-1.0, 2.0, n),
+                                  [np.linspace(0.5, -1.5, n)])
+        final = report.final_state
+        assert_same_bits(final.x, x)
+        assert_same_bits(final.v[0], v[0])
+        assert np.shares_memory(final.x, final.u) and np.shares_memory(final.v[0], final.u)
+        if how == "resolvent-returns-input":
+            # the argument was formed in the next state and is p itself
+            assert np.shares_memory(seen[-1], final.u)
+        if how == "zero-dual-step":
+            zero = spec.blocks[0].B.inverse_resolvent.zero
+            assert_same_bits(final.v[0], np.zeros(n))
+            assert not zero.flags.writeable and not zero.any()
+            assert not np.shares_memory(final.v[0], zero)
+
+
+def test_gap_plan_holds_no_product_space_array():
+    cp, _ = ss.benchmarks.condat_problem()
+    plan = ss.convex._GapPlan(cp, 0.1, (0.1, 0.1))
+    arrays, todo = [], [getattr(plan.ws, name) for name in type(plan.ws).__slots__]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif isinstance(item, tuple):
+            todo.extend(item)
+    assert len(arrays) > 10
+    assert max(a.size for a in arrays) < cp.layout.size
 
 
 def test_wrapped_library_operator_is_called_every_iteration():
@@ -1653,14 +1762,16 @@ def failing_at(n_fail, fn):
 def spied_state_norms(monkeypatch):
     """Record ``(n, value)`` of every exact state norm ``run`` forms, with
     ``n`` the iteration of the state, counted as the updates ``run`` has
-    taken into a new state before the norm, less one."""
+    formed in a new state before the norm, less one.  For runs at
+    relaxation 1 without errors, whose every update forms p and q in the
+    next state."""
     calls, updates = [], []
     exact, kernel = ss.solver._state_norm, ss.solver._kernel
 
-    def counted(ws, u, x, v, wsum, err, out):
-        if out is not None:
-            updates.append(out)
-        return kernel(ws, u, x, v, wsum, err, out)
+    def counted(ws, x, v, wsum, err, into, dx, dv):
+        if into is not None:
+            updates.append(into)
+        return kernel(ws, x, v, wsum, err, into, dx, dv)
 
     def spy(weights, x, v):
         value = exact(weights, x, v)
@@ -2369,24 +2480,34 @@ class TestBalancedSteps:
         assert bound == [(cfg.tau, cfg.sigmas)]
 
     def test_changes_reallocate_nothing(self, monkeypatch):
-        plans = []
-        init = ss.solver._Workspace.__init__
+        plans, rows = [], []
+        init, kernel = ss.solver._Workspace.__init__, ss.solver._kernel
 
         def kept(ws, *args):
             init(ws, *args)
             plans.append((ws, {name: getattr(ws, name) for name in
-                               ("wsum", "wsum_next", "tmp", "arg", "p", "y", "d", "s")},
+                               ("wsum", "tmp", "arg", "p", "y")},
                           ws.dual_arg, ws.dual_out, ws.cross))
 
+        def counted(ws, x, v, wsum, err, into, dx, dv):
+            # the run's own buffers: its two weighted sums and d
+            rows.append((wsum, dx, dv))
+            return kernel(ws, x, v, wsum, err, into, dx, dv)
+
         monkeypatch.setattr(ss.solver._Workspace, "__init__", kept)
+        monkeypatch.setattr(ss.solver, "_kernel", counted)
         spec, cfg = self.tv1d()
         report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=1e-12, max_iter=2000))
         assert report.step_changes >= 2 and len(plans) == 1
         ws, arrays, dual_arg, dual_out, cross = plans[0]
         assert all(getattr(ws, name) is arr for name, arr in arrays.items())
         assert ws.dual_arg is dual_arg and ws.dual_out is dual_out and ws.cross is cross
-        assert [blk[5:] for blk in ws.blocks] == [
-            (a, o, d) for a, o, d in zip(dual_arg, dual_out, ws.dv)]
+        assert [blk[5:] for blk in ws.blocks] == list(zip(dual_arg, dual_out))
+        assert len(rows) == report.iterations
+        sums = {id(wsum) for wsum, _, _ in rows}
+        assert len(sums) == 2 and id(ws.wsum) in sums
+        _, dx, dv = rows[0]
+        assert all(x is dx and v is dv for _, x, v in rows)
         assert ws.tau == report.steps.tau
         assert ws.ratios == (1.0 / report.steps.sigmas[0],)
 
