@@ -393,12 +393,12 @@ class _GapPlan:
     :func:`splitsolve.solver.run` applies, bound as the run binds it:
     it skips the passes README's "Passes the iteration skips" names,
     reads L_i x where the update reads L_i y, and writes where the
-    update of a relaxed run writes (C x in ``arg``, the primal argument
-    and p in ``p``, each dual argument and q_i in the block's
-    ``dual_arg`` and ``dual_out``).  The plan holds no array of the
-    product space's length.  :meth:`gap` forms each L_i x in the ``cross``
-    buffers, z - wsum in ``y`` and, when no ``wsum`` is handed in, the
-    weighted sum in ``wsum`` and ``tmp``.  The objective values are the
+    update of a relaxed run writes (C x, the primal argument, p and x - p
+    in ``arg``, each dual argument and q_i in the block's ``dual_arg``
+    and ``dual_out``).  The plan holds no array of the product space's
+    length.  :meth:`gap` forms each L_i x in the ``cross`` buffers,
+    z - wsum in ``arg`` and, when no ``wsum`` is handed in, the weighted
+    sum in ``wsum`` and ``tmp``.  The objective values are the
     plain formulas; only the primal value's L_i x - r_i reads from the
     binding whether r_i vanishes.  Every skip is an exact IEEE identity,
     so every value keeps its bits, at the overflowing, infinite and NaN
@@ -423,7 +423,7 @@ class _GapPlan:
             t = np.add(t, ws.C(x, arg), out=arg)
         if ws.z is not None:
             t = np.subtract(t, ws.z, out=arg)
-        p = ws.A(np.subtract(x, np.multiply(t, ws.tau_array, out=arg), out=ws.p), ws.p)
+        p = ws.A(np.subtract(x, np.multiply(t, ws.tau_array, out=arg), out=arg), arg)
         res = _norm(np.subtract(x, p, out=arg))
         for i, ((L, Dinv, r, sigma, dual, u, q), w, vi) in enumerate(zip(
                 ws.blocks, ws.weights, v)):
@@ -442,7 +442,7 @@ class _GapPlan:
         """(f* inf-conv h*)(z - wsum) in the closed-form cases; None if
         unknown."""
         cp = self.cp
-        u = np.subtract(cp.z, wsum, out=self.ws.y)
+        u = np.subtract(cp.z, wsum, out=self.ws.arg)
         if cp.h.kind == "sq_l2":
             c = cp.h.params["weight"]
             b = cp.h.params["center"]

@@ -825,15 +825,16 @@ class _Workspace:
 
     Buffers, none of which is reallocated by :meth:`bind`: ``wsum``
     holds the weighted sum sum_i w_i L_i^T v_i of the current state;
-    ``tmp`` one weighted term of such a sum, then the difference of two;
-    ``arg`` C x, then the coupling term t; ``p`` the argument handed to
-    the resolvent of A, then p (with an ``a2`` error added, if any),
-    whenever p does not land in the next state; ``y`` 2p - x; each
-    block's ``dual_arg`` L_i y, then the argument handed to the dual
-    step, and its ``dual_out`` where q_i lands (with a ``b`` error
-    added, if any) whenever it does not land in the next state; and the
-    third entry of each ``cross`` tuple ``(L_i, w_i, buffer)``, where
-    the metric's cross term forms L_i dx.
+    ``tmp`` one weighted term of such a sum; ``arg`` C x, then the
+    coupling term t, then, whenever p does not land in the next state,
+    the argument handed to the resolvent of A and p (with an ``a2``
+    error added, if any), and last y = 2p - x; each block's ``dual_arg``
+    L_i y, then the argument handed to the dual step, then, on a run
+    whose every update is error-free at relaxation 1, q_i - v_i; its
+    ``dual_out`` where q_i lands (with a ``b`` error added, if any)
+    whenever it does not land in the next state; and the third entry of
+    each ``cross`` tuple ``(L_i, w_i, buffer)``, where the metric's
+    cross term forms L_i dx.
 
     The binding: ``C``, ``z``, ``adjoints`` and ``maps`` are those of
     :func:`_bind_maps`, which no step enters; ``A`` (J_{tau A} in its
@@ -850,14 +851,14 @@ class _Workspace:
     under an override).
     """
 
-    __slots__ = ("wsum", "tmp", "arg", "p", "y", "dual_arg", "dual_out", "resolvent",
+    __slots__ = ("wsum", "tmp", "arg", "dual_arg", "dual_out", "resolvent",
                  "maps", "C", "z", "A", "tau", "tau_array", "weights", "ratios", "cross",
                  "admissible", "adjoints", "blocks")
 
     def __init__(self, spec: ProblemSpec, tau: float, sigmas, admissible: bool = True):
         layout = spec.layout
         n, dims = layout.dim_primal, layout.dual_dims
-        self.wsum, self.tmp, self.arg, self.p, self.y = (np.empty(n) for _ in range(5))
+        self.wsum, self.tmp, self.arg = (np.empty(n) for _ in range(3))
         self.dual_arg = tuple(np.empty(d) for d in dims)
         self.dual_out = tuple(np.empty(d) for d in dims)
         self.C, self.z, self.adjoints, self.maps = _bind_maps(spec)
@@ -916,13 +917,13 @@ class _Balance:
     :meth:`check` forms the primal and dual residuals from a row's
     relaxation-1 displacement (dx, dv) = (p - x, q - v), in buffers of
     the plan ``ws`` that the row no longer needs: the primal one in
-    ``y`` (the weighted sum of dv in ``arg`` and ``tmp``, unless it is
-    handed in), each L_i dx in its ``cross`` buffer and each dual one in
-    the block's ``dual_out``.  A change binds the plan to the steps
-    :func:`_ratio_steps` derives at the new r.  If those are not positive
-    and finite (the boundary overflowed) or :func:`step_condition` finds
-    them inadmissible (rounding past the margin), the change is not made
-    and balancing stops, so a run never ends on a failed change.
+    ``tmp`` (after the weighted sum of dv in ``arg`` and ``tmp``, unless
+    it is handed in), each L_i dx in its ``cross`` buffer and each dual
+    one in the block's ``dual_out``.  A change binds the plan to the
+    steps :func:`_ratio_steps` derives at the new r.  If those are not
+    positive and finite (the boundary overflowed) or :func:`step_condition`
+    finds them inadmissible (rounding past the margin), the change is not
+    made and balancing stops, so a run never ends on a failed change.
     ``cfg`` is the :class:`StepConfig` in force, ``ratio`` r, ``alpha``
     the relative change the next one makes (0 once balancing stopped)
     and ``changes`` the number made.
@@ -943,9 +944,9 @@ class _Balance:
         if dwsum is None:
             # arg and tmp are free once the updates of the row are formed
             dwsum = _adjoint_sum(ws.adjoints, dv, ws.arg, ws.tmp)
-        # P = ||(x - p) / tau - sum_i w_i L_i^T (v_i - q_i)||, in y, which
+        # P = ||(x - p) / tau - sum_i w_i L_i^T (v_i - q_i)||, in tmp, which
         # is free too, as are the cross term's L_i dx buffers and each dual_out
-        prim = np.subtract(np.divide(dx, ws.tau_array, out=ws.y), dwsum, out=ws.y)
+        prim = np.subtract(np.divide(dx, ws.tau_array, out=ws.tmp), dwsum, out=ws.tmp)
         primal = math.sqrt(float(prim.dot(prim)))
         dual_sq = 0.0
         for (apply, w, buf), (_, _, _, sigma, _, _, out), dvi in zip(ws.cross, ws.blocks, dv):
@@ -989,26 +990,28 @@ def _kernel(ws, x, v, wsum, err, into, dx, dv):
     well, each dual step is handed ``v'_i`` as its ``out``, and a result
     that a callable returned elsewhere (a custom map's array, the shared
     zero of ``operators._Zero``) is copied into place, so the next state
-    holds p and each q_i.  With ``None`` the same passes write into
-    ``ws.p`` and the ``dual_out`` buffers, and p and q_i stay where they
-    were returned unless an error term is added to them.  ``err`` holds
-    the terms that :func:`_checked_errors` returns; ``None``, the exact
-    update, is not looked into.
+    holds p and each q_i.  With ``None`` J_{tau A} gets ``ws.arg`` as
+    argument and ``out``, each dual step ``dual_out``, and p and q_i stay
+    where they were returned unless an error term is added to them.
+    ``dv`` may be the ``dual_arg`` buffers only when ``into`` is given.
+    ``err`` holds the terms that :func:`_checked_errors` returns;
+    ``None``, the exact update, is not looked into.
 
     The passes run in this order: the coupling term t and p; dx = p - x
-    and <dx, dx>; y = 2p - x; then per block L_i y, the dual argument,
-    q_i, dv_i = q_i - v_i and <dv_i, dv_i>.  Each dot is the finiteness
-    test of its block: a sum of squares is finite only if every entry
-    is, so a finite dot clears p (or q_i) without a pass of its own, and
-    no L_i sees a y formed from a non-finite p.  Only a non-finite dot
+    and <dx, dx>; y = 2p - x in ``ws.arg``; then per block L_i y, the
+    dual argument, q_i, dv_i = q_i - v_i and <dv_i, dv_i>.  Each dot is
+    the finiteness test of its block: a sum of squares is finite only if
+    every entry is, so a finite dot clears p (or q_i) without a pass of
+    its own, and no L_i sees a y formed from a non-finite p.  Only a non-finite dot
     looks at p or q_i, which raises :class:`_DivergenceError` naming the
     block, or lets a finite update whose squares overflow go on.
 
     Every array operation writes into ``ws``, ``into``, ``dx`` or
     ``dv``, never into ``x``, ``v``, ``wsum`` or an array an operator
     returned; an operator's result is consumed before the buffer it was
-    handed is written again.  The operations and their order are those
-    of the plain formulas in the module docstring, less the passes that
+    handed is written again (p, when it lies in ``ws.arg``, by the pass
+    that forms y there).  The operations and their order are those of
+    the plain formulas in the module docstring, less the passes that
     are exact IEEE identities (each is named where it is skipped) and
     the dual argument of an exact-zero dual step, which reads none, so
     results are bitwise those of the formulas; the dual-block reduction
@@ -1020,7 +1023,7 @@ def _kernel(ws, x, v, wsum, err, into, dx, dv):
         bs = cs = _EXACT
     else:
         a1, a2, bs, cs = err
-    px, qs = (ws.p, ws.dual_out) if into is None else into
+    px, qs = (arg, ws.dual_out) if into is None else into
     t = wsum
     if ws.C is not None:
         # else C x is +0, and t + (+0) = t since t never holds -0
@@ -1040,7 +1043,7 @@ def _kernel(ws, x, v, wsum, err, into, dx, dv):
     xx = float(dx.dot(dx))
     if not math.isfinite(xx) and not np.isfinite(p).all():
         raise _DivergenceError("primal update p")
-    y = np.subtract(np.multiply(p, _TWO, out=ws.y), x, out=ws.y)
+    y = np.subtract(np.multiply(p, _TWO, out=arg), x, out=arg)
     vv = []
     for (L, Dinv, r, sigma, dual, u_i, _), vi, q_i, dvi, b, c in zip(
             ws.blocks, v, qs, dv, bs, cs):
@@ -1180,7 +1183,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     ``report.states`` or as ``final_state``) is never overwritten later.
     A hook must not write into its state, since the next weighted sum
     has been formed from it by then, nor into ``wsum``, which is valid
-    only during the call and is overwritten two iterations later.
+    only during the call and is overwritten during the next iteration.
     Operators may return their input array but must not keep it: the
     solver reuses the arrays it passes them, and on an error-free update
     at relaxation 1 hands the resolvent of A the next state's x as its
@@ -1215,14 +1218,14 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     size, dim = layout.size, layout.dim_primal
     # the relaxation lam as a 0-d array, None at lam = 1 (x * 1 = x)
     scale = None if cfg.lam == 1.0 else _scalar(cfg.lam)
-    # the run's own buffers: the next weighted sum, the unrelaxed
-    # displacement d and, when an update can be relaxed, the step s taken
+    # the run's own buffers: the next weighted sum, dx and, when an update
+    # can be relaxed, the unrelaxed displacement d and the step s taken
     wsum, wsum_next = ws.wsum, np.empty(dim)
-    d = np.empty(size)
-    dx, dv = layout.split(d)
-    if scale is not None or errors is not None:
-        s = np.empty(size)
-        sx, sv = layout.split(s)
+    if scale is None and errors is None:
+        dx, dv = np.empty(dim), ws.dual_arg
+    else:
+        d, s = np.empty(size), np.empty(size)
+        (dx, dv), (sx, sv) = layout.split(d), layout.split(s)
     adjoints, tmp = ws.adjoints, ws.tmp
     residual_of = ws.residual
     clock = time.perf_counter
@@ -1286,9 +1289,9 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             # the next iteration's weighted sum, the same bits as forming it there
             _adjoint_sum(adjoints, nv, wsum_next, tmp)
             if direct:
-                # the step taken is the relaxation-1 displacement d, and
-                # v_{n+1} - v_n = dv gives sum_i w_i L_i^T dv_i = W_{n+1} - W_n
-                dwsum = np.subtract(wsum_next, wsum, out=tmp) if admissible else None
+                # the step taken is the relaxation-1 displacement, and v_{n+1} -
+                # v_n = dv gives sum_i w_i L_i^T dv_i = W_{n+1} - W_n, over dead W_n
+                dwsum = np.subtract(wsum_next, wsum, out=wsum) if admissible else None
                 step_sq = res_sq = sq
             else:
                 np.subtract(nu, u, out=s)
@@ -1313,7 +1316,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             # computed norm lies within gamma_N / 2 + eps ~ (N / 2 + 1) eps of
             # the true one (a sum of N nonnegative terms, then a square
             # root); u_{n+1} - u_n differs from the step whose norm was taken
-            # by one rounding per entry (d's own where u_{n+1} holds p and q,
+            # by one rounding per entry (p - x's own where u_{n+1} holds p and q,
             # else u_n + d, or the difference itself), and forming the bound
             # costs three more.  So the relative slack must exceed
             # (N + 8) eps, which 1e-6 does for N < 9e9.  Squares that
@@ -1351,8 +1354,8 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
                     reason = extra
                     break
             if balance is not None and (n + 1) % BALANCE_STRIDE == 0 and n < last:
-                # d holds the row's relaxation-1 displacement and tmp, when
-                # dwsum is, its weighted adjoint sum; neither hook sees them
+                # (dx, dv) holds the row's relaxation-1 displacement and
+                # dwsum, if any, its weighted adjoint sum; no hook sees them
                 balance.check(dx, dv, dwsum)
 
     if record_states:

@@ -164,6 +164,35 @@ def test_custom_terms_match_reference(f_kind, offsets):
         assert_matches_reference(variant, 1.0, None, pts)
 
 
+def sq_prox_f(cat, returns_input):
+    """The catalog ``sq_l2`` f ``cat`` with a custom prox of the same
+    bits: one that writes over its argument and returns it, or one that
+    returns a fresh array."""
+    c, b = cat.params["weight"], cat.params["center"]
+
+    def prox(gamma, w):
+        if not returns_input:
+            return (w + gamma * c * b) / (1.0 + gamma * c)
+        np.add(w, gamma * c * b, out=w)
+        return np.divide(w, 1.0 + gamma * c, out=w)
+
+    return ss.ProxFunction(cat.dim, cat.evaluate, prox, conjugate_value=cat.conjugate_value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("returns_input", [True, False], ids=["returns input", "fresh"])
+@pytest.mark.parametrize("h_case", ["sq_l2 weight 2.5", "zero"])
+def test_custom_primal_resolvent_matches_reference(returns_input, h_case):
+    # the plan forms p in its primal argument buffer: a prox that returns
+    # its input leaves p there, and x - p is formed over it
+    cp = problem("sq_l2", h_case, "dirac", "nonzero", WEIGHTS[1])
+    f = sq_prox_f(cp.f, returns_input)
+    x = np.random.default_rng(3).standard_normal(N)
+    np.testing.assert_allclose(f.prox(0.37, x.copy()), cp.f.prox(0.37, x), rtol=1e-15)
+    custom = ss.ConvexProblem(layout=cp.layout, f=f, h=cp.h, z=cp.z, blocks=cp.blocks)
+    assert_matches_reference(custom, 0.37, (0.61, 1.3), points(custom))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_default_steps_and_unit_weights_match_reference():
     # tau = sigma = 1 multiplies by one; the public defaults take that path

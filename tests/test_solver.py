@@ -1338,13 +1338,13 @@ def negated_op(n):
     return ss.LinearOp(n, n, np.negative, np.negative, norm_hint=1.0)
 
 
-def offsets_case(offset=0.0, weights=(1.0,), Dinv=None, C=None, lam=1.0):
+def offsets_case(offset=0.0, weights=(1.0,), Dinv=None, C=None, lam=1.0, A=None):
     """Denoising on R^12 that meets every term the kernel may skip.
 
-    A is the prox of (1/2)||x - b||^2 and b vanishes on every third
-    entry; C is x - b and each D_i^{-1} the zero map unless given.  z and
-    every r_i are filled with ``offset``.  The first block couples
-    through -Id, the others through Id.  From the
+    A is the prox of (1/2)||x - b||^2, or ``A(b)`` when given, and b
+    vanishes on every third entry; C is x - b and each D_i^{-1} the zero
+    map unless given.  z and every r_i are filled with ``offset``.  The
+    first block couples through -Id, the others through Id.  From the
     :func:`signed_zero_start`, signed zeros reach the resolvent
     arguments in two places:
 
@@ -1368,7 +1368,8 @@ def offsets_case(offset=0.0, weights=(1.0,), Dinv=None, C=None, lam=1.0):
     )
     spec = ss.ProblemSpec(
         layout=layout,
-        A=ss.resolvent_from_prox(ss.catalog_prox("sq_l2", n, weight=1.0, center=b)),
+        A=A(b) if A else ss.resolvent_from_prox(
+            ss.catalog_prox("sq_l2", n, weight=1.0, center=b)),
         C=C or ss.CocoerciveOp(n, lambda x: x - b, 1.0),
         z=np.full(n, offset),
         blocks=blocks,
@@ -1382,6 +1383,33 @@ def errors_at_one_case():
     update takes the relaxed formula x + (p - x)."""
     spec, cfg, _ = offsets_case()
     return spec, cfg, ss.geometric_errors(spec.layout, 0.1, 0.9, seed=3)
+
+
+def sq_resolvent(returns_input, seen=None):
+    """``b -> ResolventOp`` of the resolvent of x - b, (w + gamma b) /
+    (1 + gamma), as a custom map: one that writes over its argument and
+    returns it, or one that returns a fresh array of the same bits.
+    ``seen``, when given, collects every argument."""
+    def build(b):
+        def resolvent(gamma, w):
+            if seen is not None:
+                seen.append(w)
+            if not returns_input:
+                return (w + gamma * b) / (1.0 + gamma)
+            np.add(w, gamma * b, out=w)
+            return np.divide(w, 1.0 + gamma, out=w)
+        return ss.ResolventOp(b.size, resolvent)
+    return build
+
+
+def custom_a_case(returns_input, lam=1.0, seed=None):
+    """The offsets problem with A the custom :func:`sq_resolvent`, at
+    relaxation ``lam`` and with geometric errors when ``seed`` is given.
+    On a relaxed update p lands in the argument the resolvent is handed,
+    or in a fresh array, and 2p - x is formed over that argument."""
+    spec, cfg, _ = offsets_case(lam=lam, A=sq_resolvent(returns_input))
+    return spec, cfg, None if seed is None else ss.geometric_errors(
+        spec.layout, 0.1, 0.9, seed=seed)
 
 
 #: (case, id, skipped): ``skipped`` names the kernel passes the case
@@ -1403,6 +1431,11 @@ CASES = [
      "custom-Dinv", "z r omega lambda"),
     (lambda: offsets_case(C=ss.CocoerciveOp.zero(12)), "zero-C", "C z r Dinv omega lambda"),
     (errors_at_one_case, "errors-lambda-1", "z r Dinv omega lambda"),
+    (lambda: custom_a_case(True, lam=0.9), "A-returns-input-0.9", "z r Dinv omega"),
+    (lambda: custom_a_case(False, lam=0.9), "A-fresh-0.9", "z r Dinv omega"),
+    (lambda: custom_a_case(True, seed=3), "A-returns-input-errors-lambda-1",
+     "z r Dinv omega lambda"),
+    (lambda: custom_a_case(False, seed=3), "A-fresh-errors-lambda-1", "z r Dinv omega lambda"),
 ]
 
 
@@ -1443,6 +1476,27 @@ class TestBitwiseAgainstPlainLoop:
         for got, want in zip(log_run, log_ref):
             assert_same_bits(got, want)
         assert skip_flags(spec, cfg) == set(skipped.split())
+
+
+@pytest.mark.parametrize("lam, seed", [(0.9, None), (1.0, 3)], ids=["0.9", "errors-1"])
+def test_relaxed_update_hands_a_the_plans_argument(monkeypatch, lam, seed):
+    # a relaxed update forms the resolvent's argument in the plan's arg
+    # and hands it over as the output too, so p lands there
+    plans, seen = [], []
+    init = ss.solver._Workspace.__init__
+
+    def kept(ws, *args):
+        init(ws, *args)
+        plans.append(ws)
+
+    monkeypatch.setattr(ss.solver._Workspace, "__init__", kept)
+    spec, cfg, _ = offsets_case(lam=lam, A=sq_resolvent(True, seen))
+    errors = None if seed is None else ss.geometric_errors(spec.layout, 0.1, 0.9, seed=seed)
+    report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=20), errors=errors)
+    assert report.iterations == 20 and len(plans) == 1
+    assert len(seen) == (1 if seed is None else 2) * 20
+    assert all(w is plans[0].arg for w in seen)
+    assert not np.shares_memory(report.final_state.u, plans[0].arg)
 
 
 def skip_flags(spec, cfg):
@@ -2485,12 +2539,11 @@ class TestBalancedSteps:
 
         def kept(ws, *args):
             init(ws, *args)
-            plans.append((ws, {name: getattr(ws, name) for name in
-                               ("wsum", "tmp", "arg", "p", "y")},
+            plans.append((ws, {name: getattr(ws, name) for name in ("wsum", "tmp", "arg")},
                           ws.dual_arg, ws.dual_out, ws.cross))
 
         def counted(ws, x, v, wsum, err, into, dx, dv):
-            # the run's own buffers: its two weighted sums and d
+            # the run's own buffers: its two weighted sums and the displacement
             rows.append((wsum, dx, dv))
             return kernel(ws, x, v, wsum, err, into, dx, dv)
 
@@ -2510,6 +2563,19 @@ class TestBalancedSteps:
         assert all(x is dx and v is dv for _, x, v in rows)
         assert ws.tau == report.steps.tau
         assert ws.ratios == (1.0 / report.steps.sigmas[0],)
+        # every update is direct: the displacement is dx of the primal
+        # length, and dv lies in the dual arguments the dual steps leave dead
+        assert dx.shape == (spec.layout.dim_primal,) and dx.base is None
+        assert dv is ws.dual_arg
+        # an update that can be relaxed keeps (dx, dv) in one array, d
+        rows.clear()
+        errors = ss.geometric_errors(spec.layout, 0.1, 0.9, seed=4)
+        report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=30), errors=errors)
+        assert len(rows) == 2 * report.iterations
+        _, dx, dv = rows[0]
+        assert all(x is dx and v is dv for _, x, v in rows)
+        assert dx.base is not None and all(vi.base is dx.base for vi in dv)
+        assert dx.base.size == spec.layout.size
 
     @pytest.mark.parametrize("how", ["validate_steps", "hand-built", "override"])
     def test_fixed_configs_never_change(self, monkeypatch, how):
