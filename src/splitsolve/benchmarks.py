@@ -91,8 +91,9 @@ class BenchOutcome:
 # bits are compared (``tobytes`` of x and of every v_i), so -0.0 and
 # +0.0, and NaN payloads, tell states apart.  A longer cycle runs on to
 # ``iters``: finding one would mean keeping the bits of every past state,
-# and periods 1 and 2 cover the suites' problems.  The lists returned are those of the full loop, bit for bit,
-# with ``iters + 1`` entries and no entry aliasing another.
+# and periods 1 and 2 cover the suites' problems.  The lists returned
+# are those of the full loop, bit for bit, with ``iters + 1`` entries and
+# no entry aliasing another, and the reduction suites compare every one.
 
 
 class _Repeats:
@@ -132,11 +133,8 @@ def forward_backward_reference(prox, grad, tau, lam, x0, iters,
 
     x_{n+1} = x_n + lam (prox(tau, x_n - tau (grad(x_n) + a1_n)) + a2_n - x_n)
 
-    The loop stops computing at its first repeated state (period 1 or 2)
-    and fills the list with copies of the cycle, which is exact because
-    x_{n+1} is then a function of x_n alone (see above).  ``a1_seq`` or
-    ``a2_seq`` depend on n and turn the stop off.  The list still holds
-    every iterate, and ``fb-reduction`` compares each one with the run.
+    The loop stops computing at its first repeated state (see above);
+    ``a1_seq`` or ``a2_seq`` depend on n and turn the stop off.
     """
     x = np.asarray(x0, dtype=float).copy()
     xs = [x]
@@ -162,10 +160,7 @@ def condat_reference(f_prox, h_grad, g_proxes, L_ops, weights, tau, sigma,
     The dual prox is the conjugate prox evaluated by the Moreau
     decomposition.  Returns the full primal and dual iterate lists,
     ``iters + 1`` entries each.  The loop stops computing at its first
-    repeated state (x and every v_i; period 1 or 2) and fills the lists
-    with copies of the cycle, which is exact because the next state is a
-    function of the current one alone (see above); ``condat-reduction``
-    still compares every iterate with the run.
+    repeated state (see above).
     """
     x = np.asarray(x0, dtype=float).copy()
     v = [np.asarray(vi, dtype=float).copy() for vi in v0]
@@ -196,11 +191,8 @@ def chambolle_pock_reference(f_prox, g_prox, L, tau, sigma, x0, v0, iters):
     as Chambolle and Pock (JMIV 2011) write it: x = p, v = q.
 
     Returns the primal and dual iterate lists, ``iters + 1`` entries
-    each.  The loop stops computing at its first repeated state (x and
-    v; period 1 or 2) and fills the lists with copies of the cycle,
-    which is exact because the next state is a function of the current
-    one alone (see above); ``condat-reduction`` still compares every
-    iterate with the run.
+    each.  The loop stops computing at its first repeated state (see
+    above).
     """
     x = np.asarray(x0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()

@@ -12,15 +12,9 @@ Commands::
     splitsolve diag  <config>       (samples mu, each nu_i and each L[i]'s
                                      adjoint, then the step condition)
 
-Exit codes: 0 success/converged, 1 configuration error (including a
-non-finite catalog parameter, ``z`` or ``r``, a ``lambda`` that is
-not finite or lies outside ]0, 1] (refused by solve, check and diag
-alike), an admissibility refusal without ``--unsafe-steps``, a norm
-bound that is not finite and positive, and a config or output path
-that cannot be read or written), 2 iteration budget exhausted, a failed bench check, or a
-failed diag certificate or inadmissible steps under diag, 3 divergence.
 Commands read steps, errors, stop rule and seed from the parsed config;
-``SPLITSOLVE_SEED`` (an integer >= 0) replaces its seed.
+``SPLITSOLVE_SEED`` (an integer >= 0) replaces its seed.  The exit
+codes, and the refusals that exit 1, are README's "CLI".
 """
 
 from __future__ import annotations
@@ -229,15 +223,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
+        # numpy refuses an array it cannot allocate, such as one of a
+        # configured dimension of 10^14 entries
         where = getattr(args, "config", None)
         prefix = f"{where}:" if where else ""
-        print(f"{prefix}{exc}", file=sys.stderr)
+        print(f"{prefix}{str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

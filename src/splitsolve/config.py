@@ -583,29 +583,16 @@ def _build_ell(spec: FuncSpec, dim: int):
     raise ConfigError(f"unknown kind {spec.kind!r} (use dirac or quadratic)")
 
 
-def _build_operator(spec: OpSpec, in_dim: int, out_dim: int) -> LinearOp:
+def _build_operator(spec: OpSpec, dim: int) -> LinearOp:
+    # the problem refuses an operator that does not map length dim to
+    # its block's, naming both maps
     if spec.kind == "identity":
-        if out_dim != in_dim:
-            raise ConfigError(
-                f"identity needs block dim {in_dim}, got {out_dim}")
-        return identity_op(in_dim)
+        return identity_op(dim)
     if spec.kind == "diff1d":
-        if out_dim != in_dim - 1:
-            raise ConfigError(
-                f"diff1d maps dim {in_dim} to {in_dim - 1}, block has {out_dim}")
-        return diff1d_op(in_dim)
+        return diff1d_op(dim)
     if spec.kind == "grad2d":
         d = spec.param_dict()
-        rows, cols = d["rows"], d["cols"]
-        if rows * cols != in_dim:
-            raise ConfigError(
-                f"grad2d rows*cols = {rows * cols} disagrees with dim_primal {in_dim}")
-        op = grad2d_op(rows, cols)
-        if op.out_dim != out_dim:
-            raise ConfigError(
-                f"grad2d output dimension is {op.out_dim}, block has {out_dim}")
-        return op
-    # the problem refuses a matrix of another shape, naming its block
+        return grad2d_op(d["rows"], d["cols"])
     return matrix_op(np.asarray(spec.param_dict()["rows"], dtype=float))
 
 
@@ -621,7 +608,7 @@ def build_problem(pc: ProblemConfig) -> ConvexProblem:
             ConvexBlock(
                 g=_named(f"block {i}: g", _build_prox, b.g, b.dim),
                 ell=_named(f"block {i}: ell", _build_ell, b.ell, b.dim),
-                L=_named(f"block {i}: L", _build_operator, b.L, pc.dim_primal, b.dim),
+                L=_named(f"block {i}: L", _build_operator, b.L, pc.dim_primal),
                 r=b.r.resolve(b.dim, f"block {i}: r"),
             )
             for i, b in enumerate(pc.blocks)

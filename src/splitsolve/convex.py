@@ -114,10 +114,7 @@ def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
 
     ``center`` is a vector, or a scalar filled to length ``dim``; a
     ``dim`` that disagrees with a vector center is refused by name.
-    ``mu`` overrides the cocoercivity claim (diagnostics use only).  The
-    gradient is a buffer form (``operators._MapForm``): called, it
-    refuses an ``x`` of the wrong length by name, and
-    :func:`splitsolve.solver.run` binds its form into its own buffer.
+    ``mu`` overrides the cocoercivity claim (diagnostics use only).
     """
     c = _check_real("weight", weight)
     b = _check_vector("center", center)
@@ -150,8 +147,7 @@ def quadratic_smooth(center, weight: float = 1.0, dim: Optional[int] = None,
 def zero_smooth(dim: int, mu: Optional[float] = None) -> SmoothTerm:
     """The identically zero smooth term (gradient 0, mu = inf).
 
-    The gradient returns one shared read-only zero array, and a run
-    skips it, whatever ``mu``.
+    The gradient returns one shared read-only zero array.
     """
     return SmoothTerm(
         dim=dim,
@@ -188,7 +184,7 @@ def dirac_term(dim: int) -> StronglyConvexTerm:
 
     This is the degenerate choice that removes the inf-convolution:
     (g inf-conv ell) = g.  The conjugate gradient returns one shared
-    read-only zero array, and a run skips it.
+    read-only zero array.
     """
     return StronglyConvexTerm(
         dim=dim,
@@ -390,20 +386,16 @@ class _GapPlan:
     bound once on ``cp.spec``.
 
     The KKT residual is the fixed-point residual of the update that
-    :func:`splitsolve.solver.run` applies, bound as the run binds it:
-    it skips the passes README's "Passes the iteration skips" names,
-    reads L_i x where the update reads L_i y, and writes where the
-    update of a relaxed run writes (C x, the primal argument, p and x - p
-    in ``arg``, each dual argument and q_i in the block's ``dual_arg``
-    and ``dual_out``).  The plan holds no array of the product space's
-    length.  :meth:`gap` forms each L_i x in the ``cross`` buffers,
-    z - wsum in ``arg`` and, when no ``wsum`` is handed in, the weighted
-    sum in ``wsum`` and ``tmp``.  The objective values are the
+    :func:`splitsolve.solver.run` applies, with the run's skips, reading
+    L_i x where the update reads L_i y.  It writes where the update of a
+    relaxed run writes (C x, the primal argument, p and x - p in
+    ``arg``, each dual argument and q_i in the block's ``dual_arg`` and
+    ``dual_out``).  :meth:`gap` forms each L_i x in the ``cross``
+    buffers, z - wsum in ``arg`` and, when no ``wsum`` is handed in, the
+    weighted sum in ``wsum`` and ``tmp``.  The objective values are the
     plain formulas; only the primal value's L_i x - r_i reads from the
-    binding whether r_i vanishes.  Every skip is an exact IEEE identity,
-    so every value keeps its bits, at the overflowing, infinite and NaN
-    points too.  The methods return floats and never write into ``x``,
-    ``v`` or ``wsum``.
+    binding whether r_i vanishes.  The methods return floats and never
+    write into ``x``, ``v`` or ``wsum``.
     """
 
     def __init__(self, cp: ConvexProblem, tau: float, sigmas):
@@ -521,18 +513,9 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
     to every ``OBJECTIVE_STRIDE``-th history row, the rows on which
     :func:`run` calls its metrics hook, and to the last row, which
     describes ``final_state`` and carries the values of the returned
-    :class:`GapReport`; the other rows leave them ``None``.
-
-    The gap evaluation is planned once per call, on a step plan of its
-    own (README's "Passes the iteration skips"): both hooks and the
-    returned :class:`GapReport` come from that one plan, with the bits
-    of :func:`evaluate_gap` and :func:`kkt_residual` at the state, and
-    the hooks take the weighted sum sum_i w_i L_i^T v_i from
-    :func:`run`, which carries it, never the run's buffers.  The
-    plan is formed at the starting steps of ``cfg``: on balanced steps
-    the hooks, ``kkt_tol`` and the returned report keep evaluating the
-    KKT residual there, one yardstick for every row of the run, while
-    ``report.steps`` gives the steps in force at the end.
+    :class:`GapReport`; the other rows leave them ``None``.  Every value
+    has the bits of :func:`evaluate_gap` and :func:`kkt_residual` at the
+    starting steps of ``cfg`` (README's "The stop test").
     """
     if kkt_tol is not None:
         _check_real("kkt_tol", kkt_tol, ends="[[")
@@ -541,8 +524,7 @@ def solve_convex(cp: ConvexProblem, cfg: Optional[StepConfig] = None,
         cfg = suggest_steps(spec)
 
     # one plan for the hooks and the returned report: the run's states
-    # need none of the public functions' checks, the hooks take the
-    # weighted sum run carries with each state, and run's loop already
+    # need none of the public functions' checks, and run's loop already
     # silences overflow
     plan = _GapPlan(cp, cfg.tau, cfg.sigmas)
     iter_metrics = None

@@ -1,18 +1,4 @@
-"""CSV emission for run histories.
-
-Columns: iter, step_norm, residual, kkt_residual, primal_obj, dual_obj,
-gap, wall_ms.  ``residual`` is the value the ``tol`` stopping rule
-compares and is filled on every row; ``splitsolve solve`` fills the
-objective and KKT cells on every ``OBJECTIVE_STRIDE``-th row and on the
-last row only (see :func:`splitsolve.convex.solve_convex`).
-Unavailable fields stay blank.  Floats use '.' as the decimal
-separator with 17 significant digits, so values round-trip exactly and
-identical runs produce byte-identical files.  Timing is recorded in the
-report but written only on request, because wall-clock values would
-break byte-level reproducibility.  The footer gives the termination,
-the iteration count and, when a :class:`StepCondition` is passed, its
-rho, beta and admissibility.
-"""
+"""CSV emission for run histories, in the format of README's "Run CSV"."""
 
 from __future__ import annotations
 

@@ -24,27 +24,10 @@ p_n and each q_{i,n} themselves.  The error terms come
 from an optional callable ``n -> IterationErrors``; the convergence
 theory needs their norms to be summable.
 
-The convergence proof reads the update as a relaxed forward-backward
-step in the renormed metric V and needs V - M^{-1}/2 to be positive
-definite, where M = diag(mu, nu_1, ..., nu_m) holds the cocoercivity
-constants of C and the D_i^{-1}.  By a Schur complement this holds when
-the blockwise margin
-
-    (1/tau - 1/(2 mu)) - sum_i w_i ||L_i||^2 / (1/sigma_i - 1/(2 nu_i))
-
-is positive and every 1/sigma_i > 1/(2 nu_i), with 1/inf = 0.  This is
-the step condition :func:`validate_steps` checks and
-:func:`suggest_steps` satisfies by construction.  It contains the
-paper's sufficient condition 2 rho min{mu, nu_1, ..., nu_m} > 1, with
-
-    rho = min{1/tau, 1/sigma_1, ..., 1/sigma_m} (1 - sqrt(tau sum_i sigma_i w_i ||L_i||^2)),
-
-which reaches V - M^{-1}/2 through ||V^{-1}|| <= 1/rho and the smallest
-constant.  With every D_i^{-1} = 0 it is Condat's (JOTA 2013)
-1/tau - sigma ||L||^2 > 1/(2 mu), and with C = 0 as well
-Chambolle-Pock's tau sigma ||L||^2 < 1.  The weighted sum over dual
-blocks is always reduced in ascending block order, so runs are bitwise
-reproducible.
+The step condition on tau and the sigma_i, under which the iteration
+converges, is README's "The step condition"; :func:`step_condition`
+forms it.  The weighted sum over dual blocks is always reduced in
+ascending block order, so runs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -228,14 +211,13 @@ class StepCondition:
     """The step condition of one :class:`StepConfig` on one problem, as
     :func:`step_condition` forms it.
 
-    ``margin`` is the blockwise margin of the module docstring
+    ``margin`` is the blockwise margin of README's "The step condition"
     (``-inf`` when some 1/sigma_i <= 1/(2 nu_i)) and ``admissible``
-    says whether it is positive, which makes V - M^{-1}/2 positive
-    definite.  ``rho`` (a lower bound on V) and ``delta`` come from the
-    paper's condition, and ``beta`` is the smallest cocoercivity
-    constant (capped at ``BETA_CAP`` when every constant is infinite);
-    they are reported, not tested: 2 rho beta > 1 implies a positive
-    margin, not the converse.
+    says whether it is positive.  ``rho`` (a lower bound on V) and
+    ``delta`` come from the paper's condition, and ``beta`` is the
+    smallest cocoercivity constant (capped at ``BETA_CAP`` when every
+    constant is infinite); they are reported, not tested: 2 rho beta > 1
+    implies a positive margin, not the converse.
     """
 
     margin: float
@@ -544,8 +526,7 @@ def initial_state(layout: SpaceLayout, x0=None, v0=None) -> IterState:
 def certified_norms(spec: ProblemSpec, seed: int = 0) -> tuple[float, ...]:
     """Upper bounds on the block operator norms for the step condition.
 
-    Operators whose kind is in ``CLOSED_FORM_NORM_KINDS`` (the library's
-    identity, difference, gradient and matrix operators) contribute
+    Operators whose kind is in ``CLOSED_FORM_NORM_KINDS`` contribute
     their ``norm_hint``, an upper bound formed when the operator was
     built, without any power iteration.  Every other operator is
     estimated: a user hint is taken at face value unless the estimate
@@ -695,14 +676,11 @@ def suggest_steps(spec: ProblemSpec, safety: float = 0.99, lam: float = 1.0,
     as the start of a balanced run.
 
     Sets ``tau = sigma_i = safety * tau*``, where ``tau*`` is the
-    largest common step with a positive margin: the boundary root
-    ``2 / (h + sqrt(h^2 + 4 S))`` with ``h = 1/(2 mu)`` and
-    ``S = sum_i w_i ||L_i||^2`` when every nu_i is infinite (Condat's
-    condition at tau = sigma), else a bisection on the margin.  The
-    margin falls as the common step grows, so any ``safety`` in ]0, 1[
-    makes the strict inequality hold.  ``lam`` and ``norms`` are
-    checked as in :func:`validate_steps`.  A step that is not positive
-    (1/(2 mu), a 1/(2 nu_i) or a ||L_i||^2 overflowed) is refused.
+    largest common step with a positive margin (in closed form when
+    every nu_i is infinite, else by bisection), so any ``safety`` in
+    ]0, 1[ makes the strict inequality hold.  ``lam`` and ``norms`` are checked as in
+    :func:`validate_steps`.  A step that is not positive (1/(2 mu), a
+    1/(2 nu_i) or a ||L_i||^2 overflowed) is refused.
 
     The config's ``balance`` is ``safety``, so :func:`run` balances the
     ratio sigma_i / tau from these steps on;
@@ -732,23 +710,9 @@ _TWO.flags.writeable = False
 _EXACT = itertools.repeat(None)
 
 
-def _adjoint_terms(spec: ProblemSpec) -> tuple:
-    """The terms of :func:`_adjoint_sum` for ``spec``: one
-    ``(adjoint, w_i, signless)`` per block, ``adjoint`` the buffer form
-    ``(v, out) -> L_i^T v`` of ``L_i.adjoint_apply`` (``operators._bound``),
-    ``w_i`` a 0-d float64 array (``operators._scalar``) or ``None`` for a
-    unit weight, and ``signless`` whether the adjoint is a library form
-    that writes into ``out`` and never returns -0.0 (the diff1d and
-    grad2d adjoints)."""
-    adjoints = (blk.L.adjoint_apply for blk in spec.blocks)
-    return tuple((_bound(adj), None if w == 1.0 else _scalar(w),
-                  isinstance(adj, _MapForm) and adj.signless)
-                 for adj, w in zip(adjoints, spec.layout.weights))
-
-
 def _adjoint_sum(terms, v, out, tmp):
     """``sum_i w_i L_i^T v_i`` into ``out``, given the
-    :func:`_adjoint_terms` ``terms``, reduced in ascending block order;
+    ``_Workspace.adjoints`` ``terms``, reduced in ascending block order;
     ``tmp`` holds each later weighted term.  Every caller forms the
     coupling term here, so all of them get the same bits.
 
@@ -787,39 +751,12 @@ def _vanishes(a: np.ndarray) -> bool:
     return not np.count_nonzero(a.view(np.uint64))
 
 
-def _bind_maps(spec: ProblemSpec):
-    """The maps of ``spec`` that no step enters, in their buffer forms
-    (``operators._bound``): ``(C, z, adjoints, maps)``.  ``C`` is
-    ``(x, out) -> C x``, ``None`` for the exact zero (``operators._Zero``,
-    which returns +0); ``z`` is z, ``None`` when :func:`_vanishes` holds;
-    ``adjoints`` are the :func:`_adjoint_terms`; and each of ``maps`` is
-    ``(L_i, D_i^{-1}.apply, r_i, step)``, with ``(y, out) -> L_i y`` and
-    ``step`` the block's ``operators._dual_step``.  D_i^{-1} and r_i are
-    ``None`` when skipped as C and z are, and ``L_i`` when the dual step
-    is the exact zero, which reads no argument, so that
-    v_i + sigma_i (L_i y - ...) need not be formed."""
-    maps = []
-    for blk in spec.blocks:
-        step = _dual_step(blk.B)
-        maps.append((
-            None if isinstance(step, _Zero) else _bound(blk.L.apply),
-            None if isinstance(blk.Dinv.apply, _Zero) else blk.Dinv.apply,
-            None if _vanishes(blk.r) else blk.r, step))
-    return (
-        None if isinstance(spec.C.apply, _Zero) else _bound(spec.C.apply),
-        None if _vanishes(spec.z) else spec.z,
-        _adjoint_terms(spec),
-        tuple(maps),
-    )
-
-
 class _Workspace:
     """The step plan: the update of ``spec`` at the steps in force, the
     renormed metric V of those steps and the buffers both write into.
     :func:`run` iterates on one, and the gap plan of
     :mod:`splitsolve.convex` evaluates the KKT residual on one of its
-    own; README's "Passes the iteration skips" says what the binding
-    skips.  The plan holds no array of the product space's length: the
+    own.  The plan holds no array of the product space's length: the
     displacement, the step taken and the next weighted sum belong to
     :func:`run` alone.
 
@@ -836,19 +773,29 @@ class _Workspace:
     each ``cross`` tuple ``(L_i, w_i, buffer)``, where the metric's
     cross term forms L_i dx.
 
-    The binding: ``C``, ``z``, ``adjoints`` and ``maps`` are those of
-    :func:`_bind_maps`, which no step enters; ``A`` (J_{tau A} in its
-    buffer form, ``operators._at``), ``tau``, ``tau_array`` (tau as a
-    0-d float64 array, ``operators._scalar``), ``ratios`` (each
-    w_i / sigma_i) and ``blocks`` are bound to the steps by
-    :meth:`bind`.  Each block is ``(L_i, D_i^{-1}.apply, r_i, sigma_i,
-    dual, dual_arg, dual_out)``: the first three from ``maps``, sigma_i
-    as a 0-d float64 array, ``dual`` the buffer form
-    ``(u, out) -> J_{sigma_i B_i^{-1}}(u)``, whose ``out`` must not be
-    ``u``, and the block's buffers.  ``weights`` are the w_i, and
-    ``admissible`` whether V is positive definite at the steps: without
-    it :meth:`residual` falls back to the plain weighted norm (a run
-    under an override).
+    The maps no step enters, bound once in their buffer forms
+    (``operators._bound``, ``(x, out) -> map(x)``), with ``None`` for a
+    pass README's "Passes the iteration skips" lists: ``C`` (``None``
+    for the exact zero ``operators._Zero``), ``z`` (``None`` when
+    :func:`_vanishes` holds), ``adjoints``, one ``(L_i^T, w_i,
+    signless)`` per block for :func:`_adjoint_sum` (``w_i`` a 0-d
+    float64 array, ``operators._scalar``, or ``None`` for a unit weight;
+    ``signless`` whether the adjoint is a ``_MapForm`` that never
+    returns -0.0), and ``maps``, one ``(L_i, D_i^{-1}.apply, r_i,
+    step)`` per block, ``step`` its ``operators._dual_step``.  D_i^{-1}
+    and r_i are ``None`` when skipped as C and z are, and ``L_i`` when
+    the dual step is the exact zero, which reads no argument.
+
+    Bound to the steps by :meth:`bind`: ``A`` (J_{tau A} in its buffer
+    form, ``operators._at``), ``tau``, ``tau_array`` (tau as a 0-d
+    float64 array), ``ratios`` (each w_i / sigma_i) and ``blocks``, one
+    ``(L_i, D_i^{-1}.apply, r_i, sigma_i, dual, dual_arg, dual_out)``
+    per block: the first three from ``maps``, sigma_i as a 0-d float64
+    array, ``dual`` the buffer form ``(u, out) -> J_{sigma_i
+    B_i^{-1}}(u)``, whose ``out`` must not be ``u``, and the block's
+    buffers.  ``weights`` are the w_i, and ``admissible`` whether V is
+    positive definite at the steps: without it :meth:`residual` falls
+    back to the plain weighted norm (a run under an override).
     """
 
     __slots__ = ("wsum", "tmp", "arg", "dual_arg", "dual_out", "resolvent",
@@ -861,11 +808,23 @@ class _Workspace:
         self.wsum, self.tmp, self.arg = (np.empty(n) for _ in range(3))
         self.dual_arg = tuple(np.empty(d) for d in dims)
         self.dual_out = tuple(np.empty(d) for d in dims)
-        self.C, self.z, self.adjoints, self.maps = _bind_maps(spec)
+        self.C = None if isinstance(spec.C.apply, _Zero) else _bound(spec.C.apply)
+        self.z = None if _vanishes(spec.z) else spec.z
         self.resolvent = spec.A.resolvent
         self.weights, self.admissible = layout.weights, admissible
-        self.cross = tuple(zip((_bound(blk.L.apply) for blk in spec.blocks),
-                               self.weights, (np.empty(d) for d in dims)))
+        applies = tuple(_bound(blk.L.apply) for blk in spec.blocks)
+        maps = []
+        for blk, L in zip(spec.blocks, applies):
+            step = _dual_step(blk.B)
+            maps.append((None if isinstance(step, _Zero) else L,
+                         None if isinstance(blk.Dinv.apply, _Zero) else blk.Dinv.apply,
+                         None if _vanishes(blk.r) else blk.r, step))
+        self.maps = tuple(maps)
+        self.adjoints = tuple(
+            (_bound(adj), None if w == 1.0 else _scalar(w),
+             isinstance(adj, _MapForm) and adj.signless)
+            for adj, w in zip((blk.L.adjoint_apply for blk in spec.blocks), self.weights))
+        self.cross = tuple(zip(applies, self.weights, (np.empty(d) for d in dims)))
         self.bind(tau, sigmas)
 
     def bind(self, tau: float, sigmas) -> None:
@@ -920,13 +879,10 @@ class _Balance:
     ``tmp`` (after the weighted sum of dv in ``arg`` and ``tmp``, unless
     it is handed in), each L_i dx in its ``cross`` buffer and each dual
     one in the block's ``dual_out``.  A change binds the plan to the
-    steps :func:`_ratio_steps` derives at the new r.  If those are not
-    positive and finite (the boundary overflowed) or :func:`step_condition`
-    finds them inadmissible (rounding past the margin), the change is not
-    made and balancing stops, so a run never ends on a failed change.
-    ``cfg`` is the :class:`StepConfig` in force, ``ratio`` r, ``alpha``
-    the relative change the next one makes (0 once balancing stopped)
-    and ``changes`` the number made.
+    steps :func:`_ratio_steps` derives at the new r.  ``cfg`` is the
+    :class:`StepConfig` in force, ``ratio`` r, ``alpha`` the relative
+    change the next one makes (0 once balancing stopped) and
+    ``changes`` the number made.
     """
 
     __slots__ = ("spec", "ws", "cfg", "ratio", "alpha", "changes")
@@ -1112,8 +1068,7 @@ def _checked_errors(err: IterationErrors, layout: SpaceLayout):
 
 
 def _weighted_sq(weights, xx, vv):
-    """``xx + sum_i w_i vv_i``, reduced in ascending block order like
-    :func:`spaces.inner_blocks`."""
+    """``xx + sum_i w_i vv_i``, reduced in ascending block order."""
     s = xx
     for w, q in zip(weights, vv):
         s += w * q
@@ -1144,57 +1099,33 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     its residual in the plain weighted norm.
 
     Stop rules: the run stops once the fixed-point residual of the
-    current state (the displacement of one exact relaxation-1 update, in
-    the renormed metric) is at most ``stop.tol * (1 + ||state||)``, once
-    ``extra_stop`` returns a :class:`StopReason` (its own rule, value
-    and threshold) for the new state rather than ``None``, after
-    ``stop.max_iter`` iterations, or on a non-finite p or q_i, which
-    ends the run as ``"diverged"`` with ``failure`` naming the block and
-    the iteration.  ``report.stop`` records which rule ended the run.
-    With ``stop=StoppingRule(tol=0.0, max_iter=k)`` the run takes
-    exactly ``k`` steps unless one lands on an exact fixed point.  The
-    loop runs with numpy's overflow and invalid-value warnings off: a
-    finite state whose squares overflow goes on, its inf norms never
-    meeting the threshold.
+    current state is at most ``stop.tol * (1 + ||state||)`` (README's
+    "The stop test"), once ``extra_stop`` returns a :class:`StopReason`
+    for the new state rather than ``None``, after ``stop.max_iter``
+    iterations, or on a non-finite p or q_i, which ends the run as
+    ``"diverged"`` with ``failure`` naming the block and the iteration.
+    ``report.stop`` records which rule ended the run.  With
+    ``stop=StoppingRule(tol=0.0, max_iter=k)`` the run takes exactly
+    ``k`` steps unless one lands on an exact fixed point.  The loop runs
+    with numpy's overflow and invalid-value warnings off: a finite state
+    whose squares overflow goes on, its inf norms never meeting the
+    threshold.
 
-    Balanced steps: a ``cfg`` whose ``balance`` is set (the configs of
-    :func:`suggest_steps`) starts at its steps and balances the ratio
-    sigma_i / tau by the rule of README's "Fixed and balanced steps";
-    any other config, and a run under the override with inadmissible
-    steps, keeps its steps fixed.  The ratio changes at most 122 times,
-    and from the iterate after the last change the run is a fixed-step
-    run, to which the convergence theorem applies.  The residual of each
-    row, and so the ``tol`` rule, is measured in the metric of the steps
-    that took that row's update.  ``report.steps`` and
-    ``report.step_changes`` give the steps in force at the end and the
-    number of changes.
+    A ``cfg`` whose ``balance`` is set (the configs of
+    :func:`suggest_steps`) balances the ratio sigma_i / tau by the rule
+    of README's "Fixed and balanced steps"; any other config, and a run
+    under the override with inadmissible steps, keeps its steps fixed.
+    ``report.steps`` and ``report.step_changes`` give the steps in force
+    at the end and the number of changes.
 
-    Hooks: ``iter_metrics`` may attach objective values to the history
-    rows whose ``iter`` is a multiple of ``OBJECTIVE_STRIDE``; it is
-    called on those rows only, and every other row leaves the objective
-    fields ``None``.  ``extra_stop`` is called on every row.  Both are
-    called as ``hook(state, wsum)``, where ``wsum`` is the weighted sum
-    sum_i w_i L_i^T v_i of ``state`` that the run carries (the bits of
-    :func:`_adjoint_sum` of ``state.v``).  With ``record_states=True``
-    the report keeps every iterate, index 0 included.
-
-    Aliasing: the iteration never writes into ``x0``/``v0`` or into an
-    array an operator returned, and a state handed out (to a hook, in
-    ``report.states`` or as ``final_state``) is never overwritten later.
-    A hook must not write into its state, since the next weighted sum
-    has been formed from it by then, nor into ``wsum``, which is valid
-    only during the call and is overwritten during the next iteration.
-    Operators may return their input array but must not keep it: the
-    solver reuses the arrays it passes them, and on an error-free update
-    at relaxation 1 hands the resolvent of A the next state's x as its
-    argument, so a resolvent that returns its input returns the next x
-    itself.  The built-in zero maps return one shared read-only array.
-
-    README's "The stop test", "Passes the iteration skips" and "Run
-    CSV" say how the update is bound once per run, which array passes
-    are skipped as exact no-ops, and how the residual and the state
-    norm are formed without extra passes; every value keeps the bits of
-    the plain formulas in the module docstring.
+    ``iter_metrics`` may attach objective values to the history rows
+    whose ``iter`` is a multiple of ``OBJECTIVE_STRIDE``, and
+    ``extra_stop`` is called on every row; README's "Hooks and aliasing"
+    gives both hooks' arguments and what the run and its operators may
+    write into.  With ``record_states=True`` the report keeps every
+    iterate, index 0 included.  Every value has the bits of the plain
+    formulas in the module docstring; README's "Passes the iteration
+    skips" says why the passes a run skips keep them.
     """
     cond = step_condition(spec, cfg)
     admissible = cond.admissible

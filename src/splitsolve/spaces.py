@@ -7,8 +7,8 @@ entries first, and :meth:`SpaceLayout.split` returns views of its
 blocks.  Each dual block G_i carries a weight w_i in ]0, 1] (the
 weights sum to one).  The weights enter the inner product of the
 product space, not the stored data: user-facing per-block reporting
-uses plain Euclidean norms, while solver-internal metrics use the
-weighted ones defined here.
+uses plain Euclidean norms, while the solver's norms weigh block i by
+w_i.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "ShapeMismatchError",
     "SpaceLayout",
-    "inner_blocks",
 ]
 
 WEIGHT_SUM_TOL = 1e-12
@@ -180,13 +179,4 @@ class SpaceLayout:
                                  f"got {blk.L.in_dim} to {blk.L.out_dim}")
             _check_vector(f"block {i}: r", blk.r, d)
         return z
-
-
-def inner_blocks(weights, ax: np.ndarray, av, bx: np.ndarray, bv) -> float:
-    """Weighted inner product <ax, bx> + sum_i w_i <av_i, bv_i> of two
-    split points, reduced in ascending block order."""
-    s = float(ax.dot(bx))
-    for w, da, db in zip(weights, av, bv):
-        s += w * float(da.dot(db))
-    return s
 

@@ -59,6 +59,15 @@ def single_block_spec(mu=1.0, C=None, Dinv=None, L=None, dims=(1, 1)):
     )
 
 
+def inner_blocks(weights, ax, av, bx, bv):
+    """Weighted inner product <ax, bx> + sum_i w_i <av_i, bv_i> of two
+    split points, reduced in ascending block order."""
+    s = float(ax.dot(bx))
+    for w, da, db in zip(weights, av, bv):
+        s += w * float(da.dot(db))
+    return s
+
+
 def materialize(L):
     """Dense matrix of a linear operator, column by column."""
     cols = [np.asarray(L.apply(e), dtype=float) for e in np.eye(L.in_dim)]

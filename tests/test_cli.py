@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,21 @@ class TestSolve:
     def test_directory_as_output(self, tmp_path, capsys):
         assert main(["solve", LASSO, "-o", str(tmp_path)]) == 1
         assert str(tmp_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_unallocatable_dimension_refused_in_one_line(self, tmp_path, capsys, command):
+        # 10^14 entries (728 TiB) exceed the user address space, so numpy
+        # refuses them at once under any overcommit policy
+        huge = "100000000000000"
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(Path(LASSO).read_text().replace("dim_primal = 1", f"dim_primal = {huge}")
+                       .replace("dim = 1", f"dim = {huge}"))
+        extra = ["-o", str(tmp_path / "r.csv")] if command == "solve" else []
+        assert main([command, str(cfg), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"{re.escape(str(cfg))}:Unable to allocate [^\n]+\n", captured.err)
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestRelaxation:

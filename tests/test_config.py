@@ -325,7 +325,7 @@ class TestBuild:
 
     def test_stencil_dimension_checks(self):
         text = BASIC.replace("dim = 2", "dim = 3")
-        with pytest.raises(ConfigError, match="diff1d"):
+        with pytest.raises(ConfigError, match=r"^block 0: L must map length 3 to 3, got 3 to 2$"):
             build_problem(parse_config(text))
 
     def test_matrix_operator(self):
@@ -436,7 +436,7 @@ class TestHostileConfigs:
     ("L = identity", "L = grad2d rows=1 cols=1", "grad2d needs rows >= 2"),
     ("ell = dirac", "ell = quadratic nu=(1,2)",
      r"^block 0: ell: nu must be a real number, got \(1.0, 2.0\)$"),
-    ("L = identity", "L = diff1d", "^block 0: L: diff1d maps dim 1 to 0, block has 1$"),
+    ("L = identity", "L = diff1d", "^block 0: L: n must be an integer >= 2, got 1$"),
     ("h = sq_l2 weight=1.0 center=4.0", "h = sq_l2 weight=-1.0 center=4.0",
      r"^h: weight must lie in \]0, inf\[, got -1.0$"),
 ])

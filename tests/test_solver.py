@@ -21,8 +21,8 @@ from splitsolve.solver import (
     _step_margin,
 )
 
-from conftest import (assert_same_bits, degenerate_block, materialize, shrinkage_spec,
-                      single_block_spec)
+from conftest import (assert_same_bits, degenerate_block, inner_blocks, materialize,
+                      shrinkage_spec, single_block_spec)
 from gap_reference import plain_adjoint_sum
 
 
@@ -731,7 +731,7 @@ class TestRun:
         # the residual belongs to the state the last update started from
         start = report.states[-2]
         layout = spec.layout
-        state_norm = math.sqrt(ss.spaces.inner_blocks(
+        state_norm = math.sqrt(inner_blocks(
             layout.weights, *layout.split(start.u), *layout.split(start.u)))
         assert report.stop.rule == "residual"
         assert report.stop.value == report.history[-1].residual

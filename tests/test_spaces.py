@@ -7,11 +7,9 @@ import pytest
 
 import splitsolve as ss
 from splitsolve import benchmarks
-from splitsolve.spaces import (
-    ShapeMismatchError,
-    SpaceLayout,
-    inner_blocks,
-)
+from splitsolve.spaces import ShapeMismatchError, SpaceLayout
+
+from conftest import inner_blocks
 
 
 def flat(primal, duals):
