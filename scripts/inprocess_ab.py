@@ -4,6 +4,7 @@
 Usage::
 
     python scripts/inprocess_ab.py PARENT_DIR [--side N] [--pairs N] [--seed N]
+        [--heap-shift BYTES]
 
 ``PARENT_DIR`` is the root of another checkout of this repository (the
 parent commit, say).  Both ``src/splitsolve`` packages are loaded into
@@ -23,6 +24,16 @@ the script stops.  It prints each side's median µs per iteration, the
 ratio of the medians (change / parent), the pairs in which the change
 was faster, and the parent's interquartile range, which a claimed
 change should exceed.
+
+``--heap-shift BYTES`` holds a ``bytearray`` of that size, allocated
+before the input and both packages, so that every later allocation of
+the process lands elsewhere in the heap.  A large-n row's speed moves
+with where its buffers land (``splitsolve.spaces._vectors``), so a
+claim about it should hold over several shifts, one process each::
+
+    for b in 0 5000 10000 15000 20000 25000 30000 35000 40000; do
+        python scripts/inprocess_ab.py PARENT_DIR --heap-shift $b
+    done
 """
 
 from __future__ import annotations
@@ -103,11 +114,17 @@ def main(argv=None) -> int:
     parser.add_argument("--side", type=int, default=workloads.TV2D_SIDE)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=12)
+    parser.add_argument("--heap-shift", type=int, default=0, metavar="BYTES",
+                        help="bytes held before anything else is allocated")
     args = parser.parse_args(argv)
     if args.side <= 0 or args.side % workloads.TV2D_TILE:
         parser.error(f"--side must be a positive multiple of {workloads.TV2D_TILE}")
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    if args.heap_shift < 0:
+        parser.error("--heap-shift must be at least 0")
+    # held until main returns
+    shift = bytearray(args.heap_shift)  # noqa: F841
 
     b = image(args.side, args.seed)
     if args.side == workloads.TV2D_SIDE and not np.array_equal(b, workloads.tv2d_image(args.seed)):
@@ -133,8 +150,8 @@ def main(argv=None) -> int:
     medians = {name: statistics.median(t) for name, t in times.items()}
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
     lo, hi = quartiles(times["parent"])
-    print(f"lib-tv2d side {args.side}, seed {args.seed}: {reference[0]} iterations, "
-          f"final states bitwise equal, {args.pairs} ABBA pairs")
+    print(f"lib-tv2d side {args.side}, seed {args.seed}, heap shift {args.heap_shift} B: "
+          f"{reference[0]} iterations, final states bitwise equal, {args.pairs} ABBA pairs")
     for name in sides:
         print(f"{name:>6}: median {medians[name]:.1f} us/iter "
               f"(min {min(times[name]):.1f}, max {max(times[name]):.1f})")

@@ -57,7 +57,8 @@ from .operators import (
     _scalar,
     _Zero,
 )
-from .spaces import SpaceLayout, _check_blocks, _check_count, _check_dim, _check_real, _check_vector
+from .spaces import (SpaceLayout, _check_blocks, _check_count, _check_dim, _check_real,
+                     _check_vector, _vectors)
 
 __all__ = [
     "Block",
@@ -760,7 +761,8 @@ class _Workspace:
     displacement, the step taken and the next weighted sum belong to
     :func:`run` alone.
 
-    Buffers, none of which is reallocated by :meth:`bind`: ``wsum``
+    Buffers, laid out by :func:`splitsolve.spaces._vectors` (whose
+    docstring says why) and none reallocated by :meth:`bind`: ``wsum``
     holds the weighted sum sum_i w_i L_i^T v_i of the current state;
     ``tmp`` one weighted term of such a sum; ``arg`` C x, then the
     coupling term t, then, whenever p does not land in the next state,
@@ -805,9 +807,11 @@ class _Workspace:
     def __init__(self, spec: ProblemSpec, tau: float, sigmas, admissible: bool = True):
         layout = spec.layout
         n, dims = layout.dim_primal, layout.dual_dims
-        self.wsum, self.tmp, self.arg = (np.empty(n) for _ in range(3))
-        self.dual_arg = tuple(np.empty(d) for d in dims)
-        self.dual_out = tuple(np.empty(d) for d in dims)
+        # its 3 + 3m buffers, numbered from 0 (spaces._vectors)
+        m = len(dims)
+        bufs = _vectors(n, n, n, *dims, *dims, *dims)
+        self.wsum, self.tmp, self.arg = bufs[:3]
+        self.dual_arg, self.dual_out = tuple(bufs[3:3 + m]), tuple(bufs[3 + m:3 + 2 * m])
         self.C = None if isinstance(spec.C.apply, _Zero) else _bound(spec.C.apply)
         self.z = None if _vanishes(spec.z) else spec.z
         self.resolvent = spec.A.resolvent
@@ -824,7 +828,7 @@ class _Workspace:
             (_bound(adj), None if w == 1.0 else _scalar(w),
              isinstance(adj, _MapForm) and adj.signless)
             for adj, w in zip((blk.L.adjoint_apply for blk in spec.blocks), self.weights))
-        self.cross = tuple(zip(applies, self.weights, (np.empty(d) for d in dims)))
+        self.cross = tuple(zip(applies, self.weights, bufs[3 + 2 * m:]))
         self.bind(tau, sigmas)
 
     def bind(self, tau: float, sigmas) -> None:
@@ -1149,35 +1153,41 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     size, dim = layout.size, layout.dim_primal
     # the relaxation lam as a 0-d array, None at lam = 1 (x * 1 = x)
     scale = None if cfg.lam == 1.0 else _scalar(cfg.lam)
-    # the run's own buffers: the next weighted sum, dx and, when an update
-    # can be relaxed, the unrelaxed displacement d and the step s taken
-    wsum, wsum_next = ws.wsum, np.empty(dim)
-    if scale is None and errors is None:
-        dx, dv = np.empty(dim), ws.dual_arg
-    else:
-        d, s = np.empty(size), np.empty(size)
-        (dx, dv), (sx, sv) = layout.split(d), layout.split(s)
-    adjoints, tmp = ws.adjoints, ws.tmp
-    residual_of = ws.residual
-    clock = time.perf_counter
-    # the bound's relative outward rounding (see below), formed once
-    grow = 1.0 + NORM_BOUND_SLACK
-    _adjoint_sum(adjoints, v, wsum, tmp)
     # a state that leaves the loop keeps its array, so an update whose
     # state is handed out writes into a fresh one; the others alternate
     # between two arrays, neither of which is ever handed out before the
     # run ends.  A state is an IterState only once it is handed out to a
     # hook or read: a recorded one is kept as its arrays until then.
     every = record_states or extra_stop is not None
+    relaxed = scale is not None or errors is not None
+    # the run's own buffers, numbered after the plan's 3 + 3m (see
+    # spaces._vectors): the next weighted sum, dx or, when an update can be
+    # relaxed, the unrelaxed displacement d and the step s taken, then the
+    # two states alternated between, unless every state is handed out
+    lengths = [dim, size, size] if relaxed else [dim, dim]
+    if not every:
+        lengths += [size, size]
+    own = iter(_vectors(*lengths, first=3 + 3 * layout.num_blocks))
+    wsum, wsum_next = ws.wsum, next(own)
+    if relaxed:
+        d, s = next(own), next(own)
+        (dx, dv), (sx, sv) = layout.split(d), layout.split(s)
+    else:
+        dx, dv = next(own), ws.dual_arg
+    adjoints, tmp = ws.adjoints, ws.tmp
+    residual_of = ws.residual
+    clock = time.perf_counter
+    # the bound's relative outward rounding (see below), formed once
+    grow = 1.0 + NORM_BOUND_SLACK
+    _adjoint_sum(adjoints, v, wsum, tmp)
     cuts = np.cumsum((dim, *layout.dual_dims)).tolist()
     spans = tuple(slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]))
 
-    def fresh():
-        # (u, x, v) of a new array, the views SpaceLayout.split makes
-        w = np.empty(size)
+    def views(w):
+        # (u, x, v) of the array w, the views SpaceLayout.split makes
         return w, w[:dim], tuple([w[sl] for sl in spans])
 
-    pair = None if every else (fresh(), fresh())
+    pair = None if every else (views(next(own)), views(next(own)))
     # the current state as an IterState, once one is built for it
     st = None
     history = _History()
@@ -1200,7 +1210,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
                 err_n = _checked_errors(err_n, layout)
             hook = iter_metrics is not None and (n + 1) % OBJECTIVE_STRIDE == 0
             handed = every or hook
-            nu, nx, nv = fresh() if handed else pair[n % 2]
+            nu, nx, nv = views(np.empty(size)) if handed else pair[n % 2]
             # an error-free update at relaxation 1 forms p and each q_i in
             # the next state; any other takes the relaxed formula u + lam d
             direct = err_n is None and scale is None

@@ -121,6 +121,54 @@ def _check_blocks(name: str, seq, m: int) -> None:
                          f"got {len(seq)}")
 
 
+#: bytes in a page, and float64 entries in one
+_PAGE_BYTES = 4096
+_PAGE = _PAGE_BYTES // _FLOAT.itemsize
+#: bytes between the page offsets of consecutively numbered vectors, five
+#: cache lines: vectors 0 to 12 start at least 256 bytes apart mod 4096,
+#: any 64 consecutive ones at least 64 bytes apart
+_STAGGER = 320
+
+
+def _vectors(*lengths: int, first: int = 0) -> list[np.ndarray]:
+    """Uninitialised float64 vectors of ``lengths``, numbered ``first``,
+    ``first + 1``, ...: vector k, if it has at least a page of entries
+    (``_PAGE``), is cut from its own allocation one page longer so that it
+    starts ``k * _STAGGER`` bytes mod 4096 past a page boundary; a shorter
+    one is a plain ``np.empty``.  Callers that iterate together number
+    their vectors in one sequence (``solver.run`` numbers its own after its
+    ``_Workspace``'s), so every run of a problem gets the same layout.
+
+    Why: a ufunc pass is slow when its output starts within a few cache
+    lines of an input modulo 4 KiB (4K aliasing: the CPU matches a load
+    against earlier stores by their low 12 address bits, so it waits on
+    stores that do not overlap it).  glibc hands page-multiple arrays out
+    16 bytes apart modulo 4096, so arrays allocated one after the other
+    alias, and how badly depends on where the heap happens to be.  A
+    synthetic ``np.subtract(a, b, out=c)`` at 16 384 entries took 4.5 µs
+    with c 64 bytes or more past a modulo 4096, 8.6 µs at 32 and 12.5 µs at
+    16.  On the 128 x 128 TV-denoising run (2-core shared x86-64 host,
+    ``scripts/inprocess_ab.py`` at 9 heap shifts of 0 to 40 000 bytes, 10
+    pairs each) the time per iteration fell to 0.78-0.90x at every shift
+    and stopped following the heap: the shifts' medians read 184-197 µs
+    against 207-250 µs allocated plainly.  The stagger moves no bit: each
+    vector is an ordinary C-contiguous array, only its address changes.
+    Each vector has its own allocation: cutting all of a run's from one
+    block read faster per pass but slowed the process's other allocations.
+    """
+    out = []
+    for k, n in enumerate(lengths, first):
+        if n < _PAGE:
+            out.append(np.empty(n))
+            continue
+        block = np.empty(n + _PAGE)
+        # numpy's allocations are 8-byte aligned, so the skip is whole
+        # entries, at most a page less one
+        skip = (k * _STAGGER - block.ctypes.data) % _PAGE_BYTES // _FLOAT.itemsize
+        out.append(block[skip:skip + n])
+    return out
+
+
 @dataclass(frozen=True)
 class SpaceLayout:
     """Dimensions of H and the G_i (integers >= 1), plus the dual-block weights."""

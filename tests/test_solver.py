@@ -1292,9 +1292,9 @@ def errors_case():
     return spec, cfg, ss.geometric_errors(spec.layout, 0.1, 0.9, seed=9)
 
 
-def tv2d_case():
-    side = 16
-    b = np.kron(np.array([[1.0, -0.5], [0.25, 2.0]]), np.ones((8, 8))).ravel()
+def tv2d_case(side=16):
+    half = side // 2
+    b = np.kron(np.array([[1.0, -0.5], [0.25, 2.0]]), np.ones((half, half))).ravel()
     b = b + 0.05 * np.random.default_rng(7).standard_normal(b.size)
     L = ss.grad2d_op(side, side)
     n, m = L.in_dim, L.out_dim
@@ -2623,3 +2623,52 @@ class TestBalancedSteps:
         assert report.step_changes >= 1
         assert balanced is not None and fixed is not None
         assert balanced < 0.5 * fixed
+
+
+class TestBufferLayout:
+    """The page-sized buffers a row touches start at distinct page offsets,
+    cache lines apart (``spaces._vectors``), so none aliases another
+    modulo 4 KiB."""
+
+    @pytest.mark.parametrize("lam", [1.0, 0.9])
+    def test_page_offsets_lie_apart(self, monkeypatch, lam):
+        spec, cfg, _ = tv2d_case(side=24)
+        assert spec.layout.dim_primal >= 512 and min(spec.layout.dual_dims) >= 512
+        cfg = relaxed(spec, cfg, lam)
+        rows, norms = [], []
+        kernel, sq_norms = ss.solver._kernel, ss.solver._sq_norms
+
+        def spied(ws, x, v, wsum, err, into, dx, dv):
+            rows.append((ws, x, wsum, dx))
+            return kernel(ws, x, v, wsum, err, into, dx, dv)
+
+        def seen(dx, dv):
+            norms.append(dx)
+            return sq_norms(dx, dv)
+
+        monkeypatch.setattr(ss.solver, "_kernel", spied)
+        monkeypatch.setattr(ss.solver, "_sq_norms", seen)
+        ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=5))
+        assert len(rows) == 5
+
+        def starts(arrays):
+            return {a.ctypes.data for a in arrays}
+
+        ws, x0 = rows[0][0], rows[0][1]
+        plan = starts((ws.wsum, ws.tmp, ws.arg, *ws.dual_arg, *ws.dual_out,
+                       *(buf for _, _, buf in ws.cross)))
+        # the plan's wsum and wsum_next; dx, d's first entry when relaxed;
+        # the two states alternated between, after the initial one
+        sums, dxs = starts(r[2] for r in rows), starts(r[3] for r in rows)
+        pair = starts(r[1] for r in rows[1:])
+        assert len(plan) == 6 and len(sums) == 2 and len(dxs) == 1 and len(pair) == 2
+        buffers = plan | sums | dxs | pair
+        if lam != 1.0:
+            # the step s taken, whose norms are formed beside d's and the states'
+            steps = starts(norms) - dxs - pair - {x0.ctypes.data}
+            assert len(steps) == 1
+            buffers |= steps
+        assert len(buffers) == (10 if lam == 1.0 else 11)
+        offsets = sorted(a % 4096 for a in buffers)
+        gaps = [b - a for a, b in zip(offsets, offsets[1:])]
+        assert min(gaps + [offsets[0] + 4096 - offsets[-1]]) >= 64

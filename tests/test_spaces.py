@@ -7,7 +7,7 @@ import pytest
 
 import splitsolve as ss
 from splitsolve import benchmarks
-from splitsolve.spaces import ShapeMismatchError, SpaceLayout
+from splitsolve.spaces import ShapeMismatchError, SpaceLayout, _vectors
 
 from conftest import inner_blocks
 
@@ -78,6 +78,28 @@ class TestSplit:
         lay = SpaceLayout(3, (2, 4), (0.25, 0.75))
         with pytest.raises(ShapeMismatchError, match=r"^u must be a vector of length 9, got shape"):
             lay.split(np.zeros(shape))
+
+
+class TestVectors:
+    """``_vectors``: float64 vectors, each one of at least a page (512
+    entries) at its own page offset, the shorter ones plain arrays."""
+
+    LENGTHS = (3, 511, 512, 700, 16384, 1, 1536, 512)
+
+    @pytest.mark.parametrize("first", [0, 5, 13, 70])
+    def test_contract(self, first):
+        vecs = _vectors(*self.LENGTHS, first=first)
+        assert [a.shape for a in vecs] == [(n,) for n in self.LENGTHS]
+        for a in vecs:
+            assert a.dtype == np.float64
+            assert a.flags.c_contiguous and a.flags.writeable
+        for i, a in enumerate(vecs):
+            assert not any(np.shares_memory(a, b) for b in vecs[i + 1:])
+        for k, (n, a) in enumerate(zip(self.LENGTHS, vecs), first):
+            if n >= 512:
+                assert a.ctypes.data % 4096 == k * 320 % 4096
+            else:
+                assert a.base is None and a.flags.owndata
 
 
 class TestInnerWeighted:
