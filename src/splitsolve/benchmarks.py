@@ -27,7 +27,7 @@ from .convex import (
 from .operators import catalog_prox, diff1d_op, identity_op, matrix_op
 from .solver import (
     StoppingRule,
-    _States,
+    _Rows,
     geometric_errors,
     run,
     suggest_steps,
@@ -419,8 +419,7 @@ def max_state_deviation(states, xs, vs=None) -> float:
     if not len(xs):
         return 0.0
     first = states[0]
-    rows = ([row[0] for row in states.rows] if isinstance(states, _States)
-            else [st.u for st in states])
+    rows = states.columns[0] if isinstance(states, _Rows) else [st.u for st in states]
     last = len(rows) - 1
     got = np.array([rows[min(k, last)] for k in range(len(xs))])
     n = first.x.size

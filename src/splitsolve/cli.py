@@ -31,7 +31,7 @@ from .convex import check_qualification, solve_convex
 from .diagnostics import certify_operators
 from .operators import CLOSED_FORM_NORM_KINDS
 from .reporting import write_run_csv
-from .spaces import _check_count
+from .spaces import _check_count, _check_real
 from .solver import (
     StoppingRule,
     geometric_errors,
@@ -70,6 +70,19 @@ def _step_config(cp, pc, mode_override=None):
     return cfg, step_condition(spec, cfg)
 
 
+def _run_rules(cp, pc):
+    """The stop rule and error schedule of the config, its ``kkt_tol``
+    checked as :func:`solve_convex` checks it."""
+    errors = None
+    if pc.errors.kind == "geometric":
+        errors = geometric_errors(cp.layout, pc.errors.amplitude,
+                                  pc.errors.decay, seed=pc.seed)
+    stop = StoppingRule(tol=pc.stop.tol, max_iter=pc.stop.max_iter)
+    if pc.stop.kkt_tol is not None:
+        _check_real("kkt_tol", pc.stop.kkt_tol, ends="[[")
+    return stop, errors
+
+
 def _admissibility_lines(cond):
     return [
         f"rho = {cond.rho:.17g}",
@@ -83,6 +96,7 @@ def _admissibility_lines(cond):
 def cmd_solve(args) -> int:
     cp, pc = _load(args.config)
     cfg, cond = _step_config(cp, pc, args.steps)
+    stop, errors = _run_rules(cp, pc)
     if not cond.admissible and not args.unsafe_steps:
         print(f"refusing to solve: step sizes are inadmissible (margin = "
               f"{cond.margin:.17g} <= 0; rerun with --unsafe-steps to override)",
@@ -91,11 +105,6 @@ def cmd_solve(args) -> int:
             print(line, file=sys.stderr)
         return 1
 
-    errors = None
-    if pc.errors.kind == "geometric":
-        errors = geometric_errors(cp.layout, pc.errors.amplitude,
-                                  pc.errors.decay, seed=pc.seed)
-    stop = StoppingRule(tol=pc.stop.tol, max_iter=pc.stop.max_iter)
     report, gap = solve_convex(
         cp, cfg=cfg, stop=stop, errors=errors, kkt_tol=pc.stop.kkt_tol,
         allow_inadmissible=args.unsafe_steps, record_objective=True,
@@ -138,6 +147,7 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     cp, pc = _load(args.config)
     cfg, cond = _step_config(cp, pc)
+    _run_rules(cp, pc)
     for i, (blk, nm) in enumerate(zip(cp.blocks, cfg.norms)):
         print(f"norm(L[{i}]) = {nm:.17g}")
         source = (f"closed form ({blk.L.kind})" if blk.L.kind in CLOSED_FORM_NORM_KINDS
@@ -176,6 +186,7 @@ def cmd_bench(args) -> int:
 def cmd_diag(args) -> int:
     cp, pc = _load(args.config)
     _, cond = _step_config(cp, pc)
+    _run_rules(cp, pc)
     reports = certify_operators(cp.spec)
     for rep in reports:
         print(f"{rep.name}: {'PASS' if rep.passed else 'FAIL'} (margin {rep.margin:.3e}, "

@@ -243,6 +243,7 @@ class ConvexProblem:
     spec: ProblemSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_blocks("blocks", self.blocks)
         object.__setattr__(self, "blocks", tuple(self.blocks))
         lay = self.layout
         _check_dim("f", self.f.dim, lay.dim_primal)

@@ -31,13 +31,15 @@ def _row(rec, include_timings: bool) -> str:
 
 def _column_rows(history: _History, include_timings: bool):
     """The lines of :func:`_row` for a run's columnar history, written
-    from its columns: a row without objective values is its iter,
+    from its columns: a row without a built record is its iter,
     step_norm and residual (and wall_ms) with blank objective cells, and
-    only a row that keeps a record is formatted from it."""
-    records = history.records
-    walls = history.wall_ms if include_timings else [None] * len(history)
-    for k, (step, res, wall) in enumerate(zip(history.step_norm, history.residual, walls)):
-        rec = records.get(k)
+    only a row that has one is formatted from it."""
+    built = history.built
+    steps, residuals, walls = history.columns
+    if not include_timings:
+        walls = [None] * len(history)
+    for k, (step, res, wall) in enumerate(zip(steps, residuals, walls)):
+        rec = built.get(k)
         if rec is None:
             yield f"{k + 1},{step:.17g},{res:.17g},,,,,{_cell(wall)}"
         else:

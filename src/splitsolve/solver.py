@@ -161,6 +161,7 @@ class ProblemSpec:
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
+        _check_blocks("blocks", self.blocks)
         object.__setattr__(self, "blocks", tuple(self.blocks))
         lay = self.layout
         _check_dim("A", self.A.dim, lay.dim_primal)
@@ -252,6 +253,7 @@ class StoppingRule:
 
 def _checked_steps(tau, sigmas) -> tuple[float, tuple[float, ...]]:
     """``tau`` and ``sigmas`` as floats, each refused by name unless in ]0, inf[."""
+    _check_blocks("sigmas", sigmas)
     return _check_real("tau", tau), tuple(
         _check_real(f"sigma[{i}]", s) for i, s in enumerate(sigmas))
 
@@ -341,11 +343,27 @@ class IterationRecord:
 
 
 class _Rows(Sequence):
-    """A read-only sequence that :func:`run` fills in a form of its own:
-    item k is ``_item(k)``, a slice the list of its items, and an index
-    out of range raises ``IndexError`` naming ``_what``."""
+    """A read-only sequence of what :func:`run` records, kept as columns.
 
-    __slots__ = ()
+    ``columns`` holds one list per field, which :func:`run` fills through
+    their bound ``append``; item k is ``make(k, *fields of row k)``,
+    built when it is first read and kept in ``built``, so that an item
+    read twice is one object.  An item placed in ``built`` (a
+    metrics-hook row's record, or one assigned to a history row) is read
+    as it is.  A slice is the list of its items, and an index out of
+    range raises ``IndexError`` naming ``what``.
+    """
+
+    __slots__ = ("what", "make", "columns", "built")
+
+    def __init__(self, what: str, make: Callable, width: int):
+        self.what = what
+        self.make = make
+        self.columns = tuple([] for _ in range(width))
+        self.built: dict[int, object] = {}
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
 
     def _index(self, k) -> int:
         k = operator.index(k)
@@ -353,83 +371,35 @@ class _Rows(Sequence):
         if k < 0:
             k += n
         if not 0 <= k < n:
-            raise IndexError(f"{self._what} index out of range")
+            raise IndexError(f"{self.what} index out of range")
         return k
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
-        return self._item(self._index(k))
+        k = self._index(k)
+        item = self.built.get(k)
+        if item is None:
+            item = self.built[k] = self.make(k, *[col[k] for col in self.columns])
+        return item
 
     def __repr__(self) -> str:
         return repr(list(self))
 
 
 class _History(_Rows):
-    """The history rows of a run, a read-only sequence of
-    :class:`IterationRecord` that :func:`run` fills as columns.
+    """The history rows of a run, whose columns are ``step_norm``,
+    ``residual`` and ``wall_ms`` (``iter`` is the index plus one).  A
+    row can be replaced by assigning an :class:`IterationRecord` to it."""
 
-    A row is kept as its ``step_norm``, ``residual`` and ``wall_ms``
-    (``iter`` is its index plus one), and its record is built each time
-    it is read; a row with objective values (a metrics-hook row, or one
-    assigned as ``history[k] = record``) keeps the record it was given.
-    """
-
-    __slots__ = ("step_norm", "residual", "wall_ms", "records")
-    _what = "history"
-
-    def __init__(self):
-        self.step_norm: list[float] = []
-        self.residual: list[float] = []
-        self.wall_ms: list[float] = []
-        self.records: dict[int, IterationRecord] = {}
-
-    def __len__(self) -> int:
-        return len(self.step_norm)
-
-    def _item(self, k: int) -> IterationRecord:
-        rec = self.records.get(k)
-        if rec is None:
-            rec = IterationRecord(k + 1, self.step_norm[k], self.residual[k], self.wall_ms[k])
-        return rec
+    __slots__ = ()
 
     def __setitem__(self, k, rec: IterationRecord) -> None:
-        self.records[self._index(k)] = rec
-
-    def __iter__(self):
-        records = self.records
-        for k, row in enumerate(zip(self.step_norm, self.residual, self.wall_ms)):
-            rec = records.get(k)
-            yield IterationRecord(k + 1, *row) if rec is None else rec
-
-
-class _States(_Rows):
-    """The recorded states of a run, a read-only sequence of
-    :class:`IterState` that :func:`run` fills with arrays.
-
-    State k is kept as ``rows[k]``, its flat array ``u`` with the views
-    ``x`` and ``v`` the run formed for it, and its :class:`IterState` is
-    built when it is first read and kept, so that a state read twice is
-    one object (the last is ``final_state``, and a state handed to a
-    hook is that one).  :func:`splitsolve.benchmarks.max_state_deviation`
-    reads the ``u`` of ``rows`` without building a state.
-    """
-
-    __slots__ = ("rows", "built")
-    _what = "states"
-
-    def __init__(self):
-        self.rows: list[tuple] = []
-        self.built: dict[int, IterState] = {}
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def _item(self, k: int) -> IterState:
-        st = self.built.get(k)
-        if st is None:
-            st = self.built[k] = IterState(k, *self.rows[k])
-        return st
+        k = self._index(k)
+        if not isinstance(rec, IterationRecord):
+            raise TypeError(f"history[{k}] must be an IterationRecord, "
+                            f"got {type(rec).__name__}")
+        self.built[k] = rec
 
 
 @dataclass(frozen=True)
@@ -459,15 +429,13 @@ class StopReason:
 class RunReport:
     """Outcome of :func:`run`; ``stop`` says which rule ended it.
 
-    ``history`` holds one :class:`IterationRecord` per iteration; it
-    reads like a list (``len``, indexing, slicing, iteration), and a row
-    can be replaced by assigning a record to it.  ``states``, with
-    ``record_states``, holds every state, index 0 included; it reads
-    like a list too, but is read-only, and ``states[-1]`` is
-    ``final_state``.  ``steps`` is the :class:`StepConfig` in force at
-    the end, which took the last update, and ``step_changes`` the
-    number of times a balanced run changed its steps; a run on fixed
-    steps reports its own config and 0.
+    ``history`` holds one :class:`IterationRecord` per iteration and
+    ``states``, with ``record_states``, every state, index 0 included;
+    both read like read-only lists (``states[-1]`` is ``final_state``),
+    and only a record may be assigned to a history row.  ``steps`` is
+    the :class:`StepConfig` in force at the end, which took the last
+    update, and ``step_changes`` the number of times a balanced run
+    changed its steps; a run on fixed steps reports its own config and 0.
     """
 
     iterations: int
@@ -524,7 +492,7 @@ def initial_state(layout: SpaceLayout, x0=None, v0=None) -> IterState:
 # step-size arithmetic
 
 
-def certified_norms(spec: ProblemSpec, seed: int = 0) -> tuple[float, ...]:
+def certified_norms(spec: ProblemSpec) -> tuple[float, ...]:
     """Upper bounds on the block operator norms for the step condition.
 
     Operators whose kind is in ``CLOSED_FORM_NORM_KINDS`` contribute
@@ -543,7 +511,7 @@ def certified_norms(spec: ProblemSpec, seed: int = 0) -> tuple[float, ...]:
         if blk.L.kind in CLOSED_FORM_NORM_KINDS:
             norms.append(blk.L.norm_hint)
         else:
-            est = estimate_norm(blk.L, tol=POWER_TOL, max_iter=POWER_MAX_ITER, seed=seed)
+            est = estimate_norm(blk.L, tol=POWER_TOL, max_iter=POWER_MAX_ITER)
             if not est.converged and math.isfinite(est.value):
                 # a non-finite value is refused by name below
                 raise ValueError(
@@ -558,10 +526,8 @@ def certified_norms(spec: ProblemSpec, seed: int = 0) -> tuple[float, ...]:
 def _checked_norms(norms, m: Optional[int] = None) -> tuple[float, ...]:
     """``norms`` as floats, each refused unless in ]0, inf[, naming its
     block; given the number of blocks ``m``, refused unless one per block."""
-    norms = tuple(_check_real(f"block {i}: norm of L", nm) for i, nm in enumerate(norms))
-    if m is not None:
-        _check_blocks("norms", norms, m)
-    return norms
+    _check_blocks("norms", norms, m)
+    return tuple(_check_real(f"block {i}: norm of L", nm) for i, nm in enumerate(norms))
 
 
 def _beta(spec: ProblemSpec) -> float:
@@ -1056,10 +1022,9 @@ def _checked_errors(err: IterationErrors, layout: SpaceLayout):
     terms = [a1 if a1 is None else _check_vector("IterationErrors.a1", a1, n),
              a2 if a2 is None else _check_vector("IterationErrors.a2", a2, n)]
     for name, seq in (("IterationErrors.b", err.b), ("IterationErrors.c", err.c)):
-        if not seq:
+        if not _check_blocks(name, seq, m, empty=True):
             terms.append((None,) * m)
             continue
-        _check_blocks(name, seq, m)
         checked = []
         for i in range(m):
             t = seq[i]
@@ -1157,7 +1122,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     # state is handed out writes into a fresh one; the others alternate
     # between two arrays, neither of which is ever handed out before the
     # run ends.  A state is an IterState only once it is handed out to a
-    # hook or read: a recorded one is kept as its arrays until then.
+    # hook or read: a recorded one is kept as its flat array until then.
     every = record_states or extra_stop is not None
     relaxed = scale is not None or errors is not None
     # the run's own buffers, numbered after the plan's 3 + 3m (see
@@ -1190,12 +1155,13 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
     pair = None if every else (views(next(own)), views(next(own)))
     # the current state as an IterState, once one is built for it
     st = None
-    history = _History()
-    add_step, add_residual, add_wall = (
-        history.step_norm.append, history.residual.append, history.wall_ms.append)
-    states = _States() if record_states else None
+    history = _History("history", lambda k, *row: IterationRecord(k + 1, *row), 3)
+    add_step, add_residual, add_wall = (col.append for col in history.columns)
+    states = None
     if record_states:
-        states.rows.append((u, x, v))
+        states = _Rows("states", lambda k, w: IterState(k, *views(w)), 1)
+        add_state = states.columns[0].append
+        add_state(u)
     reason = StopReason("max_iter", float(stop.max_iter), float(stop.max_iter))
     failure = None
     # an upper bound on the computed norm of the state, exact after a resync
@@ -1272,15 +1238,13 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
             add_wall(wall_ms)
             u, x, v = nu, nx, nv
             if record_states:
-                states.rows.append((u, x, v))
+                add_state(u)
             st = None
             if hook or extra_stop is not None:
-                st = IterState(n + 1, u, x, v)
-                if record_states:
-                    states.built[n + 1] = st
+                st = states[n + 1] if record_states else IterState(n + 1, u, x, v)
             if hook:
-                history[n] = IterationRecord(n + 1, step_norm, residual, wall_ms,
-                                             **iter_metrics(st, wsum))
+                history.built[n] = IterationRecord(n + 1, step_norm, residual, wall_ms,
+                                                   **iter_metrics(st, wsum))
 
             # norms can overflow to inf while the state is still finite; a
             # non-finite residual must never satisfy the convergence test

@@ -114,11 +114,19 @@ def _check_dim(name: str, dim: int, expected: int) -> None:
         raise ValueError(f"{name} must act on length {expected}, got {dim}")
 
 
-def _check_blocks(name: str, seq, m: int) -> None:
-    """Refuse ``seq`` by name unless it holds one entry per each of ``m`` blocks."""
-    if len(seq) != m:
-        raise ValueError(f"{name} must hold one entry per dual block: expected {m}, "
-                         f"got {len(seq)}")
+def _check_blocks(name: str, seq, m: Optional[int] = None, empty: bool = False) -> int:
+    """The length of ``seq``, refused by name unless ``seq`` has one (a
+    scalar or a single object where a per-block sequence belongs) and,
+    given ``m``, unless it holds one entry per each of ``m`` blocks;
+    ``empty`` lets no entries at all pass too."""
+    try:
+        k = len(seq)
+    except TypeError:
+        raise ValueError(f"{name} must hold one entry per dual block, "
+                         f"got {reprlib.repr(seq)}") from None
+    if m is not None and k != m and not (empty and k == 0):
+        raise ValueError(f"{name} must hold one entry per dual block: expected {m}, got {k}")
+    return k
 
 
 #: bytes in a page, and float64 entries in one
@@ -179,6 +187,8 @@ class SpaceLayout:
 
     def __post_init__(self):
         _check_count("dim_primal", self.dim_primal)
+        _check_blocks("dual_dims", self.dual_dims)
+        _check_blocks("weights", self.weights)
         dims = tuple(self.dual_dims)
         for i, d in enumerate(dims):
             _check_count(f"dual_dims[{i}]", d)

@@ -352,6 +352,37 @@ class TestRelaxation:
         assert extract(capsys.readouterr().out, "admissible") == "yes"
 
 
+class TestRunRules:
+    """The stop rule, ``kkt_tol`` and the error schedule are refused alike
+    by every command that reads a config."""
+
+    ERRORS = "max_iter = 20000\n\n[errors]\nkind = geometric\n"
+    CASES = [
+        ("tol = 1e-12", "tol = nan", "tol must lie in [0, inf[, got nan"),
+        ("max_iter = 20000", "max_iter = 0", "max_iter must be an integer >= 1, got 0"),
+        ("tol = 1e-12", "tol = 1e-12\nkkt_tol = nan", "kkt_tol must lie in [0, inf[, got nan"),
+        ("max_iter = 20000", ERRORS + "amplitude = inf\ndecay = 0.9",
+         "amplitude must lie in [0, inf[, got inf"),
+        ("max_iter = 20000", ERRORS + "amplitude = 0.1\ndecay = 1",
+         "decay must lie in ]0, 1[, got 1.0"),
+    ]
+
+    @pytest.mark.parametrize("command", ["solve", "check", "diag"])
+    @pytest.mark.parametrize("old, new, message", CASES,
+                             ids=["tol", "max_iter", "kkt_tol", "amplitude", "decay"])
+    def test_refused_alike(self, tmp_path, capsys, command, old, new, message):
+        text = Path(LASSO).read_text()
+        assert text.count(old) == 1
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace(old, new))
+        extra = ["-o", str(tmp_path / "r.csv")] if command == "solve" else []
+        assert main([command, str(cfg), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
+
+
 class TestNonFiniteOperator:
     NAN_MATRIX = TWO_BLOCK_CHECK.replace("L = identity", "L = matrix 1 nan ; 0 1", 1).replace(
         "mode = manual\ntau = 0.25\nsigma = 0.25", "mode = auto")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import splitsolve as ss
 import splitsolve.benchmarks  # noqa: F401  (the cases below use ss.benchmarks)
+from splitsolve.reporting import format_run_csv
 from splitsolve.solver import (
     BETA_CAP,
     NORM_SAFETY,
@@ -2217,22 +2218,30 @@ class TestFlatState:
                 assert not np.shares_memory(a.u, b.u)
         assert not any(np.shares_memory(self.x0, st.u) for st in report.states)
 
-    def test_recorded_states_read_like_a_read_only_list(self):
+    @pytest.mark.parametrize("which", ["states", "history"])
+    def test_recorded_states_read_like_a_read_only_list(self, which):
+        # both sequences keep the item they built on its first read
         report = ss.run(self.spec, self.cfg, x0=self.x0, v0=self.v0,
                         stop=ss.StoppingRule(tol=0.0, max_iter=6), record_states=True)
-        states = report.states
-        assert len(states) == 7
-        assert states[6] is states[-1] is report.final_state
-        assert states[2] is states[2] and states[-7] is states[0]
-        assert [st.n for st in states[1:4]] == [1, 2, 3]
-        assert states[::-3] == [states[6], states[3], states[0]]
-        assert list(states) == states[:]
-        for bad in (7, -8):
-            with pytest.raises(IndexError):
-                states[bad]
+        seq = getattr(report, which)
+        n = len(seq)
+        assert n == (7 if which == "states" else 6)
+        assert seq[n - 1] is seq[-1]
+        assert seq[2] is seq[2] and seq[-n] is seq[0]
+        assert seq[::-3] == [seq[k] for k in range(n - 1, -1, -3)]
+        assert list(seq) == seq[:]
+        assert all(a is b for a, b in zip(seq, seq[:]))
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError, match=f"^{which} index out of range$"):
+                seq[bad]
+        if which == "history":
+            assert [rec.iter for rec in seq[1:4]] == [2, 3, 4]
+            return
+        assert seq[6] is report.final_state
+        assert [st.n for st in seq[1:4]] == [1, 2, 3]
         with pytest.raises(TypeError):
-            states[0] = states[1]
-        assert_same_bits(states[0].u, np.concatenate([self.x0, *self.v0]))
+            seq[0] = seq[1]
+        assert_same_bits(seq[0].u, np.concatenate([self.x0, *self.v0]))
 
     def test_a_hooked_state_is_the_recorded_one(self):
         seen = {}
@@ -2254,9 +2263,9 @@ class TestFlatState:
 class TestPerIterationObjects:
     """A run builds an ``IterState`` only for a state it hands out (the
     final state and a metrics-hook row's) and an ``IterationRecord`` only
-    for a metrics-hook row; the other rows are kept as columns and their
-    records built when the history is read, and a recorded state is kept
-    as its arrays and built when it is first read."""
+    for a metrics-hook row; the other rows are kept as columns, a
+    recorded state as its flat array, and each item is built when it is
+    first read."""
 
     ITERS = 25
 
@@ -2323,6 +2332,16 @@ class TestPerIterationObjects:
         assert counts["IterState"] == 1  # states[0], for the block sizes
         assert_same_bits(dev, ss.benchmarks.max_state_deviation(list(report.states), xs, vs))
         assert_same_bits(dev, float(np.max(np.abs(plain.states[7].x - xs[7]))))
+
+    def test_history_takes_only_records(self):
+        report = ss.run(self.spec, self.cfg, stop=self.stop)
+        last = report.history[-1]
+        for bad in (3, None, report.final_state):
+            with pytest.raises(TypeError, match=(
+                    rf"^history\[{self.ITERS - 1}\] must be an IterationRecord, got ")):
+                report.history[-1] = bad
+        assert report.history[-1] is last
+        assert format_run_csv(report).count("\n") == self.ITERS + 3
 
     def test_history_reads_like_a_list_of_frozen_records(self):
         report = ss.run(self.spec, self.cfg, stop=self.stop,

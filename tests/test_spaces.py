@@ -363,3 +363,44 @@ def test_block_count_refused_by_name(entry):
                 rf"expected 2, got {k}$")):
             call(cp, spec, cfg, k)
     call(cp, spec, cfg, 2)
+
+
+#: entry point -> (sequence name, call given one value ``w`` where a
+#: per-block sequence belongs)
+SCALAR_BLOCK_ENTRIES = {
+    "SpaceLayout dual_dims": ("dual_dims", lambda cp, spec, cfg, w: SpaceLayout(
+        8, w, (0.6, 0.4))),
+    "SpaceLayout weights": ("weights", lambda cp, spec, cfg, w: SpaceLayout(8, (7, 5), w)),
+    "StepConfig sigmas": ("sigmas", lambda cp, spec, cfg, w: ss.StepConfig(
+        0.1, w, (1.0, 1.0))),
+    "StepConfig norms": ("norms", lambda cp, spec, cfg, w: ss.StepConfig(0.1, (0.1, 0.1), w)),
+    "validate_steps sigmas": ("sigmas", lambda cp, spec, cfg, w: ss.validate_steps(
+        spec, 0.1, w)),
+    "validate_steps norms": ("norms", lambda cp, spec, cfg, w: ss.validate_steps(
+        spec, 0.1, (0.1, 0.1), norms=w)),
+    "suggest_steps norms": ("norms", lambda cp, spec, cfg, w: ss.suggest_steps(spec, norms=w)),
+    "run v0": ("v", lambda cp, spec, cfg, w: ss.run(spec, cfg, v0=w)),
+    "initial_state v0": ("v", lambda cp, spec, cfg, w: ss.initial_state(spec.layout, None, w)),
+    "kkt_residual v": ("v", lambda cp, spec, cfg, w: ss.kkt_residual(cp, np.zeros(8), w)),
+    "evaluate_gap sigmas": ("sigmas", lambda cp, spec, cfg, w: ss.evaluate_gap(
+        cp, np.zeros(8), (np.zeros(7), np.zeros(5)), sigmas=w)),
+    "run b": ("IterationErrors.b", lambda cp, spec, cfg, w: _one_row(spec, cfg, b=w)),
+    "ProblemSpec blocks": ("blocks", lambda cp, spec, cfg, w: dataclasses.replace(
+        spec, blocks=w)),
+    "ConvexProblem blocks": ("blocks", lambda cp, spec, cfg, w: dataclasses.replace(
+        cp, blocks=w)),
+}
+
+#: one value where a sequence belongs: a scalar, a zero (not read as an
+#: empty sequence) and a single block
+SCALAR_VALUES = {"scalar": lambda cp: 0.5, "zero": lambda cp: 0, "one block": lambda cp: cp.blocks[0]}
+
+
+@pytest.mark.parametrize("entry", sorted(SCALAR_BLOCK_ENTRIES))
+@pytest.mark.parametrize("value", sorted(SCALAR_VALUES))
+def test_unsized_block_sequence_refused_by_name(entry, value):
+    name, call = SCALAR_BLOCK_ENTRIES[entry]
+    cp, spec, cfg = _two_block()
+    with pytest.raises(ValueError, match=(
+            rf"^{re.escape(name)} must hold one entry per dual block, got ")):
+        call(cp, spec, cfg, SCALAR_VALUES[value](cp))
