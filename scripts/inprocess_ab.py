@@ -1,29 +1,35 @@
 #!/usr/bin/env python3
-"""Time lib-tv2d's solve on two checkouts in one process, alternated.
+"""Time a benchmark workload on two checkouts in one process, alternated.
 
 Usage::
 
-    python scripts/inprocess_ab.py PARENT_DIR [--side N] [--pairs N] [--seed N]
-        [--heap-shift BYTES]
+    python scripts/inprocess_ab.py PARENT_DIR [--workload lib-tv2d|suites]
+        [--side N] [--pairs N] [--seed N] [--heap-shift BYTES]
 
 ``PARENT_DIR`` is the root of another checkout of this repository (the
 parent commit, say).  Both ``src/splitsolve`` packages are loaded into
 this process under distinct names, so one interpreter, heap and
 calibration-free clock times them both, with the harness's one BLAS
-thread.  The input is lib-tv2d's of
-``bench/workloads.py``: the image of ``tv2d_image`` at ``--side`` (128
-there), denoised with its ``l1`` weight on ``grad2d``, solved with
-``suggest_steps`` and ``run`` to its tolerance.  ``side`` must be a
-multiple of the image's tile.
+thread.  Two workloads of ``bench/workloads.py`` can be timed:
 
-Each pair times ``suggest_steps`` + ``run`` once per checkout, the
-parent first in even pairs and the change first in odd ones (ABBA),
-after one untimed solve of each.  Every solve must reach the same
-iteration count and a bitwise-equal final state on both checkouts, or
-the script stops.  It prints each side's median µs per iteration, the
-ratio of the medians (change / parent), the pairs in which the change
-was faster, and the parent's interquartile range, which a claimed
-change should exceed.
+- ``lib-tv2d`` (the default): the image of ``tv2d_image`` at ``--side``
+  (128 there), denoised with its ``l1`` weight on ``grad2d``, solved
+  with ``suggest_steps`` and ``run`` to its tolerance.  ``side`` must be
+  a multiple of the image's tile.  A solve is timed in µs per
+  iteration, and every solve must reach the same iteration count and a
+  bitwise-equal final state.
+- ``suites``: one pass of ``Suites.run_pass``, ``run_suite`` of each
+  pinned suite and its reports rendered as run CSVs, timed as a whole
+  in ms.  Every suite check must pass, and every pass must write the
+  same CSV bytes.
+
+Each pair times the workload once per checkout, the parent first in
+even pairs and the change first in odd ones (ABBA), after one untimed
+run of each.  Every run must give the first run's output on both
+checkouts, or the script stops.  It prints each side's median time,
+the ratio of the medians (change / parent), the pairs in which the
+change was faster, and the parent's interquartile range, which a
+claimed change should exceed.
 
 ``--heap-shift BYTES`` holds a ``bytearray`` of that size, allocated
 before the input and both packages, so that every later allocation of
@@ -57,13 +63,16 @@ import workloads  # noqa: E402
 
 
 def load(name: str, checkout: Path):
-    """The ``splitsolve`` package of ``checkout``, imported as ``name``."""
+    """The ``splitsolve`` package of ``checkout``, imported as ``name``,
+    with its ``benchmarks`` and ``reporting`` modules."""
     pkg = checkout / "src" / "splitsolve"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    for sub in ("benchmarks", "reporting"):
+        importlib.import_module(f"{name}.{sub}")
     return module
 
 
@@ -103,6 +112,22 @@ def solve(ss, spec):
     return elapsed * 1e6 / report.iterations, report.iterations, report.final_state.u
 
 
+def suites_pass(ss):
+    """``Suites.run_pass`` of ``bench/workloads.py`` on ``ss``: (ms, the
+    run CSV of each report); a failed suite check stops the script."""
+    texts, failed = {}, []
+    start = perf_counter()
+    for suite in ss.benchmarks.SUITE_NAMES:
+        outcome = ss.benchmarks.run_suite(suite)
+        failed.extend(c.label for c in outcome.checks if not c.passed)
+        for name, report in outcome.reports.items():
+            texts[name] = ss.reporting.format_run_csv(report)
+    elapsed = perf_counter() - start
+    if failed:
+        raise RuntimeError(f"{ss.__name__}: suite checks failed: {', '.join(failed)}")
+    return elapsed * 1e3, texts
+
+
 def quartiles(values):
     q = statistics.quantiles(values, n=4, method="inclusive")
     return q[0], q[2]
@@ -111,6 +136,7 @@ def quartiles(values):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the checkout to compare against")
+    parser.add_argument("--workload", choices=("lib-tv2d", "suites"), default="lib-tv2d")
     parser.add_argument("--side", type=int, default=workloads.TV2D_SIDE)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=12)
@@ -126,38 +152,54 @@ def main(argv=None) -> int:
     # held until main returns
     shift = bytearray(args.heap_shift)  # noqa: F841
 
-    b = image(args.side, args.seed)
-    if args.side == workloads.TV2D_SIDE and not np.array_equal(b, workloads.tv2d_image(args.seed)):
-        raise RuntimeError("image() no longer draws workloads.tv2d_image's input")
+    if args.workload == "lib-tv2d":
+        b = image(args.side, args.seed)
+        if (args.side == workloads.TV2D_SIDE
+                and not np.array_equal(b, workloads.tv2d_image(args.seed))):
+            raise RuntimeError("image() no longer draws workloads.tv2d_image's input")
     sides = {"parent": load("ab_parent", args.parent.resolve()),
              "change": load("ab_change", ROOT)}
-    specs = {name: problem(ss, b, args.side) for name, ss in sides.items()}
+    if args.workload == "lib-tv2d":
+        specs = {name: problem(ss, b, args.side) for name, ss in sides.items()}
+        unit = "us/iter"
+
+        def timed(name):
+            us, iters, u = solve(sides[name], specs[name])
+            return us, (iters, u.tobytes())
+    else:
+        unit = "ms/pass"
+
+        def timed(name):
+            return suites_pass(sides[name])
     times = {name: [] for name in sides}
     reference = None
     for k in range(-1, args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for name in order:
-            us, iters, u = solve(sides[name], specs[name])
+            elapsed, output = timed(name)
             if reference is None:
-                reference = iters, u
-            elif iters != reference[0] or u.tobytes() != reference[1].tobytes():
-                print(f"{name}: {iters} iterations or its final state differ from "
-                      f"the first solve's {reference[0]}", file=sys.stderr)
+                reference = output
+            elif output != reference:
+                print(f"{name}: its output differs from the first run's", file=sys.stderr)
                 return 1
             if k >= 0:
-                times[name].append(us)
+                times[name].append(elapsed)
 
     medians = {name: statistics.median(t) for name, t in times.items()}
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
     lo, hi = quartiles(times["parent"])
-    print(f"lib-tv2d side {args.side}, seed {args.seed}, heap shift {args.heap_shift} B: "
-          f"{reference[0]} iterations, final states bitwise equal, {args.pairs} ABBA pairs")
+    if args.workload == "lib-tv2d":
+        print(f"lib-tv2d side {args.side}, seed {args.seed}, heap shift {args.heap_shift} B: "
+              f"{reference[0]} iterations, final states bitwise equal, {args.pairs} ABBA pairs")
+    else:
+        print(f"suites, heap shift {args.heap_shift} B: {len(reference)} run CSVs "
+              f"byte-identical, {args.pairs} ABBA pairs")
     for name in sides:
-        print(f"{name:>6}: median {medians[name]:.1f} us/iter "
+        print(f"{name:>6}: median {medians[name]:.1f} {unit} "
               f"(min {min(times[name]):.1f}, max {max(times[name]):.1f})")
     print(f" ratio: {medians['change'] / medians['parent']:.3f} (change / parent), "
           f"change faster in {wins}/{args.pairs} pairs")
-    print(f"   IQR: parent {lo:.1f}-{hi:.1f} us/iter ({(hi - lo) / medians['parent']:.1%} "
+    print(f"   IQR: parent {lo:.1f}-{hi:.1f} {unit} ({(hi - lo) / medians['parent']:.1%} "
           f"of its median); median change {medians['change'] - medians['parent']:+.1f}")
     return 0
 

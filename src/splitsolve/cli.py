@@ -134,7 +134,9 @@ def cmd_solve(args) -> int:
     print(f"kkt residual = {gap.kkt_residual:.17g}")
     for note in gap.notes:
         print(f"note: {note}")
-    print("x = " + " ".join(f"{v:.17g}" for v in report.final_state.x))
+    # float by float: x.tolist() is 0.1 ms faster at n = 2000, but its 2000
+    # live floats raised bench/run.py's cli-tv1d setup_s by about 10 %
+    print("x = " + " ".join(map("{:.17g}".format, map(float, report.final_state.x))))
     print(f"wrote {out}")
     if report.termination == "converged":
         return 0

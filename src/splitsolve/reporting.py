@@ -29,21 +29,20 @@ def _row(rec, include_timings: bool) -> str:
     ])
 
 
-def _column_rows(history: _History, include_timings: bool):
+def _column_rows(history: _History, include_timings: bool) -> list[str]:
     """The lines of :func:`_row` for a run's columnar history, written
     from its columns: a row without a built record is its iter,
     step_norm and residual (and wall_ms) with blank objective cells, and
-    only a row that has one is formatted from it."""
-    built = history.built
+    a row that has one is formatted from it instead."""
     steps, residuals, walls = history.columns
-    if not include_timings:
-        walls = [None] * len(history)
-    for k, (step, res, wall) in enumerate(zip(steps, residuals, walls)):
-        rec = built.get(k)
-        if rec is None:
-            yield f"{k + 1},{step:.17g},{res:.17g},,,,,{_cell(wall)}"
-        else:
-            yield _row(rec, include_timings)
+    count = range(1, len(history) + 1)
+    if include_timings:
+        lines = ["%d,%.17g,%.17g,,,,,%.17g" % row for row in zip(count, steps, residuals, walls)]
+    else:
+        lines = ["%d,%.17g,%.17g,,,,," % row for row in zip(count, steps, residuals)]
+    for k, rec in history.built.items():
+        lines[k] = _row(rec, include_timings)
+    return lines
 
 
 def format_run_csv(report: RunReport, condition: Optional[StepCondition] = None,

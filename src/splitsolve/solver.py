@@ -1055,46 +1055,29 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
         ) -> RunReport:
     """Iterate until a stopping rule fires and report the run.
 
-    Arguments: ``cfg`` holds the steps and the relaxation ``cfg.lam``;
-    ``x0`` and ``v0`` (zero by default) are copied into the initial
-    state.  ``errors``, when given, maps the iteration index ``n`` to
-    the :class:`IterationErrors` injected there, checked as its
-    docstring says; ``None`` runs the exact iteration.  Before the
-    first iteration the run evaluates :func:`step_condition` of
-    ``cfg`` on ``spec``: a ``cfg`` whose ``sigmas`` or ``norms`` do
-    not fit the blocks is refused with a ``ValueError``, and
-    inadmissible steps with :class:`InadmissibleStepsError` unless
-    ``allow_inadmissible`` is set; a run under that override measures
-    its residual in the plain weighted norm.
+    ``cfg`` holds the steps and the relaxation ``cfg.lam``; ``x0`` and
+    ``v0`` (zero by default) are copied into the initial state, and
+    ``errors`` maps ``n`` to the :class:`IterationErrors` injected
+    there.  README's "Library example" gives the contract of these
+    inputs and of the report, including the refusal of steps that fail
+    :func:`step_condition` (a ``ValueError``, or
+    :class:`InadmissibleStepsError` unless ``allow_inadmissible``; a run
+    under that override measures its residual in the plain weighted
+    norm).  "Fixed and balanced steps" says which configs balance, and
+    "Hooks and aliasing" what ``iter_metrics`` and ``extra_stop`` get.
 
-    Stop rules: the run stops once the fixed-point residual of the
-    current state is at most ``stop.tol * (1 + ||state||)`` (README's
-    "The stop test"), once ``extra_stop`` returns a :class:`StopReason`
-    for the new state rather than ``None``, after ``stop.max_iter``
-    iterations, or on a non-finite p or q_i, which ends the run as
-    ``"diverged"`` with ``failure`` naming the block and the iteration.
-    ``report.stop`` records which rule ended the run.  With
-    ``stop=StoppingRule(tol=0.0, max_iter=k)`` the run takes exactly
-    ``k`` steps unless one lands on an exact fixed point.  The loop runs
-    with numpy's overflow and invalid-value warnings off: a finite state
-    whose squares overflow goes on, its inf norms never meeting the
-    threshold.
-
-    A ``cfg`` whose ``balance`` is set (the configs of
-    :func:`suggest_steps`) balances the ratio sigma_i / tau by the rule
-    of README's "Fixed and balanced steps"; any other config, and a run
-    under the override with inadmissible steps, keeps its steps fixed.
-    ``report.steps`` and ``report.step_changes`` give the steps in force
-    at the end and the number of changes.
-
-    ``iter_metrics`` may attach objective values to the history rows
-    whose ``iter`` is a multiple of ``OBJECTIVE_STRIDE``, and
-    ``extra_stop`` is called on every row; README's "Hooks and aliasing"
-    gives both hooks' arguments and what the run and its operators may
-    write into.  With ``record_states=True`` the report keeps every
-    iterate, index 0 included.  Every value has the bits of the plain
-    formulas in the module docstring; README's "Passes the iteration
-    skips" says why the passes a run skips keep them.
+    The run stops once the residual is at most ``stop.tol * (1 +
+    ||state||)``, once ``extra_stop`` returns a :class:`StopReason`,
+    after ``stop.max_iter`` iterations, or as ``"diverged"`` on a
+    non-finite p or q_i, with ``failure`` naming the block and the
+    iteration; ``report.stop`` says which.  README's "The stop test"
+    also says when a run whose state repeats copies its remaining rows.
+    With ``tol=0.0`` the run takes ``max_iter`` steps unless one lands
+    on an exact fixed point.  The loop runs with numpy's overflow and
+    invalid-value warnings off: a finite state whose squares overflow
+    goes on, its inf norms never meeting the threshold.  Every value has
+    the bits of the plain formulas in the module docstring ("Passes the
+    iteration skips" says why the skipped passes keep them).
     """
     cond = step_condition(spec, cfg)
     admissible = cond.admissible
@@ -1164,6 +1147,15 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
         add_state(u)
     reason = StopReason("max_iter", float(stop.max_iter), float(stop.max_iter))
     failure = None
+    # a state with the bits of the state one or two rows back starts a
+    # cycle that runs to max_iter (README's "The stop test"); a row whose
+    # step norm and residual repeat saves the bits of its new state for
+    # the next two rows to compare with theirs.  Balancing that has
+    # stopped never changes the steps again.
+    cyclic = errors is None and iter_metrics is None and extra_stop is None
+    steps_col, res_col = history.columns[:2]
+    saved = None
+    period = 0
     # an upper bound on the computed norm of the state, exact after a resync
     bound = math.inf
 
@@ -1262,7 +1254,32 @@ def run(spec: ProblemSpec, cfg: StepConfig, x0=None, v0=None,
                 # (dx, dv) holds the row's relaxation-1 displacement and
                 # dwsum, if any, its weighted adjoint sum; no hook sees them
                 balance.check(dx, dv, dwsum)
+            if not cyclic:
+                continue
+            if saved is not None:
+                if u.tobytes() == saved:
+                    period = n - since
+                    break
+                if n - since == 2:
+                    saved = None
+            if (saved is None and n >= 2
+                    and (balance is None or balance.alpha < _BALANCE_FLOOR)
+                    and ((step_norm == steps_col[n - 1] and residual == res_col[n - 1])
+                         or (step_norm == steps_col[n - 2] and residual == res_col[n - 2]))):
+                saved, since = u.tobytes(), n
 
+    if period:
+        # each later row and state repeats the one period back
+        rest = stop.max_iter - n - 1
+        for col in steps_col, res_col:
+            col.extend((col[-period:] * rest)[:rest])
+        history.columns[2].extend([0.0] * rest)
+        if record_states:
+            kept = states.columns[0]
+            kept.extend([w.copy() for w in (kept[-period:] * rest)[:rest]])
+        elif period == 2 and rest % 2:
+            # the final state is u_n, the other array of the pair
+            u, x, v = pair[(n + 1) % 2]
     if record_states:
         st = states[-1]
     return RunReport(

@@ -1966,6 +1966,126 @@ class TestStopTest:
         assert [n for n, _ in calls] == list(range(0, k, ss.solver.NORM_RESYNC))
 
 
+def counted_kernel(monkeypatch):
+    """A list that grows by one entry per ``_kernel`` call of ``run``."""
+    calls, kernel = [], ss.solver._kernel
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+    monkeypatch.setattr(ss.solver, "_kernel", counted)
+    return calls
+
+
+def full_run(spec, cfg, **kwargs):
+    """``run`` with every row computed: an ``extra_stop`` that never
+    stops turns the copying of a repeated state off."""
+    return ss.run(spec, cfg, extra_stop=lambda *_: None, **kwargs)
+
+
+def assert_same_report(got, want):
+    """The reports agree in every value but ``wall_ms``, bit for bit, and
+    no two recorded states share memory."""
+    assert got.iterations == want.iterations
+    assert got.stop == want.stop
+    assert (got.steps, got.step_changes) == (want.steps, want.step_changes)
+    for g, w in zip(got.history.columns[:2], want.history.columns[:2]):
+        assert_same_bits(g, w)
+    assert got.final_state.n == want.final_state.n
+    assert_same_bits(got.final_state.u, want.final_state.u)
+    assert (got.states is None) == (want.states is None)
+    if got.states is not None:
+        assert len(got.states) == len(want.states)
+        for k, (g, w) in enumerate(zip(got.states, want.states)):
+            assert g.n == w.n
+            assert_same_bits(g.u, w.u)
+            assert not any(np.shares_memory(g.u, got.states[j].u)
+                           for j in range(max(k - 2, 0), k))
+
+
+class TestRepeatedState:
+    """A run that nothing reads row by row copies its rows from a state
+    that repeats bit for bit (README's "The stop test")."""
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("max_iter", [1000, 1001])
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 0.7, 0.9, 1.0])
+    def test_report_is_the_full_runs(self, lam, max_iter, record):
+        # on the fb problem lam = 0.9 settles into a 2-cycle and 0.3 into
+        # a fixed point, 0.5 and 0.7 into neither, and 1.0 stops by tol
+        spec, cfg, _ = fb_case()
+        cfg = relaxed(spec, cfg, lam)
+        stop = ss.StoppingRule(tol=0.0, max_iter=max_iter)
+        want = full_run(spec, cfg, stop=stop, record_states=record)
+        got = ss.run(spec, cfg, stop=stop, record_states=record)
+        assert_same_report(got, want)
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("lam, period, computed", [(0.9, 2, 41), (0.3, 1, 155)])
+    def test_a_cycle_is_computed_once(self, monkeypatch, lam, period, computed, record):
+        spec, cfg, _ = fb_case()
+        cfg = relaxed(spec, cfg, lam)
+        finals = []
+        for max_iter in (1000, 1001):
+            stop = ss.StoppingRule(tol=0.0, max_iter=max_iter)
+            want = full_run(spec, cfg, stop=stop, record_states=record)
+            calls = counted_kernel(monkeypatch)
+            got = ss.run(spec, cfg, stop=stop, record_states=record)
+            assert len(calls) == computed
+            assert_same_report(got, want)
+            walls = got.history.columns[2]
+            assert all(w > 0.0 for w in walls[:computed])
+            assert walls[computed:] == [0.0] * (max_iter - computed)
+            finals.append(got.final_state.u)
+        # the two lengths end on different states of a 2-cycle, so the
+        # comparison above tells the final state's phase apart
+        assert (finals[0].tobytes() != finals[1].tobytes()) == (period == 2)
+
+    def test_a_positive_tolerance_below_reach_stalls_in_the_cycle(self, monkeypatch):
+        spec, cfg, _ = fb_case()
+        stop = ss.StoppingRule(tol=1e-30, max_iter=5000)
+        want = full_run(spec, cfg, stop=stop)
+        calls = counted_kernel(monkeypatch)
+        got = ss.run(spec, cfg, stop=stop)
+        assert got.stop == ss.StopReason("max_iter", 5000.0, 5000.0)
+        assert len(calls) < 50
+        assert_same_report(got, want)
+
+    def test_fb_reduction_suite_computes_few_rows(self, monkeypatch):
+        calls = counted_kernel(monkeypatch)
+        outcome = ss.benchmarks.run_suite("fb-reduction")
+        assert outcome.all_passed
+        assert outcome.reports["fb-reduction"].iterations == 1000
+        assert len(calls) <= 50
+
+    @pytest.mark.parametrize("reader", ["errors", "iter_metrics", "extra_stop"])
+    def test_a_run_read_row_by_row_computes_every_row(self, monkeypatch, reader):
+        spec, cfg, _ = fb_case()
+        hooks = {"errors": lambda n: None, "iter_metrics": lambda st, wsum: {},
+                 "extra_stop": lambda st, wsum: None}
+        calls = counted_kernel(monkeypatch)
+        report = ss.run(spec, cfg, stop=ss.StoppingRule(tol=0.0, max_iter=200),
+                        **{reader: hooks[reader]})
+        assert report.iterations == len(calls) == 200
+
+    @pytest.mark.parametrize("active", [True, False])
+    def test_a_run_computes_every_row_while_balancing(self, monkeypatch, active):
+        # the fixed steps of the fb case, balanced by a rule that never
+        # changes them: active while alpha is 0.5, stopped at alpha 0
+        spec, cfg, _ = fb_case()
+        cfg = dataclasses.replace(cfg, balance=0.99)
+        if active:
+            monkeypatch.setattr(ss.solver._Balance, "check", lambda self, *args: None)
+        else:
+            monkeypatch.setattr(ss.solver, "_BALANCE_ALPHA", 0.0)
+        stop = ss.StoppingRule(tol=0.0, max_iter=200)
+        want = full_run(spec, cfg, stop=stop)
+        calls = counted_kernel(monkeypatch)
+        got = ss.run(spec, cfg, stop=stop)
+        assert_same_report(got, want)
+        assert len(calls) == (200 if active else 41)
+
+
 class TestErrorTuples:
     """An empty ``b`` or ``c`` is exact on every block; any other length
     than one entry per block is refused by name."""
