@@ -3,14 +3,14 @@
 
 Usage::
 
-    python scripts/inprocess_ab.py PARENT_DIR [--workload lib-tv2d|suites]
+    python scripts/inprocess_ab.py PARENT_DIR [--workload lib-tv2d|suites|cli-tv1d]
         [--side N] [--pairs N] [--seed N] [--heap-shift BYTES]
 
 ``PARENT_DIR`` is the root of another checkout of this repository (the
 parent commit, say).  Both ``src/splitsolve`` packages are loaded into
 this process under distinct names, so one interpreter, heap and
 calibration-free clock times them both, with the harness's one BLAS
-thread.  Two workloads of ``bench/workloads.py`` can be timed:
+thread.  Three workloads of ``bench/workloads.py`` can be timed:
 
 - ``lib-tv2d`` (the default): the image of ``tv2d_image`` at ``--side``
   (128 there), denoised with its ``l1`` weight on ``grad2d``, solved
@@ -22,6 +22,11 @@ thread.  Two workloads of ``bench/workloads.py`` can be timed:
   pinned suite and its reports rendered as run CSVs, timed as a whole
   in ms.  Every suite check must pass, and every pass must write the
   same CSV bytes.
+- ``cli-tv1d``: ``cli.main(["solve", CONFIG, "-o", CSV])`` on the
+  generated TV-1D config of ``--seed``, written once to a temporary
+  directory, timed in ms per solve.  Every solve must exit 0 and write
+  the first solve's standard output (its CSV path made the same) and
+  CSV bytes.
 
 Each pair times the workload once per checkout, the parent first in
 even pairs and the change first in odd ones (ABBA), after one untimed
@@ -46,8 +51,11 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import io
 import statistics
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
@@ -64,14 +72,14 @@ import workloads  # noqa: E402
 
 def load(name: str, checkout: Path):
     """The ``splitsolve`` package of ``checkout``, imported as ``name``,
-    with its ``benchmarks`` and ``reporting`` modules."""
+    with its ``benchmarks``, ``reporting`` and ``cli`` modules."""
     pkg = checkout / "src" / "splitsolve"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("benchmarks", "reporting"):
+    for sub in ("benchmarks", "reporting", "cli"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
@@ -128,6 +136,21 @@ def suites_pass(ss):
     return elapsed * 1e3, texts
 
 
+def cli_solve(ss, config: Path, csv: Path):
+    """``splitsolve solve`` of ``config`` by ``ss.cli.main``: (ms, (its
+    stdout with the CSV path replaced, the CSV bytes)); a nonzero exit
+    stops the script."""
+    csv.unlink(missing_ok=True)
+    out = io.StringIO()
+    start = perf_counter()
+    with redirect_stdout(out):
+        code = ss.cli.main(["solve", str(config), "-o", str(csv)])
+    elapsed = perf_counter() - start
+    if code != 0:
+        raise RuntimeError(f"{ss.__name__}: solve exited {code}")
+    return elapsed * 1e3, (out.getvalue().replace(str(csv), "CSV"), csv.read_bytes())
+
+
 def quartiles(values):
     q = statistics.quantiles(values, n=4, method="inclusive")
     return q[0], q[2]
@@ -136,7 +159,8 @@ def quartiles(values):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the checkout to compare against")
-    parser.add_argument("--workload", choices=("lib-tv2d", "suites"), default="lib-tv2d")
+    parser.add_argument("--workload", choices=("lib-tv2d", "suites", "cli-tv1d"),
+                        default="lib-tv2d")
     parser.add_argument("--side", type=int, default=workloads.TV2D_SIDE)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=12)
@@ -166,11 +190,22 @@ def main(argv=None) -> int:
         def timed(name):
             us, iters, u = solve(sides[name], specs[name])
             return us, (iters, u.tobytes())
-    else:
+    elif args.workload == "suites":
         unit = "ms/pass"
 
         def timed(name):
             return suites_pass(sides[name])
+    else:
+        unit = "ms/solve"
+        # removed when main returns
+        tmp = tempfile.TemporaryDirectory(prefix="inprocess_ab_")
+        workdir = Path(tmp.name)
+        config = workdir / "tv1d.cfg"
+        config.write_text(workloads.tv1d_config(workloads.tv1d_signal(args.seed)),
+                          encoding="utf-8")
+
+        def timed(name):
+            return cli_solve(sides[name], config, workdir / f"{name}.csv")
     times = {name: [] for name in sides}
     reference = None
     for k in range(-1, args.pairs):
@@ -191,9 +226,12 @@ def main(argv=None) -> int:
     if args.workload == "lib-tv2d":
         print(f"lib-tv2d side {args.side}, seed {args.seed}, heap shift {args.heap_shift} B: "
               f"{reference[0]} iterations, final states bitwise equal, {args.pairs} ABBA pairs")
-    else:
+    elif args.workload == "suites":
         print(f"suites, heap shift {args.heap_shift} B: {len(reference)} run CSVs "
               f"byte-identical, {args.pairs} ABBA pairs")
+    else:
+        print(f"cli-tv1d seed {args.seed}, heap shift {args.heap_shift} B: stdout and "
+              f"{len(reference[1])} CSV bytes identical, {args.pairs} ABBA pairs")
     for name in sides:
         print(f"{name:>6}: median {medians[name]:.1f} {unit} "
               f"(min {min(times[name]):.1f}, max {max(times[name]):.1f})")

@@ -29,6 +29,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy 1.x
+    from numpy.core.umath import clip as _clip
+
 from .spaces import _FLOAT, _check_count, _check_real, _check_vector
 
 __all__ = [
@@ -432,7 +437,20 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
     Stacks vertical differences ((rows-1) * cols values) above
     horizontal differences (rows * (cols-1) values).  The norm hint is
     the closed-form norm 2 sqrt(sin^2((rows-1) pi / (2 rows)) +
-    sin^2((cols-1) pi / (2 cols))) rounded up.  The adjoint adds the
+    sin^2((cols-1) pi / (2 cols))) rounded up.
+
+    The apply makes every subtraction a flat pass and uses ``out`` as
+    its own scratch (a 2-D strided subtraction makes numpy buffer its
+    operands, 128 KB per call at 128 x 128).  It writes x[1:] - x[:-1]
+    into out[:n - 1], whose row r entries r cols ... r cols + cols - 2
+    are the horizontal differences of row r; it moves the last row's
+    to the end of ``out``, compacts rows 0 ... rows - 2 into the
+    horizontal block in one strided copy, and then writes the vertical
+    differences x[cols:] - x[:-cols] over out[:n_v].  The last row goes
+    first because the horizontal block begins at n_v = (rows - 1) cols,
+    where the last row's differences lie; after it no copy's source
+    overlaps its destination.  Each entry is the IEEE difference of the
+    same two entries as in the 2-D form.  The adjoint adds the
     horizontal differences in flat passes over a padded copy, with the
     bits of the 2-D column updates (see the comment in ``adjoint_into``).
 
@@ -446,11 +464,16 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
         raise ValueError("grad2d needs rows >= 2 and cols >= 2")
     n_v = (rows - 1) * cols
     n_h = rows * (cols - 1)
+    n = rows * cols
+    # horizontal differences of rows 0 ... rows - 2
+    n_top = (rows - 1) * (cols - 1)
 
     def apply_into(x, out):
-        img = x.reshape(rows, cols)
-        np.subtract(img[1:, :], img[:-1, :], out=out[:n_v].reshape(rows - 1, cols))
-        np.subtract(img[:, 1:], img[:, :-1], out=out[n_v:].reshape(rows, cols - 1))
+        np.subtract(x[1:], x[:-1], out=out[:n - 1])
+        out[n_v + n_top:] = out[n_v:n - 1]
+        out[n_v:n_v + n_top].reshape(rows - 1, cols - 1)[...] = (
+            out[:n_v].reshape(rows - 1, cols)[:, :-1])
+        np.subtract(x[cols:], x[:-cols], out=out[:n_v])
         return out
 
     def adjoint_into(y, out):
@@ -479,7 +502,6 @@ def grad2d_op(rows: int, cols: int) -> LinearOp:
         math.sin((rows - 1) * math.pi / (2 * rows)) ** 2
         + math.sin((cols - 1) * math.pi / (2 * cols)) ** 2
     )
-    n = rows * cols
     return LinearOp(n, n_v + n_h, _MapForm(apply_into, n, n_v + n_h, "grad2d apply"),
                     _MapForm(adjoint_into, n_v + n_h, n, "grad2d adjoint", signless=True),
                     norm_hint=_round_up(hint), kind="grad2d")
@@ -670,22 +692,27 @@ def _build_l1(dim, weight=1.0):
         return into
 
     def conj(u):
-        # indicator of the weight-radius sup-norm ball
+        # indicator of the weight-radius sup-norm ball; np.max's own
+        # reduction, without its Python wrapper
         slack = INDICATOR_TOL * (1.0 + c)
-        return 0.0 if float(np.max(np.abs(u), initial=0.0)) <= c + slack else math.inf
+        top = float(np.maximum.reduce(np.abs(u), initial=0.0))
+        return 0.0 if top <= c + slack else math.inf
 
     lower, upper = _scalar(-c), _scalar(c)
 
     def conj_prox_into(u, out):
         # projection onto the conjugate's weight-radius sup-norm ball,
-        # clip(u, -c, c) as numpy's clip ufunc forms it for floats,
-        # min(max(u, -c), c) with a NaN u passed on, in its two public
-        # ufuncs: ndarray.clip runs numpy's Python-level _clip first
-        return np.minimum(np.maximum(u, lower, out=out), upper, out=out)
+        # clip(u, -c, c) in one pass of numpy's clip ufunc (np.clip's
+        # Python wrapper costs more than the pass saves at n <= 2000).
+        # It has the bits of min(max(u, -c), c), NaN passed on: the two
+        # differ only at a bound of +-0, and c lies in ]0, inf[, so a tie
+        # u = +-c is the bound's own bits
+        return _clip(u, lower, upper, out=out)
 
     return ProxFunction(
         dim,
-        evaluate=lambda x: c * float(np.sum(np.abs(x))),
+        # np.sum's own reduction, without its Python wrapper
+        evaluate=lambda x: c * float(np.add.reduce(np.abs(x))),
         prox=_StepForm(prox_at, dim, dim, "l1 prox"),
         conjugate_value=conj,
         conjugate_prox=_StepForm(lambda sigma: conj_prox_into, dim, dim,
@@ -715,8 +742,9 @@ def _build_box(dim, lo=0.0, hi=1.0):
         return 0.0 if inside else math.inf
 
     def clip_into(w, out):
-        # the projection clip(w, lo, hi), formed as the l1 conjugate
-        # prox forms its clip
+        # the projection clip(w, lo, hi) in two passes, min(max(w, lo),
+        # hi): a bound may be +-0, where the clip ufunc differs (with 0-d
+        # bounds lo = -0, hi = +0 and w = -0 give +0 here and -0 there)
         return np.minimum(np.maximum(w, lo_v, out=out), hi_v, out=out)
 
     return ProxFunction(

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitsolve.operators import (
+    INDICATOR_TOL,
     CocoerciveOp,
     LinearOp,
     ResolventOp,
@@ -299,6 +301,7 @@ class TestBufferForms:
         assert got is out
         assert_same_bits(got, g.conjugate_prox(0.7, u))
         assert_same_bits(got, np.clip(u, -weight, weight))
+        assert_same_bits(got, np.minimum(np.maximum(u, -weight), weight))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12))
@@ -898,6 +901,71 @@ class TestGrad2dAdjoint:
         np.testing.assert_array_equal(y.view(np.int64), kept.view(np.int64))
 
 
+def grad2d_apply_2d(rows, cols, x):
+    """The grad2d apply as two strided 2-D subtractions of the image, the
+    formulation the flat passes must match bit for bit."""
+    n_v = (rows - 1) * cols
+    img = x.reshape(rows, cols)
+    out = np.empty(n_v + rows * (cols - 1))
+    np.subtract(img[1:, :], img[:-1, :], out=out[:n_v].reshape(rows - 1, cols))
+    np.subtract(img[:, 1:], img[:, :-1], out=out[n_v:].reshape(rows, cols - 1))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestGrad2dApply:
+    """The apply forms its differences in flat passes, with ``out`` as
+    its own scratch; every entry must keep the 2-D subtractions' bits,
+    whatever ``out`` held."""
+
+    SHAPES = TestGrad2dAdjoint.SHAPES + [(5, 2), (64, 64)]
+
+    @staticmethod
+    def specials(rng, size):
+        """Normal entries, about a third of them replaced by special ones."""
+        x = rng.standard_normal(size)
+        hit = rng.random(size) < 0.3
+        x[hit] = rng.choice(SPECIAL_ENTRIES, hit.sum())
+        return x
+
+    @pytest.mark.parametrize("rows, cols", SHAPES)
+    def test_bitwise_equal_to_2d_subtractions(self, rows, cols, rng):
+        op = grad2d_op(rows, cols)
+        into = _bound(op.apply)
+        cases = [self.specials(rng, op.in_dim) for _ in range(20)]
+        cases += [TestGrad2dAdjoint.signed_zeros(rng, op.in_dim),
+                  np.full(op.in_dim, -0.0), np.full(op.in_dim, math.inf)]
+        for x in cases:
+            want = grad2d_apply_2d(rows, cols, x)
+            out = garbage(op.out_dim)
+            assert into(x, out) is out
+            assert_same_bits(out, want)
+            assert_same_bits(op.apply(x), want)
+
+    def test_input_left_unchanged(self, rng):
+        op = grad2d_op(4, 5)
+        x = self.specials(rng, op.in_dim)
+        kept = x.copy()
+        op.apply(x)
+        assert_same_bits(x, kept)
+
+    def test_allocates_nothing(self, rng):
+        # a 2-D strided subtraction has numpy buffer its operands on
+        # every call, 66 KB traced at 64 x 64
+        op = grad2d_op(64, 64)
+        into = _bound(op.apply)
+        x, out = rng.standard_normal(op.in_dim), np.empty(op.out_dim)
+        into(x, out)
+        tracemalloc.start()
+        try:
+            for _ in range(50):
+                into(x, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+
+
 class TestPlainFormulas:
     """The built-in maps write into their output array; their values
     must equal the plain allocating formulas bit for bit, signed zeros
@@ -972,6 +1040,21 @@ class TestPlainFormulas:
             f = catalog_prox("l1", size, weight=weight)
             for u in self.clip_inputs(rng, size):
                 assert_same_bits(f.conjugate_prox(0.7, u), np.clip(u, -weight, weight))
+
+    @pytest.mark.parametrize("size", [1, 50, 2000, 32512])
+    def test_l1_values_are_np_sum_and_np_max(self, rng, size):
+        # the reductions np.sum and np.max run, called directly: past
+        # numpy's pairwise-summation blocks the order of the additions
+        # shows, and the sup norm meets the indicator's edge
+        for weight in (0.3, 1.0):
+            f = catalog_prox("l1", size, weight=weight)
+            edge = weight + INDICATOR_TOL * (1.0 + weight)
+            wide = rng.standard_normal(size) * np.exp(rng.uniform(-30.0, 30.0, size))
+            for u in self.clip_inputs(rng, size) + [
+                    wide, np.full(size, -edge), np.full(size, math.nextafter(edge, 2.0))]:
+                assert_same_bits(f.evaluate(u), weight * float(np.sum(np.abs(u))))
+                top = float(np.max(np.abs(u), initial=0.0))
+                assert_same_bits(f.conjugate_value(u), 0.0 if top <= edge else math.inf)
 
     @pytest.mark.parametrize("size", [1, 50, 2000, 32512])
     def test_box_prox_is_np_clip(self, rng, size):
